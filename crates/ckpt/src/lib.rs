@@ -18,7 +18,7 @@
 //!   scheme).
 //! * [`failure`] — [`FailurePlan`]: kill device `d` at iteration `i`, or
 //!   drop a link. The runtime injects these through its existing
-//!   `AbortFlag`/`WorkerError` machinery, so an injected crash exercises
+//!   `WorkerError` + abort-broadcast machinery, so an injected crash exercises
 //!   the same shutdown paths a real one would.
 //! * [`recovery`] — the failure/recovery cost model: per-checkpoint stall
 //!   from weight+optimizer bytes over the cluster's weakest link, rewind +

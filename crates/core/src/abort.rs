@@ -1,18 +1,18 @@
 //! Cooperative cancellation.
 //!
-//! [`AbortFlag`] started life inside the runtime's mailbox machinery as
-//! the latch a crashing worker trips so its peers unwind instead of
-//! deadlocking. It lives here, at the bottom of the dependency graph,
-//! because the same latch now also threads *user-initiated* cancellation
-//! through the tuner (`hanayo-sim`) and the planning service
-//! (`hanayo-serve`): a long sweep checks the flag between candidate
-//! batches and returns a typed `Cancelled` error once its client is gone.
+//! [`AbortFlag`] lives here, at the bottom of the dependency graph,
+//! because it threads *user-initiated* cancellation through the tuner
+//! (`hanayo-sim`) and the planning service (`hanayo-serve`): a long sweep
+//! checks the flag between candidate batches and returns a typed
+//! `Cancelled` error once its client is gone. (The threaded runtime, where
+//! the latch started life, now aborts by message instead of by polling —
+//! see `hanayo_runtime::mailbox`.)
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Cooperative cancellation latch shared by every participant of one
-/// run — the workers of a training run, or the candidate batches of a
-/// tuner sweep. Tripping is one-way and idempotent; observers poll
+/// run — the candidate batches of a tuner sweep, the jobs of the planning
+/// service. Tripping is one-way and idempotent; observers poll
 /// [`AbortFlag::is_tripped`] at their own checkpoints and unwind cleanly.
 #[derive(Debug, Default)]
 pub struct AbortFlag {

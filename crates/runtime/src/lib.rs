@@ -16,7 +16,9 @@
 //! Pieces:
 //!
 //! * [`mailbox`] — tag-matching P2P fabric over crossbeam channels
-//!   (asynchronous sends, blocking receives: NCCL's semantics).
+//!   (asynchronous sends, blocking receives: NCCL's semantics). A blocked
+//!   receive spins briefly before it parks when the run has a core per
+//!   device thread, and a failing worker aborts its peers by message.
 //! * [`worker`] — the action-list interpreter (§4.1) with per-micro-batch
 //!   gradient slots and an instrumented activation-stash live-bytes
 //!   counter. The stash policy is the executable

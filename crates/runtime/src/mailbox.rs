@@ -5,19 +5,43 @@
 //! ample buffers); receives block until a message with the requested tag
 //! arrives. Because iterations reuse tags, the match key includes the
 //! iteration number.
+//!
+//! How a device waits: an empty mailbox spins for [`SPIN_BUDGET`] before it
+//! parks — but only when the run has a core per device thread
+//! ([`spin_budget`]) — because the op it waits for is shorter than a futex
+//! sleep and wake. Abort is a message, not a timer: [`Fabric::abort`] queues
+//! an abort packet on every endpoint, so a blocked device wakes the way it
+//! wakes for data and there is nothing to poll.
 
-use crossbeam_channel::{unbounded, Receiver, RecvTimeoutError, Sender};
+use crossbeam_channel::{unbounded, Receiver, Sender};
 use hanayo_core::action::MsgTag;
 use hanayo_tensor::Tensor;
 use std::collections::HashMap;
+use std::sync::OnceLock;
 use std::time::Duration;
 
-// The cooperative cancellation latch a crashing worker trips so peers
-// blocked in [`Mailbox::recv_abortable`] unwind instead of deadlocking.
-// It lives in `hanayo-core` (the tuner and the planning service thread
-// the same latch through sweep cancellation); re-exported here so every
-// existing `runtime::mailbox::AbortFlag` path keeps compiling.
-pub use hanayo_core::abort::AbortFlag;
+/// How long a device with an empty mailbox spins before it parks. A park
+/// and wake costs ~10 µs where a micro-batch op can take 3–7 µs; swept on
+/// the `train_orch` benchmark row, 6.5 / 26 / 65 / 260 µs gave 0.83 / 0.72
+/// / 0.69 / 0.66 ms per iteration against 1.16 ms parking at once, so the
+/// knee is past a few op lengths and well short of a scheduler slice.
+pub const SPIN_BUDGET: Duration = Duration::from_micros(50);
+
+/// The spin budget for a run of `device_threads` (`P × D`) device threads:
+/// [`SPIN_BUDGET`] when each can have a core of its own, zero otherwise —
+/// on an oversubscribed machine a spinner burns the slice its sender
+/// needs, so such runs park immediately.
+pub fn spin_budget(device_threads: usize) -> Duration {
+    // Asking costs a syscall and, under cgroups, file reads; the answer
+    // does not change while the process runs.
+    static CORES: OnceLock<usize> = OnceLock::new();
+    let cores = *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, usize::from));
+    if device_threads <= cores {
+        SPIN_BUDGET
+    } else {
+        Duration::ZERO
+    }
+}
 
 /// One in-flight tensor message.
 #[derive(Debug, Clone)]
@@ -30,9 +54,17 @@ pub struct Envelope {
     pub tensor: Tensor,
 }
 
+/// What travels over a fabric link.
+enum Packet {
+    Data(Envelope),
+    /// A worker of this run failed ([`Fabric::abort`]): nothing the
+    /// receiver is waiting for will arrive.
+    Abort,
+}
+
 /// The receiving half of a device's fabric endpoint, with tag matching.
 pub struct Mailbox {
-    rx: Receiver<Envelope>,
+    rx: Receiver<Packet>,
     /// Early arrivals waiting for their recv to be issued.
     parked: HashMap<(u32, MsgTag), Tensor>,
     /// High-water mark of `parked` over the mailbox's lifetime — the
@@ -40,6 +72,8 @@ pub struct Mailbox {
     /// per device: a mailbox that parks deeply is a device whose consumer
     /// runs far behind its producers.
     parked_peak: usize,
+    /// An abort packet was received; every later receive fails too.
+    aborted: bool,
 }
 
 impl Mailbox {
@@ -49,41 +83,29 @@ impl Mailbox {
     }
 
     /// Blocking receive of a specific `(iter, tag)` message. Returns
-    /// `None` if the fabric disconnects while the receive is pending —
-    /// every sender is gone, so the message can never arrive.
+    /// `None` — now and on every later call — once the run is aborted
+    /// ([`Fabric::abort`]; messages queued ahead of the abort packet are
+    /// still delivered or parked first), and `None` if the fabric
+    /// disconnects while the receive is pending: every sender is gone, so
+    /// the message can never arrive.
     pub fn recv(&mut self, iter: u32, tag: MsgTag) -> Option<Tensor> {
+        if self.aborted {
+            return None;
+        }
         if let Some(t) = self.parked.remove(&(iter, tag)) {
             return Some(t);
         }
         loop {
-            let Ok(env) = self.rx.recv() else { return None };
-            if env.iter == iter && env.tag == tag {
-                return Some(env.tensor);
-            }
-            self.park(env);
-        }
-    }
-
-    /// Like [`Mailbox::recv`], but gives up — returning `None` — once
-    /// `abort` trips or the fabric disconnects, instead of blocking
-    /// forever on a message that will never arrive.
-    pub fn recv_abortable(&mut self, iter: u32, tag: MsgTag, abort: &AbortFlag) -> Option<Tensor> {
-        if let Some(t) = self.parked.remove(&(iter, tag)) {
-            return Some(t);
-        }
-        loop {
-            if abort.is_tripped() {
-                return None;
-            }
-            match self.rx.recv_timeout(Duration::from_millis(2)) {
-                Ok(env) => {
-                    if env.iter == iter && env.tag == tag {
-                        return Some(env.tensor);
-                    }
-                    self.park(env);
+            match self.rx.recv() {
+                Ok(Packet::Data(env)) if env.iter == iter && env.tag == tag => {
+                    return Some(env.tensor)
                 }
-                Err(RecvTimeoutError::Timeout) => {}
-                Err(RecvTimeoutError::Disconnected) => return None,
+                Ok(Packet::Data(env)) => self.park(env),
+                Ok(Packet::Abort) => {
+                    self.aborted = true;
+                    return None;
+                }
+                Err(_) => return None,
             }
         }
     }
@@ -102,15 +124,26 @@ impl Mailbox {
 /// Sending endpoints to every device.
 #[derive(Clone)]
 pub struct Fabric {
-    senders: Vec<Sender<Envelope>>,
+    senders: Vec<Sender<Packet>>,
 }
 
 impl Fabric {
     /// Non-blocking send to `device`. A closed peer mailbox means that
     /// worker already exited (failure injection or abort); the message is
-    /// dropped — the abort latch, not the fabric, reports such failures.
+    /// dropped — the abort broadcast, not this send, reports such failures.
     pub fn send(&self, device: usize, env: Envelope) {
-        let _ = self.senders[device].send(env);
+        let _ = self.senders[device].send(Packet::Data(env));
+    }
+
+    /// Tell every endpoint the run has failed: each mailbox's pending or
+    /// next blocking receive returns `None` once it has drained what was
+    /// queued before. Called by a worker that stops on an error, so peers
+    /// blocked on a message it will never send unwind instead of
+    /// deadlocking. Repeated broadcasts (cascades) are harmless.
+    pub fn abort(&self) {
+        for tx in &self.senders {
+            let _ = tx.send(Packet::Abort);
+        }
     }
 
     /// Number of endpoints.
@@ -125,14 +158,20 @@ impl Fabric {
 }
 
 /// Build a fabric of `n` endpoints: the shared sender table plus each
-/// device's private mailbox.
-pub fn fabric(n: usize) -> (Fabric, Vec<Mailbox>) {
+/// device's private mailbox, whose blocked receives spin for `spin` before
+/// parking (see [`spin_budget`]).
+pub fn fabric(n: usize, spin: Duration) -> (Fabric, Vec<Mailbox>) {
     let mut senders = Vec::with_capacity(n);
     let mut boxes = Vec::with_capacity(n);
     for _ in 0..n {
         let (tx, rx) = unbounded();
         senders.push(tx);
-        boxes.push(Mailbox { rx, parked: HashMap::new(), parked_peak: 0 });
+        boxes.push(Mailbox {
+            rx: rx.spin_budget(spin),
+            parked: HashMap::new(),
+            parked_peak: 0,
+            aborted: false,
+        });
     }
     (Fabric { senders }, boxes)
 }
@@ -153,7 +192,7 @@ mod tests {
 
     #[test]
     fn in_order_delivery() {
-        let (fab, mut boxes) = fabric(2);
+        let (fab, mut boxes) = fabric(2, Duration::ZERO);
         fab.send(1, Envelope { iter: 0, tag: tag(0, 1), tensor: t(7.0) });
         let got = boxes[1].recv(0, tag(0, 1)).unwrap();
         assert_eq!(got.data, vec![7.0]);
@@ -161,7 +200,7 @@ mod tests {
 
     #[test]
     fn out_of_order_messages_park() {
-        let (fab, mut boxes) = fabric(2);
+        let (fab, mut boxes) = fabric(2, Duration::ZERO);
         fab.send(1, Envelope { iter: 0, tag: tag(1, 1), tensor: t(2.0) });
         fab.send(1, Envelope { iter: 0, tag: tag(0, 1), tensor: t(1.0) });
         // Ask for mb0 first even though mb1 arrived first.
@@ -175,7 +214,7 @@ mod tests {
 
     #[test]
     fn iterations_do_not_collide() {
-        let (fab, mut boxes) = fabric(2);
+        let (fab, mut boxes) = fabric(2, Duration::ZERO);
         // Same tag, two iterations, sent in reverse order.
         fab.send(1, Envelope { iter: 1, tag: tag(0, 1), tensor: t(11.0) });
         fab.send(1, Envelope { iter: 0, tag: tag(0, 1), tensor: t(10.0) });
@@ -185,10 +224,58 @@ mod tests {
 
     #[test]
     fn cross_thread_transfer() {
-        let (fab, mut boxes) = fabric(2);
-        let mut b1 = boxes.remove(1);
-        let h = std::thread::spawn(move || b1.recv(0, tag(3, 1)).unwrap().data[0]);
-        fab.send(1, Envelope { iter: 0, tag: tag(3, 1), tensor: t(42.0) });
-        assert_eq!(h.join().unwrap(), 42.0);
+        for spin in [Duration::ZERO, SPIN_BUDGET] {
+            let (fab, mut boxes) = fabric(2, spin);
+            let mut b1 = boxes.remove(1);
+            let h = std::thread::spawn(move || b1.recv(0, tag(3, 1)).unwrap().data[0]);
+            fab.send(1, Envelope { iter: 0, tag: tag(3, 1), tensor: t(42.0) });
+            assert_eq!(h.join().unwrap(), 42.0);
+        }
+    }
+
+    #[test]
+    fn abort_behind_data_parks_the_data_then_fails_and_stays_failed() {
+        let (fab, mut boxes) = fabric(2, Duration::ZERO);
+        fab.send(1, Envelope { iter: 0, tag: tag(1, 1), tensor: t(2.0) });
+        fab.abort();
+        fab.send(1, Envelope { iter: 0, tag: tag(0, 1), tensor: t(1.0) });
+        // mb0 sits behind the abort packet: the receive drains (parks) mb1,
+        // then meets the abort.
+        assert!(boxes[1].recv(0, tag(0, 1)).is_none());
+        assert_eq!(boxes[1].parked_len(), 1, "data ahead of the abort is still parked");
+        // Sticky: neither the parked mb1 nor the queued mb0 is handed out.
+        assert!(boxes[1].recv(0, tag(1, 1)).is_none());
+        assert!(boxes[1].recv(0, tag(0, 1)).is_none());
+        // Every endpoint got the broadcast.
+        assert!(boxes[0].recv(0, tag(0, 0)).is_none());
+    }
+
+    #[test]
+    fn data_ahead_of_the_abort_is_still_delivered() {
+        let (fab, mut boxes) = fabric(1, Duration::ZERO);
+        fab.send(0, Envelope { iter: 0, tag: tag(0, 0), tensor: t(3.0) });
+        fab.abort();
+        assert_eq!(boxes[0].recv(0, tag(0, 0)).unwrap().data, vec![3.0]);
+        assert!(boxes[0].recv(0, tag(1, 0)).is_none());
+    }
+
+    #[test]
+    fn abort_wakes_a_blocked_receive_on_both_sides_of_the_gate() {
+        // No timer anywhere in the wait path: if these receives return at
+        // all, the abort packet woke them.
+        for spin in [Duration::ZERO, SPIN_BUDGET] {
+            let (fab, mut boxes) = fabric(2, spin);
+            let mut b1 = boxes.remove(1);
+            let h = std::thread::spawn(move || b1.recv(0, tag(0, 1)));
+            fab.abort();
+            assert!(h.join().unwrap().is_none());
+        }
+    }
+
+    #[test]
+    fn disconnect_fails_a_pending_receive() {
+        let (fab, mut boxes) = fabric(1, Duration::ZERO);
+        drop(fab);
+        assert!(boxes[0].recv(0, tag(0, 0)).is_none());
     }
 }

@@ -2,7 +2,7 @@
 //! sequential reference implementation every schedule is checked against.
 
 use crate::collective::AllreduceHub;
-use crate::mailbox::{fabric, AbortFlag};
+use crate::mailbox::{fabric, spin_budget};
 pub use crate::worker::LossKind;
 use crate::worker::{
     panic_message, run_worker, IterationData, WorkerConfig, WorkerError, WorkerReport,
@@ -19,7 +19,6 @@ use hanayo_tensor::Stage;
 use hanayo_trace::Trace;
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::Arc;
 use std::time::Instant;
 
 /// A complete pipeline-training job description.
@@ -51,7 +50,7 @@ pub struct TrainerConfig {
     /// run is bitwise identical to an uninterrupted one.
     pub checkpoint: CheckpointPolicy,
     /// Deterministic fault to inject ([`FailurePlan::None`] by default).
-    /// Injected faults ride the same typed `WorkerError` + abort-latch
+    /// Injected faults ride the same typed `WorkerError` + abort-broadcast
     /// machinery as genuine invariant violations.
     pub failure: FailurePlan,
 }
@@ -249,7 +248,7 @@ pub fn train(cfg: &TrainerConfig, data: &[IterationData]) -> TrainOutput {
 /// a corrupt schedule) come back as a typed [`TrainError`] naming the
 /// failing device and operation instead of a cross-thread panic.
 pub fn try_train(cfg: &TrainerConfig, data: &[IterationData]) -> Result<TrainOutput, TrainError> {
-    try_train_with_dp(cfg, data, None, &Arc::new(AbortFlag::new()), Instant::now(), 0)
+    try_train_with_dp(cfg, data, None, Instant::now(), 0)
 }
 
 /// Run `dp` identical pipeline replicas, each on its own data shard, with
@@ -282,39 +281,28 @@ fn try_train_dp_segment(
 ) -> Result<TrainOutput, TrainError> {
     let dp = data.len();
     assert!(dp >= 1);
-    let hub = Arc::new(AllreduceHub::new(dp));
-    // One latch across every replica: a failure anywhere must wake workers
-    // of *all* replicas (they rendezvous in the shared hub).
-    let abort = Arc::new(AbortFlag::new());
+    // The hub is also how a failure crosses replicas: whoever fails aborts
+    // it, and every worker of a healthy replica reaches it, fails there as
+    // a cascade and aborts its own fabric.
+    let hub = &AllreduceHub::new(dp);
     let outputs: Vec<Result<TrainOutput, TrainError>> = std::thread::scope(|scope| {
         let handles: Vec<_> = data
             .iter()
             .enumerate()
             .map(|(rank, shard)| {
-                let cfg = cfg.clone();
-                let hub = Arc::clone(&hub);
-                let abort = Arc::clone(&abort);
                 scope.spawn(move || {
                     // A panic above the worker layer (e.g. a validation
-                    // assert before workers spawn) must trip the shared
-                    // latch *on this thread*: peers of other replicas are
-                    // already blocked in the hub, and the main thread may
-                    // be joining a different replica — waiting for the
-                    // join to surface it would deadlock the run. The panic
-                    // is thread-level, so no local device can be named;
-                    // the outer fold re-tags the replica rank.
+                    // assert before workers spawn) must abort the hub *on
+                    // this thread*: peers of other replicas are already
+                    // blocked in it, and the main thread may be joining a
+                    // different replica — waiting for the join to surface
+                    // it would deadlock the run. The panic is
+                    // thread-level, so no local device can be named; the
+                    // outer fold re-tags the replica rank.
                     std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        try_train_with_dp(
-                            &cfg,
-                            shard,
-                            Some((rank, Arc::clone(&hub))),
-                            &abort,
-                            origin,
-                            iter_base,
-                        )
+                        try_train_with_dp(cfg, shard, Some((rank, hub)), origin, iter_base)
                     }))
                     .unwrap_or_else(|payload| {
-                        abort.trip();
                         hub.abort();
                         let w = WorkerError::Panicked {
                             device: DeviceId(0),
@@ -403,16 +391,15 @@ fn try_train_dp_segment(
 fn try_train_with_dp(
     cfg: &TrainerConfig,
     data: &[IterationData],
-    dp: Option<(usize, Arc<AllreduceHub>)>,
-    abort: &Arc<AbortFlag>,
+    dp: Option<(usize, &AllreduceHub)>,
     origin: Instant,
     iter_base: u32,
 ) -> Result<TrainOutput, TrainError> {
     validate(cfg, data);
-    let p = cfg.schedule.lists.len();
-    let schedule = Arc::new(cfg.schedule.clone());
-    let shared_data = Arc::new(data.to_vec());
-    let (fab, mailboxes) = fabric(p);
+    let schedule = &cfg.schedule;
+    let p = schedule.lists.len();
+    let world = dp.map_or(1, |(_, hub)| hub.world());
+    let (fab, mailboxes) = fabric(p, spin_budget(p * world));
 
     let reports: Vec<WorkerReport> = std::thread::scope(|scope| {
         let handles: Vec<_> = mailboxes
@@ -428,14 +415,13 @@ fn try_train_with_dp(
                     .collect();
                 let wcfg = WorkerConfig {
                     device,
-                    schedule: Arc::clone(&schedule),
+                    schedule,
                     modules,
-                    data: Arc::clone(&shared_data),
-                    loss: cfg.loss.clone(),
+                    data,
+                    loss: &cfg.loss,
                     lr: cfg.lr,
-                    dp: dp.clone(),
+                    dp,
                     recompute: cfg.recompute,
-                    abort: Arc::clone(abort),
                     trace: cfg.trace,
                     origin,
                     failure: cfg.failure,
@@ -450,10 +436,13 @@ fn try_train_with_dp(
             .enumerate()
             .map(|(d, h)| {
                 // The worker catches its own panics; a join can only fail
-                // if report assembly itself blew up. Even then: trip the
-                // latch so peers unwind, and report the device by name.
+                // if report assembly itself blew up. Even then: abort so
+                // peers unwind, and report the device by name.
                 h.join().unwrap_or_else(|payload| {
-                    abort.trip();
+                    fab.abort();
+                    if let Some((_, hub)) = dp {
+                        hub.abort();
+                    }
                     let device = DeviceId(d as u32);
                     WorkerReport {
                         device,
@@ -472,7 +461,7 @@ fn try_train_with_dp(
             .collect()
     });
 
-    let rank = dp.as_ref().map_or(0, |(r, _)| *r);
+    let rank = dp.map_or(0, |(r, _)| r);
     let failures: Vec<(usize, WorkerError)> =
         reports.iter().filter_map(|r| r.error.clone().map(|e| (rank, e))).collect();
     if let Some(e) = train_error(failures, false) {
@@ -627,14 +616,9 @@ fn run_chunked(
         };
         chunk_cfg.stages.clone_from(&state.stages);
         let outcome = match data {
-            DataRef::Single(d) => try_train_with_dp(
-                &chunk_cfg,
-                &d[i as usize..j as usize],
-                None,
-                &Arc::new(AbortFlag::new()),
-                origin,
-                i,
-            ),
+            DataRef::Single(d) => {
+                try_train_with_dp(&chunk_cfg, &d[i as usize..j as usize], None, origin, i)
+            }
             DataRef::Dp(shards) => {
                 let windows: Vec<&[IterationData]> =
                     shards.iter().map(|s| &s[i as usize..j as usize]).collect();
@@ -1268,7 +1252,7 @@ mod tests {
         // Replica 1's shard is malformed: its validate() assert fires on
         // the replica thread before any worker exists. Replica 0's workers
         // are by then blocked in the shared all-reduce hub — the panicking
-        // thread itself must trip the latch, or the run deadlocks.
+        // thread itself must abort the hub, or the run deadlocks.
         let (cfg, _) = job(2, 2, Scheme::Hanayo { waves: 1 });
         let good = synthetic_data(71, 1, 2, 2, 8);
         let mut bad = synthetic_data(72, 1, 2, 2, 8);

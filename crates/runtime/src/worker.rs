@@ -9,12 +9,12 @@
 //! Invariant violations (a forward with no input, a backward with no
 //! gradient or stash — the signature of a corrupt schedule) do **not**
 //! panic the thread: they become a typed [`WorkerError`] carried home in
-//! the [`WorkerReport`], the shared [`AbortFlag`] trips so blocked peers
-//! unwind instead of deadlocking, and the trainer reports exactly which
-//! device and operation failed.
+//! the [`WorkerReport`], an abort packet goes out to every peer mailbox
+//! ([`Fabric::abort`]) so blocked peers unwind instead of deadlocking, and
+//! the trainer reports exactly which device and operation failed.
 
 use crate::collective::AllreduceHub;
-use crate::mailbox::{AbortFlag, Envelope, Fabric, Mailbox};
+use crate::mailbox::{Envelope, Fabric, Mailbox};
 use hanayo_ckpt::FailurePlan;
 use hanayo_core::action::{Action, CommDir, MsgTag, Payload, Schedule};
 use hanayo_core::ids::{DeviceId, MicroBatch, StageId};
@@ -22,9 +22,9 @@ use hanayo_model::Recompute;
 use hanayo_tensor::loss::{mse, softmax_cross_entropy};
 use hanayo_tensor::{Stage, StageGrads, StageStash, Tensor};
 use hanayo_trace::{TraceEvent, TraceKind};
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::Arc;
 use std::time::Instant;
 
 /// Loss functions the last pipeline stage can apply.
@@ -266,27 +266,26 @@ impl fmt::Display for WorkerError {
 
 impl std::error::Error for WorkerError {}
 
-/// Everything a worker thread needs.
-pub struct WorkerConfig {
+/// Everything a worker thread needs. Workers are scoped threads, so the
+/// run-wide inputs are borrowed from the trainer's caller, never copied.
+pub struct WorkerConfig<'a> {
     /// This worker's rank.
     pub device: DeviceId,
     /// The full schedule (workers read their own list plus the stage map).
-    pub schedule: Arc<Schedule>,
+    pub schedule: &'a Schedule,
     /// Modules for the stages this device hosts, keyed by global stage id.
     pub modules: HashMap<u32, Stage>,
     /// Per-iteration inputs/targets (shared; only the edge devices read it).
-    pub data: Arc<Vec<IterationData>>,
+    pub data: &'a [IterationData],
     /// Loss applied at the last stage.
-    pub loss: LossKind,
+    pub loss: &'a LossKind,
     /// SGD learning rate.
     pub lr: f32,
     /// Data-parallel exchange (rank, hub) when training replicated.
-    pub dp: Option<(usize, Arc<AllreduceHub>)>,
+    pub dp: Option<(usize, &'a AllreduceHub)>,
     /// Activation stash policy: keep everything, or keep only the stage
     /// input and replay the forward inside the backward.
     pub recompute: Recompute,
-    /// Run-wide cancellation latch (shared with every peer worker).
-    pub abort: Arc<AbortFlag>,
     /// Deterministic fault to inject (device indices are global ranks;
     /// see [`FailurePlan`]). Injected faults fail through the same typed
     /// error + abort path a real invariant violation would take.
@@ -387,7 +386,7 @@ pub struct WorkerReport {
 }
 
 /// Interpret the device's action list for `data.len()` iterations.
-pub fn run_worker(mut cfg: WorkerConfig, mut mailbox: Mailbox, fabric: Fabric) -> WorkerReport {
+pub fn run_worker(mut cfg: WorkerConfig<'_>, mut mailbox: Mailbox, fabric: Fabric) -> WorkerReport {
     let device = cfg.device;
     let mut losses = Vec::new();
     let mut peak_stash = 0usize;
@@ -397,7 +396,7 @@ pub fn run_worker(mut cfg: WorkerConfig, mut mailbox: Mailbox, fabric: Fabric) -
     // A panic below the typed-error layer (a shape assert in the math
     // kernels, say) must not poison the trainer's join: catch it here and
     // report it as a root-cause WorkerError naming this device, so the
-    // abort latch still trips and peers unwind instead of deadlocking.
+    // abort still goes out and peers unwind instead of deadlocking.
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         run_action_lists(
             &mut cfg,
@@ -417,9 +416,11 @@ pub fn run_worker(mut cfg: WorkerConfig, mut mailbox: Mailbox, fabric: Fabric) -
     };
     if let Some(e) = &error {
         // Wake peers blocked on messages or collectives this worker will
-        // never complete. Cascades re-trip harmlessly.
-        cfg.abort.trip();
-        if let Some((_, hub)) = &cfg.dp {
+        // never complete. The hub is what carries the failure to the other
+        // replicas: their workers all reach it, fail there as cascades and
+        // broadcast on their own fabric. Cascades re-abort harmlessly.
+        fabric.abort();
+        if let Some((_, hub)) = cfg.dp {
             hub.abort();
         }
         debug_assert!(e.device() == device);
@@ -438,7 +439,7 @@ pub fn run_worker(mut cfg: WorkerConfig, mut mailbox: Mailbox, fabric: Fabric) -
 }
 
 fn run_action_lists(
-    cfg: &mut WorkerConfig,
+    cfg: &mut WorkerConfig<'_>,
     mailbox: &mut Mailbox,
     fabric: &Fabric,
     losses: &mut Vec<f32>,
@@ -446,12 +447,11 @@ fn run_action_lists(
     events: &mut Vec<TraceEvent>,
     stats: &mut WorkerStats,
 ) -> Result<(), WorkerError> {
-    let schedule = Arc::clone(&cfg.schedule);
+    let schedule = cfg.schedule;
     let device = cfg.device;
     let stages = schedule.stage_map.stages;
     let micro_batches = schedule.config.micro_batches;
     let actions = &schedule.lists[device.idx()].actions;
-    let data_arc = Arc::clone(&cfg.data);
     let mut cur_stash = 0usize;
 
     // Span instrumentation: `tick()` reads the shared-origin clock only
@@ -495,14 +495,14 @@ fn run_action_lists(
     // and global iterations (`iter_base + local`), so injected faults stay
     // well-defined across data-parallel replicas and resumed segments.
     let failure = cfg.failure;
-    let rank_base = cfg.dp.as_ref().map_or(0, |(r, _)| *r as u32 * schedule.lists.len() as u32);
+    let rank_base = cfg.dp.map_or(0, |(r, _)| r as u32 * schedule.lists.len() as u32);
     let global_dev = rank_base + device.0;
     let link_dropped = |peer: DeviceId, global_iter: u32| {
         matches!(failure, FailurePlan::DropLink { src, dst, iteration }
             if global_dev == src && rank_base + peer.0 == dst && global_iter >= iteration)
     };
 
-    for (iter, data) in data_arc.iter().enumerate() {
+    for (iter, data) in cfg.data.iter().enumerate() {
         let iter = iter as u32;
         let global_iter = cfg.iter_base + iter;
         if let FailurePlan::KillDevice { device: d, iteration } = failure {
@@ -523,11 +523,15 @@ fn run_action_lists(
                 Action::Forward { mb, stage } => {
                     let t0 = tick();
                     stats.forward += 1;
+                    // Stage 0 reads the caller's input in place; it is copied
+                    // only if the stash policy below keeps it.
                     let x = if stage.0 == 0 {
-                        data.inputs[mb.idx()].clone()
+                        Cow::Borrowed(&data.inputs[mb.idx()])
                     } else {
                         let tag = MsgTag { mb: *mb, stage: *stage, payload: Payload::Activation };
-                        local.remove(&tag).ok_or(WorkerError::MissingInput { device, tag })?
+                        Cow::Owned(
+                            local.remove(&tag).ok_or(WorkerError::MissingInput { device, tag })?,
+                        )
                     };
                     let module = cfg
                         .modules
@@ -538,7 +542,7 @@ fn run_action_lists(
                         Recompute::None => Stashed::Activations(st),
                         // Keep only the boundary; the full stash drops
                         // here and is regenerated at backward time.
-                        Recompute::Full => Stashed::Boundary(x),
+                        Recompute::Full => Stashed::Boundary(x.into_owned()),
                     };
                     cur_stash += entry.bytes();
                     *peak_stash = (*peak_stash).max(cur_stash);
@@ -546,7 +550,7 @@ fn run_action_lists(
                     if stage.0 + 1 == stages {
                         // Turnaround: loss + gradient, consumed by this
                         // stage's backward under its gradient tag.
-                        let (l, dy) = apply_loss(&cfg.loss, &y, data, *mb);
+                        let (l, dy) = apply_loss(cfg.loss, &y, data, *mb);
                         iter_loss += l;
                         let tag = MsgTag { mb: *mb, stage: *stage, payload: Payload::Gradient };
                         local.insert(tag, dy);
@@ -556,7 +560,7 @@ fn run_action_lists(
                             stage: StageId(stage.0 + 1),
                             payload: Payload::Activation,
                         };
-                        route(&schedule, device, tag, y, &mut local, &mut outbound);
+                        route(schedule, device, tag, y, &mut local, &mut outbound);
                     }
                     span(events, TraceKind::Fwd, Some(mb.0), Some(stage.0), t0, tick());
                 }
@@ -599,7 +603,7 @@ fn run_action_lists(
                             stage: StageId(stage.0 - 1),
                             payload: Payload::Gradient,
                         };
-                        route(&schedule, device, tag, dx, &mut local, &mut outbound);
+                        route(schedule, device, tag, dx, &mut local, &mut outbound);
                     }
                     // Under checkpointing the replay and the true backward
                     // are separate spans, so calibration can attribute the
@@ -635,9 +639,8 @@ fn run_action_lists(
                         let t0 = tick();
                         stats.recv += 1;
                         let w0 = mnow();
-                        let tensor = mailbox
-                            .recv_abortable(iter, op.tag, &cfg.abort)
-                            .ok_or(WorkerError::Aborted { device })?;
+                        let tensor =
+                            mailbox.recv(iter, op.tag).ok_or(WorkerError::Aborted { device })?;
                         mwait(w0);
                         local.insert(op.tag, tensor);
                         let (mb, stage) = (op.tag.mb.0, op.tag.stage.0);
@@ -674,9 +677,8 @@ fn run_action_lists(
                         let t0 = tick();
                         stats.recv += 1;
                         let w0 = mnow();
-                        let tensor = mailbox
-                            .recv_abortable(iter, op.tag, &cfg.abort)
-                            .ok_or(WorkerError::Aborted { device })?;
+                        let tensor =
+                            mailbox.recv(iter, op.tag).ok_or(WorkerError::Aborted { device })?;
                         mwait(w0);
                         local.insert(op.tag, tensor);
                         span(
@@ -716,12 +718,12 @@ fn run_action_lists(
                             })?;
                             total.accumulate(&g);
                         }
-                        let t1 = if let Some((rank, hub)) = &cfg.dp {
+                        let t1 = if let Some((rank, hub)) = cfg.dp {
                             stats.allreduce += 1;
                             let a0 = tick();
                             span(events, TraceKind::Optim, None, Some(s), t0, a0);
                             total = hub
-                                .try_allreduce(iter, s, *rank, total)
+                                .try_allreduce(iter, s, rank, total)
                                 .ok_or(WorkerError::Aborted { device })?;
                             let a1 = tick();
                             span(events, TraceKind::Allreduce, None, Some(s), a0, a1);
@@ -742,7 +744,7 @@ fn run_action_lists(
         if !outbound.is_empty() {
             return Err(WorkerError::UnsentOutbound { device, remaining: outbound.len() });
         }
-        if holds_last_stage(&schedule, device) {
+        if holds_last_stage(schedule, device) {
             losses.push(iter_loss / micro_batches as f32);
         }
         if metrics_on {

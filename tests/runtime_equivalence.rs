@@ -5,6 +5,7 @@
 use hanayo::core::config::{PipelineConfig, Scheme};
 use hanayo::core::schedule::build_schedule;
 use hanayo::model::builders::MicroModel;
+use hanayo::runtime::mailbox::{spin_budget, SPIN_BUDGET};
 use hanayo::runtime::trainer::{
     sequential_reference, synthetic_data, train, train_data_parallel, TrainerConfig,
 };
@@ -59,6 +60,47 @@ fn hanayo_two_waves_matches_sequential() {
 #[test]
 fn hanayo_b_less_than_p() {
     run_case(4, 2, Scheme::Hanayo { waves: 1 }, 1);
+}
+
+/// The benchmark's seven-scheme family.
+const SEVEN_SCHEMES: [Scheme; 7] = [
+    Scheme::GPipe,
+    Scheme::Dapple,
+    Scheme::Interleaved { chunks: 2 },
+    Scheme::Interleaved { chunks: 4 },
+    Scheme::Hanayo { waves: 1 },
+    Scheme::Hanayo { waves: 2 },
+    Scheme::Hanayo { waves: 4 },
+];
+
+// The mailbox waits one way when every device thread can have a core and
+// another way when it cannot (`spin_budget`); the bits must not care. On
+// the 2-core reference box P = 2 spins and P = 4 parks; `run_case` covers
+// both stash policies.
+#[test]
+fn seven_schemes_match_sequential_at_p2() {
+    for scheme in SEVEN_SCHEMES {
+        run_case(2, 4, scheme, 2);
+    }
+}
+
+#[test]
+fn seven_schemes_match_sequential_at_p4() {
+    for scheme in SEVEN_SCHEMES {
+        run_case(4, 4, scheme, 2);
+    }
+}
+
+#[test]
+fn mailbox_spins_only_with_a_core_per_device_thread() {
+    let cores = std::thread::available_parallelism().map_or(1, usize::from);
+    assert!(!SPIN_BUDGET.is_zero());
+    for device_threads in [1, cores] {
+        assert_eq!(spin_budget(device_threads), SPIN_BUDGET, "{device_threads} on {cores} cores");
+    }
+    for device_threads in [cores + 1, 4 * cores] {
+        assert!(spin_budget(device_threads).is_zero(), "{device_threads} on {cores} cores");
+    }
 }
 
 #[test]
