@@ -7,6 +7,12 @@
 //! of thread interleaving — the property the concurrent-writer proptests
 //! pin against a serial replay.
 //!
+//! A shard lives as long as its thread: when the thread exits, its cells
+//! are folded into one registry-owned retired map and the shard is
+//! dropped, so a process that spawns short-lived recording threads (the
+//! planning service's connection and job workers) holds a shard list as
+//! long as its live thread count, not its thread history.
+//!
 //! Gauges are last-write-wins across shards, ordered by a global write
 //! sequence (not wall time), so "last" is well defined even when two
 //! shards hold a value for the same series.
@@ -49,6 +55,7 @@ fn key(name: &'static str, labels: &[(&'static str, &str)]) -> Key {
     Key { name, labels: labels.iter().map(|&(k, v)| (k, v.to_string())).collect() }
 }
 
+#[derive(Clone)]
 enum Cell {
     Counter(u64),
     Gauge { seq: u64, value: f64 },
@@ -60,30 +67,94 @@ struct Shard {
     cells: Mutex<HashMap<Key, Cell>>,
 }
 
+/// Every cell the registry holds, behind one lock: [`snapshot`] and a
+/// retiring thread each hold it for their whole merge, so a scrape sees
+/// a thread's cells exactly once — in its live shard or in `retired`.
+#[derive(Default)]
+struct Shards {
+    /// One shard per live recording thread.
+    live: Vec<Arc<Shard>>,
+    /// The folded cells of every recording thread that has exited.
+    retired: BTreeMap<Key, Cell>,
+}
+
 struct Registry {
-    shards: Mutex<Vec<Arc<Shard>>>,
+    shards: Mutex<Shards>,
     gauge_seq: AtomicU64,
 }
 
 static REGISTRY: OnceLock<Registry> = OnceLock::new();
 
 fn registry() -> &'static Registry {
-    REGISTRY
-        .get_or_init(|| Registry { shards: Mutex::new(Vec::new()), gauge_seq: AtomicU64::new(0) })
+    REGISTRY.get_or_init(|| Registry {
+        shards: Mutex::new(Shards::default()),
+        gauge_seq: AtomicU64::new(0),
+    })
+}
+
+/// Fold `from` into `into` by the merge rules: counters and histogram
+/// buckets add, a gauge keeps the write with the higher sequence. Cells
+/// whose kinds disagree (a schema bug in the caller) keep `into`, as does
+/// an older gauge write.
+fn absorb(into: &mut Cell, from: &Cell) {
+    match (into, from) {
+        (Cell::Counter(total), Cell::Counter(v)) => *total = total.saturating_add(*v),
+        (Cell::Gauge { seq: s, value: v }, Cell::Gauge { seq, value }) if *seq >= *s => {
+            *s = *seq;
+            *v = *value;
+        }
+        (
+            Cell::Hist { counts: mc, sum: ms, count: mn, .. },
+            Cell::Hist { counts, sum, count, .. },
+        ) => {
+            for (m, c) in mc.iter_mut().zip(counts.iter()) {
+                *m = m.saturating_add(*c);
+            }
+            *ms = ms.saturating_add(*sum);
+            *mn = mn.saturating_add(*count);
+        }
+        _ => {}
+    }
+}
+
+/// A thread's handle on its shard; dropped by the thread-local's
+/// destructor when the thread exits, which retires the shard.
+struct ShardGuard(Arc<Shard>);
+
+/// Fold one shard's cells into a merged map.
+fn fold(into: &mut BTreeMap<Key, Cell>, cells: &HashMap<Key, Cell>) {
+    for (k, cell) in cells {
+        match into.get_mut(k) {
+            Some(merged) => absorb(merged, cell),
+            None => {
+                into.insert(k.clone(), cell.clone());
+            }
+        }
+    }
+}
+
+impl Drop for ShardGuard {
+    fn drop(&mut self) {
+        let mut shards = lock(&registry().shards);
+        fold(&mut shards.retired, &lock(&self.0.cells));
+        shards.live.retain(|s| !Arc::ptr_eq(s, &self.0));
+    }
 }
 
 thread_local! {
-    static LOCAL: std::cell::OnceCell<Arc<Shard>> = const { std::cell::OnceCell::new() };
+    static LOCAL: std::cell::OnceCell<ShardGuard> = const { std::cell::OnceCell::new() };
 }
 
 fn with_shard(f: impl FnOnce(&Shard)) {
-    LOCAL.with(|cell| {
-        let shard = cell.get_or_init(|| {
+    // `try_with`: a record issued from another thread-local's destructor
+    // after this thread's shard has retired is dropped, not a panic.
+    let _ = LOCAL.try_with(|cell| {
+        let guard = cell.get_or_init(|| {
             let shard = Arc::new(Shard::default());
-            lock(&registry().shards).push(Arc::clone(&shard));
-            shard
+            lock(&registry().shards).live.push(Arc::clone(&shard));
+            ShardGuard(shard)
         });
-        f(shard);
+        f(&guard.0);
     });
 }
 
@@ -191,69 +262,28 @@ pub struct Snapshot {
     pub series: Vec<Series>,
 }
 
-enum Merged {
-    Counter(u64),
-    Gauge { seq: u64, value: f64 },
-    Hist { bounds: Vec<u64>, counts: Vec<u64>, sum: u64, count: u64 },
-}
-
-/// Merge every shard into a sorted snapshot. Counters/histograms sum;
-/// gauges keep the highest-sequence write. Series whose cell types
-/// disagree across shards (a schema bug in the caller) keep the first
-/// kind seen and ignore the rest rather than failing.
+/// Merge the retired cells and every live shard into a sorted snapshot.
+/// Counters/histograms sum; gauges keep the highest-sequence write.
+/// Series whose cell types disagree across shards (a schema bug in the
+/// caller) keep the first kind seen and ignore the rest rather than
+/// failing.
 pub fn snapshot() -> Snapshot {
-    let shards: Vec<Arc<Shard>> = lock(&registry().shards).clone();
-    let mut merged: BTreeMap<Key, Merged> = BTreeMap::new();
-    for shard in &shards {
-        let cells = lock(&shard.cells);
-        for (k, cell) in cells.iter() {
-            match cell {
-                Cell::Counter(v) => {
-                    if let Merged::Counter(total) =
-                        merged.entry(k.clone()).or_insert(Merged::Counter(0))
-                    {
-                        *total = total.saturating_add(*v);
-                    }
-                }
-                Cell::Gauge { seq, value } => {
-                    if let Merged::Gauge { seq: s, value: v } = merged
-                        .entry(k.clone())
-                        .or_insert(Merged::Gauge { seq: *seq, value: *value })
-                    {
-                        if *seq >= *s {
-                            *s = *seq;
-                            *v = *value;
-                        }
-                    }
-                }
-                Cell::Hist { bounds, counts, sum, count } => {
-                    let entry = merged.entry(k.clone()).or_insert_with(|| Merged::Hist {
-                        bounds: bounds.to_vec(),
-                        counts: vec![0; counts.len()],
-                        sum: 0,
-                        count: 0,
-                    });
-                    if let Merged::Hist { counts: mc, sum: ms, count: mn, .. } = entry {
-                        for (m, c) in mc.iter_mut().zip(counts.iter()) {
-                            *m = m.saturating_add(*c);
-                        }
-                        *ms = ms.saturating_add(*sum);
-                        *mn = mn.saturating_add(*count);
-                    }
-                }
-            }
-        }
+    let shards = lock(&registry().shards);
+    let mut merged = shards.retired.clone();
+    for shard in &shards.live {
+        fold(&mut merged, &lock(&shard.cells));
     }
+    drop(shards);
     let series = merged
         .into_iter()
         .map(|(k, v)| Series {
             name: k.name.to_string(),
             labels: k.labels.into_iter().map(|(n, val)| (n.to_string(), val)).collect(),
             value: match v {
-                Merged::Counter(v) => SeriesValue::Counter(v),
-                Merged::Gauge { value, .. } => SeriesValue::Gauge(value),
-                Merged::Hist { bounds, counts, sum, count } => {
-                    SeriesValue::Histogram { bounds, counts, sum, count }
+                Cell::Counter(v) => SeriesValue::Counter(v),
+                Cell::Gauge { value, .. } => SeriesValue::Gauge(value),
+                Cell::Hist { bounds, counts, sum, count } => {
+                    SeriesValue::Histogram { bounds: bounds.to_vec(), counts, sum, count }
                 }
             },
         })
@@ -261,13 +291,15 @@ pub fn snapshot() -> Snapshot {
     Snapshot { series }
 }
 
-/// Clear every shard's cells (shard registrations survive — threads keep
-/// their handle) and reset the gauge write sequence. Test isolation.
+/// Clear every cell, live and retired (shard registrations survive —
+/// threads keep their handle), and reset the gauge write sequence. Test
+/// isolation.
 pub fn reset() {
-    let shards: Vec<Arc<Shard>> = lock(&registry().shards).clone();
-    for shard in &shards {
+    let mut shards = lock(&registry().shards);
+    for shard in &shards.live {
         lock(&shard.cells).clear();
     }
+    shards.retired.clear();
     registry().gauge_seq.store(0, Ordering::SeqCst);
 }
 
@@ -285,6 +317,10 @@ mod tests {
         f();
         set_enabled(false);
         reset();
+    }
+
+    fn live_shards() -> usize {
+        lock(&registry().shards).live.len()
     }
 
     fn counter_value(snap: &Snapshot, name: &str) -> u64 {
@@ -326,6 +362,79 @@ mod tests {
                 h.join().map_err(|_| "worker panicked").unwrap();
             }
             assert_eq!(counter_value(&snapshot(), "threads_total"), 400);
+        });
+    }
+
+    #[test]
+    fn exited_threads_retire_their_shards() {
+        isolated(|| {
+            // This thread's own shard is registered before the count.
+            counter_add("retire_total", &[], 0);
+            let before = live_shards();
+            let bounds: &'static [u64] = &[10, 100];
+            for round in 0..1250u64 {
+                let handles: Vec<_> = (0..8u64)
+                    .map(|t| {
+                        std::thread::spawn(move || {
+                            let id = round * 8 + t;
+                            counter_add("retire_total", &[], 1);
+                            observe("retire_hist", &[], bounds, id % 200);
+                            gauge_set("retire_gauge", &[], id as f64);
+                        })
+                    })
+                    .collect();
+                for h in handles {
+                    h.join().map_err(|_| "worker panicked").unwrap();
+                }
+                assert!(live_shards() <= before, "a joined thread left its shard behind");
+            }
+            let snap = snapshot();
+            assert_eq!(counter_value(&snap, "retire_total"), 10_000);
+            let hist = snap.series.iter().find(|s| s.name == "retire_hist").map(|s| &s.value);
+            match hist {
+                Some(SeriesValue::Histogram { counts, sum, count, .. }) => {
+                    // 50 full cycles of 0..200: 11 values <= 10, 90 in (10, 100], 99 above.
+                    assert_eq!(counts, &vec![550, 4500, 4950]);
+                    assert_eq!(*sum, 50 * (199 * 200 / 2));
+                    assert_eq!(*count, 10_000);
+                }
+                other => panic!("expected histogram, got {other:?}"),
+            }
+            // The retired gauge kept a real write, not a default.
+            let gauge = snap.series.iter().find(|s| s.name == "retire_gauge").map(|s| &s.value);
+            assert!(matches!(gauge, Some(SeriesValue::Gauge(v)) if (0.0..10_000.0).contains(v)));
+        });
+    }
+
+    #[test]
+    fn a_snapshot_during_retirement_equals_the_serial_total() {
+        use std::sync::Barrier;
+        isolated(|| {
+            const THREADS: u64 = 32;
+            for round in 1..=20u64 {
+                // Every thread records, then all meet the barrier: from
+                // there the total is fixed while the threads exit (and
+                // retire) under the snapshots taken below.
+                let recorded = Arc::new(Barrier::new(THREADS as usize + 1));
+                let handles: Vec<_> = (0..THREADS)
+                    .map(|t| {
+                        let recorded = Arc::clone(&recorded);
+                        std::thread::spawn(move || {
+                            counter_add("race_total", &[], t + 1);
+                            recorded.wait();
+                        })
+                    })
+                    .collect();
+                recorded.wait();
+                let expected = round * THREADS * (THREADS + 1) / 2;
+                while handles.iter().any(|h| !h.is_finished()) {
+                    assert_eq!(counter_value(&snapshot(), "race_total"), expected);
+                }
+                for h in handles {
+                    h.join().map_err(|_| "worker panicked").unwrap();
+                }
+                assert_eq!(counter_value(&snapshot(), "race_total"), expected);
+            }
         });
     }
 

@@ -87,19 +87,19 @@ impl Client {
         path: &str,
         body: Option<&str>,
     ) -> Result<ClientResponse, ClientError> {
-        let stream = TcpStream::connect(self.addr).map_err(ClientError::Connect)?;
+        let mut stream = TcpStream::connect(self.addr).map_err(ClientError::Connect)?;
         stream.set_read_timeout(Some(self.timeout)).map_err(ClientError::Io)?;
         stream.set_write_timeout(Some(self.timeout)).map_err(ClientError::Io)?;
-        let mut writer = stream.try_clone().map_err(ClientError::Io)?;
+        stream.set_nodelay(true).map_err(ClientError::Io)?;
         let payload = body.unwrap_or("");
-        let head = format!(
+        // Head and body in one write, as the server's responses are (see
+        // `crate::http`).
+        let request = format!(
             "{method} {path} HTTP/1.1\r\nhost: hanayo-serve\r\ncontent-type: application/json\r\n\
-             content-length: {}\r\nconnection: close\r\n\r\n",
+             content-length: {}\r\nconnection: close\r\n\r\n{payload}",
             payload.len(),
         );
-        writer.write_all(head.as_bytes()).map_err(disconnected_or_io)?;
-        writer.write_all(payload.as_bytes()).map_err(disconnected_or_io)?;
-        writer.flush().map_err(disconnected_or_io)?;
+        stream.write_all(request.as_bytes()).map_err(disconnected_or_io)?;
 
         let mut reader = BufReader::new(stream);
         let mut status_line = String::new();

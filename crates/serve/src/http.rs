@@ -7,25 +7,31 @@
 //! sizes so a confused client cannot balloon the host. Not supported —
 //! on purpose: chunked transfer, TLS, HTTP/2, multipart. Clients that
 //! need those are not this service's clients.
+//!
+//! Every message leaves in **one** write on a `TCP_NODELAY` socket: a
+//! head and a body written separately would leave the body's tail held
+//! back by Nagle until the peer's delayed ACK (40 ms) for the head.
 
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
+use std::io::{BufRead, Write};
 use std::time::Duration;
 
 /// Longest accepted request head (request line + headers), bytes.
 const MAX_HEAD_BYTES: usize = 16 * 1024;
 /// Longest accepted request body, bytes.
 const MAX_BODY_BYTES: usize = 1024 * 1024;
-/// Read timeout per socket operation, so connection threads observe the
-/// server's shutdown flag between requests instead of parking forever.
-pub const READ_TIMEOUT: Duration = Duration::from_millis(250);
+/// How long a connection may sit idle — between requests, or between
+/// the reads of one — before its worker closes it: the set of workers is
+/// bounded, so a silent peer must not hold one for ever. Shutdown does
+/// not wait for it (the server ends blocked reads itself).
+pub const IDLE_TIMEOUT: Duration = Duration::from_secs(3);
 
 /// Why reading a request off a connection stopped.
 #[derive(Debug)]
 pub enum ReadError {
     /// The peer closed the connection cleanly between requests.
     Closed,
-    /// The read timed out — poll the shutdown flag and retry.
+    /// Nothing arrived within [`IDLE_TIMEOUT`]; the caller closes the
+    /// connection.
     TimedOut,
     /// The bytes on the wire were not an HTTP/1.1 request we accept.
     Malformed(String),
@@ -82,9 +88,9 @@ impl Request {
 }
 
 /// Read one request off a keep-alive connection. `Closed` between
-/// requests and `TimedOut` are normal control flow for the caller's
-/// accept loop, not failures.
-pub fn read_request(reader: &mut BufReader<TcpStream>) -> Result<Request, ReadError> {
+/// requests and `TimedOut` are normal ends of a connection for the
+/// caller, not failures.
+pub fn read_request<R: BufRead>(reader: &mut R) -> Result<Request, ReadError> {
     let mut line = String::new();
     let n = reader.read_line(&mut line).map_err(classify)?;
     if n == 0 {
@@ -175,24 +181,32 @@ pub fn reason(status: u16) -> &'static str {
     }
 }
 
-/// Serialise one response onto the wire.
-pub fn write_response(stream: &mut TcpStream, resp: &Response, close: bool) -> std::io::Result<()> {
-    let head = format!(
+/// Serialise one response onto the wire: head and body in one buffer,
+/// handed to the writer in one `write_all`.
+pub fn write_response<W: Write>(
+    stream: &mut W,
+    resp: &Response,
+    close: bool,
+) -> std::io::Result<()> {
+    let mut message = Vec::with_capacity(128 + resp.body.len());
+    write!(
+        message,
         "HTTP/1.1 {} {}\r\ncontent-type: {}\r\ncontent-length: {}\r\nconnection: {}\r\n\r\n",
         resp.status,
         reason(resp.status),
         resp.content_type,
         resp.body.len(),
         if close { "close" } else { "keep-alive" },
-    );
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(&resp.body)?;
+    )?;
+    message.extend_from_slice(&resp.body);
+    stream.write_all(&message)?;
     stream.flush()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::BufReader;
     use std::net::{TcpListener, TcpStream};
     use std::thread;
 
@@ -235,6 +249,43 @@ mod tests {
         match roundtrip(raw.as_bytes()) {
             Err(ReadError::Malformed(msg)) => assert!(msg.contains("body exceeds")),
             other => panic!("expected Malformed, got {other:?}"),
+        }
+    }
+
+    /// Accepts whatever it is given and counts the calls.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_response_is_one_write_of_head_then_body() {
+        for (len, close) in [(1usize, false), (200 * 1024, true)] {
+            let resp = Response::json(200, "x".repeat(len));
+            let mut out = CountingWriter::default();
+            write_response(&mut out, &resp, close).expect("writes");
+            assert_eq!(out.writes, 1, "a {len}-byte body must leave in one write");
+            let connection = if close { "close" } else { "keep-alive" };
+            let mut expected = format!(
+                "HTTP/1.1 200 OK\r\ncontent-type: application/json\r\ncontent-length: {len}\r\n\
+                 connection: {connection}\r\n\r\n"
+            )
+            .into_bytes();
+            expected.extend_from_slice(&resp.body);
+            assert_eq!(out.bytes, expected);
         }
     }
 

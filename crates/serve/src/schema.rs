@@ -76,6 +76,8 @@ pub fn cluster_for(name: &str, gpus: usize) -> Result<ClusterSpec, String> {
         "pc" => Ok(pc_partial_nvlink(gpus)),
         "fc" => Ok(fc_full_nvlink(gpus)),
         "tacc" => Ok(lonestar6(gpus)),
+        // One TC node is all there is; the preset asserts as much.
+        "tc" if gpus > 8 => Err(format!("cluster tc has 8 GPUs, gpus {gpus} exceeds it")),
         "tc" => Ok(tencent_v100(gpus)),
         other => Err(format!("unknown cluster {other} (expected pc, fc, tacc or tc)")),
     }

@@ -1,5 +1,12 @@
-//! The resident planning host: a TCP accept loop, thread-per-connection
-//! HTTP handling, the endpoint router, and graceful drain.
+//! The resident planning host: a blocking TCP accept loop, a small
+//! resident set of connection workers, the endpoint router, and graceful
+//! drain.
+//!
+//! Nothing on a request's path waits on a clock: `accept` blocks and is
+//! woken for shutdown by a self-connect, a stream is handed to a parked
+//! worker (or a new one, up to [`MAX_WORKERS`]) under one mutex + condvar,
+//! and the drain ends blocked reads with `shutdown(Read)` instead of
+//! waiting for a read timeout.
 //!
 //! ## Endpoints
 //!
@@ -21,49 +28,266 @@
 //! `--compact` stdout — both are produced by the same
 //! [`crate::schema`] builders and both end in `\n`.
 
-use crate::http::{read_request, write_response, ReadError, Request, Response, READ_TIMEOUT};
+use crate::http::{read_request, write_response, ReadError, Request, Response, IDLE_TIMEOUT};
 use crate::jobs::{JobRegistry, JobState};
 use crate::schema::{
     run_analyze, run_plan, run_simulate, run_tune, AnalyzeRequest, PlanRequest, RunError,
     SimulateRequest, TuneRequest,
 };
-use crate::state::{Join, ServeState};
+use crate::state::{lock, Join, ServeState};
 use hanayo_core::abort::AbortFlag;
 use hanayo_metrics::{counter_add, monotonic_nanos, observe, NANOS_BUCKETS};
 use hanayo_sim::TuneContext;
 use serde::Serialize;
+use std::collections::VecDeque;
 use std::io::BufReader;
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::Ordering;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::{self, JoinHandle};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-/// Everything the accept loop, connection threads and job workers share.
+/// Most connection workers alive at once. The load test runs up to 256
+/// client threads and its dedup burst parks that many followers inside
+/// their workers, so a lower cap would serialise it. At the cap the accept
+/// thread stops accepting until a worker frees: what waits then waits in
+/// the kernel's (bounded) listen backlog, not in a queue of ours.
+const MAX_WORKERS: usize = 256;
+/// Workers that stay parked between connections. One that comes back to
+/// find this many parked already exits: a set that only grew would ratchet
+/// up on every reconnect that raced its own worker's return, and each
+/// resident thread keeps its malloc arena at its high-water mark.
+const KEPT_IDLE: usize = 2;
+
+/// Everything the accept loop, connection workers and job workers share.
 pub(crate) struct Shared {
     pub state: ServeState,
     pub jobs: JobRegistry,
-    /// Tripped once: the accept loop stops, connections close after the
-    /// in-flight exchange, and every running sweep aborts at its next
-    /// checkpoint.
+    /// Tripped once: connections close after the in-flight exchange and
+    /// every running sweep aborts at its next checkpoint.
     pub shutdown: Arc<AbortFlag>,
+    workers: Workers,
+    /// Where a connect reaches the listener: the bound address, with
+    /// loopback standing in for an unspecified IP.
+    wake: SocketAddr,
 }
 
 impl Shared {
-    fn new() -> Shared {
+    fn new(bound: SocketAddr) -> Shared {
+        let mut wake = bound;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match bound {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
         Shared {
             state: ServeState::default(),
             jobs: JobRegistry::default(),
             shutdown: Arc::new(AbortFlag::new()),
+            workers: Workers::default(),
+            wake,
         }
     }
 
-    /// Flip into draining mode: refuse new work, abort running sweeps.
+    /// Flip into draining mode: refuse new work, abort running sweeps,
+    /// end every read blocked between requests, wake the accept thread.
     fn begin_shutdown(&self) {
-        self.state.draining.store(true, Ordering::SeqCst);
+        let first = !self.state.draining.swap(true, Ordering::SeqCst);
         self.shutdown.trip();
         self.jobs.abort_all();
+        self.workers.close();
+        if first {
+            // The accept thread may be blocked in `accept`; this connection
+            // is what it returns with, to find the hand-off closed. (If it
+            // is not blocked there it needs no waking, and closes the
+            // listener under a connect still queued behind a full backlog.)
+            let _ = TcpStream::connect(self.wake);
+        }
     }
+}
+
+/// What the accept thread and the connection workers hand each other,
+/// and what the drain needs to see of both.
+#[derive(Default)]
+struct Handoff {
+    /// Accepted streams, each with a parked worker already woken for it.
+    pending: VecDeque<TcpStream>,
+    /// Workers parked on the condvar.
+    idle: usize,
+    /// Workers alive, parked or serving.
+    live: usize,
+    /// Set by shutdown: parked workers exit and nothing more is queued.
+    closed: bool,
+    /// The stream under each serving worker, so that shutdown can end a
+    /// read blocked between requests.
+    serving: Vec<Arc<TcpStream>>,
+    /// The accept thread has seen the last job and the last worker out.
+    drained: bool,
+    #[cfg(test)]
+    live_high_water: usize,
+}
+
+#[derive(Default)]
+struct Workers {
+    state: Mutex<Handoff>,
+    cv: Condvar,
+}
+
+fn wait<'a, T>(cv: &Condvar, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
+    cv.wait(guard).unwrap_or_else(PoisonError::into_inner)
+}
+
+impl Workers {
+    /// Accept thread: block until one more connection could be served —
+    /// by a parked worker nobody has been woken for, or by a new one under
+    /// the cap. `false` once the hand-off is closed.
+    fn wait_for_room(&self) -> bool {
+        let mut st = lock(&self.state);
+        while !st.closed && st.idle <= st.pending.len() && st.live >= MAX_WORKERS {
+            st = wait(&self.cv, st);
+        }
+        !st.closed
+    }
+
+    /// Worker: the next connection to serve, parking for one if fewer
+    /// than [`KEPT_IDLE`] workers are parked already. `None` means exit.
+    fn next(&self) -> Option<TcpStream> {
+        let mut st = lock(&self.state);
+        if st.live >= MAX_WORKERS {
+            // The accept thread may be waiting for exactly this worker.
+            self.cv.notify_all();
+        }
+        loop {
+            if let Some(stream) = st.pending.pop_front() {
+                return Some(stream);
+            }
+            if st.closed || st.idle >= KEPT_IDLE {
+                return None;
+            }
+            st.idle += 1;
+            st = wait(&self.cv, st);
+            st.idle -= 1;
+        }
+    }
+
+    /// Shutdown: wake every parked worker to exit, the accept thread if it
+    /// waits for room, and every read blocked between requests (a handler
+    /// in flight still writes its response before its worker closes).
+    fn close(&self) {
+        let mut st = lock(&self.state);
+        st.closed = true;
+        for stream in &st.serving {
+            let _ = stream.shutdown(Shutdown::Read);
+        }
+        self.cv.notify_all();
+    }
+
+    /// Worker: make `stream` reachable by [`Workers::close`] while it is
+    /// being served.
+    fn register(&self, stream: &Arc<TcpStream>) -> Serving<'_> {
+        let mut st = lock(&self.state);
+        if st.closed {
+            let _ = stream.shutdown(Shutdown::Read);
+        }
+        st.serving.push(Arc::clone(stream));
+        Serving { workers: self, stream: Arc::clone(stream) }
+    }
+
+    /// Accept thread, last step of the drain: wait out the workers, then
+    /// publish `drained`.
+    fn finish_drain(&self) {
+        let mut st = lock(&self.state);
+        while st.live > 0 {
+            st = wait(&self.cv, st);
+        }
+        st.drained = true;
+        self.cv.notify_all();
+    }
+
+    /// Block until the drain has finished or `deadline` has passed; which.
+    fn drained_within(&self, deadline: Duration) -> bool {
+        let st = lock(&self.state);
+        let (st, _) = self
+            .cv
+            .wait_timeout_while(st, deadline, |st| !st.drained)
+            .unwrap_or_else(PoisonError::into_inner);
+        st.drained
+    }
+}
+
+/// A stream's entry in [`Handoff::serving`], removed on drop.
+struct Serving<'a> {
+    workers: &'a Workers,
+    stream: Arc<TcpStream>,
+}
+
+impl Drop for Serving<'_> {
+    fn drop(&mut self) {
+        let mut st = lock(&self.workers.state);
+        if let Some(i) = st.serving.iter().position(|s| Arc::ptr_eq(s, &self.stream)) {
+            st.serving.swap_remove(i);
+        }
+    }
+}
+
+/// One worker's place under [`MAX_WORKERS`], given back on drop — so a
+/// handler that panics costs its connection, never the slot.
+struct Slot(Arc<Shared>);
+
+impl Drop for Slot {
+    fn drop(&mut self) {
+        let workers = &self.0.workers;
+        lock(&workers.state).live -= 1;
+        // The accept thread may be waiting for room, or for the last
+        // worker of a drain.
+        workers.cv.notify_all();
+    }
+}
+
+impl Slot {
+    /// A worker's life: the connection it was spawned for, then whatever
+    /// the accept thread hands over while it is parked.
+    fn run(self, first: TcpStream) {
+        let mut next = Some(first);
+        while let Some(stream) = next {
+            connection(&self.0, stream);
+            next = self.0.workers.next();
+        }
+    }
+}
+
+/// Accept thread: give `stream` to a parked worker, or to a new one.
+/// [`Workers::wait_for_room`] has returned `true` since the last call and
+/// room only grows in between, so one of the two exists.
+fn hand_off(shared: &Arc<Shared>, stream: TcpStream) {
+    let workers = &shared.workers;
+    let mut st = lock(&workers.state);
+    if st.closed {
+        return;
+    }
+    if st.idle > st.pending.len() {
+        st.pending.push_back(stream);
+        // Only parked workers wait on the condvar while the hand-off is
+        // open: this thread is the one other waiter, `drained_within` is
+        // called after `close`.
+        workers.cv.notify_one();
+        return;
+    }
+    st.live += 1;
+    #[cfg(test)]
+    {
+        st.live_high_water = st.live_high_water.max(st.live);
+    }
+    drop(st);
+    let slot = Slot(Arc::clone(shared));
+    // A failed spawn drops the closure: the slot is given back and the
+    // peer sees the connection close. The handle is not kept: a worker
+    // exits when it chooses to, and the drain waits for `live == 0`, which
+    // every exit reports through its `Slot`.
+    let _ = thread::Builder::new()
+        .name("hanayo-serve-conn".to_string())
+        .spawn(move || slot.run(stream));
 }
 
 #[derive(Serialize)]
@@ -365,38 +589,33 @@ fn route(shared: &Arc<Shared>, req: &Request) -> Response {
     resp
 }
 
-/// One keep-alive connection, until close, error or shutdown.
-fn connection(shared: Arc<Shared>, stream: TcpStream) {
-    if stream.set_read_timeout(Some(READ_TIMEOUT)).is_err() {
+/// One keep-alive connection, until close, error, idle bound or shutdown.
+fn connection(shared: &Arc<Shared>, stream: TcpStream) {
+    if stream.set_nodelay(true).is_err() || stream.set_read_timeout(Some(IDLE_TIMEOUT)).is_err() {
         return;
     }
-    let reader_half = match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => return,
-    };
-    let mut reader = BufReader::new(reader_half);
-    let mut stream = stream;
+    let stream = Arc::new(stream);
+    let _serving = shared.workers.register(&stream);
+    let mut reader = BufReader::new(&*stream);
+    let mut writer = &*stream;
     loop {
         match read_request(&mut reader) {
             Ok(req) => {
                 // A response computed while the drain started still goes
                 // out, but the connection closes behind it.
-                let resp = route(&shared, &req);
+                let resp = route(shared, &req);
                 let close = req.wants_close() || shared.shutdown.is_tripped();
-                if write_response(&mut stream, &resp, close).is_err() || close {
-                    return;
-                }
-            }
-            Err(ReadError::TimedOut) => {
-                if shared.shutdown.is_tripped() {
+                if write_response(&mut writer, &resp, close).is_err() || close {
                     return;
                 }
             }
             Err(ReadError::Malformed(msg)) => {
-                let _ = write_response(&mut stream, &bad_request(&msg), true);
+                let _ = write_response(&mut writer, &bad_request(&msg), true);
                 return;
             }
-            Err(ReadError::Closed) | Err(ReadError::Io(_)) => return,
+            // The peer closed, sat idle past the bound, or the drain ended
+            // the read.
+            Err(ReadError::Closed | ReadError::TimedOut | ReadError::Io(_)) => return,
         }
     }
 }
@@ -407,7 +626,6 @@ pub struct Server {
     addr: SocketAddr,
     shared: Arc<Shared>,
     accept: Mutex<Option<JoinHandle<()>>>,
-    drained: Arc<AtomicBool>,
 }
 
 impl Server {
@@ -423,7 +641,7 @@ impl Server {
 
     /// Has the accept loop fully drained and exited?
     pub fn is_drained(&self) -> bool {
-        self.drained.load(Ordering::SeqCst)
+        lock(&self.shared.workers.state).drained
     }
 
     /// How many requests were answered from another identical request's
@@ -433,16 +651,12 @@ impl Server {
     }
 
     /// Shut down and wait for the drain to complete: running sweeps
-    /// abort at their next candidate-batch checkpoint, job workers and
-    /// connection threads are joined. Bounded by the checkpoint spacing
-    /// plus the connection read timeout, not by sweep length.
+    /// abort at their next candidate-batch checkpoint, job workers are
+    /// joined and connection workers waited out. Bounded by the checkpoint
+    /// spacing, not by sweep length or by any read timeout.
     pub fn stop(&self) {
         self.shutdown();
-        let handle = match self.accept.lock() {
-            Ok(mut g) => g.take(),
-            Err(poisoned) => poisoned.into_inner().take(),
-        };
-        if let Some(handle) = handle {
+        if let Some(handle) = lock(&self.accept).take() {
             let _ = handle.join();
         }
     }
@@ -453,15 +667,12 @@ impl Server {
     /// hold nothing worth waiting for).
     pub fn stop_within(&self, deadline: Duration) -> bool {
         self.shutdown();
-        let start = Instant::now();
-        while start.elapsed() < deadline {
-            if self.is_drained() {
-                self.stop();
-                return true;
-            }
-            thread::sleep(Duration::from_millis(10));
+        let drained = self.shared.workers.drained_within(deadline);
+        if drained {
+            // Joins an accept thread that has already finished.
+            self.stop();
         }
-        self.is_drained()
+        drained
     }
 }
 
@@ -472,45 +683,119 @@ pub fn serve(bind: &str) -> std::io::Result<Server> {
     hanayo_metrics::set_enabled(true);
     let listener = TcpListener::bind(bind)?;
     let addr = listener.local_addr()?;
-    listener.set_nonblocking(true)?;
-    let shared = Arc::new(Shared::new());
-    let drained = Arc::new(AtomicBool::new(false));
+    let shared = Arc::new(Shared::new(addr));
     let accept = {
         let shared = Arc::clone(&shared);
-        let drained = Arc::clone(&drained);
         thread::Builder::new().name("hanayo-serve-accept".to_string()).spawn(move || {
-            let mut conns: Vec<JoinHandle<()>> = Vec::new();
-            while !shared.shutdown.is_tripped() {
+            while shared.workers.wait_for_room() {
                 match listener.accept() {
-                    Ok((stream, _)) => {
-                        let shared = Arc::clone(&shared);
-                        let spawned = thread::Builder::new()
-                            .name("hanayo-serve-conn".to_string())
-                            .spawn(move || connection(shared, stream));
-                        if let Ok(handle) = spawned {
-                            conns.push(handle);
-                        }
-                        // Keep the handle list from growing unboundedly
-                        // on long-lived servers.
-                        if conns.len() > 64 {
-                            conns.retain(|h| !h.is_finished());
-                        }
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        thread::sleep(Duration::from_millis(10));
-                    }
+                    // Also how `begin_shutdown`'s wake-up arrives; the
+                    // hand-off is closed by then and drops it.
+                    Ok((stream, _)) => hand_off(&shared, stream),
+                    // A failed accept (`EMFILE`, ...) would fail again at
+                    // once; this back-off is the server's only sleep.
                     Err(_) => thread::sleep(Duration::from_millis(10)),
                 }
             }
-            // Drain: sweeps abort at their next checkpoint, connections
-            // notice the flag within one read timeout.
+            drop(listener);
+            // Drain: sweeps abort at their next checkpoint, workers leave
+            // after the exchange they are in.
             shared.begin_shutdown();
             shared.jobs.drain();
-            for handle in conns {
-                let _ = handle.join();
-            }
-            drained.store(true, Ordering::SeqCst);
+            shared.workers.finish_drain();
         })?
     };
-    Ok(Server { addr, shared, accept: Mutex::new(Some(accept)), drained })
+    Ok(Server { addr, shared, accept: Mutex::new(Some(accept)) })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::{Read, Write};
+    use std::time::Instant;
+
+    const HEALTHZ_CLOSE: &[u8] = b"GET /healthz HTTP/1.1\r\nconnection: close\r\n\r\n";
+
+    /// Spin until the hand-off state satisfies `done`: a worker updates it
+    /// a moment after its peer has seen the bytes that imply the update.
+    fn spin_until(server: &Server, what: &str, done: impl Fn(&Handoff) -> bool) {
+        let watchdog = Instant::now() + Duration::from_secs(5);
+        while !done(&lock(&server.shared.workers.state)) {
+            assert!(Instant::now() < watchdog, "never saw {what}");
+            thread::yield_now();
+        }
+    }
+
+    /// Read a `connection: close` response to its end; its status line.
+    fn read_to_close(stream: &mut TcpStream) -> String {
+        let mut text = String::new();
+        stream.read_to_string(&mut text).expect("read response");
+        text.lines().next().unwrap_or("").to_string()
+    }
+
+    #[test]
+    fn a_panicking_worker_gives_back_its_slot_and_its_stream_entry() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let shared = Arc::new(Shared::new(addr));
+        lock(&shared.workers.state).live = 1;
+        let slot = Slot(Arc::clone(&shared));
+        let stream = Arc::new(TcpStream::connect(addr).expect("connect"));
+        let died = thread::spawn(move || {
+            let _serving = slot.0.workers.register(&stream);
+            panic!("a handler bug");
+        })
+        .join();
+        assert!(died.is_err());
+        let st = lock(&shared.workers.state);
+        assert_eq!((st.live, st.serving.len()), (0, 0));
+    }
+
+    #[test]
+    fn connections_beyond_the_cap_wait_in_the_backlog_and_are_all_answered() {
+        let server = serve("127.0.0.1:0").expect("bind");
+        // None of them sends anything yet, so each accepted one pins a
+        // worker in `read`, and the rest wait unaccepted.
+        let mut streams: Vec<TcpStream> = (0..MAX_WORKERS + 44)
+            .map(|_| TcpStream::connect(server.addr()).expect("connect"))
+            .collect();
+        spin_until(&server, "a full set of workers", |st| st.live == MAX_WORKERS);
+        for stream in &mut streams {
+            stream.write_all(HEALTHZ_CLOSE).expect("write request");
+        }
+        for stream in &mut streams {
+            assert_eq!(read_to_close(stream), "HTTP/1.1 200 OK");
+        }
+        drop(streams);
+        spin_until(&server, "the set shrink to the kept-idle quota", |st| st.live <= KEPT_IDLE);
+        assert_eq!(lock(&server.shared.workers.state).live_high_water, MAX_WORKERS);
+        server.stop();
+        assert_eq!(lock(&server.shared.workers.state).live, 0);
+    }
+
+    #[test]
+    fn an_idle_connection_is_closed_and_its_worker_serves_the_next() {
+        let server = serve("127.0.0.1:0").expect("bind");
+        let mut idle = TcpStream::connect(server.addr()).expect("connect");
+        idle.write_all(b"GET /healthz HTTP/1.1\r\n\r\n").expect("write request");
+        // Keep-alive: the response, then nothing until the server gives
+        // the connection up at the idle bound.
+        idle.set_read_timeout(Some(3 * IDLE_TIMEOUT)).expect("set timeout");
+        let mut text = String::new();
+        idle.read_to_string(&mut text).expect("the server closes an idle connection");
+        assert!(text.starts_with("HTTP/1.1 200 OK\r\n"), "response: {text}");
+        assert!(text.contains("connection: keep-alive"), "response: {text}");
+
+        // The one worker parks instead of exiting (a moment after its peer
+        // sees the close), and takes the next connection without a second
+        // one being spawned.
+        spin_until(&server, "the worker park", |st| st.idle == 1);
+        let mut next = TcpStream::connect(server.addr()).expect("connect");
+        next.write_all(HEALTHZ_CLOSE).expect("write request");
+        assert_eq!(read_to_close(&mut next), "HTTP/1.1 200 OK");
+        let st = lock(&server.shared.workers.state);
+        assert_eq!((st.live, st.live_high_water), (1, 1));
+        drop(st);
+        server.stop();
+    }
 }

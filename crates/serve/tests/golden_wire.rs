@@ -208,18 +208,48 @@ fn healthz_answers_and_drain_refuses_new_work() {
 }
 
 #[test]
-fn concurrent_identical_tunes_are_deduplicated() {
+fn a_cluster_larger_than_its_preset_is_a_400_not_a_handler_panic() {
     let server = serve("127.0.0.1:0").expect("bind");
     let client = Client::new(server.addr());
     let mut req = tune_request();
-    req.cluster = "pc".to_string(); // distinct from other tests' sweeps
+    req.cluster = "tc".to_string();
+    req.gpus = 16;
+    let body = serde_json::to_string(&req).expect("serialise");
+    let resp = client.request("POST", "/v1/tune", Some(&body)).expect("a typed answer");
+    assert_eq!(resp.status, 400, "body: {}", resp.body);
+    assert!(resp.body.contains("tc") && resp.body.contains('8'), "body: {}", resp.body);
+    // The server is whole afterwards: a fresh connection is answered.
+    assert_eq!(client.healthz().expect("healthz after the rejection"), "ok\n");
+    server.stop();
+}
+
+#[test]
+fn concurrent_identical_tunes_are_deduplicated() {
+    let server = serve("127.0.0.1:0").expect("bind");
+    let client = Client::new(server.addr());
+    // A sweep long enough (wide, serial) that the leader is still at it
+    // when the others arrive: a connection is accepted the moment it is
+    // made, so a few-millisecond sweep can finish before the second
+    // request has been parsed.
+    let req = TuneRequest {
+        cluster: "pc".to_string(), // distinct from other tests' sweeps
+        batch: 64,
+        min_pp: 2,
+        wide: true,
+        serial: true,
+        ..tune_request()
+    };
     let body = serde_json::to_string(&req).expect("serialise");
 
     let n = 8;
+    let go = std::sync::Arc::new(std::sync::Barrier::new(n));
     let handles: Vec<_> = (0..n)
         .map(|_| {
-            let body = body.clone();
-            std::thread::spawn(move || client.expect_ok("POST", "/v1/tune", Some(&body)))
+            let (body, go) = (body.clone(), std::sync::Arc::clone(&go));
+            std::thread::spawn(move || {
+                go.wait();
+                client.expect_ok("POST", "/v1/tune", Some(&body))
+            })
         })
         .collect();
     let mut bodies = Vec::new();
