@@ -1,4 +1,12 @@
 //! The dense row-major f32 matrix at the bottom of everything.
+//!
+//! Every product goes through one register-tiled micro-kernel (`tile`):
+//! an `MR × NR` block of the output stays in registers for the whole `k`
+//! walk, row and column edges run the same body at narrower tiers, and the
+//! pooled path hands bands of `MR` rows to that same function. The tile
+//! shape follows the CPU (portable / `avx2` / `avx512f`, detected at run
+//! time — there is no switch to set); the bits never do: each element is
+//! the seed's f32 chain, multiply then add, never a fused multiply-add.
 
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
@@ -31,10 +39,6 @@ pub const PAR_FLOP_THRESHOLD: usize = 32 * 1024;
 /// reference kernel so before/after benches reproduce the old dispatch.
 const REFERENCE_PAR_THRESHOLD: usize = 64 * 64;
 
-/// Column tile for the blocked gemm: four `b`-row segments plus the output
-/// segment stay resident in L1 (5 × 512 × 4 B = 10 KiB).
-const GEMM_COL_TILE: usize = 512;
-
 static FORCE_REFERENCE_KERNELS: AtomicBool = AtomicBool::new(false);
 
 /// Route every gemm through the frozen seed kernels
@@ -63,84 +67,178 @@ pub fn matmul_parallelizes(m: usize, k: usize, n: usize) -> bool {
     m > 1 && m.saturating_mul(k).saturating_mul(n) >= PAR_FLOP_THRESHOLD
 }
 
-/// One output row of `a × b` in the canonical reduction order: every
-/// element accumulates its `k` contributions with `p` strictly ascending.
-/// The `k` loop is unrolled by 4 with *sequential* adds (a chain, not a
-/// tree) and columns are tiled ([`GEMM_COL_TILE`]); both transforms
-/// preserve the per-element f32 add chain, so the result is bitwise
-/// identical to the naive `ikj` loop while cutting `out_row` load/store
-/// traffic 4×.
-fn gemm_row_blocked(a_row: &[f32], b: &[f32], out_row: &mut [f32]) {
-    let k = a_row.len();
-    let n = out_row.len();
-    let mut j0 = 0;
-    while j0 < n {
-        let j1 = (j0 + GEMM_COL_TILE).min(n);
-        let mut p = 0;
-        while p + 4 <= k {
-            let (a0, a1, a2, a3) = (a_row[p], a_row[p + 1], a_row[p + 2], a_row[p + 3]);
-            let r0 = &b[p * n + j0..p * n + j1];
-            let r1 = &b[(p + 1) * n + j0..(p + 1) * n + j1];
-            let r2 = &b[(p + 2) * n + j0..(p + 2) * n + j1];
-            let r3 = &b[(p + 3) * n + j0..(p + 3) * n + j1];
-            let out_seg = &mut out_row[j0..j1];
-            for ((((o, &v0), &v1), &v2), &v3) in out_seg.iter_mut().zip(r0).zip(r1).zip(r2).zip(r3)
-            {
-                let mut acc = *o;
-                acc += a0 * v0;
-                acc += a1 * v1;
-                acc += a2 * v2;
-                acc += a3 * v3;
-                *o = acc;
-            }
-            p += 4;
-        }
-        while p < k {
-            let a0 = a_row[p];
-            let r0 = &b[p * n + j0..p * n + j1];
-            for (o, &v0) in out_row[j0..j1].iter_mut().zip(r0) {
-                *o += a0 * v0;
-            }
-            p += 1;
-        }
-        j0 = j1;
+/// Left operand of the micro-kernel: element `(i, p)` is
+/// `data[i * row_stride + p * p_stride]`, so `a` (`k, 1`) and `aᵀ`
+/// (`1, ka`) are the same walk and no transpose is materialized.
+#[derive(Clone, Copy)]
+struct Lhs<'a> {
+    data: &'a [f32],
+    row_stride: usize,
+    p_stride: usize,
+}
+
+impl<'a> Lhs<'a> {
+    /// The same operand with row `i` as its row 0.
+    fn skip_rows(self, i: usize) -> Lhs<'a> {
+        Lhs { data: &self.data[i * self.row_stride..], ..self }
     }
 }
 
-/// Output row `pcol` of `aᵀ × b` without materializing the transpose:
-/// coefficients walk column `pcol` of `a` while `b` rows stream — the
-/// reduction index `i` (rows of `a`/`b`) ascends exactly as in
-/// `a.transpose().matmul(b)`, so the result is bitwise identical.
-fn gemm_at_b_row(a: &[f32], ka: usize, m: usize, pcol: usize, b: &[f32], out_row: &mut [f32]) {
-    let n = out_row.len();
-    let mut i = 0;
-    while i + 4 <= m {
-        let a0 = a[i * ka + pcol];
-        let a1 = a[(i + 1) * ka + pcol];
-        let a2 = a[(i + 2) * ka + pcol];
-        let a3 = a[(i + 3) * ka + pcol];
-        let r0 = &b[i * n..(i + 1) * n];
-        let r1 = &b[(i + 1) * n..(i + 2) * n];
-        let r2 = &b[(i + 2) * n..(i + 3) * n];
-        let r3 = &b[(i + 3) * n..(i + 4) * n];
-        for ((((o, &v0), &v1), &v2), &v3) in out_row.iter_mut().zip(r0).zip(r1).zip(r2).zip(r3) {
-            let mut acc = *o;
-            acc += a0 * v0;
-            acc += a1 * v1;
-            acc += a2 * v2;
-            acc += a3 * v3;
-            *o = acc;
+/// The micro-kernel: `out[i..i+MR][j..j+NR] = a × b` with the whole
+/// `MR × NR` block held in registers for the `k` walk (`b` is `[k,n]`
+/// row-major, `out` is `[_,n]`). Per element this is the seed chain to the
+/// bit: start at `0.0`, `p` strictly ascending, one multiply then one add —
+/// never a fused multiply-add, which would round once where the seed
+/// rounds twice.
+#[inline(always)]
+fn tile<const MR: usize, const NR: usize>(
+    a: Lhs,
+    b: &[f32],
+    n: usize,
+    out: &mut [f32],
+    i: usize,
+    j: usize,
+) {
+    let mut acc = [[0.0f32; NR]; MR];
+    for (p, b_row) in b.chunks_exact(n).enumerate() {
+        let seg = &b_row[j..j + NR];
+        let coeffs = &a.data[i * a.row_stride + p * a.p_stride..];
+        for (r, acc_row) in acc.iter_mut().enumerate() {
+            let coeff = coeffs[r * a.row_stride];
+            for (o, &v) in acc_row.iter_mut().zip(seg) {
+                *o += coeff * v;
+            }
         }
+    }
+    for (r, acc_row) in acc.iter().enumerate() {
+        out[(i + r) * n + j..][..NR].copy_from_slice(acc_row);
+    }
+}
+
+/// `MR` output rows from row `i`: full `NR`-wide tiles, then the column
+/// edge through the narrower tiers — the same body, never a scalar loop.
+#[inline(always)]
+fn row_panel<const MR: usize, const NR: usize>(
+    a: Lhs,
+    b: &[f32],
+    n: usize,
+    out: &mut [f32],
+    i: usize,
+) {
+    let mut j = 0;
+    while j + NR <= n {
+        tile::<MR, NR>(a, b, n, out, i, j);
+        j += NR;
+    }
+    while j + 8 <= n {
+        tile::<MR, 8>(a, b, n, out, i, j);
+        j += 8;
+    }
+    while j < n {
+        tile::<MR, 1>(a, b, n, out, i, j);
+        j += 1;
+    }
+}
+
+/// `out = a × b` for every row of `out` (`[_,n]`, `n > 0`): full `MR`-row
+/// panels, then the row edge at `MR ∈ {4, 2, 1}`.
+#[inline(always)]
+fn gemm_tiles<const MR: usize, const NR: usize>(a: Lhs, b: &[f32], n: usize, out: &mut [f32]) {
+    let m = out.len() / n;
+    let mut i = 0;
+    while i + MR <= m {
+        row_panel::<MR, NR>(a, b, n, out, i);
+        i += MR;
+    }
+    while i + 4 <= m {
+        row_panel::<4, NR>(a, b, n, out, i);
         i += 4;
     }
-    while i < m {
-        let a0 = a[i * ka + pcol];
-        let r0 = &b[i * n..(i + 1) * n];
-        for (o, &v0) in out_row.iter_mut().zip(r0) {
-            *o += a0 * v0;
-        }
-        i += 1;
+    while i + 2 <= m {
+        row_panel::<2, NR>(a, b, n, out, i);
+        i += 2;
     }
+    if i < m {
+        row_panel::<1, NR>(a, b, n, out, i);
+    }
+}
+
+// One `(MR, NR)` per tier, each the fastest of a measured sweep at
+// `32×160×160` (CHANGES.md, PR 22): the accumulators fill the tier's
+// vector registers (16 of x86-64's xmm/ymm, 32 zmm) without spilling.
+const PORTABLE_TILE: (usize, usize) = (4, 8);
+#[cfg(target_arch = "x86_64")]
+const AVX2_TILE: (usize, usize) = (6, 16);
+#[cfg(target_arch = "x86_64")]
+const AVX512_TILE: (usize, usize) = (8, 32);
+
+fn gemm_portable(a: Lhs, b: &[f32], n: usize, out: &mut [f32]) {
+    gemm_tiles::<{ PORTABLE_TILE.0 }, { PORTABLE_TILE.1 }>(a, b, n, out);
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn gemm_avx2(a: Lhs, b: &[f32], n: usize, out: &mut [f32]) {
+    gemm_tiles::<{ AVX2_TILE.0 }, { AVX2_TILE.1 }>(a, b, n, out);
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn gemm_avx512(a: Lhs, b: &[f32], n: usize, out: &mut [f32]) {
+    gemm_tiles::<{ AVX512_TILE.0 }, { AVX512_TILE.1 }>(a, b, n, out);
+}
+
+/// Run `kernel` over `out` (`[_,n]`): in one call, or — `pooled` — over
+/// bands of `band_rows` rows (the tier's `MR`, so every band but the last
+/// is one full panel) on the rayon pool. Bands write disjoint rows and
+/// each element's chain lives inside one tile, so the split never changes
+/// a bit.
+fn run_bands(
+    a: Lhs,
+    n: usize,
+    out: &mut [f32],
+    pooled: bool,
+    band_rows: usize,
+    kernel: impl Fn(Lhs, &mut [f32]) + Sync,
+) {
+    if pooled {
+        out.par_chunks_mut(band_rows * n)
+            .enumerate()
+            .for_each(|(band, rows)| kernel(a.skip_rows(band * band_rows), rows));
+    } else {
+        kernel(a, out);
+    }
+}
+
+/// Fill `out` (`[_,n]`, non-empty, `k > 0`) through the widest tier this
+/// CPU supports, detected at run time per product; nothing selects a tier
+/// from outside.
+fn gemm_into(a: Lhs, b: &[f32], n: usize, out: &mut [f32], pooled: bool) {
+    #[cfg(target_arch = "x86_64")]
+    {
+        if std::is_x86_feature_detected!("avx512f") {
+            return run_bands(a, n, out, pooled, AVX512_TILE.0, |a, rows| {
+                // SAFETY: avx512f was detected on this CPU just above.
+                unsafe { gemm_avx512(a, b, n, rows) }
+            });
+        }
+        if std::is_x86_feature_detected!("avx2") {
+            return run_bands(a, n, out, pooled, AVX2_TILE.0, |a, rows| {
+                // SAFETY: avx2 was detected on this CPU just above.
+                unsafe { gemm_avx2(a, b, n, rows) }
+            });
+        }
+    }
+    run_bands(a, n, out, pooled, PORTABLE_TILE.0, |a, rows| gemm_portable(a, b, n, rows));
+}
+
+/// `[m,k] × [k,n]`; a product with no output or no terms is all zeros.
+fn gemm(a: Lhs, b: &[f32], m: usize, k: usize, n: usize) -> Tensor {
+    let mut out = vec![0.0f32; m * n];
+    if !out.is_empty() && k > 0 {
+        gemm_into(a, b, n, &mut out, matmul_parallelizes(m, k, n));
+    }
+    Tensor { rows: m, cols: n, data: out }
 }
 
 impl Tensor {
@@ -185,13 +283,15 @@ impl Tensor {
 
     /// Matrix product `self × other` (`[m,k] × [k,n] → [m,n]`).
     ///
-    /// Cache-blocked `ikj` with a **fixed reduction order**: every output
-    /// element accumulates its `k` terms in one sequential f32 chain with
-    /// `p` ascending, so the result is bitwise identical to the scalar
-    /// seed kernel ([`Tensor::matmul_reference`]) on every input — blocked,
-    /// unrolled, serial and row-parallel dispatches all agree to the bit.
-    /// Large products (by [`matmul_parallelizes`], a flops gate) split
-    /// over output rows (disjoint writes).
+    /// One register-tiled micro-kernel with a **fixed reduction order**:
+    /// every output element accumulates its `k` terms in one sequential
+    /// f32 chain from `0.0` with `p` ascending, multiply then add (no FMA),
+    /// so the result is bitwise identical to the scalar seed kernel
+    /// ([`Tensor::matmul_reference`]) on every input — every tile shape,
+    /// CPU tier, serial and pooled dispatch agree to the bit. The tier is
+    /// picked by run-time CPU detection; large products (by
+    /// [`matmul_parallelizes`], a flops gate) split into bands of tile
+    /// rows on the pool (disjoint writes).
     pub fn matmul(&self, other: &Tensor) -> Tensor {
         assert_eq!(self.cols, other.rows, "matmul shape mismatch");
         hanayo_metrics::count!("hanayo_gemm_dispatch_total", &[("kernel", "matmul")], 1);
@@ -199,18 +299,7 @@ impl Tensor {
             return self.matmul_reference(other);
         }
         let (m, k, n) = (self.rows, self.cols, other.cols);
-        let mut out = vec![0.0f32; m * n];
-
-        let row_job = |(i, out_row): (usize, &mut [f32])| {
-            gemm_row_blocked(&self.data[i * k..(i + 1) * k], &other.data, out_row);
-        };
-
-        if matmul_parallelizes(m, k, n) {
-            out.par_chunks_mut(n).enumerate().for_each(row_job);
-        } else {
-            out.chunks_mut(n).enumerate().for_each(row_job);
-        }
-        Tensor { rows: m, cols: n, data: out }
+        gemm(Lhs { data: &self.data, row_stride: k, p_stride: 1 }, &other.data, m, k, n)
     }
 
     /// Frozen seed gemm: naive `ikj` with the seed's element-count
@@ -241,9 +330,11 @@ impl Tensor {
     }
 
     /// Fused `selfᵀ × other` (`[m,ka]ᵀ × [m,n] → [ka,n]`) without
-    /// materializing the transpose. Bitwise identical to
-    /// `self.transpose().matmul(other)`: per output element the reduction
-    /// runs over rows `i` strictly ascending, exactly like the reference.
+    /// materializing the transpose: the same micro-kernel as
+    /// [`Tensor::matmul`], reading `self` down its columns. Bitwise
+    /// identical to `self.transpose().matmul(other)`: per output element
+    /// the reduction runs over rows `i` strictly ascending, exactly like
+    /// the reference.
     pub fn matmul_at_b(&self, other: &Tensor) -> Tensor {
         assert_eq!(self.rows, other.rows, "matmul_at_b shape mismatch");
         hanayo_metrics::count!("hanayo_gemm_dispatch_total", &[("kernel", "at_b")], 1);
@@ -251,31 +342,17 @@ impl Tensor {
             return self.transpose().matmul_reference(other);
         }
         let (m, ka, n) = (self.rows, self.cols, other.cols);
-        let mut out = vec![0.0f32; ka * n];
-
-        let row_job = |(pcol, out_row): (usize, &mut [f32])| {
-            gemm_at_b_row(&self.data, ka, m, pcol, &other.data, out_row);
-        };
-
-        if matmul_parallelizes(ka, m, n) {
-            out.par_chunks_mut(n).enumerate().for_each(row_job);
-        } else {
-            out.chunks_mut(n).enumerate().for_each(row_job);
-        }
-        Tensor { rows: ka, cols: n, data: out }
+        gemm(Lhs { data: &self.data, row_stride: 1, p_stride: ka }, &other.data, ka, m, n)
     }
 
     /// `self × otherᵀ` (`[m,k] × [n,k]ᵀ → [m,n]`), bitwise identical to
     /// `self.matmul(&other.transpose())`.
     ///
-    /// Measured surprise: a "fused" row-dot form (walking `other`'s rows in
-    /// place) *loses* to transposing once and streaming the blocked kernel
-    /// — each fused output is one serial dependent f32 chain, while the
-    /// blocked kernel spreads four independent chains across a whole
-    /// output-row tile. So this entry materializes `otherᵀ` internally and
-    /// reuses [`gemm_row_blocked`]; the win over calling sites doing it by
-    /// hand is one transpose per product instead of one per caller, and a
-    /// single place to revisit the trade-off.
+    /// The micro-kernel streams `NR`-wide row segments of its right
+    /// operand, which `otherᵀ` only has once laid out: this entry
+    /// transposes `other` once (blocked, [`Tensor::transpose`]) and runs
+    /// the same kernel as [`Tensor::matmul`] — one transpose per product
+    /// instead of one per caller.
     pub fn matmul_a_bt(&self, other: &Tensor) -> Tensor {
         assert_eq!(self.cols, other.cols, "matmul_a_bt shape mismatch");
         hanayo_metrics::count!("hanayo_gemm_dispatch_total", &[("kernel", "a_bt")], 1);
@@ -284,26 +361,35 @@ impl Tensor {
         }
         let (m, k, n) = (self.rows, self.cols, other.rows);
         let bt = other.transpose();
-        let mut out = vec![0.0f32; m * n];
-
-        let row_job = |(i, out_row): (usize, &mut [f32])| {
-            gemm_row_blocked(&self.data[i * k..(i + 1) * k], &bt.data, out_row);
-        };
-
-        if matmul_parallelizes(m, k, n) {
-            out.par_chunks_mut(n).enumerate().for_each(row_job);
-        } else {
-            out.chunks_mut(n).enumerate().for_each(row_job);
-        }
-        Tensor { rows: m, cols: n, data: out }
+        gemm(Lhs { data: &self.data, row_stride: k, p_stride: 1 }, &bt.data, m, k, n)
     }
 
-    /// Transposed copy.
+    /// Transposed copy, moved in `8×8` blocks: eight contiguous row
+    /// segments in, eight contiguous column segments out, so neither side
+    /// is walked one element per cache line. Edges go element-wise.
     pub fn transpose(&self) -> Tensor {
-        let mut out = Tensor::zeros(self.cols, self.rows);
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                *out.get_mut(c, r) = self.get(r, c);
+        const T: usize = 8;
+        let (rows, cols) = (self.rows, self.cols);
+        let (block_rows, block_cols) = (rows - rows % T, cols - cols % T);
+        let mut out = Tensor::zeros(cols, rows);
+        for r0 in (0..block_rows).step_by(T) {
+            for c0 in (0..block_cols).step_by(T) {
+                let mut block = [[0.0f32; T]; T];
+                for (r, seg) in block.iter_mut().enumerate() {
+                    seg.copy_from_slice(&self.data[(r0 + r) * cols + c0..][..T]);
+                }
+                for c in 0..T {
+                    let dst = &mut out.data[(c0 + c) * rows + r0..][..T];
+                    for (d, seg) in dst.iter_mut().zip(&block) {
+                        *d = seg[c];
+                    }
+                }
+            }
+        }
+        for r in 0..rows {
+            let edge = if r < block_rows { block_cols } else { 0 };
+            for c in edge..cols {
+                out.data[c * rows + r] = self.data[r * cols + c];
             }
         }
         out
@@ -408,12 +494,80 @@ mod tests {
 
     #[test]
     fn blocked_kernel_matches_reference_bitwise() {
-        // Shapes straddling both gates; k exercises the unroll tail (k%4≠0)
-        // and the column tile boundary (n > GEMM_COL_TILE).
+        // Shapes straddling both gates, with full tiles beside row and
+        // column remainders and k from one term to thousands.
         for &(m, k, n) in &[(7, 13, 9), (4, 4096, 4), (128, 1, 128), (33, 65, 67), (3, 6, 600)] {
             let a = dense(m, k, 0x9E3779B9 + (m * k) as u64);
             let b = dense(k, n, 0x85EBCA6B + (k * n) as u64);
             assert_bits_eq(&a.matmul(&b), &a.matmul_reference(&b), "matmul [{m},{k}]x[{k},{n}]");
+        }
+    }
+
+    /// `out = a × b` through one tier wrapper, whole product in one call.
+    fn run_tier(tier: impl Fn(Lhs, &[f32], usize, &mut [f32]), a: &Tensor, b: &Tensor) -> Tensor {
+        let mut out = Tensor::zeros(a.rows, b.cols);
+        let lhs = Lhs { data: &a.data, row_stride: a.cols, p_stride: 1 };
+        tier(lhs, &b.data, b.cols, &mut out.data);
+        out
+    }
+
+    #[test]
+    fn every_tier_matches_reference_on_every_edge_bitwise() {
+        // [15,37]×[37,61] and [23,3]×[3,47] between them put every wrapper
+        // through each of its row tiers (8/6/4/2/1) and column tiers
+        // (32/16/8/1); the rest are the benchmark's shapes and the
+        // one-column minimum.
+        for &(m, k, n) in &[(15, 37, 61), (32, 160, 160), (4, 32, 32), (1, 5, 1), (23, 3, 47)] {
+            let a = dense(m, k, 3 + (m * k) as u64);
+            let b = dense(k, n, 5 + (k * n) as u64);
+            let want = a.matmul_reference(&b);
+            assert_bits_eq(&run_tier(gemm_portable, &a, &b), &want, "portable tier");
+            #[cfg(target_arch = "x86_64")]
+            {
+                if std::is_x86_feature_detected!("avx2") {
+                    // SAFETY: avx2 was detected on this CPU just above.
+                    let got = run_tier(|a, b, n, out| unsafe { gemm_avx2(a, b, n, out) }, &a, &b);
+                    assert_bits_eq(&got, &want, "avx2 tier");
+                }
+                if std::is_x86_feature_detected!("avx512f") {
+                    // SAFETY: avx512f was detected on this CPU just above.
+                    let got = run_tier(|a, b, n, out| unsafe { gemm_avx512(a, b, n, out) }, &a, &b);
+                    assert_bits_eq(&got, &want, "avx512f tier");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn pooled_bands_match_the_serial_kernel_bitwise() {
+        // Above the flops gate, with a last band shorter than a tile and
+        // (at_b) the strided left operand re-based per band.
+        for &(m, k, n) in &[(37, 64, 45), (70, 129, 33), (2, 128, 128)] {
+            assert!(matmul_parallelizes(m, k, n));
+            let a = dense(m, k, 7 + m as u64);
+            let b = dense(k, n, 9 + n as u64);
+            let lhs = Lhs { data: &a.data, row_stride: k, p_stride: 1 };
+            let (mut serial, mut pooled) = (Tensor::zeros(m, n), Tensor::zeros(m, n));
+            gemm_into(lhs, &b.data, n, &mut serial.data, false);
+            gemm_into(lhs, &b.data, n, &mut pooled.data, true);
+            assert_bits_eq(&pooled, &serial, "pooled vs serial");
+            assert_bits_eq(&pooled, &a.matmul_reference(&b), "pooled vs reference");
+
+            let at = a.transpose();
+            let lhs_t = Lhs { data: &at.data, row_stride: 1, p_stride: m };
+            let mut pooled_t = Tensor::zeros(m, n);
+            gemm_into(lhs_t, &b.data, n, &mut pooled_t.data, true);
+            assert_bits_eq(&pooled_t, &serial, "pooled at_b walk vs serial");
+        }
+    }
+
+    #[test]
+    fn empty_dimensions_yield_empty_or_zero_products() {
+        for &(m, k, n) in &[(0, 3, 4), (2, 0, 4), (2, 3, 0), (0, 0, 0), (0, 3, 0), (2, 0, 0)] {
+            let want = Tensor::zeros(m, n);
+            assert_eq!(Tensor::zeros(m, k).matmul(&Tensor::zeros(k, n)), want, "matmul");
+            assert_eq!(Tensor::zeros(k, m).matmul_at_b(&Tensor::zeros(k, n)), want, "matmul_at_b");
+            assert_eq!(Tensor::zeros(m, k).matmul_a_bt(&Tensor::zeros(n, k)), want, "matmul_a_bt");
         }
     }
 
@@ -444,6 +598,23 @@ mod tests {
         let a = Tensor::from_vec(2, 3, vec![1., 2., 3., 4., 5., 6.]);
         assert_eq!(a.transpose().transpose(), a);
         assert_eq!(a.transpose().get(2, 1), 6.0);
+    }
+
+    #[test]
+    fn blocked_transpose_equals_elementwise_definition() {
+        // Multiples of the 8×8 block, non-multiples on either side, and
+        // shapes smaller than one block.
+        for &(rows, cols) in &[(16, 24), (19, 8), (8, 21), (13, 27), (3, 5), (1, 9), (0, 4)] {
+            let a = dense(rows, cols, 31 + (rows * cols) as u64);
+            let t = a.transpose();
+            assert_eq!((t.rows, t.cols), (cols, rows));
+            for r in 0..rows {
+                for c in 0..cols {
+                    assert_eq!(t.get(c, r).to_bits(), a.get(r, c).to_bits(), "({r},{c})");
+                }
+            }
+            assert_eq!(t.transpose(), a);
+        }
     }
 
     #[test]

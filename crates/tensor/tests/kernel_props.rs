@@ -1,14 +1,15 @@
 //! Bitwise-identity property tests for the gemm fast path.
 //!
-//! The determinism contract of the tensor substrate: the blocked/unrolled
-//! serial kernel, the row-parallel dispatch, and the fused transposed
-//! kernels (`matmul_at_b`, `matmul_a_bt`) all produce outputs **bitwise
+//! The determinism contract of the tensor substrate: the register-tiled
+//! micro-kernel — serial or banded over the pool, behind `matmul`,
+//! `matmul_at_b` and `matmul_a_bt` alike — produces outputs **bitwise
 //! identical** to the frozen scalar seed kernel (`matmul_reference`) on
-//! every input. Shapes are drawn to straddle both the new flops gate and
-//! the old element-count gate so serial and parallel dispatches are
-//! exercised; values are dense (every element nonzero with probability 1)
-//! so a changed reduction order shows up in the low bits — the failure the
-//! old identity-matrix test could never see.
+//! every input. Shapes are drawn so one product has full tiles *and* row
+//! and column remainders, and to straddle both the flops gate and the old
+//! element-count gate so serial and pooled dispatches are exercised;
+//! values are dense (every element nonzero with probability 1) so a
+//! changed reduction order shows up in the low bits — the failure the old
+//! identity-matrix test could never see.
 //!
 //! Seeds live in `proptest-regressions/kernel_props.txt` (committed); they
 //! replay first on every run.
@@ -16,6 +17,7 @@
 use hanayo_tensor::tensor::matmul_parallelizes;
 use hanayo_tensor::Tensor;
 use proptest::prelude::*;
+use std::ops::Range;
 
 fn tensor_strategy(rows: usize, cols: usize) -> BoxedStrategy<Tensor> {
     proptest::collection::vec(-100.0f32..100.0, rows * cols)
@@ -23,13 +25,12 @@ fn tensor_strategy(rows: usize, cols: usize) -> BoxedStrategy<Tensor> {
         .boxed()
 }
 
-/// `(a, b)` pairs for `a × b`: dims span 1..=9 rows by up to 130/90 inner/
-/// outer columns, so `m*k*n` straddles `PAR_FLOP_THRESHOLD` (32k) and
-/// `m*n` straddles the reference kernel's 4096-element gate.
-fn matmul_pair() -> BoxedStrategy<(Tensor, Tensor)> {
-    (1usize..9, 1usize..130, 1usize..90)
-        .prop_flat_map(|(m, k, n)| (tensor_strategy(m, k), tensor_strategy(k, n)))
-        .boxed()
+/// `(m, k, n)` for an `[m,k] × [k,n]` product: up to 69 rows (several
+/// full tiles of any tier plus a remainder) by up to 129 inner/outer
+/// columns, so `m*k*n` straddles `PAR_FLOP_THRESHOLD` (32k) and `m*n`
+/// straddles the reference kernel's 4096-element gate.
+fn dims() -> (Range<usize>, Range<usize>, Range<usize>) {
+    (1usize..70, 1usize..130, 1usize..130)
 }
 
 fn bits(t: &Tensor) -> Vec<u32> {
@@ -41,7 +42,9 @@ proptest! {
 
     #[test]
     fn blocked_and_parallel_matmul_match_reference_bitwise(
-        (a, b) in matmul_pair(),
+        (a, b) in dims()
+            .prop_flat_map(|(m, k, n)| (tensor_strategy(m, k), tensor_strategy(k, n)))
+            .boxed(),
     ) {
         let fast = a.matmul(&b);
         let reference = a.matmul_reference(&b);
@@ -55,8 +58,8 @@ proptest! {
 
     #[test]
     fn fused_at_b_matches_transpose_then_matmul_bitwise(
-        (a, b) in (1usize..40, 1usize..40, 1usize..40)
-            .prop_flat_map(|(m, ka, n)| (tensor_strategy(m, ka), tensor_strategy(m, n)))
+        (a, b) in dims()
+            .prop_flat_map(|(ka, m, n)| (tensor_strategy(m, ka), tensor_strategy(m, n)))
             .boxed(),
     ) {
         // aᵀ × b without materializing aᵀ ≡ transpose-then-matmul, to the bit
@@ -68,7 +71,7 @@ proptest! {
 
     #[test]
     fn fused_a_bt_matches_matmul_then_transpose_bitwise(
-        (a, b) in (1usize..40, 1usize..40, 1usize..40)
+        (a, b) in dims()
             .prop_flat_map(|(m, k, n)| (tensor_strategy(m, k), tensor_strategy(n, k)))
             .boxed(),
     ) {
