@@ -12,8 +12,8 @@
 //!
 //! * **Disabled is (almost) free.** The registry is off by default; every
 //!   recording macro first reads one relaxed atomic and branches away.
-//!   The criterion guard in `hanayo-bench` bounds this on the sim hot
-//!   loop and the gemm dispatch path.
+//!   The benchmark's `metrics.overhead_share` row (`BENCHMARK.json`)
+//!   prices the *enabled* registry on a cold tuner sweep.
 //! * **Enabled never feeds back.** Metrics are write-only from the
 //!   instrumented code's point of view: nothing in the workspace reads a
 //!   counter to make a decision, so losses, weights, schedules, reports

@@ -25,17 +25,16 @@
 
 use hanayo_ckpt::recovery::{young_daly_interval_s, RecoveryOptions};
 use hanayo_ckpt::{Checkpoint, CheckpointPolicy, FailurePlan, RngCursor};
-use hanayo_cluster::topology::{fc_full_nvlink, lonestar6, pc_partial_nvlink, tencent_v100};
-use hanayo_cluster::ClusterSpec;
 use hanayo_core::config::{PipelineConfig, Scheme};
 use hanayo_core::schedule::build_schedule;
 use hanayo_model::builders::MicroModel;
-use hanayo_model::{ModelConfig, Recompute};
+use hanayo_model::Recompute;
 use hanayo_runtime::trainer::{
     resume, synthetic_data, synthetic_data_at, synthetic_draws_per_iteration, train,
     try_train_resumable, TrainOutput, TrainerConfig,
 };
 use hanayo_runtime::{checkpoint_of, LossKind};
+use hanayo_serve::schema::{cluster_for, model_for};
 use hanayo_sim::plan::{evaluate_plan, Method, ParallelPlan};
 use hanayo_sim::tuner::plan_recovery_eval;
 use hanayo_sim::SimOptions;
@@ -233,24 +232,6 @@ fn scheme_for(name: &str) -> Result<Scheme, String> {
             "unknown scheme {other} (expected gpipe, dapple, interleaved2, hanayo1, hanayo2 or \
              hanayo4 — chimera-native replicates weights, which the threaded runtime rejects)"
         )),
-    }
-}
-
-fn cluster_for(name: &str, gpus: usize) -> Result<ClusterSpec, String> {
-    match name {
-        "pc" => Ok(pc_partial_nvlink(gpus)),
-        "fc" => Ok(fc_full_nvlink(gpus)),
-        "tacc" => Ok(lonestar6(gpus)),
-        "tc" => Ok(tencent_v100(gpus)),
-        other => Err(format!("unknown cluster {other} (expected pc, fc, tacc or tc)")),
-    }
-}
-
-fn model_for(name: &str) -> Result<ModelConfig, String> {
-    match name {
-        "bert64" => Ok(ModelConfig::bert64()),
-        "gpt128" => Ok(ModelConfig::gpt128()),
-        other => Err(format!("unknown model {other} (expected bert64 or gpt128)")),
     }
 }
 

@@ -1,7 +1,7 @@
 //! `lint` — the repo's panic-freedom gate for library code.
 //!
 //! Scans the non-test sources of every library crate (everything except
-//! the `repro` figure/tool binaries and the benches) for the three
+//! the `repro` figure/tool binaries) for the three
 //! panicking idioms: `.unwrap()`, `.expect(` and `panic!`. Lines inside
 //! `#[cfg(test)]` modules and comment lines are excluded.
 //!

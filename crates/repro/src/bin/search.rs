@@ -17,11 +17,10 @@
 //! requiring *exact* f64 equality with the recorded iteration time — the
 //! CI smoke check. See the README's "Schedule tables & search" section.
 
-use hanayo_cluster::topology::{fc_full_nvlink, lonestar6, pc_partial_nvlink, tencent_v100};
-use hanayo_cluster::ClusterSpec;
 use hanayo_core::comm;
 use hanayo_core::schedule::table::check_table;
-use hanayo_model::{CostTable, ModelConfig, Recompute};
+use hanayo_model::{CostTable, Recompute};
+use hanayo_serve::schema::{cluster_for, model_for};
 use hanayo_sim::{
     search_schedule, try_simulate, ScheduleSearchOptions, SearchedSchedule, SimOptions,
 };
@@ -133,24 +132,6 @@ fn parse_args() -> Result<Args, String> {
         }
     }
     Ok(args)
-}
-
-fn model_for(name: &str) -> Result<ModelConfig, String> {
-    match name {
-        "bert64" => Ok(ModelConfig::bert64()),
-        "gpt128" => Ok(ModelConfig::gpt128()),
-        other => Err(format!("unknown model {other} (expected bert64 or gpt128)")),
-    }
-}
-
-fn cluster_for(name: &str, gpus: usize) -> Result<ClusterSpec, String> {
-    match name {
-        "pc" => Ok(pc_partial_nvlink(gpus)),
-        "fc" => Ok(fc_full_nvlink(gpus)),
-        "tacc" => Ok(lonestar6(gpus)),
-        "tc" => Ok(tencent_v100(gpus)),
-        other => Err(format!("unknown cluster {other} (expected pc, fc, tacc or tc)")),
-    }
 }
 
 /// The document this binary prints (and re-validates).

@@ -1,6 +1,5 @@
-//! `serve` — the resident planning service as a binary: host mode, a
-//! thin one-shot client, and the load-test/bench driver behind
-//! `BENCH_SERVE.json`.
+//! `serve` — the resident planning service as a binary: host mode and a
+//! thin one-shot client.
 //!
 //! ```text
 //! # Host (ctrl-c / SIGTERM drains and exits 0):
@@ -9,44 +8,25 @@
 //! # One-shot client (reads the JSON request from a file or stdin):
 //! cargo run --release -p hanayo-repro --bin serve -- \
 //!     --mode client --addr 127.0.0.1:7411 --endpoint tune --body req.json
-//!
-//! # Load test against an in-process server; record the pr10 entry:
-//! cargo run --release -p hanayo-repro --bin serve -- \
-//!     --mode loadtest --requests 1000 --record pr10
-//!
-//! # Re-check the committed trajectory's schema and bounds:
-//! cargo run --release -p hanayo-repro --bin serve -- --mode loadtest --validate
 //! ```
 //!
-//! The load test drives ≥ 1000 concurrent mixed `plan`/`tune`/`simulate`
-//! requests, asserts p50/p99 latency bounds and a cache hit-rate floor
-//! on the repeated-request phase, and proves every response byte-identical
-//! to the corresponding one-shot CLI output (both are built by
-//! [`hanayo_serve::schema`]).
+//! Every response body is built by [`hanayo_serve::schema`], the same code
+//! the one-shot CLIs print through; `crates/serve/tests/golden_wire.rs`
+//! pins the two byte-identical, including under concurrent mixed traffic.
 
-use hanayo_model::Recompute;
-use hanayo_serve::schema::{
-    run_plan, run_simulate, run_tune, PlanRequest, SimulateRequest, TuneRequest,
-};
 use hanayo_serve::{serve, signal, Client};
-use hanayo_sim::TuneContext;
-use serde::{Deserialize, Serialize};
 use std::io::Read;
 use std::process::ExitCode;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Barrier, Mutex};
-use std::time::{Duration, Instant, SystemTime};
+use std::time::Duration;
 
 const USAGE: &str = "\
-serve — resident planning service (host, client, load test)
+serve — resident planning service (host, client)
 
 USAGE: serve [--addr HOST:PORT] [--drain-secs N]
        serve --mode client --addr HOST:PORT --endpoint <plan|tune|simulate|analyze> [--body FILE]
-       serve --mode loadtest [--requests N] [--concurrency C]
-                             [--record LABEL | --validate] [--bench-file PATH]
 
 FLAGS:
-  --mode <serve|client|loadtest> what to run                    [serve]
+  --mode <serve|client>          what to run                    [serve]
   --addr <HOST:PORT>             bind (serve) / target (client)
                                  address; port 0 picks a free
                                  port and prints it             [127.0.0.1:7411]
@@ -54,13 +34,6 @@ FLAGS:
   --endpoint <NAME>              client: endpoint to POST to
   --body <FILE>                  client: JSON request body file
                                  (default: read stdin)
-  --requests <N>                 loadtest: total requests       [1000]
-  --concurrency <C>              loadtest: client threads       [32]
-  --record <LABEL>               loadtest: append the measured
-                                 entry to the bench trajectory
-  --validate                     loadtest: only schema-check the
-                                 committed trajectory, run nothing
-  --bench-file <PATH>            trajectory file                [BENCH_SERVE.json]
   --help                         this text
 ";
 
@@ -71,11 +44,6 @@ struct Args {
     drain_secs: u64,
     endpoint: Option<String>,
     body: Option<String>,
-    requests: usize,
-    concurrency: usize,
-    record: Option<String>,
-    validate: bool,
-    bench_file: String,
 }
 
 impl Default for Args {
@@ -86,11 +54,6 @@ impl Default for Args {
             drain_secs: 10,
             endpoint: None,
             body: None,
-            requests: 1000,
-            concurrency: 32,
-            record: None,
-            validate: false,
-            bench_file: "BENCH_SERVE.json".to_string(),
         }
     }
 }
@@ -109,17 +72,6 @@ fn parse_args() -> Result<Args, String> {
             }
             "--endpoint" => args.endpoint = Some(value("--endpoint")?),
             "--body" => args.body = Some(value("--body")?),
-            "--requests" => {
-                args.requests =
-                    value("--requests")?.parse().map_err(|e| format!("--requests: {e}"))?
-            }
-            "--concurrency" => {
-                args.concurrency =
-                    value("--concurrency")?.parse().map_err(|e| format!("--concurrency: {e}"))?
-            }
-            "--record" => args.record = Some(value("--record")?),
-            "--validate" => args.validate = true,
-            "--bench-file" => args.bench_file = value("--bench-file")?,
             "--help" | "-h" => return Err(String::new()),
             other => return Err(format!("unknown flag {other}")),
         }
@@ -190,336 +142,6 @@ fn run_client(args: &Args) -> Result<(), String> {
     }
 }
 
-// ---------------------------------------------------------------------
-// Load test
-// ---------------------------------------------------------------------
-
-/// One pooled request: the wire path, the JSON body, and the expected
-/// response bytes computed through the CLI code path.
-struct Pooled {
-    path: &'static str,
-    body: String,
-    expected: String,
-}
-
-fn tune_request(cluster: &str, gpus: usize, batch: u32, min_pp: u32) -> TuneRequest {
-    TuneRequest {
-        model: "bert64".to_string(),
-        cluster: cluster.to_string(),
-        gpus,
-        batch,
-        micro_batch_size: 1,
-        train_bytes_per_param: 8,
-        min_pp,
-        waves: vec![1, 2],
-        recompute: None,
-        wide: false,
-        serial: false,
-        top: Some(3),
-    }
-}
-
-/// The mixed request pool: mostly cheap plan/simulate requests plus two
-/// distinct tune sweeps. Round-robin assignment over ~1000 requests
-/// repeats each entry ~100×, which is exactly the repeated-request phase
-/// the cache hit-rate floor is asserted on.
-fn build_pool() -> Result<Vec<Pooled>, String> {
-    let mut pool = Vec::new();
-    for method in ["gpipe", "dapple", "hanayo_w2", "hanayo_w4"] {
-        let req = PlanRequest {
-            model: "bert64".to_string(),
-            cluster: "fc".to_string(),
-            gpus: 8,
-            train_bytes_per_param: 8,
-            method: method.to_string(),
-            pp: 8,
-            dp: 1,
-            micro_batches: 8,
-            micro_batch_size: 1,
-            recompute: Recompute::None,
-        };
-        let doc = run_plan(&req).map_err(|e| format!("pool plan {method}: {e}"))?;
-        pool.push(Pooled {
-            path: "/v1/plan",
-            body: serde_json::to_string(&req).map_err(|e| e.to_string())?,
-            expected: serde_json::to_string(&doc).map_err(|e| e.to_string())? + "\n",
-        });
-    }
-    for scheme in ["gpipe", "dapple", "hanayo_w2", "interleaved2"] {
-        let req = SimulateRequest {
-            model: "bert64".to_string(),
-            cluster: "fc".to_string(),
-            gpus: 8,
-            scheme: scheme.to_string(),
-            micro_batches: 8,
-            micro_batch_size: 1,
-            recompute: Recompute::None,
-            prefetch: true,
-            recv_lookahead: 1,
-        };
-        let doc = run_simulate(&req).map_err(|e| format!("pool simulate {scheme}: {e}"))?;
-        pool.push(Pooled {
-            path: "/v1/simulate",
-            body: serde_json::to_string(&req).map_err(|e| e.to_string())?,
-            expected: serde_json::to_string(&doc).map_err(|e| e.to_string())? + "\n",
-        });
-    }
-    for req in [tune_request("fc", 8, 8, 4), tune_request("tacc", 4, 4, 2)] {
-        let doc = run_tune(&req, &TuneContext::default())
-            .map_err(|e| format!("pool tune {}: {e}", req.cluster))?;
-        pool.push(Pooled {
-            path: "/v1/tune",
-            body: serde_json::to_string(&req).map_err(|e| e.to_string())?,
-            expected: serde_json::to_string(&doc).map_err(|e| e.to_string())? + "\n",
-        });
-    }
-    Ok(pool)
-}
-
-/// `p`-th percentile of an unsorted latency set, in milliseconds.
-fn percentile_ms(sorted_ns: &[u128], p: f64) -> f64 {
-    if sorted_ns.is_empty() {
-        return 0.0;
-    }
-    let idx = ((p / 100.0) * (sorted_ns.len() - 1) as f64).round() as usize;
-    sorted_ns[idx.min(sorted_ns.len() - 1)] as f64 / 1e6
-}
-
-/// Sum every series of a counter family in a Prometheus exposition.
-fn scrape_sum(text: &str, family: &str) -> f64 {
-    text.lines()
-        .filter(|l| l.starts_with(family) && l[family.len()..].starts_with(['{', ' ']))
-        .filter_map(|l| l.rsplit(' ').next())
-        .filter_map(|v| v.parse::<f64>().ok())
-        .sum()
-}
-
-/// One measured trajectory entry.
-#[derive(Debug, Serialize, Deserialize)]
-struct BenchEntry {
-    label: String,
-    unix_time_s: u64,
-    requests: usize,
-    concurrency: usize,
-    p50_ms: f64,
-    p99_ms: f64,
-    cache_hit_rate: f64,
-    dedup_factor: f64,
-    byte_identical: bool,
-}
-
-#[derive(Debug, Serialize, Deserialize)]
-struct BenchFile {
-    schema: String,
-    bench: String,
-    entries: Vec<BenchEntry>,
-}
-
-/// Bounds the load test (and `--validate`) holds every entry to. Loose
-/// enough for shared CI runners; tight enough to catch a service that
-/// stopped caching or deduplicating.
-fn check_entry(e: &BenchEntry) -> Result<(), String> {
-    if e.requests < 1000 {
-        return Err(format!("{}: only {} requests (need ≥ 1000)", e.label, e.requests));
-    }
-    if !(e.p50_ms > 0.0 && e.p50_ms <= e.p99_ms) {
-        return Err(format!("{}: implausible p50/p99 {}/{}", e.label, e.p50_ms, e.p99_ms));
-    }
-    if e.p50_ms > 2_000.0 || e.p99_ms > 30_000.0 {
-        return Err(format!(
-            "{}: latency out of bounds p50={}ms p99={}ms",
-            e.label, e.p50_ms, e.p99_ms
-        ));
-    }
-    if !(0.5..=1.0).contains(&e.cache_hit_rate) {
-        return Err(format!(
-            "{}: cache hit rate {} below the 0.5 floor for the repeated phase",
-            e.label, e.cache_hit_rate
-        ));
-    }
-    if e.dedup_factor < 2.0 {
-        return Err(format!(
-            "{}: dedup factor {} (identical burst must share work)",
-            e.label, e.dedup_factor
-        ));
-    }
-    if !e.byte_identical {
-        return Err(format!("{}: served bytes diverged from the CLI output", e.label));
-    }
-    Ok(())
-}
-
-fn validate_bench(path: &str) -> Result<(), String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-    let file: BenchFile =
-        serde_json::from_str(&text).map_err(|e| format!("parsing {path}: {e}"))?;
-    if file.schema != "hanayo-serve-bench-v1" || file.bench != "serve-load" {
-        return Err(format!("{path}: unexpected schema/bench {}/{}", file.schema, file.bench));
-    }
-    if file.entries.is_empty() {
-        return Err(format!("{path}: no entries"));
-    }
-    for e in &file.entries {
-        check_entry(e)?;
-    }
-    println!("ok: {} entries in {path} within bounds", file.entries.len());
-    Ok(())
-}
-
-fn run_loadtest(args: &Args) -> Result<(), String> {
-    if args.validate {
-        return validate_bench(&args.bench_file);
-    }
-    eprintln!("loadtest: building the request pool (and the expected CLI bytes)");
-    let pool = Arc::new(build_pool()?);
-    let server = serve("127.0.0.1:0").map_err(|e| format!("binding: {e}"))?;
-    let client = Client::new(server.addr());
-
-    // Phase 1: the concurrent mixed-request storm. Round-robin over the
-    // pool = the repeated-request phase.
-    let total = args.requests.max(1);
-    let workers = args.concurrency.clamp(1, 256);
-    eprintln!("loadtest: {total} requests over {workers} clients against {}", server.addr());
-    let next = Arc::new(AtomicUsize::new(0));
-    let identical = Arc::new(AtomicBool::new(true));
-    let latencies = Arc::new(Mutex::new(Vec::with_capacity(total)));
-    let mut handles = Vec::new();
-    for _ in 0..workers {
-        let pool = Arc::clone(&pool);
-        let next = Arc::clone(&next);
-        let identical = Arc::clone(&identical);
-        let latencies = Arc::clone(&latencies);
-        handles.push(std::thread::spawn(move || -> Result<(), String> {
-            let mut local = Vec::new();
-            loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= total {
-                    break;
-                }
-                let p = &pool[i % pool.len()];
-                let started = Instant::now();
-                let body = client
-                    .expect_ok("POST", p.path, Some(&p.body))
-                    .map_err(|e| format!("request {i} ({}): {e}", p.path))?;
-                local.push(started.elapsed().as_nanos());
-                if body != p.expected {
-                    identical.store(false, Ordering::SeqCst);
-                }
-            }
-            match latencies.lock() {
-                Ok(mut all) => all.extend(local),
-                Err(poisoned) => poisoned.into_inner().extend(local),
-            }
-            Ok(())
-        }));
-    }
-    for h in handles {
-        match h.join() {
-            Ok(outcome) => outcome?,
-            Err(_) => return Err("a load-test client panicked".to_string()),
-        }
-    }
-
-    // Phase 2: the dedup burst — one brand-new *wide* sweep (slow enough
-    // that the leader is still evaluating when the last client connects),
-    // many identical concurrent submissions released through a barrier;
-    // followers must join the leader.
-    let mut burst_req = tune_request("pc", 8, 32, 2);
-    burst_req.wide = true;
-    burst_req.waves = vec![1, 2, 4, 8];
-    let burst_body = serde_json::to_string(&burst_req).map_err(|e| e.to_string())?;
-    let joins_before = server.dedup_joins();
-    let burst_n = workers.max(8);
-    let gate = Arc::new(Barrier::new(burst_n));
-    let bodies = Arc::new(Mutex::new(Vec::new()));
-    let mut burst = Vec::new();
-    for _ in 0..burst_n {
-        let body = burst_body.clone();
-        let gate = Arc::clone(&gate);
-        let bodies = Arc::clone(&bodies);
-        burst.push(std::thread::spawn(move || -> Result<(), String> {
-            gate.wait();
-            let resp =
-                client.expect_ok("POST", "/v1/tune", Some(&body)).map_err(|e| e.to_string())?;
-            match bodies.lock() {
-                Ok(mut all) => all.push(resp),
-                Err(poisoned) => poisoned.into_inner().push(resp),
-            }
-            Ok(())
-        }));
-    }
-    for h in burst {
-        match h.join() {
-            Ok(outcome) => outcome?,
-            Err(_) => return Err("a dedup-burst client panicked".to_string()),
-        }
-    }
-    {
-        let bodies = match bodies.lock() {
-            Ok(b) => b,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        if bodies.windows(2).any(|w| w[0] != w[1]) {
-            return Err("dedup burst responses disagree".to_string());
-        }
-    }
-    let joins = server.dedup_joins() - joins_before;
-    // N requests cost N - joins evaluations.
-    let dedup_factor = burst_n as f64 / (burst_n as f64 - joins as f64).max(1.0);
-
-    // Cache hit rate, read off the same /metrics endpoint operators scrape.
-    let scrape = client.metrics().map_err(|e| format!("scraping /metrics: {e}"))?;
-    let hits = scrape_sum(&scrape, "hanayo_tuner_cache_hits_total");
-    let misses = scrape_sum(&scrape, "hanayo_tuner_cache_misses_total");
-    let cache_hit_rate = if hits + misses > 0.0 { hits / (hits + misses) } else { 0.0 };
-
-    server.stop();
-
-    let mut sorted = match Arc::try_unwrap(latencies) {
-        Ok(m) => m.into_inner().unwrap_or_default(),
-        Err(arc) => match arc.lock() {
-            Ok(g) => g.clone(),
-            Err(poisoned) => poisoned.into_inner().clone(),
-        },
-    };
-    sorted.sort_unstable();
-    let entry = BenchEntry {
-        label: args.record.clone().unwrap_or_else(|| "adhoc".to_string()),
-        unix_time_s: SystemTime::now()
-            .duration_since(SystemTime::UNIX_EPOCH)
-            .map(|d| d.as_secs())
-            .unwrap_or(0),
-        requests: total,
-        concurrency: workers,
-        p50_ms: percentile_ms(&sorted, 50.0),
-        p99_ms: percentile_ms(&sorted, 99.0),
-        cache_hit_rate,
-        dedup_factor,
-        byte_identical: identical.load(Ordering::SeqCst),
-    };
-    println!("{}", serde_json::to_string_pretty(&entry).map_err(|e| e.to_string())?);
-    check_entry(&entry)?;
-
-    if let Some(label) = &args.record {
-        let mut file: BenchFile = match std::fs::read_to_string(&args.bench_file) {
-            Ok(text) => serde_json::from_str(&text)
-                .map_err(|e| format!("parsing {}: {e}", args.bench_file))?,
-            Err(_) => BenchFile {
-                schema: "hanayo-serve-bench-v1".to_string(),
-                bench: "serve-load".to_string(),
-                entries: Vec::new(),
-            },
-        };
-        file.entries.retain(|e| e.label != *label);
-        file.entries.push(entry);
-        let text = serde_json::to_string_pretty(&file).map_err(|e| e.to_string())? + "\n";
-        std::fs::write(&args.bench_file, text)
-            .map_err(|e| format!("writing {}: {e}", args.bench_file))?;
-        eprintln!("loadtest: recorded entry {label} in {}", args.bench_file);
-    }
-    Ok(())
-}
-
 fn main() -> ExitCode {
     let args = match parse_args() {
         Ok(a) => a,
@@ -535,7 +157,6 @@ fn main() -> ExitCode {
     let outcome = match args.mode.as_str() {
         "serve" => run_host(&args),
         "client" => run_client(&args),
-        "loadtest" => run_loadtest(&args),
         other => Err(format!("unknown mode {other}")),
     };
     match outcome {

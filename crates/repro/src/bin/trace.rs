@@ -20,14 +20,14 @@
 //! See the README's "Execution tracing" section for the event schema and
 //! Perfetto loading instructions.
 
-use hanayo_cluster::topology::{fc_full_nvlink, lonestar6, pc_partial_nvlink, tencent_v100};
-use hanayo_cluster::ClusterSpec;
+use hanayo_cluster::topology::fc_full_nvlink;
 use hanayo_core::config::{PipelineConfig, Scheme};
 use hanayo_core::schedule::build_schedule;
 use hanayo_model::builders::{micro_cost_table, MicroModel};
-use hanayo_model::{CostTable, ModelConfig, Recompute};
+use hanayo_model::{CostTable, Recompute};
 use hanayo_runtime::trainer::{synthetic_data, train, TrainerConfig};
 use hanayo_runtime::LossKind;
+use hanayo_serve::schema::{cluster_for, model_for};
 use hanayo_sim::{simulate, simulate_traced, SimOptions};
 use hanayo_trace::{analyze, calibrate, chrome_trace_json, validate_chrome_json, Trace};
 use serde::Serialize;
@@ -164,16 +164,6 @@ fn scheme_for(name: &str) -> Result<Scheme, String> {
     }
 }
 
-fn cluster_for(name: &str, gpus: usize) -> Result<ClusterSpec, String> {
-    match name {
-        "pc" => Ok(pc_partial_nvlink(gpus)),
-        "fc" => Ok(fc_full_nvlink(gpus)),
-        "tacc" => Ok(lonestar6(gpus)),
-        "tc" => Ok(tencent_v100(gpus)),
-        other => Err(format!("unknown cluster {other} (expected pc, fc, tacc or tc)")),
-    }
-}
-
 /// The calibration loop's summary: how well the calibrated simulator
 /// predicts the runtime it measured.
 #[derive(Debug, Serialize)]
@@ -256,11 +246,7 @@ fn run(args: &Args) -> Result<TraceDoc, String> {
         if args.calibrate {
             return Err("--calibrate needs --engine runtime (it fits measured spans)".into());
         }
-        let model = match args.model.as_str() {
-            "bert64" => ModelConfig::bert64(),
-            "gpt128" => ModelConfig::gpt128(),
-            other => return Err(format!("unknown model {other} (expected bert64 or gpt128)")),
-        };
+        let model = model_for(&args.model)?;
         let cluster = cluster_for(&args.cluster, p as usize)?;
         let cost = CostTable::build_with(&model, cfg.stages(), 1, args.recompute);
         let (_, trace) = simulate_traced(

@@ -3,8 +3,9 @@
 //! server, frozen byte-for-byte. The snapshots are the service's wire
 //! contract — a drift here is an API break, not a refactor.
 //!
-//! Also behavioural (non-golden) coverage: dedup'd concurrent tunes,
-//! job submit/status/result/cancel semantics, and draining refusals.
+//! Also behavioural (non-golden) coverage: byte identity under concurrent
+//! mixed-endpoint traffic, dedup'd concurrent tunes, job
+//! submit/status/result/cancel semantics, and draining refusals.
 //!
 //! To regenerate after an intentional schema change:
 //!
@@ -13,11 +14,14 @@
 //! ```
 
 use hanayo_model::Recompute;
-use hanayo_serve::schema::{run_tune, AnalyzeRequest, PlanRequest, SimulateRequest, TuneRequest};
+use hanayo_serve::schema::{
+    run_plan, run_simulate, run_tune, AnalyzeRequest, PlanRequest, SimulateRequest, TuneRequest,
+};
 use hanayo_serve::{serve, Client};
 use hanayo_sim::TuneContext;
 use std::fs;
 use std::path::PathBuf;
+use std::sync::Barrier;
 use std::time::{Duration, Instant};
 
 fn golden_dir() -> PathBuf {
@@ -220,6 +224,58 @@ fn a_cluster_larger_than_its_preset_is_a_400_not_a_handler_panic() {
     assert!(resp.body.contains("tc") && resp.body.contains('8'), "body: {}", resp.body);
     // The server is whole afterwards: a fresh connection is answered.
     assert_eq!(client.healthz().expect("healthz after the rejection"), "ok\n");
+    server.stop();
+}
+
+/// `(path, body, expected response)`: four plans, four simulates and two
+/// small tunes, each expectation built through the one-shot CLI code path.
+fn mixed_pool() -> Vec<(&'static str, String, String)> {
+    fn wire(doc: &impl serde::Serialize) -> String {
+        serde_json::to_string(doc).expect("serialise") + "\n"
+    }
+    let mut pool = Vec::new();
+    for method in ["gpipe", "dapple", "hanayo_w2", "hanayo_w4"] {
+        let req = PlanRequest { method: method.to_string(), ..plan_request() };
+        let doc = run_plan(&req).expect("plan");
+        pool.push(("/v1/plan", serde_json::to_string(&req).unwrap(), wire(&doc)));
+    }
+    for scheme in ["gpipe", "dapple", "hanayo_w2", "interleaved2"] {
+        let req = SimulateRequest { scheme: scheme.to_string(), ..simulate_request() };
+        let doc = run_simulate(&req).expect("simulate");
+        pool.push(("/v1/simulate", serde_json::to_string(&req).unwrap(), wire(&doc)));
+    }
+    let small =
+        TuneRequest { cluster: "tacc".to_string(), gpus: 4, batch: 4, min_pp: 2, ..tune_request() };
+    for req in [tune_request(), small] {
+        let doc = run_tune(&req, &TuneContext::default()).expect("tune");
+        pool.push(("/v1/tune", serde_json::to_string(&req).unwrap(), wire(&doc)));
+    }
+    pool
+}
+
+#[test]
+fn concurrent_mixed_traffic_is_byte_identical_to_the_cli() {
+    let pool = mixed_pool();
+    let server = serve("127.0.0.1:0").expect("bind");
+    let client = Client::new(server.addr());
+    // Sixteen clients released together, each walking the whole pool
+    // round-robin from its own offset: every entry is in flight on several
+    // connections at once, beside every other endpoint.
+    let clients = 16;
+    let go = Barrier::new(clients);
+    std::thread::scope(|scope| {
+        for t in 0..clients {
+            let (pool, go) = (&pool, &go);
+            scope.spawn(move || {
+                go.wait();
+                for j in 0..pool.len() {
+                    let (path, body, expected) = &pool[(t + j) % pool.len()];
+                    let got = client.expect_ok("POST", path, Some(body)).expect("request");
+                    assert_eq!(&got, expected, "client {t}: {path} {body}");
+                }
+            });
+        }
+    });
     server.stop();
 }
 

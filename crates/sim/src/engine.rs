@@ -25,8 +25,8 @@
 //! `scheduled`, `arrived`) then lives in flat vectors indexed by
 //! `device · ntags + tag`, and link FIFO cursors in dense per-pair tables.
 //! [`crate::reference::simulate_reference`] keeps the seed `HashMap`
-//! implementation; the two must produce bit-identical reports (the
-//! cross-engine tests and the `engine_fastpath` benches enforce this).
+//! implementation as the test oracle: the cross-engine tests here and in
+//! `tests/engine_equivalence.rs` pin the two bit-identical.
 
 use crate::report::{SimReport, SimSpan};
 use hanayo_cluster::ClusterSpec;
@@ -37,31 +37,6 @@ use hanayo_trace::{Trace, TraceEvent, TraceKind};
 use serde::{Deserialize, Serialize};
 use std::collections::BinaryHeap;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering};
-
-static FORCE_REFERENCE_ENGINE: AtomicBool = AtomicBool::new(false);
-
-/// Route [`try_simulate`] / [`simulate`] through the seed engine
-/// ([`crate::reference::simulate_reference`]) instead of the compiled fast
-/// path. Reports are bit-identical either way (the cross-engine suite pins
-/// this), so the switch changes wall-clock only. The `bench` harness flips
-/// it to measure honest before/after sweep medians inside one process —
-/// the simulator-side mirror of the tensor crate's
-/// `set_reference_kernels` switch for gemms. Traced runs and
-/// [`try_simulate_compiled`] always use the fast path (the reference
-/// engine predates tracing and pre-lowering). One behavioural caveat: the
-/// seed engine keeps its original assert-on-deadlock, so a malformed
-/// schedule panics under the switch where the fast path returns
-/// [`SimError::Deadlock`] — flip it only around runs known to complete.
-pub fn set_reference_engine(on: bool) {
-    FORCE_REFERENCE_ENGINE.store(on, Ordering::Relaxed);
-}
-
-/// True when [`set_reference_engine`] has routed simulations to the seed
-/// engine.
-pub fn reference_engine() -> bool {
-    FORCE_REFERENCE_ENGINE.load(Ordering::Relaxed)
-}
 
 /// Engine knobs.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -81,8 +56,9 @@ pub struct SimOptions {
     pub allreduce_overlap: f64,
     /// Lower the executed spans and transfers into a
     /// [`hanayo_trace::Trace`] (returned by [`simulate_traced`]). Off by
-    /// default: the untraced fast path stays branch-cheap and the
-    /// `engine_fastpath` bench guards it. Tracing never perturbs the
+    /// default: the untraced fast path stays branch-cheap (the
+    /// benchmark's `trace.overhead_share` row prices the difference).
+    /// Tracing never perturbs the
     /// report — traced and untraced runs are bit-identical.
     pub trace: bool,
 }
@@ -918,12 +894,6 @@ pub fn try_simulate_traced(
 ) -> Result<(SimReport, Option<Trace>), SimError> {
     check_shapes(schedule, cost, cluster)?;
     validate_numerics(cost, cluster, &opts)?;
-    if reference_engine() && !opts.trace {
-        // Seed-engine detour for honest benchmarking; bit-identical
-        // reports, different wall-clock. The reference engine cannot
-        // trace, so traced runs stay on the fast path.
-        return Ok((crate::reference::simulate_reference(schedule, cost, cluster, opts), None));
-    }
     let compiled = compile(schedule, &opts);
     run_compiled(&compiled, schedule, cost, cluster, opts)
 }
@@ -1108,22 +1078,6 @@ mod tests {
             try_simulate_compiled(&compiled, &schedule, &cost, &cluster, stale),
             Err(SimError::StaleCompile { .. })
         ));
-    }
-
-    #[test]
-    fn reference_engine_switch_is_bit_identical_and_restores() {
-        let cfg = PipelineConfig::new(4, 8, Scheme::Hanayo { waves: 2 }).unwrap();
-        let schedule = build_schedule(&cfg).unwrap();
-        let cost = CostTable::build(&ModelConfig::bert64(), cfg.stages(), 1);
-        let cluster = lonestar6(4);
-        let opts = SimOptions::default();
-        let fast = try_simulate(&schedule, &cost, &cluster, opts).unwrap();
-        set_reference_engine(true);
-        assert!(reference_engine());
-        let seed = try_simulate(&schedule, &cost, &cluster, opts).unwrap();
-        set_reference_engine(false);
-        assert_eq!(fast, seed, "the engine switch must not perturb a single report bit");
-        assert!(!reference_engine());
     }
 
     #[test]

@@ -38,9 +38,8 @@ pub mod tuner;
 
 pub use cache::SweepCaches;
 pub use engine::{
-    compile_schedule, reference_engine, set_reference_engine, simulate, simulate_traced,
-    try_simulate, try_simulate_compiled, try_simulate_traced, validate_numerics, CompiledSchedule,
-    NumericsError, SimError, SimOptions,
+    compile_schedule, simulate, simulate_traced, try_simulate, try_simulate_compiled,
+    try_simulate_traced, validate_numerics, CompiledSchedule, NumericsError, SimError, SimOptions,
 };
 pub use plan::{evaluate_plan, Method, ParallelPlan, PlanResult};
 pub use reference::simulate_reference;

@@ -1,14 +1,14 @@
-//! The seed discrete-event engine, kept verbatim as a *reference
-//! implementation*.
+//! The seed discrete-event engine, kept verbatim as a *test oracle*.
 //!
 //! [`simulate_reference`] is the original `HashMap`/`HashSet`-keyed
 //! executor the repository shipped with. The production engine in
 //! [`crate::engine`] replaces its per-op hash churn with flat index-keyed
 //! vectors and a precomputed prefetch table, but it must stay
-//! *bit-identical* in every report it produces: the cross-engine tests and
-//! the `engine_fastpath` criterion group both pit the two against each
-//! other. Keep this file boring — any behavioural change here invalidates
-//! the baseline the fast path is measured against.
+//! *bit-identical* in every report it produces: the cross-engine tests in
+//! `engine.rs` and `tests/engine_equivalence.rs` pit the two against each
+//! other. Nothing outside tests calls it. Keep this file boring — any
+//! behavioural change here invalidates the oracle the fast path is checked
+//! against.
 
 use crate::engine::{static_device_mem, SimOptions};
 use crate::report::{SimReport, SimSpan};

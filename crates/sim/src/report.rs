@@ -49,7 +49,7 @@ impl SimReport {
             .collect()
     }
 
-    /// Highest per-device peak (the §5.1 "highest peak memory" criterion).
+    /// Highest per-device peak (the §5.1 "highest peak memory" metric).
     pub fn highest_peak(&self) -> u64 {
         self.peak_mem.iter().copied().max().unwrap_or(0)
     }

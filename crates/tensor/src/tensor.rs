@@ -11,7 +11,6 @@
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Row-major 2-D f32 tensor. Rows are samples (the micro-batch dimension),
 /// columns are features.
@@ -34,28 +33,6 @@ pub struct Tensor {
 /// outweighs the win: ~32k madds is a few microseconds of scalar work,
 /// roughly the cost of one pooled dispatch.
 pub const PAR_FLOP_THRESHOLD: usize = 32 * 1024;
-
-/// Seed-era element-count gate (`m * n`), kept only inside the frozen
-/// reference kernel so before/after benches reproduce the old dispatch.
-const REFERENCE_PAR_THRESHOLD: usize = 64 * 64;
-
-static FORCE_REFERENCE_KERNELS: AtomicBool = AtomicBool::new(false);
-
-/// Route every gemm through the frozen seed kernels
-/// ([`Tensor::matmul_reference`] and transpose-materializing fused paths).
-///
-/// The fast kernels are bitwise identical to the reference, so flipping
-/// this changes speed, never results. It exists so the bench harness can
-/// measure honest before/after medians inside one process, and so tests
-/// can A/B whole training runs across both kernel generations.
-pub fn set_reference_kernels(on: bool) {
-    FORCE_REFERENCE_KERNELS.store(on, Ordering::Relaxed);
-}
-
-/// True when [`set_reference_kernels`] has routed gemms to the seed path.
-pub fn reference_kernels() -> bool {
-    FORCE_REFERENCE_KERNELS.load(Ordering::Relaxed)
-}
 
 /// Parallel-dispatch decision for an `[m,k] × [k,n]` product: gate on work
 /// (`m * k * n` multiply-adds), not output size (`m * n`). A
@@ -295,23 +272,19 @@ impl Tensor {
     pub fn matmul(&self, other: &Tensor) -> Tensor {
         assert_eq!(self.cols, other.rows, "matmul shape mismatch");
         hanayo_metrics::count!("hanayo_gemm_dispatch_total", &[("kernel", "matmul")], 1);
-        if reference_kernels() {
-            return self.matmul_reference(other);
-        }
         let (m, k, n) = (self.rows, self.cols, other.cols);
         gemm(Lhs { data: &self.data, row_stride: k, p_stride: 1 }, &other.data, m, k, n)
     }
 
-    /// Frozen seed gemm: naive `ikj` with the seed's element-count
-    /// (`m * n`) parallel gate. Kept verbatim so property tests can pin
-    /// the fast kernels bitwise against it and so the bench harness can
-    /// measure honest before/after medians inside one binary.
+    /// Test oracle: the seed's naive serial `ikj` gemm, the definition of
+    /// the bits every fast kernel must reproduce. The property and unit
+    /// tests pin [`Tensor::matmul`] and the fused paths bitwise against
+    /// it; nothing on a hot path calls it.
     pub fn matmul_reference(&self, other: &Tensor) -> Tensor {
         assert_eq!(self.cols, other.rows, "matmul shape mismatch");
         let (m, k, n) = (self.rows, self.cols, other.cols);
         let mut out = vec![0.0f32; m * n];
-
-        let row_job = |(i, out_row): (usize, &mut [f32])| {
+        for (i, out_row) in out.chunks_mut(n).enumerate() {
             let a_row = &self.data[i * k..(i + 1) * k];
             for (p, &a) in a_row.iter().enumerate() {
                 let b_row = &other.data[p * n..(p + 1) * n];
@@ -319,12 +292,6 @@ impl Tensor {
                     *o += a * b;
                 }
             }
-        };
-
-        if m * n >= REFERENCE_PAR_THRESHOLD {
-            out.par_chunks_mut(n).enumerate().for_each(row_job);
-        } else {
-            out.chunks_mut(n).enumerate().for_each(row_job);
         }
         Tensor { rows: m, cols: n, data: out }
     }
@@ -338,9 +305,6 @@ impl Tensor {
     pub fn matmul_at_b(&self, other: &Tensor) -> Tensor {
         assert_eq!(self.rows, other.rows, "matmul_at_b shape mismatch");
         hanayo_metrics::count!("hanayo_gemm_dispatch_total", &[("kernel", "at_b")], 1);
-        if reference_kernels() {
-            return self.transpose().matmul_reference(other);
-        }
         let (m, ka, n) = (self.rows, self.cols, other.cols);
         gemm(Lhs { data: &self.data, row_stride: 1, p_stride: ka }, &other.data, ka, m, n)
     }
@@ -356,9 +320,6 @@ impl Tensor {
     pub fn matmul_a_bt(&self, other: &Tensor) -> Tensor {
         assert_eq!(self.cols, other.cols, "matmul_a_bt shape mismatch");
         hanayo_metrics::count!("hanayo_gemm_dispatch_total", &[("kernel", "a_bt")], 1);
-        if reference_kernels() {
-            return self.matmul_reference(&other.transpose());
-        }
         let (m, k, n) = (self.rows, self.cols, other.rows);
         let bt = other.transpose();
         gemm(Lhs { data: &self.data, row_stride: k, p_stride: 1 }, &bt.data, m, k, n)
@@ -495,8 +456,18 @@ mod tests {
     #[test]
     fn blocked_kernel_matches_reference_bitwise() {
         // Shapes straddling both gates, with full tiles beside row and
-        // column remainders and k from one term to thousands.
-        for &(m, k, n) in &[(7, 13, 9), (4, 4096, 4), (128, 1, 128), (33, 65, 67), (3, 6, 600)] {
+        // column remainders and k from one term to thousands; then the
+        // gemms a `Stage` issues: `Stage::mlp` width 12 on 5 rows and the
+        // `train_gemm` benchmark's `[32,160]` stage.
+        for &(m, k, n) in &[
+            (7, 13, 9),
+            (4, 4096, 4),
+            (128, 1, 128),
+            (33, 65, 67),
+            (3, 6, 600),
+            (5, 12, 12),
+            (32, 160, 160),
+        ] {
             let a = dense(m, k, 0x9E3779B9 + (m * k) as u64);
             let b = dense(k, n, 0x85EBCA6B + (k * n) as u64);
             assert_bits_eq(&a.matmul(&b), &a.matmul_reference(&b), "matmul [{m},{k}]x[{k},{n}]");
@@ -573,24 +544,18 @@ mod tests {
 
     #[test]
     fn fused_kernels_match_transpose_paths_bitwise() {
-        for &(m, k, n) in &[(6, 11, 5), (4, 96, 33), (130, 7, 130), (5, 6, 600)] {
+        // The last two are a `Stage`'s backward gemms: `[5,12]ᵀ×[5,12]` and
+        // `[5,12]×[12,12]ᵀ` (`Stage::mlp` width 12), `[32,160]ᵀ×[32,160]`
+        // and `[32,160]×[160,160]ᵀ` (the `train_gemm` stage).
+        for &(m, k, n) in
+            &[(6, 11, 5), (4, 96, 33), (130, 7, 130), (5, 6, 600), (5, 12, 12), (32, 160, 160)]
+        {
             let a = dense(m, k, 11 + m as u64);
             let b = dense(m, n, 17 + n as u64);
             assert_bits_eq(&a.matmul_at_b(&b), &a.transpose().matmul_reference(&b), "matmul_at_b");
             let c = dense(n, k, 23 + k as u64);
             assert_bits_eq(&a.matmul_a_bt(&c), &a.matmul_reference(&c.transpose()), "matmul_a_bt");
         }
-    }
-
-    #[test]
-    fn reference_kernel_switch_routes_but_never_changes_bits() {
-        let a = dense(9, 31, 41);
-        let b = dense(31, 14, 43);
-        let fast = a.matmul(&b);
-        set_reference_kernels(true);
-        let slow = a.matmul(&b);
-        set_reference_kernels(false);
-        assert_bits_eq(&fast, &slow, "reference switch");
     }
 
     #[test]

@@ -3,10 +3,10 @@
 //! The determinism contract of the tensor substrate: the register-tiled
 //! micro-kernel — serial or banded over the pool, behind `matmul`,
 //! `matmul_at_b` and `matmul_a_bt` alike — produces outputs **bitwise
-//! identical** to the frozen scalar seed kernel (`matmul_reference`) on
-//! every input. Shapes are drawn so one product has full tiles *and* row
-//! and column remainders, and to straddle both the flops gate and the old
-//! element-count gate so serial and pooled dispatches are exercised;
+//! identical** to the test oracle `matmul_reference` (the seed's serial
+//! `ikj` gemm) on every input. Shapes are drawn so one product has full
+//! tiles *and* row and column remainders, and to straddle the flops gate
+//! so serial and pooled dispatches are exercised;
 //! values are dense (every element nonzero with probability 1) so a
 //! changed reduction order shows up in the low bits — the failure the old
 //! identity-matrix test could never see.
@@ -27,8 +27,7 @@ fn tensor_strategy(rows: usize, cols: usize) -> BoxedStrategy<Tensor> {
 
 /// `(m, k, n)` for an `[m,k] × [k,n]` product: up to 69 rows (several
 /// full tiles of any tier plus a remainder) by up to 129 inner/outer
-/// columns, so `m*k*n` straddles `PAR_FLOP_THRESHOLD` (32k) and `m*n`
-/// straddles the reference kernel's 4096-element gate.
+/// columns, so `m*k*n` straddles `PAR_FLOP_THRESHOLD` (32k).
 fn dims() -> (Range<usize>, Range<usize>, Range<usize>) {
     (1usize..70, 1usize..130, 1usize..130)
 }
