@@ -12,8 +12,9 @@
 //!   the stash lifetime (that is the whole memory story of the paper), so
 //!   the math layer must not hide it.
 //! * **Determinism** — seeded init ([`rng`]), row-parallel matmul with
-//!   fixed per-element reduction order, and gradient containers that
-//!   support order-controlled accumulation.
+//!   fixed per-element reduction order, the crate's own [`ops::exp`]
+//!   instead of the host libm's, and gradient containers that support
+//!   order-controlled accumulation.
 //! * **No autograd graph** — backward passes are hand-written per block and
 //!   verified against finite differences in the test suite.
 

@@ -1,6 +1,7 @@
 //! Loss functions: value plus gradient w.r.t. the prediction, in one call
 //! (the pipeline's last stage computes both at the turnaround).
 
+use crate::ops;
 use crate::tensor::Tensor;
 
 /// Mean-squared error over all elements. Returns `(loss, dL/dpred)`.
@@ -16,6 +17,9 @@ pub fn mse(pred: &Tensor, target: &Tensor) -> (f32, Tensor) {
 
 /// Row-wise softmax cross-entropy against integer class labels.
 /// Returns `(mean loss, dL/dlogits)`.
+///
+/// The exponentials are [`ops::exp`]; the `ln` of the loss value is the
+/// one libm call left in the crate, and no gradient reads it.
 pub fn softmax_cross_entropy(logits: &Tensor, labels: &[usize]) -> (f32, Tensor) {
     assert_eq!(logits.rows, labels.len());
     let mut grad = Tensor::zeros(logits.rows, logits.cols);
@@ -24,7 +28,7 @@ pub fn softmax_cross_entropy(logits: &Tensor, labels: &[usize]) -> (f32, Tensor)
     for r in 0..logits.rows {
         let row = logits.row(r);
         let max = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-        let exps: Vec<f32> = row.iter().map(|v| (v - max).exp()).collect();
+        let exps: Vec<f32> = row.iter().map(|v| ops::exp(v - max)).collect();
         let sum: f32 = exps.iter().sum();
         let label = labels[r];
         assert!(label < logits.cols, "label out of range");
