@@ -7,7 +7,7 @@
 //! # Train 6 iterations, checkpoint every 2, kill device 1 at iteration 3;
 //! # the last durable checkpoint lands in /tmp/ckpt.json:
 //! cargo run --release -p hanayo-repro --bin ckpt -- \
-//!     --mode run --scheme hanayo2 --devices 2 --micro-batches 4 \
+//!     --mode run --scheme hanayo_w2 --devices 2 --micro-batches 4 \
 //!     --iterations 6 --every 2 --kill-device 1 --kill-at 3 --out /tmp/ckpt.json
 //!
 //! # Resume it and verify the final weights/losses are bitwise identical
@@ -34,7 +34,7 @@ use hanayo_runtime::trainer::{
     try_train_resumable, TrainOutput, TrainerConfig,
 };
 use hanayo_runtime::{checkpoint_of, LossKind};
-use hanayo_serve::schema::{cluster_for, model_for};
+use hanayo_serve::schema::{cluster_for, model_for, scheme_for};
 use hanayo_sim::plan::{evaluate_plan, Method, ParallelPlan};
 use hanayo_sim::tuner::plan_recovery_eval;
 use hanayo_sim::SimOptions;
@@ -77,7 +77,7 @@ impl Default for Args {
     fn default() -> Args {
         Args {
             mode: "run".to_string(),
-            scheme: "hanayo2".to_string(),
+            scheme: "hanayo_w2".to_string(),
             devices: 2,
             micro_batches: 4,
             iterations: 6,
@@ -123,8 +123,9 @@ MODES:
   validate-goodput  re-parse a goodput table export and verify its schema
 
 TRAINING FLAGS (run / resume; resume must repeat the run's values):
-  --scheme <name>        gpipe|dapple|interleaved2|hanayo1|hanayo2|hanayo4
-                                                             [hanayo2]
+  --scheme <name>        gpipe|dapple|pipedream|interleaved<C>|hanayo_w<W>
+                         (not chimera: the runtime trains one replica)
+                                                             [hanayo_w2]
   --devices <P>          pipeline width                      [2]
   --micro-batches <B>    micro-batches per iteration         [4]
   --iterations <N>       training iterations                 [6]
@@ -220,26 +221,14 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
-fn scheme_for(name: &str) -> Result<Scheme, String> {
-    match name {
-        "gpipe" => Ok(Scheme::GPipe),
-        "dapple" => Ok(Scheme::Dapple),
-        "interleaved2" => Ok(Scheme::Interleaved { chunks: 2 }),
-        "hanayo1" => Ok(Scheme::Hanayo { waves: 1 }),
-        "hanayo2" => Ok(Scheme::Hanayo { waves: 2 }),
-        "hanayo4" => Ok(Scheme::Hanayo { waves: 4 }),
-        other => Err(format!(
-            "unknown scheme {other} (expected gpipe, dapple, interleaved2, hanayo1, hanayo2 or \
-             hanayo4 — chimera-native replicates weights, which the threaded runtime rejects)"
-        )),
-    }
-}
-
 /// Build the training job the flags describe. The data stream's seed is
 /// `seed + 1` (the model uses `seed`), recorded in the checkpoint's RNG
 /// cursor.
 fn job_for(args: &Args) -> Result<(TrainerConfig, Vec<Stage>, u64), String> {
     let scheme = scheme_for(&args.scheme)?;
+    if scheme == Scheme::Chimera {
+        return Err("the threaded runtime rejects replicated (chimera) schedules".into());
+    }
     let cfg =
         PipelineConfig::new(args.devices, args.micro_batches, scheme).map_err(|e| e.to_string())?;
     let schedule = build_schedule(&cfg).map_err(|e| e.to_string())?;

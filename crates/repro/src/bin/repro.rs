@@ -50,13 +50,21 @@ fn main() -> ExitCode {
         list
     };
 
+    if let Some(dir) = &out_dir {
+        if let Err(e) = fs::create_dir_all(dir) {
+            eprintln!("error: creating output directory {dir}: {e}");
+            return ExitCode::FAILURE;
+        }
+    }
     for (name, runner) in run_list {
         let text = runner();
         println!("{text}");
         if let Some(dir) = &out_dir {
-            fs::create_dir_all(dir).expect("create output dir");
             let path = Path::new(dir).join(format!("{name}.txt"));
-            fs::write(&path, &text).expect("write figure file");
+            if let Err(e) = fs::write(&path, &text) {
+                eprintln!("error: writing {}: {e}", path.display());
+                return ExitCode::FAILURE;
+            }
             eprintln!("wrote {}", path.display());
         }
     }

@@ -17,6 +17,8 @@
 use hanayo_serve::{serve, signal, Client};
 use std::io::Read;
 use std::process::ExitCode;
+use std::sync::Arc;
+use std::thread;
 use std::time::Duration;
 
 const USAGE: &str = "\
@@ -84,28 +86,33 @@ fn parse_args() -> Result<Args, String> {
 // ---------------------------------------------------------------------
 
 fn run_host(args: &Args) -> Result<(), String> {
-    let server = serve(&args.addr).map_err(|e| format!("binding {}: {e}", args.addr))?;
-    signal::install();
+    let server = Arc::new(serve(&args.addr).map_err(|e| format!("binding {}: {e}", args.addr))?);
+    signal::install().map_err(|e| format!("installing the signal handler: {e}"))?;
     // The bound address on the first line of stdout, so wrappers (and the
     // shutdown regression test) can connect to a port-0 server.
     println!("listening http://{}", server.addr());
     eprintln!("hanayo-serve: POST /v1/{{plan,tune,simulate,analyze}}, GET /metrics; ctrl-c drains");
-    loop {
-        if signal::triggered() {
-            eprintln!("hanayo-serve: signal received, draining (deadline {}s)", args.drain_secs);
-            let clean = server.stop_within(Duration::from_secs(args.drain_secs));
-            if !clean {
+    // A signal wakes this thread, which starts the drain. A drain past its
+    // deadline ends the process here; aborted sweeps hold nothing worth
+    // waiting for. The thread is not joined: after a POST /shutdown it is
+    // still blocked on the pipe, and ends with the process.
+    let drain_secs = args.drain_secs;
+    let on_signal = Arc::clone(&server);
+    thread::Builder::new()
+        .name("hanayo-serve-signal".to_string())
+        .spawn(move || {
+            signal::wait();
+            eprintln!("hanayo-serve: signal received, draining (deadline {drain_secs}s)");
+            if !on_signal.stop_within(Duration::from_secs(drain_secs)) {
                 eprintln!("hanayo-serve: drain deadline passed with threads still closing");
+                std::process::exit(0);
             }
-            return Ok(());
-        }
-        if server.is_drained() {
-            // /shutdown (or a stop from another thread) completed the drain.
-            server.stop();
-            return Ok(());
-        }
-        std::thread::sleep(Duration::from_millis(50));
-    }
+        })
+        .map_err(|e| format!("spawning the signal thread: {e}"))?;
+    // Drained after a signal or a POST /shutdown, whichever came first.
+    server.wait_drained();
+    server.stop();
+    Ok(())
 }
 
 // ---------------------------------------------------------------------

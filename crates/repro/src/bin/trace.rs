@@ -6,7 +6,7 @@
 //! ```text
 //! # Simulate a 2-wave Hanayo pipeline and open the timeline in Perfetto:
 //! cargo run --release -p hanayo-repro --bin trace -- \
-//!     --engine sim --scheme hanayo2 --chrome /tmp/sim.json
+//!     --engine sim --scheme hanayo_w2 --chrome /tmp/sim.json
 //!
 //! # Trace a real threaded training run, calibrate a cost table from the
 //! # measured spans, and report how well the simulator predicts it:
@@ -27,7 +27,7 @@ use hanayo_model::builders::{micro_cost_table, MicroModel};
 use hanayo_model::{CostTable, Recompute};
 use hanayo_runtime::trainer::{synthetic_data, train, TrainerConfig};
 use hanayo_runtime::LossKind;
-use hanayo_serve::schema::{cluster_for, model_for};
+use hanayo_serve::schema::{cluster_for, model_for, scheme_for};
 use hanayo_sim::{simulate, simulate_traced, SimOptions};
 use hanayo_trace::{analyze, calibrate, chrome_trace_json, validate_chrome_json, Trace};
 use serde::Serialize;
@@ -41,8 +41,8 @@ USAGE: trace [FLAGS]
 
 FLAGS (all optional):
   --engine <sim|runtime>      which engine executes the schedule  [sim]
-  --scheme <name>             gpipe|dapple|interleaved2|chimera|
-                              hanayo1|hanayo2|hanayo4             [hanayo2]
+  --scheme <name>             gpipe|dapple|chimera|pipedream|
+                              interleaved<C>|hanayo_w<W>          [hanayo_w2]
   --devices <P>               pipeline width                      [8 sim, 4 runtime]
   --micro-batches <B>         micro-batches per iteration         [8]
   --cluster <pc|fc|tacc|tc>   sim cluster model                   [fc]
@@ -87,7 +87,7 @@ impl Default for Args {
     fn default() -> Args {
         Args {
             engine: "sim".into(),
-            scheme: "hanayo2".into(),
+            scheme: "hanayo_w2".into(),
             devices: None,
             micro_batches: 8,
             cluster: "fc".into(),
@@ -147,21 +147,6 @@ fn parse_args() -> Result<Args, String> {
         }
     }
     Ok(args)
-}
-
-fn scheme_for(name: &str) -> Result<Scheme, String> {
-    match name {
-        "gpipe" => Ok(Scheme::GPipe),
-        "dapple" => Ok(Scheme::Dapple),
-        "interleaved2" => Ok(Scheme::Interleaved { chunks: 2 }),
-        "chimera" => Ok(Scheme::Chimera),
-        "hanayo1" => Ok(Scheme::Hanayo { waves: 1 }),
-        "hanayo2" => Ok(Scheme::Hanayo { waves: 2 }),
-        "hanayo4" => Ok(Scheme::Hanayo { waves: 4 }),
-        other => Err(format!(
-            "unknown scheme {other} (expected gpipe, dapple, interleaved2, chimera, hanayo1, hanayo2 or hanayo4)"
-        )),
-    }
 }
 
 /// The calibration loop's summary: how well the calibrated simulator

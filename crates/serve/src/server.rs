@@ -132,6 +132,9 @@ struct Handoff {
 struct Workers {
     state: Mutex<Handoff>,
     cv: Condvar,
+    /// Signalled once, when `drained` is set. Drain waiters have their own
+    /// condvar so that `cv`'s `notify_one` only ever reaches workers.
+    done: Condvar,
 }
 
 fn wait<'a, T>(cv: &Condvar, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
@@ -202,14 +205,22 @@ impl Workers {
             st = wait(&self.cv, st);
         }
         st.drained = true;
-        self.cv.notify_all();
+        self.done.notify_all();
+    }
+
+    /// Block until the drain has finished.
+    fn wait_drained(&self) {
+        let mut st = lock(&self.state);
+        while !st.drained {
+            st = wait(&self.done, st);
+        }
     }
 
     /// Block until the drain has finished or `deadline` has passed; which.
     fn drained_within(&self, deadline: Duration) -> bool {
         let st = lock(&self.state);
         let (st, _) = self
-            .cv
+            .done
             .wait_timeout_while(st, deadline, |st| !st.drained)
             .unwrap_or_else(PoisonError::into_inner);
         st.drained
@@ -269,8 +280,8 @@ fn hand_off(shared: &Arc<Shared>, stream: TcpStream) {
     if st.idle > st.pending.len() {
         st.pending.push_back(stream);
         // Only parked workers wait on the condvar while the hand-off is
-        // open: this thread is the one other waiter, `drained_within` is
-        // called after `close`.
+        // open: this thread is the one other waiter, and drain waiters
+        // wait on `done`.
         workers.cv.notify_one();
         return;
     }
@@ -659,6 +670,13 @@ impl Server {
         if let Some(handle) = lock(&self.accept).take() {
             let _ = handle.join();
         }
+    }
+
+    /// Block until the drain has completed, without starting it: another
+    /// thread calls [`Server::shutdown`] / [`Server::stop_within`], or a
+    /// client POSTs `/shutdown`.
+    pub fn wait_drained(&self) {
+        self.shared.workers.wait_drained();
     }
 
     /// [`Server::stop`] with a deadline: returns `true` when the drain

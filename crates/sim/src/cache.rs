@@ -30,7 +30,7 @@ use crate::engine::{compile_schedule, CompiledSchedule, SimOptions};
 use crate::report::SimReport;
 use hanayo_core::action::Schedule;
 use hanayo_core::config::{PipelineConfig, Scheme};
-use hanayo_core::schedule::build_schedule;
+use hanayo_core::schedule::{build_schedule, ScheduleError};
 use hanayo_model::{CostTable, ModelConfig, Recompute};
 use std::collections::{HashMap, VecDeque};
 use std::hash::Hash;
@@ -205,19 +205,19 @@ pub(crate) type CompiledEntry = (Arc<CompiledSchedule>, u32);
 /// byte-identical report the simulation would have produced.
 pub(crate) type GroupReportMemo = BoundedMap<(u64, usize), SimReport>;
 
-/// Cross-candidate artifact caches for one sweep
-/// ([`crate::tuner::TuneOptions::batched`]) — or, handed to
-/// [`crate::tuner::tune_with`] through a
-/// [`crate::tuner::TuneContext`], for every sweep of one `(model,
-/// cluster)` pair a resident service ever evaluates.
+/// Cross-candidate artifact caches for one sweep — every sweep builds one
+/// unless it is handed one through a [`crate::tuner::TuneContext`], which
+/// lets a resident service share them across every sweep of one `(model,
+/// cluster)` pair it ever evaluates.
 ///
 /// The wide sweep's axes (sim-option ablations, recompute modes,
 /// micro-batch merges) multiply a handful of distinct pipeline shapes into
-/// hundreds of candidates; per candidate, the seed path re-built the
-/// schedule, the cost table, the static memory replay, the engine lowering
-/// and — for every data-parallel clone of a shape — the group simulation
-/// itself. Every cached value is a pure function of its cache key, so a
-/// hit returns byte-for-byte what the miss path would have computed.
+/// hundreds of candidates; the caches build each shape's schedule, cost
+/// table, static memory replay, engine lowering and group simulations
+/// once. Every cached value is a pure function of its cache key, so a hit
+/// returns byte-for-byte what the miss path would have computed — a sweep
+/// ranks exactly as [`crate::plan::evaluate_plan`] run on every candidate
+/// would.
 ///
 /// **Sharing contract:** the cache keys assume one model and one cluster.
 /// Callers sharing a `SweepCaches` across requests must key the *handle*
@@ -245,7 +245,7 @@ pub struct SweepCaches {
     /// Collision-free ids for `(schedule, cost, report inputs)` triples;
     /// [`GroupReportMemo`] entries are keyed on them.
     pub(crate) report_ids: BoundedMap<(SchedKey, CostKey, ReportKey), u64>,
-    /// Pipeline-group reports, shared with the plan evaluator.
+    /// Pipeline-group reports ([`SweepCaches::group_report`]).
     pub(crate) reports: GroupReportMemo,
     /// Monotonic id sources: ids survive evictions unreused, so a stale
     /// memo entry can never alias a fresh artifact.
@@ -292,18 +292,20 @@ impl SweepCaches {
             + self.reports.len()
     }
 
+    /// The built schedule for `cfg` (whose shape `key` is), or the build's
+    /// error — failed builds are not cached.
     pub(crate) fn schedule_for(
         &self,
         key: SchedKey,
         cfg: &PipelineConfig,
-    ) -> Option<Arc<Schedule>> {
+    ) -> Result<Arc<Schedule>, ScheduleError> {
         if let Some(hit) = self.schedules.get(&key) {
             record_cache("schedules", true);
-            return Some(hit);
+            return Ok(hit);
         }
         record_cache("schedules", false);
-        let built = Arc::new(build_schedule(cfg).ok()?);
-        Some(self.schedules.insert_if_absent(key, built))
+        let built = Arc::new(build_schedule(cfg)?);
+        Ok(self.schedules.insert_if_absent(key, built))
     }
 
     pub(crate) fn cost_for(&self, key: CostKey, model: &ModelConfig) -> Arc<CostTable> {
@@ -379,12 +381,27 @@ impl SweepCaches {
         cost_key: CostKey,
         sim: &SimOptions,
         content_id: u32,
-    ) -> Option<u64> {
+    ) -> u64 {
         let key = (schedule_key, cost_key, report_key(sim, content_id));
-        Some(
-            self.report_ids
-                .get_or_insert_with(key, || self.next_report_id.fetch_add(1, Ordering::Relaxed)),
-        )
+        self.report_ids
+            .get_or_insert_with(key, || self.next_report_id.fetch_add(1, Ordering::Relaxed))
+    }
+
+    /// The memoised report of the pipeline group starting at device
+    /// `first` under artifact `id` (see [`GroupReportMemo`]), running
+    /// `simulate` on a miss. The simulation runs outside the lock, so
+    /// concurrent misses may both simulate; the first insert wins and both
+    /// values are identical anyway.
+    pub(crate) fn group_report<E>(
+        &self,
+        id: u64,
+        first: usize,
+        simulate: impl FnOnce() -> Result<SimReport, E>,
+    ) -> Result<SimReport, E> {
+        if let Some(hit) = self.reports.get(&(id, first)) {
+            return Ok(hit);
+        }
+        Ok(self.reports.insert_if_absent((id, first), simulate()?))
     }
 }
 

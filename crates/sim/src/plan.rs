@@ -7,13 +7,11 @@
 //! each (Fig. 5), so that every method holds exactly one weight copy.
 
 use crate::engine::{
-    try_simulate, try_simulate_compiled, validate_numerics, CompiledSchedule, NumericsError,
-    SimError, SimOptions,
+    compile_schedule, try_simulate_compiled, validate_numerics, NumericsError, SimError, SimOptions,
 };
 use crate::report::SimReport;
 use hanayo_cluster::collective::ring_allreduce_time;
 use hanayo_cluster::ClusterSpec;
-use hanayo_core::action::Schedule;
 use hanayo_core::config::{PipelineConfig, Scheme};
 use hanayo_core::schedule::{build_schedule, ScheduleError};
 use hanayo_model::{CostTable, ModelConfig, Recompute};
@@ -165,25 +163,41 @@ impl PlanResult {
     }
 }
 
-/// Resolve a method into the pipeline actually simulated:
-/// `(scheme, pipeline width, dp multiplier, micro-batch divisor)`.
-pub(crate) fn resolve(
-    method: Method,
-    pp: u32,
-    b: u32,
-) -> Result<(Scheme, u32, u32, u32), PlanError> {
-    match method {
-        Method::GPipe => Ok((Scheme::GPipe, pp, 1, b)),
-        Method::Dapple => Ok((Scheme::Dapple, pp, 1, b)),
-        Method::ChimeraNative => Ok((Scheme::Chimera, pp, 1, b)),
+/// A plan resolved to the pipeline actually simulated.
+pub(crate) struct Resolved {
+    /// The validated per-group pipeline: effective width, micro-batches
+    /// per group and scheme (Chimera-wave halves the first two).
+    pub cfg: PipelineConfig,
+    /// Effective data-parallel groups (Chimera-wave doubles `D`).
+    pub dp: u32,
+}
+
+/// The checks every plan evaluation starts with — the cluster is large
+/// enough, the method resolves to a pipeline, and that pipeline is a valid
+/// [`PipelineConfig`]. [`evaluate_plan`] and the tuner's static pre-pass
+/// both start here, so both reject a plan with the same [`PlanError`].
+pub(crate) fn resolve_plan(
+    plan: &ParallelPlan,
+    cluster: &ClusterSpec,
+) -> Result<Resolved, PlanError> {
+    let needed = plan.dp * plan.pp;
+    if needed as usize > cluster.len() {
+        return Err(PlanError::ClusterTooSmall { needed, available: cluster.len() as u32 });
+    }
+    let (pp, b) = (plan.pp, plan.micro_batches);
+    let (scheme, pp_eff, dp_mult, b_eff) = match plan.method {
+        Method::GPipe => (Scheme::GPipe, pp, 1, b),
+        Method::Dapple => (Scheme::Dapple, pp, 1, b),
+        Method::ChimeraNative => (Scheme::Chimera, pp, 1, b),
         Method::ChimeraWave => {
             if !pp.is_multiple_of(2) || !b.is_multiple_of(2) {
                 return Err(PlanError::OddChimeraSplit);
             }
-            Ok((Scheme::Hanayo { waves: 1 }, pp / 2, 2, b / 2))
+            (Scheme::Hanayo { waves: 1 }, pp / 2, 2, b / 2)
         }
-        Method::Hanayo { waves } => Ok((Scheme::Hanayo { waves }, pp, 1, b)),
-    }
+        Method::Hanayo { waves } => (Scheme::Hanayo { waves }, pp, 1, b),
+    };
+    Ok(Resolved { cfg: PipelineConfig::new(pp_eff, b_eff, scheme)?, dp: plan.dp * dp_mult })
 }
 
 /// Evaluate a plan: simulate every pipeline group on its device slice, add
@@ -194,96 +208,41 @@ pub fn evaluate_plan(
     cluster: &ClusterSpec,
     opts: SimOptions,
 ) -> Result<PlanResult, PlanError> {
-    let needed = plan.dp * plan.pp;
-    if needed as usize > cluster.len() {
-        return Err(PlanError::ClusterTooSmall { needed, available: cluster.len() as u32 });
-    }
-    let (scheme, pp_eff, dp_mult, b_eff) = resolve(plan.method, plan.pp, plan.micro_batches)?;
-    let dp_eff = plan.dp * dp_mult;
-
-    let cfg = PipelineConfig::new(pp_eff, b_eff, scheme)?;
+    let resolved = resolve_plan(plan, cluster)?;
+    let cfg = resolved.cfg;
     let schedule = build_schedule(&cfg)?;
     let cost = CostTable::build_with(model, cfg.stages(), plan.micro_batch_size, plan.recompute);
     // Vet numerics before anything reaches the event heap: a NaN cost or
     // bandwidth would otherwise silently corrupt every simulated time.
     validate_numerics(&cost, cluster, &opts).map_err(PlanError::Numerics)?;
-
-    evaluate_resolved(plan, cluster, opts, (pp_eff, dp_eff, b_eff), &schedule, &cost)
+    let compiled = compile_schedule(&schedule, &opts);
+    simulate_plan(plan, cluster, opts, resolved, |sub, _| {
+        try_simulate_compiled(&compiled, &schedule, &cost, sub, opts)
+    })
 }
 
-pub(crate) use crate::cache::GroupReportMemo;
-
-/// Cross-candidate reuse handles for [`evaluate_resolved_with`]. The
-/// `Default` value (`none`) reproduces the from-scratch path exactly.
-#[derive(Default, Clone, Copy)]
-pub(crate) struct SimReuse<'a> {
-    /// Pre-lowered schedule; must be lowered from the same schedule with
-    /// matching lookahead options.
-    pub compiled: Option<&'a CompiledSchedule>,
-    /// `(memo, artifact id)` for group-report reuse across candidates.
-    pub memo: Option<(&'a GroupReportMemo, u64)>,
-    /// Simulate each data-parallel group's sub-cluster once: later groups
-    /// whose sub-cluster equals group 0's (always, on a homogeneous
-    /// cluster) reuse group 0's report. Off in the default path so the
-    /// per-candidate profile stays exactly the seed's; the batched tuner
-    /// turns it on.
-    pub dedup_groups: bool,
-}
-
-/// The simulation half of [`evaluate_plan`], taking the already-resolved
-/// shape and the built schedule/cost table. The tuner's static pre-pass
-/// builds these artifacts anyway to replay memory; handing them over here
-/// means a plan that survives the pre-pass is not re-lowered from scratch.
-/// Schedule lowering and cost construction are deterministic, so the
-/// result is byte-identical to the from-scratch path.
-pub(crate) fn evaluate_resolved(
+/// The simulation half of every plan evaluation. `simulate_group(sub,
+/// first_device)` simulates one pipeline group on its sub-cluster; callers
+/// lower the schedule once and close over it (the tuner also memoises the
+/// reports across candidates).
+///
+/// Group 0 always runs. A later group whose sub-cluster equals group 0's
+/// (always, on a homogeneous cluster) reuses group 0's report instead of
+/// re-simulating: the engine is deterministic, so the skipped run could
+/// only have reproduced the same report.
+pub(crate) fn simulate_plan(
     plan: &ParallelPlan,
     cluster: &ClusterSpec,
     opts: SimOptions,
-    shape: (u32, u32, u32),
-    schedule: &Schedule,
-    cost: &CostTable,
+    Resolved { cfg, dp: dp_eff }: Resolved,
+    simulate_group: impl Fn(&ClusterSpec, usize) -> Result<SimReport, SimError>,
 ) -> Result<PlanResult, PlanError> {
-    evaluate_resolved_with(plan, cluster, opts, shape, schedule, cost, SimReuse::default())
-}
-
-/// [`evaluate_resolved`] with optional cross-candidate reuse. Every reuse
-/// channel returns values that are pure functions of the inputs the
-/// channel is keyed on, so enabling any combination of them yields a
-/// byte-identical [`PlanResult`] (`tuner::tests` pins this).
-pub(crate) fn evaluate_resolved_with(
-    plan: &ParallelPlan,
-    cluster: &ClusterSpec,
-    opts: SimOptions,
-    (pp_eff, dp_eff, b_eff): (u32, u32, u32),
-    schedule: &Schedule,
-    cost: &CostTable,
-    reuse: SimReuse<'_>,
-) -> Result<PlanResult, PlanError> {
-    // Simulate each group on its contiguous device slice. `resolve`
-    // guarantees `dp_eff >= 1`, so group 0 runs unconditionally; any later
-    // group whose sub-cluster equals group 0's (always, on a homogeneous
-    // cluster) reuses group 0's report instead of re-simulating — the
-    // engine is deterministic, so the skipped run could only have
-    // reproduced the same report.
-    let simulate_sub = |sub: &ClusterSpec, first: usize| -> Result<SimReport, PlanError> {
-        if let Some((memo, id)) = reuse.memo {
-            if let Some(hit) = memo.get(&(id, first)) {
-                return Ok(hit);
-            }
-        }
-        let report = match reuse.compiled {
-            Some(compiled) => try_simulate_compiled(compiled, schedule, cost, sub, opts),
-            None => try_simulate(schedule, cost, sub, opts),
-        }
-        .map_err(|e| match e {
+    let (pp_eff, b_eff) = (cfg.devices, cfg.micro_batches);
+    let simulate_sub = |sub: &ClusterSpec, first: usize| {
+        simulate_group(sub, first).map_err(|e| match e {
             SimError::Numerics(n) => PlanError::Numerics(n),
             other => PlanError::Sim(other),
-        })?;
-        if let Some((memo, id)) = reuse.memo {
-            memo.insert_if_absent((id, first), report.clone());
-        }
-        Ok(report)
+        })
     };
     let group_devices = |g: u32| -> Vec<usize> {
         (0..pp_eff as usize).map(|r| (g * pp_eff) as usize + r).collect()
@@ -303,11 +262,9 @@ pub(crate) fn evaluate_resolved_with(
     for g in 1..dp_eff {
         let devices = group_devices(g);
         let sub = cluster.select(&devices);
-        if reuse.dedup_groups && sub == sub0 {
-            // Identical sub-cluster, same schedule/cost/options: the
-            // simulation is a pure function of those, so group 0's report
-            // already is this group's report (and its iteration time
-            // cannot raise the running max).
+        if sub == sub0 {
+            // Identical sub-cluster: group 0's report already is this
+            // group's (and its iteration time cannot raise the running max).
             record_peaks(&devices, &group_report, &mut peak_mem);
         } else {
             let report = simulate_sub(&sub, devices[0])?;

@@ -31,28 +31,36 @@
 //! reason (indivisible batch, odd Chimera split, cluster too small,
 //! corrupt numerics). The sweep binary (`cargo run -p hanayo-repro --bin
 //! sweep`) emits both tables as JSON.
+//!
+//! ## One evaluation path
+//!
+//! Every candidate takes the same path. A static pre-pass resolves the
+//! plan, builds its schedule and cost table, and replays its memory
+//! exactly; a plan it proves OOM on a deadlock-free schedule is rejected
+//! without simulating. The survivors are simulated through one lowering
+//! per schedule shape. Every artifact lives in a [`SweepCaches`] — the
+//! context's shared handle, or one built for the sweep — and is a pure
+//! function of its key, so the outcome equals
+//! [`crate::plan::evaluate_plan`] run on each candidate, rejection texts
+//! included (a test pins this).
 
 use crate::cache::{CostKey, SchedKey, SweepCaches};
-use crate::engine::{validate_numerics, SimOptions};
+use crate::engine::{try_simulate_compiled, validate_numerics, SimOptions};
 use crate::plan::{
-    evaluate_plan, evaluate_resolved_with, resolve, Method, ParallelPlan, PlanResult, SimReuse,
+    resolve_plan, simulate_plan, Method, ParallelPlan, PlanError, PlanResult, Resolved,
 };
 use crate::search::{search_schedule, ScheduleSearchOptions, SearchedSchedule};
-use hanayo_analyze::{check_deadlock_free, static_peak_mem};
 use hanayo_ckpt::recovery;
 use hanayo_ckpt::{RecoveryEval, RecoveryOptions};
 use hanayo_cluster::ClusterSpec;
 use hanayo_core::abort::AbortFlag;
 use hanayo_core::action::Schedule;
-use hanayo_core::config::{PipelineConfig, Scheme};
-use hanayo_core::schedule::build_schedule;
 use hanayo_model::{CostTable, ModelConfig, Recompute};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// One evaluated candidate.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -143,15 +151,6 @@ impl Tuning {
     pub fn best(&self) -> Option<&Candidate> {
         self.ranked.first()
     }
-
-    /// The memory rejections, as `(plan, highest peak bytes)` — the shape
-    /// of the pre-`Rejection` API, kept for convenience.
-    pub fn rejected_oom(&self) -> impl Iterator<Item = (&ParallelPlan, u64)> {
-        self.rejected.iter().filter_map(|r| match r {
-            Rejection::Oom { plan, peak_bytes, .. } => Some((plan, *peak_bytes)),
-            Rejection::InvalidShape { .. } => None,
-        })
-    }
 }
 
 /// Search knobs.
@@ -201,27 +200,6 @@ pub struct TuneOptions {
     /// [`Tuning::searched`]. Deterministic (seeded), so [`tune`] and
     /// [`tune_serial`] stay byte-identical.
     pub schedule_search: Option<ScheduleSearchOptions>,
-    /// Statically reject candidates before simulating: a deadlock-free
-    /// happens-before DAG plus the analyzer's exact activation-liveness
-    /// replay decide OOM without running the engine, so memory-doomed
-    /// plans skip their simulation entirely. The ranking (and every
-    /// rejection record) is *byte-identical* with the pre-pass on or off —
-    /// the static peak equals the simulated peak exactly — which is why it
-    /// defaults to on. Turn it off to benchmark the saving or to force
-    /// every candidate through the engine.
-    pub static_prune: bool,
-    /// Share pure artifacts across the candidates of one sweep: built
-    /// schedules, cost tables, static memory replays, lowered
-    /// ([`crate::engine::compile_schedule`]) programs, and per-group
-    /// simulation reports. A wide sweep ablates sim options and recompute
-    /// modes around a handful of distinct pipeline shapes, so most
-    /// candidates re-derive artifacts an earlier candidate already built;
-    /// batching builds each exactly once. Every shared value is a pure
-    /// function of its cache key, so the ranking and every rejection
-    /// record stay *byte-identical* with batching on or off (a test pins
-    /// this, parallel and serial). Defaults to on; turn off to benchmark
-    /// the saving or to force per-candidate lowering.
-    pub batched: bool,
 }
 
 impl Default for TuneOptions {
@@ -238,8 +216,6 @@ impl Default for TuneOptions {
             checkpoint_intervals: Vec::new(),
             recovery: RecoveryOptions::default(),
             schedule_search: None,
-            static_prune: true,
-            batched: true,
         }
     }
 }
@@ -475,155 +451,102 @@ enum Outcome {
     Shape(String),
 }
 
-/// Memoized deadlock verdicts for one sweep, keyed by the schedule's
-/// shape `(scheme, pp_eff, b_eff)` — the only inputs schedule lowering
-/// takes. The wide sweep ablates sim options, micro-batch sizes and
-/// recompute modes, none of which change the schedule, so dozens of
-/// candidates share one happens-before DAG. The verdict is a pure
-/// function of the key, so memoization cannot perturb the (byte-identical)
-/// ranking regardless of worker interleaving.
-type DeadlockCache = Mutex<HashMap<(Scheme, u32, u32), bool>>;
-
 /// What the static pre-pass decided about one plan.
 enum StaticVerdict {
     /// Statically proven OOM on a deadlock-free schedule: skip the
     /// simulation and record this rejection.
     Reject(Rejection),
-    /// Every static check passed. The built schedule and cost table are
-    /// handed to [`evaluate_resolved_with`] so a surviving plan is not
-    /// re-lowered from scratch — `shape` is `(pp_eff, dp_eff, b_eff)`;
-    /// the cache keys travel along so the simulation stage can reach the
-    /// sweep-wide lowering and report caches.
-    Pass {
-        shape: (u32, u32, u32),
+    /// The plan goes on to the engine. The built schedule and cost table
+    /// travel along, with the cache keys the simulation stage reaches the
+    /// sweep's lowering and report caches through.
+    Simulate {
+        resolved: Resolved,
         schedule_key: SchedKey,
         cost_key: CostKey,
         schedule: Arc<Schedule>,
         cost: Arc<CostTable>,
     },
-    /// Some pre-simulation step failed; the normal [`evaluate_plan`] path
-    /// re-runs it and produces the identical error record.
-    Undecided,
 }
 
 /// The tuner's static pre-pass: decide `Rejection::Oom` without
-/// simulating. Replicates [`evaluate_plan`]'s pre-simulation steps
-/// exactly; if *any* of them fails, returns `Undecided` so the normal
-/// path produces the identical error record. A prune fires only when the
-/// analyzer also proves the schedule deadlock-free (so the simulation it
-/// skips would have completed and reported exactly these peaks — the
-/// analyzer's static replay is exact, not just a bound) and some device's
-/// peak exceeds its capacity. One deadlock check covers every
-/// data-parallel group: the verdict is timing-independent and all groups
-/// run the same schedule.
+/// simulating. It takes [`crate::plan::evaluate_plan`]'s pre-simulation
+/// steps over the sweep's caches and fails with the same [`PlanError`].
+/// A prune fires only when the analyzer also proves the schedule
+/// deadlock-free (so the simulation it skips would have completed and
+/// reported exactly these peaks — the analyzer's static replay is exact,
+/// not just a bound) and some device's peak exceeds its capacity. One
+/// deadlock check covers every data-parallel group: the verdict is
+/// timing-independent and all groups run the same schedule.
 fn static_verdict(
     model: &ModelConfig,
     cluster: &ClusterSpec,
     plan: &ParallelPlan,
     sim: SimOptions,
-    dl_cache: &DeadlockCache,
-    caches: Option<&SweepCaches>,
-) -> StaticVerdict {
-    let needed = plan.dp * plan.pp;
-    if needed as usize > cluster.len() {
-        return StaticVerdict::Undecided;
-    }
-    let Ok((scheme, pp_eff, dp_mult, b_eff)) = resolve(plan.method, plan.pp, plan.micro_batches)
-    else {
-        return StaticVerdict::Undecided;
-    };
-    let dp_eff = plan.dp * dp_mult;
-    let Ok(cfg) = PipelineConfig::new(pp_eff, b_eff, scheme) else {
-        return StaticVerdict::Undecided;
-    };
-    let schedule_key: SchedKey = (scheme, pp_eff, b_eff);
-    let schedule = match caches {
-        Some(c) => match c.schedule_for(schedule_key, &cfg) {
-            Some(s) => s,
-            None => return StaticVerdict::Undecided,
-        },
-        None => match build_schedule(&cfg) {
-            Ok(s) => Arc::new(s),
-            Err(_) => return StaticVerdict::Undecided,
-        },
-    };
+    caches: &SweepCaches,
+) -> Result<StaticVerdict, PlanError> {
+    let resolved = resolve_plan(plan, cluster)?;
+    let cfg = resolved.cfg;
+    let (pp_eff, dp_eff) = (cfg.devices as usize, resolved.dp as usize);
+    let schedule_key: SchedKey = (cfg.scheme, cfg.devices, cfg.micro_batches);
+    let schedule = caches.schedule_for(schedule_key, &cfg)?;
     let cost_key: CostKey = (cfg.stages(), plan.micro_batch_size, plan.recompute);
-    let cost = match caches {
-        Some(c) => c.cost_for(cost_key, model),
-        None => Arc::new(CostTable::build_with(
-            model,
-            cfg.stages(),
-            plan.micro_batch_size,
-            plan.recompute,
-        )),
-    };
-    if validate_numerics(&cost, cluster, &sim).is_err() {
-        return StaticVerdict::Undecided;
-    }
+    let cost = caches.cost_for(cost_key, model);
+    validate_numerics(&cost, cluster, &sim).map_err(PlanError::Numerics)?;
 
     // Exact static replay of the engine's per-device memory accounting,
-    // broadcast over the groups the way evaluate_plan merges group
+    // broadcast over the groups the way a plan evaluation merges group
     // reports (memory is schedule-order-determined, so every group peaks
     // identically; devices outside the plan stay at zero).
-    let group_peak = match caches {
-        Some(c) => c.peaks_for((schedule_key, cost_key), &schedule, &cost),
-        None => Arc::new(static_peak_mem(&schedule, &cost)),
-    };
+    let group_peak = caches.peaks_for((schedule_key, cost_key), &schedule, &cost);
     let mut peak_mem = vec![0u64; cluster.len()];
-    for g in 0..dp_eff as usize {
-        for (r, &peak) in group_peak.iter().enumerate().take(pp_eff as usize) {
-            peak_mem[g * pp_eff as usize + r] = peak;
+    for g in 0..dp_eff {
+        for (r, &peak) in group_peak.iter().enumerate().take(pp_eff) {
+            peak_mem[g * pp_eff + r] = peak;
         }
     }
     let oom_devices: Vec<usize> =
         (0..cluster.len()).filter(|&d| peak_mem[d] > cluster.memory(d)).collect();
-    if oom_devices.is_empty() {
-        return StaticVerdict::Pass {
-            shape: (pp_eff, dp_eff, b_eff),
-            schedule_key,
-            cost_key,
-            schedule,
-            cost,
-        };
-    }
-    // Only now pay for the happens-before DAG: a prune fires only when
-    // the analyzer also proves the schedule deadlock-free, so the
-    // simulation it skips would have reported exactly these peaks rather
-    // than a deadlock. Plans that fit in memory skip the DAG entirely —
-    // they are heading into the engine anyway — and candidates sharing a
-    // schedule shape share one memoized verdict. A poisoned cache lock
-    // degrades to recomputing, never to a wrong verdict.
-    let key = (scheme, pp_eff, b_eff);
-    let deadlock_free = match caches {
-        // Batched sweeps park the verdict in the shared caches, where a
-        // resident service can reuse it across requests.
-        Some(c) => c.deadlock_free(key, &schedule),
-        None => {
-            let cached = dl_cache.lock().ok().and_then(|m| m.get(&key).copied());
-            match cached {
-                Some(v) => v,
-                None => {
-                    let v = check_deadlock_free(&schedule).is_ok();
-                    if let Ok(mut m) = dl_cache.lock() {
-                        m.insert(key, v);
-                    }
-                    v
-                }
-            }
-        }
-    };
-    if !deadlock_free {
-        return StaticVerdict::Undecided;
+    // Only an OOM pays for the happens-before DAG, whose verdict is
+    // memoised per schedule shape: a prune fires only on a deadlock-free
+    // schedule, so the simulation it skips would have reported exactly
+    // these peaks rather than a deadlock. Anything else goes to the engine.
+    if oom_devices.is_empty() || !caches.deadlock_free(schedule_key, &schedule) {
+        return Ok(StaticVerdict::Simulate { resolved, schedule_key, cost_key, schedule, cost });
     }
     let (worst, peak) =
         oom_devices.iter().map(|&d| (d, peak_mem[d])).max_by_key(|&(_, m)| m).unwrap_or((0, 0));
-    StaticVerdict::Reject(Rejection::Oom {
+    Ok(StaticVerdict::Reject(Rejection::Oom {
         plan: *plan,
         sim,
         peak_bytes: peak,
         capacity_bytes: cluster.memory(worst),
         devices: oom_devices,
-    })
+    }))
+}
+
+/// One plan through the sweep's single path: the static pre-pass, then —
+/// unless it proved an OOM — the simulation, through the sweep's cached
+/// lowering and group reports.
+fn evaluate(
+    model: &ModelConfig,
+    cluster: &ClusterSpec,
+    plan: &ParallelPlan,
+    sim: SimOptions,
+    caches: &SweepCaches,
+) -> Result<Outcome, PlanError> {
+    match static_verdict(model, cluster, plan, sim, caches)? {
+        StaticVerdict::Reject(rejection) => Ok(Outcome::StaticOom(rejection)),
+        StaticVerdict::Simulate { resolved, schedule_key, cost_key, schedule, cost } => {
+            let (compiled, content_id) = caches.compiled_for(schedule_key, &schedule, &sim);
+            let id = caches.report_id(schedule_key, cost_key, &sim, content_id);
+            let result = simulate_plan(plan, cluster, sim, resolved, |sub, first| {
+                caches.group_report(id, first, || {
+                    try_simulate_compiled(&compiled, &schedule, &cost, sub, sim)
+                })
+            })?;
+            Ok(Outcome::Simulated(result))
+        }
+    }
 }
 
 fn assemble(
@@ -693,20 +616,16 @@ fn attach_schedule_search(
 ) -> Tuning {
     let Some(search_opts) = opts.schedule_search else { return tuning };
     let Some(best) = tuning.best() else { return tuning };
-    let Ok((_, pp_eff, _, b_eff)) =
-        crate::plan::resolve(best.plan.method, best.plan.pp, best.plan.micro_batches)
-    else {
-        return tuning;
-    };
+    let Ok(Resolved { cfg, .. }) = resolve_plan(&best.plan, cluster) else { return tuning };
     // The search runs at the winner's effective pipeline shape, on its
     // first group's device slice.
-    let devices: Vec<usize> = (0..pp_eff as usize).collect();
+    let devices: Vec<usize> = (0..cfg.devices as usize).collect();
     let sub = cluster.select(&devices);
     tuning.searched = search_schedule(
         model,
         &sub,
-        pp_eff,
-        b_eff,
+        cfg.devices,
+        cfg.micro_batches,
         best.plan.micro_batch_size,
         best.plan.recompute,
         best.sim,
@@ -738,58 +657,15 @@ fn record_candidate(outcome: &Outcome) {
 fn evaluate_candidate(
     model: &ModelConfig,
     cluster: &ClusterSpec,
-    opts: &TuneOptions,
-    dl_cache: &DeadlockCache,
-    caches: Option<&SweepCaches>,
-    cand: &(ParallelPlan, SimOptions, Option<String>),
-) -> (ParallelPlan, SimOptions, Outcome) {
-    let verdict = evaluate_candidate_inner(model, cluster, opts, dl_cache, caches, cand);
-    record_candidate(&verdict.2);
-    verdict
-}
-
-fn evaluate_candidate_inner(
-    model: &ModelConfig,
-    cluster: &ClusterSpec,
-    opts: &TuneOptions,
-    dl_cache: &DeadlockCache,
-    caches: Option<&SweepCaches>,
+    caches: &SweepCaches,
     (plan, sim, shape_reason): &(ParallelPlan, SimOptions, Option<String>),
 ) -> (ParallelPlan, SimOptions, Outcome) {
-    if let Some(reason) = shape_reason {
-        return (*plan, *sim, Outcome::Shape(reason.clone()));
-    }
-    if opts.static_prune {
-        match static_verdict(model, cluster, plan, *sim, dl_cache, caches) {
-            StaticVerdict::Reject(rejection) => {
-                return (*plan, *sim, Outcome::StaticOom(rejection));
-            }
-            StaticVerdict::Pass { shape, schedule_key, cost_key, schedule, cost } => {
-                let compiled = caches.map(|c| c.compiled_for(schedule_key, &schedule, sim));
-                let reuse = SimReuse {
-                    compiled: compiled.as_ref().map(|(c, _)| &**c),
-                    memo: caches.and_then(|c| {
-                        let content_id = compiled.as_ref().map_or(u32::MAX, |(_, id)| *id);
-                        c.report_id(schedule_key, cost_key, sim, content_id)
-                            .map(|id| (&c.reports, id))
-                    }),
-                    dedup_groups: caches.is_some(),
-                };
-                let outcome = match evaluate_resolved_with(
-                    plan, cluster, *sim, shape, &schedule, &cost, reuse,
-                ) {
-                    Ok(result) => Outcome::Simulated(result),
-                    Err(e) => Outcome::Shape(e.to_string()),
-                };
-                return (*plan, *sim, outcome);
-            }
-            StaticVerdict::Undecided => {}
-        }
-    }
-    let outcome = match evaluate_plan(plan, model, cluster, *sim) {
-        Ok(result) => Outcome::Simulated(result),
-        Err(e) => Outcome::Shape(e.to_string()),
+    let outcome = match shape_reason {
+        Some(reason) => Outcome::Shape(reason.clone()),
+        None => evaluate(model, cluster, plan, *sim, caches)
+            .unwrap_or_else(|e| Outcome::Shape(e.to_string())),
     };
+    record_candidate(&outcome);
     (*plan, *sim, outcome)
 }
 
@@ -821,10 +697,9 @@ impl TuneProgress {
 #[derive(Clone, Default)]
 pub struct TuneContext {
     /// Artifact caches shared *across* sweeps. `None` gives each sweep
-    /// its own caches (when [`TuneOptions::batched`] is on). **Sharing
-    /// contract:** the cache keys assume one model and one cluster — a
-    /// resident service must key its shared handles by the `(model,
-    /// cluster)` configuration. Ignored when `batched` is off.
+    /// its own caches. **Sharing contract:** the cache keys assume one
+    /// model and one cluster — a resident service must key its shared
+    /// handles by the `(model, cluster)` configuration.
     pub caches: Option<Arc<SweepCaches>>,
     /// Cooperative cancellation: checked between candidate batches; a
     /// tripped flag makes the sweep return [`TuneError::Cancelled`]
@@ -884,13 +759,14 @@ fn tune_impl(
     parallel: bool,
 ) -> Result<Tuning, TuneError> {
     let space = candidate_space(cluster.len() as u32, global_micro_batches, micro_batch_size, opts);
-    let dl_cache = DeadlockCache::default();
-    // Shared caches only apply to batched sweeps (they hold exactly the
-    // cross-candidate artifacts batching shares); an unbatched sweep
-    // ignores a supplied handle rather than silently turning batching on.
-    let owned = (opts.batched && ctx.caches.is_none()).then(SweepCaches::default);
-    let caches: Option<&SweepCaches> =
-        if opts.batched { ctx.caches.as_deref().or(owned.as_ref()) } else { None };
+    let owned;
+    let caches = match ctx.caches.as_deref() {
+        Some(shared) => shared,
+        None => {
+            owned = SweepCaches::default();
+            &owned
+        }
+    };
     if let Some(p) = &ctx.progress {
         p.total.store(space.len() as u64, Ordering::SeqCst);
         p.evaluated.store(0, Ordering::SeqCst);
@@ -910,7 +786,7 @@ fn tune_impl(
             let outcomes: Vec<_> = batch
                 .par_iter()
                 .map(|cand| {
-                    let out = evaluate_candidate(model, cluster, opts, &dl_cache, caches, cand);
+                    let out = evaluate_candidate(model, cluster, caches, cand);
                     progress.tick();
                     out
                 })
@@ -918,7 +794,7 @@ fn tune_impl(
             evaluated.extend(outcomes);
         } else {
             evaluated.extend(batch.iter().map(|cand| {
-                let out = evaluate_candidate(model, cluster, opts, &dl_cache, caches, cand);
+                let out = evaluate_candidate(model, cluster, caches, cand);
                 progress.tick();
                 out
             }));
@@ -1006,6 +882,7 @@ pub fn tune_serial_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::evaluate_plan;
     use hanayo_cluster::topology::{fc_full_nvlink, lonestar6};
 
     fn opts() -> TuneOptions {
@@ -1049,11 +926,9 @@ mod tests {
         let model = ModelConfig::bert64();
         let t = tune(&model, &lonestar6(8), 16, 4, &opts());
         assert!(t.rejected.iter().any(Rejection::is_oom), "expected OOM rejections");
-        for (_, peak) in t.rejected_oom() {
-            assert!(peak > 38_000_000_000);
-        }
         for r in &t.rejected {
             if let Rejection::Oom { peak_bytes, capacity_bytes, devices, .. } = r {
+                assert!(*peak_bytes > 38_000_000_000);
                 assert!(peak_bytes > capacity_bytes);
                 assert!(!devices.is_empty());
             }
@@ -1063,28 +938,77 @@ mod tests {
         }
     }
 
+    /// The per-candidate reference: [`evaluate_plan`] on every entry of the
+    /// candidate space (pre-filled shape reasons pass through unchanged),
+    /// ranked by [`assemble`].
+    fn reference_tuning(
+        model: &ModelConfig,
+        cluster: &ClusterSpec,
+        batch: u32,
+        micro_batch_size: u32,
+        opts: &TuneOptions,
+    ) -> Tuning {
+        let evaluated = candidate_space(cluster.len() as u32, batch, micro_batch_size, opts)
+            .into_iter()
+            .map(|(plan, sim, shape_reason)| {
+                let outcome = match shape_reason {
+                    Some(reason) => Outcome::Shape(reason),
+                    None => match evaluate_plan(&plan, model, cluster, sim) {
+                        Ok(result) => Outcome::Simulated(result),
+                        Err(e) => Outcome::Shape(e.to_string()),
+                    },
+                };
+                (plan, sim, outcome)
+            })
+            .collect();
+        assemble(evaluated, cluster, opts)
+    }
+
     #[test]
-    fn static_prune_is_byte_identical_and_catches_every_oom() {
-        // The OOM-heavy scenario from oom_plans_are_reported_not_ranked,
-        // swept wide: with the static pre-pass every memory rejection is
-        // decided without simulating, and the entire tuning — ranking,
-        // rejection records, order — is byte-identical to the unpruned
-        // run.
-        let model = ModelConfig::bert64();
-        let cluster = lonestar6(8);
-        let wide = opts().wide();
-        let pruned = tune(&model, &cluster, 16, 4, &wide);
-        let unpruned =
-            tune(&model, &cluster, 16, 4, &TuneOptions { static_prune: false, ..wide.clone() });
-        assert_eq!(pruned, unpruned);
-        let ooms = pruned.rejected.iter().filter(|r| r.is_oom()).count();
-        // Each memory rejection is one simulation the pre-pass avoided.
+    fn sweep_matches_the_per_candidate_reference() {
+        // The sweep's one path — static pre-pass, cached schedules, cost
+        // tables, memory replays, lowerings and group reports — must
+        // reproduce evaluate_plan on every candidate: ranking, rejection
+        // records, order, under both parallel and serial evaluation.
+        let bert = ModelConfig::bert64();
+        let bert8 = ModelConfig::bert64().with_train_bytes_per_param(8);
+        let gpt8 = ModelConfig::gpt128().with_train_bytes_per_param(8);
+        let scenarios = [
+            // OOM-heavy: full-Adam BERT on 40 GB cards, deep micro-batches.
+            (&bert, lonestar6(8), 16, 4, opts().wide()),
+            (&bert8, lonestar6(8), 16, 1, opts().wide()),
+            // Odd Chimera splits and indivisible batches.
+            (&gpt8, fc_full_nvlink(8), 7, 1, opts()),
+        ];
+        let mut swept = Vec::new();
+        for (model, cluster, batch, mbs, opts) in &scenarios {
+            let reference = reference_tuning(model, cluster, *batch, *mbs, opts);
+            let parallel = tune(model, cluster, *batch, *mbs, opts);
+            assert_eq!(parallel, reference);
+            assert_eq!(tune_serial(model, cluster, *batch, *mbs, opts), reference);
+            swept.push(parallel);
+        }
+        let reasons: Vec<String> = swept[2]
+            .rejected
+            .iter()
+            .filter_map(|r| match r {
+                Rejection::InvalidShape { reason, .. } => Some(reason.clone()),
+                Rejection::Oom { .. } => None,
+            })
+            .collect();
+        assert!(reasons.contains(&PlanError::OddChimeraSplit.to_string()), "{reasons:?}");
+        assert!(reasons.iter().any(|r| r.contains("not divisible by D=2")), "{reasons:?}");
+
+        // Each memory rejection is one simulation the pre-pass avoided, and
+        // the pre-pass alone reproduces each recorded rejection.
+        let (model, cluster, ..) = &scenarios[0];
+        let ooms = swept[0].rejected.iter().filter(|r| r.is_oom()).count();
         assert_eq!(ooms, 104, "simulations avoided by the static pre-pass");
-        // And the pre-pass alone reproduces each recorded rejection.
-        for r in &pruned.rejected {
+        let caches = SweepCaches::default();
+        for r in &swept[0].rejected {
             if let Rejection::Oom { plan, sim, .. } = r {
-                let StaticVerdict::Reject(statically) =
-                    static_verdict(&model, &cluster, plan, *sim, &DeadlockCache::default(), None)
+                let Ok(StaticVerdict::Reject(statically)) =
+                    static_verdict(model, cluster, plan, *sim, &caches)
                 else {
                     panic!("every simulated OOM must be statically decidable");
                 };
@@ -1117,25 +1041,6 @@ mod tests {
         let par = tune(&model, &cluster, 16, 1, &wide);
         let ser = tune_serial(&model, &cluster, 16, 1, &wide);
         assert_eq!(par, ser);
-    }
-
-    #[test]
-    fn batched_sweep_is_byte_identical_to_per_candidate() {
-        // The batched path shares built schedules, cost tables, static
-        // memory replays, engine lowerings and pipeline-group reports
-        // across the whole sweep. Every shared artifact is a pure
-        // function of its cache key, so the complete tuning — ranking,
-        // rejections, order — must match the per-candidate path byte for
-        // byte, under both parallel and serial evaluation.
-        let model = ModelConfig::bert64().with_train_bytes_per_param(8);
-        let cluster = lonestar6(8);
-        let wide = opts().wide();
-        let batched = tune(&model, &cluster, 16, 1, &wide);
-        let per_candidate =
-            tune(&model, &cluster, 16, 1, &TuneOptions { batched: false, ..wide.clone() });
-        assert_eq!(batched, per_candidate);
-        let serial_batched = tune_serial(&model, &cluster, 16, 1, &wide);
-        assert_eq!(batched, serial_batched);
     }
 
     #[test]
