@@ -4,8 +4,12 @@
 //! evaluation. Each `figN` module exposes
 //!
 //! * a `data()` function returning the structured rows/series, and
-//! * a `run()` function rendering them as the text table printed by the
-//!   `repro` binary (`cargo run -p hanayo-repro --bin repro -- figN`).
+//! * a `run()` function rendering them as the text table printed by
+//!   `hanayo fig figN` (`cargo run -p hanayo-repro -- fig figN`).
+//!
+//! The crate's one binary, `hanayo`, is the repository's command line:
+//! `fig`, `memfig`, `tune`, `analyze`, `search`, `trace`, `ckpt`,
+//! `metrics` and `serve` (`hanayo --help` lists them).
 //!
 //! Workload parameters (micro-batch counts and sizes) are fixed presets
 //! chosen to reproduce the paper's *shapes* — who wins, by what factor,
@@ -46,7 +50,7 @@ pub fn all_figures() -> Vec<FigureRunner> {
         ("fig11", fig11::run),
         ("fig12", fig12::run),
         // Not a numbered paper figure: the §5.1 memory statistics table
-        // (also its own binary, `--bin memfig`).
+        // (also as JSON, `hanayo memfig`).
         ("memfig", memfig::run),
     ]
 }

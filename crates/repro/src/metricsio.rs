@@ -1,21 +1,16 @@
-//! Shared `--metrics <path>` plumbing for the long-running binaries.
+//! Metrics exposition for the `hanayo` command line.
 //!
-//! Every binary that accepts the flag does the same three things: switch
-//! the registry on before any instrumented work runs, do its job, and
-//! render one snapshot to the requested file on the way out. The format
-//! is chosen by extension — `.prom` gets the Prometheus text exposition,
-//! anything else the `hanayo-metrics-v1` JSON document — so a scrape
-//! config and a jq pipeline can share one flag.
+//! Every subcommand that accepts `--metrics <path>` does the same three
+//! things: switch the registry on before any instrumented work runs, do
+//! its job, and render one snapshot to the requested file on the way out
+//! ([`write_metrics`]). The format is chosen by extension — `.prom` gets
+//! the Prometheus text exposition, anything else the `hanayo-metrics-v1`
+//! JSON document — so a scrape config and a jq pipeline can share one
+//! flag.
 
 use std::path::Path;
 
-/// Turn the metrics registry on. Call before the instrumented work so
-/// the run's first event is counted like its last.
-pub fn enable_metrics() {
-    hanayo_metrics::set_enabled(true);
-}
-
-/// The seeded scenario behind the `metrics` binary and the golden
+/// The seeded scenario behind `hanayo metrics` and the golden
 /// exposition test: one pass through every instrumented layer, fully
 /// deterministic under a [`hanayo_metrics::ClockMode::Fixed`] clock.
 ///

@@ -1,81 +1,65 @@
-//! The one-shot CLIs fail with a typed error (exit 1, the reason on
-//! stderr), never a panic (exit 101). They resolve `--cluster` and
-//! `--scheme` through `hanayo_serve::schema`, so an oversized cluster or
-//! an unknown scheme is rejected the same way on every binary.
+//! The `hanayo` command line's exits: `--help` is a success, and a bad
+//! flag, an unknown subcommand or a rejected input fails with a typed
+//! error (exit 1, the reason on stderr), never a panic (exit 101).
+//! `--cluster` and `--scheme` resolve through `hanayo_serve::schema`, so
+//! an oversized cluster or an unknown scheme is rejected the same way by
+//! every subcommand.
 
 use std::process::Command;
 
-fn assert_fails_with(bin: &str, args: &[&str], message: &str) {
-    let out = Command::new(bin).args(args).output().expect("spawn binary");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(1), "{bin} {args:?}: {stderr}");
-    assert!(stderr.contains(message), "{bin}: {stderr}");
-}
+const OVERSIZED_TC: &str = "cluster tc has 8 GPUs, gpus 16 exceeds it";
+const NO_CHIMERA: &str = "the threaded runtime rejects replicated (chimera) schedules";
 
-fn assert_rejects_oversized_tc(bin: &str, args: &[&str]) {
-    assert_fails_with(bin, args, "cluster tc has 8 GPUs, gpus 16 exceeds it");
-}
-
-#[test]
-fn ckpt_rejects_oversized_tc_cluster() {
-    assert_rejects_oversized_tc(
-        env!("CARGO_BIN_EXE_ckpt"),
-        &["--mode", "goodput", "--cluster", "tc", "--gpus", "16"],
-    );
-}
-
-#[test]
-fn search_rejects_oversized_tc_cluster() {
-    assert_rejects_oversized_tc(
-        env!("CARGO_BIN_EXE_search"),
-        &["--model", "bert64", "--cluster", "tc", "--gpus", "16", "--micro-batches", "4"],
-    );
-}
-
-#[test]
-fn trace_rejects_oversized_tc_cluster() {
-    assert_rejects_oversized_tc(
-        env!("CARGO_BIN_EXE_trace"),
-        &["--engine", "sim", "--cluster", "tc", "--devices", "16"],
-    );
-}
-
-#[test]
-fn unknown_scheme_names_the_accepted_forms() {
-    let accepted = "(expected gpipe, dapple, chimera, pipedream, interleaved<C> or hanayo_w<W>)";
-    assert_fails_with(
-        env!("CARGO_BIN_EXE_trace"),
-        &["--engine", "sim", "--scheme", "hanayo2"],
-        &format!("unknown scheme hanayo2 {accepted}"),
-    );
-    assert_fails_with(
-        env!("CARGO_BIN_EXE_ckpt"),
-        &["--mode", "run", "--scheme", "wave"],
-        &format!("unknown scheme wave {accepted}"),
-    );
-}
+/// `(argv, exit code, stderr fragment)`.
+const CASES: &[(&[&str], i32, &str)] = &[
+    (&["--help"], 0, "SUBCOMMANDS:"),
+    (&["tune", "--help"], 0, "hanayo tune — "),
+    (&["analyze", "--help"], 0, "hanayo analyze — "),
+    (&["search", "--help"], 0, "hanayo search — "),
+    (&["trace", "--help"], 0, "hanayo trace — "),
+    (&["ckpt", "--help"], 0, "hanayo ckpt — "),
+    (&["fig", "--help"], 0, "hanayo fig — "),
+    (&["memfig", "--help"], 0, "hanayo memfig — "),
+    (&["metrics", "--help"], 0, "hanayo metrics — "),
+    (&["serve", "--help"], 0, "hanayo serve — "),
+    (&[], 1, "SUBCOMMANDS:"),
+    (&["sweep"], 1, "unknown subcommand sweep"),
+    (&["tune", "--bogus"], 1, "unknown flag --bogus"),
+    (&["tune", "--gpus", "x"], 1, "--gpus: invalid digit"),
+    (&["serve", "--mode", "client"], 1, "unknown flag --mode"),
+    (&["fig", "fig1", "--out"], 1, "--out expects a value"),
+    (&["fig", "fig1", "--out", "/dev/null/x"], 1, "creating output directory /dev/null/x: "),
+    (&["ckpt", "--mode", "goodput", "--cluster", "tc", "--gpus", "16"], 1, OVERSIZED_TC),
+    (
+        &["search", "--model", "bert64", "--cluster", "tc", "--gpus", "16", "--micro-batches", "4"],
+        1,
+        OVERSIZED_TC,
+    ),
+    (&["trace", "--engine", "sim", "--cluster", "tc", "--devices", "16"], 1, OVERSIZED_TC),
+    (
+        &["trace", "--engine", "sim", "--scheme", "hanayo2"],
+        1,
+        "unknown scheme hanayo2 (expected gpipe, dapple, chimera, pipedream, interleaved<C> or \
+         hanayo_w<W>)",
+    ),
+    (
+        &["ckpt", "--mode", "run", "--scheme", "wave"],
+        1,
+        "unknown scheme wave (expected gpipe, dapple, chimera, pipedream, interleaved<C> or \
+         hanayo_w<W>)",
+    ),
+    (&["trace", "--engine", "runtime", "--scheme", "chimera"], 1, NO_CHIMERA),
+    (&["ckpt", "--mode", "run", "--scheme", "chimera"], 1, NO_CHIMERA),
+    (&["ckpt", "--mode", "run", "--width", "0"], 1, "--width: number would be zero"),
+    (&["ckpt", "--mode", "run", "--rows", "0"], 1, "--rows: number would be zero"),
+];
 
 #[test]
-fn chimera_on_the_runtime_is_a_typed_error() {
-    let message = "the threaded runtime rejects replicated (chimera) schedules";
-    assert_fails_with(
-        env!("CARGO_BIN_EXE_trace"),
-        &["--engine", "runtime", "--scheme", "chimera"],
-        message,
-    );
-    assert_fails_with(
-        env!("CARGO_BIN_EXE_ckpt"),
-        &["--mode", "run", "--scheme", "chimera"],
-        message,
-    );
-}
-
-#[cfg(unix)]
-#[test]
-fn repro_reports_an_unwritable_output_directory() {
-    assert_fails_with(
-        env!("CARGO_BIN_EXE_repro"),
-        &["fig1", "--out", "/dev/null/x"],
-        "creating output directory /dev/null/x: ",
-    );
+fn every_exit_is_a_success_or_a_typed_error() {
+    for &(argv, code, fragment) in CASES {
+        let out = Command::new(env!("CARGO_BIN_EXE_hanayo")).args(argv).output().expect("spawn");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(code), "hanayo {argv:?}: {stderr}");
+        assert!(stderr.contains(fragment), "hanayo {argv:?}: {stderr}");
+    }
 }

@@ -1,7 +1,7 @@
-//! `lint` — the repo's panic-freedom gate for library code.
+//! The repo's panic-freedom gate for library code, run by `cargo test`.
 //!
 //! Scans the non-test sources of every library crate (everything except
-//! the `repro` figure/tool binaries) for the three
+//! `hanayo-repro`, the figures and the command line) for the three
 //! panicking idioms: `.unwrap()`, `.expect(` and `panic!`. Lines inside
 //! `#[cfg(test)]` modules and comment lines are excluded.
 //!
@@ -11,17 +11,16 @@
 //! regenerate — so the baseline can only shrink deliberately:
 //!
 //! ```text
-//! cargo run -p hanayo-repro --bin lint              # gate (CI runs this)
-//! LINT_UPDATE=1 cargo run -p hanayo-repro --bin lint  # rewrite baseline
+//! cargo test -p hanayo-repro --test panic_lint                  # gate
+//! LINT_UPDATE=1 cargo test -p hanayo-repro --test panic_lint    # rewrite baseline
 //! ```
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
-use std::process::ExitCode;
 
 /// Crates whose library sources the gate covers, relative to the repo
-/// root. Benches, shims and the repro binaries are out of scope: a panic
+/// root. Benches, shims and `hanayo-repro` are out of scope: a panic
 /// there aborts a developer tool, not a tuning or training run.
 const SCOPES: [&str; 12] = [
     "crates/analyze/src",
@@ -128,7 +127,8 @@ fn render(counts: &BTreeMap<String, usize>) -> String {
     writeln!(out, "# Panic-freedom baseline for the workspace's library crates.").unwrap();
     writeln!(out, "# Counts `.unwrap()` / `.expect(` / `panic!` outside tests and comments.")
         .unwrap();
-    writeln!(out, "# Regenerate with: LINT_UPDATE=1 cargo run -p hanayo-repro --bin lint").unwrap();
+    writeln!(out, "# Regenerate with: LINT_UPDATE=1 cargo test -p hanayo-repro --test panic_lint")
+        .unwrap();
     writeln!(out, "# total {total}").unwrap();
     for (path, hits) in counts {
         writeln!(out, "{hits:4} {path}").unwrap();
@@ -169,8 +169,8 @@ fn gate() -> Result<(), String> {
 
     let baseline_text = std::fs::read_to_string(&baseline_path).map_err(|e| {
         format!(
-            "missing baseline {} ({e}); generate with LINT_UPDATE=1 cargo run -p \
-             hanayo-repro --bin lint",
+            "missing baseline {} ({e}); generate with LINT_UPDATE=1 cargo test -p \
+             hanayo-repro --test panic_lint",
             baseline_path.display()
         )
     })?;
@@ -210,12 +210,9 @@ fn gate() -> Result<(), String> {
     Ok(())
 }
 
-fn main() -> ExitCode {
-    match gate() {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(msg) => {
-            eprintln!("error: {msg}");
-            ExitCode::FAILURE
-        }
+#[test]
+fn library_code_stays_within_the_panic_baseline() {
+    if let Err(msg) = gate() {
+        panic!("{msg}");
     }
 }

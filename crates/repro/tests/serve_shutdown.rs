@@ -1,6 +1,6 @@
-//! Graceful-shutdown regression for the `serve` host binary.
+//! Graceful-shutdown regression for `hanayo serve`.
 //!
-//! Spawns the real `serve` executable on an ephemeral port, fires a wide
+//! Spawns the real `hanayo serve` host on an ephemeral port, fires a wide
 //! sweep at it from a client thread, then delivers SIGTERM mid-request.
 //! The contract under test:
 //!
@@ -18,8 +18,8 @@ use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
 fn spawn_host() -> (Child, SocketAddr) {
-    let mut child = Command::new(env!("CARGO_BIN_EXE_serve"))
-        .args(["--mode", "serve", "--addr", "127.0.0.1:0", "--drain-secs", "30"])
+    let mut child = Command::new(env!("CARGO_BIN_EXE_hanayo"))
+        .args(["serve", "--addr", "127.0.0.1:0", "--drain-secs", "30"])
         .stdout(Stdio::piped())
         .stderr(Stdio::null())
         .spawn()

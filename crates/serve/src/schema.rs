@@ -1,12 +1,14 @@
 //! The planning service's wire schema — and, deliberately, the *only*
 //! place the response documents of the one-shot CLIs are built.
 //!
-//! The `sweep` and `analyze` binaries in `hanayo-repro` construct their
-//! JSON output through the builders in this module, and the served
-//! endpoints call the very same functions: a served response body is
-//! byte-identical to the corresponding CLI's `--compact` stdout by
-//! construction, not by parallel maintenance. The load test and the CI
-//! smoke job both `diff` the two paths to keep it that way.
+//! `hanayo tune` and `hanayo analyze` (the `hanayo` binary in
+//! `hanayo-repro`) read their flags into [`TuneRequest`] and
+//! [`AnalyzeRequest`] and construct their JSON output through the
+//! builders in this module, and the served endpoints call the very same
+//! functions: a served response body is byte-identical to the
+//! corresponding CLI's `--compact` stdout by construction, not by
+//! parallel maintenance. `crates/repro/tests/cli_wire.rs` and a `cmp` in
+//! the CI smoke job hold the two paths equal.
 //!
 //! ## Wire conventions
 //!
@@ -167,7 +169,7 @@ pub struct PlanDoc {
 }
 
 /// Evaluate one plan — the single implementation behind the `plan`
-/// endpoint and the serve binary's one-shot client mode.
+/// endpoint.
 pub fn run_plan(req: &PlanRequest) -> Result<PlanDoc, RunError> {
     let model = model_for(&req.model)
         .map_err(RunError::BadRequest)?
@@ -192,7 +194,7 @@ pub fn run_plan(req: &PlanRequest) -> Result<PlanDoc, RunError> {
 // ---------------------------------------------------------------------
 
 /// `POST /v1/tune` and `POST /v1/jobs/tune` — run the auto-tuner sweep.
-/// Field-for-field the `sweep` binary's flags, so the two paths cannot
+/// Field-for-field `hanayo tune`'s flags, so the two paths cannot
 /// diverge.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TuneRequest {
@@ -337,8 +339,8 @@ pub struct InvalidRow {
     pub reason: String,
 }
 
-/// The document `tune` answers with — identical to the `sweep` binary's
-/// output (the binary builds it through [`build_sweep_table`] too).
+/// The document `tune` answers with — identical to `hanayo tune`'s
+/// output (the CLI builds it through [`build_sweep_table`] too).
 #[derive(Debug, Serialize)]
 pub struct SweepTable {
     /// Model name.
@@ -365,8 +367,8 @@ pub struct SweepTable {
     pub rejected_invalid_shape: Vec<InvalidRow>,
 }
 
-/// Render a [`Tuning`] into the wire/CLI document. Shared verbatim by the
-/// `sweep` binary and the `tune` endpoints.
+/// Render a [`Tuning`] into the wire/CLI document. Shared verbatim by
+/// `hanayo tune` and the `tune` endpoints.
 pub fn build_sweep_table(
     req: &TuneRequest,
     tuning: &Tuning,
@@ -506,7 +508,7 @@ pub struct SimulateDoc {
 }
 
 /// Simulate one schedule — the single implementation behind the
-/// `simulate` endpoint and the serve binary's one-shot client mode.
+/// `simulate` endpoint.
 pub fn run_simulate(req: &SimulateRequest) -> Result<SimulateDoc, RunError> {
     let model = model_for(&req.model).map_err(RunError::BadRequest)?;
     let cluster = cluster_for(&req.cluster, req.gpus).map_err(RunError::BadRequest)?;
@@ -558,8 +560,8 @@ pub struct AnalyzeRequest {
     pub recompute: Recompute,
 }
 
-/// The document `analyze` answers with — identical to the `analyze`
-/// binary's output (the binary builds it through [`run_analyze`] too).
+/// The document `analyze` answers with — identical to `hanayo
+/// analyze`'s output (the CLI builds it through [`run_analyze`] too).
 #[derive(Debug, Serialize, Deserialize)]
 pub struct AnalyzeDoc {
     /// Model name as accepted by `--model` (rebuilds the cost model).
@@ -581,8 +583,8 @@ pub struct AnalyzeDoc {
 }
 
 /// Rebuild the schedule, cost table and cluster a document describes —
-/// the report must be a pure function of these three. Used by the
-/// `analyze` binary's `--validate` mode.
+/// the report must be a pure function of these three. Used by `hanayo
+/// analyze --validate`.
 pub fn rebuild_analyze(doc: &AnalyzeDoc) -> Result<(Schedule, CostTable, ClusterSpec), String> {
     let model = model_for(&doc.model)?;
     let cluster = cluster_for(&doc.cluster, doc.gpus)?;
@@ -595,7 +597,7 @@ pub fn rebuild_analyze(doc: &AnalyzeDoc) -> Result<(Schedule, CostTable, Cluster
 }
 
 /// Statically analyze one schedule — the single implementation behind the
-/// `analyze` endpoint and the `analyze` binary.
+/// `analyze` endpoint and `hanayo analyze`.
 pub fn run_analyze(req: &AnalyzeRequest) -> Result<AnalyzeDoc, RunError> {
     let model = model_for(&req.model).map_err(RunError::BadRequest)?;
     let cluster = cluster_for(&req.cluster, req.gpus).map_err(RunError::BadRequest)?;

@@ -47,8 +47,8 @@ fn main() {
         );
     }
     println!("(For the full ranked table as JSON — including simulator-option");
-    println!(" ablations per candidate — run the sweep binary:");
-    println!("   cargo run --release -p hanayo-repro --bin sweep -- --cluster tacc)\n");
+    println!(" ablations per candidate — run `hanayo tune`:");
+    println!("   cargo run --release -p hanayo-repro -- tune --cluster tacc)\n");
 
     println!("=== Activation recomputation ablation (Hanayo W=2, P=8, B=16, TACC) ===\n");
     let cfg = PipelineConfig::new(8, 16, Scheme::Hanayo { waves: 2 }).expect("valid");
