@@ -5,7 +5,8 @@
 //! the total. Contributions are combined **in replica-rank order** once all
 //! have arrived, so the reduced value is bit-identical no matter which
 //! thread arrives first — the same determinism discipline as the
-//! per-micro-batch slots inside a worker.
+//! micro-batch-ordered gradient accumulator inside a worker, which moves
+//! its accumulator in and takes the reduced sum back.
 
 use hanayo_tensor::StageGrads;
 use parking_lot::{Condvar, Mutex};

@@ -1,10 +1,18 @@
 //! The action-list interpreter: one instance runs per device thread.
 //!
 //! A worker owns the local modules its device's stages map to, an
-//! activation stash per in-flight micro-batch, and one gradient slot per
-//! `(stage, micro-batch)`. The flush (`OptimizerStep`) reduces slots in
-//! micro-batch order — the key to bit-exact equivalence across schedules —
-//! optionally exchanges sums with data-parallel peers, and applies SGD.
+//! activation stash per in-flight micro-batch, and — for the whole call —
+//! one gradient accumulator per local stage plus each Linear's `Wᵀ`
+//! (weights are frozen between flushes, so one transpose serves every
+//! micro-batch). A backward adds its gradients straight into its stage's
+//! accumulator in micro-batch order, the key to bit-exact equivalence
+//! across schedules: the sum is `((0 + g₀) + g₁) + …` whatever the
+//! schedule. Every generated scheme visits a stage's backwards in that
+//! order; a hand-built or searched table that does not has its early
+//! gradients parked and added as soon as their turn comes. The flush
+//! (`OptimizerStep`) then only applies the accumulator — after an optional
+//! exchange with data-parallel peers — with SGD, and rebuilds the
+//! accumulator and `Wᵀ` in place for the next iteration.
 //!
 //! Invariant violations (a forward with no input, a backward with no
 //! gradient or stash — the signature of a corrupt schedule) do **not**
@@ -20,7 +28,7 @@ use hanayo_core::action::{Action, CommDir, MsgTag, Payload, Schedule};
 use hanayo_core::ids::{DeviceId, MicroBatch, StageId};
 use hanayo_model::Recompute;
 use hanayo_tensor::loss::{mse, softmax_cross_entropy};
-use hanayo_tensor::{Stage, StageGrads, StageStash, Tensor};
+use hanayo_tensor::{GradScratch, Stage, StageGrads, StageStash, Tensor, TransposedWeights};
 use hanayo_trace::{TraceEvent, TraceKind};
 use std::borrow::Cow;
 use std::collections::HashMap;
@@ -89,6 +97,66 @@ impl Stashed {
     }
 }
 
+/// What a worker keeps per local stage for a whole call: the gradient
+/// accumulator, the stage's `Wᵀ`, and the gradients of backwards that ran
+/// ahead of their turn.
+struct StageGradState {
+    acc: StageGrads,
+    wt: TransposedWeights,
+    /// The micro-batch whose gradient is added next.
+    next: usize,
+    /// Gradients of backwards that ran ahead of `next`, by micro-batch
+    /// (never filled by a generated scheme).
+    parked: Vec<Option<StageGrads>>,
+}
+
+impl StageGradState {
+    fn new(module: &Stage, micro_batches: usize) -> StageGradState {
+        StageGradState {
+            acc: module.zero_grads(),
+            wt: module.transposed_weights(),
+            next: 0,
+            parked: vec![None; micro_batches],
+        }
+    }
+
+    /// Run `mb`'s backward, keeping the accumulator's sum in micro-batch
+    /// order: the backward for `next` adds straight in (then drains any
+    /// parked successors); one further ahead is summed alone and parked.
+    /// `None` when `mb` has no place in this flush.
+    fn backward(
+        &mut self,
+        module: &Stage,
+        st: &StageStash,
+        dy: &Tensor,
+        mb: usize,
+        scratch: &mut GradScratch,
+    ) -> Option<Tensor> {
+        if mb == self.next && mb < self.parked.len() {
+            let dx = module.backward_into(st, dy, &self.wt, scratch, &mut self.acc);
+            self.next += 1;
+            while let Some(g) = self.parked.get_mut(self.next).and_then(Option::take) {
+                self.acc.accumulate(&g);
+                self.next += 1;
+            }
+            return Some(dx);
+        }
+        let slot = self.parked.get_mut(mb).filter(|s| mb > self.next && s.is_none())?;
+        let mut g = module.zero_grads();
+        let dx = module.backward_into(st, dy, &self.wt, scratch, &mut g);
+        *slot = Some(g);
+        Some(dx)
+    }
+
+    /// After the step: zero the accumulator and re-lay out `Wᵀ` from the
+    /// updated weights, both in place.
+    fn reset(&mut self, module: &Stage) {
+        self.acc.zero();
+        self.wt.refresh(module);
+        self.next = 0;
+    }
+}
+
 /// One iteration's worth of pipeline input.
 #[derive(Debug, Clone)]
 pub struct IterationData {
@@ -139,11 +207,22 @@ pub enum WorkerError {
         /// The absent message.
         tag: MsgTag,
     },
-    /// The flush found an unfilled micro-batch gradient slot.
+    /// The flush found a micro-batch whose gradient never arrived.
     MissingSlotGradient {
         /// Failing device.
         device: DeviceId,
-        /// Stage whose slot row is incomplete.
+        /// Stage whose accumulator is incomplete.
+        stage: StageId,
+    },
+    /// A backward's gradient has no place in its stage's flush: its
+    /// micro-batch was already accumulated (or parked), lies beyond the
+    /// iteration's micro-batches, or the previous iteration never flushed.
+    UnexpectedGradient {
+        /// Failing device.
+        device: DeviceId,
+        /// Micro-batch of the backward.
+        mb: MicroBatch,
+        /// Stage of the backward.
         stage: StageId,
     },
     /// Activation stashes survived the iteration (schedule never consumed
@@ -206,6 +285,7 @@ impl WorkerError {
             | WorkerError::MissingModule { device, .. }
             | WorkerError::MissingOutbound { device, .. }
             | WorkerError::MissingSlotGradient { device, .. }
+            | WorkerError::UnexpectedGradient { device, .. }
             | WorkerError::StashNotDrained { device, .. }
             | WorkerError::UnsentOutbound { device, .. }
             | WorkerError::Aborted { device }
@@ -241,6 +321,9 @@ impl fmt::Display for WorkerError {
             }
             WorkerError::MissingSlotGradient { device, stage } => {
                 write!(f, "{device}: {stage} missing a micro-batch gradient at the flush")
+            }
+            WorkerError::UnexpectedGradient { device, mb, stage } => {
+                write!(f, "{device}: backward of {mb} {stage} has no place in the flush")
             }
             WorkerError::StashNotDrained { device, remaining } => {
                 write!(f, "{device}: {remaining} activation stash(es) never consumed")
@@ -453,6 +536,14 @@ fn run_action_lists(
     let micro_batches = schedule.config.micro_batches;
     let actions = &schedule.lists[device.idx()].actions;
     let mut cur_stash = 0usize;
+    let mut stage_ids: Vec<u32> = cfg.modules.keys().copied().collect();
+    stage_ids.sort_unstable();
+    let mut grads: HashMap<u32, StageGradState> = cfg
+        .modules
+        .iter()
+        .map(|(&s, module)| (s, StageGradState::new(module, micro_batches as usize)))
+        .collect();
+    let mut scratch = GradScratch::default();
 
     // Span instrumentation: `tick()` reads the shared-origin clock only
     // when tracing (the untraced path never touches it); `span` records a
@@ -514,8 +605,6 @@ fn run_action_lists(
         let mut local: HashMap<MsgTag, Tensor> = HashMap::new();
         let mut outbound: HashMap<MsgTag, Tensor> = HashMap::new();
         let mut stash: HashMap<(u32, u32), Stashed> = HashMap::new();
-        let mut slots: HashMap<u32, Vec<Option<StageGrads>>> =
-            cfg.modules.keys().map(|&s| (s, vec![None; micro_batches as usize])).collect();
         let mut iter_loss = 0.0f32;
 
         for action in actions {
@@ -574,10 +663,9 @@ fn run_action_lists(
                         .remove(&(mb.0, stage.0))
                         .ok_or(WorkerError::MissingStash { device, mb: *mb, stage: *stage })?;
                     cur_stash -= entry.bytes();
-                    let module = cfg
-                        .modules
-                        .get(&stage.0)
-                        .ok_or(WorkerError::MissingModule { device, stage: *stage })?;
+                    let missing = WorkerError::MissingModule { device, stage: *stage };
+                    let module = cfg.modules.get(&stage.0).ok_or(missing.clone())?;
+                    let state = grads.get_mut(&stage.0).ok_or(missing)?;
                     let mut t_replay = None;
                     let st = match entry {
                         Stashed::Activations(st) => st,
@@ -592,11 +680,9 @@ fn run_action_lists(
                             st
                         }
                     };
-                    let (dx, grads) = module.backward(&st, &dy);
-                    slots
-                        .get_mut(&stage.0)
-                        .ok_or(WorkerError::MissingModule { device, stage: *stage })?[mb.idx()] =
-                        Some(grads);
+                    let dx = state.backward(module, &st, &dy, mb.idx(), &mut scratch).ok_or(
+                        WorkerError::UnexpectedGradient { device, mb: *mb, stage: *stage },
+                    )?;
                     if stage.0 > 0 {
                         let tag = MsgTag {
                             mb: *mb,
@@ -692,38 +778,28 @@ fn run_action_lists(
                     }
                 }
                 Action::OptimizerStep => {
-                    let mut stage_ids: Vec<u32> = cfg.modules.keys().copied().collect();
-                    stage_ids.sort_unstable();
-                    for s in stage_ids {
+                    for &s in &stage_ids {
                         stats.optim += 1;
-                        // The Optim spans cover only the local
-                        // reduce/step work; the blocking all-reduce
-                        // rendezvous is its own (comm-kind) span, so the
-                        // wait is never double-counted as busy compute.
+                        // The Optim spans cover only the local step work;
+                        // the blocking all-reduce rendezvous is its own
+                        // (comm-kind) span, so the wait is never
+                        // double-counted as busy compute.
                         let t0 = tick();
+                        let stage = StageId(s);
                         let module = cfg
                             .modules
                             .get_mut(&s)
-                            .ok_or(WorkerError::MissingModule { device, stage: StageId(s) })?;
-                        let mut total = module.zero_grads();
-                        let stage_slots =
-                            slots.get_mut(&s).ok_or(WorkerError::MissingSlotGradient {
-                                device,
-                                stage: StageId(s),
-                            })?;
-                        for slot in stage_slots {
-                            let g = slot.take().ok_or(WorkerError::MissingSlotGradient {
-                                device,
-                                stage: StageId(s),
-                            })?;
-                            total.accumulate(&g);
-                        }
+                            .ok_or(WorkerError::MissingModule { device, stage })?;
+                        let state = grads
+                            .get_mut(&s)
+                            .filter(|st| st.next == micro_batches as usize)
+                            .ok_or(WorkerError::MissingSlotGradient { device, stage })?;
                         let t1 = if let Some((rank, hub)) = cfg.dp {
                             stats.allreduce += 1;
                             let a0 = tick();
                             span(events, TraceKind::Optim, None, Some(s), t0, a0);
-                            total = hub
-                                .try_allreduce(iter, s, rank, total)
+                            state.acc = hub
+                                .try_allreduce(iter, s, rank, std::mem::take(&mut state.acc))
                                 .ok_or(WorkerError::Aborted { device })?;
                             let a1 = tick();
                             span(events, TraceKind::Allreduce, None, Some(s), a0, a1);
@@ -731,7 +807,8 @@ fn run_action_lists(
                         } else {
                             t0
                         };
-                        module.sgd_step(&total, cfg.lr);
+                        module.sgd_step(&state.acc, cfg.lr);
+                        state.reset(module);
                         span(events, TraceKind::Optim, None, Some(s), t1, tick());
                     }
                 }
@@ -820,6 +897,38 @@ mod tests {
         let (l2, _) =
             apply_loss(&LossKind::CrossEntropy { labels: vec![vec![0]] }, &y, &data, MicroBatch(0));
         assert!(l2 > 0.0);
+    }
+
+    #[test]
+    fn gradients_add_in_micro_batch_order_whatever_the_arrival_order() {
+        use hanayo_tensor::rng::{seeded, uniform};
+        let stage = Stage::mlp(&mut seeded(3), 6, 1);
+        let dy = uniform(&mut seeded(20), 2, 6, 0.5);
+        let stashes: Vec<StageStash> =
+            (0..3).map(|i| stage.forward(&uniform(&mut seeded(10 + i), 2, 6, 0.5)).1).collect();
+        let mut want = stage.zero_grads();
+        for st in &stashes {
+            want.accumulate(&stage.backward(st, &dy).1);
+        }
+        let bits = |g: &StageGrads| g.flat().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+
+        let mut state = StageGradState::new(&stage, 3);
+        let mut scratch = GradScratch::default();
+        let mut run = |state: &mut StageGradState, mb: usize| {
+            state.backward(&stage, &stashes[mb % 3], &dy, mb, &mut scratch).is_some()
+        };
+        assert!(run(&mut state, 2), "ahead of its turn: parked");
+        assert!(!run(&mut state, 2), "parked twice");
+        assert!(run(&mut state, 0));
+        assert!(run(&mut state, 1), "drains the parked micro-batch 2");
+        assert_eq!(state.next, 3);
+        assert_eq!(bits(&state.acc), bits(&want));
+        assert!(!run(&mut state, 0), "already accumulated");
+        assert!(!run(&mut state, 3), "beyond the iteration");
+
+        state.reset(&stage);
+        assert_eq!(state.next, 0);
+        assert!(state.acc.flat().iter().all(|v| v.to_bits() == 0));
     }
 
     #[test]

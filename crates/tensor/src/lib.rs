@@ -10,7 +10,10 @@
 //! * **Functional layers** — [`stage::Stage::forward`] returns an explicit
 //!   stash and [`stage::Stage::backward`] consumes it. Pipeline engines own
 //!   the stash lifetime (that is the whole memory story of the paper), so
-//!   the math layer must not hide it.
+//!   the math layer must not hide it. [`stage::Stage::backward_into`] adds
+//!   the parameter gradients straight into a caller-owned accumulator, so
+//!   an engine holds one gradient buffer per stage, not one per
+//!   micro-batch.
 //! * **Determinism** — seeded init ([`rng`]), row-parallel matmul with
 //!   fixed per-element reduction order, the crate's own [`ops::exp`]
 //!   instead of the host libm's, and gradient containers that support
@@ -29,5 +32,5 @@ pub mod rng;
 pub mod stage;
 pub mod tensor;
 
-pub use stage::{Block, Stage, StageGrads, StageStash};
-pub use tensor::Tensor;
+pub use stage::{Block, GradScratch, Stage, StageGrads, StageStash, TransposedWeights};
+pub use tensor::{Tensor, Transposed};

@@ -182,10 +182,9 @@ pub fn relu_backward(x: &Tensor, dy: &Tensor) -> Tensor {
 
 /// Row-wise layer normalisation (no affine parameters; the affine part
 /// lives in [`crate::stage::Block::LayerNorm`]'s gain/bias).
-/// Returns `(normalised, per-row mean, per-row inverse std)`.
-pub fn layernorm(x: &Tensor, eps: f32) -> (Tensor, Vec<f32>, Vec<f32>) {
+/// Returns `(normalised, per-row inverse std)`, what the backward needs.
+pub fn layernorm(x: &Tensor, eps: f32) -> (Tensor, Vec<f32>) {
     let mut out = x.clone();
-    let mut means = Vec::with_capacity(x.rows);
     let mut inv_stds = Vec::with_capacity(x.rows);
     let n = x.cols as f32;
     // Row-wise slice walk; arithmetic and order match the seed's indexed
@@ -197,10 +196,9 @@ pub fn layernorm(x: &Tensor, eps: f32) -> (Tensor, Vec<f32>, Vec<f32>) {
         for (o, &v) in out_row.iter_mut().zip(row) {
             *o = (v - mean) * inv_std;
         }
-        means.push(mean);
         inv_stds.push(inv_std);
     }
-    (out, means, inv_stds)
+    (out, inv_stds)
 }
 
 /// Backward of row-wise layernorm. `xhat` is the normalised output,
@@ -400,7 +398,7 @@ mod tests {
     #[test]
     fn layernorm_zero_mean_unit_var() {
         let x = Tensor::from_vec(2, 4, vec![1., 2., 3., 4., -1., 0., 1., 2.]);
-        let (y, _, _) = layernorm(&x, 1e-5);
+        let (y, _) = layernorm(&x, 1e-5);
         for r in 0..2 {
             let mean: f32 = y.row(r).iter().sum::<f32>() / 4.0;
             let var: f32 = y.row(r).iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / 4.0;
@@ -531,12 +529,12 @@ mod tests {
     fn layernorm_gradient_finite_difference() {
         let x = Tensor::from_vec(1, 4, vec![0.5, -1.0, 2.0, 0.1]);
         let dy = Tensor::from_vec(1, 4, vec![0.3, -0.2, 0.5, 1.0]);
-        let (xhat, _, inv_std) = layernorm(&x, 1e-5);
+        let (xhat, inv_std) = layernorm(&x, 1e-5);
         let analytic = layernorm_backward(&xhat, &inv_std, &dy);
         let eps = 1e-3f32;
         // Scalar objective: sum(dy * layernorm(x)).
         let obj = |xx: &Tensor| -> f32 {
-            let (y, _, _) = layernorm(xx, 1e-5);
+            let (y, _) = layernorm(xx, 1e-5);
             y.data.iter().zip(&dy.data).map(|(a, b)| a * b).sum()
         };
         for i in 0..4 {

@@ -4,12 +4,12 @@
 //! device executes when its action list says `Forward(mb, stage)`. Forward
 //! returns an explicit [`StageStash`] that the engine keeps until the
 //! matching backward; backward returns the input gradient (to send
-//! upstream) and a [`StageGrads`] container that supports deterministic,
-//! order-controlled accumulation across micro-batches.
+//! upstream) and adds the parameter gradients into a [`StageGrads`]
+//! accumulator, in whatever micro-batch order the caller controls.
 
 use crate::ops;
 use crate::rng;
-use crate::tensor::Tensor;
+use crate::tensor::{Tensor, Transposed};
 use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
 
@@ -93,10 +93,17 @@ pub enum BlockGrads {
 }
 
 /// Parameter gradients of a whole stage; supports exact accumulation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct StageGrads {
     /// One entry per block, aligned with the stage's block list.
     pub per_block: Vec<BlockGrads>,
+}
+
+/// `acc += v`, element-wise.
+fn add_to(acc: &mut [f32], v: &[f32]) {
+    for (x, y) in acc.iter_mut().zip(v) {
+        *x += y;
+    }
 }
 
 impl StageGrads {
@@ -107,23 +114,35 @@ impl StageGrads {
             match (a, b) {
                 (BlockGrads::Linear { dw, db }, BlockGrads::Linear { dw: dw2, db: db2 }) => {
                     dw.add_assign(dw2);
-                    for (x, y) in db.iter_mut().zip(db2) {
-                        *x += y;
-                    }
+                    add_to(db, db2);
                 }
                 (
                     BlockGrads::LayerNorm { dgain, dbias },
                     BlockGrads::LayerNorm { dgain: g2, dbias: b2 },
                 ) => {
-                    for (x, y) in dgain.iter_mut().zip(g2) {
-                        *x += y;
-                    }
-                    for (x, y) in dbias.iter_mut().zip(b2) {
-                        *x += y;
-                    }
+                    add_to(dgain, g2);
+                    add_to(dbias, b2);
                 }
                 (BlockGrads::None, BlockGrads::None) => {}
                 _ => panic!("gradient shape mismatch"),
+            }
+        }
+    }
+
+    /// Reset every gradient to `+0.0` in place, ready for the next round
+    /// of accumulation.
+    pub fn zero(&mut self) {
+        for g in &mut self.per_block {
+            match g {
+                BlockGrads::Linear { dw, db } => {
+                    dw.data.fill(0.0);
+                    db.fill(0.0);
+                }
+                BlockGrads::LayerNorm { dgain, dbias } => {
+                    dgain.fill(0.0);
+                    dbias.fill(0.0);
+                }
+                BlockGrads::None => {}
             }
         }
     }
@@ -169,6 +188,37 @@ impl StageGrads {
         }
         out
     }
+}
+
+/// Each Linear block's `Wᵀ`, aligned with the stage's block list: the
+/// laid-out operand of the backward's `dy × Wᵀ` product. Weights change
+/// only at an optimizer step, so one build ([`Stage::transposed_weights`])
+/// serves every micro-batch until [`TransposedWeights::refresh`] after the
+/// step. It lives beside the stage, not in a [`Block`], so the stage's
+/// serde and equality surface stays the weights alone.
+#[derive(Debug, Clone)]
+pub struct TransposedWeights {
+    per_block: Vec<Option<Transposed>>,
+}
+
+impl TransposedWeights {
+    /// Re-lay out every `Wᵀ` from `stage`'s current weights, in place.
+    pub fn refresh(&mut self, stage: &Stage) {
+        for (block, wt) in stage.blocks.iter().zip(&mut self.per_block) {
+            if let (Block::Linear { w, .. }, Some(wt)) = (block, wt) {
+                wt.refresh(w);
+            }
+        }
+    }
+}
+
+/// Reused buffers for [`Stage::backward_into`]: one micro-batch's `dW`
+/// and one per-feature sum, overwritten block by block. One per thread
+/// serves any number of stages.
+#[derive(Debug, Clone, Default)]
+pub struct GradScratch {
+    dw: Tensor,
+    sums: Vec<f32>,
 }
 
 /// A sequential stack of blocks — one pipeline stage's local module.
@@ -265,7 +315,7 @@ impl Stage {
                     per_block.push(BlockStash::Input(std::mem::replace(&mut cur, y)));
                 }
                 Block::LayerNorm { gain, bias, eps } => {
-                    let (xhat, _means, inv_std) = ops::layernorm(&cur, *eps);
+                    let (xhat, inv_std) = ops::layernorm(&cur, *eps);
                     let mut y = xhat.clone();
                     for row in y.data.chunks_mut(y.cols) {
                         for ((v, &g), &bv) in row.iter_mut().zip(gain).zip(bias) {
@@ -280,7 +330,27 @@ impl Stage {
         (cur, StageStash { per_block })
     }
 
-    /// Backward pass; returns `(dL/dx, parameter gradients)`.
+    /// Backward pass; returns `(dL/dx, parameter gradients)`. A one-shot
+    /// wrapper over [`Stage::backward_into`] with a fresh accumulator,
+    /// scratch and `Wᵀ`; the gradients are the per-micro-batch values to
+    /// the bit (`+0.0 + g == g` for every `g` a backward produces, since
+    /// none of its sums can yield `-0.0`).
+    pub fn backward(&self, stash: &StageStash, dy: &Tensor) -> (Tensor, StageGrads) {
+        let mut grads = self.zero_grads();
+        let wt = self.transposed_weights();
+        let dx = self.backward_into(stash, dy, &wt, &mut GradScratch::default(), &mut grads);
+        (dx, grads)
+    }
+
+    /// Backward pass that adds this micro-batch's parameter gradients into
+    /// `acc` and returns `dL/dx`.
+    ///
+    /// Each gradient is first summed on its own in `scratch` (from `+0.0`,
+    /// exactly as a standalone backward would) and then added to `acc`, so
+    /// calling this for micro-batches `0, 1, …` in turn yields the bits of
+    /// `((0 + g₀) + g₁) + …` — the flush's reduction order — with no
+    /// per-micro-batch gradient container. `wt` must hold this stage's
+    /// current weights ([`Stage::transposed_weights`]).
     ///
     /// Linear blocks route through the fused transposed kernels
     /// ([`Tensor::matmul_at_b`] / [`Tensor::matmul_a_bt`]) instead of
@@ -288,36 +358,59 @@ impl Stage {
     /// bitwise identical to the transpose-then-matmul seed path (the
     /// kernel tests pin them against [`Tensor::matmul_reference`] on this
     /// stage's shapes), so gradients are unchanged to the bit.
-    pub fn backward(&self, stash: &StageStash, dy: &Tensor) -> (Tensor, StageGrads) {
+    pub fn backward_into(
+        &self,
+        stash: &StageStash,
+        dy: &Tensor,
+        wt: &TransposedWeights,
+        scratch: &mut GradScratch,
+        acc: &mut StageGrads,
+    ) -> Tensor {
         assert_eq!(stash.per_block.len(), self.blocks.len(), "stash mismatch");
+        assert_eq!(wt.per_block.len(), self.blocks.len(), "transposed weights mismatch");
+        assert_eq!(acc.per_block.len(), self.blocks.len(), "gradient mismatch");
         let mut grad = dy.clone();
-        let mut per_block: Vec<BlockGrads> = vec![BlockGrads::None; self.blocks.len()];
         for (i, block) in self.blocks.iter().enumerate().rev() {
-            match (block, &stash.per_block[i]) {
-                (Block::Linear { w, .. }, BlockStash::Input(x)) => {
-                    let dw = x.matmul_at_b(&grad);
-                    let db = grad.col_sum();
-                    grad = grad.matmul_a_bt(w);
-                    per_block[i] = BlockGrads::Linear { dw, db };
+            match (block, &stash.per_block[i], &wt.per_block[i], &mut acc.per_block[i]) {
+                (
+                    Block::Linear { .. },
+                    BlockStash::Input(x),
+                    Some(wt),
+                    BlockGrads::Linear { dw, db },
+                ) => {
+                    x.matmul_at_b(&grad, &mut scratch.dw);
+                    dw.add_assign(&scratch.dw);
+                    grad.col_sum_into(&mut scratch.sums);
+                    add_to(db, &scratch.sums);
+                    grad = grad.matmul_a_bt(wt);
                 }
-                (Block::Gelu, BlockStash::Input(x)) => {
+                (Block::Gelu, BlockStash::Input(x), _, _) => {
                     grad = ops::gelu_backward(x, &grad);
                 }
-                (Block::Relu, BlockStash::Input(x)) => {
+                (Block::Relu, BlockStash::Input(x), _, _) => {
                     grad = ops::relu_backward(x, &grad);
                 }
-                (Block::LayerNorm { gain, .. }, BlockStash::Norm { xhat, inv_std }) => {
-                    // d/dgain, d/dbias, then chain through the normalisation.
+                (
+                    Block::LayerNorm { gain, .. },
+                    BlockStash::Norm { xhat, inv_std },
+                    _,
+                    BlockGrads::LayerNorm { dgain, dbias },
+                ) => {
+                    // d/dbias, d/dgain, then chain through the normalisation.
                     // Row-wise slice walks; same (row outer, column inner)
                     // order and arithmetic as the seed's indexed loops.
-                    let mut dgain = vec![0.0f32; gain.len()];
-                    let dbias = grad.col_sum();
+                    grad.col_sum_into(&mut scratch.sums);
+                    add_to(dbias, &scratch.sums);
+                    let sums = &mut scratch.sums;
+                    sums.clear();
+                    sums.resize(gain.len(), 0.0);
                     for (grow, xrow) in grad.data.chunks(grad.cols).zip(xhat.data.chunks(xhat.cols))
                     {
-                        for ((d, &g), &xh) in dgain.iter_mut().zip(grow).zip(xrow) {
+                        for ((d, &g), &xh) in sums.iter_mut().zip(grow).zip(xrow) {
                             *d += g * xh;
                         }
                     }
+                    add_to(dgain, sums);
                     let mut dxhat = grad.clone();
                     for row in dxhat.data.chunks_mut(dxhat.cols) {
                         for (v, &g) in row.iter_mut().zip(gain) {
@@ -325,12 +418,24 @@ impl Stage {
                         }
                     }
                     grad = ops::layernorm_backward(xhat, inv_std, &dxhat);
-                    per_block[i] = BlockGrads::LayerNorm { dgain, dbias };
                 }
-                _ => panic!("block/stash kind mismatch at {i}"),
+                _ => panic!("block/stash/gradient kind mismatch at {i}"),
             }
         }
-        (grad, StageGrads { per_block })
+        grad
+    }
+
+    /// Every Linear block's `Wᵀ`, laid out for [`Stage::backward_into`].
+    pub fn transposed_weights(&self) -> TransposedWeights {
+        let per_block = self
+            .blocks
+            .iter()
+            .map(|b| match b {
+                Block::Linear { w, .. } => Some(Transposed::of(w)),
+                _ => None,
+            })
+            .collect();
+        TransposedWeights { per_block }
     }
 
     /// Zero-initialised gradient container matching this stage's shapes.

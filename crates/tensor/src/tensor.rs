@@ -19,7 +19,10 @@ use std::fmt;
 /// widens losslessly to `f64`, the JSON writer renders the shortest
 /// round-trip form, and narrowing back recovers the original bits — the
 /// property the checkpoint format (`hanayo-ckpt`) is built on.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// The default is the empty `0×0` tensor, the starting point of a reused
+/// output buffer.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct Tensor {
     /// Number of rows.
     pub rows: usize,
@@ -211,11 +214,43 @@ fn gemm_into(a: Lhs, b: &[f32], n: usize, out: &mut [f32], pooled: bool) {
 
 /// `[m,k] × [k,n]`; a product with no output or no terms is all zeros.
 fn gemm(a: Lhs, b: &[f32], m: usize, k: usize, n: usize) -> Tensor {
-    let mut out = vec![0.0f32; m * n];
-    if !out.is_empty() && k > 0 {
-        gemm_into(a, b, n, &mut out, matmul_parallelizes(m, k, n));
+    let mut out = Tensor::zeros(m, n);
+    gemm_over(a, b, k, &mut out);
+    out
+}
+
+/// Overwrite every element of `out` (already shaped `[m,n]`) with the
+/// `k`-term product; no terms means all zeros.
+fn gemm_over(a: Lhs, b: &[f32], k: usize, out: &mut Tensor) {
+    let (m, n) = (out.rows, out.cols);
+    if out.data.is_empty() {
+        return;
     }
-    Tensor { rows: m, cols: n, data: out }
+    if k == 0 {
+        out.data.fill(0.0);
+        return;
+    }
+    gemm_into(a, b, n, &mut out.data, matmul_parallelizes(m, k, n));
+}
+
+/// A right operand stored transposed for [`Tensor::matmul_a_bt`]:
+/// `Transposed::of(b)` holds `bᵀ` row-major, the layout the micro-kernel
+/// streams. Build it once per version of `b` and [`Transposed::refresh`]
+/// it in place when `b` changes, instead of transposing per product.
+#[derive(Debug, Clone)]
+pub struct Transposed(Tensor);
+
+impl Transposed {
+    /// `bᵀ`, laid out.
+    pub fn of(b: &Tensor) -> Transposed {
+        Transposed(b.transpose())
+    }
+
+    /// Re-lay out `bᵀ` into the existing buffer (no allocation when the
+    /// shape is unchanged).
+    pub fn refresh(&mut self, b: &Tensor) {
+        b.transpose_into(&mut self.0);
+    }
 }
 
 impl Tensor {
@@ -296,43 +331,54 @@ impl Tensor {
         Tensor { rows: m, cols: n, data: out }
     }
 
-    /// Fused `selfᵀ × other` (`[m,ka]ᵀ × [m,n] → [ka,n]`) without
-    /// materializing the transpose: the same micro-kernel as
-    /// [`Tensor::matmul`], reading `self` down its columns. Bitwise
+    /// Fused `selfᵀ × other` (`[m,ka]ᵀ × [m,n] → [ka,n]`) written into
+    /// `out`, without materializing the transpose: the same micro-kernel
+    /// as [`Tensor::matmul`], reading `self` down its columns. `out` is
+    /// reshaped to `[ka,n]` (reusing its buffer when large enough) and
+    /// every element overwritten, so a dirty buffer is fine. Bitwise
     /// identical to `self.transpose().matmul(other)`: per output element
     /// the reduction runs over rows `i` strictly ascending, exactly like
     /// the reference.
-    pub fn matmul_at_b(&self, other: &Tensor) -> Tensor {
+    pub fn matmul_at_b(&self, other: &Tensor, out: &mut Tensor) {
         assert_eq!(self.rows, other.rows, "matmul_at_b shape mismatch");
         hanayo_metrics::count!("hanayo_gemm_dispatch_total", &[("kernel", "at_b")], 1);
         let (m, ka, n) = (self.rows, self.cols, other.cols);
-        gemm(Lhs { data: &self.data, row_stride: 1, p_stride: ka }, &other.data, ka, m, n)
+        out.reshape(ka, n);
+        gemm_over(Lhs { data: &self.data, row_stride: 1, p_stride: ka }, &other.data, m, out);
     }
 
-    /// `self × otherᵀ` (`[m,k] × [n,k]ᵀ → [m,n]`), bitwise identical to
-    /// `self.matmul(&other.transpose())`.
+    /// `self × bᵀ` (`[m,k] × [n,k]ᵀ → [m,n]`) given `bt = Transposed::of(b)`,
+    /// bitwise identical to `self.matmul(&b.transpose())`.
     ///
     /// The micro-kernel streams `NR`-wide row segments of its right
-    /// operand, which `otherᵀ` only has once laid out: this entry
-    /// transposes `other` once (blocked, [`Tensor::transpose`]) and runs
-    /// the same kernel as [`Tensor::matmul`] — one transpose per product
-    /// instead of one per caller.
-    pub fn matmul_a_bt(&self, other: &Tensor) -> Tensor {
-        assert_eq!(self.cols, other.cols, "matmul_a_bt shape mismatch");
+    /// operand, which `bᵀ` only has once laid out. Taking the laid-out
+    /// operand lets a caller whose `b` is fixed across many products (a
+    /// weight between optimizer steps) transpose it once, not per product.
+    pub fn matmul_a_bt(&self, bt: &Transposed) -> Tensor {
+        let bt = &bt.0;
+        assert_eq!(self.cols, bt.rows, "matmul_a_bt shape mismatch");
         hanayo_metrics::count!("hanayo_gemm_dispatch_total", &[("kernel", "a_bt")], 1);
-        let (m, k, n) = (self.rows, self.cols, other.rows);
-        let bt = other.transpose();
+        let (m, k, n) = (self.rows, self.cols, bt.cols);
         gemm(Lhs { data: &self.data, row_stride: k, p_stride: 1 }, &bt.data, m, k, n)
     }
 
-    /// Transposed copy, moved in `8×8` blocks: eight contiguous row
-    /// segments in, eight contiguous column segments out, so neither side
-    /// is walked one element per cache line. Edges go element-wise.
+    /// Transposed copy; see [`Tensor::transpose_into`].
     pub fn transpose(&self) -> Tensor {
+        let mut out = Tensor::zeros(self.cols, self.rows);
+        self.transpose_into(&mut out);
+        out
+    }
+
+    /// Write `selfᵀ` into `out`, reshaped to `[cols, rows]` (reusing its
+    /// buffer when large enough) and every element overwritten. Moved in
+    /// `8×8` blocks: eight contiguous row segments in, eight contiguous
+    /// column segments out, so neither side is walked one element per
+    /// cache line. Edges go element-wise.
+    pub fn transpose_into(&self, out: &mut Tensor) {
         const T: usize = 8;
         let (rows, cols) = (self.rows, self.cols);
         let (block_rows, block_cols) = (rows - rows % T, cols - cols % T);
-        let mut out = Tensor::zeros(cols, rows);
+        out.reshape(cols, rows);
         for r0 in (0..block_rows).step_by(T) {
             for c0 in (0..block_cols).step_by(T) {
                 let mut block = [[0.0f32; T]; T];
@@ -353,7 +399,15 @@ impl Tensor {
                 out.data[c * rows + r] = self.data[r * cols + c];
             }
         }
-        out
+    }
+
+    /// Set the shape to `[rows, cols]` for a write-into kernel that
+    /// overwrites every element; the buffer only grows, so a reused output
+    /// reallocates at most once.
+    fn reshape(&mut self, rows: usize, cols: usize) {
+        self.rows = rows;
+        self.cols = cols;
+        self.data.resize(rows * cols, 0.0);
     }
 
     /// Elementwise `self += other`.
@@ -379,15 +433,16 @@ impl Tensor {
         }
     }
 
-    /// Sum of column `c` over all rows (used for bias gradients).
-    pub fn col_sum(&self) -> Vec<f32> {
-        let mut out = vec![0.0f32; self.cols];
+    /// Column sums over all rows (used for bias gradients), written into a
+    /// reused buffer whose contents they replace.
+    pub fn col_sum_into(&self, out: &mut Vec<f32>) {
+        out.clear();
+        out.resize(self.cols, 0.0);
         for r in 0..self.rows {
             for (o, v) in out.iter_mut().zip(self.row(r)) {
                 *o += v;
             }
         }
-        out
     }
 
     /// Max absolute difference to another tensor.
@@ -537,8 +592,11 @@ mod tests {
         for &(m, k, n) in &[(0, 3, 4), (2, 0, 4), (2, 3, 0), (0, 0, 0), (0, 3, 0), (2, 0, 0)] {
             let want = Tensor::zeros(m, n);
             assert_eq!(Tensor::zeros(m, k).matmul(&Tensor::zeros(k, n)), want, "matmul");
-            assert_eq!(Tensor::zeros(k, m).matmul_at_b(&Tensor::zeros(k, n)), want, "matmul_at_b");
-            assert_eq!(Tensor::zeros(m, k).matmul_a_bt(&Tensor::zeros(n, k)), want, "matmul_a_bt");
+            let mut at_b = Tensor::from_vec(1, 1, vec![f32::NAN]);
+            Tensor::zeros(k, m).matmul_at_b(&Tensor::zeros(k, n), &mut at_b);
+            assert_eq!(at_b, want, "matmul_at_b");
+            let bt = Transposed::of(&Tensor::zeros(n, k));
+            assert_eq!(Tensor::zeros(m, k).matmul_a_bt(&bt), want, "matmul_a_bt");
         }
     }
 
@@ -552,9 +610,12 @@ mod tests {
         {
             let a = dense(m, k, 11 + m as u64);
             let b = dense(m, n, 17 + n as u64);
-            assert_bits_eq(&a.matmul_at_b(&b), &a.transpose().matmul_reference(&b), "matmul_at_b");
+            let mut at_b = Tensor::default();
+            a.matmul_at_b(&b, &mut at_b);
+            assert_bits_eq(&at_b, &a.transpose().matmul_reference(&b), "matmul_at_b");
             let c = dense(n, k, 23 + k as u64);
-            assert_bits_eq(&a.matmul_a_bt(&c), &a.matmul_reference(&c.transpose()), "matmul_a_bt");
+            let a_bt = a.matmul_a_bt(&Transposed::of(&c));
+            assert_bits_eq(&a_bt, &a.matmul_reference(&c.transpose()), "matmul_a_bt");
         }
     }
 
@@ -595,7 +656,9 @@ mod tests {
     #[test]
     fn col_sum_sums_rows() {
         let a = Tensor::from_vec(2, 2, vec![1., 2., 3., 4.]);
-        assert_eq!(a.col_sum(), vec![4., 6.]);
+        let mut sums = vec![f32::NAN; 5];
+        a.col_sum_into(&mut sums);
+        assert_eq!(sums, vec![4., 6.]);
     }
 
     #[test]

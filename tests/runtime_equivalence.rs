@@ -2,8 +2,12 @@
 //! threaded runtime, reproduces sequential training bit for bit — across
 //! schemes, shapes, losses and data-parallel replication.
 
+use hanayo::core::action::{Action, Schedule};
+use hanayo::core::comm::lower;
 use hanayo::core::config::{PipelineConfig, Scheme};
-use hanayo::core::schedule::build_schedule;
+use hanayo::core::ids::{MicroBatch, StageId};
+use hanayo::core::schedule::table::{check_table, ScheduleTable, Slot};
+use hanayo::core::schedule::{build_compute_schedule, build_schedule};
 use hanayo::model::builders::MicroModel;
 use hanayo::runtime::mailbox::{spin_budget, SPIN_BUDGET};
 use hanayo::runtime::trainer::{
@@ -89,6 +93,97 @@ fn seven_schemes_match_sequential_at_p4() {
     for scheme in SEVEN_SCHEMES {
         run_case(4, 4, scheme, 2);
     }
+}
+
+/// Each device's `Backward` micro-batches for `stage`, in list order.
+fn backward_order(schedule: &Schedule, device: usize, stage: u32) -> Vec<u32> {
+    let actions = &schedule.lists[device].actions;
+    actions
+        .iter()
+        .filter_map(|a| match a {
+            Action::Backward { mb, stage: s } if s.0 == stage => Some(mb.0),
+            _ => None,
+        })
+        .collect()
+}
+
+// The worker adds a backward's gradient straight into its stage's
+// accumulator only when it is the stage's next micro-batch; anything else
+// is parked. Every generated scheme takes the direct path.
+#[test]
+fn generated_schemes_run_each_stages_backwards_in_micro_batch_order() {
+    for scheme in SEVEN_SCHEMES {
+        for p in [2, 4, 8] {
+            for b in [p, 2 * p] {
+                let schedule = build_schedule(&PipelineConfig::new(p, b, scheme).unwrap()).unwrap();
+                for stage in 0..schedule.stage_map.stages {
+                    let device = schedule.stage_map.device_of(MicroBatch(0), StageId(stage));
+                    assert_eq!(
+                        backward_order(&schedule, device.idx(), stage),
+                        (0..b).collect::<Vec<_>>(),
+                        "{scheme} P={p} B={b}: stage {stage} on {device}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// DAPPLE at `P = 2`, `B = 4`, hand-edited so device 0 runs stage 0's
+/// backwards last-first in columns appended after the rest: a table
+/// `check_table` accepts that no generator produces.
+fn descending_stage0_backwards() -> Schedule {
+    let b = 4;
+    let cs = build_compute_schedule(&PipelineConfig::new(2, b, Scheme::Dapple).unwrap()).unwrap();
+    let mut table = ScheduleTable::from_compute(&cs);
+    let device = cs.stage_map.device_of(MicroBatch(0), StageId(0)).idx();
+    let width = table.width();
+    for row in &mut table.rows {
+        row.resize(width + b as usize, Slot::Idle);
+    }
+    for slot in &mut table.rows[device][..width] {
+        if matches!(slot, Slot::Bwd { stage: StageId(0), .. }) {
+            *slot = Slot::Idle;
+        }
+    }
+    for (column, mb) in (width..).zip((0..b).rev()) {
+        table.rows[device][column] = Slot::Bwd { mb: MicroBatch(mb), stage: StageId(0) };
+    }
+    check_table(&table).unwrap();
+    let schedule = lower(&table.to_compute());
+    assert_eq!(backward_order(&schedule, device, 0), vec![3, 2, 1, 0]);
+    schedule
+}
+
+// Out-of-order backwards are parked and added in micro-batch order, so the
+// bits do not move: checked under both stash policies, and with two
+// replicas training on the same shard, whose all-reduce sums every
+// gradient with itself (exactly 2g) and so equals a sequential run at
+// twice the learning rate.
+#[test]
+fn descending_backwards_on_a_hand_built_table_match_sequential() {
+    let schedule = descending_stage0_backwards();
+    let s = schedule.stage_map.stages;
+    let model = MicroModel { width: 10, total_blocks: s as usize, seed: 41 };
+    let data = synthetic_data(6, 2, 4, 3, 10);
+    let bits = |stages: &[hanayo::tensor::Stage]| -> Vec<u32> {
+        stages.iter().flat_map(|st| st.flat_params()).map(f32::to_bits).collect()
+    };
+    for recompute in Recompute::ALL {
+        let trainer = TrainerConfig {
+            recompute,
+            ..TrainerConfig::new(schedule.clone(), model.build_stages(s), 0.03, LossKind::Mse)
+        };
+        let out = train(&trainer, &data);
+        let seq = sequential_reference(&trainer.stages, &data, trainer.lr, &trainer.loss);
+        assert_eq!(bits(&out.stages), bits(&seq.stages), "{recompute}: weights diverged");
+        assert_eq!(out.losses, seq.losses, "{recompute}: losses diverged");
+    }
+    let trainer = TrainerConfig::new(schedule, model.build_stages(s), 0.03, LossKind::Mse);
+    let out = train_data_parallel(&trainer, &[data.clone(), data.clone()]);
+    let seq = sequential_reference(&trainer.stages, &data, 2.0 * trainer.lr, &trainer.loss);
+    assert_eq!(bits(&out.stages), bits(&seq.stages), "dp = 2: weights diverged");
+    assert_eq!(out.losses, seq.losses, "dp = 2: losses diverged");
 }
 
 #[test]
