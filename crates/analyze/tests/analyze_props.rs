@@ -19,7 +19,7 @@ use hanayo_core::schedule::search::{apply_move, sample_legal_moves};
 use hanayo_core::schedule::table::{check_table, ScheduleTable, Slot, TableError, TableLimits};
 use hanayo_core::schedule::{build_compute_schedule, build_schedule};
 use hanayo_model::{CostTable, ModelConfig, Recompute};
-use hanayo_sim::{try_simulate, SimError, SimOptions};
+use hanayo_sim::{try_simulate_traced, SimError, SimOptions};
 use proptest::prelude::*;
 
 fn any_scheme() -> impl Strategy<Value = Scheme> {
@@ -75,13 +75,13 @@ proptest! {
         prop_assert!(report.is_ok(), "legal table rejected: {:?}", report);
 
         let schedule = comm::lower(&table.to_compute());
-        let sim = try_simulate(&schedule, &cost, &cluster, SimOptions::default());
+        let sim = try_simulate_traced(&schedule, &cost, &cluster, SimOptions::default());
         prop_assert!(
             !matches!(sim, Err(SimError::Deadlock { .. })),
             "analyzer accepted a deadlocking table"
         );
         // And the bounds the report carries hold against the execution.
-        let (report, sim) = (report.unwrap(), sim.unwrap());
+        let (report, (sim, _)) = (report.unwrap(), sim.unwrap());
         prop_assert_eq!(&report.peak_mem, &sim.peak_mem);
         prop_assert!(report.critical_path_s <= sim.iteration_time * (1.0 + 1e-9));
     }
@@ -162,7 +162,7 @@ proptest! {
 
         let schedule = comm::lower(&table.to_compute());
         let static_verdict = check_deadlock_free(&schedule);
-        let sim_verdict = try_simulate(&schedule, &cost, &cluster, SimOptions::default());
+        let sim_verdict = try_simulate_traced(&schedule, &cost, &cluster, SimOptions::default());
         match (&static_verdict, &sim_verdict) {
             (Err(AnalysisError::Cycle { .. }), Err(SimError::Deadlock { .. })) => {}
             (Ok(()), Ok(_)) => {}
@@ -189,7 +189,7 @@ proptest! {
         let mode = if ckpt == 1 { Recompute::Full } else { Recompute::None };
         let cost = CostTable::build_with(&ModelConfig::bert64(), cfg.stages(), mbs, mode);
         let cluster = fc_full_nvlink(p as usize);
-        let sim = try_simulate(&schedule, &cost, &cluster, SimOptions::default()).unwrap();
+        let sim = try_simulate_traced(&schedule, &cost, &cluster, SimOptions::default()).unwrap().0;
         let bound = static_peak_mem(&schedule, &cost);
         // Sound (never below the truth) *and* tight (equal).
         for (d, (&s, &t)) in bound.iter().zip(&sim.peak_mem).enumerate() {

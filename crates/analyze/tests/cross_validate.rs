@@ -10,7 +10,7 @@ use hanayo_core::action::Schedule;
 use hanayo_core::config::{PipelineConfig, Scheme};
 use hanayo_core::schedule::build_schedule;
 use hanayo_model::{CostTable, ModelConfig};
-use hanayo_sim::{try_simulate, SimError, SimOptions};
+use hanayo_sim::{try_simulate_traced, SimError, SimOptions};
 
 const P: u32 = 8;
 const M: u32 = 8;
@@ -44,7 +44,8 @@ fn analyzer_matches_simulator_on_named_schemes() {
         let (schedule, cost) = build(scheme);
         let report = analyze(&schedule, &cost, &cluster)
             .unwrap_or_else(|e| panic!("{scheme:?} rejected: {e}"));
-        let sim = try_simulate(&schedule, &cost, &cluster, SimOptions::default())
+        let sim = try_simulate_traced(&schedule, &cost, &cluster, SimOptions::default())
+            .map(|(report, _)| report)
             .unwrap_or_else(|e| panic!("{scheme:?} failed to simulate: {e}"));
 
         assert!(report.fifo_consistent, "{scheme:?}: generated schemes are FIFO-clean");
@@ -78,7 +79,9 @@ fn corrupted_verdicts_agree_with_simulator() {
             let mut corrupted = schedule.clone();
             corrupted.lists[victim].actions.reverse();
             let static_verdict = check_deadlock_free(&corrupted);
-            let sim_verdict = try_simulate(&corrupted, &cost, &cluster, SimOptions::default());
+            let sim_verdict =
+                try_simulate_traced(&corrupted, &cost, &cluster, SimOptions::default())
+                    .map(|(report, _)| report);
             match (&static_verdict, &sim_verdict) {
                 (Err(AnalysisError::Cycle { cycle }), Err(SimError::Deadlock { .. })) => {
                     deadlocks += 1;

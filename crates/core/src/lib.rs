@@ -5,9 +5,10 @@
 //! Model Training Efficiency"* (Liu, Cheng, Zhou & You, SC '23).
 //!
 //! The crate is organised around one central idea taken directly from the
-//! paper: **a pipeline-parallel algorithm is data**. A [`schedule::Scheduler`]
-//! turns a [`config::PipelineConfig`] into a frozen [`action::Schedule`] — a
-//! per-device list of fine-grained actions (forward/backward of one
+//! paper: **a pipeline-parallel algorithm is data**.
+//! [`schedule::build_schedule`] turns a [`config::PipelineConfig`] into a
+//! frozen [`action::Schedule`] — a per-device list of fine-grained
+//! actions (forward/backward of one
 //! micro-batch on one local model partition, sends/receives of activations
 //! and gradients, batched cross-communication, the optimizer step). The
 //! schedule can then be executed by any engine: the discrete-event simulator

@@ -1,6 +1,6 @@
 //! User-defined pipeline schemes.
 //!
-//! The paper's framework "offer[s] interfaces for users to modify existing
+//! The paper's framework "offer\[s\] interfaces for users to modify existing
 //! schemes or develop their own" (§4.1). This module is that interface:
 //! hand the generator an arbitrary [`StageMap`] — any stage→device path(s)
 //! you can draw — plus scheduling knobs, and get back a validated,

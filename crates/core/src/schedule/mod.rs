@@ -1,7 +1,7 @@
 //! Schedule generators: one module per pipeline-parallel algorithm.
 //!
 //! The entry point is [`build_schedule`], which dispatches on
-//! [`Scheme`](crate::config::Scheme), generates the per-device compute order,
+//! [`crate::config::Scheme`], generates the per-device compute order,
 //! lowers communication ([`crate::comm`]), and appends the optimizer step.
 //! All generators are deterministic.
 

@@ -3,7 +3,7 @@
 //! [`validate`] checks a lowered [`Schedule`] for:
 //!
 //! 1. **Completeness** — every `(micro-batch, stage)` forward and backward
-//!    appears exactly once, on the device the [`StageMap`] assigns.
+//!    appears exactly once, on the device the [`StageMap`](crate::stage_map::StageMap) assigns.
 //! 2. **Chain order** — per device, ops of one micro-batch appear in chain
 //!    order.
 //! 3. **Matched communication** — every send has exactly one matching

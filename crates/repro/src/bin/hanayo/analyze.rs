@@ -10,7 +10,7 @@ use crate::cli::{compact, flag, Command, Flag, Output};
 use hanayo_analyze::analyze;
 use hanayo_model::Recompute;
 use hanayo_serve::schema::{rebuild_analyze, run_analyze, AnalyzeDoc, AnalyzeRequest};
-use hanayo_sim::{try_simulate, SimOptions};
+use hanayo_sim::{try_simulate_traced, SimOptions};
 
 pub struct Args {
     request: AnalyzeRequest,
@@ -96,7 +96,7 @@ fn validate(path: &str) -> Result<(), String> {
         return Err("recorded report differs from a fresh analysis".to_string());
     }
 
-    let sim = try_simulate(&schedule, &cost, &cluster, SimOptions::default())
+    let (sim, _) = try_simulate_traced(&schedule, &cost, &cluster, SimOptions::default())
         .map_err(|e| format!("the simulator refutes the deadlock-freedom verdict: {e}"))?;
     if doc.report.peak_mem != sim.peak_mem {
         return Err(format!(

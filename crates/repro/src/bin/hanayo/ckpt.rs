@@ -12,8 +12,8 @@ use hanayo_core::schedule::build_schedule;
 use hanayo_model::builders::MicroModel;
 use hanayo_model::Recompute;
 use hanayo_runtime::trainer::{
-    resume, synthetic_data, synthetic_data_at, synthetic_draws_per_iteration, train,
-    try_train_resumable, TrainOutput, TrainerConfig,
+    resume, synthetic_data, synthetic_data_at, synthetic_draws_per_iteration, try_train,
+    TrainOutput, TrainerConfig,
 };
 use hanayo_runtime::{checkpoint_of, LossKind};
 use hanayo_serve::schema::{cluster_for, model_for, scheme_for};
@@ -333,7 +333,7 @@ impl Args {
         let cursor_at = |i: u32| Some(RngCursor { seed: data_seed, draws: i as u64 * per_iter });
 
         let mut summary = self.summary("run");
-        let checkpoint = match try_train_resumable(&trainer, &data) {
+        let checkpoint = match try_train(&trainer, &data) {
             Ok(done) => {
                 summary.completed = true;
                 summary.losses = done.losses.clone();
@@ -342,11 +342,12 @@ impl Args {
                 c.rng = cursor_at(self.iterations);
                 c
             }
-            Err(failed) => {
-                summary.error = Some(failed.error.to_string());
-                let mut c = failed.checkpoint.ok_or_else(|| {
-                    format!("run failed with no durable checkpoint: {}", failed.error)
-                })?;
+            Err(mut failed) => {
+                summary.error = Some(failed.to_string());
+                let Some(c) = failed.checkpoint.take() else {
+                    return Err(format!("run failed with no durable checkpoint: {failed}"));
+                };
+                let mut c = *c;
                 summary.checkpoint_iteration = Some(c.iteration);
                 c.rng = cursor_at(c.iteration);
                 c
@@ -439,7 +440,8 @@ impl Args {
             return out.emit(&summary);
         }
         let uninterrupted =
-            train(&TrainerConfig { stages: initial_stages, ..trainer.clone() }, &data);
+            try_train(&TrainerConfig { stages: initial_stages, ..trainer.clone() }, &data)
+                .map_err(|e| e.to_string())?;
         let equal = bitwise_equal(&uninterrupted, &resumed);
         summary.verified_bitwise = Some(equal);
         out.emit(&summary)?;

@@ -9,7 +9,7 @@ use hanayo_core::schedule::table::check_table;
 use hanayo_model::{CostTable, Recompute};
 use hanayo_serve::schema::{cluster_for, model_for};
 use hanayo_sim::{
-    search_schedule, try_simulate, ScheduleSearchOptions, SearchedSchedule, SimOptions,
+    search_schedule, try_simulate_traced, ScheduleSearchOptions, SearchedSchedule, SimOptions,
 };
 use serde::{Deserialize, Serialize};
 
@@ -135,8 +135,9 @@ fn validate(path: &str) -> Result<(), String> {
         doc.result.recompute,
     );
     let schedule = comm::lower(&doc.result.table.to_compute());
-    let time = try_simulate(&schedule, &cost, &cluster, SimOptions::default())
+    let time = try_simulate_traced(&schedule, &cost, &cluster, SimOptions::default())
         .map_err(|e| format!("re-simulation rejected the table: {e}"))?
+        .0
         .iteration_time;
     if time != doc.result.iteration_time_s {
         return Err(format!(

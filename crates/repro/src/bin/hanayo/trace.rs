@@ -9,10 +9,10 @@ use hanayo_core::config::{PipelineConfig, Scheme};
 use hanayo_core::schedule::build_schedule;
 use hanayo_model::builders::{micro_cost_table, MicroModel};
 use hanayo_model::{CostTable, Recompute};
-use hanayo_runtime::trainer::{synthetic_data, train, TrainerConfig};
+use hanayo_runtime::trainer::{synthetic_data, try_train, TrainerConfig};
 use hanayo_runtime::LossKind;
 use hanayo_serve::schema::{cluster_for, model_for, scheme_for};
-use hanayo_sim::{simulate, simulate_traced, SimOptions};
+use hanayo_sim::{try_simulate_traced, SimOptions};
 use hanayo_trace::{analyze, calibrate, chrome_trace_json, validate_chrome_json, Trace};
 use serde::Serialize;
 
@@ -173,13 +173,16 @@ impl Args {
                 ..TrainerConfig::new(schedule.clone(), stages.clone(), 0.05, LossKind::Mse)
             };
             let data = synthetic_data(17, self.iterations, b as usize, 64, 96);
-            let trace = train(&trainer, &data).trace.expect("trace requested");
+            let out = try_train(&trainer, &data).map_err(|e| e.to_string())?;
+            let trace = out.trace.expect("trace requested");
             let calibration = if self.calibrate {
                 let cluster = fc_full_nvlink(p as usize);
                 let cal = calibrate(&trace, s as usize).map_err(|e| e.to_string())?;
                 let bytes = micro_cost_table(&stages, 64, 96, self.recompute);
                 let table = cal.cost_table(&bytes, &cluster).map_err(|e| e.to_string())?;
-                let report = simulate(&schedule, &table, &cluster, SimOptions::default());
+                let (report, _) =
+                    try_simulate_traced(&schedule, &table, &cluster, SimOptions::default())
+                        .map_err(|e| e.to_string())?;
                 // One iteration's measured span (the trace covers them all).
                 let measured = trace.duration() / self.iterations as f64;
                 let predicted = report.iteration_time;
@@ -202,12 +205,13 @@ impl Args {
             let model = model_for(&self.model)?;
             let cluster = cluster_for(&self.cluster, p as usize)?;
             let cost = CostTable::build_with(&model, cfg.stages(), 1, self.recompute);
-            let (_, trace) = simulate_traced(
+            let (_, trace) = try_simulate_traced(
                 &schedule,
                 &cost,
                 &cluster,
                 SimOptions { trace: true, ..Default::default() },
-            );
+            )
+            .map_err(|e| e.to_string())?;
             (trace.expect("trace requested"), None)
         };
 

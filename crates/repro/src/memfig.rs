@@ -17,7 +17,7 @@ use hanayo_core::config::{PipelineConfig, Scheme};
 use hanayo_core::memory::unit_profile_with;
 use hanayo_core::schedule::{build_compute_schedule, build_schedule};
 use hanayo_model::{costs, CostTable, ModelConfig, Recompute};
-use hanayo_sim::{simulate, SimOptions};
+use hanayo_sim::{try_simulate_traced, SimOptions};
 use serde::Serialize;
 
 /// Pipeline width of the figure.
@@ -110,7 +110,9 @@ pub fn data() -> MemTable {
             let units = stash_units(&model, DEVICES, cfg.stages(), mode);
             let prof = unit_profile_with(&cs, units);
             let cost = CostTable::build_with(&model, cfg.stages(), 1, mode);
-            let report = simulate(&schedule, &cost, &cluster, SimOptions::default());
+            let (report, _) =
+                try_simulate_traced(&schedule, &cost, &cluster, SimOptions::default())
+                    .expect("simulable");
             rows.push(MemRow {
                 scheme: name.to_string(),
                 label: label_of(scheme),

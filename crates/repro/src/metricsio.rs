@@ -38,9 +38,9 @@ pub fn demo_scenario() -> Result<(), String> {
     use hanayo_model::builders::MicroModel;
     use hanayo_model::{CostTable, ModelConfig};
     use hanayo_runtime::trainer::synthetic_data;
-    use hanayo_runtime::{train, LossKind, TrainerConfig};
-    use hanayo_sim::tuner::{tune_serial, TuneOptions};
-    use hanayo_sim::{simulate, SimOptions};
+    use hanayo_runtime::{try_train, LossKind, TrainerConfig};
+    use hanayo_sim::tuner::{tune_serial_with, TuneContext, TuneOptions};
+    use hanayo_sim::{try_simulate_traced, SimOptions};
 
     hanayo_metrics::log::event(
         hanayo_metrics::log::Level::Info,
@@ -58,7 +58,8 @@ pub fn demo_scenario() -> Result<(), String> {
     let schedule = build_schedule(&cfg).map_err(|e| format!("schedule: {e}"))?;
     let cluster = fc_full_nvlink(8);
     let cost = CostTable::build(&ModelConfig::bert64(), cfg.stages(), 1);
-    let report = simulate(&schedule, &cost, &cluster, SimOptions::default());
+    let (report, _) = try_simulate_traced(&schedule, &cost, &cluster, SimOptions::default())
+        .map_err(|e| format!("simulate: {e}"))?;
     // `<=` (not a negated `>`) so a NaN makespan also trips the guard.
     if report.iteration_time <= 0.0 || report.iteration_time.is_nan() {
         return Err("simulation produced a zero makespan".to_string());
@@ -66,7 +67,9 @@ pub fn demo_scenario() -> Result<(), String> {
 
     // Tuner layer (serial: deterministic cache hit/miss split).
     let opts = TuneOptions { waves: vec![1, 2], min_pp: 4, ..Default::default() };
-    let tuning = tune_serial(&ModelConfig::bert64(), &cluster, 8, 1, &opts);
+    let tuning =
+        tune_serial_with(&ModelConfig::bert64(), &cluster, 8, 1, &opts, &TuneContext::default())
+            .map_err(|e| format!("tune: {e}"))?;
     if tuning.best().is_none() {
         return Err("sweep ranked no candidate".to_string());
     }
@@ -76,7 +79,7 @@ pub fn demo_scenario() -> Result<(), String> {
         .build_stages(cfg.stages());
     let data = synthetic_data(3, 2, 8, 2, 8);
     let trainer = TrainerConfig::new(schedule, stages, 0.05, LossKind::Mse);
-    let out = train(&trainer, &data);
+    let out = try_train(&trainer, &data).map_err(|e| e.to_string())?;
 
     // Checkpoint layer: freeze, save, load back.
     let ckpt = hanayo_runtime::checkpoint_of(&trainer, &out, data.len() as u32, 1);

@@ -121,12 +121,6 @@ impl AllreduceHub {
         }
         Some(out)
     }
-
-    /// [`AllreduceHub::try_allreduce`] for contexts where abort cannot
-    /// happen; panics if it does.
-    pub fn allreduce(&self, iter: u32, stage: u32, rank: usize, grads: StageGrads) -> StageGrads {
-        self.try_allreduce(iter, stage, rank, grads).expect("all-reduce aborted")
-    }
 }
 
 #[cfg(test)]
@@ -135,6 +129,17 @@ mod tests {
     use hanayo_tensor::rng::seeded;
     use hanayo_tensor::Stage;
     use std::sync::Arc;
+
+    /// Contribute and wait, in tests where nothing aborts the hub.
+    fn allreduce(
+        hub: &AllreduceHub,
+        iter: u32,
+        stage: u32,
+        rank: usize,
+        grads: StageGrads,
+    ) -> StageGrads {
+        hub.try_allreduce(iter, stage, rank, grads).expect("all-reduce aborted")
+    }
 
     fn grads_scaled(stage: &Stage, alpha: f32) -> StageGrads {
         // A deterministic non-zero gradient: run one forward/backward.
@@ -155,7 +160,7 @@ mod tests {
                 let hub = Arc::clone(&hub);
                 let stage = stage.clone();
                 std::thread::spawn(move || {
-                    hub.allreduce(0, 0, rank, grads_scaled(&stage, (rank + 1) as f32))
+                    allreduce(&hub, 0, 0, rank, grads_scaled(&stage, (rank + 1) as f32))
                 })
             })
             .collect();
@@ -190,7 +195,7 @@ mod tests {
                         std::thread::sleep(std::time::Duration::from_millis(
                             ((rank * 7) % 4) as u64,
                         ));
-                        hub.allreduce(0, 0, rank, grads_scaled(&stage, 0.1 + rank as f32))
+                        allreduce(&hub, 0, 0, rank, grads_scaled(&stage, 0.1 + rank as f32))
                     })
                 })
                 .collect();
@@ -225,15 +230,15 @@ mod tests {
             let hub = Arc::clone(&hub);
             let g = g.clone();
             std::thread::spawn(move || {
-                let a = hub.allreduce(0, 0, 1, g.clone());
-                let b = hub.allreduce(1, 0, 1, g.clone());
-                let c = hub.allreduce(0, 5, 1, g);
+                let a = allreduce(&hub, 0, 0, 1, g.clone());
+                let b = allreduce(&hub, 1, 0, 1, g.clone());
+                let c = allreduce(&hub, 0, 5, 1, g);
                 (a, b, c)
             })
         };
-        let a0 = hub.allreduce(0, 0, 0, g.clone());
-        let b0 = hub.allreduce(1, 0, 0, g.clone());
-        let c0 = hub.allreduce(0, 5, 0, g);
+        let a0 = allreduce(&hub, 0, 0, 0, g.clone());
+        let b0 = allreduce(&hub, 1, 0, 0, g.clone());
+        let c0 = allreduce(&hub, 0, 5, 0, g);
         let (a1, b1, c1) = h.join().unwrap();
         assert_eq!(a0, a1);
         assert_eq!(b0, b1);

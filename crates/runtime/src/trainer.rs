@@ -1,5 +1,13 @@
 //! Driving a training run: thread-per-device orchestration plus the
 //! sequential reference implementation every schedule is checked against.
+//!
+//! [`try_train`] trains one pipeline and [`try_train_data_parallel`] one
+//! pipeline replica per data shard; [`resume`] and
+//! [`resume_data_parallel`] continue either from a [`Checkpoint`]. All
+//! four run one chunked engine: the iterations are cut at the
+//! [`TrainerConfig::checkpoint`] boundaries (one chunk when the policy is
+//! off), and a failed run hands back its newest durable checkpoint in
+//! [`TrainError::checkpoint`].
 
 use crate::collective::AllreduceHub;
 use crate::mailbox::{fabric, spin_budget};
@@ -16,9 +24,11 @@ use hanayo_core::ids::{DeviceId, MicroBatch};
 use hanayo_model::Recompute;
 use hanayo_tensor::loss::{mse, softmax_cross_entropy};
 use hanayo_tensor::Stage;
-use hanayo_trace::Trace;
+use hanayo_trace::{Trace, TraceEvent};
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt;
+use std::ops::Range;
 use std::time::Instant;
 
 /// A complete pipeline-training job description.
@@ -42,12 +52,12 @@ pub struct TrainerConfig {
     /// clock readings. Tracing never changes losses, weights or peaks —
     /// it only observes.
     pub trace: bool,
-    /// Durable-checkpoint cadence for [`try_train_resumable`]: a
-    /// [`Checkpoint`] is captured at every iteration boundary the policy
-    /// names (including iteration 0), and the latest one rides a
-    /// [`FailedRun`] when the run crashes. Off by default; checkpointing
-    /// never changes losses, weights or peaks — an interrupted-and-resumed
-    /// run is bitwise identical to an uninterrupted one.
+    /// Durable-checkpoint cadence: a [`Checkpoint`] is captured at every
+    /// iteration boundary the policy names (including iteration 0), and
+    /// the latest one rides the [`TrainError`] when the run crashes. Off
+    /// by default; checkpointing never changes losses, weights or peaks —
+    /// an interrupted-and-resumed run is bitwise identical to an
+    /// uninterrupted one.
     pub checkpoint: CheckpointPolicy,
     /// Deterministic fault to inject ([`FailurePlan::None`] by default).
     /// Injected faults ride the same typed `WorkerError` + abort-broadcast
@@ -129,6 +139,34 @@ pub struct TrainError {
     /// Every worker-reported failure as `(replica rank, error)` — rank is
     /// 0 for single-pipeline runs.
     pub failures: Vec<(usize, WorkerError)>,
+    /// The newest durable checkpoint captured before the failure; resume
+    /// from it with [`resume`] / [`resume_data_parallel`]. `None` when
+    /// [`TrainerConfig::checkpoint`] is off.
+    pub checkpoint: Option<Box<Checkpoint>>,
+}
+
+impl TrainError {
+    /// Fold worker failures, preferring a root cause over cascades as the
+    /// primary; `None` when there are none. `tag_replica` distinguishes
+    /// data-parallel runs (where the rank disambiguates replica-local
+    /// device ids) from single-pipeline runs.
+    fn from_failures(failures: Vec<(usize, WorkerError)>, tag_replica: bool) -> Option<TrainError> {
+        let (rank, primary) = failures.iter().find(|(_, e)| !e.is_cascade()).or(failures.first())?;
+        let (rank, primary) = (*rank, primary.clone());
+        Some(TrainError {
+            primary,
+            replica: tag_replica.then_some(rank),
+            failures,
+            checkpoint: None,
+        })
+    }
+
+    /// A failure with no cascade: a panic above the worker layer, or a run
+    /// refused before any thread started.
+    fn single(primary: WorkerError, replica: Option<usize>) -> TrainError {
+        let failures = vec![(replica.unwrap_or(0), primary.clone())];
+        TrainError { primary, replica, failures, checkpoint: None }
+    }
 }
 
 impl fmt::Display for TrainError {
@@ -147,30 +185,6 @@ impl fmt::Display for TrainError {
 
 impl std::error::Error for TrainError {}
 
-/// A resumable run that crashed: the typed failure plus the last durable
-/// checkpoint taken before it (if the policy produced one).
-#[derive(Debug, Clone)]
-pub struct FailedRun {
-    /// What stopped the run.
-    pub error: TrainError,
-    /// The newest checkpoint captured before the failure; resume from it
-    /// with [`resume`] / [`resume_data_parallel`]. `None` when the policy
-    /// is [`CheckpointPolicy::OFF`].
-    pub checkpoint: Option<Checkpoint>,
-}
-
-impl fmt::Display for FailedRun {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.error)?;
-        match &self.checkpoint {
-            Some(c) => write!(f, " (durable checkpoint at iteration {})", c.iteration),
-            None => write!(f, " (no durable checkpoint)"),
-        }
-    }
-}
-
-impl std::error::Error for FailedRun {}
-
 /// Why a [`resume`] could not run (or finish).
 #[derive(Debug, Clone)]
 pub enum ResumeError {
@@ -187,7 +201,7 @@ pub enum ResumeError {
     },
     /// The resumed run itself crashed (e.g. the failure plan strikes
     /// again later); carries its own newer checkpoint when one exists.
-    Run(Box<FailedRun>),
+    Run(TrainError),
 }
 
 impl fmt::Display for ResumeError {
@@ -206,22 +220,8 @@ impl fmt::Display for ResumeError {
 
 impl std::error::Error for ResumeError {}
 
-/// Fold worker failures into a `TrainError`, preferring a root cause over
-/// cascades as the primary. `tag_replica` distinguishes data-parallel runs
-/// (where the rank disambiguates replica-local device ids) from
-/// single-pipeline runs.
-fn train_error(failures: Vec<(usize, WorkerError)>, tag_replica: bool) -> Option<TrainError> {
-    if failures.is_empty() {
-        return None;
-    }
-    let (rank, primary) =
-        failures.iter().find(|(_, e)| !e.is_cascade()).unwrap_or(&failures[0]).clone();
-    let replica = tag_replica.then_some(rank);
-    Some(TrainError { primary, replica, failures })
-}
-
-fn validate(cfg: &TrainerConfig, data: &[IterationData]) {
-    assert_eq!(cfg.stages.len(), cfg.schedule.stage_map.stages as usize, "one module per stage");
+fn validate(cfg: &TrainerConfig, stages: &[Stage], data: &[IterationData]) {
+    assert_eq!(stages.len(), cfg.schedule.stage_map.stages as usize, "one module per stage");
     for group in &cfg.schedule.stage_map.groups {
         assert_eq!(
             group.replica.0, 0,
@@ -236,166 +236,223 @@ fn validate(cfg: &TrainerConfig, data: &[IterationData]) {
     }
 }
 
-/// Run the schedule with real math, one OS thread per device. Panics (on
-/// the calling thread, with the failing device and operation) if a worker
-/// hits an invariant violation; use [`try_train`] to handle that as a
-/// value.
-pub fn train(cfg: &TrainerConfig, data: &[IterationData]) -> TrainOutput {
-    try_train(cfg, data).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Like [`train`], but worker-side invariant violations (the signature of
-/// a corrupt schedule) come back as a typed [`TrainError`] naming the
-/// failing device and operation instead of a cross-thread panic.
+/// Run the schedule with real math, one OS thread per device, under
+/// [`TrainerConfig::checkpoint`] and [`TrainerConfig::failure`].
+/// Worker-side invariant violations (the signature of a corrupt schedule)
+/// and injected faults come back as a typed [`TrainError`] naming the
+/// failing device and operation, carrying the last durable checkpoint so
+/// the caller can [`resume`]. Checkpointing only observes: a completed run
+/// is bitwise identical with the policy on or off.
 pub fn try_train(cfg: &TrainerConfig, data: &[IterationData]) -> Result<TrainOutput, TrainError> {
-    try_train_with_dp(cfg, data, None, Instant::now(), 0)
+    let p = cfg.schedule.lists.len();
+    run_chunked(cfg, DataRef::Single(data), 0, fresh_state(cfg, p))
 }
 
-/// Run `dp` identical pipeline replicas, each on its own data shard, with
-/// a gradient all-reduce at every flush. `data[g]` is replica `g`'s shard;
-/// all shards must have the same iteration count. Panics on worker
-/// failure; see [`try_train_data_parallel`].
-pub fn train_data_parallel(cfg: &TrainerConfig, data: &[Vec<IterationData>]) -> TrainOutput {
-    try_train_data_parallel(cfg, data).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// [`train_data_parallel`] with worker failures surfaced as a
-/// [`TrainError`] instead of a panic.
+/// Run one identical pipeline replica per data shard, with a gradient
+/// all-reduce at every flush. `data[g]` is replica `g`'s shard; a run with
+/// no shard, or with shards of different iteration counts, is refused
+/// before any thread starts. Replicas end bit-identical, so a checkpoint
+/// stores one copy of the stages; peaks cover all `world · P` global
+/// devices. Otherwise as [`try_train`].
 pub fn try_train_data_parallel(
     cfg: &TrainerConfig,
     data: &[Vec<IterationData>],
 ) -> Result<TrainOutput, TrainError> {
-    let views: Vec<&[IterationData]> = data.iter().map(Vec::as_slice).collect();
-    try_train_dp_segment(cfg, &views, Instant::now(), 0)
+    let shards = shard_views(data)?;
+    let devices = cfg.schedule.lists.len() * shards.len();
+    run_chunked(cfg, DataRef::Dp(&shards), 0, fresh_state(cfg, devices))
 }
 
-/// One data-parallel run segment: `data[g]` is replica `g`'s shard of
-/// iterations `iter_base..` (borrowed — the chunked resume engine passes
-/// windows of the full shards without copying). All spans land on the
-/// shared `origin` clock.
-fn try_train_dp_segment(
+/// Borrow a data-parallel run's shards, checking on the caller's thread
+/// that there is at least one and that every shard holds replica 0's
+/// iteration count: a short shard would leave the other replicas waiting
+/// in the all-reduce hub for a contribution that never comes.
+fn shard_views(data: &[Vec<IterationData>]) -> Result<Vec<&[IterationData]>, TrainError> {
+    let expected = data.first().ok_or_else(|| TrainError::single(WorkerError::NoShards, None))?;
+    let expected = expected.len();
+    if let Some((replica, shard)) = data.iter().enumerate().find(|(_, s)| s.len() != expected) {
+        let e = WorkerError::ShardLength { replica, len: shard.len(), expected };
+        return Err(TrainError::single(e, Some(replica)));
+    }
+    Ok(data.iter().map(Vec::as_slice).collect())
+}
+
+/// The data a run draws from: one pipeline, or one shard per
+/// data-parallel replica (all of one length, see [`shard_views`]).
+#[derive(Clone, Copy)]
+enum DataRef<'a> {
+    Single(&'a [IterationData]),
+    Dp(&'a [&'a [IterationData]]),
+}
+
+impl DataRef<'_> {
+    fn iterations(&self) -> usize {
+        match self {
+            DataRef::Single(d) => d.len(),
+            DataRef::Dp(shards) => shards.first().map_or(0, |s| s.len()),
+        }
+    }
+
+    fn world(&self) -> u32 {
+        match self {
+            DataRef::Single(_) => 1,
+            DataRef::Dp(shards) => shards.len() as u32,
+        }
+    }
+}
+
+/// What one run segment measured, folded into the [`RunState`] by
+/// [`run_chunked`]. Trained modules are not here: the segment writes them
+/// straight back into the run's stage vector.
+struct SegmentOut {
+    /// Mean loss per iteration of the segment.
+    losses: Vec<f32>,
+    /// Per global device (`replica·P + local`).
+    peaks: Vec<usize>,
+    /// Per global device, like `peaks`.
+    parked: Vec<usize>,
+    /// Spans on global device ranks (empty unless tracing), unsorted.
+    events: Vec<TraceEvent>,
+}
+
+/// Fold one replica's worker reports. Replica `rank`'s devices become
+/// global ranks `rank·P + local`; its trained modules are written into
+/// `stages` when given (replicas end bit-identical, so one replica's
+/// modules are the run's).
+fn fold_replica(
+    reports: Vec<WorkerReport>,
+    mut stages: Option<&mut [Stage]>,
+    rank: usize,
+    p: usize,
+) -> SegmentOut {
+    let offset = (rank * p) as u32;
+    let mut out = SegmentOut {
+        losses: Vec::new(),
+        peaks: vec![0; p],
+        parked: vec![0; p],
+        events: Vec::new(),
+    };
+    for report in reports {
+        out.peaks[report.device.idx()] = report.peak_stash_bytes;
+        out.parked[report.device.idx()] = report.peak_mailbox_parked;
+        out.events.extend(
+            report.events.into_iter().map(|e| TraceEvent { device: e.device + offset, ..e }),
+        );
+        if let Some(stages) = stages.as_deref_mut() {
+            for (s, module) in report.modules {
+                stages[s as usize] = module;
+            }
+        }
+        if !report.losses.is_empty() {
+            out.losses = report.losses;
+        }
+    }
+    out
+}
+
+/// One data-parallel run segment: replica `g` trains on `shards[g][range]`
+/// from `stages`, which then hold replica 0's trained modules. All spans
+/// land on the shared `origin` clock.
+fn dp_segment(
     cfg: &TrainerConfig,
-    data: &[&[IterationData]],
+    stages: &mut Cow<'_, [Stage]>,
+    shards: &[&[IterationData]],
+    range: Range<usize>,
     origin: Instant,
-    iter_base: u32,
-) -> Result<TrainOutput, TrainError> {
-    let dp = data.len();
-    assert!(dp >= 1);
+) -> Result<SegmentOut, TrainError> {
+    let dp = shards.len();
+    let iter_base = range.start as u32;
+    // A panic above the worker layer has no device to name; the outer
+    // fold re-tags the replica rank.
+    let replica_panic = |payload: &(dyn std::any::Any + Send)| {
+        TrainError::single(
+            WorkerError::Panicked {
+                device: DeviceId(0),
+                message: format!("replica thread (device unknown): {}", panic_message(payload)),
+            },
+            None,
+        )
+    };
     // The hub is also how a failure crosses replicas: whoever fails aborts
     // it, and every worker of a healthy replica reaches it, fails there as
     // a cascade and aborts its own fabric.
     let hub = &AllreduceHub::new(dp);
-    let outputs: Vec<Result<TrainOutput, TrainError>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = data
+    let start: &[Stage] = stages;
+    let outcomes: Vec<Result<Vec<WorkerReport>, TrainError>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = shards
             .iter()
             .enumerate()
             .map(|(rank, shard)| {
+                let shard = &shard[range.clone()];
                 scope.spawn(move || {
                     // A panic above the worker layer (e.g. a validation
                     // assert before workers spawn) must abort the hub *on
                     // this thread*: peers of other replicas are already
                     // blocked in it, and the main thread may be joining a
                     // different replica — waiting for the join to surface
-                    // it would deadlock the run. The panic is
-                    // thread-level, so no local device can be named; the
-                    // outer fold re-tags the replica rank.
+                    // it would deadlock the run.
                     std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        try_train_with_dp(cfg, shard, Some((rank, hub)), origin, iter_base)
+                        run_pipeline(cfg, start, shard, Some((rank, hub)), origin, iter_base)
                     }))
                     .unwrap_or_else(|payload| {
                         hub.abort();
-                        let w = WorkerError::Panicked {
-                            device: DeviceId(0),
-                            message: format!(
-                                "replica thread (device unknown): {}",
-                                panic_message(payload.as_ref())
-                            ),
-                        };
-                        Err(TrainError {
-                            primary: w.clone(),
-                            replica: None,
-                            failures: vec![(0, w)],
-                        })
+                        Err(replica_panic(payload.as_ref()))
                     })
                 })
             })
             .collect();
+        // Replica threads catch their own panics above; a join failure
+        // would mean a panic escaped the catch (e.g. in the unwind path
+        // itself) — fold it into the same typed failure.
         handles
             .into_iter()
-            .map(|h| {
-                // Replica threads catch their own panics above; a join
-                // failure would mean a panic escaped the catch (e.g. in
-                // the unwind path itself) — fold it into the same typed
-                // failure instead of propagating the panic.
-                h.join().unwrap_or_else(|payload| {
-                    let w = WorkerError::Panicked {
-                        device: DeviceId(0),
-                        message: format!(
-                            "replica thread (device unknown): {}",
-                            panic_message(payload.as_ref())
-                        ),
-                    };
-                    Err(TrainError { primary: w.clone(), replica: None, failures: vec![(0, w)] })
-                })
-            })
+            .map(|h| h.join().unwrap_or_else(|payload| Err(replica_panic(payload.as_ref()))))
             .collect()
     });
-    let mut ok = Vec::with_capacity(dp);
+    let mut replicas = Vec::with_capacity(dp);
     let mut failures = Vec::new();
-    for (rank, out) in outputs.into_iter().enumerate() {
-        match out {
-            Ok(o) => ok.push(o),
+    for (rank, outcome) in outcomes.into_iter().enumerate() {
+        match outcome {
+            Ok(reports) => replicas.push(reports),
             // Re-tag with the replica rank: device ids are replica-local.
             Err(e) => failures.extend(e.failures.into_iter().map(|(_, w)| (rank, w))),
         }
     }
-    if let Some(e) = train_error(failures, true) {
+    if let Some(e) = TrainError::from_failures(failures, true) {
         return Err(e);
     }
-    // Every replica either succeeded or contributed a failure, and
-    // `dp >= 1` is asserted on entry, so at least one success remains
-    // after the early return above.
-    let Some(first) = ok.first() else {
-        let w = WorkerError::Panicked {
-            device: DeviceId(0),
-            message: "no replica produced output (dp == 0?)".to_string(),
-        };
-        return Err(TrainError { primary: w.clone(), replica: None, failures: vec![(0, w)] });
-    };
+    let p = cfg.schedule.lists.len();
+    let mut outs = Vec::with_capacity(dp);
+    let mut stages = Some(stages.to_mut().as_mut_slice());
+    for (rank, reports) in replicas.into_iter().enumerate() {
+        outs.push(fold_replica(reports, stages.take(), rank, p));
+    }
     // Replicas end bit-identical; average their reported losses.
-    let iters = first.losses.len();
+    let iters = outs.first().map_or(0, |o| o.losses.len());
     let losses =
-        (0..iters).map(|i| ok.iter().map(|o| o.losses[i]).sum::<f32>() / dp as f32).collect();
-    let peak = ok.iter().flat_map(|o| o.peak_stash_bytes.clone()).collect();
-    let parked = ok.iter().flat_map(|o| o.peak_mailbox_parked.clone()).collect();
-    // Merge replica traces onto global device ranks (`rank·P + local`).
-    let trace = cfg.trace.then(|| {
-        let p = cfg.schedule.lists.len() as u32;
-        let mut merged = Trace::new(p * dp as u32);
-        for (rank, out) in ok.iter().enumerate() {
-            if let Some(t) = &out.trace {
-                merged.merge_offset(t, rank as u32 * p);
-            }
-        }
-        merged
-    });
-    Ok(TrainOutput {
-        losses,
-        stages: ok.into_iter().next().map_or_else(Vec::new, |o| o.stages),
-        peak_stash_bytes: peak,
-        peak_mailbox_parked: parked,
-        trace,
-    })
+        (0..iters).map(|i| outs.iter().map(|o| o.losses[i]).sum::<f32>() / dp as f32).collect();
+    let mut merged =
+        SegmentOut { losses, peaks: Vec::new(), parked: Vec::new(), events: Vec::new() };
+    for out in outs {
+        merged.peaks.extend(out.peaks);
+        merged.parked.extend(out.parked);
+        merged.events.extend(out.events);
+    }
+    Ok(merged)
 }
 
-fn try_train_with_dp(
+/// Run one pipeline replica over `data` (global iterations `iter_base..`),
+/// every device starting from its modules in `stages`. Returns the worker
+/// reports, trained modules included.
+fn run_pipeline(
     cfg: &TrainerConfig,
+    stages: &[Stage],
     data: &[IterationData],
     dp: Option<(usize, &AllreduceHub)>,
     origin: Instant,
     iter_base: u32,
-) -> Result<TrainOutput, TrainError> {
-    validate(cfg, data);
+) -> Result<Vec<WorkerReport>, TrainError> {
+    validate(cfg, stages, data);
     let schedule = &cfg.schedule;
     let p = schedule.lists.len();
     let world = dp.map_or(1, |(_, hub)| hub.world());
@@ -411,7 +468,7 @@ fn try_train_with_dp(
                     .stage_map
                     .modules_on(device)
                     .into_iter()
-                    .map(|(_, stage)| (stage.0, cfg.stages[stage.idx()].clone()))
+                    .map(|(_, stage)| (stage.0, stages[stage.idx()].clone()))
                     .collect();
                 let wcfg = WorkerConfig {
                     device,
@@ -464,77 +521,27 @@ fn try_train_with_dp(
     let rank = dp.map_or(0, |(r, _)| r);
     let failures: Vec<(usize, WorkerError)> =
         reports.iter().filter_map(|r| r.error.clone().map(|e| (rank, e))).collect();
-    if let Some(e) = train_error(failures, false) {
-        return Err(e);
-    }
-
-    // Reassemble the global stage vector and find the loss reporter.
-    let mut stages = cfg.stages.clone();
-    let mut losses = Vec::new();
-    let mut peaks = vec![0usize; p];
-    let mut parked = vec![0usize; p];
-    let mut trace = cfg.trace.then(|| Trace::new(p as u32));
-    for report in reports {
-        peaks[report.device.idx()] = report.peak_stash_bytes;
-        parked[report.device.idx()] = report.peak_mailbox_parked;
-        if let Some(trace) = &mut trace {
-            trace.events.extend(report.events);
-        }
-        for (s, module) in report.modules {
-            stages[s as usize] = module;
-        }
-        if !report.losses.is_empty() {
-            losses = report.losses;
-        }
-    }
-    if let Some(trace) = &mut trace {
-        trace.normalize();
-    }
-    Ok(TrainOutput { losses, stages, peak_stash_bytes: peaks, peak_mailbox_parked: parked, trace })
-}
-
-// ---------------------------------------------------------------------------
-// Checkpointed (resumable) training
-// ---------------------------------------------------------------------------
-
-/// The data a chunked run draws from: one pipeline, or one shard per
-/// data-parallel replica.
-enum DataRef<'a> {
-    Single(&'a [IterationData]),
-    Dp(&'a [&'a [IterationData]]),
-}
-
-impl DataRef<'_> {
-    fn iterations(&self) -> usize {
-        match self {
-            DataRef::Single(d) => d.len(),
-            DataRef::Dp(shards) => {
-                let n = shards.first().map_or(0, |s| s.len());
-                assert!(shards.iter().all(|s| s.len() == n), "shards must have equal length");
-                n
-            }
-        }
-    }
-
-    fn world(&self) -> u32 {
-        match self {
-            DataRef::Single(_) => 1,
-            DataRef::Dp(shards) => shards.len() as u32,
-        }
+    match TrainError::from_failures(failures, false) {
+        Some(e) => Err(e),
+        None => Ok(reports),
     }
 }
 
 /// Mutable run state carried across chunks (and across a failure/resume
 /// boundary — a [`Checkpoint`] is exactly a frozen copy of this).
-struct RunState {
-    stages: Vec<Stage>,
+struct RunState<'a> {
+    /// The run's stage modules: each segment starts from them and writes
+    /// its trained modules back. A fresh run borrows the config's until
+    /// the first write-back, so the copy is made after the workers have
+    /// released their scratch, not beside it.
+    stages: Cow<'a, [Stage]>,
     losses: Vec<f32>,
     peaks: Vec<usize>,
     /// Per-device mailbox high-water marks, `max` over chunks like
     /// `peaks` (not stored in a checkpoint — a per-run measurement).
     parked: Vec<usize>,
     trace: Option<Trace>,
-    last_ckpt: Option<Checkpoint>,
+    last_ckpt: Option<Box<Checkpoint>>,
     /// Data-stream cursor of the checkpoint this run resumed from (with
     /// its iteration), so checkpoints re-captured mid-resume keep a
     /// correctly advanced cursor instead of silently dropping it.
@@ -561,7 +568,7 @@ fn cursor_at(origin: &(RngCursor, u32), iteration: u32) -> Option<RngCursor> {
 
 fn capture_checkpoint(
     cfg: &TrainerConfig,
-    state: &RunState,
+    state: &RunState<'_>,
     iteration: u32,
     world: u32,
 ) -> Checkpoint {
@@ -570,7 +577,7 @@ fn capture_checkpoint(
         iteration,
         world,
         schedule: cfg.schedule.clone(),
-        stages: state.stages.clone(),
+        stages: state.stages.to_vec(),
         optimizer: OptimizerState::Sgd { lr: cfg.lr },
         losses: state.losses.clone(),
         peak_stash_bytes: state.peaks.iter().map(|&b| b as u64).collect(),
@@ -580,33 +587,32 @@ fn capture_checkpoint(
     }
 }
 
-/// The chunked engine behind every resumable entry point: execute global
-/// iterations `start..n` in chunks delimited by the checkpoint policy,
-/// capturing a durable [`Checkpoint`] at each boundary. Bitwise identical
-/// to a single uninterrupted run — each iteration is a pure function of
-/// (weights, its data), the per-device stash peak profile repeats every
-/// iteration so `max` over chunks equals `max` over the whole run, and
-/// chunk traces share one clock origin (resumed traces are shifted past
-/// the pre-failure makespan).
+/// The chunked engine behind every entry point: execute global iterations
+/// `start..n` in chunks delimited by the checkpoint policy (one chunk when
+/// it is off), capturing a durable [`Checkpoint`] at each boundary.
+/// Bitwise identical to a single uninterrupted run — each iteration is a
+/// pure function of (weights, its data), the per-device stash peak profile
+/// repeats every iteration so `max` over chunks equals `max` over the
+/// whole run, and chunk traces share one clock origin (resumed traces are
+/// shifted past the pre-failure makespan).
 fn run_chunked(
     cfg: &TrainerConfig,
     data: DataRef<'_>,
     start: u32,
-    mut state: RunState,
-) -> Result<TrainOutput, Box<FailedRun>> {
+    mut state: RunState<'_>,
+) -> Result<TrainOutput, TrainError> {
     let n = data.iterations() as u32;
     let world = data.world();
     let every = cfg.checkpoint.every;
+    let p = cfg.schedule.lists.len();
     let origin = Instant::now();
     // Resumed spans continue where the interrupted timeline stopped.
     let shift = state.trace.as_ref().map_or(0.0, Trace::makespan);
 
-    // One reusable chunk config: only the stages change between chunks.
-    let mut chunk_cfg = cfg.clone();
     let mut i = start;
     while i < n {
         if cfg.checkpoint.is_boundary(i) {
-            state.last_ckpt = Some(capture_checkpoint(cfg, &state, i, world));
+            state.last_ckpt = Some(Box::new(capture_checkpoint(cfg, &state, i, world)));
         }
         // Next chunk ends at the following policy boundary (or the run's
         // end when checkpointing is off).
@@ -614,49 +620,43 @@ fn run_chunked(
             Some(q) => ((q + 1) * every).min(n),
             None => n,
         };
-        chunk_cfg.stages.clone_from(&state.stages);
+        let range = i as usize..j as usize;
         let outcome = match data {
-            DataRef::Single(d) => {
-                try_train_with_dp(&chunk_cfg, &d[i as usize..j as usize], None, origin, i)
-            }
-            DataRef::Dp(shards) => {
-                let windows: Vec<&[IterationData]> =
-                    shards.iter().map(|s| &s[i as usize..j as usize]).collect();
-                try_train_dp_segment(&chunk_cfg, &windows, origin, i)
+            DataRef::Single(d) => run_pipeline(cfg, &state.stages, &d[range], None, origin, i)
+                .map(|reports| fold_replica(reports, Some(state.stages.to_mut()), 0, p)),
+            DataRef::Dp(shards) => dp_segment(cfg, &mut state.stages, shards, range, origin),
+        };
+        let segment = match outcome {
+            Ok(segment) => segment,
+            Err(mut error) => {
+                error.checkpoint = state.last_ckpt.take();
+                return Err(error);
             }
         };
-        match outcome {
-            Ok(out) => {
-                state.stages = out.stages;
-                state.losses.extend(out.losses);
-                for (acc, chunk) in state.peaks.iter_mut().zip(&out.peak_stash_bytes) {
-                    *acc = (*acc).max(*chunk);
-                }
-                for (acc, chunk) in state.parked.iter_mut().zip(&out.peak_mailbox_parked) {
-                    *acc = (*acc).max(*chunk);
-                }
-                if let (Some(t), Some(chunk_t)) = (&mut state.trace, &out.trace) {
-                    t.merge_shifted(chunk_t, shift);
-                }
-            }
-            Err(error) => {
-                return Err(Box::new(FailedRun { error, checkpoint: state.last_ckpt.take() }))
-            }
+        state.losses.extend(segment.losses);
+        for (acc, chunk) in state.peaks.iter_mut().zip(&segment.peaks) {
+            *acc = (*acc).max(*chunk);
+        }
+        for (acc, chunk) in state.parked.iter_mut().zip(&segment.parked) {
+            *acc = (*acc).max(*chunk);
+        }
+        if let Some(t) = &mut state.trace {
+            t.merge_shifted(&Trace { devices: t.devices, events: segment.events }, shift);
         }
         i = j;
     }
     Ok(TrainOutput {
         losses: state.losses,
-        stages: state.stages,
+        stages: state.stages.into_owned(),
         peak_stash_bytes: state.peaks,
         peak_mailbox_parked: state.parked,
         trace: state.trace,
     })
 }
 
-fn fresh_state(cfg: &TrainerConfig, devices: usize) -> RunState {
+fn fresh_state(cfg: &TrainerConfig, devices: usize) -> RunState<'_> {
     RunState {
-        stages: cfg.stages.clone(),
+        stages: Cow::Borrowed(&cfg.stages),
         losses: Vec::new(),
         peaks: vec![0; devices],
         parked: vec![0; devices],
@@ -667,40 +667,14 @@ fn fresh_state(cfg: &TrainerConfig, devices: usize) -> RunState {
     }
 }
 
-/// [`try_train`] with durable checkpoints and failure injection: runs
-/// under [`TrainerConfig::checkpoint`] / [`TrainerConfig::failure`], and
-/// on a crash hands back the typed error *plus* the last durable
-/// [`Checkpoint`] so the caller can [`resume`]. A completed run is bitwise
-/// identical to [`try_train`] — checkpointing only observes.
-pub fn try_train_resumable(
-    cfg: &TrainerConfig,
-    data: &[IterationData],
-) -> Result<TrainOutput, Box<FailedRun>> {
-    let p = cfg.schedule.lists.len();
-    run_chunked(cfg, DataRef::Single(data), 0, fresh_state(cfg, p))
-}
-
-/// [`try_train_data_parallel`] with durable checkpoints and failure
-/// injection (see [`try_train_resumable`]). Replicas end bit-identical, so
-/// the checkpoint stores one copy of the stages; peaks cover all
-/// `world · P` global devices.
-pub fn try_train_data_parallel_resumable(
-    cfg: &TrainerConfig,
-    data: &[Vec<IterationData>],
-) -> Result<TrainOutput, Box<FailedRun>> {
-    let devices = cfg.schedule.lists.len() * data.len();
-    let views: Vec<&[IterationData]> = data.iter().map(Vec::as_slice).collect();
-    run_chunked(cfg, DataRef::Dp(&views), 0, fresh_state(cfg, devices))
-}
-
-fn resume_state(cfg: &TrainerConfig, ckpt: &Checkpoint, devices: usize) -> RunState {
+fn resume_state<'a>(cfg: &TrainerConfig, ckpt: &'a Checkpoint, devices: usize) -> RunState<'a> {
     RunState {
-        stages: ckpt.stages.clone(),
+        stages: Cow::Borrowed(&ckpt.stages),
         losses: ckpt.losses.clone(),
         peaks: ckpt.peak_stash_bytes.iter().map(|&b| b as usize).collect(),
         parked: vec![0; devices],
         trace: cfg.trace.then(|| ckpt.trace.clone().unwrap_or_else(|| Trace::new(devices as u32))),
-        last_ckpt: Some(ckpt.clone()),
+        last_ckpt: Some(Box::new(ckpt.clone())),
         rng_origin: ckpt.rng.map(|c| (c, ckpt.iteration)),
         plan_json: ckpt.plan_json.clone(),
     }
@@ -736,17 +710,18 @@ pub fn resume(
 }
 
 /// [`resume`] for data-parallel runs (`data[g]` is replica `g`'s full
-/// shard, exactly as passed to [`try_train_data_parallel_resumable`]).
+/// shard, exactly as passed to [`try_train_data_parallel`], and checked
+/// the same way).
 pub fn resume_data_parallel(
     cfg: &TrainerConfig,
     ckpt: &Checkpoint,
     data: &[Vec<IterationData>],
 ) -> Result<TrainOutput, ResumeError> {
-    let world = data.len() as u32;
-    guard_resume(cfg, ckpt, world, data.first().map_or(0, Vec::len))?;
-    let devices = cfg.schedule.lists.len() * data.len();
-    let views: Vec<&[IterationData]> = data.iter().map(Vec::as_slice).collect();
-    run_chunked(cfg, DataRef::Dp(&views), ckpt.iteration, resume_state(cfg, ckpt, devices))
+    let shards = shard_views(data).map_err(ResumeError::Run)?;
+    let world = shards.len() as u32;
+    guard_resume(cfg, ckpt, world, DataRef::Dp(&shards).iterations())?;
+    let devices = cfg.schedule.lists.len() * shards.len();
+    run_chunked(cfg, DataRef::Dp(&shards), ckpt.iteration, resume_state(cfg, ckpt, devices))
         .map_err(ResumeError::Run)
 }
 
@@ -759,7 +734,7 @@ pub fn checkpoint_of(
     world: u32,
 ) -> Checkpoint {
     let state = RunState {
-        stages: out.stages.clone(),
+        stages: Cow::Borrowed(&out.stages),
         losses: out.losses.clone(),
         peaks: out.peak_stash_bytes.clone(),
         parked: out.peak_mailbox_parked.clone(),
@@ -892,7 +867,7 @@ mod tests {
     #[test]
     fn dapple_matches_sequential_bitwise() {
         let (cfg, data) = job(2, 4, Scheme::Dapple);
-        let pipe = train(&cfg, &data);
+        let pipe = try_train(&cfg, &data).unwrap();
         let seq = sequential_reference(&cfg.stages, &data, cfg.lr, &cfg.loss);
         assert_eq!(pipe.stages, seq.stages, "weights diverged");
         assert_eq!(pipe.losses, seq.losses, "losses diverged");
@@ -901,7 +876,7 @@ mod tests {
     #[test]
     fn hanayo_matches_sequential_bitwise() {
         let (cfg, data) = job(2, 4, Scheme::Hanayo { waves: 2 });
-        let pipe = train(&cfg, &data);
+        let pipe = try_train(&cfg, &data).unwrap();
         let seq = sequential_reference(&cfg.stages, &data, cfg.lr, &cfg.loss);
         assert_eq!(pipe.stages, seq.stages);
         assert_eq!(pipe.losses, seq.losses);
@@ -917,15 +892,16 @@ mod tests {
         let one = synthetic_data(9, 1, 2, 4, 8).remove(0);
         let data = vec![one.clone(); 8];
         let cfg = TrainerConfig::new(schedule, stages, 0.05, LossKind::Mse);
-        let out = train(&cfg, &data);
+        let out = try_train(&cfg, &data).unwrap();
         assert!(out.losses.last().unwrap() < out.losses.first().unwrap(), "{:?}", out.losses);
     }
 
     #[test]
     fn full_recompute_is_bit_identical_and_stashes_less() {
         let (cfg, data) = job(2, 4, Scheme::Hanayo { waves: 2 });
-        let plain = train(&cfg, &data);
-        let ckpt = train(&TrainerConfig { recompute: Recompute::Full, ..cfg.clone() }, &data);
+        let plain = try_train(&cfg, &data).unwrap();
+        let ckpt =
+            try_train(&TrainerConfig { recompute: Recompute::Full, ..cfg.clone() }, &data).unwrap();
         assert_eq!(plain.stages, ckpt.stages, "checkpointed weights diverged");
         assert_eq!(plain.losses, ckpt.losses, "checkpointed losses diverged");
         for (d, (c, p)) in ckpt.peak_stash_bytes.iter().zip(&plain.peak_stash_bytes).enumerate() {
@@ -937,9 +913,9 @@ mod tests {
     fn tracing_observes_without_perturbing() {
         use hanayo_trace::TraceKind;
         let (cfg, data) = job(2, 4, Scheme::Hanayo { waves: 2 });
-        let plain = train(&cfg, &data);
+        let plain = try_train(&cfg, &data).unwrap();
         assert!(plain.trace.is_none(), "tracing is opt-in");
-        let traced = train(&TrainerConfig { trace: true, ..cfg.clone() }, &data);
+        let traced = try_train(&TrainerConfig { trace: true, ..cfg.clone() }, &data).unwrap();
         assert_eq!(plain.losses, traced.losses, "tracing changed the losses");
         assert_eq!(plain.stages, traced.stages, "tracing changed the weights");
         let trace = traced.trace.expect("trace requested");
@@ -966,7 +942,7 @@ mod tests {
         use hanayo_trace::TraceKind;
         let (cfg, data) = job(2, 2, Scheme::Dapple);
         let cfg = TrainerConfig { recompute: Recompute::Full, trace: true, ..cfg };
-        let trace = train(&cfg, &data).trace.unwrap();
+        let trace = try_train(&cfg, &data).unwrap().trace.unwrap();
         let recomputes = trace.events.iter().filter(|e| e.kind == TraceKind::Recompute).count();
         let backwards = trace.events.iter().filter(|e| e.kind == TraceKind::Bwd).count();
         assert_eq!(recomputes, backwards, "one replay rides every checkpointed backward");
@@ -979,7 +955,7 @@ mod tests {
         let (cfg, _) = job(2, 2, Scheme::Hanayo { waves: 1 });
         let cfg = TrainerConfig { trace: true, ..cfg };
         let shards = vec![synthetic_data(41, 1, 2, 2, 8), synthetic_data(42, 1, 2, 2, 8)];
-        let out = train_data_parallel(&cfg, &shards);
+        let out = try_train_data_parallel(&cfg, &shards).unwrap();
         let trace = out.trace.expect("trace requested");
         trace.validate().unwrap();
         assert_eq!(trace.devices, 4, "2 replicas × 2 devices");
@@ -1054,7 +1030,7 @@ mod tests {
     }
 
     #[test]
-    fn train_panic_carries_the_typed_message() {
+    fn train_error_carries_the_typed_message() {
         use hanayo_core::action::{Action, CommDir};
         let (mut cfg, data) = job(2, 2, Scheme::Dapple);
         let list = &mut cfg.schedule.lists[1].actions;
@@ -1063,10 +1039,9 @@ mod tests {
             .position(|a| matches!(a, Action::Comm(op) if op.dir == CommDir::Recv))
             .unwrap();
         list.remove(pos);
-        let result = std::panic::catch_unwind(|| train(&cfg, &data));
-        let msg = *result.unwrap_err().downcast::<String>().expect("string panic payload");
-        assert!(msg.contains("P1"), "panic must name the device: {msg}");
-        assert!(msg.contains("forward found no input"), "panic must name the op: {msg}");
+        let msg = try_train(&cfg, &data).unwrap_err().to_string();
+        assert!(msg.contains("P1"), "the error must name the device: {msg}");
+        assert!(msg.contains("forward found no input"), "the error must name the op: {msg}");
     }
 
     #[test]
@@ -1077,7 +1052,7 @@ mod tests {
         let stages = model.build_stages(2);
         let data = synthetic_data(1, 1, 2, 2, 8);
         let cfg = TrainerConfig::new(schedule, stages, 0.1, LossKind::Mse);
-        let result = std::panic::catch_unwind(|| train(&cfg, &data));
+        let result = std::panic::catch_unwind(|| try_train(&cfg, &data));
         assert!(result.is_err(), "chimera-native must be rejected");
     }
 
@@ -1085,7 +1060,7 @@ mod tests {
     fn data_parallel_matches_merged_batch_up_to_reassociation() {
         let (cfg, _) = job(2, 2, Scheme::Hanayo { waves: 1 });
         let shards = vec![synthetic_data(11, 2, 2, 2, 8), synthetic_data(12, 2, 2, 2, 8)];
-        let out = train_data_parallel(&cfg, &shards);
+        let out = try_train_data_parallel(&cfg, &shards).unwrap();
         // Equivalent sequential run: all micro-batches of both shards,
         // shard-major (rank order), per iteration. The DP hub reduces
         // per-shard sums — a different parenthesisation of the same sum —
@@ -1116,8 +1091,8 @@ mod tests {
         // must agree exactly.
         let (cfg, _) = job(2, 2, Scheme::Hanayo { waves: 1 });
         let shards = vec![synthetic_data(21, 2, 2, 2, 8), synthetic_data(22, 2, 2, 2, 8)];
-        let a = train_data_parallel(&cfg, &shards);
-        let b = train_data_parallel(&cfg, &shards);
+        let a = try_train_data_parallel(&cfg, &shards).unwrap();
+        let b = try_train_data_parallel(&cfg, &shards).unwrap();
         assert_eq!(a.stages, b.stages);
         assert_eq!(a.losses, b.losses);
     }
@@ -1140,32 +1115,90 @@ mod tests {
     }
 
     #[test]
-    fn resumable_run_without_failure_matches_plain_train() {
+    fn checkpoint_policy_on_without_failure_matches_policy_off() {
         // Chunked execution is an implementation detail: with the policy
-        // on but no failure, the output is bitwise the single-chunk one.
+        // on but no failure, the output is bitwise the single-chunk one,
+        // for one pipeline and for data-parallel replicas alike.
         let (mut cfg, data) = job(2, 4, Scheme::Hanayo { waves: 2 });
-        let plain = train(&cfg, &data);
-        cfg.checkpoint = CheckpointPolicy::every(1);
-        let chunked = try_train_resumable(&cfg, &data).unwrap();
-        bitwise_equal(&plain, &chunked);
+        let shards = vec![synthetic_data(51, 3, 4, 2, 8), synthetic_data(52, 3, 4, 2, 8)];
+        let plain = try_train(&cfg, &data).unwrap();
+        let plain_dp = try_train_data_parallel(&cfg, &shards).unwrap();
+        for every in [1, 2] {
+            cfg.checkpoint = CheckpointPolicy::every(every);
+            bitwise_equal(&plain, &try_train(&cfg, &data).unwrap());
+            bitwise_equal(&plain_dp, &try_train_data_parallel(&cfg, &shards).unwrap());
+        }
+    }
+
+    /// Run `f` on its own thread; fail instead of hanging the suite if it
+    /// has not returned within ten seconds.
+    fn within_watchdog<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+        use std::sync::mpsc::RecvTimeoutError;
+        let (tx, rx) = std::sync::mpsc::channel();
+        let run = std::thread::spawn(move || tx.send(f()));
+        match rx.recv_timeout(std::time::Duration::from_secs(10)) {
+            Ok(out) => out,
+            Err(RecvTimeoutError::Timeout) => panic!("the run hung"),
+            // `f` panicked: surface its panic, not a hang.
+            Err(RecvTimeoutError::Disconnected) => match run.join() {
+                Err(payload) => std::panic::resume_unwind(payload),
+                Ok(_) => unreachable!("the sender dropped without sending"),
+            },
+        }
+    }
+
+    #[test]
+    fn unequal_or_missing_shards_are_refused_before_any_thread_starts() {
+        let (cfg, _) = job(2, 2, Scheme::Hanayo { waves: 1 });
+        // Replica 1's shard is one iteration short: unchecked, replica 0
+        // would wait in the hub for its second contribution forever.
+        let uneven = vec![synthetic_data(1, 2, 2, 2, 8), synthetic_data(2, 1, 2, 2, 8)];
+        let short = WorkerError::ShardLength { replica: 1, len: 1, expected: 2 };
+        let done = try_train_data_parallel(&cfg, &[Vec::new(), Vec::new()]).unwrap();
+        let ckpt = checkpoint_of(&cfg, &done, 0, 2);
+
+        for (shards, primary, replica, message) in [
+            (
+                uneven,
+                short,
+                Some(1),
+                "training failed on replica 1: replica 1's shard holds 1 iteration(s), \
+                 replica 0's holds 2",
+            ),
+            (
+                Vec::new(),
+                WorkerError::NoShards,
+                None,
+                "training failed: a data-parallel run needs at least one shard",
+            ),
+        ] {
+            let (c, s) = (cfg.clone(), shards.clone());
+            let err = within_watchdog(move || try_train_data_parallel(&c, &s)).unwrap_err();
+            assert_eq!((&err.primary, err.replica), (&primary, replica), "{err}");
+            assert_eq!(err.failures, vec![(replica.unwrap_or(0), primary.clone())]);
+            assert_eq!(err.to_string(), message);
+
+            let (c, k) = (cfg.clone(), ckpt.clone());
+            match within_watchdog(move || resume_data_parallel(&c, &k, &shards)) {
+                Err(ResumeError::Run(e)) => assert_eq!(e, err),
+                other => panic!("expected the shard refusal, got {other:?}"),
+            }
+        }
     }
 
     #[test]
     fn killed_run_emits_last_durable_checkpoint_and_resumes_bitwise() {
         let (mut cfg, _) = job(2, 4, Scheme::Dapple);
         let data = synthetic_data(3, 4, 4, 2, 8);
-        let uninterrupted = train(&cfg, &data);
+        let uninterrupted = try_train(&cfg, &data).unwrap();
 
         cfg.checkpoint = CheckpointPolicy::every(2);
         cfg.failure = FailurePlan::KillDevice { device: 1, iteration: 3 };
-        let failed = try_train_resumable(&cfg, &data).unwrap_err();
+        let failed = try_train(&cfg, &data).unwrap_err();
         assert!(
-            matches!(
-                failed.error.primary,
-                WorkerError::Injected { device: DeviceId(1), iteration: 3 }
-            ),
+            matches!(failed.primary, WorkerError::Injected { device: DeviceId(1), iteration: 3 }),
             "unexpected primary: {}",
-            failed.error.primary
+            failed.primary
         );
         let ckpt = failed.checkpoint.expect("a durable checkpoint was taken");
         // Killed at iteration 3 with k = 2: the last boundary is 2.
@@ -1186,10 +1219,10 @@ mod tests {
     fn kill_before_first_boundary_resumes_from_scratch() {
         let (mut cfg, _) = job(2, 2, Scheme::GPipe);
         let data = synthetic_data(5, 3, 2, 2, 8);
-        let uninterrupted = train(&cfg, &data);
+        let uninterrupted = try_train(&cfg, &data).unwrap();
         cfg.checkpoint = CheckpointPolicy::every(2);
         cfg.failure = FailurePlan::KillDevice { device: 0, iteration: 1 };
-        let failed = try_train_resumable(&cfg, &data).unwrap_err();
+        let failed = try_train(&cfg, &data).unwrap_err();
         let ckpt = failed.checkpoint.expect("the iteration-0 checkpoint exists");
         assert_eq!(ckpt.iteration, 0);
         let resume_cfg = TrainerConfig { failure: FailurePlan::None, ..cfg.clone() };
@@ -1201,9 +1234,9 @@ mod tests {
     fn checkpointing_off_means_no_durable_checkpoint() {
         let (mut cfg, data) = job(2, 2, Scheme::Dapple);
         cfg.failure = FailurePlan::KillDevice { device: 0, iteration: 1 };
-        let failed = try_train_resumable(&cfg, &data).unwrap_err();
+        let failed = try_train(&cfg, &data).unwrap_err();
         assert!(failed.checkpoint.is_none());
-        assert!(failed.to_string().contains("no durable checkpoint"), "{failed}");
+        assert!(failed.to_string().contains("killed by the failure plan"), "{failed}");
     }
 
     #[test]
@@ -1229,7 +1262,7 @@ mod tests {
         let data = synthetic_data(3, 3, 2, 2, 8);
         cfg.checkpoint = CheckpointPolicy::every(1);
         cfg.failure = FailurePlan::KillDevice { device: 0, iteration: 2 };
-        let ckpt = try_train_resumable(&cfg, &data).unwrap_err().checkpoint.unwrap();
+        let ckpt = try_train(&cfg, &data).unwrap_err().checkpoint.unwrap();
         // A different learning rate is a different program.
         let other = TrainerConfig { lr: 0.01, failure: FailurePlan::None, ..cfg.clone() };
         match resume(&other, &ckpt, &data) {
@@ -1276,7 +1309,7 @@ mod tests {
         let data = synthetic_data(3, 6, 2, 2, 8);
         cfg.checkpoint = CheckpointPolicy::every(2);
         cfg.failure = FailurePlan::KillDevice { device: 0, iteration: 3 };
-        let mut ckpt = try_train_resumable(&cfg, &data).unwrap_err().checkpoint.unwrap();
+        let mut ckpt = try_train(&cfg, &data).unwrap_err().checkpoint.unwrap();
         assert_eq!(ckpt.iteration, 2);
         // Stamp the cursor the way the ckpt binary does (32 draws/iter).
         ckpt.rng = Some(RngCursor { seed: 3, draws: 64 });
@@ -1318,15 +1351,15 @@ mod tests {
     fn data_parallel_kill_and_resume_is_bitwise_equal() {
         let (mut cfg, _) = job(2, 2, Scheme::Hanayo { waves: 1 });
         let shards = vec![synthetic_data(61, 4, 2, 2, 8), synthetic_data(62, 4, 2, 2, 8)];
-        let uninterrupted = train_data_parallel(&cfg, &shards);
+        let uninterrupted = try_train_data_parallel(&cfg, &shards).unwrap();
 
         cfg.checkpoint = CheckpointPolicy::every(2);
         // Global rank 3 = replica 1, local device 1.
         cfg.failure = FailurePlan::KillDevice { device: 3, iteration: 2 };
-        let failed = try_train_data_parallel_resumable(&cfg, &shards).unwrap_err();
-        assert_eq!(failed.error.replica, Some(1), "the replica must be named");
+        let failed = try_train_data_parallel(&cfg, &shards).unwrap_err();
+        assert_eq!(failed.replica, Some(1), "the replica must be named");
         assert!(matches!(
-            failed.error.primary,
+            failed.primary,
             WorkerError::Injected { device: DeviceId(1), iteration: 2 }
         ));
         let ckpt = failed.checkpoint.expect("durable checkpoint");
@@ -1345,11 +1378,11 @@ mod tests {
         let (mut cfg, _) = job(2, 2, Scheme::Dapple);
         let data = synthetic_data(9, 4, 2, 2, 8);
         cfg.trace = true;
-        let uninterrupted = train(&cfg, &data);
+        let uninterrupted = try_train(&cfg, &data).unwrap();
 
         cfg.checkpoint = CheckpointPolicy::every(2);
         cfg.failure = FailurePlan::KillDevice { device: 0, iteration: 2 };
-        let ckpt = try_train_resumable(&cfg, &data).unwrap_err().checkpoint.unwrap();
+        let ckpt = try_train(&cfg, &data).unwrap_err().checkpoint.unwrap();
         let resume_cfg = TrainerConfig { failure: FailurePlan::None, ..cfg.clone() };
         let resumed = resume(&resume_cfg, &ckpt, &data).unwrap();
 
@@ -1393,7 +1426,7 @@ mod tests {
     #[test]
     fn checkpoint_of_freezes_a_completed_run() {
         let (cfg, data) = job(2, 2, Scheme::Dapple);
-        let out = train(&cfg, &data);
+        let out = try_train(&cfg, &data).unwrap();
         let ckpt = checkpoint_of(&cfg, &out, data.len() as u32, 1);
         assert_eq!(ckpt.iteration, 2);
         ckpt.guard(fingerprint_of(&cfg, 1)).unwrap();

@@ -273,11 +273,26 @@ pub enum WorkerError {
         /// The panic payload, when it was a string.
         message: String,
     },
+    /// A data-parallel run was given no shard at all. Refused before any
+    /// thread starts.
+    NoShards,
+    /// A data-parallel replica's shard holds a different iteration count
+    /// than replica 0's. Refused before any thread starts: the other
+    /// replicas would wait in the all-reduce forever.
+    ShardLength {
+        /// The replica whose shard differs.
+        replica: usize,
+        /// Iterations in its shard.
+        len: usize,
+        /// Iterations in replica 0's shard.
+        expected: usize,
+    },
 }
 
 impl WorkerError {
-    /// The device the error occurred on.
-    pub fn device(&self) -> DeviceId {
+    /// The device the error occurred on; `None` for a run refused before
+    /// any device started.
+    pub fn device(&self) -> Option<DeviceId> {
         match *self {
             WorkerError::MissingInput { device, .. }
             | WorkerError::MissingGradient { device, .. }
@@ -291,7 +306,8 @@ impl WorkerError {
             | WorkerError::Aborted { device }
             | WorkerError::Injected { device, .. }
             | WorkerError::LinkDown { device, .. }
-            | WorkerError::Panicked { device, .. } => device,
+            | WorkerError::Panicked { device, .. } => Some(device),
+            WorkerError::NoShards | WorkerError::ShardLength { .. } => None,
         }
     }
 
@@ -343,6 +359,11 @@ impl fmt::Display for WorkerError {
             WorkerError::Panicked { device, message } => {
                 write!(f, "{device}: worker thread panicked: {message}")
             }
+            WorkerError::NoShards => write!(f, "a data-parallel run needs at least one shard"),
+            WorkerError::ShardLength { replica, len, expected } => write!(
+                f,
+                "replica {replica}'s shard holds {len} iteration(s), replica 0's holds {expected}"
+            ),
         }
     }
 }
@@ -506,7 +527,7 @@ pub fn run_worker(mut cfg: WorkerConfig<'_>, mut mailbox: Mailbox, fabric: Fabri
         if let Some((_, hub)) = cfg.dp {
             hub.abort();
         }
-        debug_assert!(e.device() == device);
+        debug_assert!(e.device() == Some(device));
     }
     stats.flush(device, peak_stash, mailbox.parked_peak());
 
@@ -936,7 +957,7 @@ mod tests {
         let tag = MsgTag { mb: MicroBatch(3), stage: StageId(1), payload: Payload::Activation };
         let e = WorkerError::MissingInput { device: DeviceId(2), tag };
         assert_eq!(e.to_string(), "P2: forward found no input act:mb3@S1");
-        assert_eq!(e.device(), DeviceId(2));
+        assert_eq!(e.device(), Some(DeviceId(2)));
         assert!(!e.is_cascade());
         assert!(WorkerError::Aborted { device: DeviceId(0) }.is_cascade());
     }

@@ -10,7 +10,7 @@ use hanayo_core::config::{PipelineConfig, Scheme};
 use hanayo_core::schedule::build_schedule;
 use hanayo_model::builders::MicroModel;
 use hanayo_model::Recompute;
-use hanayo_runtime::trainer::{synthetic_data, train, TrainerConfig};
+use hanayo_runtime::trainer::{synthetic_data, try_train, TrainerConfig};
 use hanayo_runtime::LossKind;
 use proptest::prelude::*;
 
@@ -45,10 +45,9 @@ proptest! {
         };
         let data = synthetic_data(seed.wrapping_add(5), 2, b as usize, 2, 6);
         let run = |recompute| {
-            train(
-                &TrainerConfig { recompute, ..TrainerConfig::new(schedule.clone(), model.build_stages(s), 0.05, LossKind::Mse) },
-                &data,
-            )
+            let base =
+                TrainerConfig::new(schedule.clone(), model.build_stages(s), 0.05, LossKind::Mse);
+            try_train(&TrainerConfig { recompute, ..base }, &data).unwrap()
         };
         let plain = run(Recompute::None);
         let ckpt = run(Recompute::Full);

@@ -10,11 +10,12 @@
 
 use hanayo_ckpt::{Checkpoint, CheckpointPolicy, FailurePlan};
 use hanayo_core::config::{PipelineConfig, Scheme};
+use hanayo_core::ids::DeviceId;
 use hanayo_core::schedule::build_schedule;
 use hanayo_model::builders::MicroModel;
-use hanayo_runtime::trainer::{synthetic_data, train, TrainerConfig};
+use hanayo_runtime::trainer::{synthetic_data, try_train, TrainerConfig};
 use hanayo_runtime::worker::WorkerError;
-use hanayo_runtime::{resume, try_train_resumable, LossKind};
+use hanayo_runtime::{resume, LossKind};
 use proptest::prelude::*;
 
 fn any_scheme() -> impl Strategy<Value = Scheme> {
@@ -50,20 +51,20 @@ proptest! {
         let data = synthetic_data(seed.wrapping_add(17), iterations, b as usize, 2, 6);
         let base = TrainerConfig::new(schedule, model.build_stages(s), 0.05, LossKind::Mse);
 
-        let uninterrupted = train(&base, &data);
+        let uninterrupted = try_train(&base, &data).unwrap();
 
         let armed = TrainerConfig {
             checkpoint: CheckpointPolicy::every(every),
             failure: FailurePlan::KillDevice { device: kill_device, iteration: kill_at },
             ..base.clone()
         };
-        let failed = try_train_resumable(&armed, &data).unwrap_err();
+        let failed = try_train(&armed, &data).unwrap_err();
         prop_assert!(
-            matches!(failed.error.primary, WorkerError::Injected { .. }),
+            matches!(failed.primary, WorkerError::Injected { .. }),
             "expected the injected kill as root cause, got {}",
-            failed.error.primary
+            failed.primary
         );
-        prop_assert_eq!(failed.error.primary.device().0, kill_device);
+        prop_assert_eq!(failed.primary.device(), Some(DeviceId(kill_device)));
 
         let ckpt = failed.checkpoint.expect("a durable checkpoint (boundary 0 always exists)");
         prop_assert!(ckpt.iteration <= kill_at, "checkpoint cannot postdate the kill");

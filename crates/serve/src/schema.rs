@@ -26,7 +26,9 @@ use hanayo_core::config::{PipelineConfig, Scheme};
 use hanayo_core::schedule::build_schedule;
 use hanayo_model::{CostTable, ModelConfig, Recompute};
 use hanayo_sim::tuner::{tune_serial_with, tune_with, Rejection, TuneContext, TuneOptions, Tuning};
-use hanayo_sim::{evaluate_plan, try_simulate, Method, ParallelPlan, PlanResult, SimOptions};
+use hanayo_sim::{
+    evaluate_plan, try_simulate_traced, Method, ParallelPlan, PlanResult, SimOptions,
+};
 use hanayo_sim::{SimReport, TuneError};
 use serde::{Deserialize, Serialize};
 
@@ -523,7 +525,7 @@ pub fn run_simulate(req: &SimulateRequest) -> Result<SimulateDoc, RunError> {
         recv_lookahead: req.recv_lookahead,
         ..SimOptions::default()
     };
-    let report = try_simulate(&schedule, &cost, &cluster, opts)
+    let (report, _) = try_simulate_traced(&schedule, &cost, &cluster, opts)
         .map_err(|e| RunError::BadRequest(format!("simulating {}: {e}", req.scheme)))?;
     Ok(SimulateDoc {
         model: req.model.clone(),

@@ -4,7 +4,7 @@
 //!
 //! Nothing on a request's path waits on a clock: `accept` blocks and is
 //! woken for shutdown by a self-connect, a stream is handed to a parked
-//! worker (or a new one, up to [`MAX_WORKERS`]) under one mutex + condvar,
+//! worker (or a new one, up to `MAX_WORKERS`) under one mutex + condvar,
 //! and the drain ends blocked reads with `shutdown(Read)` instead of
 //! waiting for a read timeout.
 //!
@@ -632,7 +632,7 @@ fn connection(shared: &Arc<Shared>, stream: TcpStream) {
 }
 
 /// A running server. Dropping the handle does *not* stop the server;
-/// call [`ServerHandle::stop`] (or POST `/shutdown`).
+/// call [`Server::stop`] (or POST `/shutdown`).
 pub struct Server {
     addr: SocketAddr,
     shared: Arc<Shared>,

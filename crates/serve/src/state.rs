@@ -133,7 +133,7 @@ impl Default for ServeState {
 
 impl ServeState {
     /// The shared [`SweepCaches`] for a configuration fingerprint,
-    /// creating (and, beyond [`MAX_CONFIGS`], evicting the oldest) as
+    /// creating (and, beyond `MAX_CONFIGS`, evicting the oldest) as
     /// needed. Callers clone the `Arc`, so an evicted configuration's
     /// caches stay alive for requests already holding them.
     pub fn caches_for(&self, config_key: u64) -> Arc<SweepCaches> {

@@ -55,11 +55,11 @@ pub struct SimOptions {
     /// value is clamped to `[0, 1]` at evaluation time.
     pub allreduce_overlap: f64,
     /// Lower the executed spans and transfers into a
-    /// [`hanayo_trace::Trace`] (returned by [`simulate_traced`]). Off by
-    /// default: the untraced fast path stays branch-cheap (the
+    /// [`hanayo_trace::Trace`] (returned by [`try_simulate_traced`]). Off
+    /// by default: the untraced fast path stays branch-cheap (the
     /// benchmark's `trace.overhead_share` row prices the difference).
-    /// Tracing never perturbs the
-    /// report — traced and untraced runs are bit-identical.
+    /// Tracing never perturbs the report — traced and untraced runs are
+    /// bit-identical.
     pub trace: bool,
 }
 
@@ -77,7 +77,7 @@ impl Default for SimOptions {
 
 /// A non-finite or non-positive quantity that would corrupt the simulator.
 ///
-/// [`Tm`]'s total order is well-defined even for NaN, but a NaN cost or
+/// `Tm`'s total order is well-defined even for NaN, but a NaN cost or
 /// bandwidth silently poisons every downstream time; negative values
 /// reorder the event heap. Inputs are therefore vetted up front: cost
 /// entries must be finite and positive, bandwidths positive (infinite is
@@ -149,7 +149,7 @@ impl std::error::Error for NumericsError {}
 
 /// Vet every number the engine will feed into event times. See
 /// [`NumericsError`] for the exact rules. [`crate::evaluate_plan`] calls
-/// this before simulating; [`simulate`] asserts it.
+/// this before simulating, and so does [`try_simulate_traced`].
 pub fn validate_numerics(
     cost: &CostTable,
     cluster: &ClusterSpec,
@@ -423,8 +423,8 @@ fn compile(schedule: &Schedule, opts: &SimOptions) -> Compiled {
 
 /// A schedule lowered once for repeated simulation.
 ///
-/// [`try_simulate`] re-lowers its schedule on every call; inside a tuner
-/// sweep the same `(schedule, lookahead options)` pair is simulated under
+/// [`try_simulate_traced`] re-lowers its schedule on every call; inside a
+/// tuner sweep the same `(schedule, lookahead options)` pair is simulated under
 /// many cost tables and sub-clusters, so the lowering is pure overhead
 /// after the first run. [`compile_schedule`] hoists it:
 ///
@@ -773,10 +773,10 @@ impl<'a> Engine<'a> {
     }
 }
 
-/// A rejected simulation input or run — the typed form of what
-/// [`simulate`] panics on. Produced by [`try_simulate`] /
-/// [`try_simulate_traced`] so a sweep or search can turn one malformed
-/// candidate into a rejection instead of dying.
+/// A rejected simulation input or run. Produced by
+/// [`try_simulate_traced`] / [`try_simulate_compiled`] so a sweep or
+/// search can turn one malformed candidate into a rejection instead of
+/// dying.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SimError {
     /// The cluster's device count differs from the schedule's.
@@ -845,47 +845,14 @@ impl From<NumericsError> for SimError {
 }
 
 /// Execute one iteration of `schedule` on `cluster` with per-stage costs
-/// from `cost`. The cluster must have exactly the pipeline's device count,
-/// and all costs/link characteristics must pass [`validate_numerics`].
-/// Panics on malformed inputs — use [`try_simulate`] for the typed form.
-pub fn simulate(
-    schedule: &Schedule,
-    cost: &CostTable,
-    cluster: &ClusterSpec,
-    opts: SimOptions,
-) -> SimReport {
-    simulate_traced(schedule, cost, cluster, opts).0
-}
-
-/// [`simulate`] with a typed error instead of a panic: malformed shapes,
-/// non-finite inputs and deadlocking schedules come back as a
-/// [`SimError`]. This is the entry the tuner, the sweep and the schedule
-/// search score candidates through.
-pub fn try_simulate(
-    schedule: &Schedule,
-    cost: &CostTable,
-    cluster: &ClusterSpec,
-    opts: SimOptions,
-) -> Result<SimReport, SimError> {
-    try_simulate_traced(schedule, cost, cluster, opts).map(|(report, _)| report)
-}
-
-/// [`simulate`], additionally lowering the run into a [`Trace`] when
-/// `opts.trace` is set (`None` otherwise). The report is bit-identical to
-/// an untraced run, and the trace's makespan equals the report's
-/// `iteration_time` exactly — the `trace_truth` suite pins both across
-/// every golden scheme. Panicking wrapper over [`try_simulate_traced`].
-pub fn simulate_traced(
-    schedule: &Schedule,
-    cost: &CostTable,
-    cluster: &ClusterSpec,
-    opts: SimOptions,
-) -> (SimReport, Option<Trace>) {
-    try_simulate_traced(schedule, cost, cluster, opts).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// The typed core of the engine: every guard that used to `panic!` /
-/// `assert!` on malformed inputs returns its [`SimError`] instead.
+/// from `cost`, lowering the run into a [`Trace`] when `opts.trace` is set
+/// (`None` otherwise). The cluster must have exactly the pipeline's device
+/// count, and all costs/link characteristics must pass
+/// [`validate_numerics`]; malformed shapes, non-finite inputs and
+/// deadlocking schedules come back as a [`SimError`]. The report is
+/// bit-identical to an untraced run, and the trace's makespan equals the
+/// report's `iteration_time` exactly — the `trace_truth` suite pins both
+/// across every golden scheme.
 pub fn try_simulate_traced(
     schedule: &Schedule,
     cost: &CostTable,
@@ -898,12 +865,13 @@ pub fn try_simulate_traced(
     run_compiled(&compiled, schedule, cost, cluster, opts)
 }
 
-/// [`try_simulate`] against a pre-lowered schedule: skips the per-call
-/// [`compile_schedule`] work. The report is bit-identical to
-/// [`try_simulate`] with the same inputs — the lowering is a pure function
-/// of `(schedule, lookahead options)`, so hoisting it cannot perturb a
-/// single event time. `schedule` must be the exact schedule `compiled` was
-/// lowered from and `opts` must [`CompiledSchedule::matches`] it.
+/// [`try_simulate_traced`] against a pre-lowered schedule, without a
+/// trace: skips the per-call [`compile_schedule`] work. The report is
+/// bit-identical to [`try_simulate_traced`]'s with the same inputs — the
+/// lowering is a pure function of `(schedule, lookahead options)`, so
+/// hoisting it cannot perturb a single event time. `schedule` must be the
+/// exact schedule `compiled` was lowered from and `opts` must
+/// [`CompiledSchedule::matches`] it.
 pub fn try_simulate_compiled(
     compiled: &CompiledSchedule,
     schedule: &Schedule,
@@ -1048,7 +1016,7 @@ mod tests {
         let cfg = PipelineConfig::new(p, b, scheme).unwrap();
         let schedule = build_schedule(&cfg).unwrap();
         let cost = CostTable::build(&ModelConfig::bert64(), cfg.stages(), 1);
-        simulate(&schedule, &cost, cluster, opts)
+        try_simulate_traced(&schedule, &cost, cluster, opts).unwrap().0
     }
 
     #[test]
@@ -1059,7 +1027,7 @@ mod tests {
         let cluster = fc_full_nvlink(4);
         let opts = SimOptions::default();
         let compiled = compile_schedule(&schedule, &opts);
-        let direct = try_simulate(&schedule, &cost, &cluster, opts).unwrap();
+        let direct = try_simulate_traced(&schedule, &cost, &cluster, opts).unwrap().0;
         let pre = try_simulate_compiled(&compiled, &schedule, &cost, &cluster, opts).unwrap();
         assert_eq!(direct, pre, "hoisting the lowering must not perturb a single event");
         // Prefetch is applied at simulation time, so the ablation shares
@@ -1068,7 +1036,7 @@ mod tests {
         assert!(compiled.matches(&ablated));
         assert_eq!(
             try_simulate_compiled(&compiled, &schedule, &cost, &cluster, ablated).unwrap(),
-            try_simulate(&schedule, &cost, &cluster, ablated).unwrap(),
+            try_simulate_traced(&schedule, &cost, &cluster, ablated).unwrap().0,
         );
         // ...while a different lookahead is baked into the prefetch
         // windows and must be rejected, not silently mis-simulated.
@@ -1203,7 +1171,7 @@ mod tests {
                     let cfg = PipelineConfig::new(8, 8, scheme).unwrap();
                     let schedule = build_schedule(&cfg).unwrap();
                     let cost = CostTable::build(&ModelConfig::bert64(), cfg.stages(), 1);
-                    let fast = simulate(&schedule, &cost, &cluster, opts);
+                    let fast = try_simulate_traced(&schedule, &cost, &cluster, opts).unwrap().0;
                     let slow = simulate_reference(&schedule, &cost, &cluster, opts);
                     assert_eq!(fast, slow, "{}/{scheme}: engines diverged", cluster.name);
                 }
@@ -1222,7 +1190,9 @@ mod tests {
                 let schedule = build_schedule(&cfg).unwrap();
                 let cost =
                     CostTable::build_with(&ModelConfig::bert64(), cfg.stages(), 1, Recompute::Full);
-                let fast = simulate(&schedule, &cost, &cluster, SimOptions::default());
+                let fast = try_simulate_traced(&schedule, &cost, &cluster, SimOptions::default())
+                    .unwrap()
+                    .0;
                 let slow = simulate_reference(&schedule, &cost, &cluster, SimOptions::default());
                 assert_eq!(fast, slow, "{}/{scheme}: engines diverged under Full", cluster.name);
                 // Peak is weights + at most a handful of boundary tensors.
@@ -1240,13 +1210,17 @@ mod tests {
                 let cfg = PipelineConfig::new(8, 8, scheme).unwrap();
                 let schedule = build_schedule(&cfg).unwrap();
                 let cost = CostTable::build(&ModelConfig::bert64(), cfg.stages(), 1);
-                let untraced = simulate(&schedule, &cost, &cluster, SimOptions::default());
-                let (traced, trace) = simulate_traced(
+                let untraced =
+                    try_simulate_traced(&schedule, &cost, &cluster, SimOptions::default())
+                        .unwrap()
+                        .0;
+                let (traced, trace) = try_simulate_traced(
                     &schedule,
                     &cost,
                     &cluster,
                     SimOptions { trace: true, ..Default::default() },
-                );
+                )
+                .unwrap();
                 assert_eq!(
                     untraced, traced,
                     "{}/{scheme}: tracing changed the report",
@@ -1269,7 +1243,8 @@ mod tests {
         let schedule = build_schedule(&cfg).unwrap();
         let cost = CostTable::build(&ModelConfig::bert64(), cfg.stages(), 1);
         let (_, trace) =
-            simulate_traced(&schedule, &cost, &fc_full_nvlink(4), SimOptions::default());
+            try_simulate_traced(&schedule, &cost, &fc_full_nvlink(4), SimOptions::default())
+                .unwrap();
         assert!(trace.is_none());
     }
 
@@ -1280,12 +1255,13 @@ mod tests {
         let schedule = build_schedule(&cfg).unwrap();
         let cost = CostTable::build(&ModelConfig::bert64(), cfg.stages(), 1);
         let cluster = lonestar6(4);
-        let (_, trace) = simulate_traced(
+        let (_, trace) = try_simulate_traced(
             &schedule,
             &cost,
             &cluster,
             SimOptions { trace: true, ..Default::default() },
-        );
+        )
+        .unwrap();
         let trace = trace.unwrap();
         let sends: Vec<_> = trace.events.iter().filter(|e| e.kind == TraceKind::Send).collect();
         let recvs: Vec<_> = trace.events.iter().filter(|e| e.kind == TraceKind::Recv).collect();
@@ -1336,13 +1312,15 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "invalid simulation inputs")]
-    fn simulate_panics_on_nan_bandwidth() {
+    fn simulate_rejects_nan_bandwidth() {
         let cfg = PipelineConfig::new(4, 4, Scheme::Dapple).unwrap();
         let schedule = build_schedule(&cfg).unwrap();
         let cost = CostTable::build(&ModelConfig::bert64(), cfg.stages(), 1);
         let mut cluster = fc_full_nvlink(4);
         cluster.links[0][1].bandwidth = f64::NAN;
-        simulate(&schedule, &cost, &cluster, SimOptions::default());
+        let err =
+            try_simulate_traced(&schedule, &cost, &cluster, SimOptions::default()).unwrap_err();
+        assert!(matches!(err, SimError::Numerics(_)), "{err}");
+        assert!(err.to_string().contains("invalid simulation inputs"), "{err}");
     }
 }

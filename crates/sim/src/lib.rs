@@ -38,14 +38,14 @@ pub mod tuner;
 
 pub use cache::SweepCaches;
 pub use engine::{
-    compile_schedule, simulate, simulate_traced, try_simulate, try_simulate_compiled,
-    try_simulate_traced, validate_numerics, CompiledSchedule, NumericsError, SimError, SimOptions,
+    compile_schedule, try_simulate_compiled, try_simulate_traced, validate_numerics,
+    CompiledSchedule, NumericsError, SimError, SimOptions,
 };
 pub use plan::{evaluate_plan, Method, ParallelPlan, PlanResult};
 pub use reference::simulate_reference;
 pub use report::SimReport;
 pub use search::{search_schedule, ScheduleSearchOptions, SearchedSchedule};
 pub use tuner::{
-    tune, tune_serial, tune_serial_with, tune_with, Candidate, Rejection, TuneContext, TuneError,
-    TuneOptions, TuneProgress, Tuning,
+    tune_serial_with, tune_with, Candidate, Rejection, TuneContext, TuneError, TuneOptions,
+    TuneProgress, Tuning,
 };

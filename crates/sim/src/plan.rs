@@ -99,9 +99,8 @@ pub enum PlanError {
     /// corrupt the simulator's event ordering (see
     /// [`crate::engine::validate_numerics`]).
     Numerics(NumericsError),
-    /// The engine rejected the run (shape mismatch or deadlock) — the
-    /// typed form of what `simulate` panics on, surfaced by routing the
-    /// plan through [`crate::engine::try_simulate`].
+    /// The engine rejected the run (shape mismatch or deadlock), as
+    /// [`crate::engine::try_simulate_compiled`] reported it.
     Sim(SimError),
 }
 

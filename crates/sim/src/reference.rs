@@ -288,7 +288,7 @@ impl<'a> Engine<'a> {
 }
 
 /// Execute one iteration of `schedule` with the seed engine. Semantics are
-/// documented on [`crate::simulate`]; this implementation exists to
+/// documented on [`crate::try_simulate_traced`]; this implementation exists to
 /// cross-check and benchmark the indexed fast path against.
 pub fn simulate_reference(
     schedule: &Schedule,

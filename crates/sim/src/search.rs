@@ -2,14 +2,15 @@
 //!
 //! `hanayo-core`'s [`local_search`] is generic over a scoring closure;
 //! this module supplies the closure the rest of the workspace cares
-//! about: lower the candidate table to an executable [`Schedule`] and run
-//! the compiled fast path via [`try_simulate`], so one illegal candidate
+//! about: lower the candidate table to an executable
+//! [`Schedule`](hanayo_core::action::Schedule) and run
+//! the compiled fast path via [`try_simulate_traced`], so one illegal candidate
 //! becomes a skipped move, never a panic. [`search_schedule`] is the
 //! full pipeline: simulate the seven named schemes at `(P, B)`, greedily
 //! seed the table from the best of them, hill-climb, and report the
 //! searched schedule beside its baselines.
 
-use crate::engine::{try_simulate, SimError, SimOptions};
+use crate::engine::{try_simulate_traced, SimError, SimOptions};
 use hanayo_cluster::ClusterSpec;
 use hanayo_core::chain::ComputeSchedule;
 use hanayo_core::comm;
@@ -152,7 +153,7 @@ fn simulate_order(
     opts: SimOptions,
 ) -> Result<f64, SimError> {
     let schedule = comm::lower(cs);
-    try_simulate(&schedule, cost, cluster, opts).map(|r| r.iteration_time)
+    try_simulate_traced(&schedule, cost, cluster, opts).map(|(r, _)| r.iteration_time)
 }
 
 /// Search the schedule space at `(P, B)` on `cluster` (which must have
@@ -201,7 +202,7 @@ pub fn search_schedule(
         if hanayo_analyze::check_deadlock_free(&schedule).is_err() {
             return None;
         }
-        try_simulate(&schedule, &cost, cluster, sim).ok().map(|r| r.iteration_time)
+        try_simulate_traced(&schedule, &cost, cluster, sim).ok().map(|(r, _)| r.iteration_time)
     })
     .map_err(ScheduleSearchError::Seed)?;
 

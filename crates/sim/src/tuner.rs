@@ -1,9 +1,9 @@
-//! The auto-tuner: the paper's "unified framework [that] enables ...
-//! automatically scal[ing] pipelines to more devices" and "performance
+//! The auto-tuner: the paper's "unified framework \[that\] enables ...
+//! automatically scal\[ing\] pipelines to more devices" and "performance
 //! model with adaptability to choose from various pipeline parallelism
 //! strategies to attain optimal performance" (§1, §6).
 //!
-//! Given a model, a cluster and a global batch, [`tune`] sweeps the whole
+//! Given a model, a cluster and a global batch, [`tune_with`] sweeps the whole
 //! strategy space — method × wave count × (P, D) factorisations ×
 //! activation-recomputation modes, optionally widened with simulator
 //! ablations (prefetch on/off, `recv_lookahead`) and micro-batch
@@ -18,7 +18,7 @@
 //!
 //! Candidates are simulated concurrently (`par_iter` over the candidate
 //! list); the final ranking is nevertheless *byte-identical* to a serial
-//! run ([`tune_serial`]) because results are collected in candidate order
+//! run ([`tune_serial_with`]) because results are collected in candidate order
 //! and the ranking is a stable sort on `(throughput, plan)` keys — worker
 //! interleaving never leaks into the output. A property test pits the two
 //! against each other on random `(model, cluster, batch)` triples.
@@ -29,8 +29,7 @@
 //! [`Rejection`] — [`Rejection::Oom`] with the offending peak bytes and
 //! device capacity, or [`Rejection::InvalidShape`] with the plan-level
 //! reason (indivisible batch, odd Chimera split, cluster too small,
-//! corrupt numerics). The sweep binary (`cargo run -p hanayo-repro --bin
-//! sweep`) emits both tables as JSON.
+//! corrupt numerics). `hanayo tune` emits both tables as JSON.
 //!
 //! ## One evaluation path
 //!
@@ -197,8 +196,8 @@ pub struct TuneOptions {
     pub recovery: RecoveryOptions,
     /// When set, run the tabular schedule-space search seeded from the
     /// winning plan's pipeline shape and attach the result as
-    /// [`Tuning::searched`]. Deterministic (seeded), so [`tune`] and
-    /// [`tune_serial`] stay byte-identical.
+    /// [`Tuning::searched`]. Deterministic (seeded), so [`tune_with`] and
+    /// [`tune_serial_with`] stay byte-identical.
     pub schedule_search: Option<ScheduleSearchOptions>,
 }
 
@@ -605,8 +604,8 @@ fn assemble(
 }
 
 /// Run the schedule-space search seeded from the winning plan's pipeline
-/// shape and attach it to the tuning. Shared verbatim by [`tune`] and
-/// [`tune_serial`]; the search is a pure function of its seed, so the two
+/// shape and attach it to the tuning. Shared verbatim by [`tune_with`] and
+/// [`tune_serial_with`]; the search is a pure function of its seed, so the two
 /// paths stay byte-identical.
 fn attach_schedule_search(
     mut tuning: Tuning,
@@ -693,7 +692,7 @@ impl TuneProgress {
 
 /// Caller-supplied hooks for a long-running sweep: shared artifact
 /// caches, cooperative cancellation, and live progress. The default
-/// context reproduces the plain [`tune`] behaviour exactly.
+/// context sets none of them: sweep-local caches, no abort, no progress.
 #[derive(Clone, Default)]
 pub struct TuneContext {
     /// Artifact caches shared *across* sweeps. `None` gives each sweep
@@ -808,34 +807,17 @@ fn tune_impl(
 }
 
 /// Sweep the strategy space and rank feasible plans by throughput,
-/// evaluating candidates in parallel. The ranking is byte-identical to
-/// [`tune_serial`] — see the module docs.
+/// evaluating candidates in parallel, with caller-supplied hooks: shared
+/// caches, cooperative cancellation, live progress (pass
+/// `&TuneContext::default()` for none). The ranking is byte-identical to
+/// [`tune_serial_with`] — see the module docs — and the context changes
+/// *when* a sweep may stop and *where* artifacts live, never what it
+/// computes; only a tripped abort flag makes it return
+/// [`TuneError::Cancelled`].
 ///
 /// `global_micro_batches` is the batch per iteration across the whole
 /// cluster; each candidate splits it evenly over its data-parallel groups
 /// (plans whose `D` does not divide it are recorded as shape rejections).
-pub fn tune(
-    model: &ModelConfig,
-    cluster: &ClusterSpec,
-    global_micro_batches: u32,
-    micro_batch_size: u32,
-    opts: &TuneOptions,
-) -> Tuning {
-    let ctx = TuneContext::default();
-    match tune_impl(model, cluster, global_micro_batches, micro_batch_size, opts, &ctx, true) {
-        Ok(t) => t,
-        // Unreachable: cancellation needs an abort flag and the default
-        // context carries none. An empty tuning is the safe fallback.
-        Err(TuneError::Cancelled { .. }) => {
-            Tuning { ranked: Vec::new(), rejected: Vec::new(), searched: None }
-        }
-    }
-}
-
-/// [`tune`] with caller-supplied hooks: shared caches, cooperative
-/// cancellation, live progress. Byte-identical to [`tune`] whenever it
-/// runs to completion — the context changes *when* a sweep may stop and
-/// *where* artifacts live, never what it computes.
 pub fn tune_with(
     model: &ModelConfig,
     cluster: &ClusterSpec,
@@ -847,27 +829,10 @@ pub fn tune_with(
     tune_impl(model, cluster, global_micro_batches, micro_batch_size, opts, ctx, true)
 }
 
-/// The serial reference for [`tune`]: identical candidate space, identical
-/// ranking, one candidate at a time. Exists so tests (and sceptical users)
-/// can verify that parallel evaluation never changes the answer.
-pub fn tune_serial(
-    model: &ModelConfig,
-    cluster: &ClusterSpec,
-    global_micro_batches: u32,
-    micro_batch_size: u32,
-    opts: &TuneOptions,
-) -> Tuning {
-    let ctx = TuneContext::default();
-    match tune_impl(model, cluster, global_micro_batches, micro_batch_size, opts, &ctx, false) {
-        Ok(t) => t,
-        // Unreachable — see tune().
-        Err(TuneError::Cancelled { .. }) => {
-            Tuning { ranked: Vec::new(), rejected: Vec::new(), searched: None }
-        }
-    }
-}
-
-/// [`tune_serial`] with caller-supplied hooks — see [`tune_with`].
+/// The serial reference for [`tune_with`]: identical candidate space,
+/// identical ranking, one candidate at a time. Exists so tests (and
+/// sceptical users) can verify that parallel evaluation never changes the
+/// answer.
 pub fn tune_serial_with(
     model: &ModelConfig,
     cluster: &ClusterSpec,
@@ -892,7 +857,8 @@ mod tests {
     #[test]
     fn tuner_finds_a_feasible_plan() {
         let model = ModelConfig::bert64().with_train_bytes_per_param(8);
-        let t = tune(&model, &fc_full_nvlink(8), 8, 1, &opts());
+        let t =
+            tune_with(&model, &fc_full_nvlink(8), 8, 1, &opts(), &TuneContext::default()).unwrap();
         let best = t.best().expect("something fits an 80GB box");
         assert!(best.result.throughput > 0.0);
     }
@@ -901,7 +867,8 @@ mod tests {
     fn best_plan_is_a_wave_schedule() {
         // On a healthy interconnect the tuner must pick Hanayo.
         let model = ModelConfig::bert64().with_train_bytes_per_param(8);
-        let t = tune(&model, &fc_full_nvlink(8), 8, 1, &opts());
+        let t =
+            tune_with(&model, &fc_full_nvlink(8), 8, 1, &opts(), &TuneContext::default()).unwrap();
         let best = t.best().unwrap();
         assert!(
             matches!(best.plan.method, Method::Hanayo { .. }),
@@ -913,7 +880,7 @@ mod tests {
     #[test]
     fn ranking_is_sorted_by_throughput() {
         let model = ModelConfig::gpt128().with_train_bytes_per_param(8);
-        let t = tune(&model, &lonestar6(8), 8, 1, &opts());
+        let t = tune_with(&model, &lonestar6(8), 8, 1, &opts(), &TuneContext::default()).unwrap();
         for pair in t.ranked.windows(2) {
             assert!(pair[0].result.throughput >= pair[1].result.throughput);
         }
@@ -924,7 +891,7 @@ mod tests {
         // Full-Adam BERT on 40 GB cards with a deep micro-batch: some plans
         // must be rejected for memory and carry their peak.
         let model = ModelConfig::bert64();
-        let t = tune(&model, &lonestar6(8), 16, 4, &opts());
+        let t = tune_with(&model, &lonestar6(8), 16, 4, &opts(), &TuneContext::default()).unwrap();
         assert!(t.rejected.iter().any(Rejection::is_oom), "expected OOM rejections");
         for r in &t.rejected {
             if let Rejection::Oom { peak_bytes, capacity_bytes, devices, .. } = r {
@@ -983,9 +950,14 @@ mod tests {
         let mut swept = Vec::new();
         for (model, cluster, batch, mbs, opts) in &scenarios {
             let reference = reference_tuning(model, cluster, *batch, *mbs, opts);
-            let parallel = tune(model, cluster, *batch, *mbs, opts);
+            let parallel =
+                tune_with(model, cluster, *batch, *mbs, opts, &TuneContext::default()).unwrap();
             assert_eq!(parallel, reference);
-            assert_eq!(tune_serial(model, cluster, *batch, *mbs, opts), reference);
+            assert_eq!(
+                tune_serial_with(model, cluster, *batch, *mbs, opts, &TuneContext::default())
+                    .unwrap(),
+                reference
+            );
             swept.push(parallel);
         }
         let reasons: Vec<String> = swept[2]
@@ -1021,7 +993,8 @@ mod tests {
     fn indivisible_batches_are_rejected_with_reasons_not_crashed() {
         let model = ModelConfig::gpt128().with_train_bytes_per_param(8);
         // 7 micro-batches over 8 devices: only D=1 factorisations apply.
-        let t = tune(&model, &fc_full_nvlink(8), 7, 1, &opts());
+        let t =
+            tune_with(&model, &fc_full_nvlink(8), 7, 1, &opts(), &TuneContext::default()).unwrap();
         for c in &t.ranked {
             assert_eq!(c.plan.dp, 1);
         }
@@ -1038,15 +1011,18 @@ mod tests {
         let model = ModelConfig::bert64().with_train_bytes_per_param(8);
         let cluster = lonestar6(8);
         let wide = opts().wide();
-        let par = tune(&model, &cluster, 16, 1, &wide);
-        let ser = tune_serial(&model, &cluster, 16, 1, &wide);
+        let par = tune_with(&model, &cluster, 16, 1, &wide, &TuneContext::default()).unwrap();
+        let ser =
+            tune_serial_with(&model, &cluster, 16, 1, &wide, &TuneContext::default()).unwrap();
         assert_eq!(par, ser);
     }
 
     #[test]
     fn wide_space_contains_ablations_and_merges() {
         let model = ModelConfig::bert64().with_train_bytes_per_param(8);
-        let t = tune(&model, &fc_full_nvlink(8), 16, 1, &opts().wide());
+        let t =
+            tune_with(&model, &fc_full_nvlink(8), 16, 1, &opts().wide(), &TuneContext::default())
+                .unwrap();
         assert!(t.ranked.iter().any(|c| !c.sim.prefetch), "prefetch ablation missing");
         assert!(t.ranked.iter().any(|c| c.sim.recv_lookahead == 4), "lookahead sweep missing");
         assert!(t.ranked.iter().any(|c| c.plan.micro_batch_size == 2), "micro-batch merge missing");
@@ -1081,14 +1057,16 @@ mod tests {
         // A short-MTBF what-if cluster so the failure term actually bites.
         cluster.device_mtbf_s = 40_000.0;
         let base = TuneOptions { waves: vec![2], min_pp: 8, ..Default::default() };
-        let plain = tune(&model, &cluster, 8, 1, &base);
-        let with_axis = tune(
+        let plain = tune_with(&model, &cluster, 8, 1, &base, &TuneContext::default()).unwrap();
+        let with_axis = tune_with(
             &model,
             &cluster,
             8,
             1,
             &TuneOptions { checkpoint_intervals: vec![4, 0, 16, 4], ..base },
-        );
+            &TuneContext::default(),
+        )
+        .unwrap();
         // Dedup dropped the 0 and the duplicate: 2 intervals per plan.
         assert_eq!(with_axis.ranked.len(), 2 * plain.ranked.len());
         for c in &with_axis.ranked {
@@ -1122,7 +1100,7 @@ mod tests {
             checkpoint_intervals: (1..=400).collect(),
             ..Default::default()
         };
-        let t = tune(&model, &cluster, 8, 1, &opts);
+        let t = tune_with(&model, &cluster, 8, 1, &opts, &TuneContext::default()).unwrap();
         let best = t.best().expect("one plan, many intervals");
         let r = best.recovery.unwrap();
         let star_s = young_daly_interval_s(r.checkpoint_write_s, r.cluster_mtbf_s, r.restart_s);
@@ -1145,17 +1123,17 @@ mod tests {
         let search =
             ScheduleSearchOptions { max_rounds: 6, moves_per_round: 8, ..Default::default() };
         let with = TuneOptions { schedule_search: Some(search), ..opts() };
-        let par = tune(&model, &cluster, 8, 1, &with);
+        let par = tune_with(&model, &cluster, 8, 1, &with, &TuneContext::default()).unwrap();
         let searched = par.searched.as_ref().expect("axis on + feasible best ⇒ searched");
         // Never worse than its own best named baseline, and internally
         // consistent with the winning plan's shape.
         assert!(searched.iteration_time_s <= searched.baseline_iteration_time_s);
         assert!(!searched.baselines.is_empty());
         // Byte-identical across the parallel and serial paths.
-        let ser = tune_serial(&model, &cluster, 8, 1, &with);
+        let ser = tune_serial_with(&model, &cluster, 8, 1, &with, &TuneContext::default()).unwrap();
         assert_eq!(par, ser);
         // Axis off ⇒ no searched candidate, ranking unchanged.
-        let without = tune(&model, &cluster, 8, 1, &opts());
+        let without = tune_with(&model, &cluster, 8, 1, &opts(), &TuneContext::default()).unwrap();
         assert!(without.searched.is_none());
         assert_eq!(without.ranked, par.ranked);
     }
@@ -1220,7 +1198,7 @@ mod tests {
             progress: Some(Arc::new(TuneProgress::default())),
             checkpoint_every: 7,
         };
-        let plain = tune(&model, &cluster, 16, 1, &wide);
+        let plain = tune_with(&model, &cluster, 16, 1, &wide, &TuneContext::default()).unwrap();
         let hooked = tune_with(&model, &cluster, 16, 1, &wide, &ctx).expect("untripped");
         assert_eq!(plain, hooked);
         // A second sweep over the now-warm shared caches: still identical.
@@ -1232,7 +1210,15 @@ mod tests {
     #[test]
     fn prefetch_ablation_never_outranks_prefetch_for_same_plan() {
         let model = ModelConfig::bert64().with_train_bytes_per_param(8);
-        let t = tune(&model, &lonestar6(8), 8, 1, &TuneOptions { sweep_prefetch: true, ..opts() });
+        let t = tune_with(
+            &model,
+            &lonestar6(8),
+            8,
+            1,
+            &TuneOptions { sweep_prefetch: true, ..opts() },
+            &TuneContext::default(),
+        )
+        .unwrap();
         for on in t.ranked.iter().filter(|c| c.sim.prefetch) {
             if let Some(off) = t.ranked.iter().find(|c| {
                 !c.sim.prefetch

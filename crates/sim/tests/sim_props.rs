@@ -4,7 +4,7 @@ use hanayo_cluster::topology::{fc_full_nvlink, lonestar6, paper_clusters};
 use hanayo_core::config::{PipelineConfig, Scheme};
 use hanayo_core::schedule::build_schedule;
 use hanayo_model::{CostTable, ModelConfig, Recompute};
-use hanayo_sim::{evaluate_plan, simulate, Method, ParallelPlan, SimOptions};
+use hanayo_sim::{evaluate_plan, try_simulate_traced, Method, ParallelPlan, SimOptions};
 use proptest::prelude::*;
 
 fn any_scheme() -> impl Strategy<Value = Scheme> {
@@ -30,7 +30,7 @@ proptest! {
         let schedule = build_schedule(&cfg).unwrap();
         let cluster = paper_clusters(p as usize).remove(cluster_idx);
         let cost = CostTable::build(&ModelConfig::gpt128(), cfg.stages(), mb);
-        let r = simulate(&schedule, &cost, &cluster, SimOptions::default());
+        let r = try_simulate_traced(&schedule, &cost, &cluster, SimOptions::default()).unwrap().0;
         // Time sanity.
         prop_assert!(r.iteration_time.is_finite() && r.iteration_time > 0.0);
         prop_assert!((0.0..1.0).contains(&r.bubble_ratio));
@@ -62,13 +62,12 @@ proptest! {
         let schedule = build_schedule(&cfg).unwrap();
         let cluster = lonestar6(p as usize);
         let cost = CostTable::build(&ModelConfig::bert64(), cfg.stages(), 1);
-        let on = simulate(&schedule, &cost, &cluster, SimOptions::default());
-        let off = simulate(
+        let on = try_simulate_traced(&schedule, &cost, &cluster, SimOptions::default()).unwrap().0;
+        let off = try_simulate_traced(
             &schedule,
             &cost,
             &cluster,
-            SimOptions { prefetch: false, ..Default::default() },
-        );
+            SimOptions { prefetch: false, ..Default::default() }).unwrap().0;
         prop_assert!(on.iteration_time <= off.iteration_time * (1.0 + 1e-9));
     }
 
@@ -83,8 +82,9 @@ proptest! {
         let cluster = fc_full_nvlink(p as usize);
         let plain = CostTable::build_with(&ModelConfig::bert64(), cfg.stages(), 2, Recompute::None);
         let ckpt = CostTable::build_with(&ModelConfig::bert64(), cfg.stages(), 2, Recompute::Full);
-        let r_plain = simulate(&schedule, &plain, &cluster, SimOptions::default());
-        let r_ckpt = simulate(&schedule, &ckpt, &cluster, SimOptions::default());
+        let sim = |cost| try_simulate_traced(&schedule, cost, &cluster, SimOptions::default());
+        let r_plain = sim(&plain).unwrap().0;
+        let r_ckpt = sim(&ckpt).unwrap().0;
         prop_assert!(r_ckpt.iteration_time > r_plain.iteration_time);
         prop_assert!(r_ckpt.highest_peak() < r_plain.highest_peak());
     }
@@ -101,8 +101,8 @@ proptest! {
         slow.mfu = 0.2;
         let mut fast = fc_full_nvlink(4);
         fast.mfu = 0.6;
-        let r_slow = simulate(&schedule, &cost, &slow, SimOptions::default());
-        let r_fast = simulate(&schedule, &cost, &fast, SimOptions::default());
+        let r_slow = try_simulate_traced(&schedule, &cost, &slow, SimOptions::default()).unwrap().0;
+        let r_fast = try_simulate_traced(&schedule, &cost, &fast, SimOptions::default()).unwrap().0;
         prop_assert!(r_fast.iteration_time < r_slow.iteration_time);
     }
 

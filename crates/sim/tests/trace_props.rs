@@ -7,7 +7,7 @@ use hanayo_cluster::topology::paper_clusters;
 use hanayo_core::config::{PipelineConfig, Scheme};
 use hanayo_core::schedule::build_schedule;
 use hanayo_model::{CostTable, ModelConfig};
-use hanayo_sim::{simulate_traced, SimOptions};
+use hanayo_sim::{try_simulate_traced, SimOptions};
 use hanayo_trace::{Trace, TraceKind};
 use proptest::prelude::*;
 
@@ -45,7 +45,7 @@ proptest! {
         let cluster = paper_clusters(p as usize).remove(cluster_idx);
         let cost = CostTable::build(&ModelConfig::gpt128(), cfg.stages(), mb);
         let opts = SimOptions { trace: true, prefetch: prefetch_off == 0, ..Default::default() };
-        let (report, trace) = simulate_traced(&schedule, &cost, &cluster, opts);
+        let (report, trace) = try_simulate_traced(&schedule, &cost, &cluster, opts).unwrap();
         let trace = trace.expect("trace requested");
 
         // Every invariant: finite ordered spans, devices in range,

@@ -5,7 +5,7 @@
 
 use hanayo_cluster::topology::{lonestar6, paper_clusters};
 use hanayo_model::{ModelConfig, Recompute};
-use hanayo_sim::tuner::{tune, tune_serial, Rejection, TuneOptions};
+use hanayo_sim::tuner::{tune_serial_with, tune_with, Rejection, TuneContext, TuneOptions};
 use hanayo_sim::ParallelPlan;
 use proptest::prelude::*;
 
@@ -31,8 +31,9 @@ proptest! {
         if wide == 1 {
             opts = opts.wide();
         }
-        let par = tune(&model, &cluster, batch, micro_batch_size, &opts);
-        let ser = tune_serial(&model, &cluster, batch, micro_batch_size, &opts);
+        let ctx = TuneContext::default();
+        let par = tune_with(&model, &cluster, batch, micro_batch_size, &opts, &ctx).unwrap();
+        let ser = tune_serial_with(&model, &cluster, batch, micro_batch_size, &opts, &ctx).unwrap();
         prop_assert_eq!(&par, &ser, "structural divergence");
         let par_bytes = serde_json::to_string(&par).expect("tuning serialises");
         let ser_bytes = serde_json::to_string(&ser).expect("tuning serialises");
@@ -56,8 +57,9 @@ proptest! {
             recompute_modes: Recompute::ALL.to_vec(),
             ..Default::default()
         };
-        let par = tune(&model, &cluster, batch, micro_batch_size, &opts);
-        let ser = tune_serial(&model, &cluster, batch, micro_batch_size, &opts);
+        let ctx = TuneContext::default();
+        let par = tune_with(&model, &cluster, batch, micro_batch_size, &opts, &ctx).unwrap();
+        let ser = tune_serial_with(&model, &cluster, batch, micro_batch_size, &opts, &ctx).unwrap();
         let par_bytes = serde_json::to_string(&par).expect("tuning serialises");
         let ser_bytes = serde_json::to_string(&ser).expect("tuning serialises");
         prop_assert_eq!(par_bytes, ser_bytes, "byte divergence with the recompute axis");
@@ -81,8 +83,8 @@ proptest! {
         let model = pick_model(model_idx);
         let cluster = paper_clusters(8).remove(cluster_idx);
         let opts = TuneOptions { min_pp: 4, ..Default::default() }.wide();
-        let a = tune(&model, &cluster, batch, 1, &opts);
-        let b = tune(&model, &cluster, batch, 1, &opts);
+        let a = tune_with(&model, &cluster, batch, 1, &opts, &TuneContext::default()).unwrap();
+        let b = tune_with(&model, &cluster, batch, 1, &opts, &TuneContext::default()).unwrap();
         prop_assert_eq!(a.ranked.len(), b.ranked.len());
         prop_assert_eq!(a.rejected.len(), b.rejected.len());
         for c in &a.ranked {
@@ -111,7 +113,7 @@ fn capacity_constrained_cluster_is_rescued_by_the_recompute_axis() {
     let cluster = lonestar6(8);
     let narrow = TuneOptions { min_pp: 8, ..Default::default() };
 
-    let none_only = tune(&model, &cluster, 16, 8, &narrow);
+    let none_only = tune_with(&model, &cluster, 16, 8, &narrow, &TuneContext::default()).unwrap();
     assert!(none_only.best().is_none(), "expected no feasible plan under Recompute::None");
     assert!(
         none_only.rejected.iter().any(Rejection::is_oom),
@@ -119,7 +121,7 @@ fn capacity_constrained_cluster_is_rescued_by_the_recompute_axis() {
     );
 
     let with_axis = TuneOptions { recompute_modes: Recompute::ALL.to_vec(), ..narrow };
-    let tuning = tune(&model, &cluster, 16, 8, &with_axis);
+    let tuning = tune_with(&model, &cluster, 16, 8, &with_axis, &TuneContext::default()).unwrap();
     let best = tuning.best().expect("a checkpointed plan must fit");
     assert_eq!(best.plan.recompute, Recompute::Full, "the ranked table must name the mode");
     // The winner's stash-everything twin is still an OOM rejection: the
@@ -127,6 +129,7 @@ fn capacity_constrained_cluster_is_rescued_by_the_recompute_axis() {
     let twin = ParallelPlan { recompute: Recompute::None, ..best.plan };
     assert!(tuning.rejected.iter().any(|r| r.is_oom() && r.plan() == &twin));
     // Serial evaluation agrees byte for byte on the rescued space.
-    let serial = tune_serial(&model, &cluster, 16, 8, &with_axis);
+    let serial =
+        tune_serial_with(&model, &cluster, 16, 8, &with_axis, &TuneContext::default()).unwrap();
     assert_eq!(serde_json::to_string(&tuning).unwrap(), serde_json::to_string(&serial).unwrap());
 }

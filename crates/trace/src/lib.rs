@@ -10,7 +10,7 @@
 //! [`TraceEvent`]s —
 //!
 //! * the discrete-event simulator lowers its spans and transfers into a
-//!   trace when `SimOptions::trace` is set (`hanayo_sim::simulate_traced`),
+//!   trace when `SimOptions::trace` is set (`hanayo_sim::try_simulate_traced`),
 //!   with times in simulated seconds;
 //! * the threaded runtime records `Instant`-based spans around every
 //!   worker op when `TrainerConfig::trace` is set, with times in wall-clock
@@ -24,7 +24,7 @@
 //! * [`analysis`] — bubble ratio, per-device utilisation, comm/compute
 //!   overlap and the critical path, computed uniformly for simulated and
 //!   measured traces.
-//! * [`calibrate`] — fit per-stage `T_F`/`T_B` and link time from a
+//! * [`calibrate`](mod@calibrate) — fit per-stage `T_F`/`T_B` and link time from a
 //!   *measured* runtime trace and re-express them as a
 //!   [`hanayo_model::CostTable`], so the simulator can predict the runtime
 //!   it was calibrated on: measure → calibrate → sweep → predict.

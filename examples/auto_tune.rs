@@ -13,16 +13,17 @@ use hanayo::cluster::topology::{lonestar6, tencent_v100};
 use hanayo::core::config::{PipelineConfig, Scheme};
 use hanayo::core::schedule::build_schedule;
 use hanayo::model::{CostTable, ModelConfig, Recompute};
-use hanayo::sim::tuner::{tune, TuneOptions};
-use hanayo::sim::{simulate, SimOptions};
+use hanayo::sim::tuner::{tune_with, TuneContext, TuneOptions};
+use hanayo::sim::{try_simulate_traced, SimOptions};
 
 fn main() {
     let model = ModelConfig::bert64().with_train_bytes_per_param(8);
 
     for cluster in [lonestar6(8), tencent_v100(8)] {
         println!("=== Tuning BERT-64L on {} (8 GPUs, 16 micro-batches) ===\n", cluster.name);
-        let tuning =
-            tune(&model, &cluster, 16, 1, &TuneOptions { min_pp: 4, ..Default::default() });
+        let opts = TuneOptions { min_pp: 4, ..Default::default() };
+        let tuning = tune_with(&model, &cluster, 16, 1, &opts, &TuneContext::default())
+            .expect("the default context never cancels");
         println!("{:<22} {:>10} {:>9} {:>10}", "plan", "seq/s", "bubble", "peak (GB)");
         for c in tuning.ranked.iter().take(6) {
             println!(
@@ -58,7 +59,7 @@ fn main() {
         [("stash everything", Recompute::None), ("full checkpointing", Recompute::Full)]
     {
         let cost = CostTable::build_with(&ModelConfig::bert64(), cfg.stages(), 2, mode);
-        let r = simulate(&schedule, &cost, &cluster, SimOptions::default());
+        let r = try_simulate_traced(&schedule, &cost, &cluster, SimOptions::default()).unwrap().0;
         println!(
             "  {name:<18}: iteration {:>6.1} ms, peak {:>5.1} GB",
             r.iteration_time * 1e3,

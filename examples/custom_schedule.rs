@@ -22,9 +22,9 @@ use hanayo::core::stage_map::{PathGroup, StageMap};
 use hanayo::core::validate::validate;
 use hanayo::model::builders::MicroModel;
 use hanayo::model::{CostTable, ModelConfig};
-use hanayo::runtime::trainer::{sequential_reference, synthetic_data, train, TrainerConfig};
+use hanayo::runtime::trainer::{sequential_reference, synthetic_data, try_train, TrainerConfig};
 use hanayo::runtime::LossKind;
-use hanayo::sim::{simulate, SimOptions};
+use hanayo::sim::{try_simulate_traced, SimOptions};
 
 fn main() {
     let (p, b) = (4u32, 4u32);
@@ -55,7 +55,10 @@ fn main() {
 
     // Simulate it against the BERT cost model.
     let cost = CostTable::build(&ModelConfig::bert64(), schedule.stage_map.stages, 1);
-    let r = simulate(&schedule, &cost, &fc_full_nvlink(p as usize), SimOptions::default());
+    let r =
+        try_simulate_traced(&schedule, &cost, &fc_full_nvlink(p as usize), SimOptions::default())
+            .unwrap()
+            .0;
     println!(
         "custom scheme simulated: iteration {:.1} ms, bubble {:.1}%",
         r.iteration_time * 1e3,
@@ -67,7 +70,7 @@ fn main() {
     let model = MicroModel { width: 8, total_blocks: s as usize, seed: 13 };
     let trainer = TrainerConfig::new(schedule, model.build_stages(s), 0.05, LossKind::Mse);
     let data = synthetic_data(2, 3, b as usize, 2, 8);
-    let out = train(&trainer, &data);
+    let out = try_train(&trainer, &data).unwrap();
     let seq = sequential_reference(&trainer.stages, &data, trainer.lr, &trainer.loss);
     assert_eq!(out.stages, seq.stages);
     println!(

@@ -13,7 +13,7 @@ use hanayo::core::gantt::render_paper_style;
 use hanayo::core::schedule::{build_compute_schedule, build_schedule};
 use hanayo::core::validate::validate;
 use hanayo::model::{CostTable, ModelConfig};
-use hanayo::sim::{simulate, SimOptions};
+use hanayo::sim::{try_simulate_traced, SimOptions};
 
 fn main() {
     let p = 4;
@@ -51,7 +51,8 @@ fn main() {
         let schedule = build_schedule(&cfg).expect("schedulable");
         validate(&schedule).expect("well-formed");
         let cost = CostTable::build(&model, cfg.stages(), 1);
-        let report = simulate(&schedule, &cost, &cluster, SimOptions::default());
+        let report =
+            try_simulate_traced(&schedule, &cost, &cluster, SimOptions::default()).unwrap().0;
         println!(
             "  {name:<11}: iteration {:>6.1} ms, bubble {:>4.1}%, peak mem {:>5.1} GB",
             report.iteration_time * 1e3,

@@ -12,9 +12,9 @@ use hanayo::core::config::{PipelineConfig, Scheme};
 use hanayo::core::schedule::build_schedule;
 use hanayo::model::builders::{micro_cost_table, MicroModel};
 use hanayo::model::Recompute;
-use hanayo::runtime::trainer::{synthetic_data, train, TrainerConfig};
+use hanayo::runtime::trainer::{synthetic_data, try_train, TrainerConfig};
 use hanayo::runtime::LossKind;
-use hanayo::sim::{simulate, SimOptions};
+use hanayo::sim::{try_simulate_traced, SimOptions};
 use hanayo::trace::{analyze, calibrate, gantt};
 
 fn main() {
@@ -32,7 +32,7 @@ fn main() {
         ..TrainerConfig::new(schedule.clone(), stages.clone(), 0.05, LossKind::Mse)
     };
     let data = synthetic_data(17, 1, b as usize, 64, 96);
-    let trace = train(&trainer, &data).trace.expect("trace requested");
+    let trace = try_train(&trainer, &data).unwrap().trace.expect("trace requested");
 
     println!("measured timeline ({} events):", trace.events.len());
     print!("{}", gantt::render(&trace, 72));
@@ -54,7 +54,7 @@ fn main() {
     let table = cal
         .cost_table(&micro_cost_table(&stages, 64, 96, Recompute::None), &cluster)
         .expect("calibration covers the traced stages");
-    let report = simulate(&schedule, &table, &cluster, SimOptions::default());
+    let report = try_simulate_traced(&schedule, &table, &cluster, SimOptions::default()).unwrap().0;
     let rel = (report.iteration_time - a.duration).abs() / a.duration;
     println!(
         "predicted: makespan {:.3} ms ({:.1}% off the measurement)",

@@ -10,7 +10,7 @@
 use hanayo::core::config::{PipelineConfig, Scheme};
 use hanayo::core::schedule::build_schedule;
 use hanayo::model::builders::MicroModel;
-use hanayo::runtime::trainer::{sequential_reference, synthetic_data, train, TrainerConfig};
+use hanayo::runtime::trainer::{sequential_reference, synthetic_data, try_train, TrainerConfig};
 use hanayo::runtime::{LossKind, Recompute};
 
 fn main() {
@@ -41,7 +41,7 @@ fn main() {
         let model = MicroModel { width, total_blocks: 16, seed: 42 };
 
         let trainer = TrainerConfig::new(schedule, model.build_stages(stages), 0.05, LossKind::Mse);
-        let out = train(&trainer, &data);
+        let out = try_train(&trainer, &data).unwrap();
         let seq = sequential_reference(&trainer.stages, &data, trainer.lr, &trainer.loss);
         let bitwise = out.stages.iter().zip(&seq.stages).all(|(a, b)| a == b);
 
@@ -84,7 +84,7 @@ fn main() {
     let stages = schedule.stage_map.stages;
     let model = MicroModel { width, total_blocks: 16, seed: 42 };
     let run = |recompute| {
-        train(
+        try_train(
             &TrainerConfig {
                 recompute,
                 ..TrainerConfig::new(
@@ -96,6 +96,7 @@ fn main() {
             },
             &data,
         )
+        .unwrap()
     };
     let plain = run(Recompute::None);
     let ckpt = run(Recompute::Full);

@@ -13,7 +13,7 @@ use hanayo::cluster::topology::{fc_full_nvlink, lonestar6};
 use hanayo::core::config::{PipelineConfig, Scheme};
 use hanayo::core::schedule::build_schedule;
 use hanayo::model::{CostTable, ModelConfig};
-use hanayo::sim::{simulate, SimOptions};
+use hanayo::sim::{try_simulate_traced, SimOptions};
 
 fn main() {
     let model = ModelConfig::bert64();
@@ -27,8 +27,11 @@ fn main() {
         let cfg = PipelineConfig::new(8, 8, Scheme::Hanayo { waves: w }).expect("valid");
         let schedule = build_schedule(&cfg).expect("schedulable");
         let cost = CostTable::build(&model, cfg.stages(), 1);
-        let fc = simulate(&schedule, &cost, &fc_full_nvlink(8), SimOptions::default());
-        let tacc = simulate(&schedule, &cost, &lonestar6(8), SimOptions::default());
+        let fc = try_simulate_traced(&schedule, &cost, &fc_full_nvlink(8), SimOptions::default())
+            .unwrap()
+            .0;
+        let tacc =
+            try_simulate_traced(&schedule, &cost, &lonestar6(8), SimOptions::default()).unwrap().0;
         println!(
             "W={w:<6} {:>12.1} {:>11.1}% {:>12.1} {:>11.1}%",
             fc.iteration_time * 1e3,
@@ -45,13 +48,15 @@ fn main() {
     let schedule = build_schedule(&cfg).expect("schedulable");
     let cost = CostTable::build(&model, cfg.stages(), 1);
     for cluster in [fc_full_nvlink(8), lonestar6(8)] {
-        let on = simulate(&schedule, &cost, &cluster, SimOptions::default());
-        let off = simulate(
+        let on = try_simulate_traced(&schedule, &cost, &cluster, SimOptions::default()).unwrap().0;
+        let off = try_simulate_traced(
             &schedule,
             &cost,
             &cluster,
             SimOptions { prefetch: false, ..Default::default() },
-        );
+        )
+        .unwrap()
+        .0;
         println!(
             "{:<6}: prefetch on {:>7.1} ms | off {:>7.1} ms | saved {:>5.1}%",
             cluster.name,
@@ -66,7 +71,8 @@ fn main() {
         let cfg = PipelineConfig::new(8, 8, Scheme::Hanayo { waves: w }).expect("valid");
         let schedule = build_schedule(&cfg).expect("schedulable");
         let cost = CostTable::build(&model, cfg.stages(), 1);
-        let r = simulate(&schedule, &cost, &lonestar6(8), SimOptions::default());
+        let r =
+            try_simulate_traced(&schedule, &cost, &lonestar6(8), SimOptions::default()).unwrap().0;
         let wait: f64 = r.device_comm_wait.iter().sum();
         println!(
             "W={w}: total message-wait {:>6.1} ms across devices ({:.1}% of device-time)",

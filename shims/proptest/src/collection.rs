@@ -4,7 +4,7 @@ use crate::strategy::Strategy;
 use crate::test_runner::TestRng;
 use std::ops::{Range, RangeInclusive};
 
-/// Anything usable as the size argument of [`vec`]: a fixed length or a
+/// Anything usable as the size argument of [`vec()`]: a fixed length or a
 /// range of lengths.
 pub trait SizeRange {
     /// Draw a concrete length.
@@ -36,7 +36,7 @@ pub fn vec<S: Strategy, Z: SizeRange>(element: S, size: Z) -> VecStrategy<S, Z> 
     VecStrategy { element, size }
 }
 
-/// See [`vec`].
+/// See [`vec()`].
 pub struct VecStrategy<S, Z> {
     element: S,
     size: Z,

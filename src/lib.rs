@@ -43,7 +43,7 @@
 //! use hanayo::core::schedule::build_schedule;
 //! use hanayo::cluster::topology::fc_full_nvlink;
 //! use hanayo::model::{CostTable, ModelConfig};
-//! use hanayo::sim::{simulate, SimOptions};
+//! use hanayo::sim::{try_simulate_traced, SimOptions};
 //!
 //! // A 2-wave Hanayo pipeline on 8 devices, 8 micro-batches.
 //! let cfg = PipelineConfig::new(8, 8, Scheme::Hanayo { waves: 2 }).unwrap();
@@ -51,7 +51,8 @@
 //!
 //! // Execute it on a simulated NVSwitch box training the BERT-style model.
 //! let cost = CostTable::build(&ModelConfig::bert64(), cfg.stages(), 1);
-//! let report = simulate(&schedule, &cost, &fc_full_nvlink(8), SimOptions::default());
+//! let (report, _trace) =
+//!     try_simulate_traced(&schedule, &cost, &fc_full_nvlink(8), SimOptions::default()).unwrap();
 //! assert!(report.bubble_ratio < 0.3);
 //! ```
 

@@ -18,7 +18,7 @@ use hanayo::core::gantt::replay_timeline;
 use hanayo::core::schedule::{build_compute_schedule, build_schedule};
 use hanayo::core::validate::validate;
 use hanayo::model::CostTable;
-use hanayo::sim::{simulate, SimOptions};
+use hanayo::sim::{try_simulate_traced, SimOptions};
 
 /// A `p`-device cluster where communication is free and every device
 /// computes at the same speed.
@@ -61,7 +61,7 @@ fn check_scheme(scheme: Scheme) {
 
     let cluster = ideal_cluster(p as usize);
     let cost = unit_costs(&cluster, schedule.stage_map.stages as usize);
-    let report = simulate(&schedule, &cost, &cluster, SimOptions::default());
+    let report = try_simulate_traced(&schedule, &cost, &cluster, SimOptions::default()).unwrap().0;
 
     assert_eq!(
         report.iteration_time, abstract_makespan as f64,

@@ -9,7 +9,7 @@ use hanayo::cluster::topology::{fc_full_nvlink, lonestar6};
 use hanayo::core::config::{PipelineConfig, Scheme};
 use hanayo::core::schedule::build_schedule;
 use hanayo::model::{CostTable, ModelConfig};
-use hanayo::sim::{simulate, simulate_reference, SimOptions};
+use hanayo::sim::{simulate_reference, try_simulate_traced, SimOptions};
 
 /// The 7 golden schemes frozen under `tests/golden/`.
 fn golden_schemes() -> [Scheme; 7] {
@@ -30,7 +30,7 @@ fn check_scheme(scheme: Scheme) {
     let cost = CostTable::build(&ModelConfig::bert64(), cfg.stages(), 2);
     for cluster in [fc_full_nvlink(8), lonestar6(8)] {
         for opts in [SimOptions::default(), SimOptions { prefetch: false, ..Default::default() }] {
-            let fast = simulate(&schedule, &cost, &cluster, opts);
+            let fast = try_simulate_traced(&schedule, &cost, &cluster, opts).unwrap().0;
             let seed = simulate_reference(&schedule, &cost, &cluster, opts);
             assert_eq!(
                 fast.iteration_time, seed.iteration_time,

@@ -21,7 +21,7 @@ use hanayo::cluster::topology::fc_full_nvlink;
 use hanayo::core::config::{PipelineConfig, Scheme};
 use hanayo::core::schedule::build_schedule;
 use hanayo::model::{CostTable, ModelConfig};
-use hanayo::sim::{simulate, SimOptions};
+use hanayo::sim::{try_simulate_traced, SimOptions};
 use std::fmt::Write as _;
 use std::fs;
 use std::path::PathBuf;
@@ -52,7 +52,7 @@ fn render(name: &str, scheme: Scheme) -> String {
 
     // Never freeze a claim the simulator refutes: the cross-checks run on
     // both the update and the verify path.
-    let sim = simulate(&schedule, &cost, &cluster, SimOptions::default());
+    let sim = try_simulate_traced(&schedule, &cost, &cluster, SimOptions::default()).unwrap().0;
     assert_eq!(report.peak_mem, sim.peak_mem, "{name}: static peak != simulated peak");
     assert!(
         report.critical_path_s <= sim.iteration_time * (1.0 + 1e-9),

@@ -16,7 +16,7 @@ use hanayo::core::memory::unit_profile_with;
 use hanayo::core::schedule::{build_compute_schedule, build_schedule};
 use hanayo::model::{CostTable, ModelConfig, Recompute};
 use hanayo::repro::memfig::stash_units;
-use hanayo::sim::{simulate, SimOptions};
+use hanayo::sim::{try_simulate_traced, SimOptions};
 use std::fmt::Write as _;
 use std::fs;
 use std::path::PathBuf;
@@ -32,7 +32,8 @@ fn render(name: &str, scheme: Scheme, mode: Recompute) -> String {
     let schedule = build_schedule(&cfg).unwrap();
     let prof = unit_profile_with(&cs, stash_units(&model, 8, cfg.stages(), mode));
     let cost = CostTable::build_with(&model, cfg.stages(), 1, mode);
-    let report = simulate(&schedule, &cost, &fc_full_nvlink(8), SimOptions::default());
+    let report =
+        try_simulate_traced(&schedule, &cost, &fc_full_nvlink(8), SimOptions::default()).unwrap().0;
 
     let fmt_units = |v: &[f64]| v.iter().map(|x| format!("{x:.4}")).collect::<Vec<_>>().join(", ");
     let gb: Vec<String> =

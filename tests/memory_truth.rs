@@ -29,9 +29,9 @@ use hanayo::core::memory::unit_profile_with;
 use hanayo::core::schedule::{build_compute_schedule, build_schedule};
 use hanayo::model::builders::{micro_cost_table, MicroModel};
 use hanayo::model::Recompute;
-use hanayo::runtime::trainer::{synthetic_data, train, TrainerConfig};
+use hanayo::runtime::trainer::{synthetic_data, try_train, TrainerConfig};
 use hanayo::runtime::LossKind;
-use hanayo::sim::{simulate, SimOptions};
+use hanayo::sim::{try_simulate_traced, SimOptions};
 
 const P: u32 = 8;
 const B: u32 = 8;
@@ -77,7 +77,10 @@ fn measure(scheme: Scheme, runnable: bool, mode: Recompute) -> Truth {
 
     // Simulator: cost table probed from the very stages the runtime runs.
     let cost = micro_cost_table(&stages, ROWS, WIDTH, mode);
-    let report = simulate(&schedule, &cost, &fc_full_nvlink(P as usize), SimOptions::default());
+    let report =
+        try_simulate_traced(&schedule, &cost, &fc_full_nvlink(P as usize), SimOptions::default())
+            .unwrap()
+            .0;
     let sim_stash: Vec<u64> =
         report.peak_mem.iter().zip(&report.weight_mem).map(|(p, w)| p - w).collect();
 
@@ -91,7 +94,7 @@ fn measure(scheme: Scheme, runnable: bool, mode: Recompute) -> Truth {
             ..TrainerConfig::new(schedule.clone(), stages.clone(), 0.05, LossKind::Mse)
         };
         let data = synthetic_data(13, 1, B as usize, ROWS, WIDTH);
-        train(&trainer, &data).peak_stash_bytes
+        try_train(&trainer, &data).unwrap().peak_stash_bytes
     });
 
     // Unit replay: one activation unit = the stash of one micro-batch
@@ -173,7 +176,7 @@ fn training_bits_are_mode_independent_on_every_runnable_golden_scheme() {
             MicroModel { width: WIDTH, total_blocks: s as usize * BLOCKS_PER_STAGE, seed: 41 };
         let data = synthetic_data(29, 2, B as usize, ROWS, WIDTH);
         let run = |mode| {
-            train(
+            try_train(
                 &TrainerConfig {
                     recompute: mode,
                     ..TrainerConfig::new(
@@ -185,6 +188,7 @@ fn training_bits_are_mode_independent_on_every_runnable_golden_scheme() {
                 },
                 &data,
             )
+            .unwrap()
         };
         let plain = run(Recompute::None);
         let ckpt = run(Recompute::Full);

@@ -12,9 +12,9 @@ use hanayo::core::schedule::build_schedule;
 use hanayo::metrics;
 use hanayo::model::builders::MicroModel;
 use hanayo::model::ModelConfig;
-use hanayo::runtime::trainer::{synthetic_data, train, TrainerConfig};
+use hanayo::runtime::trainer::{synthetic_data, try_train, TrainerConfig};
 use hanayo::runtime::{checkpoint_of, LossKind};
-use hanayo::sim::{tune, tune_serial, TuneOptions};
+use hanayo::sim::{tune_serial_with, tune_with, TuneContext, TuneOptions};
 
 /// Everything a training run decides, flattened to comparable bytes:
 /// bit-patterns of the losses, both per-device peak vectors, and the
@@ -27,7 +27,7 @@ fn train_fingerprint() -> (Vec<u32>, Vec<usize>, Vec<usize>, String) {
         MicroModel { width: 8, total_blocks: stages_n as usize, seed: 11 }.build_stages(stages_n);
     let data = synthetic_data(5, 2, 8, 2, 8);
     let trainer = TrainerConfig::new(schedule, stages, 0.05, LossKind::Mse);
-    let out = train(&trainer, &data);
+    let out = try_train(&trainer, &data).unwrap();
     let ckpt = checkpoint_of(&trainer, &out, data.len() as u32, 1);
     (
         out.losses.iter().map(|l| l.to_bits()).collect(),
@@ -51,15 +51,24 @@ fn metrics_and_logging_do_not_perturb_results() {
 
     // Baseline: everything off.
     let quiet = train_fingerprint();
-    let quiet_tuning = serde_json::to_string(&tune_serial(&model, &cluster, 8, 1, &opts)).unwrap();
+    let quiet_tuning = serde_json::to_string(
+        &tune_serial_with(&model, &cluster, 8, 1, &opts, &TuneContext::default()).unwrap(),
+    )
+    .unwrap();
 
     // Everything on: the registry plus the log facade at trace level
     // (capture sink, so the test output stays clean).
     metrics::log::set_config("trace", metrics::log::Format::Json, metrics::log::Sink::Capture);
     metrics::set_enabled(true);
     let loud = train_fingerprint();
-    let loud_serial = serde_json::to_string(&tune_serial(&model, &cluster, 8, 1, &opts)).unwrap();
-    let loud_parallel = serde_json::to_string(&tune(&model, &cluster, 8, 1, &opts)).unwrap();
+    let loud_serial = serde_json::to_string(
+        &tune_serial_with(&model, &cluster, 8, 1, &opts, &TuneContext::default()).unwrap(),
+    )
+    .unwrap();
+    let loud_parallel = serde_json::to_string(
+        &tune_with(&model, &cluster, 8, 1, &opts, &TuneContext::default()).unwrap(),
+    )
+    .unwrap();
     metrics::set_enabled(false);
     metrics::log::set_config("", metrics::log::Format::Logfmt, metrics::log::Sink::Stderr);
     let _ = metrics::log::take_capture();

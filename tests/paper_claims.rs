@@ -9,7 +9,7 @@ use hanayo::core::config::{PipelineConfig, Scheme};
 use hanayo::core::schedule::build_schedule;
 use hanayo::model::CostTable;
 use hanayo::repro::{fig11, fig12, fig9};
-use hanayo::sim::{simulate_traced, SimOptions};
+use hanayo::sim::{try_simulate_traced, SimOptions};
 use hanayo::trace::Trace;
 
 #[test]
@@ -55,12 +55,13 @@ fn traced_bubble(p: u32, b: u32, scheme: Scheme) -> f64 {
     let schedule = build_schedule(&cfg).unwrap();
     let cluster = ideal_cluster(p as usize);
     let cost = uniform_cost(cfg.stages(), cluster.effective_flops(0));
-    let (report, trace) = simulate_traced(
+    let (report, trace) = try_simulate_traced(
         &schedule,
         &cost,
         &cluster,
         SimOptions { trace: true, ..Default::default() },
-    );
+    )
+    .unwrap();
     let trace: Trace = trace.expect("trace requested");
     // The trace and the report measure the same run.
     assert_eq!(trace.makespan(), report.iteration_time);

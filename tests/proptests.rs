@@ -10,9 +10,9 @@ use hanayo::core::schedule::{build_compute_schedule, build_schedule};
 use hanayo::core::validate::validate;
 use hanayo::model::builders::MicroModel;
 use hanayo::model::{CostTable, ModelConfig};
-use hanayo::runtime::trainer::{sequential_reference, synthetic_data, train, TrainerConfig};
+use hanayo::runtime::trainer::{sequential_reference, synthetic_data, try_train, TrainerConfig};
 use hanayo::runtime::LossKind;
-use hanayo::sim::{simulate, SimOptions};
+use hanayo::sim::{try_simulate_traced, SimOptions};
 use proptest::prelude::*;
 
 /// Arbitrary scheme over a device count.
@@ -82,7 +82,7 @@ proptest! {
         let schedule = build_schedule(&cfg).unwrap();
         let cluster = fc_full_nvlink(p as usize);
         let cost = CostTable::build(&ModelConfig::gpt128(), cfg.stages(), 1);
-        let r = simulate(&schedule, &cost, &cluster, SimOptions::default());
+        let r = try_simulate_traced(&schedule, &cost, &cluster, SimOptions::default()).unwrap().0;
         let expect = b as f64 * cost.total_fwd_flops() * 3.0 / cluster.effective_flops(0);
         let busy: f64 = r.device_busy.iter().sum();
         prop_assert!((busy - expect).abs() / expect < 1e-6);
@@ -107,7 +107,7 @@ proptest! {
         let model = MicroModel { width: 6, total_blocks: s as usize, seed };
         let trainer = TrainerConfig::new(schedule, model.build_stages(s), 0.05, LossKind::Mse);
         let data = synthetic_data(seed.wrapping_add(1), 1, b as usize, 2, 6);
-        let out = train(&trainer, &data);
+        let out = try_train(&trainer, &data).unwrap();
         let seq = sequential_reference(&trainer.stages, &data, trainer.lr, &trainer.loss);
         prop_assert_eq!(out.stages, seq.stages);
     }

@@ -14,11 +14,8 @@ use hanayo::ckpt::{Checkpoint, CheckpointPolicy, FailurePlan};
 use hanayo::core::config::{PipelineConfig, Scheme};
 use hanayo::core::schedule::build_schedule;
 use hanayo::model::builders::MicroModel;
-use hanayo::runtime::trainer::{synthetic_data, train, train_data_parallel, TrainerConfig};
-use hanayo::runtime::{
-    resume, resume_data_parallel, try_train_data_parallel_resumable, try_train_resumable, LossKind,
-    TrainOutput, WorkerError,
-};
+use hanayo::runtime::trainer::{synthetic_data, try_train, try_train_data_parallel, TrainerConfig};
+use hanayo::runtime::{resume, resume_data_parallel, LossKind, TrainOutput, WorkerError};
 use hanayo::tensor::Stage;
 
 const P: u32 = 8;
@@ -66,18 +63,18 @@ fn check_native(name: &str, scheme: Scheme) {
     let data = synthetic_data(13, ITERATIONS, B as usize, 2, 8);
     let base = TrainerConfig::new(schedule, model.build_stages(s), 0.05, LossKind::Mse);
 
-    let uninterrupted = train(&base, &data);
+    let uninterrupted = try_train(&base, &data).unwrap();
 
     let armed = TrainerConfig {
         checkpoint: CheckpointPolicy::every(1),
         failure: FailurePlan::KillDevice { device: P / 2, iteration: KILL_AT },
         ..base.clone()
     };
-    let failed = try_train_resumable(&armed, &data).unwrap_err();
+    let failed = try_train(&armed, &data).unwrap_err();
     assert!(
-        matches!(failed.error.primary, WorkerError::Injected { iteration: KILL_AT, .. }),
+        matches!(failed.primary, WorkerError::Injected { iteration: KILL_AT, .. }),
         "{name}: expected the injected kill, got {}",
-        failed.error.primary
+        failed.primary
     );
     let ckpt = failed.checkpoint.expect("durable checkpoint");
     assert_eq!(ckpt.iteration, KILL_AT, "{name}: checkpoint at the last completed boundary");
@@ -103,15 +100,15 @@ fn check_chimera_wave() {
     ];
     let base = TrainerConfig::new(schedule, model.build_stages(s), 0.05, LossKind::Mse);
 
-    let uninterrupted = train_data_parallel(&base, &shards);
+    let uninterrupted = try_train_data_parallel(&base, &shards).unwrap();
 
     let armed = TrainerConfig {
         checkpoint: CheckpointPolicy::every(1),
         failure: FailurePlan::KillDevice { device: half + 1, iteration: KILL_AT },
         ..base.clone()
     };
-    let failed = try_train_data_parallel_resumable(&armed, &shards).unwrap_err();
-    assert_eq!(failed.error.replica, Some(1), "{name}: the kill lands in replica 1");
+    let failed = try_train_data_parallel(&armed, &shards).unwrap_err();
+    assert_eq!(failed.replica, Some(1), "{name}: the kill lands in replica 1");
     let ckpt = failed.checkpoint.expect("durable checkpoint");
     assert_eq!(ckpt.world, 2);
     assert_eq!(ckpt.peak_stash_bytes.len(), P as usize, "peaks cover all global devices");

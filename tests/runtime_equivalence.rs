@@ -11,7 +11,7 @@ use hanayo::core::schedule::{build_compute_schedule, build_schedule};
 use hanayo::model::builders::MicroModel;
 use hanayo::runtime::mailbox::{spin_budget, SPIN_BUDGET};
 use hanayo::runtime::trainer::{
-    sequential_reference, synthetic_data, train, train_data_parallel, TrainerConfig,
+    sequential_reference, synthetic_data, try_train, try_train_data_parallel, TrainerConfig,
 };
 use hanayo::runtime::{LossKind, Recompute};
 use hanayo::tensor::Tensor;
@@ -29,7 +29,7 @@ fn run_case(p: u32, b: u32, scheme: Scheme, iterations: usize) {
             recompute,
             ..TrainerConfig::new(schedule.clone(), model.build_stages(s), 0.03, LossKind::Mse)
         };
-        let out = train(&trainer, &data);
+        let out = try_train(&trainer, &data).unwrap();
         let seq = sequential_reference(&trainer.stages, &data, trainer.lr, &trainer.loss);
         assert_eq!(out.stages, seq.stages, "{scheme} P={p} B={b} {recompute}: weights diverged");
         assert_eq!(out.losses, seq.losses, "{scheme} P={p} B={b} {recompute}: losses diverged");
@@ -174,13 +174,13 @@ fn descending_backwards_on_a_hand_built_table_match_sequential() {
             recompute,
             ..TrainerConfig::new(schedule.clone(), model.build_stages(s), 0.03, LossKind::Mse)
         };
-        let out = train(&trainer, &data);
+        let out = try_train(&trainer, &data).unwrap();
         let seq = sequential_reference(&trainer.stages, &data, trainer.lr, &trainer.loss);
         assert_eq!(bits(&out.stages), bits(&seq.stages), "{recompute}: weights diverged");
         assert_eq!(out.losses, seq.losses, "{recompute}: losses diverged");
     }
     let trainer = TrainerConfig::new(schedule, model.build_stages(s), 0.03, LossKind::Mse);
-    let out = train_data_parallel(&trainer, &[data.clone(), data.clone()]);
+    let out = try_train_data_parallel(&trainer, &[data.clone(), data.clone()]).unwrap();
     let seq = sequential_reference(&trainer.stages, &data, 2.0 * trainer.lr, &trainer.loss);
     assert_eq!(bits(&out.stages), bits(&seq.stages), "dp = 2: weights diverged");
     assert_eq!(out.losses, seq.losses, "dp = 2: losses diverged");
@@ -219,7 +219,7 @@ fn cross_entropy_loss_matches_sequential() {
     for d in &mut data {
         d.targets = vec![Tensor::zeros(3, 6); 3];
     }
-    let out = train(&trainer, &data);
+    let out = try_train(&trainer, &data).unwrap();
     let seq = sequential_reference(&trainer.stages, &data, trainer.lr, &trainer.loss);
     assert_eq!(out.stages, seq.stages);
 }
@@ -239,7 +239,7 @@ fn all_schemes_agree_with_each_other_on_one_model() {
         let s = schedule.stage_map.stages;
         let model = MicroModel { width: 8, total_blocks: 12, seed: 1 };
         let trainer = TrainerConfig::new(schedule, model.build_stages(s), 0.02, LossKind::Mse);
-        let out = train(&trainer, &data);
+        let out = try_train(&trainer, &data).unwrap();
         let params: Vec<f32> = out.stages.iter().flat_map(|st| st.flat_params()).collect();
         match &reference {
             None => reference = Some(params),
@@ -256,8 +256,8 @@ fn data_parallel_hanayo_trains_and_replicates() {
     let model = MicroModel { width: 8, total_blocks: s as usize, seed: 21 };
     let trainer = TrainerConfig::new(schedule, model.build_stages(s), 0.05, LossKind::Mse);
     let shards = vec![synthetic_data(31, 2, 2, 2, 8), synthetic_data(32, 2, 2, 2, 8)];
-    let a = train_data_parallel(&trainer, &shards);
-    let b2 = train_data_parallel(&trainer, &shards);
+    let a = try_train_data_parallel(&trainer, &shards).unwrap();
+    let b2 = try_train_data_parallel(&trainer, &shards).unwrap();
     assert_eq!(a.stages, b2.stages, "DP training must be deterministic");
 }
 
@@ -275,7 +275,7 @@ fn pipeline_stash_respects_schedule_shape() {
             ..TrainerConfig::new(schedule, model.build_stages(s), 0.05, LossKind::Mse)
         };
         let data = synthetic_data(4, 1, b as usize, 2, 8);
-        train(&trainer, &data)
+        try_train(&trainer, &data).unwrap()
     };
     let g = make(Scheme::GPipe, Recompute::None);
     let d = make(Scheme::Dapple, Recompute::None);

@@ -6,7 +6,7 @@ use hanayo::core::config::{PipelineConfig, Scheme};
 use hanayo::core::schedule::build_schedule;
 use hanayo::core::validate::validate;
 use hanayo::model::{CostTable, ModelConfig};
-use hanayo::sim::{simulate, SimOptions};
+use hanayo::sim::{try_simulate_traced, SimOptions};
 
 fn schemes() -> Vec<Scheme> {
     vec![
@@ -29,7 +29,8 @@ fn every_scheme_runs_on_every_cluster() {
             let schedule = build_schedule(&cfg).unwrap();
             validate(&schedule).unwrap_or_else(|e| panic!("{scheme}: {e}"));
             let cost = CostTable::build(&model, cfg.stages(), 1);
-            let r = simulate(&schedule, &cost, &cluster, SimOptions::default());
+            let r =
+                try_simulate_traced(&schedule, &cost, &cluster, SimOptions::default()).unwrap().0;
             assert!(r.iteration_time > 0.0, "{} {scheme}", cluster.name);
             assert!(
                 (0.0..1.0).contains(&r.bubble_ratio),
@@ -64,7 +65,7 @@ fn sim_and_abstract_replay_agree_on_bubble_ordering() {
         let cfg = PipelineConfig::new(8, 8, scheme).unwrap();
         let schedule = build_schedule(&cfg).unwrap();
         let cost = CostTable::build(&model, cfg.stages(), 1);
-        let r = simulate(&schedule, &cost, cluster, SimOptions::default());
+        let r = try_simulate_traced(&schedule, &cost, cluster, SimOptions::default()).unwrap().0;
         sim_order.push(r.bubble_ratio);
         let cs = build_compute_schedule(&cfg).unwrap();
         replay_order.push(replay_timeline(&cs, 1, 2, 0).bubble_ratio());
@@ -90,7 +91,7 @@ fn simulated_bubble_close_to_eq1_on_ideal_fabric() {
         let cfg = PipelineConfig::new(8, 8, Scheme::Hanayo { waves: w }).unwrap();
         let schedule = build_schedule(&cfg).unwrap();
         let cost = CostTable::build(&model, cfg.stages(), 1);
-        let r = simulate(&schedule, &cost, cluster, SimOptions::default());
+        let r = try_simulate_traced(&schedule, &cost, cluster, SimOptions::default()).unwrap().0;
         let theory = hanayo_eq1(8, w, &CostTerms::paper_default());
         assert!(
             (r.bubble_ratio - theory).abs() < 0.06,
@@ -107,8 +108,8 @@ fn deeper_models_take_proportionally_longer() {
     let schedule = build_schedule(&cfg).unwrap();
     let bert = CostTable::build(&ModelConfig::bert64(), cfg.stages(), 1);
     let gpt = CostTable::build(&ModelConfig::gpt128(), cfg.stages(), 1);
-    let rb = simulate(&schedule, &bert, cluster, SimOptions::default());
-    let rg = simulate(&schedule, &gpt, cluster, SimOptions::default());
+    let rb = try_simulate_traced(&schedule, &bert, cluster, SimOptions::default()).unwrap().0;
+    let rg = try_simulate_traced(&schedule, &gpt, cluster, SimOptions::default()).unwrap().0;
     // BERT-64L has ~3.1x the total FLOPs of GPT-128L at equal seq length.
     let flop_ratio = bert.total_fwd_flops() / gpt.total_fwd_flops();
     let time_ratio = rb.iteration_time / rg.iteration_time;
@@ -125,7 +126,7 @@ fn per_device_memory_is_weights_plus_stash() {
     let cfg = PipelineConfig::new(8, 16, Scheme::Hanayo { waves: 2 }).unwrap();
     let schedule = build_schedule(&cfg).unwrap();
     let cost = CostTable::build(&model, cfg.stages(), 2);
-    let r = simulate(&schedule, &cost, cluster, SimOptions::default());
+    let r = try_simulate_traced(&schedule, &cost, cluster, SimOptions::default()).unwrap().0;
     for d in 0..8 {
         assert!(r.peak_mem[d] >= r.weight_mem[d]);
         // Stash cannot exceed B micro-batches of this device's layers.

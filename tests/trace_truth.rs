@@ -20,9 +20,9 @@ use hanayo::core::config::{PipelineConfig, Scheme};
 use hanayo::core::schedule::build_schedule;
 use hanayo::model::builders::{micro_cost_table, MicroModel};
 use hanayo::model::{CostTable, ModelConfig, Recompute};
-use hanayo::runtime::trainer::{synthetic_data, train, TrainerConfig};
+use hanayo::runtime::trainer::{synthetic_data, try_train, TrainerConfig};
 use hanayo::runtime::LossKind;
-use hanayo::sim::{simulate, simulate_traced, SimOptions};
+use hanayo::sim::{try_simulate_traced, SimOptions};
 use hanayo::trace::{analyze, calibrate, chrome_trace_json, validate_chrome_json, Trace};
 
 /// Documented tolerance of the calibrated prediction on the micro-model:
@@ -53,13 +53,15 @@ fn sim_trace_makespan_equals_report_exactly_on_every_golden_scheme() {
         let schedule = build_schedule(&cfg).unwrap();
         let cost = CostTable::build(&ModelConfig::bert64(), cfg.stages(), 1);
         let cluster = fc_full_nvlink(8);
-        let untraced = simulate(&schedule, &cost, &cluster, SimOptions::default());
-        let (report, trace) = simulate_traced(
+        let untraced =
+            try_simulate_traced(&schedule, &cost, &cluster, SimOptions::default()).unwrap().0;
+        let (report, trace) = try_simulate_traced(
             &schedule,
             &cost,
             &cluster,
             SimOptions { trace: true, ..Default::default() },
-        );
+        )
+        .unwrap();
         assert_eq!(untraced, report, "{name}: tracing perturbed the report");
         let trace = trace.expect("trace requested");
         trace.validate().unwrap_or_else(|e| panic!("{name}: invalid trace: {e}"));
@@ -95,7 +97,7 @@ fn traced_run(p: u32, b: u32, scheme: Scheme) -> (Trace, Vec<hanayo::tensor::Sta
         ..TrainerConfig::new(schedule, stages.clone(), 0.05, LossKind::Mse)
     };
     let data = synthetic_data(17, 1, b as usize, 16, 64);
-    let out = train(&trainer, &data);
+    let out = try_train(&trainer, &data).unwrap();
     (out.trace.expect("trace requested"), stages)
 }
 
@@ -122,7 +124,8 @@ fn calibrated_sim_predicts_the_measured_runtime_makespan() {
         let bytes = micro_cost_table(&stages, 16, 64, Recompute::None);
         let table = cal.cost_table(&bytes, &cluster).unwrap();
 
-        let report = simulate(&schedule, &table, &cluster, SimOptions::default());
+        let report =
+            try_simulate_traced(&schedule, &table, &cluster, SimOptions::default()).unwrap().0;
         let predicted = report.iteration_time;
         // Scores the attempt and, with metrics enabled, records the error
         // percentage histogram + structured event.
