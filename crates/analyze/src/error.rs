@@ -30,7 +30,9 @@ impl fmt::Display for CycleNode {
 pub enum AnalysisError {
     /// The tabular IR itself is malformed (shape, completeness, chain
     /// order, recompute typing, stash caps) — surfaced before any DAG is
-    /// built when analysing a table.
+    /// built when analysing a table. A lowered schedule's placement and
+    /// same-device order defects come back here too, with the action
+    /// index as the slot.
     Table(TableError),
     /// The cost table's stage count differs from the schedule's.
     StageCountMismatch {
@@ -86,6 +88,24 @@ pub enum AnalysisError {
         /// Device actually posting the send.
         actual: DeviceId,
     },
+    /// A cross-device chain step no message carries: the consumer never
+    /// receives the producer's message, or receives it only after the
+    /// step, or the producer sends it before computing it.
+    UncarriedStep {
+        /// Device of the consuming step.
+        device: DeviceId,
+        /// Action index of the consuming step.
+        index: usize,
+        /// The message [`hanayo_core::comm::lower`] would carry it with.
+        tag: MsgTag,
+    },
+    /// A device's list does not end in exactly one optimizer step.
+    MissingFlush {
+        /// The device.
+        device: DeviceId,
+        /// Its first optimizer step, or the list length when it has none.
+        index: usize,
+    },
     /// Two messages on the same directed link whose sender order inverts
     /// their receiver order — a FIFO channel (NCCL p2p without tags)
     /// would deadlock on this pair even though tag matching does not.
@@ -137,6 +157,13 @@ impl fmt::Display for AnalysisError {
                     f,
                     "recv[{tag}] at {device}#{index} names peer {declared}, sender is {actual}"
                 )
+            }
+            AnalysisError::UncarriedStep { device, index, tag } => write!(
+                f,
+                "{device}#{index} consumes {tag}, but no message carries it there in order"
+            ),
+            AnalysisError::MissingFlush { device, index } => {
+                write!(f, "{device}#{index}: the list must end in exactly one optimizer step")
             }
             AnalysisError::FifoInversion { src, dst, first, second } => {
                 write!(

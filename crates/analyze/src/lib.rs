@@ -8,11 +8,15 @@
 //!   matched send→recv message edges, enter/exit splitting for batched
 //!   comm) is acyclic iff the simulator never reports a deadlock. Cycles
 //!   come back as [`AnalysisError::Cycle`] naming the wait chain.
-//! * **Communication well-formedness** — every cross-stage dependency has
-//!   exactly one matched send/recv pair with consistent peers. Per-link
-//!   FIFO order is additionally *reported* (not enforced): tag-matched
-//!   rendezvous tolerates inversions and legal searched tables produce
-//!   them, but a strict FIFO channel would deadlock on one.
+//! * **Program validity** — [`verify`], the one validity check for
+//!   lowered schedules: every chain op exactly once on its stage-map
+//!   device, same-device chain steps in order, every cross-device step
+//!   carried by its matched send/recv pair (sent after the producer,
+//!   received before the consumer), one flush ending every list, and an
+//!   acyclic DAG. Per-link FIFO order is additionally *reported* (not
+//!   enforced): tag-matched rendezvous tolerates inversions and legal
+//!   searched tables produce them, but a strict FIFO channel would
+//!   deadlock on one.
 //! * **Static peak memory** — an activation-liveness replay over each
 //!   device's serial op order that reproduces the simulator's `peak_mem`
 //!   *exactly*, making OOM a statically decidable verdict
@@ -36,5 +40,5 @@ pub mod report;
 pub use critical::critical_path;
 pub use dag::{EdgeKind, HappensBefore, Message};
 pub use error::{AnalysisError, CycleNode};
-pub use memory::{device_weight_mem, static_peak_mem, static_peak_mem_compute, static_stash_peak};
-pub use report::{analyze, analyze_table, check_deadlock_free, AnalysisReport, DagStats};
+pub use memory::{device_bytes, static_peak_mem, static_peak_mem_compute, static_stash_peak};
+pub use report::{analyze, analyze_table, check_deadlock_free, verify, AnalysisReport, DagStats};

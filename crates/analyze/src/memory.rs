@@ -15,17 +15,15 @@ use hanayo_core::ids::DeviceId;
 use hanayo_core::stage_map::StageMap;
 use hanayo_model::CostTable;
 
-/// Static weight+optimizer bytes per device: the sum of
-/// [`CostTable::weight_bytes`] over the stages each device holds
-/// (replicated groups count twice). Matches the engine's baseline.
-pub fn device_weight_mem(stage_map: &StageMap, cost: &CostTable) -> Vec<u64> {
+/// Per-device sum of a per-stage byte column (e.g.
+/// [`CostTable::weight_bytes`]) over the stages each device holds
+/// (replicated groups count twice). The simulator's weight and gradient
+/// baselines are this sum, so static and simulated weight memory agree
+/// by construction.
+pub fn device_bytes(stage_map: &StageMap, column: &[u64]) -> Vec<u64> {
     (0..stage_map.devices)
         .map(|d| {
-            stage_map
-                .modules_on(DeviceId(d))
-                .iter()
-                .map(|&(_, stage)| cost.weight_bytes[stage.idx()])
-                .sum()
+            stage_map.modules_on(DeviceId(d)).iter().map(|&(_, stage)| column[stage.idx()]).sum()
         })
         .collect()
 }
@@ -53,18 +51,14 @@ fn replay_device(ops: impl Iterator<Item = (bool, usize)>, weight: u64, cost: &C
 /// simulator's `SimReport::peak_mem` on every schedule the simulator
 /// completes.
 pub fn static_peak_mem(schedule: &Schedule, cost: &CostTable) -> Vec<u64> {
-    let weights = device_weight_mem(&schedule.stage_map, cost);
+    let weights = device_bytes(&schedule.stage_map, &cost.weight_bytes);
     schedule
         .lists
         .iter()
         .zip(&weights)
         .map(|(list, &w)| {
-            let ops = list.actions.iter().filter_map(|a| match *a {
-                Action::Forward { stage, .. } => Some((false, stage.idx())),
-                Action::Backward { stage, .. } => Some((true, stage.idx())),
-                _ => None,
-            });
-            replay_device(ops, w, cost)
+            let ops = list.actions.iter().filter_map(Action::compute_op);
+            replay_device(ops.map(|op| (op.backward, op.stage.idx())), w, cost)
         })
         .collect()
 }
@@ -72,7 +66,7 @@ pub fn static_peak_mem(schedule: &Schedule, cost: &CostTable) -> Vec<u64> {
 /// [`static_peak_mem`] over the compute-only form (tables lower to this
 /// before communication insertion; comm does not move memory).
 pub fn static_peak_mem_compute(cs: &ComputeSchedule, cost: &CostTable) -> Vec<u64> {
-    let weights = device_weight_mem(&cs.stage_map, cost);
+    let weights = device_bytes(&cs.stage_map, &cost.weight_bytes);
     cs.per_device
         .iter()
         .zip(&weights)
@@ -84,6 +78,6 @@ pub fn static_peak_mem_compute(cs: &ComputeSchedule, cost: &CostTable) -> Vec<u6
 /// device. This is the quantity the memory-truth suite compares across
 /// the runtime, the simulator, the unit replay and this analysis.
 pub fn static_stash_peak(schedule: &Schedule, cost: &CostTable) -> Vec<u64> {
-    let weights = device_weight_mem(&schedule.stage_map, cost);
+    let weights = device_bytes(&schedule.stage_map, &cost.weight_bytes);
     static_peak_mem(schedule, cost).iter().zip(&weights).map(|(&p, &w)| p - w).collect()
 }

@@ -1,15 +1,20 @@
 //! The combined analysis entry points and their serializable report.
 
 use crate::critical::critical_path;
-use crate::dag::HappensBefore;
+use crate::dag::{HappensBefore, Message};
 use crate::error::AnalysisError;
-use crate::memory::{device_weight_mem, static_peak_mem};
+use crate::memory::{device_bytes, static_peak_mem};
 use hanayo_cluster::ClusterSpec;
-use hanayo_core::action::Schedule;
+use hanayo_core::action::{Action, MsgTag, Schedule};
+use hanayo_core::chain::ComputeOp;
 use hanayo_core::comm;
-use hanayo_core::schedule::table::{check_table_with, ScheduleTable, TableLimits};
+use hanayo_core::ids::{DeviceId, MicroBatch};
+use hanayo_core::schedule::table::{
+    chain_slots, check_table_with, ScheduleTable, TableError, TableLimits,
+};
 use hanayo_model::CostTable;
 use serde::{Deserialize, Serialize};
+use std::collections::HashMap;
 
 /// Size of the happens-before DAG, for reports and sanity checks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -40,11 +45,11 @@ pub struct AnalysisReport {
     pub micro_batches: u32,
     /// DAG size.
     pub dag: DagStats,
-    /// No happens-before cycle: the simulator cannot deadlock on this
-    /// schedule.
+    /// No happens-before cycle, and every chain step in order: the
+    /// engines run this schedule to completion.
     pub deadlock_free: bool,
-    /// Every cross-stage dependency has exactly one matched send/recv
-    /// pair with consistent peers.
+    /// Every cross-device chain step is carried by exactly one matched
+    /// send/recv pair with consistent peers, posted in chain order.
     pub comm_well_formed: bool,
     /// Per-link FIFO order holds (sender post order never inverts
     /// receiver block order). Unlike the other verdicts this one can be
@@ -66,27 +71,97 @@ pub struct AnalysisReport {
     pub critical_path_s: f64,
 }
 
-/// Prove deadlock freedom and communication well-formedness of a lowered
-/// schedule: matched messages, consistent peers, acyclic happens-before
-/// DAG. The cheap core of the tuner's static pre-pass.
+/// Prove only that a lowered schedule cannot deadlock: every message
+/// matched, peers consistent, the happens-before DAG acyclic. It does not
+/// check that the schedule computes what its chains say — a schedule with
+/// every send and receive stripped passes; [`verify`] is the validity
+/// check. The cheap core of the tuner's static pre-pass.
 pub fn check_deadlock_free(schedule: &Schedule) -> Result<(), AnalysisError> {
     let dag = HappensBefore::build(schedule)?;
     dag.topo_order()?;
     Ok(())
 }
 
-/// Run every static analysis over a lowered schedule: communication
-/// well-formedness, per-link FIFO consistency, deadlock freedom, the
-/// exact static memory peaks, and the critical-path bound.
+/// The one validity check for a lowered schedule. After matching every
+/// send to its receive, one pass over action positions and the matched
+/// messages checks that
+///
+/// 1. every `(mb, stage)` forward and backward appears exactly once, on
+///    its stage-map device ([`chain_slots`], the table checker's pass);
+/// 2. chain steps that share a device appear in chain order;
+/// 3. every cross-device chain step is carried by the message
+///    [`comm::lower`] emits for it ([`comm::upstream`]'s tag, sent from
+///    the producer's device after the producer, received before the
+///    consumer);
+/// 4. every list ends in exactly one [`Action::OptimizerStep`];
+///
+/// then the happens-before DAG is proved acyclic, as by
+/// [`check_deadlock_free`]. Together these are what the engines need to
+/// run the schedule to completion and compute what its chains say.
+pub fn verify(schedule: &Schedule) -> Result<(), AnalysisError> {
+    let dag = HappensBefore::build(schedule)?;
+    check_program(&dag)?;
+    dag.topo_order()?;
+    Ok(())
+}
+
+/// Checks 1–4 of [`verify`] over a built DAG.
+fn check_program(dag: &HappensBefore<'_>) -> Result<(), AnalysisError> {
+    let schedule = dag.schedule();
+    let map = &schedule.stage_map;
+    let (s, b) = (map.stages, schedule.config.micro_batches);
+    let ops = schedule.lists.iter().enumerate().flat_map(|(d, list)| {
+        let device = DeviceId(d as u32);
+        list.actions.iter().enumerate().filter_map(move |(i, a)| Some((device, i, a.compute_op()?)))
+    });
+    let index = chain_slots(map, b, ops)?;
+    let carriers: HashMap<(DeviceId, MsgTag), &Message> =
+        dag.messages().iter().map(|m| ((m.dst, m.tag), m)).collect();
+    for m in 0..b {
+        for pos in 1..2 * s {
+            let op = ComputeOp::from_pos(MicroBatch(m), pos, s);
+            let (at, dep) = (index[&(m, pos)], index[&(m, pos - 1)]);
+            match comm::upstream(map, op) {
+                None if at < dep => {
+                    let e = TableError::DependencyViolation { op, column: at, dep_column: dep };
+                    return Err(e.into());
+                }
+                None => {}
+                Some((producer, tag)) => {
+                    let device = map.device_of(op.mb, op.stage);
+                    let carried = carriers.get(&(device, tag)).is_some_and(|msg| {
+                        msg.src == producer && msg.send_index > dep && msg.recv_index < at
+                    });
+                    if !carried {
+                        return Err(AnalysisError::UncarriedStep { device, index: at, tag });
+                    }
+                }
+            }
+        }
+    }
+    for (d, list) in schedule.lists.iter().enumerate() {
+        let flush = list.actions.iter().position(|a| *a == Action::OptimizerStep);
+        if flush.is_none_or(|i| i + 1 != list.actions.len()) {
+            let index = flush.unwrap_or(list.actions.len());
+            return Err(AnalysisError::MissingFlush { device: DeviceId(d as u32), index });
+        }
+    }
+    Ok(())
+}
+
+/// Run every static analysis over a lowered schedule: [`verify`]'s
+/// checks, per-link FIFO consistency, the exact static memory peaks, and
+/// the critical-path bound.
 pub fn analyze(
     schedule: &Schedule,
     cost: &CostTable,
     cluster: &ClusterSpec,
 ) -> Result<AnalysisReport, AnalysisError> {
     let dag = HappensBefore::build(schedule)?;
+    check_program(&dag)?;
     let fifo_consistent = dag.check_fifo().is_ok();
     let critical_path_s = critical_path(&dag, cost, cluster)?;
-    let weight_mem = device_weight_mem(&schedule.stage_map, cost);
+    let weight_mem = device_bytes(&schedule.stage_map, &cost.weight_bytes);
     let peak_mem = static_peak_mem(schedule, cost);
     let stash_peak: Vec<u64> = peak_mem.iter().zip(&weight_mem).map(|(&p, &w)| p - w).collect();
     Ok(AnalysisReport {

@@ -7,6 +7,7 @@
 //! device. A [`Schedule`] is the frozen program: one [`ActionList`] per
 //! worker plus the [`StageMap`] needed to interpret stage ids.
 
+use crate::chain::ComputeOp;
 use crate::config::PipelineConfig;
 use crate::ids::{DeviceId, MicroBatch, StageId};
 use crate::stage_map::StageMap;
@@ -103,6 +104,16 @@ impl Action {
     #[inline]
     pub fn is_compute(&self) -> bool {
         matches!(self, Action::Forward { .. } | Action::Backward { .. })
+    }
+
+    /// The chain op this action performs (`Forward`/`Backward` only).
+    #[inline]
+    pub fn compute_op(&self) -> Option<ComputeOp> {
+        match *self {
+            Action::Forward { mb, stage } => Some(ComputeOp { mb, stage, backward: false }),
+            Action::Backward { mb, stage } => Some(ComputeOp { mb, stage, backward: true }),
+            _ => None,
+        }
     }
 
     /// The communication ops contained in this action (empty for compute).

@@ -17,19 +17,21 @@
 use crate::action::{Action, ActionList, CommDir, CommOp, MsgTag, Payload, Schedule};
 use crate::chain::{ComputeOp, ComputeSchedule};
 use crate::ids::DeviceId;
+use crate::stage_map::StageMap;
 
 /// Producer of the message consumed by `op`, if any: `(producer_device,
 /// tag)`. `None` when `op` has no upstream dependency (first forward) or the
-/// dependency is device-local.
-fn upstream(cs: &ComputeSchedule, op: ComputeOp) -> Option<(DeviceId, MsgTag)> {
-    let s = cs.stage_map.stages;
+/// dependency is device-local. [`lower`] receives exactly this message
+/// before `op`; verifiers hold a lowered schedule to the same contract.
+pub fn upstream(map: &StageMap, op: ComputeOp) -> Option<(DeviceId, MsgTag)> {
+    let s = map.stages;
     let pos = op.pos(s);
     if pos == 0 {
         return None;
     }
     let prev = ComputeOp::from_pos(op.mb, pos - 1, s);
-    let here = cs.stage_map.device_of(op.mb, op.stage);
-    let there = cs.stage_map.device_of(prev.mb, prev.stage);
+    let here = map.device_of(op.mb, op.stage);
+    let there = map.device_of(prev.mb, prev.stage);
     if here == there {
         return None;
     }
@@ -80,7 +82,7 @@ pub fn lower(cs: &ComputeSchedule) -> Schedule {
         // Pending comm ops not yet flushed into `actions` (the current run).
         let mut run: Vec<CommOp> = Vec::new();
         for &op in ops {
-            if let Some((peer, tag)) = upstream(cs, op) {
+            if let Some((peer, tag)) = upstream(&cs.stage_map, op) {
                 run.push(CommOp { dir: CommDir::Recv, peer, tag });
             }
             emit_run(&mut run, &mut actions);

@@ -33,6 +33,10 @@
 //! Fig. 7 bubble-zone taxonomy) lives in [`analysis`]. The unit-based peak
 //! memory accounting used in Fig. 3's `M_w`/`M_a` annotations lives in
 //! [`memory`], and the textual Gantt rendering of Figs. 3/5/6 in [`gantt`].
+//! Tables are checked by [`schedule::table::check_table`]; a lowered
+//! schedule's validity is decided by `hanayo_analyze::verify`, which
+//! shares the table checker's placement pass
+//! ([`schedule::table::chain_slots`]).
 
 pub mod abort;
 pub mod action;
@@ -46,7 +50,6 @@ pub mod memory;
 pub mod schedule;
 pub mod stage_map;
 pub mod transform;
-pub mod validate;
 
 pub mod prelude {
     //! Convenient glob import of the most frequently used items.

@@ -285,6 +285,40 @@ impl ScheduleTable {
     }
 }
 
+/// Completeness, placement and uniqueness of the chain ops (rule 2 of
+/// [`check_table_with`], which the lowered-schedule verifier
+/// `hanayo_analyze::verify` shares). `ops` yields every forward and
+/// backward with its device and slot — a table column, or an action
+/// index — device by device. Returns each op's slot keyed by
+/// `(micro-batch, chain position)`; the first violation in `ops` order
+/// wins, and only then the first missing op in `(mb, pos)` order.
+pub fn chain_slots(
+    map: &StageMap,
+    micro_batches: u32,
+    ops: impl IntoIterator<Item = (DeviceId, usize, ComputeOp)>,
+) -> Result<HashMap<(u32, u32), usize>, TableError> {
+    let s = map.stages;
+    let mut slot: HashMap<(u32, u32), usize> =
+        HashMap::with_capacity((2 * s * micro_batches) as usize);
+    for (device, t, op) in ops {
+        let expected = map.device_of(op.mb, op.stage);
+        if expected != device {
+            return Err(TableError::WrongDevice { op, device, expected });
+        }
+        if slot.insert((op.mb.0, op.pos(s)), t).is_some() {
+            return Err(TableError::DuplicateOp { op, device, column: t });
+        }
+    }
+    for m in 0..micro_batches {
+        for pos in 0..2 * s {
+            if !slot.contains_key(&(m, pos)) {
+                return Err(TableError::MissingOp(ComputeOp::from_pos(MicroBatch(m), pos, s)));
+            }
+        }
+    }
+    Ok(slot)
+}
+
 /// [`check_table_with`] under no resource limits.
 pub fn check_table(table: &ScheduleTable) -> Result<(), TableError> {
     check_table_with(table, TableLimits::default())
@@ -306,10 +340,9 @@ pub fn check_table(table: &ScheduleTable) -> Result<(), TableError> {
 /// 5. **Stash caps** — replaying each row (forward stashes, backward
 ///    releases) never exceeds `limits.stash_cap` live stashes.
 ///
-/// Unlike [`crate::validate::validate`], which interprets a lowered
-/// action list, this checker admits *any* legal table — including ones no
-/// generator produces — which is what makes the schedule space
-/// searchable.
+/// Unlike `hanayo_analyze::verify`, which checks a lowered action list,
+/// this checker admits *any* legal table — including ones no generator
+/// produces — which is what makes the schedule space searchable.
 pub fn check_table_with(table: &ScheduleTable, limits: TableLimits) -> Result<(), TableError> {
     let map = &table.stage_map;
     if table.rows.len() != map.devices as usize {
@@ -331,29 +364,11 @@ pub fn check_table_with(table: &ScheduleTable, limits: TableLimits) -> Result<()
 
     let s = map.stages;
     let b = table.config.micro_batches;
-
-    // Completeness, placement, duplicates; record each op's column.
-    let mut column: HashMap<(u32, u32), usize> = HashMap::with_capacity((2 * s * b) as usize);
-    for (d, row) in table.rows.iter().enumerate() {
+    let ops = table.rows.iter().enumerate().flat_map(|(d, row)| {
         let device = DeviceId(d as u32);
-        for (t, slot) in row.iter().enumerate() {
-            let Some(op) = slot.compute_op() else { continue };
-            let expected = map.device_of(op.mb, op.stage);
-            if expected != device {
-                return Err(TableError::WrongDevice { op, device, expected });
-            }
-            if column.insert((op.mb.0, op.pos(s)), t).is_some() {
-                return Err(TableError::DuplicateOp { op, device, column: t });
-            }
-        }
-    }
-    for m in 0..b {
-        for pos in 0..2 * s {
-            if !column.contains_key(&(m, pos)) {
-                return Err(TableError::MissingOp(ComputeOp::from_pos(MicroBatch(m), pos, s)));
-            }
-        }
-    }
+        row.iter().enumerate().filter_map(move |(t, slot)| Some((device, t, slot.compute_op()?)))
+    });
+    let column = chain_slots(map, b, ops)?;
 
     // Dependency order: strict column increase along every chain.
     for m in 0..b {

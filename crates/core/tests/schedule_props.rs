@@ -1,6 +1,7 @@
-//! Property tests for the schedule layer: generation, lowering,
-//! validation, memory replay, timing replay and serialization, over
-//! randomly drawn pipeline shapes.
+//! Property tests for the schedule layer: generation, lowering, memory
+//! replay, timing replay and serialization, over randomly drawn pipeline
+//! shapes. Validity of generated schedules is pinned in `hanayo-analyze`
+//! (`tests/verify.rs`).
 
 use hanayo_core::action::{Action, CommDir, Schedule};
 use hanayo_core::config::{PipelineConfig, Scheme};
@@ -8,7 +9,6 @@ use hanayo_core::gantt::replay_timeline;
 use hanayo_core::memory::unit_profile;
 use hanayo_core::schedule::{build_compute_schedule, build_schedule};
 use hanayo_core::transform::chimera_to_waves;
-use hanayo_core::validate::validate;
 use proptest::prelude::*;
 
 fn any_scheme() -> impl Strategy<Value = Scheme> {
@@ -32,18 +32,6 @@ fn legalise(p: u32, b: u32, scheme: Scheme) -> (u32, u32) {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn generated_schedules_always_validate(
-        p in 2u32..=7,
-        b in 2u32..=14,
-        scheme in any_scheme(),
-    ) {
-        let (p, b) = legalise(p, b, scheme);
-        let cfg = PipelineConfig::new(p, b, scheme).unwrap();
-        let schedule = build_schedule(&cfg).unwrap();
-        validate(&schedule).unwrap();
-    }
 
     #[test]
     fn sends_equal_recvs_per_schedule(

@@ -7,7 +7,7 @@
 use crate::cli::{compact, flag, metrics, Arg, Command, Flag, Output};
 use hanayo_ckpt::recovery::{young_daly_interval_s, RecoveryOptions};
 use hanayo_ckpt::{Checkpoint, CheckpointPolicy, FailurePlan, RngCursor};
-use hanayo_core::config::{PipelineConfig, Scheme};
+use hanayo_core::config::PipelineConfig;
 use hanayo_core::schedule::build_schedule;
 use hanayo_model::builders::MicroModel;
 use hanayo_model::Recompute;
@@ -276,9 +276,6 @@ impl Args {
     /// RNG cursor.
     fn job(&self) -> Result<(TrainerConfig, Vec<Stage>, u64), String> {
         let scheme = scheme_for(&self.scheme)?;
-        if scheme == Scheme::Chimera {
-            return Err("the threaded runtime rejects replicated (chimera) schedules".into());
-        }
         let cfg = PipelineConfig::new(self.devices, self.micro_batches, scheme)
             .map_err(|e| e.to_string())?;
         let schedule = build_schedule(&cfg).map_err(|e| e.to_string())?;

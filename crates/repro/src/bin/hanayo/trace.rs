@@ -5,7 +5,7 @@
 
 use crate::cli::{compact, flag, metrics, Command, Flag, Output};
 use hanayo_cluster::topology::fc_full_nvlink;
-use hanayo_core::config::{PipelineConfig, Scheme};
+use hanayo_core::config::PipelineConfig;
 use hanayo_core::schedule::build_schedule;
 use hanayo_model::builders::{micro_cost_table, MicroModel};
 use hanayo_model::{CostTable, Recompute};
@@ -157,9 +157,6 @@ impl Args {
         let schedule = build_schedule(&cfg).map_err(|e| e.to_string())?;
 
         let (trace, calibration): (Trace, Option<CalibrationReport>) = if runtime {
-            if scheme == Scheme::Chimera {
-                return Err("the threaded runtime rejects replicated (chimera) schedules".into());
-            }
             let s = cfg.stages();
             // Heavy enough micro-batches (64×96 rows through width-96
             // blocks) that per-op compute dominates thread wake-up noise

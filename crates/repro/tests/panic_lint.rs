@@ -1,9 +1,11 @@
 //! The repo's panic-freedom gate for library code, run by `cargo test`.
 //!
 //! Scans the non-test sources of every library crate (everything except
-//! `hanayo-repro`, the figures and the command line) for the three
-//! panicking idioms: `.unwrap()`, `.expect(` and `panic!`. Lines inside
-//! `#[cfg(test)]` modules and comment lines are excluded.
+//! `hanayo-repro`, the figures and the command line) for the panicking
+//! idioms: `.unwrap()`, `.expect(`, `panic!`, `assert!(`, `assert_eq!(`
+//! and `assert_ne!(` (`debug_assert*` is compiled out of release builds
+//! and not counted). Lines inside `#[cfg(test)]` modules and comment
+//! lines are excluded.
 //!
 //! The committed baseline (`lint-baseline.txt` at the repo root) freezes
 //! the per-file hit counts that remain after the burn-down; any *new* hit
@@ -38,9 +40,23 @@ const SCOPES: [&str; 12] = [
 ];
 
 /// The panicking idioms the gate counts. `unwrap_or*` combinators do not
-/// match `.unwrap()` and are fine; `debug_assert!` is compiled out of
-/// release builds and is not counted either.
-const PATTERNS: [&str; 3] = [".unwrap()", ".expect(", "panic!"];
+/// match `.unwrap()` and are fine.
+const PATTERNS: [&str; 6] =
+    [".unwrap()", ".expect(", "panic!", "assert!(", "assert_eq!(", "assert_ne!("];
+
+/// Occurrences of `pattern` in `line`. A pattern that starts with an
+/// identifier character must not continue a longer name (`debug_assert!(`
+/// is compiled out of release builds). `.unwrap()` and `.expect(` follow
+/// an identifier by design.
+fn count_pattern(line: &str, pattern: &str) -> usize {
+    let is_ident = |c: char| c.is_alphanumeric() || c == '_';
+    if !pattern.starts_with(is_ident) {
+        return line.matches(pattern).count();
+    }
+    line.match_indices(pattern)
+        .filter(|&(i, _)| !line[..i].chars().next_back().is_some_and(is_ident))
+        .count()
+}
 
 fn repo_root() -> PathBuf {
     // CARGO_MANIFEST_DIR is crates/repro; the repo root is two levels up.
@@ -91,7 +107,7 @@ fn count_hits(text: &str) -> usize {
                 continue;
             }
         }
-        hits += PATTERNS.iter().map(|p| line.matches(p).count()).sum::<usize>();
+        hits += PATTERNS.iter().map(|p| count_pattern(line, p)).sum::<usize>();
     }
     hits
 }
@@ -125,8 +141,12 @@ fn render(counts: &BTreeMap<String, usize>) -> String {
     let total: usize = counts.values().sum();
     let mut out = String::new();
     writeln!(out, "# Panic-freedom baseline for the workspace's library crates.").unwrap();
-    writeln!(out, "# Counts `.unwrap()` / `.expect(` / `panic!` outside tests and comments.")
-        .unwrap();
+    writeln!(
+        out,
+        "# Counts `.unwrap()` / `.expect(` / `panic!` / `assert!(` / `assert_eq!(` / \
+         `assert_ne!(` outside tests and comments."
+    )
+    .unwrap();
     writeln!(out, "# Regenerate with: LINT_UPDATE=1 cargo test -p hanayo-repro --test panic_lint")
         .unwrap();
     writeln!(out, "# total {total}").unwrap();
@@ -208,6 +228,16 @@ fn gate() -> Result<(), String> {
         counts.len()
     );
     Ok(())
+}
+
+#[test]
+fn counts_every_panicking_idiom_but_not_debug_asserts() {
+    let counted = "a.unwrap();\nb.expect(\"x\");\nself.c.d.unwrap();\n\
+                   panic!(\"e\");\nassert!(f);\nassert_eq!(g, h);\nassert_ne!(i, j);";
+    assert_eq!(count_hits(counted), 7);
+    let skipped = "debug_assert!(f);\ndebug_assert_eq!(g, h);\ndebug_assert_ne!(i, j);\n\
+                   a.unwrap_or(0);\nb.unwrap_or_default();\n// c.unwrap();";
+    assert_eq!(count_hits(skipped), 0);
 }
 
 #[test]

@@ -7,7 +7,10 @@
 //! four run one chunked engine: the iterations are cut at the
 //! [`TrainerConfig::checkpoint`] boundaries (one chunk when the policy is
 //! off), and a failed run hands back its newest durable checkpoint in
-//! [`TrainError::checkpoint`].
+//! [`TrainError::checkpoint`]. A run the workers cannot execute (a
+//! replicated schedule, a stage module short, an iteration an input
+//! short) is refused on the caller's thread before any checkpoint or
+//! thread, as a typed error with no checkpoint.
 
 use crate::collective::AllreduceHub;
 use crate::mailbox::{fabric, spin_budget};
@@ -220,20 +223,41 @@ impl fmt::Display for ResumeError {
 
 impl std::error::Error for ResumeError {}
 
-fn validate(cfg: &TrainerConfig, stages: &[Stage], data: &[IterationData]) {
-    assert_eq!(stages.len(), cfg.schedule.stage_map.stages as usize, "one module per stage");
-    for group in &cfg.schedule.stage_map.groups {
-        assert_eq!(
-            group.replica.0, 0,
-            "the runtime trains single-replica schedules; use the wave \
-             transformation for Chimera (the paper does the same)"
-        );
+/// Refuse, on the caller's thread and before any checkpoint or thread, a
+/// run the workers cannot execute: a stage module count other than the
+/// schedule's, a replicated schedule, or an iteration from `start` on
+/// without one input and one target per micro-batch (the first such
+/// iteration, shard by shard).
+fn check_run(cfg: &TrainerConfig, data: DataRef<'_>, start: usize) -> Result<(), TrainError> {
+    check_stages(cfg, &cfg.stages)?;
+    if cfg.schedule.stage_map.groups.iter().any(|g| g.replica.0 != 0) {
+        return Err(TrainError::single(WorkerError::ReplicatedSchedule, None));
     }
-    let b = cfg.schedule.config.micro_batches as usize;
-    for (i, iteration) in data.iter().enumerate() {
-        assert_eq!(iteration.inputs.len(), b, "iteration {i}: one input per micro-batch");
-        assert_eq!(iteration.targets.len(), b, "iteration {i}: one target per micro-batch");
+    let micro_batches = cfg.schedule.config.micro_batches as usize;
+    let shards: Vec<(Option<usize>, &[IterationData])> = match data {
+        DataRef::Single(d) => vec![(None, d)],
+        DataRef::Dp(shards) => shards.iter().enumerate().map(|(r, s)| (Some(r), *s)).collect(),
+    };
+    for (replica, shard) in shards {
+        for (iteration, it) in shard.iter().enumerate().skip(start) {
+            let (inputs, targets) = (it.inputs.len(), it.targets.len());
+            if inputs != micro_batches || targets != micro_batches {
+                let e = WorkerError::IterationShape { iteration, inputs, targets, micro_batches };
+                return Err(TrainError::single(e, replica));
+            }
+        }
     }
+    Ok(())
+}
+
+/// One module per schedule stage.
+fn check_stages(cfg: &TrainerConfig, stages: &[Stage]) -> Result<(), TrainError> {
+    let expected = cfg.schedule.stage_map.stages as usize;
+    if stages.len() != expected {
+        let e = WorkerError::StageCount { modules: stages.len(), stages: expected };
+        return Err(TrainError::single(e, None));
+    }
+    Ok(())
 }
 
 /// Run the schedule with real math, one OS thread per device, under
@@ -244,6 +268,7 @@ fn validate(cfg: &TrainerConfig, stages: &[Stage], data: &[IterationData]) {
 /// the caller can [`resume`]. Checkpointing only observes: a completed run
 /// is bitwise identical with the policy on or off.
 pub fn try_train(cfg: &TrainerConfig, data: &[IterationData]) -> Result<TrainOutput, TrainError> {
+    check_run(cfg, DataRef::Single(data), 0)?;
     let p = cfg.schedule.lists.len();
     run_chunked(cfg, DataRef::Single(data), 0, fresh_state(cfg, p))
 }
@@ -259,6 +284,7 @@ pub fn try_train_data_parallel(
     data: &[Vec<IterationData>],
 ) -> Result<TrainOutput, TrainError> {
     let shards = shard_views(data)?;
+    check_run(cfg, DataRef::Dp(&shards), 0)?;
     let devices = cfg.schedule.lists.len() * shards.len();
     run_chunked(cfg, DataRef::Dp(&shards), 0, fresh_state(cfg, devices))
 }
@@ -362,17 +388,6 @@ fn dp_segment(
 ) -> Result<SegmentOut, TrainError> {
     let dp = shards.len();
     let iter_base = range.start as u32;
-    // A panic above the worker layer has no device to name; the outer
-    // fold re-tags the replica rank.
-    let replica_panic = |payload: &(dyn std::any::Any + Send)| {
-        TrainError::single(
-            WorkerError::Panicked {
-                device: DeviceId(0),
-                message: format!("replica thread (device unknown): {}", panic_message(payload)),
-            },
-            None,
-        )
-    };
     // The hub is also how a failure crosses replicas: whoever fails aborts
     // it, and every worker of a healthy replica reaches it, fails there as
     // a cascade and aborts its own fabric.
@@ -385,18 +400,8 @@ fn dp_segment(
             .map(|(rank, shard)| {
                 let shard = &shard[range.clone()];
                 scope.spawn(move || {
-                    // A panic above the worker layer (e.g. a validation
-                    // assert before workers spawn) must abort the hub *on
-                    // this thread*: peers of other replicas are already
-                    // blocked in it, and the main thread may be joining a
-                    // different replica — waiting for the join to surface
-                    // it would deadlock the run.
-                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    guard_replica(hub, || {
                         run_pipeline(cfg, start, shard, Some((rank, hub)), origin, iter_base)
-                    }))
-                    .unwrap_or_else(|payload| {
-                        hub.abort();
-                        Err(replica_panic(payload.as_ref()))
                     })
                 })
             })
@@ -441,6 +446,33 @@ fn dp_segment(
     Ok(merged)
 }
 
+/// Run one replica's body on its thread. A panic above the worker layer
+/// (e.g. in the setup before workers spawn) must abort the hub *on this
+/// thread*: peers of other replicas may already be blocked in it, and the
+/// main thread may be joining a different replica — waiting for the join
+/// to surface it would deadlock the run.
+fn guard_replica<T>(
+    hub: &AllreduceHub,
+    body: impl FnOnce() -> Result<T, TrainError>,
+) -> Result<T, TrainError> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(body)).unwrap_or_else(|payload| {
+        hub.abort();
+        Err(replica_panic(payload.as_ref()))
+    })
+}
+
+/// A panic above the worker layer has no device to name; the outer fold
+/// re-tags the replica rank.
+fn replica_panic(payload: &(dyn std::any::Any + Send)) -> TrainError {
+    TrainError::single(
+        WorkerError::Panicked {
+            device: DeviceId(0),
+            message: format!("replica thread (device unknown): {}", panic_message(payload)),
+        },
+        None,
+    )
+}
+
 /// Run one pipeline replica over `data` (global iterations `iter_base..`),
 /// every device starting from its modules in `stages`. Returns the worker
 /// reports, trained modules included.
@@ -452,7 +484,6 @@ fn run_pipeline(
     origin: Instant,
     iter_base: u32,
 ) -> Result<Vec<WorkerReport>, TrainError> {
-    validate(cfg, stages, data);
     let schedule = &cfg.schedule;
     let p = schedule.lists.len();
     let world = dp.map_or(1, |(_, hub)| hub.world());
@@ -687,6 +718,7 @@ fn guard_resume(
     available: usize,
 ) -> Result<(), ResumeError> {
     ckpt.guard(fingerprint_of(cfg, world)).map_err(ResumeError::Checkpoint)?;
+    check_stages(cfg, &ckpt.stages).map_err(ResumeError::Run)?;
     if ckpt.iteration as usize > available {
         return Err(ResumeError::BeyondData { iteration: ckpt.iteration, available });
     }
@@ -703,10 +735,11 @@ pub fn resume(
     ckpt: &Checkpoint,
     data: &[IterationData],
 ) -> Result<TrainOutput, ResumeError> {
+    let data_ref = DataRef::Single(data);
+    check_run(cfg, data_ref, ckpt.iteration as usize).map_err(ResumeError::Run)?;
     guard_resume(cfg, ckpt, 1, data.len())?;
     let p = cfg.schedule.lists.len();
-    run_chunked(cfg, DataRef::Single(data), ckpt.iteration, resume_state(cfg, ckpt, p))
-        .map_err(ResumeError::Run)
+    run_chunked(cfg, data_ref, ckpt.iteration, resume_state(cfg, ckpt, p)).map_err(ResumeError::Run)
 }
 
 /// [`resume`] for data-parallel runs (`data[g]` is replica `g`'s full
@@ -718,6 +751,7 @@ pub fn resume_data_parallel(
     data: &[Vec<IterationData>],
 ) -> Result<TrainOutput, ResumeError> {
     let shards = shard_views(data).map_err(ResumeError::Run)?;
+    check_run(cfg, DataRef::Dp(&shards), ckpt.iteration as usize).map_err(ResumeError::Run)?;
     let world = shards.len() as u32;
     guard_resume(cfg, ckpt, world, DataRef::Dp(&shards).iterations())?;
     let devices = cfg.schedule.lists.len() * shards.len();
@@ -1045,15 +1079,59 @@ mod tests {
     }
 
     #[test]
-    fn rejects_replicated_schedules() {
-        let cfg = PipelineConfig::new(2, 2, Scheme::Chimera).unwrap();
-        let schedule = build_schedule(&cfg).unwrap();
-        let model = MicroModel { width: 8, total_blocks: 2, seed: 1 };
-        let stages = model.build_stages(2);
-        let data = synthetic_data(1, 1, 2, 2, 8);
-        let cfg = TrainerConfig::new(schedule, stages, 0.1, LossKind::Mse);
-        let result = std::panic::catch_unwind(|| try_train(&cfg, &data));
-        assert!(result.is_err(), "chimera-native must be rejected");
+    fn unrunnable_runs_are_refused_on_the_callers_thread() {
+        // A replicated schedule, a stage module short and an iteration an
+        // input short: each entry point refuses all three with a typed
+        // error and no checkpoint, and none of them panics.
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let (good, data) = job(2, 2, Scheme::Dapple);
+        let done = try_train(&good, &data).unwrap();
+        let ckpt = checkpoint_of(&good, &done, 0, 1);
+        let schedule =
+            build_schedule(&PipelineConfig::new(2, 2, Scheme::Chimera).unwrap()).unwrap();
+        let chimera = TrainerConfig { schedule, ..good.clone() };
+        let mut stage_short = good.clone();
+        stage_short.stages.pop();
+        let mut input_short = data.clone();
+        input_short[1].inputs.pop();
+        let shape =
+            WorkerError::IterationShape { iteration: 1, inputs: 1, targets: 2, micro_batches: 2 };
+
+        for (cfg, bad, primary, bad_replica) in [
+            (chimera, data.clone(), WorkerError::ReplicatedSchedule, None),
+            (stage_short, data.clone(), WorkerError::StageCount { modules: 1, stages: 2 }, None),
+            (good.clone(), input_short, shape, Some(1)),
+        ] {
+            let shards = vec![data.clone(), bad.clone()];
+            let run = |f: &dyn Fn() -> Option<TrainError>| {
+                catch_unwind(AssertUnwindSafe(f)).expect("refused, not panicked")
+            };
+            let resumed = |r: Result<TrainOutput, ResumeError>| match r {
+                Err(ResumeError::Run(e)) => Some(e),
+                _ => None,
+            };
+            for (entry, refusal, replica) in [
+                ("try_train", run(&|| try_train(&cfg, &bad).err()), None),
+                (
+                    "try_train_data_parallel",
+                    run(&|| try_train_data_parallel(&cfg, &shards).err()),
+                    bad_replica,
+                ),
+                ("resume", run(&|| resumed(resume(&cfg, &ckpt, &bad))), None),
+                (
+                    "resume_data_parallel",
+                    run(&|| resumed(resume_data_parallel(&cfg, &ckpt, &shards))),
+                    bad_replica,
+                ),
+            ] {
+                let err = refusal.unwrap_or_else(|| panic!("{entry}: {primary} was not refused"));
+                assert_eq!((&err.primary, err.replica), (&primary, replica), "{entry}: {err}");
+                assert!(err.checkpoint.is_none(), "{entry}: refused before any checkpoint");
+                if let Some(r) = replica {
+                    assert!(err.to_string().contains(&format!("replica {r}: ")), "{entry}: {err}");
+                }
+            }
+        }
     }
 
     #[test]
@@ -1281,23 +1359,31 @@ mod tests {
     }
 
     #[test]
-    fn replica_thread_panic_before_workers_spawn_does_not_hang() {
-        // Replica 1's shard is malformed: its validate() assert fires on
-        // the replica thread before any worker exists. Replica 0's workers
-        // are by then blocked in the shared all-reduce hub — the panicking
-        // thread itself must abort the hub, or the run deadlocks.
-        let (cfg, _) = job(2, 2, Scheme::Hanayo { waves: 1 });
-        let good = synthetic_data(71, 1, 2, 2, 8);
-        let mut bad = synthetic_data(72, 1, 2, 2, 8);
-        bad[0].inputs.pop(); // one input short of the micro-batch count
-        let err = try_train_data_parallel(&cfg, &[good, bad]).unwrap_err();
-        assert_eq!(err.replica, Some(1), "the failing replica must be named: {err}");
-        assert!(
-            matches!(err.primary, WorkerError::Panicked { .. }),
-            "expected the typed panic, got {}",
-            err.primary
-        );
-        assert!(err.to_string().contains("one input per micro-batch"), "{err}");
+    fn replica_thread_panic_aborts_the_hub_its_peers_wait_in() {
+        // Replica 0 waits in the all-reduce for a contribution from
+        // replica 1, whose thread panics above the worker layer. The guard
+        // aborts the hub on the panicking thread, so replica 0 unwinds
+        // instead of waiting for a replica that is not coming.
+        let (cfg, _) = job(2, 2, Scheme::Dapple);
+        let grads = cfg.stages[0].zero_grads();
+        let (peer, panicked) = within_watchdog(move || {
+            let hub = &AllreduceHub::new(2);
+            std::thread::scope(|scope| {
+                let peer = scope.spawn(|| hub.try_allreduce(0, 0, 0, grads));
+                let panicked = guard_replica::<()>(hub, || {
+                    std::thread::sleep(std::time::Duration::from_millis(50));
+                    panic!("setup failed");
+                });
+                (peer.join().is_ok_and(|g| g.is_none()), panicked.map_err(|e| e.primary))
+            })
+        });
+        assert!(peer, "the waiting replica must be released empty-handed");
+        match panicked {
+            Err(WorkerError::Panicked { message, .. }) => {
+                assert!(message.contains("setup failed"), "{message}")
+            }
+            other => panic!("expected a typed panic, got {other:?}"),
+        }
     }
 
     #[test]

@@ -276,6 +276,32 @@ pub enum WorkerError {
     /// A data-parallel run was given no shard at all. Refused before any
     /// thread starts.
     NoShards,
+    /// The schedule trains more than one weight replica (native Chimera).
+    /// The runtime trains one; the wave transformation turns Chimera into
+    /// such a schedule, as the paper does. Refused before any thread
+    /// starts.
+    ReplicatedSchedule,
+    /// The run holds a different number of stage modules than the
+    /// schedule has stages. Refused before any thread starts.
+    StageCount {
+        /// Stage modules supplied.
+        modules: usize,
+        /// Stages in the schedule.
+        stages: usize,
+    },
+    /// An iteration lacks one input and one target per micro-batch.
+    /// Refused before any thread starts; a data-parallel run names the
+    /// shard's replica in [`crate::TrainError::replica`].
+    IterationShape {
+        /// Index of the iteration in its shard.
+        iteration: usize,
+        /// Inputs it holds.
+        inputs: usize,
+        /// Targets it holds.
+        targets: usize,
+        /// Micro-batches per iteration in the schedule.
+        micro_batches: usize,
+    },
     /// A data-parallel replica's shard holds a different iteration count
     /// than replica 0's. Refused before any thread starts: the other
     /// replicas would wait in the all-reduce forever.
@@ -307,7 +333,11 @@ impl WorkerError {
             | WorkerError::Injected { device, .. }
             | WorkerError::LinkDown { device, .. }
             | WorkerError::Panicked { device, .. } => Some(device),
-            WorkerError::NoShards | WorkerError::ShardLength { .. } => None,
+            WorkerError::NoShards
+            | WorkerError::ReplicatedSchedule
+            | WorkerError::StageCount { .. }
+            | WorkerError::IterationShape { .. }
+            | WorkerError::ShardLength { .. } => None,
         }
     }
 
@@ -360,6 +390,19 @@ impl fmt::Display for WorkerError {
                 write!(f, "{device}: worker thread panicked: {message}")
             }
             WorkerError::NoShards => write!(f, "a data-parallel run needs at least one shard"),
+            WorkerError::ReplicatedSchedule => write!(
+                f,
+                "the threaded runtime rejects replicated (chimera) schedules; use the wave \
+                 transformation"
+            ),
+            WorkerError::StageCount { modules, stages } => {
+                write!(f, "{modules} stage module(s) for a {stages}-stage schedule")
+            }
+            WorkerError::IterationShape { iteration, inputs, targets, micro_batches } => write!(
+                f,
+                "iteration {iteration} holds {inputs} input(s) and {targets} target(s) for \
+                 {micro_batches} micro-batches"
+            ),
             WorkerError::ShardLength { replica, len, expected } => write!(
                 f,
                 "replica {replica}'s shard holds {len} iteration(s), replica 0's holds {expected}"

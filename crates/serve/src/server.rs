@@ -398,7 +398,6 @@ fn handle_tune(shared: &Shared, body: &[u8]) -> Response {
                 caches: Some(shared.state.caches_for(req.config_key())),
                 abort: Some(Arc::clone(&shared.shutdown)),
                 progress: None,
-                checkpoint_every: 0,
             };
             let (status, body) = outcome_body(run_tune(&req, &ctx));
             guard.armed = false;
@@ -438,7 +437,6 @@ fn handle_job_submit(shared: &Arc<Shared>, body: &[u8]) -> Response {
                     caches: Some(worker_shared.state.caches_for(req.config_key())),
                     abort: Some(Arc::clone(&job.abort)),
                     progress: Some(Arc::clone(&job.progress)),
-                    checkpoint_every: 0,
                 };
                 let state = match run_tune(&req, &ctx) {
                     Ok(table) => match serde_json::to_string(&table) {

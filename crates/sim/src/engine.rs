@@ -29,9 +29,9 @@
 //! `tests/engine_equivalence.rs` pin the two bit-identical.
 
 use crate::report::{SimReport, SimSpan};
+use hanayo_analyze::device_bytes;
 use hanayo_cluster::ClusterSpec;
 use hanayo_core::action::{Action, CommDir, MsgTag, Payload, Schedule};
-use hanayo_core::ids::StageId;
 use hanayo_model::CostTable;
 use hanayo_trace::{Trace, TraceEvent, TraceKind};
 use serde::{Deserialize, Serialize};
@@ -186,26 +186,6 @@ pub fn validate_numerics(
         return Err(NumericsError::Overlap { value: opts.allreduce_overlap });
     }
     Ok(())
-}
-
-/// Static weight and fp16-gradient bytes per device (counts replicated
-/// groups twice). Shared by both engines so their memory accounting cannot
-/// drift apart.
-pub(crate) fn static_device_mem(schedule: &Schedule, cost: &CostTable) -> (Vec<u64>, Vec<u64>) {
-    let p = schedule.lists.len();
-    let per_device_sum = |table: &[u64]| -> Vec<u64> {
-        (0..p)
-            .map(|d| {
-                schedule
-                    .stage_map
-                    .modules_on(hanayo_core::ids::DeviceId(d as u32))
-                    .iter()
-                    .map(|&(_, StageId(s))| table[s as usize])
-                    .sum()
-            })
-            .collect()
-    };
-    (per_device_sum(&cost.weight_bytes), per_device_sum(&cost.grad_bytes))
 }
 
 /// Totally-ordered wrapper for event times.
@@ -917,7 +897,8 @@ fn run_compiled(
     opts: SimOptions,
 ) -> Result<(SimReport, Option<Trace>), SimError> {
     let p = schedule.lists.len();
-    let (weight_mem, grad_mem) = static_device_mem(schedule, cost);
+    let weight_mem = device_bytes(&schedule.stage_map, &cost.weight_bytes);
+    let grad_mem = device_bytes(&schedule.stage_map, &cost.grad_bytes);
     let nodes = cluster.node.iter().copied().max().unwrap_or(0) as usize + 1;
     let slots = p * compiled.ntags;
 

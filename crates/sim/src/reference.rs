@@ -10,8 +10,9 @@
 //! behavioural change here invalidates the oracle the fast path is checked
 //! against.
 
-use crate::engine::{static_device_mem, SimOptions};
+use crate::engine::SimOptions;
 use crate::report::{SimReport, SimSpan};
+use hanayo_analyze::device_bytes;
 use hanayo_cluster::ClusterSpec;
 use hanayo_core::action::{Action, CommDir, MsgTag, Schedule};
 use hanayo_model::CostTable;
@@ -304,7 +305,8 @@ pub fn simulate_reference(
         "cost table must match the stage count"
     );
 
-    let (weight_mem, grad_mem) = static_device_mem(schedule, cost);
+    let weight_mem = device_bytes(&schedule.stage_map, &cost.weight_bytes);
+    let grad_mem = device_bytes(&schedule.stage_map, &cost.grad_bytes);
 
     let mut eng = Engine {
         schedule,

@@ -706,15 +706,12 @@ pub struct TuneContext {
     pub abort: Option<Arc<AbortFlag>>,
     /// Live progress counters, updated once per candidate batch.
     pub progress: Option<Arc<TuneProgress>>,
-    /// Candidates per batch between abort checkpoints; `0` means the
-    /// default (32). Chunking never reorders evaluation, so results are
-    /// byte-identical for every batch size.
-    pub checkpoint_every: usize,
 }
 
-/// Default candidates per batch between cancellation checkpoints: small
-/// enough that a cancel lands within tens of milliseconds on typical
-/// spaces, large enough that parallel batches keep every worker busy.
+/// Candidates per batch between cancellation checkpoints: small enough
+/// that a cancel lands within tens of milliseconds on typical spaces,
+/// large enough that parallel batches keep every worker busy. Chunking
+/// never reorders evaluation, so results do not depend on it.
 const DEFAULT_CHECKPOINT_EVERY: usize = 32;
 
 /// Why a context-driven sweep stopped early.
@@ -770,13 +767,11 @@ fn tune_impl(
         p.total.store(space.len() as u64, Ordering::SeqCst);
         p.evaluated.store(0, Ordering::SeqCst);
     }
-    let step =
-        if ctx.checkpoint_every > 0 { ctx.checkpoint_every } else { DEFAULT_CHECKPOINT_EVERY };
     // Inert off a TTY (one atomic add per candidate, no clock reads), so
     // tests and CI see exactly the non-interactive path.
     let progress = hanayo_metrics::Progress::new("sweep", space.len() as u64);
     let mut evaluated: Vec<(ParallelPlan, SimOptions, Outcome)> = Vec::with_capacity(space.len());
-    for batch in space.chunks(step) {
+    for batch in space.chunks(DEFAULT_CHECKPOINT_EVERY) {
         if ctx.abort.as_ref().is_some_and(|a| a.is_tripped()) {
             progress.finish();
             return Err(TuneError::Cancelled { evaluated: evaluated.len(), total: space.len() });
@@ -1153,8 +1148,8 @@ mod tests {
 
     #[test]
     fn abort_between_batches_stops_the_sweep_partway() {
-        // A 1-candidate batch size with a flag tripped from a progress
-        // watcher: the sweep must stop at a checkpoint, not run dry.
+        // A flag tripped from a progress watcher: the sweep must stop at
+        // a batch checkpoint, not run dry.
         let model = ModelConfig::bert64().with_train_bytes_per_param(8);
         let cluster = fc_full_nvlink(8);
         let abort = Arc::new(AbortFlag::new());
@@ -1162,7 +1157,6 @@ mod tests {
         let ctx = TuneContext {
             abort: Some(abort.clone()),
             progress: Some(progress.clone()),
-            checkpoint_every: 1,
             ..Default::default()
         };
         let watcher = {
@@ -1186,8 +1180,8 @@ mod tests {
 
     #[test]
     fn context_hooks_do_not_change_the_answer() {
-        // Shared caches + progress + an (untripped) abort flag + odd batch
-        // size: byte-identical to the plain paths, parallel and serial.
+        // Shared caches + progress + an (untripped) abort flag:
+        // byte-identical to the plain paths, parallel and serial.
         let model = ModelConfig::bert64().with_train_bytes_per_param(8);
         let cluster = lonestar6(8);
         let wide = opts().wide();
@@ -1196,7 +1190,6 @@ mod tests {
             caches: Some(shared.clone()),
             abort: Some(Arc::new(AbortFlag::new())),
             progress: Some(Arc::new(TuneProgress::default())),
-            checkpoint_every: 7,
         };
         let plain = tune_with(&model, &cluster, 16, 1, &wide, &TuneContext::default()).unwrap();
         let hooked = tune_with(&model, &cluster, 16, 1, &wide, &ctx).expect("untripped");

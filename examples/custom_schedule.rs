@@ -4,13 +4,14 @@
 //!
 //! We build a "double-fold" variant by hand — a wave that lingers on the
 //! middle devices — generate its schedule with the same list scheduler
-//! Hanayo uses, validate it, execute it in the simulator, and train with
+//! Hanayo uses, verify it, execute it in the simulator, and train with
 //! it bit-exactly on the threaded runtime.
 //!
 //! ```text
 //! cargo run --example custom_schedule
 //! ```
 
+use hanayo::analyze::verify;
 use hanayo::cluster::topology::fc_full_nvlink;
 use hanayo::core::config::{PipelineConfig, Scheme};
 use hanayo::core::gantt::render_paper_style;
@@ -19,7 +20,6 @@ use hanayo::core::schedule::build_compute_schedule;
 use hanayo::core::schedule::custom::build_custom_schedule;
 use hanayo::core::schedule::listsched::{ListParams, RetireRule};
 use hanayo::core::stage_map::{PathGroup, StageMap};
-use hanayo::core::validate::validate;
 use hanayo::model::builders::MicroModel;
 use hanayo::model::{CostTable, ModelConfig};
 use hanayo::runtime::trainer::{sequential_reference, synthetic_data, try_train, TrainerConfig};
@@ -46,7 +46,7 @@ fn main() {
     let params =
         ListParams { cap: Some(p), retire: RetireRule::ForwardComplete, ..Default::default() };
     let schedule = build_custom_schedule(&cfg, map, params).expect("custom scheme generates");
-    validate(&schedule).expect("and validates like any built-in scheme");
+    verify(&schedule).expect("and verifies like any built-in scheme");
 
     println!("A user-defined 'double-fold' pipeline on 4 devices:\n");
     let hanayo_cfg = PipelineConfig::new(p, b, Scheme::Hanayo { waves: 1 }).unwrap();

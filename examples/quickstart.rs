@@ -5,13 +5,13 @@
 //! cargo run --example quickstart
 //! ```
 
+use hanayo::analyze::verify;
 use hanayo::cluster::topology::fc_full_nvlink;
 use hanayo::core::analysis::bubble;
 use hanayo::core::analysis::CostTerms;
 use hanayo::core::config::{PipelineConfig, Scheme};
 use hanayo::core::gantt::render_paper_style;
 use hanayo::core::schedule::{build_compute_schedule, build_schedule};
-use hanayo::core::validate::validate;
 use hanayo::model::{CostTable, ModelConfig};
 use hanayo::sim::{try_simulate_traced, SimOptions};
 
@@ -49,7 +49,7 @@ fn main() {
     ] {
         let cfg = PipelineConfig::new(8, 8, scheme).expect("valid config");
         let schedule = build_schedule(&cfg).expect("schedulable");
-        validate(&schedule).expect("well-formed");
+        verify(&schedule).expect("well-formed");
         let cost = CostTable::build(&model, cfg.stages(), 1);
         let report =
             try_simulate_traced(&schedule, &cost, &cluster, SimOptions::default()).unwrap().0;

@@ -7,17 +7,18 @@
 //! This facade crate re-exports the whole workspace:
 //!
 //! * [`core`] — schedule IR, the Hanayo wave scheduler and every baseline
-//!   (GPipe, DAPPLE, interleaved 1F1B, Chimera), validation, analytic
-//!   bubble/memory models, Gantt rendering.
+//!   (GPipe, DAPPLE, interleaved 1F1B, Chimera), the tabular IR and its
+//!   checker, analytic bubble/memory models, Gantt rendering.
 //! * [`tensor`] — the dense-f32 math substrate with hand-written backward
 //!   passes.
 //! * [`model`] — BERT/GPT cost & memory models and CPU micro-models.
 //! * [`cluster`] — the four evaluation clusters (PC, FC, TACC, TC).
 //! * [`sim`] — the discrete-event execution engine and `D×P` plans.
-//! * [`analyze`] — static schedule verification: the happens-before DAG,
-//!   deadlock freedom via cycle detection, exact static peak-memory
-//!   bounds, communication well-formedness, and the critical-path lower
-//!   bound the tuner prunes with.
+//! * [`analyze`] — static schedule verification: [`analyze::verify`], the
+//!   one validity check for lowered schedules, over the happens-before
+//!   DAG (deadlock freedom via cycle detection), plus exact static
+//!   peak-memory bounds and the critical-path lower bound the tuner
+//!   prunes with.
 //! * [`runtime`] — the threaded action-list runtime with bit-exact
 //!   gradient equivalence.
 //! * [`trace`] — unified execution tracing for both engines: one event

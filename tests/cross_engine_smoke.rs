@@ -11,12 +11,12 @@
 //! makespan. Any scheduler or engine change that skews dependency handling
 //! between the two engines breaks these tests.
 
+use hanayo::analyze::verify;
 use hanayo::cluster::topology::ClusterSpec;
 use hanayo::cluster::{GpuModel, Link, LinkClass};
 use hanayo::core::config::{PipelineConfig, Scheme};
 use hanayo::core::gantt::replay_timeline;
 use hanayo::core::schedule::{build_compute_schedule, build_schedule};
-use hanayo::core::validate::validate;
 use hanayo::model::CostTable;
 use hanayo::sim::{try_simulate_traced, SimOptions};
 
@@ -48,13 +48,13 @@ fn unit_costs(cluster: &ClusterSpec, stages: usize) -> CostTable {
     }
 }
 
-/// Validate the schedule, then check the simulated iteration time equals
+/// Verify the schedule, then check the simulated iteration time equals
 /// the abstract replay's makespan under identical `(1, 2, 0)` unit costs.
 fn check_scheme(scheme: Scheme) {
     let (p, b) = (8, 8);
     let cfg = PipelineConfig::new(p, b, scheme).unwrap();
     let schedule = build_schedule(&cfg).unwrap();
-    validate(&schedule).unwrap_or_else(|e| panic!("{scheme}: validate failed: {e}"));
+    verify(&schedule).unwrap_or_else(|e| panic!("{scheme}: verify failed: {e}"));
 
     let cs = build_compute_schedule(&cfg).unwrap();
     let abstract_makespan = replay_timeline(&cs, 1, 2, 0).makespan;

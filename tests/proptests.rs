@@ -2,12 +2,12 @@
 //! must yield valid schedules, sane memory replays, bounded simulations
 //! and bit-exact runtime equivalence.
 
+use hanayo::analyze::verify;
 use hanayo::cluster::topology::fc_full_nvlink;
 use hanayo::core::config::{PipelineConfig, Scheme};
 use hanayo::core::gantt::replay_timeline;
 use hanayo::core::memory::unit_profile;
 use hanayo::core::schedule::{build_compute_schedule, build_schedule};
-use hanayo::core::validate::validate;
 use hanayo::model::builders::MicroModel;
 use hanayo::model::{CostTable, ModelConfig};
 use hanayo::runtime::trainer::{sequential_reference, synthetic_data, try_train, TrainerConfig};
@@ -32,8 +32,9 @@ fn scheme_strategy(p: u32) -> BoxedStrategy<Scheme> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Every generated schedule validates: completeness, chain order,
-    /// matched communication, deadlock-freedom, flush.
+    /// Every generated schedule verifies: each op once on its device,
+    /// chain order, every cross-device step carried by its message, one
+    /// flush per list, an acyclic happens-before DAG.
     #[test]
     fn any_shape_generates_a_valid_schedule(
         (p, scheme) in (2u32..=6).prop_flat_map(|p| (Just(p), scheme_strategy(p))),
@@ -45,7 +46,7 @@ proptest! {
         let b = (p * b_mult + 2 * extra).max(2) & !1;
         let cfg = PipelineConfig::new(p, b, scheme).unwrap();
         let schedule = build_schedule(&cfg).unwrap();
-        validate(&schedule).unwrap();
+        verify(&schedule).unwrap();
     }
 
     /// Unit-memory replay: every stash drains, peaks are positive and

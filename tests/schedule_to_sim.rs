@@ -1,10 +1,10 @@
-//! Cross-crate integration: every generated schedule must validate and
+//! Cross-crate integration: every generated schedule must verify and
 //! execute on every cluster model with sane invariants.
 
+use hanayo::analyze::verify;
 use hanayo::cluster::topology::paper_clusters;
 use hanayo::core::config::{PipelineConfig, Scheme};
 use hanayo::core::schedule::build_schedule;
-use hanayo::core::validate::validate;
 use hanayo::model::{CostTable, ModelConfig};
 use hanayo::sim::{try_simulate_traced, SimOptions};
 
@@ -27,7 +27,7 @@ fn every_scheme_runs_on_every_cluster() {
         for scheme in schemes() {
             let cfg = PipelineConfig::new(8, 8, scheme).unwrap();
             let schedule = build_schedule(&cfg).unwrap();
-            validate(&schedule).unwrap_or_else(|e| panic!("{scheme}: {e}"));
+            verify(&schedule).unwrap_or_else(|e| panic!("{scheme}: {e}"));
             let cost = CostTable::build(&model, cfg.stages(), 1);
             let r =
                 try_simulate_traced(&schedule, &cost, &cluster, SimOptions::default()).unwrap().0;
