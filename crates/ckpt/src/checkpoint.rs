@@ -24,7 +24,6 @@
 
 use hanayo_core::action::Schedule;
 use hanayo_model::Recompute;
-use hanayo_tensor::optim::Adam;
 use hanayo_tensor::Stage;
 use hanayo_trace::Trace;
 use serde::{Deserialize, Serialize};
@@ -50,20 +49,16 @@ pub struct RngCursor {
 
 /// Optimizer state at the checkpoint boundary.
 ///
-/// The threaded runtime trains with plain SGD (stateless beyond the
-/// learning rate); Adam carries its step counter and both moment estimates
-/// per stage. Either round-trips bit-exactly.
+/// The threaded runtime trains with plain SGD, stateless beyond the
+/// learning rate. A document naming any other optimizer fails to parse
+/// ([`CkptError::Parse`]) instead of resuming under a different update
+/// rule.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum OptimizerState {
     /// Stochastic gradient descent: the whole state is the learning rate.
     Sgd {
         /// Learning rate.
         lr: f32,
-    },
-    /// Adam: one full state (t, m, v and hyper-parameters) per stage.
-    Adam {
-        /// Per-stage optimizer states, aligned with `Checkpoint::stages`.
-        states: Vec<Adam>,
     },
 }
 
@@ -270,16 +265,12 @@ impl Checkpoint {
         Ok(())
     }
 
-    /// Bytes of checkpointable model + optimizer state (f32 parameters
-    /// plus Adam moments when present) — the payload a recovery model
-    /// charges for draining to durable storage.
+    /// Bytes of checkpointable model state (the f32 parameters; SGD keeps
+    /// no per-parameter state) — the payload a recovery model charges for
+    /// draining to durable storage.
     pub fn state_bytes(&self) -> u64 {
         let params: usize = self.stages.iter().map(Stage::param_count).sum();
-        let optim = match &self.optimizer {
-            OptimizerState::Sgd { .. } => 0,
-            OptimizerState::Adam { states } => states.iter().map(Adam::state_bytes).sum(),
-        };
-        (params * 4 + optim) as u64
+        (params * 4) as u64
     }
 }
 
@@ -482,12 +473,30 @@ mod tests {
     }
 
     #[test]
-    fn state_bytes_counts_params_and_moments() {
-        let mut c = sample();
+    fn state_bytes_counts_params() {
+        let c = sample();
         let params: usize = c.stages.iter().map(Stage::param_count).sum();
         assert_eq!(c.state_bytes(), (params * 4) as u64);
-        c.optimizer =
-            OptimizerState::Adam { states: c.stages.iter().map(|s| Adam::new(s, 0.01)).collect() };
-        assert_eq!(c.state_bytes(), (params * 4 + params * 8) as u64);
+    }
+
+    #[test]
+    fn sgd_bytes_are_pinned_and_any_other_optimizer_is_refused() {
+        let c = sample();
+        let payload = c.payload_json().unwrap();
+        // The f32 learning rate widens losslessly to f64 on the way out.
+        let sgd = "\"optimizer\":{\"Sgd\":{\"lr\":0.05000000074505806}}";
+        assert!(payload.contains(sgd), "the SGD rendering moved");
+        // A checkpoint carrying Adam moments would resume under plain SGD,
+        // a silently different run: the document must not load at all.
+        let adam = "\"optimizer\":{\"Adam\":{\"states\":[{\"t\":3,\"lr\":0.01}]}}";
+        let crc = crc32(payload.as_bytes());
+        let envelope = |payload: &str| {
+            format!(
+                "{{\"schema_version\":{SCHEMA_VERSION},\"crc32\":{crc},\"checkpoint\":{payload}}}"
+            )
+        };
+        assert_eq!(Checkpoint::from_json(&envelope(&payload)).unwrap(), c);
+        let err = Checkpoint::from_json(&envelope(&payload.replacen(sgd, adam, 1))).unwrap_err();
+        assert!(matches!(err, CkptError::Parse(_)), "{err:?}");
     }
 }

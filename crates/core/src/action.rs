@@ -27,8 +27,8 @@ pub enum Payload {
 ///
 /// The tag names the *consumer*: for an activation flowing `s → s+1` the tag
 /// stage is `s+1`; for a gradient flowing `s+1 → s` the tag stage is `s`.
-/// `(mb, stage, payload)` is unique per iteration, which is what the
-/// runtime's tag-matching mailbox relies on.
+/// `(mb, stage, payload)` is unique per iteration, which is what lets
+/// [`crate::program::Program::key`] give every message one dense key.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct MsgTag {
     /// Micro-batch the message belongs to.

@@ -11,8 +11,10 @@
 //! actions (forward/backward of one
 //! micro-batch on one local model partition, sends/receives of activations
 //! and gradients, batched cross-communication, the optimizer step). The
-//! schedule can then be executed by any engine: the discrete-event simulator
-//! in `hanayo-sim` or the real threaded runtime in `hanayo-runtime`.
+//! schedule is then lowered once into a [`program::Program`] — dense
+//! message keys and fixed-size opcodes — which both engines execute: the
+//! discrete-event simulator in `hanayo-sim` and the real threaded runtime
+//! in `hanayo-runtime`.
 //!
 //! Implemented schedules:
 //!
@@ -47,6 +49,7 @@ pub mod config;
 pub mod gantt;
 pub mod ids;
 pub mod memory;
+pub mod program;
 pub mod schedule;
 pub mod stage_map;
 pub mod transform;

@@ -17,7 +17,7 @@
 //! reproduces the same result.
 
 use crate::chain::ComputeOp;
-use crate::ids::{DeviceId, MicroBatch, StageId};
+use crate::ids::DeviceId;
 use crate::schedule::table::{check_table_with, ScheduleTable, Slot, TableError, TableLimits};
 use serde::{Deserialize, Serialize};
 
@@ -116,25 +116,6 @@ fn op_column(table: &ScheduleTable, op: ComputeOp) -> Option<usize> {
     table.rows.get(d)?.iter().position(|s| s.compute_op() == Some(op))
 }
 
-/// Re-check one recompute slot's window: its forward strictly before and
-/// its backward strictly after it, on the same row.
-fn check_recompute_window(
-    table: &ScheduleTable,
-    device: usize,
-    t: usize,
-    mb: MicroBatch,
-    stage: StageId,
-) -> Result<(), TableError> {
-    let bad = TableError::BadRecompute { mb, stage, device: DeviceId(device as u32), column: t };
-    let fwd = op_column(table, ComputeOp { mb, stage, backward: false }).ok_or(bad.clone())?;
-    let bwd = op_column(table, ComputeOp { mb, stage, backward: true }).ok_or(bad.clone())?;
-    if fwd < t && t < bwd {
-        Ok(())
-    } else {
-        Err(bad)
-    }
-}
-
 /// Re-check the chain edges incident to the op at column `t`: its
 /// predecessor must sit strictly earlier, its successor strictly later.
 fn check_chain_neighbors(table: &ScheduleTable, op: ComputeOp, t: usize) -> Result<(), TableError> {
@@ -164,10 +145,9 @@ fn check_chain_neighbors(table: &ScheduleTable, op: ComputeOp, t: usize) -> Resu
 /// Incremental validity of `candidate = valid table + mv`: instead of
 /// re-running the full [`check_table_with`] pass, examine only what the
 /// move can break. A `Swap`/`Shift` permutes slots within one row, so
-/// shape, completeness, placement and recompute multiplicity are
-/// untouched; what can change is (a) the chain edges incident to each
-/// moved op, (b) the recompute windows of moved slots and of recomputes
-/// whose endpoints moved, and (c) the moved row's stash replay.
+/// shape, completeness and placement are untouched; what can change is
+/// (a) the chain edges incident to each moved op and (b) the moved row's
+/// stash replay.
 /// `InsertIdle` is legal by construction.
 ///
 /// The *verdict* (`is_ok`) always equals the full checker's on such
@@ -193,30 +173,9 @@ pub fn check_move(
 
     // Moved compute ops: their incident chain edges are the only
     // dependency constraints whose columns changed.
-    let mut moved: [Option<(MicroBatch, StageId)>; 2] = [None, None];
-    for (k, t) in touched.iter().flatten().enumerate() {
-        match row[*t] {
-            Slot::Idle => {}
-            Slot::Recompute { mb, stage } => {
-                check_recompute_window(candidate, device, *t, mb, stage)?;
-            }
-            Slot::Fwd { mb, stage } | Slot::Bwd { mb, stage } => {
-                if let Some(op) = row[*t].compute_op() {
-                    check_chain_neighbors(candidate, op, *t)?;
-                }
-                moved[k] = Some((mb, stage));
-            }
-        }
-    }
-
-    // A moved forward/backward is a window endpoint of any recompute of
-    // the same (mb, stage); such recomputes live on the same row.
-    if moved.iter().any(Option::is_some) {
-        for (t, slot) in row.iter().enumerate() {
-            let Slot::Recompute { mb, stage } = *slot else { continue };
-            if moved.contains(&Some((mb, stage))) {
-                check_recompute_window(candidate, device, t, mb, stage)?;
-            }
+    for &t in touched.iter().flatten() {
+        if let Some(op) = row[t].compute_op() {
+            check_chain_neighbors(candidate, op, t)?;
         }
     }
 

@@ -2,7 +2,7 @@
 //!
 //! A [`ScheduleTable`] is the matrix form of a pipeline schedule — one row
 //! per device, one column per abstract time slot, every cell a typed
-//! [`Slot`] (forward, backward, recompute or idle). It is the
+//! [`Slot`] (forward, backward or idle). It is the
 //! representation the schedule-space search manipulates: moves are slot
 //! swaps and shifts inside a row, and legality is decided by a standalone
 //! checker ([`check_table`]) that admits *arbitrary* legal tables, not
@@ -43,27 +43,16 @@ pub enum Slot {
         /// Global stage id.
         stage: StageId,
     },
-    /// Checkpointed replay of the forward of `mb` on `stage`, re-creating
-    /// the stash its backward consumes. Generators never emit this — it is
-    /// part of the slot vocabulary so hand-written or searched
-    /// checkpointing tables are expressible and checkable.
-    Recompute {
-        /// Micro-batch.
-        mb: MicroBatch,
-        /// Global stage id.
-        stage: StageId,
-    },
 }
 
 impl Slot {
-    /// The chain compute op this slot performs, if any (`Fwd`/`Bwd` only:
-    /// a recompute replays work and does not advance the chain).
+    /// The chain compute op this slot performs, if any (`Fwd`/`Bwd` only).
     #[inline]
     pub fn compute_op(&self) -> Option<ComputeOp> {
         match *self {
             Slot::Fwd { mb, stage } => Some(ComputeOp { mb, stage, backward: false }),
             Slot::Bwd { mb, stage } => Some(ComputeOp { mb, stage, backward: true }),
-            Slot::Idle | Slot::Recompute { .. } => None,
+            Slot::Idle => None,
         }
     }
 
@@ -74,14 +63,12 @@ impl Slot {
     }
 
     /// One-character rendering: `.` idle, `0-9A-Z` forward, `a-z`
-    /// backward, `^` recompute (shared visual language with
-    /// [`crate::gantt`]).
+    /// backward (shared visual language with [`crate::gantt`]).
     pub fn glyph(&self) -> char {
         match *self {
             Slot::Idle => '.',
             Slot::Fwd { mb, .. } => block_char(mb.0, false),
             Slot::Bwd { mb, .. } => block_char(mb.0, true),
-            Slot::Recompute { .. } => '^',
         }
     }
 }
@@ -92,7 +79,6 @@ impl fmt::Display for Slot {
             Slot::Idle => write!(f, "idle"),
             Slot::Fwd { mb, stage } => write!(f, "F({mb},{stage})"),
             Slot::Bwd { mb, stage } => write!(f, "B({mb},{stage})"),
-            Slot::Recompute { mb, stage } => write!(f, "R({mb},{stage})"),
         }
     }
 }
@@ -169,19 +155,6 @@ pub enum TableError {
         /// Its predecessor's column (must be strictly earlier).
         dep_column: usize,
     },
-    /// A recompute slot without a matching forward strictly before it or
-    /// matching backward strictly after it on the same device, or a
-    /// second recompute of the same op.
-    BadRecompute {
-        /// Micro-batch.
-        mb: MicroBatch,
-        /// Stage.
-        stage: StageId,
-        /// Device of the offending slot.
-        device: DeviceId,
-        /// Column of the offending slot.
-        column: usize,
-    },
     /// A device exceeds its live-stash cap.
     StashOverflow {
         /// Offending device.
@@ -213,9 +186,6 @@ impl fmt::Display for TableError {
             }
             TableError::DependencyViolation { op, column, dep_column } => {
                 write!(f, "{op} at slot {column} no later than its dependency at slot {dep_column}")
-            }
-            TableError::BadRecompute { mb, stage, device, column } => {
-                write!(f, "recompute R({mb},{stage}) at {device} slot {column} is unmatched")
             }
             TableError::StashOverflow { device, column, live, cap } => {
                 write!(f, "{device} holds {live} stashes at slot {column}, cap {cap}")
@@ -252,7 +222,7 @@ impl ScheduleTable {
         ScheduleTable { config: cs.config, stage_map: cs.stage_map.clone(), rows }
     }
 
-    /// Strip the idle (and recompute) slots and recover the per-device
+    /// Strip the idle slots and recover the per-device
     /// compute order — the exact inverse of [`ScheduleTable::from_compute`].
     pub fn to_compute(&self) -> ComputeSchedule {
         let per_device =
@@ -334,10 +304,7 @@ pub fn check_table(table: &ScheduleTable) -> Result<(), TableError> {
 /// 3. **Dependency order** — every op sits in a strictly later column
 ///    than its chain predecessor (communication takes at least one slot
 ///    boundary; same-device successors also cannot share a column).
-/// 4. **Recompute typing** — a `Recompute` slot needs its forward
-///    strictly before and its backward strictly after it on the same
-///    device, and at most one recompute per op.
-/// 5. **Stash caps** — replaying each row (forward stashes, backward
+/// 4. **Stash caps** — replaying each row (forward stashes, backward
 ///    releases) never exceeds `limits.stash_cap` live stashes.
 ///
 /// Unlike `hanayo_analyze::verify`, which checks a lowered action list,
@@ -381,29 +348,6 @@ pub fn check_table_with(table: &ScheduleTable, limits: TableLimits) -> Result<()
                     column: t,
                     dep_column: dep,
                 });
-            }
-        }
-    }
-
-    // Recompute typing.
-    let mut recomputed: HashMap<(u32, u32), usize> = HashMap::new();
-    for (d, row) in table.rows.iter().enumerate() {
-        let device = DeviceId(d as u32);
-        for (t, slot) in row.iter().enumerate() {
-            let Slot::Recompute { mb, stage } = *slot else { continue };
-            let bad = || TableError::BadRecompute { mb, stage, device, column: t };
-            if recomputed.insert((mb.0, stage.0), t).is_some() {
-                return Err(bad());
-            }
-            if map.device_of(mb, stage) != device {
-                return Err(bad());
-            }
-            let fwd = ComputeOp { mb, stage, backward: false };
-            let bwd = ComputeOp { mb, stage, backward: true };
-            let fwd_t = column[&(mb.0, fwd.pos(s))];
-            let bwd_t = column[&(mb.0, bwd.pos(s))];
-            if !(fwd_t < t && t < bwd_t) {
-                return Err(bad());
             }
         }
     }
@@ -558,42 +502,6 @@ mod tests {
             Err(TableError::StashOverflow { live: 4, cap: 3, .. })
         ));
         check_table_with(&table, TableLimits { stash_cap: Some(4) }).unwrap();
-    }
-
-    #[test]
-    fn recompute_slots_are_typed_checked() {
-        let mut table = table_for(2, 2, Scheme::GPipe);
-        // A legal recompute: between F(0, s) and B(0, s) on s's device.
-        let row = &mut table.rows[0];
-        let fwd =
-            row.iter().position(|s| matches!(s, Slot::Fwd { mb: MicroBatch(0), .. })).unwrap();
-        let bwd =
-            row.iter().position(|s| matches!(s, Slot::Bwd { mb: MicroBatch(0), .. })).unwrap();
-        let Slot::Fwd { mb, stage } = row[fwd] else { unreachable!() };
-        let slot = (fwd + 1..bwd).find(|&t| row[t].is_idle()).expect("an idle slot between");
-        row[slot] = Slot::Recompute { mb, stage };
-        check_table(&table).unwrap();
-
-        // Moving it before the forward is rejected.
-        let mut bad = table.clone();
-        bad.rows[0][slot] = Slot::Idle;
-        // Column 0 on device 0 is F(0,0); prepend-style misuse: place the
-        // recompute at a column ≤ fwd by swapping onto the fwd position
-        // is structural; instead retarget an idle column after bwd.
-        let late = (bwd + 1..bad.rows[0].len()).find(|&t| bad.rows[0][t].is_idle());
-        if let Some(late) = late {
-            bad.rows[0][late] = Slot::Recompute { mb, stage };
-            assert!(matches!(check_table(&bad), Err(TableError::BadRecompute { .. })));
-        }
-
-        // A second recompute of the same op is rejected.
-        let mut twice = table.clone();
-        if let Some(extra) = (0..twice.rows[0].len())
-            .find(|&t| twice.rows[0][t].is_idle() && t > fwd && t < bwd && t != slot)
-        {
-            twice.rows[0][extra] = Slot::Recompute { mb, stage };
-            assert!(matches!(check_table(&twice), Err(TableError::BadRecompute { .. })));
-        }
     }
 
     #[test]

@@ -225,60 +225,6 @@ proptest! {
     }
 
     #[test]
-    fn move_check_covers_recompute_windows(
-        p in 2u32..=4,
-        b in 3u32..=6,
-        seed in 0u64..u64::MAX,
-        steps in 1usize..=24,
-    ) {
-        // Generators never emit Recompute slots, so inject one by hand
-        // (forward strictly before, backward strictly after, idle slot in
-        // between) and random-walk around it: moves that drag an endpoint
-        // across the replay must flip both verdicts together.
-        let mut table = table_for(p, b, Scheme::GPipe);
-        let mut injected = false;
-        'rows: for row in &mut table.rows {
-            for t in 0..row.len() {
-                let Slot::Fwd { mb, stage } = row[t] else { continue };
-                let Some(bwd) = row
-                    .iter()
-                    .position(|s| *s == Slot::Bwd { mb, stage })
-                else { continue };
-                if let Some(idle) =
-                    (t + 1..bwd).find(|&i| row[i].is_idle())
-                {
-                    row[idle] = Slot::Recompute { mb, stage };
-                    injected = true;
-                    break 'rows;
-                }
-            }
-        }
-        if !injected {
-            return Ok(());
-        }
-        prop_assert!(check_table(&table).is_ok(), "injected recompute must be legal");
-        for mv in sample_legal_moves(&table, seed, steps) {
-            let mut candidate = table.clone();
-            if !apply_move(&mut candidate, mv) {
-                continue;
-            }
-            let fast = check_move(&candidate, mv, TableLimits::default());
-            let full = check_table(&candidate);
-            prop_assert_eq!(
-                fast.is_ok(),
-                full.is_ok(),
-                "recompute verdicts diverge on {:?}: fast {:?}, full {:?}",
-                mv,
-                fast,
-                full
-            );
-            if full.is_ok() {
-                table = candidate;
-            }
-        }
-    }
-
-    #[test]
     fn roundtrip_is_bit_exact(
         p in 2u32..=6,
         b in 2u32..=10,

@@ -3,9 +3,10 @@
 //! The real execution engine: the paper's §4 runtime, with OS threads as
 //! devices and channels as the interconnect.
 //!
-//! Every worker interprets the *same* frozen action lists that the
-//! discrete-event simulator times — but here the instructions move actual
-//! `hanayo_tensor` tensors through actual forward/backward math. This is
+//! Every worker executes the *same* lowered program
+//! ([`hanayo_core::program::Program`]) that the discrete-event simulator
+//! times — but here the instructions move actual `hanayo_tensor` tensors
+//! through actual forward/backward math. This is
 //! the correctness half of the reproduction: for any synchronous schedule,
 //! one training iteration must produce gradients and updated weights that
 //! are **bit-identical** to sequential execution of the same model
@@ -15,13 +16,13 @@
 //!
 //! Pieces:
 //!
-//! * [`mailbox`] — tag-matching P2P fabric over crossbeam channels
+//! * [`mailbox`] — key-matching P2P fabric over crossbeam channels
 //!   (asynchronous sends, blocking receives: NCCL's semantics). A blocked
 //!   receive spins briefly before it parks when the run has a core per
 //!   device thread, and a failing worker aborts its peers by message.
-//! * [`worker`] — the action-list interpreter (§4.1) with one
-//!   micro-batch-ordered gradient accumulator per local stage and an
-//!   instrumented activation-stash live-bytes
+//! * [`worker`] — the program interpreter (§4.1) over dense per-key
+//!   tensor slots, with one micro-batch-ordered gradient accumulator per
+//!   local stage and an instrumented activation-stash live-bytes
 //!   counter. The stash policy is the executable
 //!   [`hanayo_model::Recompute`] mode: under `Full` each stage keeps only
 //!   its input boundary tensor and replays the forward inside the

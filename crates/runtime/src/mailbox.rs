@@ -1,10 +1,10 @@
-//! Tag-matching point-to-point fabric.
+//! Key-matching point-to-point fabric.
 //!
 //! Each device owns one unbounded receiving channel; every peer holds a
 //! cloned sender. Sends never block (buffered, like `isend` over NCCL with
-//! ample buffers); receives block until a message with the requested tag
-//! arrives. Because iterations reuse tags, the match key includes the
-//! iteration number.
+//! ample buffers); receives block until the message with the requested
+//! key — the message's tag as lowered by `hanayo_core::program` — arrives.
+//! Because iterations reuse keys, a receive matches `(iteration, key)`.
 //!
 //! How a device waits: an empty mailbox spins for [`SPIN_BUDGET`] before it
 //! parks — but only when the run has a core per device thread
@@ -14,7 +14,6 @@
 //! wakes for data and there is nothing to poll.
 
 use crossbeam_channel::{unbounded, Receiver, Sender};
-use hanayo_core::action::MsgTag;
 use hanayo_tensor::Tensor;
 use std::collections::HashMap;
 use std::sync::OnceLock;
@@ -48,8 +47,8 @@ pub fn spin_budget(device_threads: usize) -> Duration {
 pub struct Envelope {
     /// Training iteration the message belongs to.
     pub iter: u32,
-    /// Message identity within the iteration.
-    pub tag: MsgTag,
+    /// Message identity within the iteration: its `Program` key.
+    pub key: u32,
     /// Payload.
     pub tensor: Tensor,
 }
@@ -62,11 +61,11 @@ enum Packet {
     Abort,
 }
 
-/// The receiving half of a device's fabric endpoint, with tag matching.
+/// The receiving half of a device's fabric endpoint, with key matching.
 pub struct Mailbox {
     rx: Receiver<Packet>,
     /// Early arrivals waiting for their recv to be issued.
-    parked: HashMap<(u32, MsgTag), Tensor>,
+    parked: HashMap<(u32, u32), Tensor>,
     /// High-water mark of `parked` over the mailbox's lifetime — the
     /// worker-imbalance signal [`crate::trainer::TrainOutput`] surfaces
     /// per device: a mailbox that parks deeply is a device whose consumer
@@ -78,26 +77,26 @@ pub struct Mailbox {
 
 impl Mailbox {
     fn park(&mut self, env: Envelope) {
-        self.parked.insert((env.iter, env.tag), env.tensor);
+        self.parked.insert((env.iter, env.key), env.tensor);
         self.parked_peak = self.parked_peak.max(self.parked.len());
     }
 
-    /// Blocking receive of a specific `(iter, tag)` message. Returns
+    /// Blocking receive of a specific `(iter, key)` message. Returns
     /// `None` — now and on every later call — once the run is aborted
     /// ([`Fabric::abort`]; messages queued ahead of the abort packet are
     /// still delivered or parked first), and `None` if the fabric
     /// disconnects while the receive is pending: every sender is gone, so
     /// the message can never arrive.
-    pub fn recv(&mut self, iter: u32, tag: MsgTag) -> Option<Tensor> {
+    pub fn recv(&mut self, iter: u32, key: u32) -> Option<Tensor> {
         if self.aborted {
             return None;
         }
-        if let Some(t) = self.parked.remove(&(iter, tag)) {
+        if let Some(t) = self.parked.remove(&(iter, key)) {
             return Some(t);
         }
         loop {
             match self.rx.recv() {
-                Ok(Packet::Data(env)) if env.iter == iter && env.tag == tag => {
+                Ok(Packet::Data(env)) if env.iter == iter && env.key == key => {
                     return Some(env.tensor)
                 }
                 Ok(Packet::Data(env)) => self.park(env),
@@ -179,12 +178,6 @@ pub fn fabric(n: usize, spin: Duration) -> (Fabric, Vec<Mailbox>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hanayo_core::action::Payload;
-    use hanayo_core::ids::{MicroBatch, StageId};
-
-    fn tag(mb: u32, stage: u32) -> MsgTag {
-        MsgTag { mb: MicroBatch(mb), stage: StageId(stage), payload: Payload::Activation }
-    }
 
     fn t(v: f32) -> Tensor {
         Tensor::from_vec(1, 1, vec![v])
@@ -193,20 +186,20 @@ mod tests {
     #[test]
     fn in_order_delivery() {
         let (fab, mut boxes) = fabric(2, Duration::ZERO);
-        fab.send(1, Envelope { iter: 0, tag: tag(0, 1), tensor: t(7.0) });
-        let got = boxes[1].recv(0, tag(0, 1)).unwrap();
+        fab.send(1, Envelope { iter: 0, key: 1, tensor: t(7.0) });
+        let got = boxes[1].recv(0, 1).unwrap();
         assert_eq!(got.data, vec![7.0]);
     }
 
     #[test]
     fn out_of_order_messages_park() {
         let (fab, mut boxes) = fabric(2, Duration::ZERO);
-        fab.send(1, Envelope { iter: 0, tag: tag(1, 1), tensor: t(2.0) });
-        fab.send(1, Envelope { iter: 0, tag: tag(0, 1), tensor: t(1.0) });
-        // Ask for mb0 first even though mb1 arrived first.
-        assert_eq!(boxes[1].recv(0, tag(0, 1)).unwrap().data, vec![1.0]);
+        fab.send(1, Envelope { iter: 0, key: 11, tensor: t(2.0) });
+        fab.send(1, Envelope { iter: 0, key: 1, tensor: t(1.0) });
+        // Ask for key 1 first even though key 11 arrived first.
+        assert_eq!(boxes[1].recv(0, 1).unwrap().data, vec![1.0]);
         assert_eq!(boxes[1].parked_len(), 1);
-        assert_eq!(boxes[1].recv(0, tag(1, 1)).unwrap().data, vec![2.0]);
+        assert_eq!(boxes[1].recv(0, 11).unwrap().data, vec![2.0]);
         assert_eq!(boxes[1].parked_len(), 0);
         // The high-water mark survives the drain.
         assert_eq!(boxes[1].parked_peak(), 1);
@@ -215,11 +208,28 @@ mod tests {
     #[test]
     fn iterations_do_not_collide() {
         let (fab, mut boxes) = fabric(2, Duration::ZERO);
-        // Same tag, two iterations, sent in reverse order.
-        fab.send(1, Envelope { iter: 1, tag: tag(0, 1), tensor: t(11.0) });
-        fab.send(1, Envelope { iter: 0, tag: tag(0, 1), tensor: t(10.0) });
-        assert_eq!(boxes[1].recv(0, tag(0, 1)).unwrap().data, vec![10.0]);
-        assert_eq!(boxes[1].recv(1, tag(0, 1)).unwrap().data, vec![11.0]);
+        // Same key, two iterations, sent in reverse order.
+        fab.send(1, Envelope { iter: 1, key: 1, tensor: t(11.0) });
+        fab.send(1, Envelope { iter: 0, key: 1, tensor: t(10.0) });
+        assert_eq!(boxes[1].recv(0, 1).unwrap().data, vec![10.0]);
+        assert_eq!(boxes[1].recv(1, 1).unwrap().data, vec![11.0]);
+    }
+
+    #[test]
+    fn out_of_order_keys_park_across_two_iterations() {
+        let (fab, mut boxes) = fabric(2, Duration::ZERO);
+        // Two keys in each of two iterations, every one of them early: the
+        // last message sent is the first one asked for.
+        for (iter, key, v) in [(1, 3, 13.0), (1, 2, 12.0), (0, 3, 3.0), (0, 2, 2.0)] {
+            fab.send(1, Envelope { iter, key, tensor: t(v) });
+        }
+        assert_eq!(boxes[1].recv(0, 2).unwrap().data, vec![2.0]);
+        assert_eq!(boxes[1].parked_len(), 3, "everything ahead of (0, 2) parked");
+        for (iter, key, v) in [(1, 2, 12.0), (0, 3, 3.0), (1, 3, 13.0)] {
+            assert_eq!(boxes[1].recv(iter, key).unwrap().data, vec![v], "({iter}, {key})");
+        }
+        assert_eq!(boxes[1].parked_len(), 0);
+        assert_eq!(boxes[1].parked_peak(), 3);
     }
 
     #[test]
@@ -227,8 +237,8 @@ mod tests {
         for spin in [Duration::ZERO, SPIN_BUDGET] {
             let (fab, mut boxes) = fabric(2, spin);
             let mut b1 = boxes.remove(1);
-            let h = std::thread::spawn(move || b1.recv(0, tag(3, 1)).unwrap().data[0]);
-            fab.send(1, Envelope { iter: 0, tag: tag(3, 1), tensor: t(42.0) });
+            let h = std::thread::spawn(move || b1.recv(0, 31).unwrap().data[0]);
+            fab.send(1, Envelope { iter: 0, key: 31, tensor: t(42.0) });
             assert_eq!(h.join().unwrap(), 42.0);
         }
     }
@@ -236,27 +246,28 @@ mod tests {
     #[test]
     fn abort_behind_data_parks_the_data_then_fails_and_stays_failed() {
         let (fab, mut boxes) = fabric(2, Duration::ZERO);
-        fab.send(1, Envelope { iter: 0, tag: tag(1, 1), tensor: t(2.0) });
+        fab.send(1, Envelope { iter: 0, key: 11, tensor: t(2.0) });
         fab.abort();
-        fab.send(1, Envelope { iter: 0, tag: tag(0, 1), tensor: t(1.0) });
-        // mb0 sits behind the abort packet: the receive drains (parks) mb1,
-        // then meets the abort.
-        assert!(boxes[1].recv(0, tag(0, 1)).is_none());
+        fab.send(1, Envelope { iter: 0, key: 1, tensor: t(1.0) });
+        // Key 1 sits behind the abort packet: the receive drains (parks)
+        // key 11, then meets the abort.
+        assert!(boxes[1].recv(0, 1).is_none());
         assert_eq!(boxes[1].parked_len(), 1, "data ahead of the abort is still parked");
-        // Sticky: neither the parked mb1 nor the queued mb0 is handed out.
-        assert!(boxes[1].recv(0, tag(1, 1)).is_none());
-        assert!(boxes[1].recv(0, tag(0, 1)).is_none());
+        // Sticky: neither the parked key 11 nor the queued key 1 is handed
+        // out.
+        assert!(boxes[1].recv(0, 11).is_none());
+        assert!(boxes[1].recv(0, 1).is_none());
         // Every endpoint got the broadcast.
-        assert!(boxes[0].recv(0, tag(0, 0)).is_none());
+        assert!(boxes[0].recv(0, 0).is_none());
     }
 
     #[test]
     fn data_ahead_of_the_abort_is_still_delivered() {
         let (fab, mut boxes) = fabric(1, Duration::ZERO);
-        fab.send(0, Envelope { iter: 0, tag: tag(0, 0), tensor: t(3.0) });
+        fab.send(0, Envelope { iter: 0, key: 0, tensor: t(3.0) });
         fab.abort();
-        assert_eq!(boxes[0].recv(0, tag(0, 0)).unwrap().data, vec![3.0]);
-        assert!(boxes[0].recv(0, tag(1, 0)).is_none());
+        assert_eq!(boxes[0].recv(0, 0).unwrap().data, vec![3.0]);
+        assert!(boxes[0].recv(0, 10).is_none());
     }
 
     #[test]
@@ -266,7 +277,7 @@ mod tests {
         for spin in [Duration::ZERO, SPIN_BUDGET] {
             let (fab, mut boxes) = fabric(2, spin);
             let mut b1 = boxes.remove(1);
-            let h = std::thread::spawn(move || b1.recv(0, tag(0, 1)));
+            let h = std::thread::spawn(move || b1.recv(0, 1));
             fab.abort();
             assert!(h.join().unwrap().is_none());
         }
@@ -276,6 +287,6 @@ mod tests {
     fn disconnect_fails_a_pending_receive() {
         let (fab, mut boxes) = fabric(1, Duration::ZERO);
         drop(fab);
-        assert!(boxes[0].recv(0, tag(0, 0)).is_none());
+        assert!(boxes[0].recv(0, 0).is_none());
     }
 }

@@ -7,10 +7,12 @@
 //! four run one chunked engine: the iterations are cut at the
 //! [`TrainerConfig::checkpoint`] boundaries (one chunk when the policy is
 //! off), and a failed run hands back its newest durable checkpoint in
-//! [`TrainError::checkpoint`]. A run the workers cannot execute (a
-//! replicated schedule, a stage module short, an iteration an input
-//! short) is refused on the caller's thread before any checkpoint or
-//! thread, as a typed error with no checkpoint.
+//! [`TrainError::checkpoint`]. Each lowers the schedule once, on the
+//! caller's thread, into the [`Program`] every worker executes. A run the
+//! workers cannot execute (a replicated schedule, a schedule that does not
+//! lower, a stage module short, an iteration an input short) is refused on
+//! the caller's thread before any checkpoint or thread, as a typed error
+//! with no checkpoint.
 
 use crate::collective::AllreduceHub;
 use crate::mailbox::{fabric, spin_budget};
@@ -23,13 +25,13 @@ use hanayo_ckpt::{
     RngCursor,
 };
 use hanayo_core::action::Schedule;
-use hanayo_core::ids::{DeviceId, MicroBatch};
+use hanayo_core::ids::DeviceId;
+use hanayo_core::program::Program;
 use hanayo_model::Recompute;
 use hanayo_tensor::loss::{mse, softmax_cross_entropy};
 use hanayo_tensor::Stage;
 use hanayo_trace::{Trace, TraceEvent};
 use std::borrow::Cow;
-use std::collections::HashMap;
 use std::fmt;
 use std::ops::Range;
 use std::time::Instant;
@@ -225,14 +227,17 @@ impl std::error::Error for ResumeError {}
 
 /// Refuse, on the caller's thread and before any checkpoint or thread, a
 /// run the workers cannot execute: a stage module count other than the
-/// schedule's, a replicated schedule, or an iteration from `start` on
-/// without one input and one target per micro-batch (the first such
-/// iteration, shard by shard).
-fn check_run(cfg: &TrainerConfig, data: DataRef<'_>, start: usize) -> Result<(), TrainError> {
+/// schedule's, a replicated schedule, a schedule that does not lower, or
+/// an iteration from `start` on without one input and one target per
+/// micro-batch (the first such iteration, shard by shard). Returns the
+/// run's lowered program.
+fn check_run(cfg: &TrainerConfig, data: DataRef<'_>, start: usize) -> Result<Program, TrainError> {
     check_stages(cfg, &cfg.stages)?;
     if cfg.schedule.stage_map.groups.iter().any(|g| g.replica.0 != 0) {
         return Err(TrainError::single(WorkerError::ReplicatedSchedule, None));
     }
+    let program = Program::lower(&cfg.schedule)
+        .map_err(|e| TrainError::single(WorkerError::Program(e), None))?;
     let micro_batches = cfg.schedule.config.micro_batches as usize;
     let shards: Vec<(Option<usize>, &[IterationData])> = match data {
         DataRef::Single(d) => vec![(None, d)],
@@ -247,7 +252,7 @@ fn check_run(cfg: &TrainerConfig, data: DataRef<'_>, start: usize) -> Result<(),
             }
         }
     }
-    Ok(())
+    Ok(program)
 }
 
 /// One module per schedule stage.
@@ -268,9 +273,9 @@ fn check_stages(cfg: &TrainerConfig, stages: &[Stage]) -> Result<(), TrainError>
 /// the caller can [`resume`]. Checkpointing only observes: a completed run
 /// is bitwise identical with the policy on or off.
 pub fn try_train(cfg: &TrainerConfig, data: &[IterationData]) -> Result<TrainOutput, TrainError> {
-    check_run(cfg, DataRef::Single(data), 0)?;
+    let program = check_run(cfg, DataRef::Single(data), 0)?;
     let p = cfg.schedule.lists.len();
-    run_chunked(cfg, DataRef::Single(data), 0, fresh_state(cfg, p))
+    run_chunked(cfg, &program, DataRef::Single(data), 0, fresh_state(cfg, p))
 }
 
 /// Run one identical pipeline replica per data shard, with a gradient
@@ -284,9 +289,9 @@ pub fn try_train_data_parallel(
     data: &[Vec<IterationData>],
 ) -> Result<TrainOutput, TrainError> {
     let shards = shard_views(data)?;
-    check_run(cfg, DataRef::Dp(&shards), 0)?;
+    let program = check_run(cfg, DataRef::Dp(&shards), 0)?;
     let devices = cfg.schedule.lists.len() * shards.len();
-    run_chunked(cfg, DataRef::Dp(&shards), 0, fresh_state(cfg, devices))
+    run_chunked(cfg, &program, DataRef::Dp(&shards), 0, fresh_state(cfg, devices))
 }
 
 /// Borrow a data-parallel run's shards, checking on the caller's thread
@@ -381,6 +386,7 @@ fn fold_replica(
 /// land on the shared `origin` clock.
 fn dp_segment(
     cfg: &TrainerConfig,
+    program: &Program,
     stages: &mut Cow<'_, [Stage]>,
     shards: &[&[IterationData]],
     range: Range<usize>,
@@ -401,7 +407,8 @@ fn dp_segment(
                 let shard = &shard[range.clone()];
                 scope.spawn(move || {
                     guard_replica(hub, || {
-                        run_pipeline(cfg, start, shard, Some((rank, hub)), origin, iter_base)
+                        let dp = Some((rank, hub));
+                        run_pipeline(cfg, program, start, shard, dp, origin, iter_base)
                     })
                 })
             })
@@ -478,6 +485,7 @@ fn replica_panic(payload: &(dyn std::any::Any + Send)) -> TrainError {
 /// reports, trained modules included.
 fn run_pipeline(
     cfg: &TrainerConfig,
+    program: &Program,
     stages: &[Stage],
     data: &[IterationData],
     dp: Option<(usize, &AllreduceHub)>,
@@ -495,16 +503,13 @@ fn run_pipeline(
             .enumerate()
             .map(|(d, mailbox)| {
                 let device = DeviceId(d as u32);
-                let modules: HashMap<u32, Stage> = schedule
-                    .stage_map
-                    .modules_on(device)
-                    .into_iter()
-                    .map(|(_, stage)| (stage.0, stages[stage.idx()].clone()))
-                    .collect();
                 let wcfg = WorkerConfig {
                     device,
-                    schedule,
-                    modules,
+                    program,
+                    modules: (0..stages.len())
+                        .filter(|&s| schedule.stage_map.groups.iter().any(|g| g.path[s] == device))
+                        .map(|s| (s as u32, stages[s].clone()))
+                        .collect(),
                     data,
                     loss: &cfg.loss,
                     lr: cfg.lr,
@@ -534,7 +539,7 @@ fn run_pipeline(
                     let device = DeviceId(d as u32);
                     WorkerReport {
                         device,
-                        modules: HashMap::new(),
+                        modules: Vec::new(),
                         losses: Vec::new(),
                         peak_stash_bytes: 0,
                         peak_mailbox_parked: 0,
@@ -628,6 +633,7 @@ fn capture_checkpoint(
 /// shifted past the pre-failure makespan).
 fn run_chunked(
     cfg: &TrainerConfig,
+    program: &Program,
     data: DataRef<'_>,
     start: u32,
     mut state: RunState<'_>,
@@ -652,10 +658,11 @@ fn run_chunked(
             None => n,
         };
         let range = i as usize..j as usize;
+        let stages = &mut state.stages;
         let outcome = match data {
-            DataRef::Single(d) => run_pipeline(cfg, &state.stages, &d[range], None, origin, i)
-                .map(|reports| fold_replica(reports, Some(state.stages.to_mut()), 0, p)),
-            DataRef::Dp(shards) => dp_segment(cfg, &mut state.stages, shards, range, origin),
+            DataRef::Single(d) => run_pipeline(cfg, program, stages, &d[range], None, origin, i)
+                .map(|reports| fold_replica(reports, Some(stages.to_mut()), 0, p)),
+            DataRef::Dp(shards) => dp_segment(cfg, program, stages, shards, range, origin),
         };
         let segment = match outcome {
             Ok(segment) => segment,
@@ -736,10 +743,11 @@ pub fn resume(
     data: &[IterationData],
 ) -> Result<TrainOutput, ResumeError> {
     let data_ref = DataRef::Single(data);
-    check_run(cfg, data_ref, ckpt.iteration as usize).map_err(ResumeError::Run)?;
+    let program = check_run(cfg, data_ref, ckpt.iteration as usize).map_err(ResumeError::Run)?;
     guard_resume(cfg, ckpt, 1, data.len())?;
     let p = cfg.schedule.lists.len();
-    run_chunked(cfg, data_ref, ckpt.iteration, resume_state(cfg, ckpt, p)).map_err(ResumeError::Run)
+    run_chunked(cfg, &program, data_ref, ckpt.iteration, resume_state(cfg, ckpt, p))
+        .map_err(ResumeError::Run)
 }
 
 /// [`resume`] for data-parallel runs (`data[g]` is replica `g`'s full
@@ -751,11 +759,12 @@ pub fn resume_data_parallel(
     data: &[Vec<IterationData>],
 ) -> Result<TrainOutput, ResumeError> {
     let shards = shard_views(data).map_err(ResumeError::Run)?;
-    check_run(cfg, DataRef::Dp(&shards), ckpt.iteration as usize).map_err(ResumeError::Run)?;
+    let data_ref = DataRef::Dp(&shards);
+    let program = check_run(cfg, data_ref, ckpt.iteration as usize).map_err(ResumeError::Run)?;
     let world = shards.len() as u32;
-    guard_resume(cfg, ckpt, world, DataRef::Dp(&shards).iterations())?;
+    guard_resume(cfg, ckpt, world, data_ref.iterations())?;
     let devices = cfg.schedule.lists.len() * shards.len();
-    run_chunked(cfg, DataRef::Dp(&shards), ckpt.iteration, resume_state(cfg, ckpt, devices))
+    run_chunked(cfg, &program, data_ref, ckpt.iteration, resume_state(cfg, ckpt, devices))
         .map_err(ResumeError::Run)
 }
 
@@ -874,16 +883,11 @@ pub fn synthetic_data_at(
         .collect()
 }
 
-/// Which device reports losses (holds the last stage); exposed for tests.
-pub fn loss_device(schedule: &Schedule) -> DeviceId {
-    let last = hanayo_core::ids::StageId(schedule.stage_map.stages - 1);
-    schedule.stage_map.device_of(MicroBatch(0), last)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use hanayo_core::config::{PipelineConfig, Scheme};
+    use hanayo_core::program::ProgramError;
     use hanayo_core::schedule::build_schedule;
     use hanayo_model::builders::MicroModel;
 
@@ -1078,11 +1082,41 @@ mod tests {
         assert!(msg.contains("forward found no input"), "the error must name the op: {msg}");
     }
 
+    /// Retag device 0's first send and its matching receive on device 1
+    /// to micro-batch 99, outside the schedule's key space; returns the
+    /// lowering error that names the send.
+    fn retag_first_message_to_mb99(schedule: &mut Schedule) -> ProgramError {
+        use hanayo_core::action::{Action, CommDir};
+        use hanayo_core::ids::MicroBatch;
+        let send = |a: &Action| matches!(a, Action::Comm(op) if op.dir == CommDir::Send);
+        let action = schedule.lists[0].actions.iter().position(send).unwrap();
+        let Action::Comm(op) = &mut schedule.lists[0].actions[action] else { unreachable!() };
+        let original = op.tag;
+        op.tag.mb = MicroBatch(99);
+        let tag = op.tag;
+        for a in &mut schedule.lists[1].actions {
+            if let Action::Comm(op) = a {
+                if op.dir == CommDir::Recv && op.tag == original {
+                    op.tag = tag;
+                }
+            }
+        }
+        ProgramError { device: DeviceId(0), action, tag }
+    }
+
+    #[test]
+    fn the_trainer_lowers_the_schedule_once_on_the_callers_thread() {
+        let (cfg, data) = job(2, 4, Scheme::Hanayo { waves: 2 });
+        let program = check_run(&cfg, DataRef::Single(&data), 0).unwrap();
+        assert_eq!(program, Program::lower(&cfg.schedule).unwrap());
+    }
+
     #[test]
     fn unrunnable_runs_are_refused_on_the_callers_thread() {
-        // A replicated schedule, a stage module short and an iteration an
-        // input short: each entry point refuses all three with a typed
-        // error and no checkpoint, and none of them panics.
+        // A replicated schedule, a stage module short, an iteration an
+        // input short and a schedule outside its key space: each entry
+        // point refuses all four with a typed error and no checkpoint, and
+        // none of them panics.
         use std::panic::{catch_unwind, AssertUnwindSafe};
         let (good, data) = job(2, 2, Scheme::Dapple);
         let done = try_train(&good, &data).unwrap();
@@ -1096,11 +1130,14 @@ mod tests {
         input_short[1].inputs.pop();
         let shape =
             WorkerError::IterationShape { iteration: 1, inputs: 1, targets: 2, micro_batches: 2 };
+        let mut unlowered = good.clone();
+        let lowering = WorkerError::Program(retag_first_message_to_mb99(&mut unlowered.schedule));
 
         for (cfg, bad, primary, bad_replica) in [
             (chimera, data.clone(), WorkerError::ReplicatedSchedule, None),
             (stage_short, data.clone(), WorkerError::StageCount { modules: 1, stages: 2 }, None),
             (good.clone(), input_short, shape, Some(1)),
+            (unlowered, data.clone(), lowering, None),
         ] {
             let shards = vec![data.clone(), bad.clone()];
             let run = |f: &dyn Fn() -> Option<TrainError>| {

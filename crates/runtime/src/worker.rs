@@ -1,8 +1,13 @@
-//! The action-list interpreter: one instance runs per device thread.
+//! The program interpreter: one instance runs per device thread.
 //!
-//! A worker owns the local modules its device's stages map to, an
-//! activation stash per in-flight micro-batch, and — for the whole call —
-//! one gradient accumulator per local stage plus each Linear's `Wᵀ`
+//! A worker executes its device's ops of the schedule's
+//! [`hanayo_core::program::Program`], the same lowering the simulator
+//! executes. For the whole call it holds dense per-device tables, indexed
+//! by the program's message keys rather than hashed: one tensor slot per
+//! key (a key is produced and consumed here, produced here and sent, or
+//! received here and consumed — never two of those on one device), one
+//! activation stash per `(micro-batch, stage)`, and one entry per local
+//! stage with its module, its gradient accumulator and each Linear's `Wᵀ`
 //! (weights are frozen between flushes, so one transpose serves every
 //! micro-batch). A backward adds its gradients straight into its stage's
 //! accumulator in micro-batch order, the key to bit-exact equivalence
@@ -10,28 +15,29 @@
 //! schedule. Every generated scheme visits a stage's backwards in that
 //! order; a hand-built or searched table that does not has its early
 //! gradients parked and added as soon as their turn comes. The flush
-//! (`OptimizerStep`) then only applies the accumulator — after an optional
+//! ([`Op::Step`]) then only applies the accumulator — after an optional
 //! exchange with data-parallel peers — with SGD, and rebuilds the
 //! accumulator and `Wᵀ` in place for the next iteration.
 //!
 //! Invariant violations (a forward with no input, a backward with no
-//! gradient or stash — the signature of a corrupt schedule) do **not**
-//! panic the thread: they become a typed [`WorkerError`] carried home in
-//! the [`WorkerReport`], an abort packet goes out to every peer mailbox
+//! gradient or stash, a slot or stash still occupied at the iteration
+//! boundary — the signature of a corrupt schedule) do **not** panic the
+//! thread: they become a typed [`WorkerError`] carried home in the
+//! [`WorkerReport`], an abort packet goes out to every peer mailbox
 //! ([`Fabric::abort`]) so blocked peers unwind instead of deadlocking, and
 //! the trainer reports exactly which device and operation failed.
 
 use crate::collective::AllreduceHub;
 use crate::mailbox::{Envelope, Fabric, Mailbox};
 use hanayo_ckpt::FailurePlan;
-use hanayo_core::action::{Action, CommDir, MsgTag, Payload, Schedule};
+use hanayo_core::action::MsgTag;
 use hanayo_core::ids::{DeviceId, MicroBatch, StageId};
+use hanayo_core::program::{Op, Program, ProgramError};
 use hanayo_model::Recompute;
 use hanayo_tensor::loss::{mse, softmax_cross_entropy};
 use hanayo_tensor::{GradScratch, Stage, StageGrads, StageStash, Tensor, TransposedWeights};
 use hanayo_trace::{TraceEvent, TraceKind};
 use std::borrow::Cow;
-use std::collections::HashMap;
 use std::fmt;
 use std::time::Instant;
 
@@ -97,10 +103,12 @@ impl Stashed {
     }
 }
 
-/// What a worker keeps per local stage for a whole call: the gradient
-/// accumulator, the stage's `Wᵀ`, and the gradients of backwards that ran
+/// What a worker keeps per local stage for a whole call: the module, its
+/// gradient accumulator and `Wᵀ`, and the gradients of backwards that ran
 /// ahead of their turn.
-struct StageGradState {
+struct LocalStage {
+    stage: u32,
+    module: Stage,
     acc: StageGrads,
     wt: TransposedWeights,
     /// The micro-batch whose gradient is added next.
@@ -110,14 +118,10 @@ struct StageGradState {
     parked: Vec<Option<StageGrads>>,
 }
 
-impl StageGradState {
-    fn new(module: &Stage, micro_batches: usize) -> StageGradState {
-        StageGradState {
-            acc: module.zero_grads(),
-            wt: module.transposed_weights(),
-            next: 0,
-            parked: vec![None; micro_batches],
-        }
+impl LocalStage {
+    fn new(stage: u32, module: Stage, micro_batches: usize) -> LocalStage {
+        let (acc, wt) = (module.zero_grads(), module.transposed_weights());
+        LocalStage { stage, module, acc, wt, next: 0, parked: vec![None; micro_batches] }
     }
 
     /// Run `mb`'s backward, keeping the accumulator's sum in micro-batch
@@ -126,14 +130,13 @@ impl StageGradState {
     /// `None` when `mb` has no place in this flush.
     fn backward(
         &mut self,
-        module: &Stage,
         st: &StageStash,
         dy: &Tensor,
         mb: usize,
         scratch: &mut GradScratch,
     ) -> Option<Tensor> {
         if mb == self.next && mb < self.parked.len() {
-            let dx = module.backward_into(st, dy, &self.wt, scratch, &mut self.acc);
+            let dx = self.module.backward_into(st, dy, &self.wt, scratch, &mut self.acc);
             self.next += 1;
             while let Some(g) = self.parked.get_mut(self.next).and_then(Option::take) {
                 self.acc.accumulate(&g);
@@ -142,17 +145,18 @@ impl StageGradState {
             return Some(dx);
         }
         let slot = self.parked.get_mut(mb).filter(|s| mb > self.next && s.is_none())?;
-        let mut g = module.zero_grads();
-        let dx = module.backward_into(st, dy, &self.wt, scratch, &mut g);
+        let mut g = self.module.zero_grads();
+        let dx = self.module.backward_into(st, dy, &self.wt, scratch, &mut g);
         *slot = Some(g);
         Some(dx)
     }
 
-    /// After the step: zero the accumulator and re-lay out `Wᵀ` from the
-    /// updated weights, both in place.
-    fn reset(&mut self, module: &Stage) {
+    /// The step: apply the accumulator with SGD, then zero it and re-lay
+    /// out `Wᵀ` from the updated weights, both in place.
+    fn apply(&mut self, lr: f32) {
+        self.module.sgd_step(&self.acc, lr);
         self.acc.zero();
-        self.wt.refresh(module);
+        self.wt.refresh(&self.module);
         self.next = 0;
     }
 }
@@ -200,7 +204,7 @@ pub enum WorkerError {
         /// The unknown stage.
         stage: StageId,
     },
-    /// A send had nothing parked outbound under its tag.
+    /// A send found nothing in its message's slot.
     MissingOutbound {
         /// Failing device.
         device: DeviceId,
@@ -225,20 +229,24 @@ pub enum WorkerError {
         /// Stage of the backward.
         stage: StageId,
     },
-    /// Activation stashes survived the iteration (schedule never consumed
-    /// them).
+    /// An activation stash survived the iteration (its backward never
+    /// ran). The first one in `(micro-batch, stage)` order is named.
     StashNotDrained {
         /// Failing device.
         device: DeviceId,
-        /// Leftover stash count.
-        remaining: usize,
+        /// Micro-batch of the leftover stash.
+        mb: MicroBatch,
+        /// Stage of the leftover stash.
+        stage: StageId,
     },
-    /// Produced messages were never sent.
-    UnsentOutbound {
+    /// A message slot was still occupied at the iteration boundary: a
+    /// produced tensor never sent, or a received or locally produced one
+    /// nothing consumed. The first one in key order is named.
+    SlotNotDrained {
         /// Failing device.
         device: DeviceId,
-        /// Leftover message count.
-        remaining: usize,
+        /// The leftover message.
+        tag: MsgTag,
     },
     /// The worker stopped because a peer failed first (cascade, not root
     /// cause).
@@ -273,6 +281,9 @@ pub enum WorkerError {
         /// The panic payload, when it was a string.
         message: String,
     },
+    /// The schedule does not lower to a [`Program`]. Refused before any
+    /// thread starts.
+    Program(ProgramError),
     /// A data-parallel run was given no shard at all. Refused before any
     /// thread starts.
     NoShards,
@@ -328,12 +339,13 @@ impl WorkerError {
             | WorkerError::MissingSlotGradient { device, .. }
             | WorkerError::UnexpectedGradient { device, .. }
             | WorkerError::StashNotDrained { device, .. }
-            | WorkerError::UnsentOutbound { device, .. }
+            | WorkerError::SlotNotDrained { device, .. }
             | WorkerError::Aborted { device }
             | WorkerError::Injected { device, .. }
             | WorkerError::LinkDown { device, .. }
             | WorkerError::Panicked { device, .. } => Some(device),
-            WorkerError::NoShards
+            WorkerError::Program(_)
+            | WorkerError::NoShards
             | WorkerError::ReplicatedSchedule
             | WorkerError::StageCount { .. }
             | WorkerError::IterationShape { .. }
@@ -371,11 +383,11 @@ impl fmt::Display for WorkerError {
             WorkerError::UnexpectedGradient { device, mb, stage } => {
                 write!(f, "{device}: backward of {mb} {stage} has no place in the flush")
             }
-            WorkerError::StashNotDrained { device, remaining } => {
-                write!(f, "{device}: {remaining} activation stash(es) never consumed")
+            WorkerError::StashNotDrained { device, mb, stage } => {
+                write!(f, "{device}: stash of {mb} {stage} never consumed")
             }
-            WorkerError::UnsentOutbound { device, remaining } => {
-                write!(f, "{device}: {remaining} outbound message(s) never sent")
+            WorkerError::SlotNotDrained { device, tag } => {
+                write!(f, "{device}: message {tag} never sent or consumed")
             }
             WorkerError::Aborted { device } => {
                 write!(f, "{device}: aborted after a peer failure")
@@ -389,6 +401,7 @@ impl fmt::Display for WorkerError {
             WorkerError::Panicked { device, message } => {
                 write!(f, "{device}: worker thread panicked: {message}")
             }
+            WorkerError::Program(e) => write!(f, "the schedule does not lower: {e}"),
             WorkerError::NoShards => write!(f, "a data-parallel run needs at least one shard"),
             WorkerError::ReplicatedSchedule => write!(
                 f,
@@ -418,10 +431,11 @@ impl std::error::Error for WorkerError {}
 pub struct WorkerConfig<'a> {
     /// This worker's rank.
     pub device: DeviceId,
-    /// The full schedule (workers read their own list plus the stage map).
-    pub schedule: &'a Schedule,
-    /// Modules for the stages this device hosts, keyed by global stage id.
-    pub modules: HashMap<u32, Stage>,
+    /// The lowered schedule; the worker runs its own device's ops.
+    pub program: &'a Program,
+    /// Modules for the stages this device hosts, as `(global stage id,
+    /// module)` in ascending stage order.
+    pub modules: Vec<(u32, Stage)>,
     /// Per-iteration inputs/targets (shared; only the edge devices read it).
     pub data: &'a [IterationData],
     /// Loss applied at the last stage.
@@ -507,8 +521,8 @@ impl WorkerStats {
 pub struct WorkerReport {
     /// This worker's rank.
     pub device: DeviceId,
-    /// Updated modules (same keys as the config's).
-    pub modules: HashMap<u32, Stage>,
+    /// Updated modules, in the config's order.
+    pub modules: Vec<(u32, Stage)>,
     /// Mean loss per iteration (non-empty only on the last-stage holder).
     pub losses: Vec<f32>,
     /// High-water mark of the instrumented live-bytes counter: every stash
@@ -532,29 +546,40 @@ pub struct WorkerReport {
     pub error: Option<WorkerError>,
 }
 
-/// Interpret the device's action list for `data.len()` iterations.
+/// Run the device's ops of the program for `data.len()` iterations.
 pub fn run_worker(mut cfg: WorkerConfig<'_>, mut mailbox: Mailbox, fabric: Fabric) -> WorkerReport {
     let device = cfg.device;
-    let mut losses = Vec::new();
-    let mut peak_stash = 0usize;
-    let mut events = Vec::new();
-    let mut stats = WorkerStats::default();
+    let (b, s) = (cfg.program.micro_batches() as usize, cfg.program.stages() as usize);
+    let mut local_of = vec![None; s];
+    let mut locals = Vec::with_capacity(cfg.modules.len());
+    for (i, (stage, module)) in std::mem::take(&mut cfg.modules).into_iter().enumerate() {
+        local_of[stage as usize] = Some(i);
+        locals.push(LocalStage::new(stage, module, b));
+    }
+    let mut w = Worker {
+        cfg: &cfg,
+        mailbox: &mut mailbox,
+        fabric: &fabric,
+        locals,
+        local_of,
+        slots: (0..cfg.program.keys()).map(|_| None).collect(),
+        stash: (0..b * s).map(|_| None).collect(),
+        scratch: GradScratch::default(),
+        cur_stash: 0,
+        peak_stash: 0,
+        losses: Vec::new(),
+        events: Vec::new(),
+        stats: WorkerStats::default(),
+        metrics_on: hanayo_metrics::enabled(),
+        dev_label: device.0.to_string(),
+        rank_base: cfg.dp.map_or(0, |(r, _)| r as u32 * cfg.program.ops().len() as u32),
+    };
 
     // A panic below the typed-error layer (a shape assert in the math
     // kernels, say) must not poison the trainer's join: catch it here and
     // report it as a root-cause WorkerError naming this device, so the
     // abort still goes out and peers unwind instead of deadlocking.
-    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        run_action_lists(
-            &mut cfg,
-            &mut mailbox,
-            &fabric,
-            &mut losses,
-            &mut peak_stash,
-            &mut events,
-            &mut stats,
-        )
-    }));
+    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| w.run()));
     let error = match outcome {
         Ok(result) => result.err(),
         Err(payload) => {
@@ -572,336 +597,299 @@ pub fn run_worker(mut cfg: WorkerConfig<'_>, mut mailbox: Mailbox, fabric: Fabri
         }
         debug_assert!(e.device() == Some(device));
     }
-    stats.flush(device, peak_stash, mailbox.parked_peak());
+    let parked_peak = w.mailbox.parked_peak();
+    w.stats.flush(device, w.peak_stash, parked_peak);
 
     WorkerReport {
         device,
-        modules: std::mem::take(&mut cfg.modules),
-        losses,
-        peak_stash_bytes: peak_stash,
-        peak_mailbox_parked: mailbox.parked_peak(),
-        events,
+        modules: w.locals.into_iter().map(|l| (l.stage, l.module)).collect(),
+        losses: w.losses,
+        peak_stash_bytes: w.peak_stash,
+        peak_mailbox_parked: parked_peak,
+        events: w.events,
         error,
     }
 }
 
-fn run_action_lists(
-    cfg: &mut WorkerConfig<'_>,
-    mailbox: &mut Mailbox,
-    fabric: &Fabric,
-    losses: &mut Vec<f32>,
-    peak_stash: &mut usize,
-    events: &mut Vec<TraceEvent>,
-    stats: &mut WorkerStats,
-) -> Result<(), WorkerError> {
-    let schedule = cfg.schedule;
-    let device = cfg.device;
-    let stages = schedule.stage_map.stages;
-    let micro_batches = schedule.config.micro_batches;
-    let actions = &schedule.lists[device.idx()].actions;
-    let mut cur_stash = 0usize;
-    let mut stage_ids: Vec<u32> = cfg.modules.keys().copied().collect();
-    stage_ids.sort_unstable();
-    let mut grads: HashMap<u32, StageGradState> = cfg
-        .modules
-        .iter()
-        .map(|(&s, module)| (s, StageGradState::new(module, micro_batches as usize)))
-        .collect();
-    let mut scratch = GradScratch::default();
+/// A worker's state for one call. Every table is dense, allocated once,
+/// and indexed by message key, `(micro-batch, stage)` or stage.
+struct Worker<'w, 'a> {
+    cfg: &'w WorkerConfig<'a>,
+    mailbox: &'w mut Mailbox,
+    fabric: &'w Fabric,
+    /// The stages this device hosts, in ascending stage order;
+    /// `local_of[stage]` is a stage's index here.
+    locals: Vec<LocalStage>,
+    local_of: Vec<Option<usize>>,
+    /// One tensor per message key. A key is produced and consumed here,
+    /// produced here and sent, or received here and consumed — never two
+    /// of those on one device — so one table serves all three.
+    slots: Vec<Option<Tensor>>,
+    /// One activation stash per `(mb, stage)`, at `mb · S + stage`.
+    stash: Vec<Option<Stashed>>,
+    scratch: GradScratch,
+    cur_stash: usize,
+    peak_stash: usize,
+    losses: Vec<f32>,
+    events: Vec<TraceEvent>,
+    stats: WorkerStats,
+    /// Metrics gate, read once: flipping the registry mid-run must not
+    /// change what a single run records. Like the span clock, the
+    /// disabled path takes no clock readings.
+    metrics_on: bool,
+    dev_label: String,
+    /// The failure plan speaks global device ranks (`replica · P + local`)
+    /// and global iterations (`iter_base + local`), so injected faults stay
+    /// well-defined across data-parallel replicas and resumed segments.
+    rank_base: u32,
+}
 
-    // Span instrumentation: `tick()` reads the shared-origin clock only
-    // when tracing (the untraced path never touches it); `span` records a
-    // completed op.
-    let tracing = cfg.trace;
-    let origin = cfg.origin;
-    let tick = || -> f64 {
-        if tracing {
-            origin.elapsed().as_secs_f64()
+impl WorkerConfig<'_> {
+    /// The shared-origin span clock, read only when tracing (the untraced
+    /// path takes no clock readings at all).
+    fn now(&self) -> f64 {
+        if self.trace {
+            self.origin.elapsed().as_secs_f64()
         } else {
             0.0
         }
-    };
-    let dev = device.0;
-    let span = |events: &mut Vec<TraceEvent>, kind, mb: Option<u32>, stage: Option<u32>, t0, t1| {
-        if tracing {
-            events.push(TraceEvent { device: dev, kind, mb, stage, t_start: t0, t_end: t1 });
-        }
-    };
+    }
+}
 
-    // Metrics gate, read once: flipping the registry mid-run must not
-    // change what a single run records. Like `tick`, the disabled path
-    // takes no clock readings; the wait probe reads the metrics clock
-    // only when enabled, and nothing here is ever read back by the run.
-    let metrics_on = hanayo_metrics::enabled();
-    let dev_label = device.0.to_string();
-    let mwait = |t0_ns: u64| {
-        if metrics_on {
-            hanayo_metrics::observe(
-                "hanayo_worker_mailbox_wait_ns",
-                &[("device", dev_label.as_str())],
-                hanayo_metrics::NANOS_BUCKETS,
-                hanayo_metrics::monotonic_nanos().saturating_sub(t0_ns),
-            );
-        }
-    };
-    let mnow = || if metrics_on { hanayo_metrics::monotonic_nanos() } else { 0 };
-
-    // The failure plan speaks global device ranks (`replica · P + local`)
-    // and global iterations (`iter_base + local`), so injected faults stay
-    // well-defined across data-parallel replicas and resumed segments.
-    let failure = cfg.failure;
-    let rank_base = cfg.dp.map_or(0, |(r, _)| r as u32 * schedule.lists.len() as u32);
-    let global_dev = rank_base + device.0;
-    let link_dropped = |peer: DeviceId, global_iter: u32| {
-        matches!(failure, FailurePlan::DropLink { src, dst, iteration }
-            if global_dev == src && rank_base + peer.0 == dst && global_iter >= iteration)
-    };
-
-    for (iter, data) in cfg.data.iter().enumerate() {
-        let iter = iter as u32;
-        let global_iter = cfg.iter_base + iter;
-        if let FailurePlan::KillDevice { device: d, iteration } = failure {
-            if global_dev == d && global_iter == iteration {
-                return Err(WorkerError::Injected { device, iteration: global_iter });
-            }
-        }
-        // In-flight state for this iteration.
-        let mut local: HashMap<MsgTag, Tensor> = HashMap::new();
-        let mut outbound: HashMap<MsgTag, Tensor> = HashMap::new();
-        let mut stash: HashMap<(u32, u32), Stashed> = HashMap::new();
-        let mut iter_loss = 0.0f32;
-
-        for action in actions {
-            match action {
-                Action::Forward { mb, stage } => {
-                    let t0 = tick();
-                    stats.forward += 1;
-                    // Stage 0 reads the caller's input in place; it is copied
-                    // only if the stash policy below keeps it.
-                    let x = if stage.0 == 0 {
-                        Cow::Borrowed(&data.inputs[mb.idx()])
-                    } else {
-                        let tag = MsgTag { mb: *mb, stage: *stage, payload: Payload::Activation };
-                        Cow::Owned(
-                            local.remove(&tag).ok_or(WorkerError::MissingInput { device, tag })?,
-                        )
-                    };
-                    let module = cfg
-                        .modules
-                        .get(&stage.0)
-                        .ok_or(WorkerError::MissingModule { device, stage: *stage })?;
-                    let (y, st) = module.forward(&x);
-                    let entry = match cfg.recompute {
-                        Recompute::None => Stashed::Activations(st),
-                        // Keep only the boundary; the full stash drops
-                        // here and is regenerated at backward time.
-                        Recompute::Full => Stashed::Boundary(x.into_owned()),
-                    };
-                    cur_stash += entry.bytes();
-                    *peak_stash = (*peak_stash).max(cur_stash);
-                    stash.insert((mb.0, stage.0), entry);
-                    if stage.0 + 1 == stages {
-                        // Turnaround: loss + gradient, consumed by this
-                        // stage's backward under its gradient tag.
-                        let (l, dy) = apply_loss(cfg.loss, &y, data, *mb);
-                        iter_loss += l;
-                        let tag = MsgTag { mb: *mb, stage: *stage, payload: Payload::Gradient };
-                        local.insert(tag, dy);
-                    } else {
-                        let tag = MsgTag {
-                            mb: *mb,
-                            stage: StageId(stage.0 + 1),
-                            payload: Payload::Activation,
-                        };
-                        route(schedule, device, tag, y, &mut local, &mut outbound);
-                    }
-                    span(events, TraceKind::Fwd, Some(mb.0), Some(stage.0), t0, tick());
-                }
-                Action::Backward { mb, stage } => {
-                    let t0 = tick();
-                    stats.backward += 1;
-                    let tag = MsgTag { mb: *mb, stage: *stage, payload: Payload::Gradient };
-                    let dy =
-                        local.remove(&tag).ok_or(WorkerError::MissingGradient { device, tag })?;
-                    let entry = stash
-                        .remove(&(mb.0, stage.0))
-                        .ok_or(WorkerError::MissingStash { device, mb: *mb, stage: *stage })?;
-                    cur_stash -= entry.bytes();
-                    let missing = WorkerError::MissingModule { device, stage: *stage };
-                    let module = cfg.modules.get(&stage.0).ok_or(missing.clone())?;
-                    let state = grads.get_mut(&stage.0).ok_or(missing)?;
-                    let mut t_replay = None;
-                    let st = match entry {
-                        Stashed::Activations(st) => st,
-                        // Checkpointed: replay the stage forward from the
-                        // boundary tensor. Weights have not changed since
-                        // the original forward (updates happen only at the
-                        // flush), so the regenerated stash — and therefore
-                        // every gradient — is bit-identical.
-                        Stashed::Boundary(x) => {
-                            let st = module.forward(&x).1;
-                            t_replay = Some(tick());
-                            st
-                        }
-                    };
-                    let dx = state.backward(module, &st, &dy, mb.idx(), &mut scratch).ok_or(
-                        WorkerError::UnexpectedGradient { device, mb: *mb, stage: *stage },
-                    )?;
-                    if stage.0 > 0 {
-                        let tag = MsgTag {
-                            mb: *mb,
-                            stage: StageId(stage.0 - 1),
-                            payload: Payload::Gradient,
-                        };
-                        route(schedule, device, tag, dx, &mut local, &mut outbound);
-                    }
-                    // Under checkpointing the replay and the true backward
-                    // are separate spans, so calibration can attribute the
-                    // extra forward to the right place.
-                    let t1 = tick();
-                    match t_replay {
-                        Some(tr) => {
-                            span(events, TraceKind::Recompute, Some(mb.0), Some(stage.0), t0, tr);
-                            span(events, TraceKind::Bwd, Some(mb.0), Some(stage.0), tr, t1);
-                        }
-                        None => span(events, TraceKind::Bwd, Some(mb.0), Some(stage.0), t0, t1),
-                    }
-                }
-                Action::Comm(op) => match op.dir {
-                    CommDir::Send => {
-                        if link_dropped(op.peer, global_iter) {
-                            return Err(WorkerError::LinkDown {
-                                device,
-                                peer: op.peer,
-                                iteration: global_iter,
-                            });
-                        }
-                        let t0 = tick();
-                        stats.send += 1;
-                        let tensor = outbound
-                            .remove(&op.tag)
-                            .ok_or(WorkerError::MissingOutbound { device, tag: op.tag })?;
-                        fabric.send(op.peer.idx(), Envelope { iter, tag: op.tag, tensor });
-                        let (mb, stage) = (op.tag.mb.0, op.tag.stage.0);
-                        span(events, TraceKind::Send, Some(mb), Some(stage), t0, tick());
-                    }
-                    CommDir::Recv => {
-                        let t0 = tick();
-                        stats.recv += 1;
-                        let w0 = mnow();
-                        let tensor =
-                            mailbox.recv(iter, op.tag).ok_or(WorkerError::Aborted { device })?;
-                        mwait(w0);
-                        local.insert(op.tag, tensor);
-                        let (mb, stage) = (op.tag.mb.0, op.tag.stage.0);
-                        span(events, TraceKind::Recv, Some(mb), Some(stage), t0, tick());
-                    }
-                },
-                Action::BatchedComm(ops) => {
-                    // Post all sends first (non-blocking), then drain the
-                    // receives — the deadlock-free batch_isend_irecv order.
-                    for op in ops.iter().filter(|o| o.dir == CommDir::Send) {
-                        if link_dropped(op.peer, global_iter) {
-                            return Err(WorkerError::LinkDown {
-                                device,
-                                peer: op.peer,
-                                iteration: global_iter,
-                            });
-                        }
-                        let t0 = tick();
-                        stats.send += 1;
-                        let tensor = outbound
-                            .remove(&op.tag)
-                            .ok_or(WorkerError::MissingOutbound { device, tag: op.tag })?;
-                        fabric.send(op.peer.idx(), Envelope { iter, tag: op.tag, tensor });
-                        span(
-                            events,
-                            TraceKind::Send,
-                            Some(op.tag.mb.0),
-                            Some(op.tag.stage.0),
-                            t0,
-                            tick(),
-                        );
-                    }
-                    for op in ops.iter().filter(|o| o.dir == CommDir::Recv) {
-                        let t0 = tick();
-                        stats.recv += 1;
-                        let w0 = mnow();
-                        let tensor =
-                            mailbox.recv(iter, op.tag).ok_or(WorkerError::Aborted { device })?;
-                        mwait(w0);
-                        local.insert(op.tag, tensor);
-                        span(
-                            events,
-                            TraceKind::Recv,
-                            Some(op.tag.mb.0),
-                            Some(op.tag.stage.0),
-                            t0,
-                            tick(),
-                        );
-                    }
-                }
-                Action::OptimizerStep => {
-                    for &s in &stage_ids {
-                        stats.optim += 1;
-                        // The Optim spans cover only the local step work;
-                        // the blocking all-reduce rendezvous is its own
-                        // (comm-kind) span, so the wait is never
-                        // double-counted as busy compute.
-                        let t0 = tick();
-                        let stage = StageId(s);
-                        let module = cfg
-                            .modules
-                            .get_mut(&s)
-                            .ok_or(WorkerError::MissingModule { device, stage })?;
-                        let state = grads
-                            .get_mut(&s)
-                            .filter(|st| st.next == micro_batches as usize)
-                            .ok_or(WorkerError::MissingSlotGradient { device, stage })?;
-                        let t1 = if let Some((rank, hub)) = cfg.dp {
-                            stats.allreduce += 1;
-                            let a0 = tick();
-                            span(events, TraceKind::Optim, None, Some(s), t0, a0);
-                            state.acc = hub
-                                .try_allreduce(iter, s, rank, std::mem::take(&mut state.acc))
-                                .ok_or(WorkerError::Aborted { device })?;
-                            let a1 = tick();
-                            span(events, TraceKind::Allreduce, None, Some(s), a0, a1);
-                            a1
-                        } else {
-                            t0
-                        };
-                        module.sgd_step(&state.acc, cfg.lr);
-                        state.reset(module);
-                        span(events, TraceKind::Optim, None, Some(s), t1, tick());
-                    }
-                }
-            }
-        }
-
-        if !stash.is_empty() {
-            return Err(WorkerError::StashNotDrained { device, remaining: stash.len() });
-        }
-        if !outbound.is_empty() {
-            return Err(WorkerError::UnsentOutbound { device, remaining: outbound.len() });
-        }
-        if holds_last_stage(schedule, device) {
-            losses.push(iter_loss / micro_batches as f32);
-        }
-        if metrics_on {
-            // Heartbeat for fault detection (age = scrape time minus this
-            // timestamp) and the live-bytes level at the iteration
-            // boundary (nonzero only when a schedule leaks stash).
-            let labels: &[(&'static str, &str)] = &[("device", dev_label.as_str())];
-            hanayo_metrics::gauge_set(
-                "hanayo_worker_heartbeat_ts_ns",
-                labels,
-                hanayo_metrics::now_nanos() as f64,
-            );
-            hanayo_metrics::gauge_set("hanayo_worker_stash_bytes_live", labels, cur_stash as f64);
+impl Worker<'_, '_> {
+    fn span(&mut self, kind: TraceKind, mb: Option<u32>, stage: Option<u32>, t0: f64, t1: f64) {
+        if self.cfg.trace {
+            let device = self.cfg.device.0;
+            self.events.push(TraceEvent { device, kind, mb, stage, t_start: t0, t_end: t1 });
         }
     }
-    Ok(())
+
+    fn run(&mut self) -> Result<(), WorkerError> {
+        let (cfg, device) = (self.cfg, self.cfg.device);
+        let program = cfg.program;
+        let holds_last = self.local_of[program.stages() as usize - 1].is_some();
+        for (iter, data) in cfg.data.iter().enumerate() {
+            let iter = iter as u32;
+            if let FailurePlan::KillDevice { device: d, iteration } = cfg.failure {
+                if self.rank_base + device.0 == d && cfg.iter_base + iter == iteration {
+                    return Err(WorkerError::Injected { device, iteration });
+                }
+            }
+            let mut iter_loss = 0.0f32;
+            for op in &program.ops()[device.idx()] {
+                match *op {
+                    Op::Compute { mb, stage, backward: false } => {
+                        iter_loss += self.forward(data, mb, stage)?;
+                    }
+                    Op::Compute { mb, stage, backward: true } => self.backward(mb, stage)?,
+                    Op::Send { peer, key } => self.send(peer, key, iter)?,
+                    Op::Recv { key } => self.recv(key, iter)?,
+                    Op::Batch { start, end } => {
+                        // Post all sends first (non-blocking), then drain the
+                        // receives — the deadlock-free batch_isend_irecv order.
+                        let members = program.members(start, end);
+                        for member in members {
+                            if let Op::Send { peer, key } = *member {
+                                self.send(peer, key, iter)?;
+                            }
+                        }
+                        for key in members.iter().filter_map(Op::recv_key) {
+                            self.recv(key, iter)?;
+                        }
+                    }
+                    Op::Step => self.step(iter)?,
+                }
+            }
+            // The iteration boundary: every stash consumed, every slot empty.
+            if let Some(at) = self.stash.iter().position(Option::is_some) {
+                let s = program.stages() as usize;
+                let (mb, stage) = (MicroBatch((at / s) as u32), StageId((at % s) as u32));
+                return Err(WorkerError::StashNotDrained { device, mb, stage });
+            }
+            if let Some(key) = self.slots.iter().position(Option::is_some) {
+                return Err(WorkerError::SlotNotDrained { device, tag: program.tag(key as u32) });
+            }
+            if holds_last {
+                self.losses.push(iter_loss / program.micro_batches() as f32);
+            }
+            if self.metrics_on {
+                // Heartbeat for fault detection (age = scrape time minus this
+                // timestamp) and the live-bytes level at the iteration
+                // boundary.
+                let labels: &[(&'static str, &str)] = &[("device", self.dev_label.as_str())];
+                let now = hanayo_metrics::now_nanos() as f64;
+                hanayo_metrics::gauge_set("hanayo_worker_heartbeat_ts_ns", labels, now);
+                let live = self.cur_stash as f64;
+                hanayo_metrics::gauge_set("hanayo_worker_stash_bytes_live", labels, live);
+            }
+        }
+        Ok(())
+    }
+
+    /// Run `mb`'s forward on `stage`, stash what the policy keeps, and put
+    /// the output in its slot. Returns the loss the last stage adds.
+    fn forward(&mut self, data: &IterationData, mb: u32, stage: u32) -> Result<f32, WorkerError> {
+        let (device, program) = (self.cfg.device, self.cfg.program);
+        let t0 = self.cfg.now();
+        self.stats.forward += 1;
+        let (input, output) = program.dataflow(mb, stage, false);
+        // Stage 0 reads the caller's input in place; it is copied only if
+        // the stash policy below keeps it.
+        let x = if stage == 0 {
+            Cow::Borrowed(&data.inputs[mb as usize])
+        } else {
+            let missing = || WorkerError::MissingInput { device, tag: program.tag(input) };
+            Cow::Owned(self.slots[input as usize].take().ok_or_else(missing)?)
+        };
+        let missing = WorkerError::MissingModule { device, stage: StageId(stage) };
+        let (y, st) = self.locals[self.local_of[stage as usize].ok_or(missing)?].module.forward(&x);
+        let entry = match self.cfg.recompute {
+            Recompute::None => Stashed::Activations(st),
+            // Keep only the boundary; the full stash drops here and is
+            // regenerated at backward time.
+            Recompute::Full => Stashed::Boundary(x.into_owned()),
+        };
+        self.cur_stash += entry.bytes();
+        self.peak_stash = self.peak_stash.max(self.cur_stash);
+        self.stash[(mb * program.stages() + stage) as usize] = Some(entry);
+        // The last stage turns around: loss and gradient, consumed by its
+        // own backward.
+        let (loss, y) = if stage + 1 == program.stages() {
+            apply_loss(self.cfg.loss, &y, data, MicroBatch(mb))
+        } else {
+            (0.0, y)
+        };
+        if let Some(out) = output {
+            self.slots[out as usize] = Some(y);
+        }
+        self.span(TraceKind::Fwd, Some(mb), Some(stage), t0, self.cfg.now());
+        Ok(loss)
+    }
+
+    /// Run `mb`'s backward on `stage` into its gradient accumulator and put
+    /// the input gradient in its slot.
+    fn backward(&mut self, mb: u32, stage: u32) -> Result<(), WorkerError> {
+        let (device, program) = (self.cfg.device, self.cfg.program);
+        let (mb_id, stage_id) = (MicroBatch(mb), StageId(stage));
+        let t0 = self.cfg.now();
+        self.stats.backward += 1;
+        let (input, output) = program.dataflow(mb, stage, true);
+        let missing = || WorkerError::MissingGradient { device, tag: program.tag(input) };
+        let dy = self.slots[input as usize].take().ok_or_else(missing)?;
+        let entry = self.stash[(mb * program.stages() + stage) as usize]
+            .take()
+            .ok_or(WorkerError::MissingStash { device, mb: mb_id, stage: stage_id })?;
+        self.cur_stash -= entry.bytes();
+        let missing = WorkerError::MissingModule { device, stage: stage_id };
+        let local = &mut self.locals[self.local_of[stage as usize].ok_or(missing)?];
+        let (st, t_replay) = match entry {
+            Stashed::Activations(st) => (st, None),
+            // Checkpointed: replay the stage forward from the boundary
+            // tensor. Weights have not changed since the original forward
+            // (updates happen only at the flush), so the regenerated stash
+            // — and therefore every gradient — is bit-identical.
+            Stashed::Boundary(x) => (local.module.forward(&x).1, Some(self.cfg.now())),
+        };
+        let dx = local
+            .backward(&st, &dy, mb as usize, &mut self.scratch)
+            .ok_or(WorkerError::UnexpectedGradient { device, mb: mb_id, stage: stage_id })?;
+        if let Some(out) = output {
+            self.slots[out as usize] = Some(dx);
+        }
+        // Under checkpointing the replay and the true backward are
+        // separate spans, so calibration can attribute the extra forward
+        // to the right place.
+        let (t1, mb, stage) = (self.cfg.now(), Some(mb), Some(stage));
+        match t_replay {
+            Some(tr) => {
+                self.span(TraceKind::Recompute, mb, stage, t0, tr);
+                self.span(TraceKind::Bwd, mb, stage, tr, t1);
+            }
+            None => self.span(TraceKind::Bwd, mb, stage, t0, t1),
+        }
+        Ok(())
+    }
+
+    /// Send the tensor in `key`'s slot to `peer`: a single `Send` and a
+    /// batch member alike.
+    fn send(&mut self, peer: u32, key: u32, iter: u32) -> Result<(), WorkerError> {
+        let (device, program) = (self.cfg.device, self.cfg.program);
+        let iteration = self.cfg.iter_base + iter;
+        if let FailurePlan::DropLink { src, dst, iteration: from } = self.cfg.failure {
+            let base = self.rank_base;
+            if base + device.0 == src && base + peer == dst && iteration >= from {
+                return Err(WorkerError::LinkDown { device, peer: DeviceId(peer), iteration });
+            }
+        }
+        let t0 = self.cfg.now();
+        self.stats.send += 1;
+        let missing = || WorkerError::MissingOutbound { device, tag: program.tag(key) };
+        let tensor = self.slots[key as usize].take().ok_or_else(missing)?;
+        self.fabric.send(peer as usize, Envelope { iter, key, tensor });
+        self.comm_span(TraceKind::Send, key, t0);
+        Ok(())
+    }
+
+    /// Receive message `key` into its slot: a single `Recv` and a batch
+    /// member alike.
+    fn recv(&mut self, key: u32, iter: u32) -> Result<(), WorkerError> {
+        let t0 = self.cfg.now();
+        self.stats.recv += 1;
+        let w0 = if self.metrics_on { hanayo_metrics::monotonic_nanos() } else { 0 };
+        let aborted = WorkerError::Aborted { device: self.cfg.device };
+        self.slots[key as usize] = Some(self.mailbox.recv(iter, key).ok_or(aborted)?);
+        if self.metrics_on {
+            hanayo_metrics::observe(
+                "hanayo_worker_mailbox_wait_ns",
+                &[("device", self.dev_label.as_str())],
+                hanayo_metrics::NANOS_BUCKETS,
+                hanayo_metrics::monotonic_nanos().saturating_sub(w0),
+            );
+        }
+        self.comm_span(TraceKind::Recv, key, t0);
+        Ok(())
+    }
+
+    fn comm_span(&mut self, kind: TraceKind, key: u32, t0: f64) {
+        if self.cfg.trace {
+            let tag = self.cfg.program.tag(key);
+            self.span(kind, Some(tag.mb.0), Some(tag.stage.0), t0, self.cfg.now());
+        }
+    }
+
+    /// The flush: per local stage, the optional all-reduce, then SGD, then
+    /// the accumulator and `Wᵀ` rebuilt in place.
+    fn step(&mut self, iter: u32) -> Result<(), WorkerError> {
+        let device = self.cfg.device;
+        for i in 0..self.locals.len() {
+            let (s, next) = (self.locals[i].stage, self.locals[i].next);
+            self.stats.optim += 1;
+            // The Optim spans cover only the local step work; the blocking
+            // all-reduce rendezvous is its own (comm-kind) span, so the wait
+            // is never double-counted as busy compute.
+            let t0 = self.cfg.now();
+            if next != self.cfg.program.micro_batches() as usize {
+                return Err(WorkerError::MissingSlotGradient { device, stage: StageId(s) });
+            }
+            let t1 = if let Some((rank, hub)) = self.cfg.dp {
+                self.stats.allreduce += 1;
+                let a0 = self.cfg.now();
+                self.span(TraceKind::Optim, None, Some(s), t0, a0);
+                let acc = std::mem::take(&mut self.locals[i].acc);
+                let acc =
+                    hub.try_allreduce(iter, s, rank, acc).ok_or(WorkerError::Aborted { device })?;
+                self.locals[i].acc = acc;
+                let a1 = self.cfg.now();
+                self.span(TraceKind::Allreduce, None, Some(s), a0, a1);
+                a1
+            } else {
+                t0
+            };
+            self.locals[i].apply(self.cfg.lr);
+            self.span(TraceKind::Optim, None, Some(s), t1, self.cfg.now());
+        }
+        Ok(())
+    }
 }
 
 /// Render a caught panic payload (strings are the overwhelmingly common
@@ -916,23 +904,6 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Deliver a produced tensor: keep it local when the consumer stage lives
-/// on this device, otherwise park it for the upcoming `Send` action.
-fn route(
-    schedule: &Schedule,
-    device: DeviceId,
-    tag: MsgTag,
-    tensor: Tensor,
-    local: &mut HashMap<MsgTag, Tensor>,
-    outbound: &mut HashMap<MsgTag, Tensor>,
-) {
-    if schedule.stage_map.device_of(tag.mb, tag.stage) == device {
-        local.insert(tag, tensor);
-    } else {
-        outbound.insert(tag, tensor);
-    }
-}
-
 fn apply_loss(loss: &LossKind, y: &Tensor, data: &IterationData, mb: MicroBatch) -> (f32, Tensor) {
     match loss {
         LossKind::Mse => mse(y, &data.targets[mb.idx()]),
@@ -940,14 +911,10 @@ fn apply_loss(loss: &LossKind, y: &Tensor, data: &IterationData, mb: MicroBatch)
     }
 }
 
-fn holds_last_stage(schedule: &Schedule, device: DeviceId) -> bool {
-    let last = StageId(schedule.stage_map.stages - 1);
-    schedule.stage_map.device_of(MicroBatch(0), last) == device
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hanayo_core::action::{Action, CommDir, CommOp, Payload};
 
     #[test]
     fn loss_kinds_apply() {
@@ -976,10 +943,10 @@ mod tests {
         }
         let bits = |g: &StageGrads| g.flat().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
 
-        let mut state = StageGradState::new(&stage, 3);
+        let mut state = LocalStage::new(0, stage.clone(), 3);
         let mut scratch = GradScratch::default();
-        let mut run = |state: &mut StageGradState, mb: usize| {
-            state.backward(&stage, &stashes[mb % 3], &dy, mb, &mut scratch).is_some()
+        let mut run = |state: &mut LocalStage, mb: usize| {
+            state.backward(&stashes[mb % 3], &dy, mb, &mut scratch).is_some()
         };
         assert!(run(&mut state, 2), "ahead of its turn: parked");
         assert!(!run(&mut state, 2), "parked twice");
@@ -990,14 +957,100 @@ mod tests {
         assert!(!run(&mut state, 0), "already accumulated");
         assert!(!run(&mut state, 3), "beyond the iteration");
 
-        state.reset(&stage);
+        state.apply(0.1);
+        let mut stepped = stage.clone();
+        stepped.sgd_step(&want, 0.1);
+        assert_eq!(state.module, stepped, "the step applies the accumulator");
         assert_eq!(state.next, 0);
         assert!(state.acc.flat().iter().all(|v| v.to_bits() == 0));
     }
 
+    /// Device 1 of DAPPLE at `P = 2`, `B = 1`, run alone for one
+    /// iteration with its action list edited by `edit` and the messages
+    /// `early` already waiting in its mailbox. Its sends land in device
+    /// 0's mailbox, which nothing reads.
+    fn run_device_1(edit: impl FnOnce(&mut Vec<Action>), early: &[MsgTag]) -> Option<WorkerError> {
+        use hanayo_core::config::{PipelineConfig, Scheme};
+        use hanayo_core::schedule::build_schedule;
+        use hanayo_tensor::rng::seeded;
+        let mut schedule =
+            build_schedule(&PipelineConfig::new(2, 1, Scheme::Dapple).unwrap()).unwrap();
+        edit(&mut schedule.lists[1].actions);
+        let program = Program::lower(&schedule).unwrap();
+        let data = [IterationData {
+            inputs: vec![Tensor::zeros(2, 4)],
+            targets: vec![Tensor::zeros(2, 4)],
+        }];
+        let (fab, mut boxes) = crate::mailbox::fabric(2, std::time::Duration::ZERO);
+        for &tag in early {
+            let key = program.key(tag).unwrap();
+            fab.send(1, Envelope { iter: 0, key, tensor: Tensor::zeros(2, 4) });
+        }
+        let cfg = WorkerConfig {
+            device: DeviceId(1),
+            program: &program,
+            modules: vec![(1, Stage::mlp(&mut seeded(3), 4, 1))],
+            data: &data,
+            loss: &LossKind::Mse,
+            lr: 0.1,
+            dp: None,
+            recompute: Recompute::None,
+            failure: FailurePlan::None,
+            iter_base: 0,
+            trace: false,
+            origin: Instant::now(),
+        };
+        run_worker(cfg, boxes.remove(1), fab).error
+    }
+
+    fn tag(mb: u32, stage: u32, payload: Payload) -> MsgTag {
+        MsgTag { mb: MicroBatch(mb), stage: StageId(stage), payload }
+    }
+
+    #[test]
+    fn occupied_slots_and_stashes_at_the_iteration_boundary_are_typed_errors() {
+        let input = tag(0, 1, Payload::Activation);
+        assert_eq!(run_device_1(|_| {}, &[input]), None, "the unedited list runs clean");
+
+        // A produced gradient never sent.
+        let unsent = |list: &mut Vec<Action>| {
+            list.retain(|a| !matches!(a, Action::Comm(op) if op.dir == CommDir::Send));
+        };
+        assert_eq!(
+            run_device_1(unsent, &[input]),
+            Some(WorkerError::SlotNotDrained {
+                device: DeviceId(1),
+                tag: tag(0, 0, Payload::Gradient)
+            })
+        );
+
+        // A received tensor nothing consumes.
+        let stray = tag(0, 0, Payload::Activation);
+        let extra_recv = |list: &mut Vec<Action>| {
+            let op = CommOp { dir: CommDir::Recv, peer: DeviceId(0), tag: stray };
+            list.insert(list.len() - 1, Action::Comm(op));
+        };
+        let err = run_device_1(extra_recv, &[input, stray]).unwrap();
+        assert_eq!(err, WorkerError::SlotNotDrained { device: DeviceId(1), tag: stray });
+        assert_eq!(err.to_string(), "P1: message act:mb0@S0 never sent or consumed");
+
+        // A forward whose backward never runs (and no flush to trip first).
+        let no_backward = |list: &mut Vec<Action>| list.truncate(2);
+        let err = run_device_1(no_backward, &[input]).unwrap();
+        assert_eq!(
+            err,
+            WorkerError::StashNotDrained {
+                device: DeviceId(1),
+                mb: MicroBatch(0),
+                stage: StageId(1)
+            }
+        );
+        assert_eq!(err.to_string(), "P1: stash of mb0 S1 never consumed");
+    }
+
     #[test]
     fn worker_error_display_names_device_and_op() {
-        let tag = MsgTag { mb: MicroBatch(3), stage: StageId(1), payload: Payload::Activation };
+        let tag = tag(3, 1, Payload::Activation);
         let e = WorkerError::MissingInput { device: DeviceId(2), tag };
         assert_eq!(e.to_string(), "P2: forward found no input act:mb3@S1");
         assert_eq!(e.device(), Some(DeviceId(2)));

@@ -16,22 +16,24 @@
 //! ## The fast path
 //!
 //! This engine is the hot loop of the auto-tuner's strategy sweep, so the
-//! per-event bookkeeping avoids hashing entirely. A schedule is first
-//! *compiled*: every `(mb, stage, payload)` message tag becomes a dense
-//! integer, every action becomes a fixed-size opcode with pre-resolved tag
-//! keys, and the §4.2 prefetch scanner's receive-group windows are
-//! extracted once per `(schedule, options)` pair instead of being rescanned
-//! at every compute start. Rendezvous state (`send/recv posted`,
-//! `scheduled`, `arrived`) then lives in flat vectors indexed by
-//! `device · ntags + tag`, and link FIFO cursors in dense per-pair tables.
-//! [`crate::reference::simulate_reference`] keeps the seed `HashMap`
-//! implementation as the test oracle: the cross-engine tests here and in
-//! `tests/engine_equivalence.rs` pin the two bit-identical.
+//! per-event bookkeeping avoids hashing entirely. It executes the
+//! schedule's [`Program`] — the lowering the threaded runtime executes too:
+//! every `(mb, stage, payload)` message tag is a dense key and every action
+//! a fixed-size opcode. On top of it the §4.2 prefetch scanner's
+//! receive-group windows are extracted once per `(schedule, options)` pair
+//! instead of being rescanned at every compute start. Rendezvous state
+//! (`send/recv posted`, `scheduled`, `arrived`) then lives in flat vectors
+//! indexed by `device · keys + key`, and link FIFO cursors in dense
+//! per-pair tables. [`crate::reference::simulate_reference`] keeps the seed
+//! `HashMap` implementation over the action lists as the test oracle: the
+//! cross-engine tests here and in `tests/engine_equivalence.rs` pin the two
+//! bit-identical.
 
 use crate::report::{SimReport, SimSpan};
 use hanayo_analyze::device_bytes;
 use hanayo_cluster::ClusterSpec;
-use hanayo_core::action::{Action, CommDir, MsgTag, Payload, Schedule};
+use hanayo_core::action::Schedule;
+use hanayo_core::program::{Op, Program, ProgramError};
 use hanayo_model::CostTable;
 use hanayo_trace::{Trace, TraceEvent, TraceKind};
 use serde::{Deserialize, Serialize};
@@ -254,154 +256,13 @@ enum DevState {
     Computing,
     /// Blocked on the message with this flat tag key.
     WaitRecv(u32),
-    /// Blocked in the batch whose members are `batch_ops[start..end]`.
+    /// Blocked in the batch whose members are `members(start, end)`.
     WaitBatch(u32, u32),
     Done,
 }
 
-/// One compiled instruction: an [`Action`] with tags resolved to flat keys
-/// and batched members flattened into side arrays.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Op {
-    Compute {
-        mb: u32,
-        stage: u32,
-        backward: bool,
-    },
-    Send {
-        peer: u32,
-        key: u32,
-    },
-    Recv {
-        key: u32,
-    },
-    /// Members are `batch_ops[start..end]`.
-    Batch {
-        start: u32,
-        end: u32,
-    },
-    Step,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct BatchMember {
-    recv: bool,
-    peer: u32,
-    key: u32,
-}
-
-/// A schedule lowered for the fast path: dense tag keys, opcode lists, and
-/// the prefetch scanner's receive-group windows extracted once.
-#[derive(PartialEq, Eq)]
-struct Compiled {
-    /// Dense tag-space size: `micro_batches · stages · 2`.
-    ntags: usize,
-    /// Opcode list per device.
-    ops: Vec<Vec<Op>>,
-    /// Flattened `BatchedComm` members, referenced by `Op::Batch` ranges.
-    batch_ops: Vec<BatchMember>,
-    /// Per device, per action index: `prefetch_keys[start..end]` are the
-    /// receive tags the §4.2 scanner would post at that program counter.
-    /// Only indices that can follow a compute are populated.
-    prefetch: Vec<Vec<(u32, u32)>>,
-    /// Flat storage for the prefetch windows, in exact scan order.
-    prefetch_keys: Vec<u32>,
-}
-
-fn tag_key(tag: MsgTag, stages: u32) -> u32 {
-    let payload = match tag.payload {
-        Payload::Activation => 0,
-        Payload::Gradient => 1,
-    };
-    (tag.mb.0 * stages + tag.stage.0) * 2 + payload
-}
-
-fn compile(schedule: &Schedule, opts: &SimOptions) -> Compiled {
-    let stages = schedule.stage_map.stages;
-    let ntags = (schedule.config.micro_batches * stages * 2) as usize;
-    let key = |tag: MsgTag| -> u32 {
-        let k = tag_key(tag, stages);
-        assert!((k as usize) < ntags, "tag {tag} outside the schedule's tag space");
-        k
-    };
-
-    let mut batch_ops = Vec::new();
-    let mut prefetch_keys = Vec::new();
-    let mut ops = Vec::with_capacity(schedule.lists.len());
-    let mut prefetch = Vec::with_capacity(schedule.lists.len());
-
-    for list in &schedule.lists {
-        let compiled: Vec<Op> = list
-            .actions
-            .iter()
-            .map(|action| match action {
-                Action::Forward { mb, stage } => {
-                    Op::Compute { mb: mb.0, stage: stage.0, backward: false }
-                }
-                Action::Backward { mb, stage } => {
-                    Op::Compute { mb: mb.0, stage: stage.0, backward: true }
-                }
-                Action::Comm(op) => match op.dir {
-                    CommDir::Send => Op::Send { peer: op.peer.0, key: key(op.tag) },
-                    CommDir::Recv => Op::Recv { key: key(op.tag) },
-                },
-                Action::BatchedComm(members) => {
-                    let start = batch_ops.len() as u32;
-                    batch_ops.extend(members.iter().map(|op| BatchMember {
-                        recv: op.dir == CommDir::Recv,
-                        peer: op.peer.0,
-                        key: key(op.tag),
-                    }));
-                    Op::Batch { start, end: batch_ops.len() as u32 }
-                }
-                Action::OptimizerStep => Op::Step,
-            })
-            .collect();
-
-        // Precompute the §4.2 scan for every program counter a compute can
-        // leave behind (prefetch fires at `pc + 1` of a compute action),
-        // replicating the reference scanner exactly: single receives and
-        // batches each count as one group — a batch even when it contains
-        // no receive — and members are posted in op order.
-        let mut windows = vec![(0u32, 0u32); list.actions.len() + 1];
-        for (i, window) in windows.iter_mut().enumerate() {
-            if i == 0 || !list.actions[i - 1].is_compute() {
-                continue;
-            }
-            let start = prefetch_keys.len() as u32;
-            let mut groups = 0usize;
-            for action in list.actions.iter().skip(i).take(opts.lookahead_window) {
-                match action {
-                    Action::Comm(op) if op.dir == CommDir::Recv => {
-                        prefetch_keys.push(key(op.tag));
-                        groups += 1;
-                    }
-                    Action::BatchedComm(members) => {
-                        prefetch_keys.extend(
-                            members
-                                .iter()
-                                .filter(|op| op.dir == CommDir::Recv)
-                                .map(|op| key(op.tag)),
-                        );
-                        groups += 1;
-                    }
-                    _ => {}
-                }
-                if groups >= opts.recv_lookahead {
-                    break;
-                }
-            }
-            *window = (start, prefetch_keys.len() as u32);
-        }
-
-        ops.push(compiled);
-        prefetch.push(windows);
-    }
-
-    Compiled { ntags, ops, batch_ops, prefetch, prefetch_keys }
-}
-
-/// A schedule lowered once for repeated simulation.
+/// A schedule lowered once for repeated simulation: its [`Program`] plus
+/// the §4.2 prefetch scanner's receive-group windows.
 ///
 /// [`try_simulate_traced`] re-lowers its schedule on every call; inside a
 /// tuner sweep the same `(schedule, lookahead options)` pair is simulated under
@@ -420,10 +281,17 @@ fn compile(schedule: &Schedule, opts: &SimOptions) -> Compiled {
 /// `CompiledSchedule` is valid for every `SimOptions` agreeing on those
 /// two (e.g. prefetch on/off share a lowering). [`try_simulate_compiled`]
 /// rejects a mismatched reuse with [`SimError::StaleCompile`] rather than
-/// silently simulating the wrong prefetch plan.
+/// silently simulating the wrong prefetch plan. A schedule that does not
+/// lower compiles to its [`ProgramError`], which every simulation through
+/// it returns as [`SimError::Program`].
 pub struct CompiledSchedule {
-    inner: Compiled,
-    devices: usize,
+    program: Result<Program, ProgramError>,
+    /// Per device, per program counter: `prefetch_keys[start..end]` are
+    /// the receive keys the §4.2 scanner would post at that counter. Only
+    /// counters that can follow a compute are populated.
+    prefetch: Vec<Vec<(u32, u32)>>,
+    /// Flat storage for the prefetch windows, in exact scan order.
+    prefetch_keys: Vec<u32>,
     recv_lookahead: usize,
     lookahead_window: usize,
 }
@@ -445,7 +313,15 @@ impl CompiledSchedule {
     /// uses this to collapse lookahead ablations that lowered to the same
     /// plan into a single simulation.
     pub fn same_lowering(&self, other: &CompiledSchedule) -> bool {
-        self.devices == other.devices && self.inner == other.inner
+        self.program == other.program
+            && self.prefetch == other.prefetch
+            && self.prefetch_keys == other.prefetch_keys
+    }
+
+    /// The lowered program the simulation runs, or why the schedule did
+    /// not lower.
+    pub fn program(&self) -> Result<&Program, &ProgramError> {
+        self.program.as_ref()
     }
 }
 
@@ -453,22 +329,65 @@ impl CompiledSchedule {
 /// Only `opts.recv_lookahead` / `opts.lookahead_window` are consumed here;
 /// see [`CompiledSchedule`] for the reuse contract.
 pub fn compile_schedule(schedule: &Schedule, opts: &SimOptions) -> CompiledSchedule {
+    let program = Program::lower(schedule);
+    let (mut prefetch, mut prefetch_keys) = (Vec::new(), Vec::new());
+    if let Ok(program) = &program {
+        for ops in program.ops() {
+            // Precompute the §4.2 scan for every program counter a compute can
+            // leave behind (prefetch fires at `pc + 1` of a compute op),
+            // replicating the reference scanner exactly: single receives and
+            // batches each count as one group — a batch even when it contains
+            // no receive — and members are posted in op order.
+            let mut windows = vec![(0u32, 0u32); ops.len() + 1];
+            for (i, window) in windows.iter_mut().enumerate() {
+                if i == 0 || !matches!(ops[i - 1], Op::Compute { .. }) {
+                    continue;
+                }
+                let start = prefetch_keys.len() as u32;
+                let mut groups = 0usize;
+                for op in ops.iter().skip(i).take(opts.lookahead_window) {
+                    match *op {
+                        Op::Recv { key } => {
+                            prefetch_keys.push(key);
+                            groups += 1;
+                        }
+                        Op::Batch { start, end } => {
+                            prefetch_keys.extend(
+                                program.members(start, end).iter().filter_map(Op::recv_key),
+                            );
+                            groups += 1;
+                        }
+                        _ => {}
+                    }
+                    if groups >= opts.recv_lookahead {
+                        break;
+                    }
+                }
+                *window = (start, prefetch_keys.len() as u32);
+            }
+            prefetch.push(windows);
+        }
+    }
     CompiledSchedule {
-        inner: compile(schedule, opts),
-        devices: schedule.lists.len(),
+        program,
+        prefetch,
+        prefetch_keys,
         recv_lookahead: opts.recv_lookahead,
         lookahead_window: opts.lookahead_window,
     }
 }
 
 struct Engine<'a> {
-    compiled: &'a Compiled,
+    compiled: &'a CompiledSchedule,
+    program: &'a Program,
     cost: &'a CostTable,
     cluster: &'a ClusterSpec,
     opts: SimOptions,
 
     p: usize,
     nodes: usize,
+    /// Key-space size: rendezvous slot `device · keys + key`.
+    keys: usize,
 
     pc: Vec<usize>,
     state: Vec<DevState>,
@@ -497,9 +416,6 @@ struct Engine<'a> {
     cur_mem: Vec<u64>,
     peak_mem: Vec<u64>,
 
-    /// Stage count, for decoding flat tag keys back into `(mb, stage)`
-    /// when lowering transfers into trace events.
-    stages: u32,
     /// Trace events accumulated when `opts.trace` is set (empty, never
     /// touched, otherwise).
     trace_events: Vec<TraceEvent>,
@@ -512,7 +428,7 @@ struct Engine<'a> {
 impl<'a> Engine<'a> {
     #[inline]
     fn slot(&self, dev: usize, key: u32) -> usize {
-        dev * self.compiled.ntags + key as usize
+        dev * self.keys + key as usize
     }
 
     fn push_event(&mut self, t: f64, ev: Ev) {
@@ -551,7 +467,8 @@ impl<'a> Engine<'a> {
             // Lower the rendezvous transfer: the send occupies the link on
             // the source; the receive spans transfer start to arrival on
             // the destination.
-            let (mb, stage) = self.decode_tag(key);
+            let tag = self.program.tag(key);
+            let (mb, stage) = (Some(tag.mb.0), Some(tag.stage.0));
             self.trace_events.push(TraceEvent {
                 device: src as u32,
                 kind: TraceKind::Send,
@@ -570,13 +487,6 @@ impl<'a> Engine<'a> {
             });
         }
         self.push_event(free + occupancy + link.latency, Ev::Arrived { dst: dst as u32, key });
-    }
-
-    /// Invert [`tag_key`]: flat key → `(mb, stage)`.
-    #[inline]
-    fn decode_tag(&self, key: u32) -> (Option<u32>, Option<u32>) {
-        let pair = key / 2;
-        (Some(pair / self.stages), Some(pair % self.stages))
     }
 
     fn post_recv(&mut self, dst: usize, key: u32, now: f64) {
@@ -625,17 +535,19 @@ impl<'a> Engine<'a> {
 
     #[inline]
     fn batch_recvs_arrived(&self, d: usize, start: u32, end: u32) -> bool {
-        self.compiled.batch_ops[start as usize..end as usize]
+        self.program
+            .members(start, end)
             .iter()
-            .filter(|m| m.recv)
-            .all(|m| self.slot_flags[d * self.compiled.ntags + m.key as usize] & SLOT_ARRIVED != 0)
+            .filter_map(Op::recv_key)
+            .all(|key| self.slot_flags[self.slot(d, key)] & SLOT_ARRIVED != 0)
     }
 
     /// Run device `d` forward from its program counter until it blocks,
     /// starts a compute, or finishes.
     fn advance(&mut self, d: usize, now: f64) {
+        let program = self.program;
         loop {
-            let ops = &self.compiled.ops[d];
+            let ops = &program.ops()[d];
             if self.pc[d] >= ops.len() {
                 if self.state[d] != DevState::Done {
                     self.state[d] = DevState::Done;
@@ -664,12 +576,11 @@ impl<'a> Engine<'a> {
                     }
                 }
                 Op::Batch { start, end } => {
-                    for i in start as usize..end as usize {
-                        let m = self.compiled.batch_ops[i];
-                        if m.recv {
-                            self.post_recv(d, m.key, now);
-                        } else {
-                            self.post_send(d, m.peer as usize, m.key, now);
+                    for member in program.members(start, end) {
+                        match *member {
+                            Op::Send { peer, key } => self.post_send(d, peer as usize, key, now),
+                            Op::Recv { key } => self.post_recv(d, key, now),
+                            _ => {}
                         }
                     }
                     if self.batch_recvs_arrived(d, start, end) {
@@ -790,6 +701,9 @@ pub enum SimError {
         /// `(recv_lookahead, lookahead_window)` requested at simulation.
         requested: (usize, usize),
     },
+    /// The schedule does not lower to a [`Program`]: an action's tag lies
+    /// outside its key space.
+    Program(ProgramError),
 }
 
 impl fmt::Display for SimError {
@@ -812,6 +726,7 @@ impl fmt::Display for SimError {
                      {compiled:?} but simulation requested {requested:?}"
                 )
             }
+            SimError::Program(e) => write!(f, "schedule does not lower: {e}"),
         }
     }
 }
@@ -828,8 +743,9 @@ impl From<NumericsError> for SimError {
 /// from `cost`, lowering the run into a [`Trace`] when `opts.trace` is set
 /// (`None` otherwise). The cluster must have exactly the pipeline's device
 /// count, and all costs/link characteristics must pass
-/// [`validate_numerics`]; malformed shapes, non-finite inputs and
-/// deadlocking schedules come back as a [`SimError`]. The report is
+/// [`validate_numerics`]; malformed shapes, non-finite inputs, schedules
+/// that do not lower and deadlocking schedules come back as a
+/// [`SimError`]. The report is
 /// bit-identical to an untraced run, and the trace's makespan equals the
 /// report's `iteration_time` exactly — the `trace_truth` suite pins both
 /// across every golden scheme.
@@ -841,8 +757,7 @@ pub fn try_simulate_traced(
 ) -> Result<(SimReport, Option<Trace>), SimError> {
     check_shapes(schedule, cost, cluster)?;
     validate_numerics(cost, cluster, &opts)?;
-    let compiled = compile(schedule, &opts);
-    run_compiled(&compiled, schedule, cost, cluster, opts)
+    run_compiled(&compile_schedule(schedule, &opts), schedule, cost, cluster, opts)
 }
 
 /// [`try_simulate_traced`] against a pre-lowered schedule, without a
@@ -859,7 +774,9 @@ pub fn try_simulate_compiled(
     cluster: &ClusterSpec,
     opts: SimOptions,
 ) -> Result<SimReport, SimError> {
-    if !compiled.matches(&opts) || compiled.devices != schedule.lists.len() {
+    let other_schedule =
+        compiled.program.as_ref().is_ok_and(|p| p.ops().len() != schedule.lists.len());
+    if !compiled.matches(&opts) || other_schedule {
         return Err(SimError::StaleCompile {
             compiled: (compiled.recv_lookahead, compiled.lookahead_window),
             requested: (opts.recv_lookahead, opts.lookahead_window),
@@ -867,7 +784,7 @@ pub fn try_simulate_compiled(
     }
     check_shapes(schedule, cost, cluster)?;
     validate_numerics(cost, cluster, &opts)?;
-    run_compiled(&compiled.inner, schedule, cost, cluster, opts).map(|(report, _)| report)
+    run_compiled(compiled, schedule, cost, cluster, opts).map(|(report, _)| report)
 }
 
 fn check_shapes(
@@ -890,7 +807,7 @@ fn check_shapes(
 
 /// Event-loop body shared by the per-call and pre-compiled entries.
 fn run_compiled(
-    compiled: &Compiled,
+    compiled: &CompiledSchedule,
     schedule: &Schedule,
     cost: &CostTable,
     cluster: &ClusterSpec,
@@ -900,15 +817,19 @@ fn run_compiled(
     let weight_mem = device_bytes(&schedule.stage_map, &cost.weight_bytes);
     let grad_mem = device_bytes(&schedule.stage_map, &cost.grad_bytes);
     let nodes = cluster.node.iter().copied().max().unwrap_or(0) as usize + 1;
-    let slots = p * compiled.ntags;
+    let program = compiled.program.as_ref().map_err(|e| SimError::Program(*e))?;
+    let keys = program.keys();
+    let slots = p * keys;
 
     let mut eng = Engine {
         compiled,
+        program,
         cost,
         cluster,
         opts,
         p,
         nodes,
+        keys,
         pc: vec![0; p],
         state: vec![DevState::Idle; p],
         block_start: vec![0.0; p],
@@ -926,7 +847,6 @@ fn run_compiled(
         spans: (0..p).map(|_| Vec::new()).collect(),
         cur_mem: weight_mem.clone(),
         peak_mem: weight_mem.clone(),
-        stages: schedule.stage_map.stages,
         trace_events: Vec::new(),
         stalls: 0,
     };

@@ -1,8 +1,10 @@
 //! # hanayo-sim
 //!
 //! A discrete-event simulator that executes a frozen
-//! [`hanayo_core::action::Schedule`] against a
-//! [`hanayo_cluster::ClusterSpec`] and a [`hanayo_model::CostTable`].
+//! [`hanayo_core::action::Schedule`] — lowered to the
+//! [`hanayo_core::program::Program`] the threaded runtime executes too —
+//! against a [`hanayo_cluster::ClusterSpec`] and a
+//! [`hanayo_model::CostTable`].
 //!
 //! The engine models exactly the mechanisms the paper's §4 runtime exploits:
 //!

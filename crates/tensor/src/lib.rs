@@ -27,7 +27,6 @@
 
 pub mod loss;
 pub mod ops;
-pub mod optim;
 pub mod rng;
 pub mod stage;
 pub mod tensor;

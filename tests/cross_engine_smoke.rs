@@ -10,15 +10,28 @@
 //! a whole number of units and `iteration_time` equals the abstract
 //! makespan. Any scheduler or engine change that skews dependency handling
 //! between the two engines breaks these tests.
+//!
+//! The simulator and the threaded runtime execute one lowering of a
+//! schedule, `hanayo_core::program::Program`: the last two tests pin that
+//! the simulator's compiled form is that program, and that a schedule
+//! outside its own key space is the same typed refusal from both engines.
 
 use hanayo::analyze::verify;
 use hanayo::cluster::topology::ClusterSpec;
 use hanayo::cluster::{GpuModel, Link, LinkClass};
+use hanayo::core::action::{Action, CommDir};
 use hanayo::core::config::{PipelineConfig, Scheme};
 use hanayo::core::gantt::replay_timeline;
+use hanayo::core::ids::{DeviceId, MicroBatch};
+use hanayo::core::program::{Program, ProgramError};
 use hanayo::core::schedule::{build_compute_schedule, build_schedule};
+use hanayo::model::builders::MicroModel;
 use hanayo::model::CostTable;
-use hanayo::sim::{try_simulate_traced, SimOptions};
+use hanayo::runtime::trainer::{synthetic_data, try_train, TrainerConfig};
+use hanayo::runtime::{LossKind, WorkerError};
+use hanayo::sim::{
+    compile_schedule, try_simulate_compiled, try_simulate_traced, SimError, SimOptions,
+};
 
 /// A `p`-device cluster where communication is free and every device
 /// computes at the same speed.
@@ -103,4 +116,62 @@ fn hanayo_two_wave_sim_matches_replay() {
 #[test]
 fn hanayo_four_wave_sim_matches_replay() {
     check_scheme(Scheme::Hanayo { waves: 4 });
+}
+
+#[test]
+fn the_simulator_runs_the_lowered_program() {
+    for scheme in [
+        Scheme::GPipe,
+        Scheme::Dapple,
+        Scheme::Interleaved { chunks: 2 },
+        Scheme::Chimera,
+        Scheme::Hanayo { waves: 1 },
+        Scheme::Hanayo { waves: 2 },
+        Scheme::Hanayo { waves: 4 },
+    ] {
+        let schedule = build_schedule(&PipelineConfig::new(8, 8, scheme).unwrap()).unwrap();
+        let compiled = compile_schedule(&schedule, &SimOptions::default());
+        assert_eq!(compiled.program(), Ok(&Program::lower(&schedule).unwrap()), "{scheme}");
+    }
+}
+
+#[test]
+fn a_tag_outside_the_key_space_is_refused_by_both_engines() {
+    // DAPPLE at P = 2, B = 2 with device 0's first send and its matching
+    // receive on device 1 retagged to micro-batch 99.
+    let mut schedule = build_schedule(&PipelineConfig::new(2, 2, Scheme::Dapple).unwrap()).unwrap();
+    let send = |a: &Action| matches!(a, Action::Comm(op) if op.dir == CommDir::Send);
+    let action = schedule.lists[0].actions.iter().position(send).unwrap();
+    let Action::Comm(op) = &mut schedule.lists[0].actions[action] else { unreachable!() };
+    let original = op.tag;
+    op.tag.mb = MicroBatch(99);
+    let tag = op.tag;
+    let recv = schedule.lists[1]
+        .actions
+        .iter_mut()
+        .find_map(|a| match a {
+            Action::Comm(op) if op.dir == CommDir::Recv && op.tag == original => Some(op),
+            _ => None,
+        })
+        .unwrap();
+    recv.tag = tag;
+    let expected = ProgramError { device: DeviceId(0), action, tag };
+
+    let cluster = ideal_cluster(2);
+    let cost = unit_costs(&cluster, 2);
+    let opts = SimOptions::default();
+    let traced = try_simulate_traced(&schedule, &cost, &cluster, opts).unwrap_err();
+    assert_eq!(traced, SimError::Program(expected));
+    let compiled = compile_schedule(&schedule, &opts);
+    assert_eq!(compiled.program(), Err(&expected));
+    let reused = try_simulate_compiled(&compiled, &schedule, &cost, &cluster, opts).unwrap_err();
+    assert_eq!(reused, SimError::Program(expected));
+    assert!(reused.to_string().contains("act:mb99@S1"), "{reused}");
+
+    let stages = MicroModel { width: 4, total_blocks: 2, seed: 1 }.build_stages(2);
+    let trainer = TrainerConfig::new(schedule, stages, 0.05, LossKind::Mse);
+    let err = try_train(&trainer, &synthetic_data(1, 1, 2, 2, 4)).unwrap_err();
+    assert_eq!(err.primary, WorkerError::Program(expected));
+    assert_eq!(err.failures, [(0, WorkerError::Program(expected))], "no worker ran");
+    assert!(err.checkpoint.is_none());
 }
