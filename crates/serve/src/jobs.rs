@@ -7,7 +7,7 @@ use crate::state::lock;
 use hanayo_core::abort::AbortFlag;
 use hanayo_sim::TuneProgress;
 use serde::Serialize;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -115,6 +115,12 @@ impl Job {
     }
 }
 
+/// Most finished (done, failed or cancelled) jobs kept queryable. Beyond
+/// this the oldest finished job is dropped, and its id answers the same
+/// 404 an unknown id gets; a running job is never dropped. A full wide
+/// table is ≈ 120 KB, so this bounds what a resident host keeps.
+pub(crate) const MAX_FINISHED_JOBS: usize = 64;
+
 /// The job table: id allocation, submission dedup, worker handles for
 /// the drain.
 #[derive(Default)]
@@ -123,6 +129,8 @@ pub struct JobRegistry {
     jobs: Mutex<HashMap<u64, Arc<Job>>>,
     /// Running jobs by request key, for submission dedup.
     by_key: Mutex<HashMap<String, u64>>,
+    /// Finished job ids, oldest first, for the [`MAX_FINISHED_JOBS`] cap.
+    finished: Mutex<VecDeque<u64>>,
     workers: Mutex<Vec<JoinHandle<()>>>,
 }
 
@@ -162,16 +170,30 @@ impl JobRegistry {
     }
 
     /// Record a worker thread so [`JobRegistry::drain`] can join it.
+    /// Handles of workers that already exited are let go here, since
+    /// there is nothing left to join.
     pub fn track_worker(&self, handle: JoinHandle<()>) {
-        lock(&self.workers).push(handle);
+        let mut workers = lock(&self.workers);
+        workers.retain(|h| !h.is_finished());
+        workers.push(handle);
     }
 
     /// Worker-side: a job reached a terminal state — stop routing new
-    /// submissions of its key to it.
+    /// submissions of its key to it, and count it among the finished
+    /// jobs, dropping the oldest beyond `MAX_FINISHED_JOBS` (64).
     pub fn retire_key(&self, key: &str, id: u64) {
-        let mut by_key = lock(&self.by_key);
-        if by_key.get(key) == Some(&id) {
-            by_key.remove(key);
+        {
+            let mut by_key = lock(&self.by_key);
+            if by_key.get(key) == Some(&id) {
+                by_key.remove(key);
+            }
+        }
+        let mut finished = lock(&self.finished);
+        finished.push_back(id);
+        while finished.len() > MAX_FINISHED_JOBS {
+            if let Some(oldest) = finished.pop_front() {
+                lock(&self.jobs).remove(&oldest);
+            }
         }
     }
 
@@ -251,6 +273,26 @@ mod tests {
         assert_ne!(first.job.id, second.job.id);
         // The finished job stays queryable by id.
         assert_eq!(reg.get(first.job.id).expect("kept").state(), first.job.state());
+    }
+
+    #[test]
+    fn only_the_newest_finished_jobs_are_kept() {
+        let reg = JobRegistry::default();
+        let running = reg.submit("running");
+        let ids: Vec<u64> = (0..=MAX_FINISHED_JOBS)
+            .map(|i| {
+                let key = format!("req-{i}");
+                let job = reg.submit(&key).job;
+                job.finish(JobState::Done(format!("body-{i}")));
+                reg.retire_key(&key, job.id);
+                job.id
+            })
+            .collect();
+        assert!(reg.get(ids[0]).is_none(), "the oldest finished job must be dropped");
+        let last = reg.get(ids[MAX_FINISHED_JOBS]).expect("newest finished job kept");
+        assert_eq!(last.state(), JobState::Done(format!("body-{MAX_FINISHED_JOBS}")));
+        assert!(ids[1..].iter().all(|&id| reg.get(id).is_some()));
+        assert_eq!(reg.get(running.job.id).expect("running job kept").state(), JobState::Running);
     }
 
     #[test]

@@ -750,6 +750,26 @@ mod tests {
     }
 
     #[test]
+    fn a_dropped_finished_job_answers_like_an_unknown_one() {
+        let shared = Shared::new("127.0.0.1:0".parse().expect("addr"));
+        let get = |path: String| {
+            let req = Request { method: "GET".into(), path, headers: Vec::new(), body: Vec::new() };
+            let resp = handle_jobs(&shared, &req);
+            (resp.status, String::from_utf8(resp.body).expect("utf-8"))
+        };
+        let last = crate::jobs::MAX_FINISHED_JOBS as u64 + 1;
+        for id in 1..=last {
+            let job = shared.jobs.submit("req").job;
+            assert_eq!(job.id, id);
+            job.finish(JobState::Done(format!("body-{id}")));
+            shared.jobs.retire_key(&job.key, job.id);
+        }
+        assert_eq!(get("/v1/jobs/1/result".into()), (404, error_body("no job 1")));
+        assert_eq!(get("/v1/jobs/1".into()), (404, error_body("no job 1")));
+        assert_eq!(get(format!("/v1/jobs/{last}/result")), (200, format!("body-{last}")));
+    }
+
+    #[test]
     fn a_panicking_worker_gives_back_its_slot_and_its_stream_entry() {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
         let addr = listener.local_addr().expect("addr");

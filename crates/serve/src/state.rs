@@ -8,8 +8,11 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 /// Most `(model, cluster)` configurations whose caches stay resident at
-/// once; least-recently-created beyond this are dropped. Each retained
-/// configuration's caches are themselves bounded (see [`CACHE_ENTRIES`]).
+/// once. Beyond this the least recently *used* one is dropped (every
+/// [`ServeState::caches_for`] hit refreshes a config's recency), so hot
+/// configurations stay resident while a cold tail cycles through the
+/// other slots. Each retained configuration's caches are themselves
+/// bounded (see [`CACHE_ENTRIES`]).
 const MAX_CONFIGS: usize = 8;
 /// Per-cache entry bound inside one configuration's [`SweepCaches`].
 const CACHE_ENTRIES: usize = 4096;
@@ -102,17 +105,19 @@ impl InFlight {
     }
 }
 
-/// One retained configuration's caches plus its admission order.
+/// One retained configuration's caches plus when it was last used.
 struct ConfigEntry {
     caches: Arc<SweepCaches>,
-    admitted: u64,
+    last_used: u64,
 }
 
 /// The service's shared state: sweep caches per configuration
 /// fingerprint, the in-flight dedup table, and the drain flag.
 pub struct ServeState {
     configs: Mutex<HashMap<u64, ConfigEntry>>,
-    admissions: AtomicU64,
+    /// Recency clock: one tick per [`ServeState::caches_for`] call, read
+    /// and advanced under the `configs` lock.
+    uses: AtomicU64,
     /// Synchronous-tune dedup.
     pub inflight: InFlight,
     /// Set when the server starts draining: new work is refused with 503
@@ -124,7 +129,7 @@ impl Default for ServeState {
     fn default() -> ServeState {
         ServeState {
             configs: Mutex::new(HashMap::new()),
-            admissions: AtomicU64::new(0),
+            uses: AtomicU64::new(0),
             inflight: InFlight::default(),
             draining: AtomicBool::new(false),
         }
@@ -132,23 +137,28 @@ impl Default for ServeState {
 }
 
 impl ServeState {
-    /// The shared [`SweepCaches`] for a configuration fingerprint,
-    /// creating (and, beyond `MAX_CONFIGS`, evicting the oldest) as
-    /// needed. Callers clone the `Arc`, so an evicted configuration's
-    /// caches stay alive for requests already holding them.
+    /// The shared [`SweepCaches`] for a configuration fingerprint. A hit
+    /// marks the configuration most recently used; a miss creates its
+    /// caches and, beyond `MAX_CONFIGS` (8), first drops the least recently
+    /// used configuration (counted in `hanayo_serve_cache_evictions_total`).
+    /// Callers clone the `Arc`, so an evicted configuration's caches stay
+    /// alive for requests already holding them.
     pub fn caches_for(&self, config_key: u64) -> Arc<SweepCaches> {
         let mut configs = lock(&self.configs);
-        if let Some(entry) = configs.get(&config_key) {
+        let now = self.uses.fetch_add(1, Ordering::Relaxed);
+        if let Some(entry) = configs.get_mut(&config_key) {
+            entry.last_used = now;
             return Arc::clone(&entry.caches);
         }
         if configs.len() >= MAX_CONFIGS {
-            if let Some(oldest) = configs.iter().min_by_key(|(_, e)| e.admitted).map(|(k, _)| *k) {
-                configs.remove(&oldest);
+            let coldest = configs.iter().min_by_key(|(_, e)| e.last_used).map(|(k, _)| *k);
+            if let Some(coldest) = coldest {
+                configs.remove(&coldest);
+                hanayo_metrics::counter_add("hanayo_serve_cache_evictions_total", &[], 1);
             }
         }
         let caches = Arc::new(SweepCaches::bounded(CACHE_ENTRIES));
-        let admitted = self.admissions.fetch_add(1, Ordering::Relaxed);
-        configs.insert(config_key, ConfigEntry { caches: Arc::clone(&caches), admitted });
+        configs.insert(config_key, ConfigEntry { caches: Arc::clone(&caches), last_used: now });
         caches
     }
 
@@ -185,6 +195,9 @@ mod tests {
 
     #[test]
     fn config_registry_evicts_the_oldest_beyond_the_cap() {
+        // The only test here that evicts, so it owns the eviction counter.
+        hanayo_metrics::reset();
+        hanayo_metrics::set_enabled(true);
         let state = ServeState::default();
         let first = state.caches_for(0);
         for key in 1..=MAX_CONFIGS as u64 {
@@ -195,6 +208,31 @@ mod tests {
         assert!(!Arc::ptr_eq(&first, &again), "evicted config must be rebuilt");
         // The clone taken before eviction still works.
         assert_eq!(first.entries(), 0);
+
+        // Recency, not admission, decides: fill the registry with keys
+        // 100.., touch the first-admitted after the others, then admit a
+        // ninth. The touched config survives; the least recently touched
+        // one (101) is the one rebuilt.
+        let state = ServeState::default();
+        let keys: Vec<u64> = (100..100 + MAX_CONFIGS as u64).collect();
+        let held: Vec<_> = keys.iter().map(|&k| state.caches_for(k)).collect();
+        assert!(Arc::ptr_eq(&state.caches_for(keys[0]), &held[0]), "a hit returns the caches");
+        state.caches_for(999);
+        assert!(Arc::ptr_eq(&state.caches_for(keys[0]), &held[0]), "touched config survives");
+        assert!(!Arc::ptr_eq(&state.caches_for(keys[1]), &held[1]), "coldest is rebuilt");
+
+        // One eviction per dropped config: key 0, then key 1 on
+        // re-admitting 0; key 101 on admitting 999, then key 102 on
+        // re-admitting 101. Hits count nothing.
+        let snap = hanayo_metrics::snapshot();
+        hanayo_metrics::set_enabled(false);
+        hanayo_metrics::reset();
+        let evictions = snap
+            .series
+            .iter()
+            .find(|s| s.name == "hanayo_serve_cache_evictions_total")
+            .map(|s| s.value.clone());
+        assert_eq!(evictions, Some(hanayo_metrics::SeriesValue::Counter(4)));
     }
 
     #[test]
@@ -213,8 +251,11 @@ mod tests {
                 })
             })
             .collect();
-        // Give the followers a moment to block on the condvar.
-        thread::sleep(std::time::Duration::from_millis(50));
+        // A follower counts itself only once it holds the slot, so from
+        // here on the publish reaches all four, parked or not.
+        while inflight.join_count() < 4 {
+            thread::yield_now();
+        }
         inflight.publish("req", (200, "the-body".to_string()));
         for f in followers {
             assert_eq!(f.join().expect("follower join"), (200, "the-body".to_string()));

@@ -202,7 +202,9 @@ pub(crate) type CompiledEntry = (Arc<CompiledSchedule>, u32);
 /// unique id (ids are never reused, even across evictions), and the first
 /// device plus the schedule's width pin the contiguous sub-cluster. A
 /// report is a pure function of those inputs, so a memo hit returns the
-/// byte-identical report the simulation would have produced.
+/// byte-identical report the simulation would have produced. The reports
+/// come from span-free runs (a sweep ranks on scalars), so their `spans`
+/// are empty and a hit clones only the per-device vectors.
 pub(crate) type GroupReportMemo = BoundedMap<(u64, usize), SimReport>;
 
 /// Cross-candidate artifact caches for one sweep — every sweep builds one

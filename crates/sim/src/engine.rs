@@ -412,7 +412,10 @@ struct Engine<'a> {
 
     busy: Vec<f64>,
     comm_wait: Vec<f64>,
+    /// Executed compute spans per device; empty (never pushed to) when the
+    /// caller reads only scalars (see [`try_simulate_scalars`]).
     spans: Vec<Vec<SimSpan>>,
+    record_spans: bool,
     cur_mem: Vec<u64>,
     peak_mem: Vec<u64>,
 
@@ -617,7 +620,9 @@ impl<'a> Engine<'a> {
             Ev::ComputeDone { dev, mb, stage, backward, start } => {
                 let dev = dev as usize;
                 self.busy[dev] += t - start;
-                self.spans[dev].push(SimSpan { start, end: t, mb, stage, backward });
+                if self.record_spans {
+                    self.spans[dev].push(SimSpan { start, end: t, mb, stage, backward });
+                }
                 if self.opts.trace {
                     self.trace_events.push(TraceEvent {
                         device: dev as u32,
@@ -757,7 +762,7 @@ pub fn try_simulate_traced(
 ) -> Result<(SimReport, Option<Trace>), SimError> {
     check_shapes(schedule, cost, cluster)?;
     validate_numerics(cost, cluster, &opts)?;
-    run_compiled(&compile_schedule(schedule, &opts), schedule, cost, cluster, opts)
+    run_compiled(&compile_schedule(schedule, &opts), schedule, cost, cluster, opts, true)
 }
 
 /// [`try_simulate_traced`] against a pre-lowered schedule, without a
@@ -774,17 +779,48 @@ pub fn try_simulate_compiled(
     cluster: &ClusterSpec,
     opts: SimOptions,
 ) -> Result<SimReport, SimError> {
+    check_compiled(compiled, schedule, cost, cluster, &opts)?;
+    run_compiled(compiled, schedule, cost, cluster, opts, true).map(|(report, _)| report)
+}
+
+/// [`try_simulate_compiled`] for callers that read only the report's
+/// scalars and per-device vectors — the tuner's candidate evaluation and
+/// the schedule search. The event loop is the same, so every field but
+/// `spans` is bit-identical; `spans` comes back empty and no trace is
+/// lowered, which spares the per-op pushes and keeps memoised reports
+/// small.
+pub(crate) fn try_simulate_scalars(
+    compiled: &CompiledSchedule,
+    schedule: &Schedule,
+    cost: &CostTable,
+    cluster: &ClusterSpec,
+    opts: SimOptions,
+) -> Result<SimReport, SimError> {
+    check_compiled(compiled, schedule, cost, cluster, &opts)?;
+    let opts = SimOptions { trace: false, ..opts };
+    run_compiled(compiled, schedule, cost, cluster, opts, false).map(|(report, _)| report)
+}
+
+/// The input checks of every pre-lowered run: `compiled` was lowered from
+/// `schedule` under `opts`' lookaheads, and the shapes and numerics pass.
+fn check_compiled(
+    compiled: &CompiledSchedule,
+    schedule: &Schedule,
+    cost: &CostTable,
+    cluster: &ClusterSpec,
+    opts: &SimOptions,
+) -> Result<(), SimError> {
     let other_schedule =
         compiled.program.as_ref().is_ok_and(|p| p.ops().len() != schedule.lists.len());
-    if !compiled.matches(&opts) || other_schedule {
+    if !compiled.matches(opts) || other_schedule {
         return Err(SimError::StaleCompile {
             compiled: (compiled.recv_lookahead, compiled.lookahead_window),
             requested: (opts.recv_lookahead, opts.lookahead_window),
         });
     }
     check_shapes(schedule, cost, cluster)?;
-    validate_numerics(cost, cluster, &opts)?;
-    run_compiled(compiled, schedule, cost, cluster, opts).map(|(report, _)| report)
+    validate_numerics(cost, cluster, opts)?;
+    Ok(())
 }
 
 fn check_shapes(
@@ -805,13 +841,15 @@ fn check_shapes(
     Ok(())
 }
 
-/// Event-loop body shared by the per-call and pre-compiled entries.
+/// Event-loop body shared by every entry; `record_spans` is off only for
+/// [`try_simulate_scalars`].
 fn run_compiled(
     compiled: &CompiledSchedule,
     schedule: &Schedule,
     cost: &CostTable,
     cluster: &ClusterSpec,
     opts: SimOptions,
+    record_spans: bool,
 ) -> Result<(SimReport, Option<Trace>), SimError> {
     let p = schedule.lists.len();
     let weight_mem = device_bytes(&schedule.stage_map, &cost.weight_bytes);
@@ -844,7 +882,8 @@ fn run_compiled(
         seq: 0,
         busy: vec![0.0; p],
         comm_wait: vec![0.0; p],
-        spans: (0..p).map(|_| Vec::new()).collect(),
+        spans: if record_spans { vec![Vec::new(); p] } else { Vec::new() },
+        record_spans,
         cur_mem: weight_mem.clone(),
         peak_mem: weight_mem.clone(),
         trace_events: Vec::new(),
@@ -947,6 +986,31 @@ mod tests {
             try_simulate_compiled(&compiled, &schedule, &cost, &cluster, stale),
             Err(SimError::StaleCompile { .. })
         ));
+    }
+
+    #[test]
+    fn span_free_runs_match_every_field_but_spans() {
+        let cluster = lonestar6(4);
+        for scheme in crate::search::named_schemes() {
+            let cfg = PipelineConfig::new(4, 8, scheme).unwrap();
+            let schedule = build_schedule(&cfg).unwrap();
+            let cost = CostTable::build(&ModelConfig::bert64(), cfg.stages(), 1);
+            for prefetch in [true, false] {
+                let opts = SimOptions { prefetch, ..Default::default() };
+                let compiled = compile_schedule(&schedule, &opts);
+                let full =
+                    try_simulate_compiled(&compiled, &schedule, &cost, &cluster, opts).unwrap();
+                let scalars =
+                    try_simulate_scalars(&compiled, &schedule, &cost, &cluster, opts).unwrap();
+                assert!(scalars.spans.is_empty(), "{scheme}/prefetch={prefetch}");
+                assert!(full.spans.iter().any(|d| !d.is_empty()), "{scheme}/prefetch={prefetch}");
+                assert_eq!(
+                    SimReport { spans: full.spans.clone(), ..scalars },
+                    full,
+                    "{scheme}/prefetch={prefetch}: skipping spans moved another field"
+                );
+            }
+        }
     }
 
     #[test]

@@ -151,7 +151,9 @@ pub struct PlanResult {
     pub peak_mem: Vec<u64>,
     /// Devices whose peak exceeds their capacity.
     pub oom_devices: Vec<usize>,
-    /// Report of the first pipeline group (timeline etc.).
+    /// Report of the first pipeline group (timeline etc.). Its `spans`
+    /// are empty when the result comes from the tuner, which ranks on
+    /// scalars; [`evaluate_plan`] fills them.
     pub group_report: SimReport,
 }
 

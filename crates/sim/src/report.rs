@@ -34,7 +34,10 @@ pub struct SimReport {
     pub weight_mem: Vec<u64>,
     /// fp16 gradient-buffer bytes per device (the all-reduce volume).
     pub grad_mem: Vec<u64>,
-    /// Executed spans per device (for Gantt rendering).
+    /// Executed spans per device (for Gantt rendering). Empty in tuner
+    /// results (`Tuning.ranked[i].result.group_report`), which come from
+    /// span-free runs; [`crate::evaluate_plan`] and
+    /// [`crate::try_simulate_traced`] fill it.
     pub spans: Vec<Vec<SimSpan>>,
 }
 

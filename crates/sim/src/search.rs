@@ -3,15 +3,17 @@
 //! `hanayo-core`'s [`local_search`] is generic over a scoring closure;
 //! this module supplies the closure the rest of the workspace cares
 //! about: lower the candidate table to an executable
-//! [`Schedule`](hanayo_core::action::Schedule) and run
-//! the compiled fast path via [`try_simulate_traced`], so one illegal candidate
-//! becomes a skipped move, never a panic. [`search_schedule`] is the
+//! [`Schedule`] and run
+//! the compiled fast path without recording spans (a score reads only the
+//! makespan), so one illegal candidate becomes a skipped move, never a
+//! panic. [`search_schedule`] is the
 //! full pipeline: simulate the seven named schemes at `(P, B)`, greedily
 //! seed the table from the best of them, hill-climb, and report the
 //! searched schedule beside its baselines.
 
-use crate::engine::{try_simulate_traced, SimError, SimOptions};
+use crate::engine::{compile_schedule, try_simulate_scalars, SimError, SimOptions};
 use hanayo_cluster::ClusterSpec;
+use hanayo_core::action::Schedule;
 use hanayo_core::chain::ComputeSchedule;
 use hanayo_core::comm;
 use hanayo_core::config::{PipelineConfig, Scheme};
@@ -152,8 +154,18 @@ fn simulate_order(
     cluster: &ClusterSpec,
     opts: SimOptions,
 ) -> Result<f64, SimError> {
-    let schedule = comm::lower(cs);
-    try_simulate_traced(&schedule, cost, cluster, opts).map(|(r, _)| r.iteration_time)
+    iteration_time(&comm::lower(cs), cost, cluster, opts)
+}
+
+/// The simulated makespan of `schedule`, from a span-free run.
+fn iteration_time(
+    schedule: &Schedule,
+    cost: &CostTable,
+    cluster: &ClusterSpec,
+    opts: SimOptions,
+) -> Result<f64, SimError> {
+    let compiled = compile_schedule(schedule, &opts);
+    try_simulate_scalars(&compiled, schedule, cost, cluster, opts).map(|r| r.iteration_time)
 }
 
 /// Search the schedule space at `(P, B)` on `cluster` (which must have
@@ -202,7 +214,7 @@ pub fn search_schedule(
         if hanayo_analyze::check_deadlock_free(&schedule).is_err() {
             return None;
         }
-        try_simulate_traced(&schedule, &cost, cluster, sim).ok().map(|(r, _)| r.iteration_time)
+        iteration_time(&schedule, &cost, cluster, sim).ok()
     })
     .map_err(ScheduleSearchError::Seed)?;
 

@@ -41,10 +41,12 @@
 //! context's shared handle, or one built for the sweep — and is a pure
 //! function of its key, so the outcome equals
 //! [`crate::plan::evaluate_plan`] run on each candidate, rejection texts
-//! included (a test pins this).
+//! included (a test pins this), except that the simulations run
+//! span-free: a ranking reads scalars, so every `group_report.spans` in a
+//! [`Tuning`] is empty.
 
 use crate::cache::{CostKey, SchedKey, SweepCaches};
-use crate::engine::{try_simulate_compiled, validate_numerics, SimOptions};
+use crate::engine::{try_simulate_scalars, validate_numerics, SimOptions};
 use crate::plan::{
     resolve_plan, simulate_plan, Method, ParallelPlan, PlanError, PlanResult, Resolved,
 };
@@ -540,7 +542,7 @@ fn evaluate(
             let id = caches.report_id(schedule_key, cost_key, &sim, content_id);
             let result = simulate_plan(plan, cluster, sim, resolved, |sub, first| {
                 caches.group_report(id, first, || {
-                    try_simulate_compiled(&compiled, &schedule, &cost, sub, sim)
+                    try_simulate_scalars(&compiled, &schedule, &cost, sub, sim)
                 })
             })?;
             Ok(Outcome::Simulated(result))
@@ -916,7 +918,12 @@ mod tests {
                 let outcome = match shape_reason {
                     Some(reason) => Outcome::Shape(reason),
                     None => match evaluate_plan(&plan, model, cluster, sim) {
-                        Ok(result) => Outcome::Simulated(result),
+                        Ok(mut result) => {
+                            // The sweep runs span-free; every other field
+                            // must match.
+                            result.group_report.spans.clear();
+                            Outcome::Simulated(result)
+                        }
                         Err(e) => Outcome::Shape(e.to_string()),
                     },
                 };
