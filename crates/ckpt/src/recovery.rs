@@ -19,9 +19,9 @@
 //!
 //! Maximising `E` gives the Young–Daly optimum
 //! `W* = √(C² + 2CM·(1 − R/M)) − C` ([`young_daly_interval_s`]), which
-//! reduces to the classic `√(2CM)` for `C, R ≪ M`. The tuner sweeps
-//! discrete iteration intervals through [`evaluate`] and the optimum falls
-//! out of the sweep; a test asserts it against the closed form.
+//! reduces to the classic `√(2CM)` for `C, R ≪ M`. `hanayo ckpt --mode
+//! goodput` prices discrete iteration intervals through [`evaluate`]; a
+//! test asserts the numeric optimum against the closed form.
 
 use hanayo_cluster::Link;
 use serde::{Deserialize, Serialize};
@@ -32,14 +32,11 @@ pub struct RecoveryOptions {
     /// Fixed job-restart latency on top of the state reload: scheduler
     /// requeue, process launch, NCCL re-initialisation.
     pub restart_latency_s: f64,
-    /// Override the cluster's per-device MTBF (useful for what-if sweeps);
-    /// `None` uses `ClusterSpec::device_mtbf_s`.
-    pub device_mtbf_s: Option<f64>,
 }
 
 impl Default for RecoveryOptions {
     fn default() -> Self {
-        RecoveryOptions { restart_latency_s: 30.0, device_mtbf_s: None }
+        RecoveryOptions { restart_latency_s: 30.0 }
     }
 }
 
@@ -117,7 +114,8 @@ pub fn young_daly_interval_s(ckpt_s: f64, mtbf_s: f64, restart_s: f64) -> f64 {
 ///   payload (what one checkpoint must drain).
 /// * `devices` — devices the job occupies (sets the fleet failure rate).
 /// * `weakest` — the cluster's weakest link ([`hanayo_cluster::ClusterSpec::weakest_link`]).
-/// * `device_mtbf_s` — per-device MTBF (overridable via `opts`).
+/// * `device_mtbf_s` — per-device MTBF
+///   ([`hanayo_cluster::ClusterSpec::device_mtbf_s`]).
 #[allow(clippy::too_many_arguments)]
 pub fn evaluate(
     iteration_time_s: f64,
@@ -130,7 +128,7 @@ pub fn evaluate(
     opts: &RecoveryOptions,
 ) -> RecoveryEval {
     assert!(interval_iterations > 0, "a checkpoint interval is at least one iteration");
-    let mtbf = cluster_mtbf_s(opts.device_mtbf_s.unwrap_or(device_mtbf_s), devices);
+    let mtbf = cluster_mtbf_s(device_mtbf_s, devices);
     let ckpt = checkpoint_write_s(state_bytes_per_device, weakest);
     let restart = restart_s(state_bytes_per_device, weakest, opts.restart_latency_s);
     let interval_s = interval_iterations as f64 * iteration_time_s;

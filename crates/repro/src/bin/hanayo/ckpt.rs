@@ -452,13 +452,23 @@ impl Args {
         let model = model_for(&self.model)?;
         let mut cluster = cluster_for(&self.cluster, self.gpus)?;
         if let Some(hours) = self.mtbf_hours {
+            // Infinite is a failure-free cluster; zero or NaN has no rate.
+            if hours.is_nan() || hours <= 0.0 {
+                return Err(format!("--mtbf-hours must be positive, got {hours}"));
+            }
             cluster.device_mtbf_s = hours * 3600.0;
+        }
+        if !(self.restart_s.is_finite() && self.restart_s >= 0.0) {
+            return Err(format!(
+                "--restart-s must be finite and non-negative, got {}",
+                self.restart_s
+            ));
         }
         let intervals: Vec<u32> = self.intervals.iter().copied().filter(|&k| k > 0).collect();
         if intervals.is_empty() {
             return Err("--intervals needs at least one positive interval".to_string());
         }
-        let opts = RecoveryOptions { restart_latency_s: self.restart_s, device_mtbf_s: None };
+        let opts = RecoveryOptions { restart_latency_s: self.restart_s };
         let mut rows = Vec::new();
         for method in goodput_methods() {
             let plan = ParallelPlan {

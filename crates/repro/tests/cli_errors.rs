@@ -9,6 +9,7 @@ use std::process::Command;
 
 const OVERSIZED_TC: &str = "cluster tc has 8 GPUs, gpus 16 exceeds it";
 const NO_CHIMERA: &str = "the threaded runtime rejects replicated (chimera) schedules";
+const RESTART: &str = "--restart-s must be finite and non-negative";
 
 /// `(argv, exit code, stderr fragment)`.
 const CASES: &[(&[&str], i32, &str)] = &[
@@ -52,6 +53,10 @@ const CASES: &[(&[&str], i32, &str)] = &[
     (&["ckpt", "--mode", "run", "--scheme", "chimera"], 1, NO_CHIMERA),
     (&["ckpt", "--mode", "run", "--width", "0"], 1, "--width: number would be zero"),
     (&["ckpt", "--mode", "run", "--rows", "0"], 1, "--rows: number would be zero"),
+    (&["ckpt", "--mode", "goodput", "--mtbf-hours", "0"], 1, "--mtbf-hours must be positive"),
+    (&["ckpt", "--mode", "goodput", "--mtbf-hours", "nan"], 1, "--mtbf-hours must be positive"),
+    (&["ckpt", "--mode", "goodput", "--restart-s", "-5"], 1, RESTART),
+    (&["ckpt", "--mode", "goodput", "--restart-s", "nan"], 1, RESTART),
 ];
 
 #[test]

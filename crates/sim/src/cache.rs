@@ -21,10 +21,9 @@
 //! * **Bounded size.** [`SweepCaches::bounded`] caps each cache at a
 //!   fixed entry count with FIFO eviction (counted in
 //!   `hanayo_tuner_cache_evictions_total`), so a resident process cannot
-//!   grow without limit. Artifact ids (`content`/`report` ids) come from
-//!   monotonic counters, never from map sizes, so an evicted entry's id
-//!   is never reissued and a stale memo entry can never alias a fresh
-//!   artifact.
+//!   grow without limit. Lowering content ids come from a monotonic
+//!   counter, never from map sizes, so an evicted lowering's id is never
+//!   reissued and a stale memo entry can never alias a fresh lowering.
 
 use crate::engine::{compile_schedule, CompiledSchedule, SimOptions};
 use crate::report::SimReport;
@@ -34,7 +33,7 @@ use hanayo_core::schedule::{build_schedule, ScheduleError};
 use hanayo_model::{CostTable, ModelConfig, Recompute};
 use std::collections::{HashMap, VecDeque};
 use std::hash::Hash;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 /// One registry increment per cache probe, disabled-path cost a single
@@ -131,31 +130,6 @@ impl<K: Eq + Hash + Clone, V: Clone> BoundedMap<K, V> {
         value
     }
 
-    /// Like [`BoundedMap::insert_if_absent`], but the value is only built
-    /// on a genuine miss — and the build runs under the lock, so exactly
-    /// one caller pays for it.
-    pub(crate) fn get_or_insert_with(&self, key: K, build: impl FnOnce() -> V) -> V {
-        let mut inner = self.lock();
-        if let Some(hit) = inner.map.get(&key) {
-            return hit.clone();
-        }
-        let value = build();
-        let mut evicted = 0u64;
-        while inner.map.len() >= self.cap {
-            match inner.order.pop_front() {
-                Some(old) => {
-                    inner.map.remove(&old);
-                    evicted += 1;
-                }
-                None => break,
-            }
-        }
-        record_eviction(self.label, evicted);
-        inner.map.insert(key.clone(), value.clone());
-        inner.order.push_back(key);
-        value
-    }
-
     /// First match of `f` over the current entries (iteration order is
     /// unspecified; callers only use this for content-id adoption, where
     /// any matching entry is equally correct).
@@ -174,19 +148,26 @@ pub(crate) type SchedKey = (Scheme, u32, u32);
 /// Cache key of a cost table (the model is fixed per sweep):
 /// `(stages, micro_batch_size, recompute)`.
 pub(crate) type CostKey = (u32, u32, Recompute);
-/// Hashable image of everything a group simulation's *report* can depend
-/// on beyond `(schedule, cost, sub-cluster)`: the prefetch switch, the
-/// *content* of the prefetch windows (not the lookahead parameters that
-/// produced them — distinct lookaheads whose §4.2 scans saturate to the
-/// same windows drive the engine identically, and with prefetching off the
-/// windows are never read at all, so the id is pinned to 0), the
-/// all-reduce overlap via its bit pattern, and the trace switch (kept out
-/// of caution even though traced reports are pinned bit-identical).
-pub(crate) type ReportKey = (bool, u32, u64, bool);
+/// Everything a span-free group simulation's report is a function of:
+/// the schedule shape, the cost table, the prefetch switch, the *content*
+/// of the prefetch windows and the first device of the group's contiguous
+/// sub-cluster (its width is the schedule's). The windows enter as the
+/// lowering's content id rather than the lookahead that produced them —
+/// distinct lookaheads whose §4.2 scans saturate to the same windows drive
+/// the engine identically, and with prefetching off the windows are never
+/// read at all, so the id is pinned to 0. Content ids are scoped per
+/// [`SchedKey`], which the key carries.
+pub(crate) type ReportKey = (SchedKey, CostKey, bool, u32, usize);
 
-pub(crate) fn report_key(sim: &SimOptions, content_id: u32) -> ReportKey {
+pub(crate) fn report_key(
+    schedule_key: SchedKey,
+    cost_key: CostKey,
+    sim: &SimOptions,
+    content_id: u32,
+    first: usize,
+) -> ReportKey {
     let windows = if sim.prefetch { content_id } else { 0 };
-    (sim.prefetch, windows, sim.allreduce_overlap.to_bits(), sim.trace)
+    (schedule_key, cost_key, sim.prefetch, windows, first)
 }
 
 /// A cached engine lowering plus its content id (see
@@ -197,15 +178,12 @@ pub(crate) type CompiledEntry = (Arc<CompiledSchedule>, u32);
 /// caches are shared by a resident service, across many sweeps of the
 /// same `(model, cluster)` pair).
 ///
-/// Keys are `(artifact id, first device)`: [`SweepCaches::report_id`]
-/// assigns each distinct `(schedule, cost table, sim options)` triple a
-/// unique id (ids are never reused, even across evictions), and the first
-/// device plus the schedule's width pin the contiguous sub-cluster. A
-/// report is a pure function of those inputs, so a memo hit returns the
-/// byte-identical report the simulation would have produced. The reports
-/// come from span-free runs (a sweep ranks on scalars), so their `spans`
-/// are empty and a hit clones only the per-device vectors.
-pub(crate) type GroupReportMemo = BoundedMap<(u64, usize), SimReport>;
+/// Keyed by [`ReportKey`], the complete input of each report, so a memo
+/// hit returns the byte-identical report the simulation would have
+/// produced. The reports come from span-free runs (a sweep ranks on
+/// scalars), so their `spans` are empty and a hit clones only the
+/// per-device vectors.
+pub(crate) type GroupReportMemo = BoundedMap<ReportKey, SimReport>;
 
 /// Cross-candidate artifact caches for one sweep — every sweep builds one
 /// unless it is handed one through a [`crate::tuner::TuneContext`], which
@@ -236,23 +214,19 @@ pub struct SweepCaches {
     /// only inputs schedule lowering takes, so the verdict is a pure
     /// function of the key.
     pub(crate) deadlocks: BoundedMap<SchedKey, bool>,
-    /// Engine lowerings, additionally keyed by the two lookahead
-    /// parameters [`compile_schedule`] bakes in. The `u32` is the
+    /// Engine lowerings, additionally keyed by the `recv_lookahead`
+    /// [`compile_schedule`] bakes in. The `u32` is the
     /// lowering's *content id*: lookahead variants of the same schedule
     /// whose prefetch scans saturated to identical windows
     /// ([`CompiledSchedule::same_lowering`]) share one id, which is what
     /// lets their simulations collapse into a single [`GroupReportMemo`]
     /// entry.
-    pub(crate) compiled: BoundedMap<(SchedKey, usize, usize), CompiledEntry>,
-    /// Collision-free ids for `(schedule, cost, report inputs)` triples;
-    /// [`GroupReportMemo`] entries are keyed on them.
-    pub(crate) report_ids: BoundedMap<(SchedKey, CostKey, ReportKey), u64>,
+    pub(crate) compiled: BoundedMap<(SchedKey, usize), CompiledEntry>,
     /// Pipeline-group reports ([`SweepCaches::group_report`]).
     pub(crate) reports: GroupReportMemo,
-    /// Monotonic id sources: ids survive evictions unreused, so a stale
-    /// memo entry can never alias a fresh artifact.
+    /// Monotonic content-id source: ids survive evictions unreused, so a
+    /// stale memo entry can never alias a fresh lowering.
     next_content_id: AtomicU32,
-    next_report_id: AtomicU64,
 }
 
 impl Default for SweepCaches {
@@ -275,10 +249,8 @@ impl SweepCaches {
             peaks: BoundedMap::new("peaks", cap),
             deadlocks: BoundedMap::new("deadlocks", cap),
             compiled: BoundedMap::new("compiled", cap),
-            report_ids: BoundedMap::new("report_ids", cap),
             reports: BoundedMap::new("reports", cap),
             next_content_id: AtomicU32::new(0),
-            next_report_id: AtomicU64::new(0),
         }
     }
 
@@ -290,7 +262,6 @@ impl SweepCaches {
             + self.peaks.len()
             + self.deadlocks.len()
             + self.compiled.len()
-            + self.report_ids.len()
             + self.reports.len()
     }
 
@@ -346,18 +317,19 @@ impl SweepCaches {
         self.deadlocks.insert_if_absent(key, verdict)
     }
 
-    /// The lowering for `(key, lookaheads)` plus its content id. A fresh
-    /// lowering is first compared against the other lookahead variants of
-    /// the *same* schedule: if the scans saturated to identical windows it
-    /// adopts their content id (ids are scoped per [`SchedKey`] by every
-    /// consumer, so ids from different schedules may coincide freely).
+    /// The lowering for `(key, recv_lookahead)` plus its content id. A
+    /// fresh lowering is first compared against the other lookahead
+    /// variants of the *same* schedule: if the scans saturated to
+    /// identical windows it adopts their content id (ids are scoped per
+    /// [`SchedKey`] by every consumer, so ids from different schedules may
+    /// coincide freely).
     pub(crate) fn compiled_for(
         &self,
         key: SchedKey,
         schedule: &Schedule,
         sim: &SimOptions,
     ) -> (Arc<CompiledSchedule>, u32) {
-        let full = (key, sim.recv_lookahead, sim.lookahead_window);
+        let full = (key, sim.recv_lookahead);
         if let Some(hit) = self.compiled.get(&full) {
             record_cache("compiled", true);
             return hit;
@@ -366,44 +338,24 @@ impl SweepCaches {
         let built = Arc::new(compile_schedule(schedule, sim));
         let content = self
             .compiled
-            .scan(|(k, _, _), (other, id)| {
-                (*k == key && other.same_lowering(&built)).then_some(*id)
-            })
+            .scan(|(k, _), (other, id)| (*k == key && other.same_lowering(&built)).then_some(*id))
             .unwrap_or_else(|| self.next_content_id.fetch_add(1, Ordering::Relaxed));
         self.compiled.insert_if_absent(full, (built, content))
     }
 
-    /// The [`GroupReportMemo`] id for this artifact triple: first caller
-    /// allocates, later callers agree. Ids come from a monotonic counter
-    /// assigned under the map lock, so distinct triples can never share a
-    /// memo slot — not even after an eviction.
-    pub(crate) fn report_id(
-        &self,
-        schedule_key: SchedKey,
-        cost_key: CostKey,
-        sim: &SimOptions,
-        content_id: u32,
-    ) -> u64 {
-        let key = (schedule_key, cost_key, report_key(sim, content_id));
-        self.report_ids
-            .get_or_insert_with(key, || self.next_report_id.fetch_add(1, Ordering::Relaxed))
-    }
-
-    /// The memoised report of the pipeline group starting at device
-    /// `first` under artifact `id` (see [`GroupReportMemo`]), running
-    /// `simulate` on a miss. The simulation runs outside the lock, so
-    /// concurrent misses may both simulate; the first insert wins and both
-    /// values are identical anyway.
+    /// The memoised group report under `key` (see [`GroupReportMemo`]),
+    /// running `simulate` on a miss. The simulation runs outside the lock,
+    /// so concurrent misses may both simulate; the first insert wins and
+    /// both values are identical anyway.
     pub(crate) fn group_report<E>(
         &self,
-        id: u64,
-        first: usize,
+        key: ReportKey,
         simulate: impl FnOnce() -> Result<SimReport, E>,
     ) -> Result<SimReport, E> {
-        if let Some(hit) = self.reports.get(&(id, first)) {
+        if let Some(hit) = self.reports.get(&key) {
             return Ok(hit);
         }
-        Ok(self.reports.insert_if_absent((id, first), simulate()?))
+        Ok(self.reports.insert_if_absent(key, simulate()?))
     }
 }
 
@@ -470,17 +422,22 @@ mod tests {
     }
 
     #[test]
-    fn report_ids_are_never_reused_across_evictions() {
+    fn content_ids_are_never_reused_across_evictions() {
+        // A report key names its lowering by content id, and the report
+        // memo may outlive the lowering: a lowering evicted and rebuilt
+        // must get a fresh id, never one an old report is filed under.
         let c = SweepCaches::bounded(1);
         let sim = SimOptions::default();
-        let k1 = (Scheme::GPipe, 4, 4);
-        let k2 = (Scheme::Dapple, 4, 4);
-        let cost = (4u32, 1u32, Recompute::None);
-        let a = c.report_id(k1, cost, &sim, 0);
-        let b = c.report_id(k2, cost, &sim, 0); // evicts k1's id entry
-        let a2 = c.report_id(k1, cost, &sim, 0); // re-allocated, must be fresh
+        let lower = |scheme: Scheme| {
+            let key = (scheme, 4, 4);
+            let schedule = build_schedule(&PipelineConfig::new(4, 4, scheme).unwrap()).unwrap();
+            c.compiled_for(key, &schedule, &sim).1
+        };
+        let a = lower(Scheme::GPipe);
+        let b = lower(Scheme::Dapple); // evicts GPipe's lowering
+        let a2 = lower(Scheme::GPipe); // rebuilt, must be fresh
         assert_ne!(a, b);
-        assert_ne!(a2, a, "an evicted id must not be reissued");
+        assert_ne!(a2, a, "an evicted lowering's id must not be reissued");
         assert_ne!(a2, b);
     }
 

@@ -46,16 +46,9 @@ pub struct SimOptions {
     /// Post upcoming receives while computing (§4.2). On by default, as in
     /// the paper's runtime; turn off to measure the ablation.
     pub prefetch: bool,
-    /// How many upcoming receive groups to post at each compute start.
+    /// How many upcoming receive groups to post at each compute start,
+    /// found within the next eight actions.
     pub recv_lookahead: usize,
-    /// How many actions ahead the prefetch scanner may look.
-    pub lookahead_window: usize,
-    /// Fraction of the data-parallel gradient all-reduce hidden behind the
-    /// backward cooldown (DDP-style bucketing overlaps gradient
-    /// communication with remaining compute; 0.8 is the conventional
-    /// well-tuned figure). Only the exposed remainder is charged, and the
-    /// value is clamped to `[0, 1]` at evaluation time.
-    pub allreduce_overlap: f64,
     /// Lower the executed spans and transfers into a
     /// [`hanayo_trace::Trace`] (returned by [`try_simulate_traced`]). Off
     /// by default: the untraced fast path stays branch-cheap (the
@@ -67,15 +60,13 @@ pub struct SimOptions {
 
 impl Default for SimOptions {
     fn default() -> Self {
-        SimOptions {
-            prefetch: true,
-            recv_lookahead: 1,
-            lookahead_window: 8,
-            allreduce_overlap: 0.8,
-            trace: false,
-        }
+        SimOptions { prefetch: true, recv_lookahead: 1, trace: false }
     }
 }
+
+/// How many actions ahead the §4.2 prefetch scanner may look for receive
+/// groups to post.
+pub(crate) const LOOKAHEAD_WINDOW: usize = 8;
 
 /// A non-finite or non-positive quantity that would corrupt the simulator.
 ///
@@ -118,11 +109,6 @@ pub enum NumericsError {
         /// Offending value.
         value: f64,
     },
-    /// `SimOptions::allreduce_overlap` is NaN or infinite.
-    Overlap {
-        /// Offending value.
-        value: f64,
-    },
 }
 
 impl fmt::Display for NumericsError {
@@ -140,9 +126,6 @@ impl fmt::Display for NumericsError {
             NumericsError::Mfu { value } => {
                 write!(f, "cluster MFU {value} is not finite and positive")
             }
-            NumericsError::Overlap { value } => {
-                write!(f, "allreduce_overlap {value} is not finite")
-            }
         }
     }
 }
@@ -152,11 +135,7 @@ impl std::error::Error for NumericsError {}
 /// Vet every number the engine will feed into event times. See
 /// [`NumericsError`] for the exact rules. [`crate::evaluate_plan`] calls
 /// this before simulating, and so does [`try_simulate_traced`].
-pub fn validate_numerics(
-    cost: &CostTable,
-    cluster: &ClusterSpec,
-    opts: &SimOptions,
-) -> Result<(), NumericsError> {
+pub fn validate_numerics(cost: &CostTable, cluster: &ClusterSpec) -> Result<(), NumericsError> {
     let check_table = |field: &'static str, table: &[f64]| {
         for (stage, &value) in table.iter().enumerate() {
             if !(value.is_finite() && value > 0.0) {
@@ -183,9 +162,6 @@ pub fn validate_numerics(
                 return Err(NumericsError::Latency { src, dst, value: link.latency });
             }
         }
-    }
-    if !opts.allreduce_overlap.is_finite() {
-        return Err(NumericsError::Overlap { value: opts.allreduce_overlap });
     }
     Ok(())
 }
@@ -265,7 +241,7 @@ enum DevState {
 /// the §4.2 prefetch scanner's receive-group windows.
 ///
 /// [`try_simulate_traced`] re-lowers its schedule on every call; inside a
-/// tuner sweep the same `(schedule, lookahead options)` pair is simulated under
+/// tuner sweep the same `(schedule, recv_lookahead)` pair is simulated under
 /// many cost tables and sub-clusters, so the lowering is pure overhead
 /// after the first run. [`compile_schedule`] hoists it:
 ///
@@ -276,10 +252,10 @@ enum DevState {
 /// }
 /// ```
 ///
-/// The lowering bakes in exactly two option fields — `recv_lookahead` and
-/// `lookahead_window`, which shape the prefetch windows — so one
-/// `CompiledSchedule` is valid for every `SimOptions` agreeing on those
-/// two (e.g. prefetch on/off share a lowering). [`try_simulate_compiled`]
+/// The lowering bakes in exactly one option field — `recv_lookahead`,
+/// which shapes the prefetch windows — so one `CompiledSchedule` is valid
+/// for every `SimOptions` agreeing on it (e.g. prefetch on/off share a
+/// lowering). [`try_simulate_compiled`]
 /// rejects a mismatched reuse with [`SimError::StaleCompile`] rather than
 /// silently simulating the wrong prefetch plan. A schedule that does not
 /// lower compiles to its [`ProgramError`], which every simulation through
@@ -293,20 +269,20 @@ pub struct CompiledSchedule {
     /// Flat storage for the prefetch windows, in exact scan order.
     prefetch_keys: Vec<u32>,
     recv_lookahead: usize,
-    lookahead_window: usize,
 }
 
 impl CompiledSchedule {
-    /// True when this lowering is valid for `opts`: the baked-in lookahead
-    /// parameters match. Every other option is applied at simulation time.
+    /// True when this lowering is valid for `opts`: the baked-in
+    /// `recv_lookahead` matches. Every other option is applied at
+    /// simulation time.
     pub fn matches(&self, opts: &SimOptions) -> bool {
-        self.recv_lookahead == opts.recv_lookahead && self.lookahead_window == opts.lookahead_window
+        self.recv_lookahead == opts.recv_lookahead
     }
 
     /// True when the two lowerings are semantically identical: same opcode
-    /// lists and same prefetch windows. Lookahead parameters that differ
-    /// can still converge to the same windows (the §4.2 scan saturates once
-    /// every receive group inside `lookahead_window` is collected), and the
+    /// lists and same prefetch windows. Lookaheads that differ can still
+    /// converge to the same windows (the §4.2 scan saturates once every
+    /// receive group inside the eight-action window is collected), and the
     /// engine consumes nothing but this content — so two runs through
     /// lowerings that compare equal here produce bit-identical reports for
     /// any `SimOptions` each of them [`matches`](Self::matches). The tuner
@@ -326,8 +302,8 @@ impl CompiledSchedule {
 }
 
 /// Lower `schedule` once for reuse across [`try_simulate_compiled`] calls.
-/// Only `opts.recv_lookahead` / `opts.lookahead_window` are consumed here;
-/// see [`CompiledSchedule`] for the reuse contract.
+/// Only `opts.recv_lookahead` is consumed here; see [`CompiledSchedule`]
+/// for the reuse contract.
 pub fn compile_schedule(schedule: &Schedule, opts: &SimOptions) -> CompiledSchedule {
     let program = Program::lower(schedule);
     let (mut prefetch, mut prefetch_keys) = (Vec::new(), Vec::new());
@@ -345,7 +321,7 @@ pub fn compile_schedule(schedule: &Schedule, opts: &SimOptions) -> CompiledSched
                 }
                 let start = prefetch_keys.len() as u32;
                 let mut groups = 0usize;
-                for op in ops.iter().skip(i).take(opts.lookahead_window) {
+                for op in ops.iter().skip(i).take(LOOKAHEAD_WINDOW) {
                     match *op {
                         Op::Recv { key } => {
                             prefetch_keys.push(key);
@@ -368,13 +344,7 @@ pub fn compile_schedule(schedule: &Schedule, opts: &SimOptions) -> CompiledSched
             prefetch.push(windows);
         }
     }
-    CompiledSchedule {
-        program,
-        prefetch,
-        prefetch_keys,
-        recv_lookahead: opts.recv_lookahead,
-        lookahead_window: opts.lookahead_window,
-    }
+    CompiledSchedule { program, prefetch, prefetch_keys, recv_lookahead: opts.recv_lookahead }
 }
 
 struct Engine<'a> {
@@ -689,7 +659,7 @@ pub enum SimError {
         /// Stages in the cost table.
         cost: usize,
     },
-    /// A cost/link/option value failed [`validate_numerics`].
+    /// A cost or link value failed [`validate_numerics`].
     Numerics(NumericsError),
     /// The run stalled before every device flushed — a malformed action
     /// list (e.g. an unmatched send/recv pair in a hand-built schedule).
@@ -697,14 +667,16 @@ pub enum SimError {
         /// Devices that never reached `Done`, with their program counters.
         stalled: Vec<(usize, usize)>,
     },
-    /// A [`CompiledSchedule`] was reused with options it was not lowered
-    /// for (the prefetch windows bake in the lookahead parameters) or with
-    /// a different schedule.
+    /// A [`CompiledSchedule`] was reused with a `recv_lookahead` it was
+    /// not lowered for (the prefetch windows bake it in), or with a
+    /// schedule whose device count differs from the lowered one. Those two
+    /// are all that is checked: a different schedule of the same width is
+    /// not detected.
     StaleCompile {
-        /// `(recv_lookahead, lookahead_window)` the lowering baked in.
-        compiled: (usize, usize),
-        /// `(recv_lookahead, lookahead_window)` requested at simulation.
-        requested: (usize, usize),
+        /// `recv_lookahead` the lowering baked in.
+        compiled: usize,
+        /// `recv_lookahead` requested at simulation.
+        requested: usize,
     },
     /// The schedule does not lower to a [`Program`]: an action's tag lies
     /// outside its key space.
@@ -727,8 +699,8 @@ impl fmt::Display for SimError {
             SimError::StaleCompile { compiled, requested } => {
                 write!(
                     f,
-                    "compiled schedule was lowered for (recv_lookahead, lookahead_window) = \
-                     {compiled:?} but simulation requested {requested:?}"
+                    "compiled schedule was lowered for recv_lookahead = {compiled} but \
+                     simulation requested {requested}"
                 )
             }
             SimError::Program(e) => write!(f, "schedule does not lower: {e}"),
@@ -761,14 +733,14 @@ pub fn try_simulate_traced(
     opts: SimOptions,
 ) -> Result<(SimReport, Option<Trace>), SimError> {
     check_shapes(schedule, cost, cluster)?;
-    validate_numerics(cost, cluster, &opts)?;
+    validate_numerics(cost, cluster)?;
     run_compiled(&compile_schedule(schedule, &opts), schedule, cost, cluster, opts, true)
 }
 
 /// [`try_simulate_traced`] against a pre-lowered schedule, without a
 /// trace: skips the per-call [`compile_schedule`] work. The report is
 /// bit-identical to [`try_simulate_traced`]'s with the same inputs — the
-/// lowering is a pure function of `(schedule, lookahead options)`, so
+/// lowering is a pure function of `(schedule, recv_lookahead)`, so
 /// hoisting it cannot perturb a single event time. `schedule` must be the
 /// exact schedule `compiled` was lowered from and `opts` must
 /// [`CompiledSchedule::matches`] it.
@@ -802,7 +774,7 @@ pub(crate) fn try_simulate_scalars(
 }
 
 /// The input checks of every pre-lowered run: `compiled` was lowered from
-/// `schedule` under `opts`' lookaheads, and the shapes and numerics pass.
+/// `schedule` under `opts`' lookahead, and the shapes and numerics pass.
 fn check_compiled(
     compiled: &CompiledSchedule,
     schedule: &Schedule,
@@ -814,12 +786,12 @@ fn check_compiled(
         compiled.program.as_ref().is_ok_and(|p| p.ops().len() != schedule.lists.len());
     if !compiled.matches(opts) || other_schedule {
         return Err(SimError::StaleCompile {
-            compiled: (compiled.recv_lookahead, compiled.lookahead_window),
-            requested: (opts.recv_lookahead, opts.lookahead_window),
+            compiled: compiled.recv_lookahead,
+            requested: opts.recv_lookahead,
         });
     }
     check_shapes(schedule, cost, cluster)?;
-    validate_numerics(cost, cluster, opts)?;
+    validate_numerics(cost, cluster)?;
     Ok(())
 }
 
@@ -1131,7 +1103,7 @@ mod tests {
                 for opts in [
                     SimOptions::default(),
                     SimOptions { prefetch: false, ..Default::default() },
-                    SimOptions { recv_lookahead: 3, lookahead_window: 16, ..Default::default() },
+                    SimOptions { recv_lookahead: 3, ..Default::default() },
                 ] {
                     let cfg = PipelineConfig::new(8, 8, scheme).unwrap();
                     let schedule = build_schedule(&cfg).unwrap();
@@ -1247,7 +1219,7 @@ mod tests {
         let cluster = fc_full_nvlink(4);
         let mut cost = CostTable::build(&ModelConfig::bert64(), 4, 1);
         cost.bwd_flops[2] = f64::NAN;
-        let err = validate_numerics(&cost, &cluster, &SimOptions::default()).unwrap_err();
+        let err = validate_numerics(&cost, &cluster).unwrap_err();
         assert!(matches!(err, NumericsError::Cost { field: "bwd_flops", stage: 2, .. }));
     }
 
@@ -1257,13 +1229,13 @@ mod tests {
         let mut cluster = fc_full_nvlink(4);
         cluster.links[1][2].bandwidth = -1.0;
         assert!(matches!(
-            validate_numerics(&cost, &cluster, &SimOptions::default()),
+            validate_numerics(&cost, &cluster),
             Err(NumericsError::Bandwidth { src: 1, dst: 2, .. })
         ));
         let mut cluster = fc_full_nvlink(4);
         cluster.links[0][3].latency = f64::NAN;
         assert!(matches!(
-            validate_numerics(&cost, &cluster, &SimOptions::default()),
+            validate_numerics(&cost, &cluster),
             Err(NumericsError::Latency { src: 0, dst: 3, .. })
         ));
     }
@@ -1273,7 +1245,7 @@ mod tests {
         // Loopback links are infinite-bandwidth, zero-latency — legal.
         let cost = CostTable::build(&ModelConfig::bert64(), 4, 1);
         let cluster = fc_full_nvlink(4);
-        assert_eq!(validate_numerics(&cost, &cluster, &SimOptions::default()), Ok(()));
+        assert_eq!(validate_numerics(&cost, &cluster), Ok(()));
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! behavioural change here invalidates the oracle the fast path is checked
 //! against.
 
-use crate::engine::SimOptions;
+use crate::engine::{SimOptions, LOOKAHEAD_WINDOW};
 use crate::report::{SimReport, SimSpan};
 use hanayo_analyze::device_bytes;
 use hanayo_cluster::ClusterSpec;
@@ -139,7 +139,7 @@ impl<'a> Engine<'a> {
     fn prefetch(&mut self, d: usize, from: usize, now: f64) {
         let actions = &self.schedule.lists[d].actions;
         let mut groups = 0usize;
-        for action in actions.iter().skip(from).take(self.opts.lookahead_window) {
+        for action in actions.iter().skip(from).take(LOOKAHEAD_WINDOW) {
             match action {
                 Action::Comm(op) if op.dir == CommDir::Recv => {
                     self.post_recv(d, op.tag, now);

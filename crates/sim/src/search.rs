@@ -3,7 +3,7 @@
 //! `hanayo-core`'s [`local_search`] is generic over a scoring closure;
 //! this module supplies the closure the rest of the workspace cares
 //! about: lower the candidate table to an executable
-//! [`Schedule`] and run
+//! [`Schedule`](hanayo_core::action::Schedule) and run
 //! the compiled fast path without recording spans (a score reads only the
 //! makespan), so one illegal candidate becomes a skipped move, never a
 //! panic. [`search_schedule`] is the
@@ -13,7 +13,6 @@
 
 use crate::engine::{compile_schedule, try_simulate_scalars, SimError, SimOptions};
 use hanayo_cluster::ClusterSpec;
-use hanayo_core::action::Schedule;
 use hanayo_core::chain::ComputeSchedule;
 use hanayo_core::comm;
 use hanayo_core::config::{PipelineConfig, Scheme};
@@ -148,24 +147,17 @@ pub fn named_schemes() -> [Scheme; 7] {
     ]
 }
 
+/// The simulated makespan of `cs` lowered to a schedule, from a span-free
+/// run.
 fn simulate_order(
     cs: &ComputeSchedule,
     cost: &CostTable,
     cluster: &ClusterSpec,
     opts: SimOptions,
 ) -> Result<f64, SimError> {
-    iteration_time(&comm::lower(cs), cost, cluster, opts)
-}
-
-/// The simulated makespan of `schedule`, from a span-free run.
-fn iteration_time(
-    schedule: &Schedule,
-    cost: &CostTable,
-    cluster: &ClusterSpec,
-    opts: SimOptions,
-) -> Result<f64, SimError> {
-    let compiled = compile_schedule(schedule, &opts);
-    try_simulate_scalars(&compiled, schedule, cost, cluster, opts).map(|r| r.iteration_time)
+    let schedule = comm::lower(cs);
+    let compiled = compile_schedule(&schedule, &opts);
+    try_simulate_scalars(&compiled, &schedule, cost, cluster, opts).map(|r| r.iteration_time)
 }
 
 /// Search the schedule space at `(P, B)` on `cluster` (which must have
@@ -204,17 +196,10 @@ pub fn search_schedule(
     baselines.sort_by(|a, b| a.iteration_time_s.total_cmp(&b.iteration_time_s));
 
     let seed_table = ScheduleTable::from_compute(&seed_cs);
+    // A table that passes the validity checker cannot deadlock, and one
+    // that did would score `None` through the engine's `SimError::Deadlock`.
     let (table, stats) = local_search(&seed_table, &opts.to_core(), |t| {
-        // Lower once and statically screen for deadlock before paying for
-        // a simulation. Tables that pass the validity checker can never
-        // deadlock (strict chain order admits a synchronous execution
-        // witness), so this is a soundness guard for the pre-pass wiring,
-        // not a hot filter.
-        let schedule = comm::lower(&t.to_compute());
-        if hanayo_analyze::check_deadlock_free(&schedule).is_err() {
-            return None;
-        }
-        iteration_time(&schedule, &cost, cluster, sim).ok()
+        simulate_order(&t.to_compute(), &cost, cluster, sim).ok()
     })
     .map_err(ScheduleSearchError::Seed)?;
 

@@ -45,12 +45,11 @@
 //! span-free: a ranking reads scalars, so every `group_report.spans` in a
 //! [`Tuning`] is empty.
 
-use crate::cache::{CostKey, SchedKey, SweepCaches};
+use crate::cache::{report_key, CostKey, SchedKey, SweepCaches};
 use crate::engine::{try_simulate_scalars, validate_numerics, SimOptions};
 use crate::plan::{
     resolve_plan, simulate_plan, Method, ParallelPlan, PlanError, PlanResult, Resolved,
 };
-use crate::search::{search_schedule, ScheduleSearchOptions, SearchedSchedule};
 use hanayo_ckpt::recovery;
 use hanayo_ckpt::{RecoveryEval, RecoveryOptions};
 use hanayo_cluster::ClusterSpec;
@@ -73,20 +72,6 @@ pub struct Candidate {
     pub sim: SimOptions,
     /// Its simulated outcome.
     pub result: PlanResult,
-    /// The failure/recovery evaluation, when the search sweeps checkpoint
-    /// intervals ([`TuneOptions::checkpoint_intervals`]): the candidate's
-    /// interval, its checkpoint stall and restart cost, and the goodput
-    /// the ranking used. `None` on failure-free searches.
-    pub recovery: Option<RecoveryEval>,
-}
-
-impl Candidate {
-    /// The metric this candidate was ranked by: goodput under the
-    /// expected failure rate when the recovery axis is active, raw
-    /// throughput otherwise.
-    pub fn ranking_metric(&self) -> f64 {
-        self.recovery.map_or(self.result.throughput, |r| r.goodput_seq_per_s)
-    }
 }
 
 /// Why a candidate was excluded from the ranking.
@@ -140,11 +125,6 @@ pub struct Tuning {
     pub ranked: Vec<Candidate>,
     /// Every infeasible candidate with the reason it was rejected.
     pub rejected: Vec<Rejection>,
-    /// When [`TuneOptions::schedule_search`] is set: the schedule-space
-    /// search result seeded from the winning plan's pipeline shape — a
-    /// searched candidate standing beside the named schemes. `None` when
-    /// the axis is off, nothing ranked, or the search itself failed.
-    pub searched: Option<SearchedSchedule>,
 }
 
 impl Tuning {
@@ -154,97 +134,48 @@ impl Tuning {
     }
 }
 
+/// The methods every sweep considers beside Hanayo's wave counts.
+const METHODS: [Method; 3] = [Method::GPipe, Method::Dapple, Method::ChimeraWave];
+
 /// Search knobs.
 #[derive(Debug, Clone)]
 pub struct TuneOptions {
-    /// Methods to consider.
-    pub methods: Vec<Method>,
     /// Wave counts searched for Hanayo.
     pub waves: Vec<u32>,
     /// Minimum pipeline width to consider (deep models cannot shrink `P`
     /// below their memory share).
     pub min_pp: u32,
-    /// Baseline simulator options.
-    pub sim: SimOptions,
-    /// Also evaluate every candidate with prefetching disabled (the §4.2
-    /// ablation), doubling that slice of the space.
-    pub sweep_prefetch: bool,
-    /// Additional `recv_lookahead` values to sweep on top of
-    /// `sim.recv_lookahead` (duplicates are skipped).
-    pub recv_lookaheads: Vec<usize>,
-    /// Micro-batch merge factors: factor `m` evaluates the same work as
-    /// `m`-fold larger micro-batches (`B/m` micro-batches of `m ×
-    /// micro_batch_size` sequences — identical sequences per iteration,
-    /// different pipeline granularity). Factors that do not divide a
-    /// candidate's micro-batch count are recorded as shape rejections.
-    pub micro_batch_merges: Vec<u32>,
     /// Activation-recomputation modes to sweep. Checkpointing trades one
     /// extra forward per backward for a boundary-only stash, so on
     /// memory-constrained clusters plans that are `Rejection::Oom` under
     /// [`Recompute::None`] can come back ranked under [`Recompute::Full`].
     /// Duplicates are skipped; an empty list falls back to `None` only.
     pub recompute_modes: Vec<Recompute>,
-    /// Checkpoint intervals (iterations) to sweep. When non-empty, every
-    /// feasible plan is expanded into one candidate per interval, each
-    /// carrying a [`RecoveryEval`], and the ranking switches from raw
-    /// throughput to **goodput under the expected failure rate** (device
-    /// MTBF from the cluster, checkpoint stall from the plan's
-    /// weights+optimizer bytes over the weakest link). The Young–Daly
-    /// optimum falls out of the sweep. Zeros and duplicates are skipped;
-    /// empty disables the axis.
-    pub checkpoint_intervals: Vec<u32>,
-    /// Recovery-model knobs (restart latency, MTBF override) used by the
-    /// checkpoint-interval axis.
-    pub recovery: RecoveryOptions,
-    /// When set, run the tabular schedule-space search seeded from the
-    /// winning plan's pipeline shape and attach the result as
-    /// [`Tuning::searched`]. Deterministic (seeded), so [`tune_with`] and
-    /// [`tune_serial_with`] stay byte-identical.
-    pub schedule_search: Option<ScheduleSearchOptions>,
+    /// Widen the simulator and granularity axes: also evaluate every
+    /// candidate with receive lookaheads 2 and 4 and with prefetching off
+    /// (the §4.2 ablation), and with micro-batch merge factor 2 — the same
+    /// sequences per iteration in half as many micro-batches of twice the
+    /// size, where the per-group batch divides evenly.
+    pub wide: bool,
 }
 
 impl Default for TuneOptions {
     fn default() -> Self {
         TuneOptions {
-            methods: vec![Method::GPipe, Method::Dapple, Method::ChimeraWave],
             waves: vec![1, 2, 4, 8],
             min_pp: 2,
-            sim: SimOptions::default(),
-            sweep_prefetch: false,
-            recv_lookaheads: Vec::new(),
-            micro_batch_merges: vec![1],
             recompute_modes: vec![Recompute::None],
-            checkpoint_intervals: Vec::new(),
-            recovery: RecoveryOptions::default(),
-            schedule_search: None,
+            wide: false,
         }
     }
 }
 
 impl TuneOptions {
-    /// The widest built-in space: prefetch ablation, lookaheads {1, 2, 4},
-    /// micro-batch merge factors {1, 2}, both recomputation modes.
+    /// The widest built-in space: the `wide` axes (prefetch ablation,
+    /// lookaheads {1, 2, 4}, micro-batch merge factors {1, 2}) and both
+    /// recomputation modes.
     pub fn wide(self) -> TuneOptions {
-        TuneOptions {
-            sweep_prefetch: true,
-            recv_lookaheads: vec![1, 2, 4],
-            micro_batch_merges: vec![1, 2],
-            recompute_modes: Recompute::ALL.to_vec(),
-            ..self
-        }
-    }
-
-    /// The checkpoint intervals this search actually sweeps: zeros
-    /// dropped (an interval is at least one iteration), duplicates
-    /// skipped, first-seen order. Empty means the recovery axis is off.
-    pub fn checkpoint_interval_variants(&self) -> Vec<u32> {
-        let mut intervals = Vec::new();
-        for &k in &self.checkpoint_intervals {
-            if k > 0 && !intervals.contains(&k) {
-                intervals.push(k);
-            }
-        }
-        intervals
+        TuneOptions { wide: true, recompute_modes: Recompute::ALL.to_vec(), ..self }
     }
 
     /// The recompute modes this search actually sweeps: deduplicated in
@@ -264,30 +195,21 @@ impl TuneOptions {
         modes
     }
 
-    /// The simulator-option variants this search sweeps, deduplicated, in
-    /// deterministic order. `recv_lookahead` is meaningless without
-    /// prefetching, so prefetch-off variants are normalised to the base
-    /// lookahead — behaviourally identical candidates collapse to one.
+    /// The simulator-option variants this search sweeps, in deterministic
+    /// order: the default options, then (wide only) lookaheads 2 and 4 and
+    /// the prefetch ablation. `recv_lookahead` is meaningless without
+    /// prefetching, so the ablation keeps the default lookahead.
     fn sim_variants(&self) -> Vec<SimOptions> {
-        let mut variants: Vec<SimOptions> = Vec::new();
-        let push = |v: SimOptions, variants: &mut Vec<SimOptions>| {
-            let v = if v.prefetch {
-                v
-            } else {
-                SimOptions { recv_lookahead: self.sim.recv_lookahead, ..v }
-            };
-            if !variants.contains(&v) {
-                variants.push(v);
-            }
-        };
-        push(self.sim, &mut variants);
-        for &la in &self.recv_lookaheads {
-            push(SimOptions { recv_lookahead: la, ..self.sim }, &mut variants);
+        let base = SimOptions::default();
+        if !self.wide {
+            return vec![base];
         }
-        if self.sweep_prefetch {
-            push(SimOptions { prefetch: false, ..self.sim }, &mut variants);
-        }
-        variants
+        vec![
+            base,
+            SimOptions { recv_lookahead: 2, ..base },
+            SimOptions { recv_lookahead: 4, ..base },
+            SimOptions { prefetch: false, ..base },
+        ]
     }
 }
 
@@ -322,10 +244,13 @@ fn candidate_space(
     micro_batch_size: u32,
     opts: &TuneOptions,
 ) -> Vec<(ParallelPlan, SimOptions, Option<String>)> {
-    let mut methods = opts.methods.clone();
+    let mut methods = METHODS.to_vec();
     methods.extend(opts.waves.iter().map(|&w| Method::Hanayo { waves: w }));
     let variants = opts.sim_variants();
     let modes = opts.recompute_variants();
+    // Merge factor `m` evaluates `B/m` micro-batches of `m ×
+    // micro_batch_size` sequences.
+    let merges: &[u32] = if opts.wide { &[1, 2] } else { &[1] };
 
     let mut out = Vec::new();
     for pp in (opts.min_pp..=cluster_devices).filter(|pp| cluster_devices.is_multiple_of(*pp)) {
@@ -358,14 +283,11 @@ fn candidate_space(
         let per_group = global_micro_batches / dp;
         // A merge factor that does not divide the per-group batch names a
         // granularity that does not exist for this factorisation — there
-        // is no candidate to reject, so it is skipped (duplicate and zero
-        // factors likewise).
-        let mut seen = Vec::new();
-        for &merge in &opts.micro_batch_merges {
-            if merge == 0 || !per_group.is_multiple_of(merge) || seen.contains(&merge) {
+        // is no candidate to reject, so it is skipped.
+        for &merge in merges {
+            if !per_group.is_multiple_of(merge) {
                 continue;
             }
-            seen.push(merge);
             for &method in &methods {
                 for &recompute in &modes {
                     for &sim in &variants {
@@ -392,9 +314,9 @@ fn candidate_space(
 /// Price one feasible plan at one checkpoint interval — the single place
 /// that decides what a checkpoint drains (the plan's largest per-device
 /// weights+optimizer payload, over the cluster's weakest link) and how
-/// failures arrive (fleet MTBF over the plan's devices). The tuner's
-/// interval axis, the `ckpt` binary's goodput table and the golden
-/// goodput snapshots all go through here.
+/// failures arrive (fleet MTBF over the plan's devices). The `ckpt`
+/// binary's goodput table and the golden goodput snapshots both go
+/// through here.
 pub fn plan_recovery_eval(
     result: &PlanResult,
     cluster: &ClusterSpec,
@@ -414,33 +336,6 @@ pub fn plan_recovery_eval(
         interval,
         opts,
     )
-}
-
-/// Expand one feasible plan across the checkpoint-interval axis: one
-/// candidate per interval, each priced by [`plan_recovery_eval`]. The
-/// last interval takes the base by move, so `n` intervals cost `n - 1`
-/// clones of the (span-heavy) plan result rather than `n`.
-fn recovery_candidates(
-    base: Candidate,
-    intervals: &[u32],
-    cluster: &ClusterSpec,
-    opts: &TuneOptions,
-) -> Vec<Candidate> {
-    let evals: Vec<RecoveryEval> = intervals
-        .iter()
-        .map(|&k| plan_recovery_eval(&base.result, cluster, k, &opts.recovery))
-        .collect();
-    let mut out = Vec::with_capacity(evals.len());
-    let mut remaining = evals.into_iter().peekable();
-    while let Some(eval) = remaining.next() {
-        if remaining.peek().is_some() {
-            out.push(Candidate { recovery: Some(eval), ..base.clone() });
-        } else {
-            out.push(Candidate { recovery: Some(eval), ..base });
-            break;
-        }
-    }
-    out
 }
 
 /// One candidate's evaluation outcome: a simulated result, a statically
@@ -492,7 +387,7 @@ fn static_verdict(
     let schedule = caches.schedule_for(schedule_key, &cfg)?;
     let cost_key: CostKey = (cfg.stages(), plan.micro_batch_size, plan.recompute);
     let cost = caches.cost_for(cost_key, model);
-    validate_numerics(&cost, cluster, &sim).map_err(PlanError::Numerics)?;
+    validate_numerics(&cost, cluster).map_err(PlanError::Numerics)?;
 
     // Exact static replay of the engine's per-device memory accounting,
     // broadcast over the groups the way a plan evaluation merges group
@@ -539,9 +434,9 @@ fn evaluate(
         StaticVerdict::Reject(rejection) => Ok(Outcome::StaticOom(rejection)),
         StaticVerdict::Simulate { resolved, schedule_key, cost_key, schedule, cost } => {
             let (compiled, content_id) = caches.compiled_for(schedule_key, &schedule, &sim);
-            let id = caches.report_id(schedule_key, cost_key, &sim, content_id);
-            let result = simulate_plan(plan, cluster, sim, resolved, |sub, first| {
-                caches.group_report(id, first, || {
+            let result = simulate_plan(plan, cluster, resolved, |sub, first| {
+                let key = report_key(schedule_key, cost_key, &sim, content_id, first);
+                caches.group_report(key, || {
                     try_simulate_scalars(&compiled, &schedule, &cost, sub, sim)
                 })
             })?;
@@ -550,12 +445,7 @@ fn evaluate(
     }
 }
 
-fn assemble(
-    evaluated: Vec<(ParallelPlan, SimOptions, Outcome)>,
-    cluster: &ClusterSpec,
-    opts: &TuneOptions,
-) -> Tuning {
-    let intervals = opts.checkpoint_interval_variants();
+fn assemble(evaluated: Vec<(ParallelPlan, SimOptions, Outcome)>, cluster: &ClusterSpec) -> Tuning {
     let mut ranked = Vec::new();
     let mut rejected = Vec::new();
     for (plan, sim, outcome) in evaluated {
@@ -579,61 +469,19 @@ fn assemble(
                     devices: result.oom_devices.clone(),
                 });
             }
-            Outcome::Simulated(result) => {
-                let base = Candidate { plan, sim, result, recovery: None };
-                if intervals.is_empty() {
-                    ranked.push(base);
-                } else {
-                    ranked.extend(recovery_candidates(base, &intervals, cluster, opts));
-                }
-            }
+            Outcome::Simulated(result) => ranked.push(Candidate { plan, sim, result }),
             Outcome::Shape(reason) => rejected.push(Rejection::InvalidShape { plan, sim, reason }),
         }
     }
     ranked.sort_by(|a, b| {
-        // Goodput when the recovery axis is active, raw throughput
-        // otherwise; plan shape then interval break ties, so the order is
-        // fully deterministic either way.
-        b.ranking_metric()
-            .total_cmp(&a.ranking_metric())
+        // Plan shape breaks throughput ties, so the order is fully
+        // deterministic.
+        b.result
+            .throughput
+            .total_cmp(&a.result.throughput)
             .then_with(|| plan_key(&a.plan, &a.sim).cmp(&plan_key(&b.plan, &b.sim)))
-            .then_with(|| {
-                let interval = |c: &Candidate| c.recovery.map(|r| r.interval_iterations);
-                interval(a).cmp(&interval(b))
-            })
     });
-    Tuning { ranked, rejected, searched: None }
-}
-
-/// Run the schedule-space search seeded from the winning plan's pipeline
-/// shape and attach it to the tuning. Shared verbatim by [`tune_with`] and
-/// [`tune_serial_with`]; the search is a pure function of its seed, so the two
-/// paths stay byte-identical.
-fn attach_schedule_search(
-    mut tuning: Tuning,
-    model: &ModelConfig,
-    cluster: &ClusterSpec,
-    opts: &TuneOptions,
-) -> Tuning {
-    let Some(search_opts) = opts.schedule_search else { return tuning };
-    let Some(best) = tuning.best() else { return tuning };
-    let Ok(Resolved { cfg, .. }) = resolve_plan(&best.plan, cluster) else { return tuning };
-    // The search runs at the winner's effective pipeline shape, on its
-    // first group's device slice.
-    let devices: Vec<usize> = (0..cfg.devices as usize).collect();
-    let sub = cluster.select(&devices);
-    tuning.searched = search_schedule(
-        model,
-        &sub,
-        cfg.devices,
-        cfg.micro_batches,
-        best.plan.micro_batch_size,
-        best.plan.recompute,
-        best.sim,
-        &search_opts,
-    )
-    .ok();
-    tuning
+    Tuning { ranked, rejected }
 }
 
 /// Classify and count one candidate verdict. The `outcome` label is the
@@ -800,7 +648,7 @@ fn tune_impl(
         }
     }
     progress.finish();
-    Ok(attach_schedule_search(assemble(evaluated, cluster, opts), model, cluster, opts))
+    Ok(assemble(evaluated, cluster))
 }
 
 /// Sweep the strategy space and rank feasible plans by throughput,
@@ -930,7 +778,7 @@ mod tests {
                 (plan, sim, outcome)
             })
             .collect();
-        assemble(evaluated, cluster, opts)
+        assemble(evaluated, cluster)
     }
 
     #[test]
@@ -1053,94 +901,6 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_interval_axis_expands_and_ranks_by_goodput() {
-        let model = ModelConfig::bert64().with_train_bytes_per_param(8);
-        let mut cluster = fc_full_nvlink(8);
-        // A short-MTBF what-if cluster so the failure term actually bites.
-        cluster.device_mtbf_s = 40_000.0;
-        let base = TuneOptions { waves: vec![2], min_pp: 8, ..Default::default() };
-        let plain = tune_with(&model, &cluster, 8, 1, &base, &TuneContext::default()).unwrap();
-        let with_axis = tune_with(
-            &model,
-            &cluster,
-            8,
-            1,
-            &TuneOptions { checkpoint_intervals: vec![4, 0, 16, 4], ..base },
-            &TuneContext::default(),
-        )
-        .unwrap();
-        // Dedup dropped the 0 and the duplicate: 2 intervals per plan.
-        assert_eq!(with_axis.ranked.len(), 2 * plain.ranked.len());
-        for c in &with_axis.ranked {
-            let r = c.recovery.expect("the axis annotates every candidate");
-            assert!(r.goodput_seq_per_s < c.result.throughput, "goodput must cost something");
-            assert!(r.efficiency > 0.0 && r.efficiency < 1.0);
-            assert_eq!(c.ranking_metric(), r.goodput_seq_per_s);
-        }
-        // Ranked by goodput, deterministically.
-        for pair in with_axis.ranked.windows(2) {
-            assert!(pair[0].ranking_metric() >= pair[1].ranking_metric());
-        }
-        // Plain searches carry no recovery annotation.
-        assert!(plain.ranked.iter().all(|c| c.recovery.is_none()));
-    }
-
-    #[test]
-    fn best_interval_matches_young_daly_closed_form() {
-        use hanayo_ckpt::recovery::young_daly_interval_s;
-        // Uniform-cost micro-model: one method, one factorisation, a dense
-        // interval grid. The sweep's winning interval must agree with the
-        // closed form within one grid step (documented tolerance: the
-        // optimum in iterations is fractional; the sweep is integral).
-        let model = ModelConfig::bert64().with_train_bytes_per_param(8);
-        let mut cluster = fc_full_nvlink(8);
-        cluster.device_mtbf_s = 40_000.0;
-        let opts = TuneOptions {
-            methods: vec![Method::Dapple],
-            waves: Vec::new(),
-            min_pp: 8,
-            checkpoint_intervals: (1..=400).collect(),
-            ..Default::default()
-        };
-        let t = tune_with(&model, &cluster, 8, 1, &opts, &TuneContext::default()).unwrap();
-        let best = t.best().expect("one plan, many intervals");
-        let r = best.recovery.unwrap();
-        let star_s = young_daly_interval_s(r.checkpoint_write_s, r.cluster_mtbf_s, r.restart_s);
-        let star_k = star_s / best.result.iteration_time;
-        assert!(
-            (1.0..=400.0).contains(&star_k),
-            "closed-form optimum {star_k} must sit inside the sweep grid"
-        );
-        assert!(
-            (r.interval_iterations as f64 - star_k).abs() <= 1.0,
-            "sweep optimum {} vs Young–Daly {star_k}",
-            r.interval_iterations
-        );
-    }
-
-    #[test]
-    fn schedule_search_axis_attaches_a_searched_candidate() {
-        let model = ModelConfig::bert64().with_train_bytes_per_param(8);
-        let cluster = fc_full_nvlink(8);
-        let search =
-            ScheduleSearchOptions { max_rounds: 6, moves_per_round: 8, ..Default::default() };
-        let with = TuneOptions { schedule_search: Some(search), ..opts() };
-        let par = tune_with(&model, &cluster, 8, 1, &with, &TuneContext::default()).unwrap();
-        let searched = par.searched.as_ref().expect("axis on + feasible best ⇒ searched");
-        // Never worse than its own best named baseline, and internally
-        // consistent with the winning plan's shape.
-        assert!(searched.iteration_time_s <= searched.baseline_iteration_time_s);
-        assert!(!searched.baselines.is_empty());
-        // Byte-identical across the parallel and serial paths.
-        let ser = tune_serial_with(&model, &cluster, 8, 1, &with, &TuneContext::default()).unwrap();
-        assert_eq!(par, ser);
-        // Axis off ⇒ no searched candidate, ranking unchanged.
-        let without = tune_with(&model, &cluster, 8, 1, &opts(), &TuneContext::default()).unwrap();
-        assert!(without.searched.is_none());
-        assert_eq!(without.ranked, par.ranked);
-    }
-
-    #[test]
     fn pre_tripped_abort_cancels_before_any_candidate() {
         let model = ModelConfig::bert64().with_train_bytes_per_param(8);
         let abort = Arc::new(AbortFlag::new());
@@ -1215,7 +975,7 @@ mod tests {
             &lonestar6(8),
             8,
             1,
-            &TuneOptions { sweep_prefetch: true, ..opts() },
+            &TuneOptions { wide: true, ..opts() },
             &TuneContext::default(),
         )
         .unwrap();

@@ -27,7 +27,7 @@
 //!   (measure → calibrate → sweep → predict).
 //! * [`ckpt`] — fault tolerance: the versioned bit-exact checkpoint
 //!   model, failure-injection plans, and the recovery cost model behind
-//!   the tuner's checkpoint-interval sweep (resume ≡ uninterrupted, by
+//!   the `ckpt` goodput table (resume ≡ uninterrupted, by
 //!   construction and by test).
 //! * [`metrics`] — zero-perturbation observability: the shard-per-thread
 //!   metrics registry, the `HANAYO_LOG` structured-logging facade, and

@@ -43,7 +43,7 @@ fn render(name: &str, method: Method) -> String {
     };
     let result = evaluate_plan(&plan, &model, &cluster, SimOptions::default()).unwrap();
     let state_bytes = result.group_report.weight_mem.iter().copied().max().unwrap_or(0);
-    let opts = RecoveryOptions { restart_latency_s: RESTART_LATENCY_S, device_mtbf_s: None };
+    let opts = RecoveryOptions { restart_latency_s: RESTART_LATENCY_S };
 
     let mut out = String::new();
     writeln!(out, "goodput table: {name} (P=8, B=8, TACC, mtbf/device={DEVICE_MTBF_S}s)").unwrap();
