@@ -442,6 +442,21 @@ mod tests {
     }
 
     #[test]
+    fn report_key_pins_the_windows_only_with_prefetch_on() {
+        // Prefetch-off runs never read the windows, so every lowering
+        // shares one key; prefetch-on runs are told apart by window
+        // content, and every run by its group's first device.
+        let sched = (Scheme::Dapple, 4, 4);
+        let cost = (4, 1, Recompute::None);
+        let on = SimOptions::default();
+        let off = SimOptions { prefetch: false, ..on };
+        assert_eq!(report_key(sched, cost, &off, 3, 0), report_key(sched, cost, &off, 7, 0));
+        assert_ne!(report_key(sched, cost, &on, 3, 0), report_key(sched, cost, &on, 7, 0));
+        assert_ne!(report_key(sched, cost, &on, 3, 0), report_key(sched, cost, &off, 3, 0));
+        assert_ne!(report_key(sched, cost, &on, 3, 0), report_key(sched, cost, &on, 3, 4));
+    }
+
+    #[test]
     fn bounded_caches_report_their_size() {
         let c = SweepCaches::bounded(4);
         assert_eq!(c.entries(), 0);

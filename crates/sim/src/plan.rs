@@ -440,6 +440,24 @@ mod tests {
     }
 
     #[test]
+    fn exposed_allreduce_is_the_unhidden_share() {
+        // Each stage's gradients ring-all-reduce across the D groups; the
+        // slowest ring sets the raw cost and only the share not hidden
+        // behind the backward cooldown lands on the critical path.
+        let cluster = fc_full_nvlink(8);
+        let r = eval(&plan(Method::Dapple, 2, 4, 4), &cluster);
+        let raw = (0..4usize)
+            .map(|s| ring_allreduce_time(&cluster, &[s, 4 + s], r.group_report.grad_mem[s]))
+            .fold(0.0, f64::max);
+        assert!(raw > 0.0);
+        assert_eq!(r.allreduce_time, raw * (1.0 - ALLREDUCE_OVERLAP));
+        assert!(r.allreduce_time > 0.0 && r.allreduce_time < raw);
+        assert_eq!(r.iteration_time, r.pipeline_time + r.allreduce_time);
+        // One group has nothing to reduce.
+        assert_eq!(eval(&plan(Method::Dapple, 1, 8, 8), &cluster).allreduce_time, 0.0);
+    }
+
+    #[test]
     fn corrupt_cluster_is_rejected_not_simulated() {
         let mut cluster = fc_full_nvlink(8);
         cluster.links[3][4].bandwidth = f64::NAN;

@@ -280,6 +280,24 @@ mod tests {
     }
 
     #[test]
+    fn deadlocking_order_is_scored_none_by_the_engine() {
+        // The hill-climb's scorer has no deadlock screen of its own: an
+        // order that waits on itself must come back as the engine's
+        // `SimError::Deadlock`, which the scorer maps to `None`. Device 0
+        // here starts with a backward whose gradient needs its own later
+        // forward.
+        let cfg = PipelineConfig::new(2, 2, Scheme::GPipe).unwrap();
+        let mut cs = build_compute_schedule(&cfg).unwrap();
+        let first_bwd = cs.per_device[0].iter().position(|op| op.backward).unwrap();
+        let op = cs.per_device[0].remove(first_bwd);
+        cs.per_device[0].insert(0, op);
+        let cost = CostTable::build_with(&ModelConfig::bert64(), cfg.stages(), 1, Recompute::None);
+        let err = simulate_order(&cs, &cost, &fc_full_nvlink(2), SimOptions::default())
+            .expect_err("a self-waiting order must not simulate");
+        assert!(matches!(err, SimError::Deadlock { .. }), "got {err:?}");
+    }
+
+    #[test]
     fn infeasible_shape_is_a_typed_error() {
         // Cluster width ≠ P: every baseline fails to simulate.
         let cluster = fc_full_nvlink(4);

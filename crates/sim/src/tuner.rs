@@ -901,6 +901,70 @@ mod tests {
     }
 
     #[test]
+    fn best_interval_matches_young_daly_closed_form() {
+        use hanayo_ckpt::recovery::young_daly_interval_s;
+        // One plan priced over a dense interval grid, as `hanayo ckpt
+        // --mode goodput` does. The goodput-maximising interval must agree
+        // with the closed form within one grid step (documented tolerance:
+        // the optimum in iterations is fractional; the grid is integral).
+        let model = ModelConfig::bert64().with_train_bytes_per_param(8);
+        let mut cluster = fc_full_nvlink(8);
+        cluster.device_mtbf_s = 40_000.0;
+        let p = ParallelPlan {
+            method: Method::Dapple,
+            dp: 1,
+            pp: 8,
+            micro_batches: 8,
+            micro_batch_size: 1,
+            recompute: Recompute::None,
+        };
+        let result = evaluate_plan(&p, &model, &cluster, SimOptions::default()).unwrap();
+        let opts = RecoveryOptions::default();
+        let best = (1..=400u32)
+            .map(|k| plan_recovery_eval(&result, &cluster, k, &opts))
+            .reduce(|a, b| if b.goodput_seq_per_s > a.goodput_seq_per_s { b } else { a })
+            .unwrap();
+        let star_s =
+            young_daly_interval_s(best.checkpoint_write_s, best.cluster_mtbf_s, best.restart_s);
+        let star_k = star_s / result.iteration_time;
+        assert!(
+            (1.0..=400.0).contains(&star_k),
+            "closed-form optimum {star_k} must sit inside the grid"
+        );
+        assert!(
+            (best.interval_iterations as f64 - star_k).abs() <= 1.0,
+            "grid optimum {} vs Young–Daly {star_k}",
+            best.interval_iterations
+        );
+    }
+
+    #[test]
+    fn plan_recovery_eval_reads_the_clusters_mtbf() {
+        // The cluster's per-device MTBF is the only failure source: the
+        // fleet MTBF divides it over the plan's devices, and a shorter one
+        // costs goodput at the same interval.
+        let model = ModelConfig::bert64().with_train_bytes_per_param(8);
+        let mut cluster = fc_full_nvlink(8);
+        let t = tune_with(&model, &cluster, 8, 1, &opts(), &TuneContext::default()).unwrap();
+        let best = t.best().unwrap().result.clone();
+        let devices = f64::from(best.plan.dp * best.plan.pp);
+        let at = |cluster: &ClusterSpec| {
+            plan_recovery_eval(&best, cluster, 16, &RecoveryOptions::default())
+        };
+        cluster.device_mtbf_s = 400_000.0;
+        let long = at(&cluster);
+        cluster.device_mtbf_s = 40_000.0;
+        let short = at(&cluster);
+        assert_eq!(long.cluster_mtbf_s, 400_000.0 / devices);
+        assert_eq!(short.cluster_mtbf_s, 40_000.0 / devices);
+        for e in [long, short] {
+            assert!(e.goodput_seq_per_s < best.throughput, "goodput must cost something");
+            assert!(e.efficiency > 0.0 && e.efficiency < 1.0);
+        }
+        assert!(short.goodput_seq_per_s < long.goodput_seq_per_s);
+    }
+
+    #[test]
     fn pre_tripped_abort_cancels_before_any_candidate() {
         let model = ModelConfig::bert64().with_train_bytes_per_param(8);
         let abort = Arc::new(AbortFlag::new());
