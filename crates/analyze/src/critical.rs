@@ -46,12 +46,12 @@ fn msg_weight(src: usize, dst: usize, cost: &CostTable, cluster: &ClusterSpec) -
 /// Longest weighted path through the DAG, in seconds. Fails with the
 /// deadlock cycle if the graph is cyclic, or with a shape mismatch if the
 /// cluster does not fit the schedule.
-pub fn critical_path(
+pub(crate) fn critical_path(
     dag: &HappensBefore<'_>,
     cost: &CostTable,
     cluster: &ClusterSpec,
 ) -> Result<f64, AnalysisError> {
-    let schedule = dag.schedule();
+    let schedule = dag.schedule;
     if cluster.len() != schedule.lists.len() {
         return Err(AnalysisError::DeviceCountMismatch {
             schedule: schedule.lists.len(),

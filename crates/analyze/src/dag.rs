@@ -2,7 +2,7 @@
 //!
 //! Every action is split into an *enter* and an *exit* node, because the
 //! engine's blocking semantics are asymmetric within one action: a
-//! [`Action::BatchedComm`] posts its member sends the moment the device
+//! `BatchedComm` posts its member sends the moment the device
 //! reaches it (enter) but completes only when every member receive has
 //! arrived (exit). Modelling the batch as a single node would manufacture
 //! cycles for exactly the §4.2 cross-communication pattern the batching
@@ -17,6 +17,11 @@
 //!   start once the send is posted, and the receiver cannot pass its
 //!   blocking point before the message arrives.
 //!
+//! Messages are the pairs [`Program::lower`] made: the DAG is built from
+//! the lowered program, so a schedule whose messages do not pair is
+//! refused with the [`hanayo_core::program::ProgramError`] every engine
+//! returns.
+//!
 //! A cycle in this graph is precisely a schedule the simulator reports as
 //! [`SimError::Deadlock`]: sends never block, so the only wait chains run
 //! through receive exits, and those are exactly the message edges.
@@ -28,24 +33,19 @@
 //! [`SimError::Deadlock`]: https://docs.rs/hanayo-sim
 
 use crate::error::{AnalysisError, CycleNode};
-use hanayo_core::action::{Action, CommDir, MsgTag, Schedule};
+use hanayo_core::action::Schedule;
 use hanayo_core::ids::DeviceId;
-use std::collections::HashMap;
+use hanayo_core::program::{Message, Op, Program};
 
 /// Why an edge exists — enough to weight it later without storing floats.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EdgeKind {
+pub(crate) enum EdgeKind {
     /// Program order between consecutive actions of one device.
     Seq,
     /// Enter → exit of a single action (carries compute duration).
     Span,
-    /// A matched point-to-point message from `src` to `dst`.
-    Msg {
-        /// Sending device.
-        src: u32,
-        /// Receiving device.
-        dst: u32,
-    },
+    /// A paired point-to-point message from `src` to `dst`.
+    Msg { src: u32, dst: u32 },
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -54,37 +54,22 @@ pub(crate) struct Edge {
     pub(crate) kind: EdgeKind,
 }
 
-/// One matched message, with both program coordinates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Message {
-    /// Sending device.
-    pub src: DeviceId,
-    /// Receiving device.
-    pub dst: DeviceId,
-    /// Message identity.
-    pub tag: MsgTag,
-    /// Index of the action posting the send in `src`'s list.
-    pub send_index: usize,
-    /// Index of the action blocking on the receive in `dst`'s list.
-    pub recv_index: usize,
-}
-
 /// The happens-before DAG of one lowered schedule.
-pub struct HappensBefore<'a> {
-    schedule: &'a Schedule,
+pub(crate) struct HappensBefore<'a> {
+    pub(crate) schedule: &'a Schedule,
+    pub(crate) program: Program,
     /// First global action index of each device, plus the total as a cap.
     offsets: Vec<usize>,
     succs: Vec<Vec<Edge>>,
-    edge_count: usize,
-    messages: Vec<Message>,
-    batched_comms: usize,
+    /// Every message with its key, in sender program order.
+    pub(crate) messages: Vec<(u32, Message)>,
 }
 
 impl<'a> HappensBefore<'a> {
-    /// Build the DAG, matching every send to its receive. Returns the
-    /// first communication defect (unmatched/duplicated message, wrong
-    /// peer) in deterministic device/action order.
-    pub fn build(schedule: &'a Schedule) -> Result<HappensBefore<'a>, AnalysisError> {
+    /// Lower the schedule and build the DAG over its paired messages.
+    /// Returns the lowering's first defect if the messages do not pair.
+    pub(crate) fn build(schedule: &'a Schedule) -> Result<HappensBefore<'a>, AnalysisError> {
+        let program = Program::lower(schedule)?;
         let mut offsets = Vec::with_capacity(schedule.lists.len() + 1);
         let mut total = 0usize;
         for list in &schedule.lists {
@@ -92,139 +77,53 @@ impl<'a> HappensBefore<'a> {
             total += list.actions.len();
         }
         offsets.push(total);
-
-        let mut dag = HappensBefore {
-            schedule,
-            offsets,
-            succs: vec![Vec::new(); 2 * total],
-            edge_count: 0,
-            messages: Vec::new(),
-            batched_comms: 0,
-        };
+        let mut succs = vec![Vec::new(); 2 * total];
+        let mut edge =
+            |from: usize, to: usize, kind| succs[from].push(Edge { to: to as u32, kind });
 
         // Structural edges: span + program order.
         for (d, list) in schedule.lists.iter().enumerate() {
             for i in 0..list.actions.len() {
-                let g = dag.offsets[d] + i;
-                dag.push_edge(2 * g as u32, (2 * g + 1) as u32, EdgeKind::Span);
+                let g = offsets[d] + i;
+                edge(2 * g, 2 * g + 1, EdgeKind::Span);
                 if i + 1 < list.actions.len() {
-                    dag.push_edge((2 * g + 1) as u32, (2 * (g + 1)) as u32, EdgeKind::Seq);
-                }
-            }
-            dag.batched_comms +=
-                list.actions.iter().filter(|a| matches!(a, Action::BatchedComm(_))).count();
-        }
-
-        // Receive index: (receiving device, tag) → (action index, declared
-        // peer, matched?). Duplicates are defects.
-        let mut recvs: HashMap<(u32, MsgTag), (usize, DeviceId, bool)> = HashMap::new();
-        for (d, list) in schedule.lists.iter().enumerate() {
-            let device = DeviceId(d as u32);
-            for (i, action) in list.actions.iter().enumerate() {
-                for op in action.comm_ops() {
-                    if op.dir != CommDir::Recv {
-                        continue;
-                    }
-                    if recvs.insert((d as u32, op.tag), (i, op.peer, false)).is_some() {
-                        return Err(AnalysisError::DuplicateMessage {
-                            device,
-                            index: i,
-                            tag: op.tag,
-                        });
-                    }
+                    edge(2 * g + 1, 2 * g + 2, EdgeKind::Seq);
                 }
             }
         }
 
-        // Match sends against the receive index and add message edges.
-        for (d, list) in schedule.lists.iter().enumerate() {
-            let device = DeviceId(d as u32);
-            for (i, action) in list.actions.iter().enumerate() {
-                for op in action.comm_ops() {
-                    if op.dir != CommDir::Send {
-                        continue;
-                    }
-                    let Some(entry) = recvs.get_mut(&(op.peer.0, op.tag)) else {
-                        return Err(AnalysisError::UnmatchedSend { device, index: i, tag: op.tag });
-                    };
-                    let (recv_index, declared, matched) = *entry;
-                    if matched {
-                        return Err(AnalysisError::DuplicateMessage {
-                            device,
-                            index: i,
-                            tag: op.tag,
-                        });
-                    }
-                    if declared != device {
-                        return Err(AnalysisError::PeerMismatch {
-                            device: op.peer,
-                            index: recv_index,
-                            tag: op.tag,
-                            declared,
-                            actual: device,
-                        });
-                    }
-                    entry.2 = true;
-                    let from = 2 * (dag.offsets[d] + i) as u32;
-                    let to = (2 * (dag.offsets[op.peer.0 as usize] + recv_index) + 1) as u32;
-                    dag.push_edge(from, to, EdgeKind::Msg { src: d as u32, dst: op.peer.0 });
-                    dag.messages.push(Message {
-                        src: device,
-                        dst: op.peer,
-                        tag: op.tag,
-                        send_index: i,
-                        recv_index,
-                    });
-                }
+        // Message edges, send enter → receive exit, in sender program order.
+        let mut messages = Vec::new();
+        for op in program.ops().iter().flatten() {
+            let members = match *op {
+                Op::Batch { start, end } => program.members(start, end),
+                _ => std::slice::from_ref(op),
+            };
+            for member in members {
+                let Op::Send { key, .. } = *member else { continue };
+                let Some(m) = program.message(key) else { continue };
+                let send = offsets[m.src.idx()] + m.send_at as usize;
+                let recv = offsets[m.dst.idx()] + m.recv_at as usize;
+                edge(2 * send, 2 * recv + 1, EdgeKind::Msg { src: m.src.0, dst: m.dst.0 });
+                messages.push((key, m));
             }
         }
-
-        // Any receive left unmatched, reported in program order.
-        for (d, list) in schedule.lists.iter().enumerate() {
-            for (i, action) in list.actions.iter().enumerate() {
-                for op in action.comm_ops() {
-                    if op.dir == CommDir::Recv && !recvs[&(d as u32, op.tag)].2 {
-                        return Err(AnalysisError::UnmatchedRecv {
-                            device: DeviceId(d as u32),
-                            index: i,
-                            tag: op.tag,
-                        });
-                    }
-                }
-            }
-        }
-
-        Ok(dag)
+        Ok(HappensBefore { schedule, program, offsets, succs, messages })
     }
 
-    fn push_edge(&mut self, from: u32, to: u32, kind: EdgeKind) {
-        self.succs[from as usize].push(Edge { to, kind });
-        self.edge_count += 1;
-    }
-
-    /// Number of nodes (two per action).
-    pub fn node_count(&self) -> usize {
-        self.succs.len()
-    }
-
-    /// Number of edges.
-    pub fn edge_count(&self) -> usize {
-        self.edge_count
-    }
-
-    /// The matched messages, in sender program order.
-    pub fn messages(&self) -> &[Message] {
-        &self.messages
+    /// Number of edges (span + program order + message).
+    pub(crate) fn edge_count(&self) -> usize {
+        self.succs.iter().map(Vec::len).sum()
     }
 
     /// Number of `BatchedComm` actions in the schedule.
-    pub fn batched_comms(&self) -> usize {
-        self.batched_comms
+    pub(crate) fn batched_comms(&self) -> usize {
+        self.program.ops().iter().flatten().filter(|op| matches!(op, Op::Batch { .. })).count()
     }
 
-    /// The schedule this DAG was built over.
-    pub fn schedule(&self) -> &Schedule {
-        self.schedule
+    /// Number of nodes (two per action).
+    pub(crate) fn node_count(&self) -> usize {
+        self.succs.len()
     }
 
     /// Outgoing edges of a node.
@@ -251,7 +150,7 @@ impl<'a> HappensBefore<'a> {
 
     /// Topological order of the nodes, or the happens-before cycle that
     /// prevents one — which is exactly a deadlock witness.
-    pub fn topo_order(&self) -> Result<Vec<u32>, AnalysisError> {
+    pub(crate) fn topo_order(&self) -> Result<Vec<u32>, AnalysisError> {
         let n = self.succs.len();
         // 0 = unvisited, 1 = on the DFS path, 2 = done.
         let mut color = vec![0u8; n];
@@ -306,42 +205,62 @@ impl<'a> HappensBefore<'a> {
     /// always fine). Tag-matched rendezvous tolerates inversions, but a
     /// FIFO channel would deadlock on one, so generators must not emit
     /// them.
-    pub fn check_fifo(&self) -> Result<(), AnalysisError> {
-        // messages() is already in sender program order per (src, dst).
-        let mut per_link: HashMap<(u32, u32), Vec<&Message>> = HashMap::new();
-        for m in &self.messages {
-            per_link.entry((m.src.0, m.dst.0)).or_default().push(m);
-        }
-        let mut links: Vec<_> = per_link.into_iter().collect();
-        links.sort_by_key(|&((s, d), _)| (s, d));
-        for ((_, _), msgs) in links {
-            // Running max of recv indices over strictly-earlier sends.
-            let mut frontier: Option<&Message> = None;
-            let mut i = 0;
-            while i < msgs.len() {
-                // One group of equal send indices at a time.
-                let mut j = i;
-                while j < msgs.len() && msgs[j].send_index == msgs[i].send_index {
-                    if let Some(prev) = frontier {
-                        if msgs[j].recv_index < prev.recv_index {
-                            return Err(AnalysisError::FifoInversion {
-                                src: prev.src,
-                                dst: prev.dst,
-                                first: prev.tag,
-                                second: msgs[j].tag,
-                            });
-                        }
-                    }
-                    j += 1;
-                }
-                for m in &msgs[i..j] {
-                    if frontier.is_none_or(|p| m.recv_index > p.recv_index) {
-                        frontier = Some(m);
+    pub(crate) fn check_fifo(&self) -> Result<(), AnalysisError> {
+        // A stable sort keeps each link's messages in sender program order.
+        let mut by_link = self.messages.clone();
+        by_link.sort_by_key(|(_, m)| (m.src, m.dst));
+        let tag = |key| self.program.tag(key);
+        for link in by_link.chunk_by(|(_, a), (_, b)| (a.src, a.dst) == (b.src, b.dst)) {
+            // The latest receive over strictly-earlier sends.
+            let mut frontier: Option<&(u32, Message)> = None;
+            for group in link.chunk_by(|(_, a), (_, b)| a.send_at == b.send_at) {
+                if let Some(&(first, prev)) = frontier {
+                    if let Some(&(second, _)) = group.iter().find(|(_, m)| m.recv_at < prev.recv_at)
+                    {
+                        let (src, dst) = (prev.src, prev.dst);
+                        let (first, second) = (tag(first), tag(second));
+                        return Err(AnalysisError::FifoInversion { src, dst, first, second });
                     }
                 }
-                i = j;
+                for sent in group {
+                    if frontier.is_none_or(|(_, p)| sent.1.recv_at > p.recv_at) {
+                        frontier = Some(sent);
+                    }
+                }
             }
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use hanayo_core::action::{Action, CommDir, CommOp, MsgTag, Payload};
+    use hanayo_core::config::{PipelineConfig, Scheme};
+    use hanayo_core::ids::{MicroBatch, StageId};
+    use hanayo_core::schedule::build_schedule;
+
+    #[test]
+    fn a_receive_order_inverting_the_send_order_is_a_fifo_inversion() {
+        let mut s = build_schedule(&PipelineConfig::new(2, 2, Scheme::GPipe).unwrap()).unwrap();
+        assert_eq!(HappensBefore::build(&s).unwrap().check_fifo(), Ok(()));
+        // Device 1 blocks on micro-batch 1's activation before micro-batch
+        // 0's, which device 0 posts first.
+        let act =
+            |mb| MsgTag { mb: MicroBatch(mb), stage: StageId(1), payload: Payload::Activation };
+        let recv = |mb| {
+            let op = CommOp { dir: CommDir::Recv, peer: DeviceId(0), tag: act(mb) };
+            s.lists[1].actions.iter().position(|a| *a == Action::Comm(op)).unwrap()
+        };
+        let (first, second) = (recv(0), recv(1));
+        s.lists[1].actions.swap(first, second);
+        let expected = AnalysisError::FifoInversion {
+            src: DeviceId(0),
+            dst: DeviceId(1),
+            first: act(0),
+            second: act(1),
+        };
+        assert_eq!(HappensBefore::build(&s).unwrap().check_fifo(), Err(expected));
     }
 }

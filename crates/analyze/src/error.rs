@@ -2,6 +2,7 @@
 
 use hanayo_core::action::MsgTag;
 use hanayo_core::ids::DeviceId;
+use hanayo_core::program::ProgramError;
 use hanayo_core::schedule::table::TableError;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -48,46 +49,11 @@ pub enum AnalysisError {
         /// Devices in the cluster.
         cluster: usize,
     },
-    /// A receive with no matching send on the named peer.
-    UnmatchedRecv {
-        /// Device posting the receive.
-        device: DeviceId,
-        /// Index of the action containing it.
-        index: usize,
-        /// The orphaned message.
-        tag: MsgTag,
-    },
-    /// A send whose destination never posts the matching receive.
-    UnmatchedSend {
-        /// Device posting the send.
-        device: DeviceId,
-        /// Index of the action containing it.
-        index: usize,
-        /// The orphaned message.
-        tag: MsgTag,
-    },
-    /// The same message is sent or received more than once.
-    DuplicateMessage {
-        /// Device of the second occurrence.
-        device: DeviceId,
-        /// Action index of the second occurrence.
-        index: usize,
-        /// The duplicated message.
-        tag: MsgTag,
-    },
-    /// A receive naming the wrong peer for its matching send.
-    PeerMismatch {
-        /// Device posting the receive.
-        device: DeviceId,
-        /// Action index of the receive.
-        index: usize,
-        /// The message.
-        tag: MsgTag,
-        /// Peer the receive names.
-        declared: DeviceId,
-        /// Device actually posting the send.
-        actual: DeviceId,
-    },
+    /// The schedule does not lower: a tag outside its key space, or a
+    /// message without exactly one send and one receive on the devices
+    /// each names. The same error the simulator and the runtime refuse
+    /// the schedule with.
+    Program(ProgramError),
     /// A cross-device chain step no message carries: the consumer never
     /// receives the producer's message, or receives it only after the
     /// step, or the producer sends it before computing it.
@@ -133,6 +99,12 @@ impl From<TableError> for AnalysisError {
     }
 }
 
+impl From<ProgramError> for AnalysisError {
+    fn from(e: ProgramError) -> Self {
+        AnalysisError::Program(e)
+    }
+}
+
 impl fmt::Display for AnalysisError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -143,21 +115,7 @@ impl fmt::Display for AnalysisError {
             AnalysisError::DeviceCountMismatch { schedule, cluster } => {
                 write!(f, "schedule has {schedule} devices, cluster has {cluster}")
             }
-            AnalysisError::UnmatchedRecv { device, index, tag } => {
-                write!(f, "recv[{tag}] at {device}#{index} has no matching send")
-            }
-            AnalysisError::UnmatchedSend { device, index, tag } => {
-                write!(f, "send[{tag}] at {device}#{index} has no matching recv")
-            }
-            AnalysisError::DuplicateMessage { device, index, tag } => {
-                write!(f, "message {tag} duplicated at {device}#{index}")
-            }
-            AnalysisError::PeerMismatch { device, index, tag, declared, actual } => {
-                write!(
-                    f,
-                    "recv[{tag}] at {device}#{index} names peer {declared}, sender is {actual}"
-                )
-            }
+            AnalysisError::Program(e) => write!(f, "{e}"),
             AnalysisError::UncarriedStep { device, index, tag } => write!(
                 f,
                 "{device}#{index} consumes {tag}, but no message carries it there in order"

@@ -5,9 +5,13 @@
 //!
 //! * **Deadlock freedom** — the explicit happens-before DAG over a
 //!   lowered [`hanayo_core::action::Schedule`] (program order per device,
-//!   matched send→recv message edges, enter/exit splitting for batched
-//!   comm) is acyclic iff the simulator never reports a deadlock. Cycles
-//!   come back as [`AnalysisError::Cycle`] naming the wait chain.
+//!   send→recv message edges, enter/exit splitting for batched comm) is
+//!   acyclic iff the simulator never reports a deadlock. Cycles come back
+//!   as [`AnalysisError::Cycle`] naming the wait chain. The message edges
+//!   are the pairs [`hanayo_core::program::Program::lower`] made, so a
+//!   message without one send and one receive is the lowering's
+//!   [`AnalysisError::Program`], the error the simulator and the runtime
+//!   refuse the schedule with too.
 //! * **Program validity** — [`verify`], the one validity check for
 //!   lowered schedules: every chain op exactly once on its stage-map
 //!   device, same-device chain steps in order, every cross-device step
@@ -24,21 +28,19 @@
 //! * **Critical-path bound** — the longest path through the DAG weighted
 //!   by a [`hanayo_model::CostTable`] and a
 //!   [`hanayo_cluster::ClusterSpec`]; an admissible lower bound on the
-//!   simulated iteration time ([`critical::critical_path`]).
+//!   simulated iteration time ([`AnalysisReport::critical_path_s`]).
 //!
 //! [`report::analyze`] / [`report::analyze_table`] bundle all four into
 //! one [`AnalysisReport`]; `hanayo-sim` consumes the pieces as a pre-pass
 //! that rejects deadlocked or OOM candidates before paying for a
 //! simulation.
 
-pub mod critical;
-pub mod dag;
+mod critical;
+mod dag;
 pub mod error;
 pub mod memory;
 pub mod report;
 
-pub use critical::critical_path;
-pub use dag::{EdgeKind, HappensBefore, Message};
 pub use error::{AnalysisError, CycleNode};
-pub use memory::{device_bytes, static_peak_mem, static_peak_mem_compute, static_stash_peak};
+pub use memory::{device_bytes, static_peak_mem, static_stash_peak};
 pub use report::{analyze, analyze_table, check_deadlock_free, verify, AnalysisReport, DagStats};

@@ -10,7 +10,6 @@
 //! this analysis) is pinned by `tests/memory_truth.rs`.
 
 use hanayo_core::action::{Action, Schedule};
-use hanayo_core::chain::ComputeSchedule;
 use hanayo_core::ids::DeviceId;
 use hanayo_core::stage_map::StageMap;
 use hanayo_model::CostTable;
@@ -60,17 +59,6 @@ pub fn static_peak_mem(schedule: &Schedule, cost: &CostTable) -> Vec<u64> {
             let ops = list.actions.iter().filter_map(Action::compute_op);
             replay_device(ops.map(|op| (op.backward, op.stage.idx())), w, cost)
         })
-        .collect()
-}
-
-/// [`static_peak_mem`] over the compute-only form (tables lower to this
-/// before communication insertion; comm does not move memory).
-pub fn static_peak_mem_compute(cs: &ComputeSchedule, cost: &CostTable) -> Vec<u64> {
-    let weights = device_bytes(&cs.stage_map, &cost.weight_bytes);
-    cs.per_device
-        .iter()
-        .zip(&weights)
-        .map(|(ops, &w)| replay_device(ops.iter().map(|op| (op.backward, op.stage.idx())), w, cost))
         .collect()
 }
 

@@ -1,11 +1,11 @@
 //! The combined analysis entry points and their serializable report.
 
 use crate::critical::critical_path;
-use crate::dag::{HappensBefore, Message};
+use crate::dag::HappensBefore;
 use crate::error::AnalysisError;
 use crate::memory::{device_bytes, static_peak_mem};
 use hanayo_cluster::ClusterSpec;
-use hanayo_core::action::{Action, MsgTag, Schedule};
+use hanayo_core::action::{Action, Schedule};
 use hanayo_core::chain::ComputeOp;
 use hanayo_core::comm;
 use hanayo_core::ids::{DeviceId, MicroBatch};
@@ -14,7 +14,6 @@ use hanayo_core::schedule::table::{
 };
 use hanayo_model::CostTable;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// Size of the happens-before DAG, for reports and sanity checks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -71,8 +70,9 @@ pub struct AnalysisReport {
     pub critical_path_s: f64,
 }
 
-/// Prove only that a lowered schedule cannot deadlock: every message
-/// matched, peers consistent, the happens-before DAG acyclic. It does not
+/// Prove only that a lowered schedule cannot deadlock: it lowers to a
+/// [`Program`](hanayo_core::program::Program), which pairs every message
+/// with consistent peers, and the happens-before DAG is acyclic. It does not
 /// check that the schedule computes what its chains say — a schedule with
 /// every send and receive stripped passes; [`verify`] is the validity
 /// check. The cheap core of the tuner's static pre-pass.
@@ -82,9 +82,10 @@ pub fn check_deadlock_free(schedule: &Schedule) -> Result<(), AnalysisError> {
     Ok(())
 }
 
-/// The one validity check for a lowered schedule. After matching every
-/// send to its receive, one pass over action positions and the matched
-/// messages checks that
+/// The one validity check for a lowered schedule. After lowering it to a
+/// [`Program`](hanayo_core::program::Program), which pairs every send with
+/// its receive, one pass over action positions and the paired messages
+/// checks that
 ///
 /// 1. every `(mb, stage)` forward and backward appears exactly once, on
 ///    its stage-map device ([`chain_slots`], the table checker's pass);
@@ -107,7 +108,7 @@ pub fn verify(schedule: &Schedule) -> Result<(), AnalysisError> {
 
 /// Checks 1–4 of [`verify`] over a built DAG.
 fn check_program(dag: &HappensBefore<'_>) -> Result<(), AnalysisError> {
-    let schedule = dag.schedule();
+    let (schedule, program) = (dag.schedule, &dag.program);
     let map = &schedule.stage_map;
     let (s, b) = (map.stages, schedule.config.micro_batches);
     let ops = schedule.lists.iter().enumerate().flat_map(|(d, list)| {
@@ -115,8 +116,6 @@ fn check_program(dag: &HappensBefore<'_>) -> Result<(), AnalysisError> {
         list.actions.iter().enumerate().filter_map(move |(i, a)| Some((device, i, a.compute_op()?)))
     });
     let index = chain_slots(map, b, ops)?;
-    let carriers: HashMap<(DeviceId, MsgTag), &Message> =
-        dag.messages().iter().map(|m| ((m.dst, m.tag), m)).collect();
     for m in 0..b {
         for pos in 1..2 * s {
             let op = ComputeOp::from_pos(MicroBatch(m), pos, s);
@@ -129,8 +128,11 @@ fn check_program(dag: &HappensBefore<'_>) -> Result<(), AnalysisError> {
                 None => {}
                 Some((producer, tag)) => {
                     let device = map.device_of(op.mb, op.stage);
-                    let carried = carriers.get(&(device, tag)).is_some_and(|msg| {
-                        msg.src == producer && msg.send_index > dep && msg.recv_index < at
+                    let message = program.key(tag).and_then(|key| program.message(key));
+                    let carried = message.is_some_and(|msg| {
+                        (msg.src, msg.dst) == (producer, device)
+                            && msg.send_at as usize > dep
+                            && (msg.recv_at as usize) < at
                     });
                     if !carried {
                         return Err(AnalysisError::UncarriedStep { device, index: at, tag });
@@ -171,7 +173,7 @@ pub fn analyze(
         dag: DagStats {
             nodes: dag.node_count(),
             edges: dag.edge_count(),
-            messages: dag.messages().len(),
+            messages: dag.messages.len(),
             batched_comms: dag.batched_comms(),
         },
         deadlock_free: true,

@@ -15,6 +15,7 @@ use hanayo_cluster::topology::fc_full_nvlink;
 use hanayo_core::action::CommDir;
 use hanayo_core::comm;
 use hanayo_core::config::{PipelineConfig, Scheme};
+use hanayo_core::program::{Defect, ProgramError};
 use hanayo_core::schedule::search::{apply_move, sample_legal_moves};
 use hanayo_core::schedule::table::{check_table, ScheduleTable, Slot, TableError, TableLimits};
 use hanayo_core::schedule::{build_compute_schedule, build_schedule};
@@ -115,7 +116,10 @@ proptest! {
         prop_assert!(
             matches!(
                 err,
-                AnalysisError::UnmatchedSend { .. } | AnalysisError::UnmatchedRecv { .. }
+                AnalysisError::Program(ProgramError {
+                    defect: Defect::UnmatchedSend | Defect::UnmatchedRecv,
+                    ..
+                })
             ),
             "expected an unmatched-message defect, got {err}"
         );

@@ -8,6 +8,7 @@ use hanayo_analyze::{analyze, check_deadlock_free, AnalysisError};
 use hanayo_cluster::topology::fc_full_nvlink;
 use hanayo_core::action::Schedule;
 use hanayo_core::config::{PipelineConfig, Scheme};
+use hanayo_core::program::{Defect, ProgramError};
 use hanayo_core::schedule::build_schedule;
 use hanayo_model::{CostTable, ModelConfig};
 use hanayo_sim::{try_simulate_traced, SimError, SimOptions};
@@ -121,7 +122,10 @@ fn dropped_recv_is_rejected() {
         assert!(
             matches!(
                 err,
-                AnalysisError::UnmatchedSend { .. } | AnalysisError::UnmatchedRecv { .. }
+                AnalysisError::Program(ProgramError {
+                    defect: Defect::UnmatchedSend | Defect::UnmatchedRecv,
+                    ..
+                })
             ),
             "device {d}: expected an unmatched-message defect, got {err}"
         );

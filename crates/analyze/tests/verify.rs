@@ -10,6 +10,7 @@ use hanayo_core::action::{Action, CommDir, MsgTag, Payload, Schedule};
 use hanayo_core::chain::ComputeOp;
 use hanayo_core::config::{PipelineConfig, Scheme};
 use hanayo_core::ids::{DeviceId, MicroBatch, ReplicaId, StageId};
+use hanayo_core::program::Defect;
 use hanayo_core::schedule::build_schedule;
 use hanayo_core::schedule::custom::build_custom_schedule;
 use hanayo_core::schedule::listsched::ListParams;
@@ -129,7 +130,8 @@ fn detects_unmatched_message() {
     let idx = position(&s, 1, |a| a.comm_ops().iter().any(|o| o.dir == CommDir::Recv));
     s.lists[1].actions.remove(idx);
     let err = verify(&s).unwrap_err();
-    assert!(matches!(err, AnalysisError::UnmatchedSend { device: DeviceId(0), .. }), "{err}");
+    let AnalysisError::Program(e) = &err else { panic!("{err}") };
+    assert_eq!((e.device, e.defect), (DeviceId(0), Defect::UnmatchedSend), "{err}");
 }
 
 #[test]

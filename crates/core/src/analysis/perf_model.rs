@@ -10,8 +10,9 @@
 //!
 //! where the ramp `Δ` is independent of `B` for 1F1B-family schedules (the
 //! steady state is bubble-free) and the formulas mirror
-//! [`crate::analysis::bubble`]. This closed form is what the configuration
-//! search (Fig. 10) uses to sanity-check the discrete-event results.
+//! [`crate::analysis::bubble`]. Nothing outside this file calls it: the
+//! configuration search (Fig. 10) ranks candidates by the discrete-event
+//! simulator alone, and no caller checks one against the other.
 
 use super::CostTerms;
 use crate::config::Scheme;

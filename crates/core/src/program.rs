@@ -1,15 +1,20 @@
-//! The lowered program both execution engines run.
+//! The lowered program every engine reads.
 //!
 //! [`Program::lower`] turns a [`Schedule`]'s action lists into dense
 //! per-device opcodes: every message tag becomes a flat key over the
-//! schedule's `B·S·2` tag space, every action one fixed-size [`Op`]. The
-//! simulator (`hanayo_sim::engine`) keys its rendezvous state by it, the
-//! threaded runtime (`hanayo_runtime::worker`) its tensor slots and
-//! mailbox matches. A tag outside the key space is a [`ProgramError`]
-//! here, not an out-of-bounds index in either engine.
+//! schedule's `B·S·2` tag space, every action one fixed-size [`Op`]. It
+//! also pairs each key's one send with its one receive into a [`Message`],
+//! so pairing is decided here and nowhere else: the simulator
+//! (`hanayo_sim::engine`) keys its rendezvous state by it, the threaded
+//! runtime (`hanayo_runtime::worker`) its tensor slots and mailbox
+//! matches, and the static analyzer (`hanayo_analyze`) its message edges.
+//! A tag outside the key space, or a message without exactly one send and
+//! one receive on the devices each names, is a [`ProgramError`] here, not
+//! an out-of-bounds index, a stall or a mid-run failure in an engine.
 
 use crate::action::{Action, CommDir, CommOp, MsgTag, Payload, Schedule};
 use crate::ids::{DeviceId, MicroBatch, StageId};
+use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// One lowered instruction: an [`Action`] with its tags resolved to keys.
@@ -38,7 +43,21 @@ impl Op {
     }
 }
 
-/// A schedule lowered to dense opcodes; see the [module docs](self).
+/// One message: the send on `src` paired with the receive on `dst`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Message {
+    /// Sending device.
+    pub src: DeviceId,
+    /// Receiving device.
+    pub dst: DeviceId,
+    /// Index of the action posting the send in `src`'s list.
+    pub send_at: u32,
+    /// Index of the action blocking on the receive in `dst`'s list.
+    pub recv_at: u32,
+}
+
+/// A schedule lowered to dense opcodes and paired messages; see the
+/// [module docs](self).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Program {
     micro_batches: u32,
@@ -47,12 +66,36 @@ pub struct Program {
     ops: Vec<Vec<Op>>,
     /// Flattened batch members, referenced by [`Op::Batch`] ranges.
     members: Vec<Op>,
+    /// The paired message of each key, `None` for a key nothing sends.
+    messages: Vec<Option<Message>>,
 }
 
-/// An action whose tag lies outside the schedule's key space. A compute
-/// action is named by the tag it consumes: its input activation, or its
-/// output gradient for a backward.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// What is wrong with the action a [`ProgramError`] names.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub enum Defect {
+    /// The tag lies outside the schedule's key space.
+    OutsideKeySpace,
+    /// A receive no send pairs with.
+    UnmatchedRecv,
+    /// A send whose destination never posts the receive.
+    UnmatchedSend,
+    /// A second receive of the key (on any device), or a second send to
+    /// its receiver.
+    Duplicate,
+    /// A receive naming another peer than the device sending it.
+    PeerMismatch {
+        /// Peer the receive names.
+        declared: DeviceId,
+        /// Device posting the send.
+        actual: DeviceId,
+    },
+}
+
+/// An action that does not lower: its tag is outside the schedule's key
+/// space, or its message is not one send paired with one receive. A
+/// compute action is named by the tag it consumes: its input activation,
+/// or its output gradient for a backward.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ProgramError {
     /// Device whose action list holds the action.
     pub device: DeviceId,
@@ -60,33 +103,62 @@ pub struct ProgramError {
     pub action: usize,
     /// The offending tag.
     pub tag: MsgTag,
+    /// What is wrong with it.
+    pub defect: Defect,
 }
 
 impl fmt::Display for ProgramError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let ProgramError { device, action, tag } = self;
-        write!(f, "{device} action {action}: tag {tag} outside the schedule's key space")
+        let ProgramError { device, action, tag, defect } = self;
+        match defect {
+            Defect::OutsideKeySpace => {
+                write!(f, "{device} action {action}: tag {tag} outside the schedule's key space")
+            }
+            Defect::UnmatchedRecv => {
+                write!(f, "recv[{tag}] at {device}#{action} has no matching send")
+            }
+            Defect::UnmatchedSend => {
+                write!(f, "send[{tag}] at {device}#{action} has no matching recv")
+            }
+            Defect::Duplicate => write!(f, "message {tag} duplicated at {device}#{action}"),
+            Defect::PeerMismatch { declared, actual } => write!(
+                f,
+                "recv[{tag}] at {device}#{action} names peer {declared}, sender is {actual}"
+            ),
+        }
     }
 }
 
 impl std::error::Error for ProgramError {}
 
 impl Program {
-    /// Lower every device's action list, one [`Op`] per action. The first
-    /// action (device by device, in list order) whose tag falls outside
-    /// the key space is the error.
+    /// Lower every device's action list, one [`Op`] per action, and pair
+    /// every message. The first action (device by device, in list order)
+    /// whose tag falls outside the key space is the error; then, in the
+    /// same order, a second receive of a key, a send with no receive on
+    /// its peer, a second send of a key, a receive naming the wrong peer
+    /// (named at the receive), and last a receive nothing sends.
     pub fn lower(schedule: &Schedule) -> Result<Program, ProgramError> {
         let (micro_batches, stages) = (schedule.config.micro_batches, schedule.stage_map.stages);
-        let space = Program { micro_batches, stages, ops: Vec::new(), members: Vec::new() };
+        let space =
+            Program { micro_batches, stages, ops: vec![], members: vec![], messages: vec![] };
         let (mut ops, mut members) = (Vec::with_capacity(schedule.lists.len()), Vec::new());
+        let mut posted = Vec::new();
         for (d, list) in schedule.lists.iter().enumerate() {
             let mut device_ops = Vec::with_capacity(list.actions.len());
             for (action, a) in list.actions.iter().enumerate() {
                 let device = DeviceId(d as u32);
-                let key = |tag| space.key(tag).ok_or(ProgramError { device, action, tag });
-                let comm = |op: &CommOp| match op.dir {
-                    CommDir::Send => key(op.tag).map(|key| Op::Send { peer: op.peer.0, key }),
-                    CommDir::Recv => key(op.tag).map(|key| Op::Recv { key }),
+                let key = |tag| {
+                    let defect = Defect::OutsideKeySpace;
+                    space.key(tag).ok_or(ProgramError { device, action, tag, defect })
+                };
+                let mut comm = |op: &CommOp| {
+                    let key = key(op.tag)?;
+                    posted.push(Posted { device, action, op: *op, key });
+                    Ok(match op.dir {
+                        CommDir::Send => Op::Send { peer: op.peer.0, key },
+                        CommDir::Recv => Op::Recv { key },
+                    })
                 };
                 device_ops.push(match a {
                     Action::Forward { mb, stage } | Action::Backward { mb, stage } => {
@@ -108,7 +180,14 @@ impl Program {
             }
             ops.push(device_ops);
         }
-        Ok(Program { ops, members, ..space })
+        let messages = pair(&posted, space.keys())?;
+        Ok(Program { ops, members, messages, ..space })
+    }
+
+    /// The paired send and receive of message `key`; `None` for a key no
+    /// action sends.
+    pub fn message(&self, key: u32) -> Option<Message> {
+        self.messages.get(key as usize).copied().flatten()
     }
 
     /// Micro-batches per iteration, `B`.
@@ -164,6 +243,57 @@ impl Program {
             (true, _) => Some(2 * pair - 1),
         };
         (2 * pair + backward as u32, produced)
+    }
+}
+
+/// One send or receive as lowered: where it sits, and its key.
+#[derive(Clone, Copy)]
+struct Posted {
+    device: DeviceId,
+    action: usize,
+    op: CommOp,
+    key: u32,
+}
+
+impl Posted {
+    fn error(&self, defect: Defect) -> ProgramError {
+        ProgramError { device: self.device, action: self.action, tag: self.op.tag, defect }
+    }
+}
+
+/// Pair each key's one send with its one receive, refusing the defects in
+/// the order [`Program::lower`] documents.
+fn pair(posted: &[Posted], keys: usize) -> Result<Vec<Option<Message>>, ProgramError> {
+    let recvs = || posted.iter().filter(|p| p.op.dir == CommDir::Recv);
+    let mut recv_of: Vec<Option<&Posted>> = vec![None; keys];
+    for recv in recvs() {
+        if recv_of[recv.key as usize].replace(recv).is_some() {
+            return Err(recv.error(Defect::Duplicate));
+        }
+    }
+    let mut messages = vec![None; keys];
+    for send in posted.iter().filter(|p| p.op.dir == CommDir::Send) {
+        let Some(recv) = recv_of[send.key as usize].filter(|r| r.device == send.op.peer) else {
+            return Err(send.error(Defect::UnmatchedSend));
+        };
+        let message = &mut messages[send.key as usize];
+        if message.is_some() {
+            return Err(send.error(Defect::Duplicate));
+        }
+        if recv.op.peer != send.device {
+            let (declared, actual) = (recv.op.peer, send.device);
+            return Err(recv.error(Defect::PeerMismatch { declared, actual }));
+        }
+        *message = Some(Message {
+            src: send.device,
+            dst: recv.device,
+            send_at: send.action as u32,
+            recv_at: recv.action as u32,
+        });
+    }
+    match recvs().find(|r| messages[r.key as usize].is_none()) {
+        Some(orphan) => Err(orphan.error(Defect::UnmatchedRecv)),
+        None => Ok(messages),
     }
 }
 
@@ -271,31 +401,136 @@ mod tests {
         assert_eq!(program.dataflow(1, 0, true), (key(1, 0, G), None));
     }
 
-    #[test]
-    fn a_tag_outside_the_key_space_names_device_action_and_tag() {
-        let mut schedule =
-            build_schedule(&PipelineConfig::new(2, 2, Scheme::Dapple).unwrap()).unwrap();
-        let action = schedule.lists[1]
+    fn dapple(p: u32, b: u32) -> Schedule {
+        build_schedule(&PipelineConfig::new(p, b, Scheme::Dapple).unwrap()).unwrap()
+    }
+
+    /// Index of `device`'s first single `dir` action and its op.
+    fn first_comm(s: &Schedule, device: usize, dir: CommDir) -> (usize, CommOp) {
+        s.lists[device]
             .actions
             .iter()
-            .position(|a| matches!(a, Action::Comm(op) if op.dir == CommDir::Recv))
-            .unwrap();
+            .enumerate()
+            .find_map(|(i, a)| match a {
+                Action::Comm(op) if op.dir == dir => Some((i, *op)),
+                _ => None,
+            })
+            .unwrap()
+    }
+
+    fn refused(s: &Schedule, device: u32, action: usize, tag: MsgTag, defect: Defect) {
+        let err = Program::lower(s).unwrap_err();
+        assert_eq!(err, ProgramError { device: DeviceId(device), action, tag, defect });
+    }
+
+    #[test]
+    fn a_tag_outside_the_key_space_names_device_action_and_tag() {
+        let mut schedule = dapple(2, 2);
+        let (action, _) = first_comm(&schedule, 1, CommDir::Recv);
         let Action::Comm(op) = &mut schedule.lists[1].actions[action] else { unreachable!() };
         op.tag.mb = MicroBatch(99);
         let tag = op.tag;
-        let err = Program::lower(&schedule).unwrap_err();
-        assert_eq!(err, ProgramError { device: DeviceId(1), action, tag });
+        refused(&schedule, 1, action, tag, Defect::OutsideKeySpace);
         assert_eq!(
-            err.to_string(),
+            Program::lower(&schedule).unwrap_err().to_string(),
             format!("P1 action {action}: tag act:mb99@S1 outside the schedule's key space")
         );
 
         // A compute outside the space is named by the tag it consumes.
-        let mut schedule =
-            build_schedule(&PipelineConfig::new(2, 2, Scheme::Dapple).unwrap()).unwrap();
+        let mut schedule = dapple(2, 2);
         schedule.lists[0].actions[0] = Action::Backward { mb: MicroBatch(0), stage: StageId(7) };
         let err = Program::lower(&schedule).unwrap_err();
-        assert_eq!((err.device, err.action), (DeviceId(0), 0));
+        assert_eq!((err.device, err.action, err.defect), (DeviceId(0), 0, Defect::OutsideKeySpace));
         assert_eq!(err.tag.to_string(), "grad:mb0@S7");
+    }
+
+    #[test]
+    fn a_dropped_send_leaves_its_receive_unmatched() {
+        let mut schedule = dapple(4, 4);
+        let (send, op) = first_comm(&schedule, 0, CommDir::Send);
+        schedule.lists[0].actions.remove(send);
+        let (recv, _) = first_comm(&schedule, 1, CommDir::Recv);
+        refused(&schedule, 1, recv, op.tag, Defect::UnmatchedRecv);
+        assert_eq!(
+            Program::lower(&schedule).unwrap_err().to_string(),
+            format!("recv[act:mb0@S1] at P1#{recv} has no matching send")
+        );
+    }
+
+    #[test]
+    fn a_dropped_receive_leaves_its_send_unmatched() {
+        let mut schedule = dapple(4, 4);
+        let (recv, op) = first_comm(&schedule, 1, CommDir::Recv);
+        schedule.lists[1].actions.remove(recv);
+        let (send, _) = first_comm(&schedule, 0, CommDir::Send);
+        refused(&schedule, 0, send, op.tag, Defect::UnmatchedSend);
+        assert_eq!(
+            Program::lower(&schedule).unwrap_err().to_string(),
+            format!("send[act:mb0@S1] at P0#{send} has no matching recv")
+        );
+    }
+
+    #[test]
+    fn a_message_received_on_two_devices_or_sent_twice_is_a_duplicate() {
+        // Device 0 also sends its first activation to device 2, which
+        // receives it too: two receives of one key.
+        let mut schedule = dapple(4, 4);
+        let (_, send) = first_comm(&schedule, 0, CommDir::Send);
+        let tag = send.tag;
+        let step = schedule.lists[0].actions.len() - 1;
+        let to_2 = CommOp { peer: DeviceId(2), ..send };
+        schedule.lists[0].actions.insert(step, Action::Comm(to_2));
+        let recv = CommOp { dir: CommDir::Recv, peer: DeviceId(0), tag };
+        let at = schedule.lists[2].actions.len() - 1;
+        schedule.lists[2].actions.insert(at, Action::Comm(recv));
+        refused(&schedule, 2, at, tag, Defect::Duplicate);
+        assert_eq!(
+            Program::lower(&schedule).unwrap_err().to_string(),
+            format!("message act:mb0@S1 duplicated at P2#{at}")
+        );
+
+        // The same send posted twice to its one receiver.
+        let mut schedule = dapple(4, 4);
+        let step = schedule.lists[0].actions.len() - 1;
+        schedule.lists[0].actions.insert(step, Action::Comm(send));
+        refused(&schedule, 0, step, tag, Defect::Duplicate);
+    }
+
+    #[test]
+    fn a_receive_naming_the_wrong_peer_is_named_at_the_receive() {
+        let mut schedule = dapple(4, 4);
+        let (recv, op) = first_comm(&schedule, 1, CommDir::Recv);
+        let Action::Comm(op_mut) = &mut schedule.lists[1].actions[recv] else { unreachable!() };
+        op_mut.peer = DeviceId(2);
+        let defect = Defect::PeerMismatch { declared: DeviceId(2), actual: DeviceId(0) };
+        refused(&schedule, 1, recv, op.tag, defect);
+        assert_eq!(
+            Program::lower(&schedule).unwrap_err().to_string(),
+            format!("recv[act:mb0@S1] at P1#{recv} names peer P2, sender is P0")
+        );
+    }
+
+    #[test]
+    fn every_message_pairs_its_send_with_its_receive() {
+        for scheme in seven_schemes() {
+            let schedule = build_schedule(&PipelineConfig::new(4, 8, scheme).unwrap()).unwrap();
+            let program = Program::lower(&schedule).unwrap();
+            let mut paired = 0;
+            for (d, list) in schedule.lists.iter().enumerate() {
+                for (i, a) in list.actions.iter().enumerate() {
+                    for op in a.comm_ops() {
+                        let m = program.message(program.key(op.tag).unwrap()).unwrap();
+                        let (at, here) = match op.dir {
+                            CommDir::Send => (m.send_at, m.src),
+                            CommDir::Recv => (m.recv_at, m.dst),
+                        };
+                        assert_eq!((at as usize, here), (i, DeviceId(d as u32)), "{scheme}");
+                        paired += (op.dir == CommDir::Send) as usize;
+                    }
+                }
+            }
+            let keys = (0..program.keys() as u32).filter(|&k| program.message(k).is_some());
+            assert_eq!(keys.count(), paired, "{scheme}: one message per send");
+        }
     }
 }

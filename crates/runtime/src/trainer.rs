@@ -887,7 +887,7 @@ pub fn synthetic_data_at(
 mod tests {
     use super::*;
     use hanayo_core::config::{PipelineConfig, Scheme};
-    use hanayo_core::program::ProgramError;
+    use hanayo_core::program::{Defect, ProgramError};
     use hanayo_core::schedule::build_schedule;
     use hanayo_model::builders::MicroModel;
 
@@ -1020,17 +1020,27 @@ mod tests {
         }
     }
 
+    /// Drop both ends of device 1's first received message, so the
+    /// schedule still lowers but device 1's forward finds no input.
+    fn drop_first_message_into_device_1(schedule: &mut Schedule) {
+        use hanayo_core::action::{Action, CommDir};
+        let tag = schedule.lists[1]
+            .actions
+            .iter()
+            .find_map(|a| match a {
+                Action::Comm(op) if op.dir == CommDir::Recv => Some(op.tag),
+                _ => None,
+            })
+            .expect("device 1 receives activations");
+        for list in &mut schedule.lists {
+            list.actions.retain(|a| !matches!(a, Action::Comm(op) if op.tag == tag));
+        }
+    }
+
     #[test]
     fn corrupt_schedule_surfaces_typed_error_not_a_poisoned_join() {
-        use hanayo_core::action::{Action, CommDir};
         let (mut cfg, data) = job(2, 2, Scheme::Dapple);
-        // Drop device 1's first receive: its forward finds no input.
-        let list = &mut cfg.schedule.lists[1].actions;
-        let pos = list
-            .iter()
-            .position(|a| matches!(a, Action::Comm(op) if op.dir == CommDir::Recv))
-            .expect("device 1 receives activations");
-        list.remove(pos);
+        drop_first_message_into_device_1(&mut cfg.schedule);
         let err = try_train(&cfg, &data).unwrap_err();
         assert!(
             matches!(
@@ -1048,14 +1058,8 @@ mod tests {
 
     #[test]
     fn data_parallel_failure_names_the_replica() {
-        use hanayo_core::action::{Action, CommDir};
         let (mut cfg, _) = job(2, 2, Scheme::Dapple);
-        let list = &mut cfg.schedule.lists[1].actions;
-        let pos = list
-            .iter()
-            .position(|a| matches!(a, Action::Comm(op) if op.dir == CommDir::Recv))
-            .unwrap();
-        list.remove(pos);
+        drop_first_message_into_device_1(&mut cfg.schedule);
         // Both replicas run the same corrupt schedule; the error must say
         // which replica each failure came from (device ids are local).
         let shards = vec![synthetic_data(31, 1, 2, 2, 8), synthetic_data(32, 1, 2, 2, 8)];
@@ -1069,14 +1073,8 @@ mod tests {
 
     #[test]
     fn train_error_carries_the_typed_message() {
-        use hanayo_core::action::{Action, CommDir};
         let (mut cfg, data) = job(2, 2, Scheme::Dapple);
-        let list = &mut cfg.schedule.lists[1].actions;
-        let pos = list
-            .iter()
-            .position(|a| matches!(a, Action::Comm(op) if op.dir == CommDir::Recv))
-            .unwrap();
-        list.remove(pos);
+        drop_first_message_into_device_1(&mut cfg.schedule);
         let msg = try_train(&cfg, &data).unwrap_err().to_string();
         assert!(msg.contains("P1"), "the error must name the device: {msg}");
         assert!(msg.contains("forward found no input"), "the error must name the op: {msg}");
@@ -1101,7 +1099,7 @@ mod tests {
                 }
             }
         }
-        ProgramError { device: DeviceId(0), action, tag }
+        ProgramError { device: DeviceId(0), action, tag, defect: Defect::OutsideKeySpace }
     }
 
     #[test]

@@ -914,7 +914,7 @@ fn apply_loss(loss: &LossKind, y: &Tensor, data: &IterationData, mb: MicroBatch)
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hanayo_core::action::{Action, CommDir, CommOp, Payload};
+    use hanayo_core::action::{Action, ActionList, CommDir, CommOp, Payload};
 
     #[test]
     fn loss_kinds_apply() {
@@ -966,16 +966,17 @@ mod tests {
     }
 
     /// Device 1 of DAPPLE at `P = 2`, `B = 1`, run alone for one
-    /// iteration with its action list edited by `edit` and the messages
-    /// `early` already waiting in its mailbox. Its sends land in device
-    /// 0's mailbox, which nothing reads.
-    fn run_device_1(edit: impl FnOnce(&mut Vec<Action>), early: &[MsgTag]) -> Option<WorkerError> {
+    /// iteration with the action lists edited by `edit` (both ends of a
+    /// message, so the schedule still lowers) and the messages `early`
+    /// already waiting in its mailbox. Its sends land in device 0's
+    /// mailbox, which nothing reads.
+    fn run_device_1(edit: impl FnOnce(&mut [ActionList]), early: &[MsgTag]) -> Option<WorkerError> {
         use hanayo_core::config::{PipelineConfig, Scheme};
         use hanayo_core::schedule::build_schedule;
         use hanayo_tensor::rng::seeded;
         let mut schedule =
             build_schedule(&PipelineConfig::new(2, 1, Scheme::Dapple).unwrap()).unwrap();
-        edit(&mut schedule.lists[1].actions);
+        edit(&mut schedule.lists);
         let program = Program::lower(&schedule).unwrap();
         let data = [IterationData {
             inputs: vec![Tensor::zeros(2, 4)],
@@ -1003,6 +1004,18 @@ mod tests {
         run_worker(cfg, boxes.remove(1), fab).error
     }
 
+    /// Remove every send and receive of `tag`, batched or not.
+    fn drop_message(lists: &mut [ActionList], tag: MsgTag) {
+        for list in lists {
+            for a in &mut list.actions {
+                if let Action::BatchedComm(ops) = a {
+                    ops.retain(|op| op.tag != tag);
+                }
+            }
+            list.actions.retain(|a| !matches!(a, Action::Comm(op) if op.tag == tag));
+        }
+    }
+
     fn tag(mb: u32, stage: u32, payload: Payload) -> MsgTag {
         MsgTag { mb: MicroBatch(mb), stage: StageId(stage), payload }
     }
@@ -1012,30 +1025,33 @@ mod tests {
         let input = tag(0, 1, Payload::Activation);
         assert_eq!(run_device_1(|_| {}, &[input]), None, "the unedited list runs clean");
 
-        // A produced gradient never sent.
-        let unsent = |list: &mut Vec<Action>| {
-            list.retain(|a| !matches!(a, Action::Comm(op) if op.dir == CommDir::Send));
-        };
+        // A produced gradient never sent (nor received on device 0).
+        let gradient = tag(0, 0, Payload::Gradient);
+        let unsent = |lists: &mut [ActionList]| drop_message(lists, gradient);
         assert_eq!(
             run_device_1(unsent, &[input]),
-            Some(WorkerError::SlotNotDrained {
-                device: DeviceId(1),
-                tag: tag(0, 0, Payload::Gradient)
-            })
+            Some(WorkerError::SlotNotDrained { device: DeviceId(1), tag: gradient })
         );
 
-        // A received tensor nothing consumes.
+        // A received tensor nothing consumes (device 0 sends it last).
         let stray = tag(0, 0, Payload::Activation);
-        let extra_recv = |list: &mut Vec<Action>| {
-            let op = CommOp { dir: CommDir::Recv, peer: DeviceId(0), tag: stray };
-            list.insert(list.len() - 1, Action::Comm(op));
+        let extra_recv = |lists: &mut [ActionList]| {
+            for (device, dir, peer) in [(0, CommDir::Send, 1), (1, CommDir::Recv, 0)] {
+                let op = CommOp { dir, peer: DeviceId(peer), tag: stray };
+                let list = &mut lists[device].actions;
+                list.insert(list.len() - 1, Action::Comm(op));
+            }
         };
         let err = run_device_1(extra_recv, &[input, stray]).unwrap();
         assert_eq!(err, WorkerError::SlotNotDrained { device: DeviceId(1), tag: stray });
         assert_eq!(err.to_string(), "P1: message act:mb0@S0 never sent or consumed");
 
-        // A forward whose backward never runs (and no flush to trip first).
-        let no_backward = |list: &mut Vec<Action>| list.truncate(2);
+        // A forward whose backward never runs (and no flush to trip
+        // first); device 0 no longer waits for its gradient.
+        let no_backward = |lists: &mut [ActionList]| {
+            lists[1].actions.truncate(2);
+            drop_message(lists, gradient);
+        };
         let err = run_device_1(no_backward, &[input]).unwrap();
         assert_eq!(
             err,

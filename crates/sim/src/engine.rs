@@ -21,13 +21,15 @@
 //! every `(mb, stage, payload)` message tag is a dense key and every action
 //! a fixed-size opcode. On top of it the §4.2 prefetch scanner's
 //! receive-group windows are extracted once per `(schedule, options)` pair
-//! instead of being rescanned at every compute start. Rendezvous state
-//! (`send/recv posted`, `scheduled`, `arrived`) then lives in flat vectors
-//! indexed by `device · keys + key`, and link FIFO cursors in dense
-//! per-pair tables. [`crate::reference::simulate_reference`] keeps the seed
-//! `HashMap` implementation over the action lists as the test oracle: the
-//! cross-engine tests here and in `tests/engine_equivalence.rs` pin the two
-//! bit-identical.
+//! instead of being rescanned at every compute start. The program pairs
+//! each key's one send with its one receive, so rendezvous state
+//! (`send/recv posted`, `scheduled`, `arrived`) lives in flat vectors
+//! indexed by key alone, the pair names the transfer's `(src, dst)`, and
+//! link FIFO cursors live in dense per-pair tables.
+//! [`crate::reference::simulate_reference`] keeps the seed `HashMap`
+//! implementation over the action lists as the test oracle: the
+//! cross-engine tests here and in `tests/engine_equivalence.rs` pin the
+//! two bit-identical.
 
 use crate::report::{SimReport, SimSpan};
 use hanayo_analyze::device_bytes;
@@ -217,7 +219,7 @@ impl Ord for HeapEv {
     }
 }
 
-/// Per-slot rendezvous state, one byte per `device · tag`. A single load
+/// Per-slot rendezvous state, one byte per message key. A single load
 /// answers every "is the transfer ready/scheduled/arrived" question the
 /// hot loop asks; post times live in parallel `f64` arrays that are only
 /// read once the matching bit is set.
@@ -356,18 +358,14 @@ struct Engine<'a> {
 
     p: usize,
     nodes: usize,
-    /// Key-space size: rendezvous slot `device · keys + key`.
-    keys: usize,
 
     pc: Vec<usize>,
     state: Vec<DevState>,
     block_start: Vec<f64>,
     finish: Vec<f64>,
 
-    /// `SLOT_*` bit set per `device · ntags + key`.
+    /// `SLOT_*` bit set per message key.
     slot_flags: Vec<u8>,
-    /// Sender device per slot; valid once `SLOT_SEND` is set.
-    send_src: Vec<u32>,
     /// Send post time per slot; valid once `SLOT_SEND` is set.
     send_time: Vec<f64>,
     /// Receive post time per slot; valid once `SLOT_RECV` is set.
@@ -399,25 +397,21 @@ struct Engine<'a> {
 }
 
 impl<'a> Engine<'a> {
-    #[inline]
-    fn slot(&self, dev: usize, key: u32) -> usize {
-        dev * self.keys + key as usize
-    }
-
     fn push_event(&mut self, t: f64, ev: Ev) {
         self.events.push(HeapEv { t: Tm(t), seq: self.seq, ev });
         self.seq += 1;
     }
 
-    /// Start the transfer for `(dst, key)` if both halves are posted.
-    fn try_schedule(&mut self, dst: usize, key: u32) {
-        let slot = self.slot(dst, key);
+    /// Start the transfer of message `key` if both halves are posted.
+    fn try_schedule(&mut self, key: u32) {
+        let slot = key as usize;
         // One load: bail unless both halves are posted and the transfer
         // has not been scheduled yet.
         if self.slot_flags[slot] & (SLOT_SEND | SLOT_RECV | SLOT_SCHED) != SLOT_SEND | SLOT_RECV {
             return;
         }
-        let src = self.send_src[slot] as usize;
+        let Some(message) = self.program.message(key) else { return };
+        let (src, dst) = (message.src.idx(), message.dst.idx());
         let t_send = self.send_time[slot];
         let t_recv = self.recv_time[slot];
         let ready = t_send.max(t_recv);
@@ -462,23 +456,22 @@ impl<'a> Engine<'a> {
         self.push_event(free + occupancy + link.latency, Ev::Arrived { dst: dst as u32, key });
     }
 
-    fn post_recv(&mut self, dst: usize, key: u32, now: f64) {
-        let slot = self.slot(dst, key);
+    fn post_recv(&mut self, key: u32, now: f64) {
+        let slot = key as usize;
         if self.slot_flags[slot] & SLOT_RECV == 0 {
             self.slot_flags[slot] |= SLOT_RECV;
             self.recv_time[slot] = now;
         }
-        self.try_schedule(dst, key);
+        self.try_schedule(key);
     }
 
-    fn post_send(&mut self, src: usize, dst: usize, key: u32, now: f64) {
-        let slot = self.slot(dst, key);
+    fn post_send(&mut self, key: u32, now: f64) {
+        let slot = key as usize;
         if self.slot_flags[slot] & SLOT_SEND == 0 {
             self.slot_flags[slot] |= SLOT_SEND;
-            self.send_src[slot] = src as u32;
             self.send_time[slot] = now;
         }
-        self.try_schedule(dst, key);
+        self.try_schedule(key);
     }
 
     /// Begin a forward/backward on device `d`; the device stays busy until
@@ -497,7 +490,7 @@ impl<'a> Engine<'a> {
             let (start, end) = self.compiled.prefetch[d][self.pc[d]];
             for i in start..end {
                 let key = self.compiled.prefetch_keys[i as usize];
-                self.post_recv(d, key, now);
+                self.post_recv(key, now);
             }
         }
         self.push_event(
@@ -507,12 +500,12 @@ impl<'a> Engine<'a> {
     }
 
     #[inline]
-    fn batch_recvs_arrived(&self, d: usize, start: u32, end: u32) -> bool {
+    fn batch_recvs_arrived(&self, start: u32, end: u32) -> bool {
         self.program
             .members(start, end)
             .iter()
             .filter_map(Op::recv_key)
-            .all(|key| self.slot_flags[self.slot(d, key)] & SLOT_ARRIVED != 0)
+            .all(|key| self.slot_flags[key as usize] & SLOT_ARRIVED != 0)
     }
 
     /// Run device `d` forward from its program counter until it blocks,
@@ -533,13 +526,13 @@ impl<'a> Engine<'a> {
                     self.start_compute(d, now, mb, stage, backward);
                     return;
                 }
-                Op::Send { peer, key } => {
-                    self.post_send(d, peer as usize, key, now);
+                Op::Send { key, .. } => {
+                    self.post_send(key, now);
                     self.pc[d] += 1;
                 }
                 Op::Recv { key } => {
-                    self.post_recv(d, key, now);
-                    if self.slot_flags[self.slot(d, key)] & SLOT_ARRIVED != 0 {
+                    self.post_recv(key, now);
+                    if self.slot_flags[key as usize] & SLOT_ARRIVED != 0 {
                         self.pc[d] += 1;
                     } else {
                         self.stalls += 1;
@@ -551,12 +544,12 @@ impl<'a> Engine<'a> {
                 Op::Batch { start, end } => {
                     for member in program.members(start, end) {
                         match *member {
-                            Op::Send { peer, key } => self.post_send(d, peer as usize, key, now),
-                            Op::Recv { key } => self.post_recv(d, key, now),
+                            Op::Send { key, .. } => self.post_send(key, now),
+                            Op::Recv { key } => self.post_recv(key, now),
                             _ => {}
                         }
                     }
-                    if self.batch_recvs_arrived(d, start, end) {
+                    if self.batch_recvs_arrived(start, end) {
                         self.pc[d] += 1;
                     } else {
                         self.stalls += 1;
@@ -615,8 +608,7 @@ impl<'a> Engine<'a> {
             }
             Ev::Arrived { dst, key } => {
                 let dst = dst as usize;
-                let slot = self.slot(dst, key);
-                self.slot_flags[slot] |= SLOT_ARRIVED;
+                self.slot_flags[key as usize] |= SLOT_ARRIVED;
                 match self.state[dst] {
                     DevState::WaitRecv(w) if w == key => {
                         self.comm_wait[dst] += t - self.block_start[dst];
@@ -624,9 +616,7 @@ impl<'a> Engine<'a> {
                         self.pc[dst] += 1;
                         self.advance(dst, t);
                     }
-                    DevState::WaitBatch(start, end)
-                        if self.batch_recvs_arrived(dst, start, end) =>
-                    {
+                    DevState::WaitBatch(start, end) if self.batch_recvs_arrived(start, end) => {
                         self.comm_wait[dst] += t - self.block_start[dst];
                         self.state[dst] = DevState::Idle;
                         self.pc[dst] += 1;
@@ -661,8 +651,10 @@ pub enum SimError {
     },
     /// A cost or link value failed [`validate_numerics`].
     Numerics(NumericsError),
-    /// The run stalled before every device flushed — a malformed action
-    /// list (e.g. an unmatched send/recv pair in a hand-built schedule).
+    /// The run stalled before every device flushed: a circular wait, such
+    /// as a hand-built order where two devices each receive before sending
+    /// to the other. An unpaired message never gets this far; it does not
+    /// lower and comes back as [`SimError::Program`].
     Deadlock {
         /// Devices that never reached `Done`, with their program counters.
         stalled: Vec<(usize, usize)>,
@@ -679,7 +671,8 @@ pub enum SimError {
         requested: usize,
     },
     /// The schedule does not lower to a [`Program`]: an action's tag lies
-    /// outside its key space.
+    /// outside its key space, or a message is not one send paired with one
+    /// receive. The analyzer and the runtime refuse it with the same error.
     Program(ProgramError),
 }
 
@@ -828,8 +821,7 @@ fn run_compiled(
     let grad_mem = device_bytes(&schedule.stage_map, &cost.grad_bytes);
     let nodes = cluster.node.iter().copied().max().unwrap_or(0) as usize + 1;
     let program = compiled.program.as_ref().map_err(|e| SimError::Program(*e))?;
-    let keys = program.keys();
-    let slots = p * keys;
+    let slots = program.keys();
 
     let mut eng = Engine {
         compiled,
@@ -839,13 +831,11 @@ fn run_compiled(
         opts,
         p,
         nodes,
-        keys,
         pc: vec![0; p],
         state: vec![DevState::Idle; p],
         block_start: vec![0.0; p],
         finish: vec![0.0; p],
         slot_flags: vec![0; slots],
-        send_src: vec![0; slots],
         send_time: vec![0.0; slots],
         recv_time: vec![0.0; slots],
         intra_free: vec![0.0; p * p],

@@ -11,19 +11,20 @@
 //! makespan. Any scheduler or engine change that skews dependency handling
 //! between the two engines breaks these tests.
 //!
-//! The simulator and the threaded runtime execute one lowering of a
-//! schedule, `hanayo_core::program::Program`: the last two tests pin that
-//! the simulator's compiled form is that program, and that a schedule
-//! outside its own key space is the same typed refusal from both engines.
+//! The analyzer, the simulator and the threaded runtime read one lowering
+//! of a schedule, `hanayo_core::program::Program`, which also pairs every
+//! message: the last three tests pin that the simulator's compiled form is
+//! that program, and that a schedule outside its own key space or with a
+//! message not paired is the same typed refusal from every engine.
 
-use hanayo::analyze::verify;
+use hanayo::analyze::{analyze, verify, AnalysisError};
 use hanayo::cluster::topology::ClusterSpec;
 use hanayo::cluster::{GpuModel, Link, LinkClass};
-use hanayo::core::action::{Action, CommDir};
+use hanayo::core::action::{Action, CommDir, CommOp, Schedule};
 use hanayo::core::config::{PipelineConfig, Scheme};
 use hanayo::core::gantt::replay_timeline;
 use hanayo::core::ids::{DeviceId, MicroBatch};
-use hanayo::core::program::{Program, ProgramError};
+use hanayo::core::program::{Defect, Program, ProgramError};
 use hanayo::core::schedule::{build_compute_schedule, build_schedule};
 use hanayo::model::builders::MicroModel;
 use hanayo::model::CostTable;
@@ -155,7 +156,8 @@ fn a_tag_outside_the_key_space_is_refused_by_both_engines() {
         })
         .unwrap();
     recv.tag = tag;
-    let expected = ProgramError { device: DeviceId(0), action, tag };
+    let expected =
+        ProgramError { device: DeviceId(0), action, tag, defect: Defect::OutsideKeySpace };
 
     let cluster = ideal_cluster(2);
     let cost = unit_costs(&cluster, 2);
@@ -174,4 +176,71 @@ fn a_tag_outside_the_key_space_is_refused_by_both_engines() {
     assert_eq!(err.primary, WorkerError::Program(expected));
     assert_eq!(err.failures, [(0, WorkerError::Program(expected))], "no worker ran");
     assert!(err.checkpoint.is_none());
+}
+
+/// `verify`, `analyze`, the simulator and the runtime all refuse
+/// `schedule` with `expected`, before any of them runs it.
+fn refused_by_every_engine(schedule: Schedule, expected: ProgramError) {
+    let (p, stages) = (schedule.lists.len(), schedule.stage_map.stages);
+    let cluster = ideal_cluster(p);
+    let cost = unit_costs(&cluster, stages as usize);
+    assert_eq!(verify(&schedule), Err(AnalysisError::Program(expected)));
+    let analyzed = analyze(&schedule, &cost, &cluster).unwrap_err();
+    assert_eq!(analyzed, AnalysisError::Program(expected));
+    let simulated = try_simulate_traced(&schedule, &cost, &cluster, SimOptions::default());
+    assert_eq!(simulated.unwrap_err(), SimError::Program(expected));
+
+    let b = schedule.config.micro_batches as usize;
+    let model = MicroModel { width: 4, total_blocks: stages as usize, seed: 1 };
+    let trainer = TrainerConfig::new(schedule, model.build_stages(stages), 0.05, LossKind::Mse);
+    let err = try_train(&trainer, &synthetic_data(1, 1, b, 2, 4)).unwrap_err();
+    assert_eq!(err.primary, WorkerError::Program(expected));
+    assert_eq!(err.failures, [(0, WorkerError::Program(expected))], "no worker ran");
+}
+
+/// Index of `device`'s first single `dir` action and its op.
+fn first_comm(s: &Schedule, device: usize, dir: CommDir) -> (usize, CommOp) {
+    s.lists[device]
+        .actions
+        .iter()
+        .enumerate()
+        .find_map(|(i, a)| match a {
+            Action::Comm(op) if op.dir == dir => Some((i, *op)),
+            _ => None,
+        })
+        .unwrap()
+}
+
+#[test]
+fn a_dropped_receive_is_refused_by_every_engine() {
+    // DAPPLE at P = 4, B = 4 with device 1's first receive removed: its
+    // sender on device 0 has nobody to hand the activation to.
+    let mut schedule = build_schedule(&PipelineConfig::new(4, 4, Scheme::Dapple).unwrap()).unwrap();
+    let (recv, op) = first_comm(&schedule, 1, CommDir::Recv);
+    schedule.lists[1].actions.remove(recv);
+    let (action, _) = first_comm(&schedule, 0, CommDir::Send);
+    let expected =
+        ProgramError { device: DeviceId(0), action, tag: op.tag, defect: Defect::UnmatchedSend };
+    assert_eq!(
+        expected.to_string(),
+        format!("send[act:mb0@S1] at P0#{action} has no matching recv")
+    );
+    refused_by_every_engine(schedule, expected);
+}
+
+#[test]
+fn a_message_received_on_two_devices_is_refused_by_every_engine() {
+    // DAPPLE at P = 4, B = 4 with device 0's first activation also sent to
+    // device 2, which receives it before its flush.
+    let mut schedule = build_schedule(&PipelineConfig::new(4, 4, Scheme::Dapple).unwrap()).unwrap();
+    let (_, send) = first_comm(&schedule, 0, CommDir::Send);
+    let flush = schedule.lists[0].actions.len() - 1;
+    schedule.lists[0].actions.insert(flush, Action::Comm(CommOp { peer: DeviceId(2), ..send }));
+    let action = schedule.lists[2].actions.len() - 1;
+    let recv = CommOp { dir: CommDir::Recv, peer: DeviceId(0), tag: send.tag };
+    schedule.lists[2].actions.insert(action, Action::Comm(recv));
+    let expected =
+        ProgramError { device: DeviceId(2), action, tag: send.tag, defect: Defect::Duplicate };
+    assert_eq!(expected.to_string(), format!("message act:mb0@S1 duplicated at P2#{action}"));
+    refused_by_every_engine(schedule, expected);
 }
