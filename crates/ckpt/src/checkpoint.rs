@@ -181,7 +181,7 @@ impl Checkpoint {
     /// Deterministic because every container this type uses renders in a
     /// fixed order. Serialization of this schema cannot fail in practice;
     /// the `Result` keeps the write path panic-free regardless.
-    pub fn payload_json(&self) -> Result<String, CkptError> {
+    pub(crate) fn payload_json(&self) -> Result<String, CkptError> {
         serde_json::to_string(self).map_err(|e| CkptError::Serialize(e.to_string()))
     }
 
@@ -276,7 +276,7 @@ impl Checkpoint {
 
 /// CRC-32 (IEEE 802.3, reflected) over a byte string. Bitwise — no table —
 /// which is plenty for checkpoint-sized payloads.
-pub fn crc32(bytes: &[u8]) -> u32 {
+pub(crate) fn crc32(bytes: &[u8]) -> u32 {
     let mut crc = 0xFFFF_FFFFu32;
     for &b in bytes {
         crc ^= b as u32;

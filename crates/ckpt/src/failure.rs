@@ -75,7 +75,7 @@ impl CheckpointPolicy {
     }
 
     /// Does this policy ever checkpoint?
-    pub fn is_enabled(&self) -> bool {
+    pub(crate) fn is_enabled(&self) -> bool {
         self.every > 0
     }
 

@@ -20,17 +20,6 @@ pub fn ring_allreduce_time(cluster: &ClusterSpec, ring: &[usize], bytes: u64) ->
     steps as f64 * (chunk / worst.bandwidth + worst.latency)
 }
 
-/// Time of the broadcast used to distribute initial weights (ring
-/// pipeline): `bytes / worst_bandwidth + (n-1)·latency`.
-pub fn broadcast_time(cluster: &ClusterSpec, ring: &[usize], bytes: u64) -> f64 {
-    let n = ring.len();
-    if n <= 1 || bytes == 0 {
-        return 0.0;
-    }
-    let worst = cluster.worst_ring_link(ring);
-    bytes as f64 / worst.bandwidth + (n - 1) as f64 * worst.latency
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -72,13 +61,5 @@ mod tests {
         let t = ring_allreduce_time(&c, &ring, bytes);
         let ideal = 2.0 * (7.0 / 8.0) * bytes as f64 / c.p2p(0, 1).bandwidth;
         assert!((t - ideal) / ideal < 0.05, "t={t} ideal={ideal}");
-    }
-
-    #[test]
-    fn broadcast_cheaper_than_allreduce() {
-        let c = lonestar6(8);
-        let ring: Vec<usize> = (0..8).collect();
-        let bytes = 1 << 28;
-        assert!(broadcast_time(&c, &ring, bytes) < ring_allreduce_time(&c, &ring, bytes));
     }
 }

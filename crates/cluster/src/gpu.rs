@@ -16,7 +16,7 @@ pub enum GpuModel {
 
 impl GpuModel {
     /// Peak dense fp16 tensor-core throughput in FLOP/s.
-    pub fn peak_flops(self) -> f64 {
+    pub(crate) fn peak_flops(self) -> f64 {
         match self {
             GpuModel::A100_40G | GpuModel::A100_80G => 312e12,
             GpuModel::V100_32G => 125e12,
@@ -24,7 +24,7 @@ impl GpuModel {
     }
 
     /// Total device memory in bytes.
-    pub fn memory_bytes(self) -> u64 {
+    pub(crate) fn memory_bytes(self) -> u64 {
         match self {
             GpuModel::A100_40G => 40_000_000_000,
             GpuModel::A100_80G => 80_000_000_000,
@@ -35,7 +35,7 @@ impl GpuModel {
     /// Memory actually available to the training job after the CUDA
     /// context, framework buffers and fragmentation slack (a fixed 2 GB
     /// reserve, the conventional rule of thumb).
-    pub fn usable_memory_bytes(self) -> u64 {
+    pub(crate) fn usable_memory_bytes(self) -> u64 {
         self.memory_bytes().saturating_sub(2_000_000_000)
     }
 }

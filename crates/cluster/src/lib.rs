@@ -20,10 +20,10 @@
 //! for the data-parallel gradient synchronisation.
 
 pub mod collective;
-pub mod gpu;
+mod gpu;
 pub mod link;
 pub mod topology;
 
 pub use gpu::GpuModel;
 pub use link::{Link, LinkClass};
-pub use topology::{ClusterSpec, SelectError};
+pub use topology::ClusterSpec;

@@ -7,7 +7,7 @@ use std::fmt;
 
 /// A device-subset selection named an index outside the cluster.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SelectError {
+pub(crate) struct SelectError {
     /// The out-of-range device index.
     pub index: usize,
     /// How many devices the cluster actually has.
@@ -47,7 +47,7 @@ pub struct ClusterSpec {
 
 /// Default per-device MTBF: ~10⁷ seconds (≈ 116 days), the order of
 /// magnitude reported for datacenter GPU fleets.
-pub const DEFAULT_DEVICE_MTBF_S: f64 = 1.0e7;
+pub(crate) const DEFAULT_DEVICE_MTBF_S: f64 = 1.0e7;
 
 impl ClusterSpec {
     /// Number of devices.
@@ -70,11 +70,6 @@ impl ClusterSpec {
         self.links[a][b]
     }
 
-    /// Transfer time for `bytes` from `a` to `b`.
-    pub fn p2p_time(&self, a: usize, b: usize, bytes: u64) -> f64 {
-        self.p2p(a, b).transfer_time(bytes)
-    }
-
     /// Usable memory of device `d` in bytes.
     pub fn memory(&self, d: usize) -> u64 {
         self.gpus[d].usable_memory_bytes()
@@ -85,7 +80,7 @@ impl ClusterSpec {
     /// order. Every index is validated up front: an out-of-range device
     /// returns a typed [`SelectError`] naming the index and the cluster
     /// size instead of panicking mid-copy.
-    pub fn try_select(&self, subset: &[usize]) -> Result<ClusterSpec, SelectError> {
+    pub(crate) fn try_select(&self, subset: &[usize]) -> Result<ClusterSpec, SelectError> {
         if let Some(&index) = subset.iter().find(|&&i| i >= self.len()) {
             return Err(SelectError { index, devices: self.len() });
         }
@@ -103,9 +98,10 @@ impl ClusterSpec {
         })
     }
 
-    /// [`ClusterSpec::try_select`] for callers that have already bounded
-    /// the subset (the plan layer checks `dp·pp ≤ len` first). Panics with
-    /// the [`SelectError`] message on an out-of-range index.
+    /// Restrict the cluster to a subset of devices, for callers that have
+    /// already bounded the subset (the plan layer checks `dp·pp ≤ len`
+    /// first). Ranks are remapped to `0..subset.len()` in the given order.
+    /// Panics naming the out-of-range index and the cluster size.
     pub fn select(&self, subset: &[usize]) -> ClusterSpec {
         self.try_select(subset).unwrap_or_else(|e| panic!("ClusterSpec::select: {e}"))
     }
@@ -129,7 +125,7 @@ impl ClusterSpec {
 
     /// The slowest link on a ring over the given devices — the bandwidth
     /// bottleneck of a ring all-reduce.
-    pub fn worst_ring_link(&self, ring: &[usize]) -> Link {
+    pub(crate) fn worst_ring_link(&self, ring: &[usize]) -> Link {
         let mut worst = Link::of(LinkClass::Local);
         for (k, &a) in ring.iter().enumerate() {
             let b = ring[(k + 1) % ring.len()];
@@ -326,7 +322,7 @@ mod tests {
         let fc = fc_full_nvlink(8);
         let tacc = lonestar6(8);
         let bytes = 4_000_000;
-        assert!(fc.p2p_time(2, 3, bytes) < tacc.p2p_time(2, 3, bytes));
+        assert!(fc.p2p(2, 3).transfer_time(bytes) < tacc.p2p(2, 3).transfer_time(bytes));
     }
 
     #[test]

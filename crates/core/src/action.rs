@@ -163,7 +163,7 @@ pub struct ActionList {
 
 impl ActionList {
     /// Count of compute actions (forwards + backwards).
-    pub fn compute_count(&self) -> usize {
+    pub(crate) fn compute_count(&self) -> usize {
         self.actions.iter().filter(|a| a.is_compute()).count()
     }
 }

@@ -13,7 +13,7 @@
 //!   `(P/2-1)(T_F+T_B)`.
 //! * **Hanayo** — Eq. (1) of the paper, reproduced verbatim in
 //!   [`hanayo_eq1`]; with `T_B = 2 T_F`, `T_C = 0` it simplifies to
-//!   `(2P-2)/(3PW+P-1)` ([`hanayo_simplified`]).
+//!   `(2P-2)/(3PW+P-1)` (`hanayo_simplified`).
 
 use super::CostTerms;
 
@@ -33,7 +33,7 @@ pub fn dapple(p: u32, b: u32, c: &CostTerms) -> f64 {
 
 /// GEMS bubble ratio: the down/up replicas run sequentially, so the ramp is
 /// amortised over only `B/2` micro-batches.
-pub fn gems(p: u32, b: u32, c: &CostTerms) -> f64 {
+pub(crate) fn gems(p: u32, b: u32, c: &CostTerms) -> f64 {
     let (p, b) = (p as f64, b as f64);
     let ramp = (p - 1.0) * (c.t_f + c.t_b) + 2.0 * (p - 1.0) * c.t_c;
     let total = (b / 2.0) * (c.t_f + c.t_b) + ramp;
@@ -70,7 +70,8 @@ pub fn hanayo_eq1(p: u32, w: u32, c: &CostTerms) -> f64 {
 /// Eq. (1) simplified with `T_B = 2 T_F`, `T_C = 0`:
 /// `(2P-2) / (3PW + P - 1)` — "this expression decreases with an
 /// increasing number of waves" (§3.4).
-pub fn hanayo_simplified(p: u32, w: u32) -> f64 {
+#[cfg(test)]
+pub(crate) fn hanayo_simplified(p: u32, w: u32) -> f64 {
     let (pf, wf) = (p as f64, w as f64);
     (2.0 * pf - 2.0) / (3.0 * pf * wf + pf - 1.0)
 }

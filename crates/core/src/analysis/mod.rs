@@ -33,7 +33,8 @@ impl CostTerms {
     }
 
     /// With a communication term.
-    pub fn with_comm(t_f: f64, t_b: f64, t_c: f64) -> Self {
+    #[cfg(test)]
+    pub(crate) fn with_comm(t_f: f64, t_b: f64, t_c: f64) -> Self {
         CostTerms { t_f, t_b, t_c }
     }
 }

@@ -85,12 +85,14 @@ pub struct ComputeSchedule {
 
 impl ComputeSchedule {
     /// Total ops; must equal `2 · B · S` for a complete schedule.
-    pub fn total_ops(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn total_ops(&self) -> usize {
         self.per_device.iter().map(Vec::len).sum()
     }
 
     /// Expected op count for the configuration.
-    pub fn expected_ops(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn expected_ops(&self) -> usize {
         2 * self.config.micro_batches as usize * self.stage_map.stages as usize
     }
 }

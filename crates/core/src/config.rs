@@ -164,7 +164,7 @@ impl PipelineConfig {
 
     /// `S` if it fits in `u32`, `None` on overflow (the shape
     /// [`PipelineConfig::validate`] rejects as [`ConfigError::StageOverflow`]).
-    pub fn checked_stages(&self) -> Option<u32> {
+    pub(crate) fn checked_stages(&self) -> Option<u32> {
         match self.scheme {
             Scheme::GPipe | Scheme::Dapple | Scheme::AsyncPipeDream | Scheme::Chimera => {
                 Some(self.devices)

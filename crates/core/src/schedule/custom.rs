@@ -108,7 +108,7 @@ impl fmt::Display for CustomMapError {
 impl std::error::Error for CustomMapError {}
 
 /// Check a user-provided map against a configuration.
-pub fn check_map(cfg: &PipelineConfig, map: &StageMap) -> Result<(), CustomMapError> {
+pub(crate) fn check_map(cfg: &PipelineConfig, map: &StageMap) -> Result<(), CustomMapError> {
     if map.groups.is_empty() {
         return Err(CustomMapError::NoGroups);
     }

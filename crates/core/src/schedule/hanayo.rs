@@ -14,19 +14,11 @@
 
 use crate::chain::ComputeSchedule;
 use crate::config::PipelineConfig;
-use crate::schedule::listsched::{list_schedule, ListParams, RetireRule};
-use crate::schedule::ScheduleError;
-use crate::stage_map::StageMap;
+use crate::schedule::{listsched, ScheduleError};
 
 /// Generate Hanayo's per-device compute order.
 pub fn generate(cfg: &PipelineConfig) -> Result<ComputeSchedule, ScheduleError> {
-    let map = StageMap::for_config(cfg);
-    let params = ListParams {
-        cap: Some(cfg.devices),
-        retire: RetireRule::ForwardComplete,
-        ..Default::default()
-    };
-    list_schedule(cfg, map, params)
+    listsched::capped(cfg, cfg.devices)
 }
 
 #[cfg(test)]

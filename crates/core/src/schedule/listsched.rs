@@ -20,6 +20,9 @@
 //!   may be in flight (entered forward, not yet finished their last
 //!   backward). This bounds activation memory exactly like 1F1B's warmup
 //!   depth does.
+//!
+//! A stage-chunk forward costs one abstract unit and a backward two (the
+//! paper draws `T_B = 2 T_F`); a cross-device dependency adds nothing.
 
 use crate::chain::{ComputeOp, ComputeSchedule};
 use crate::config::PipelineConfig;
@@ -44,41 +47,24 @@ pub enum RetireRule {
     ForwardComplete,
 }
 
+/// Abstract cost of one *stage-chunk* forward.
+const F_COST: u64 = 1;
+
+/// Abstract cost of one stage-chunk backward.
+const B_COST: u64 = 2;
+
 /// Tunables for [`list_schedule`].
 #[derive(Debug, Clone, Copy)]
 pub struct ListParams {
-    /// Abstract cost of one *stage-chunk* forward.
-    pub f_cost: u64,
-    /// Abstract cost of one stage-chunk backward (paper draws `T_B = 2 T_F`).
-    pub b_cost: u64,
-    /// Abstract cost charged between dependent ops on different devices.
-    pub comm_cost: u64,
     /// Per-group in-flight micro-batch cap (`None` = unbounded, GPipe-like).
     pub cap: Option<u32>,
     /// Retirement rule for the cap.
     pub retire: RetireRule,
-    /// Maximum live stash *chunks* per device. An **entry** forward
-    /// (chain position 0) is not dispatched while the device already holds
-    /// this many undischarged stashes; mid-chain ops always run. Deferring
-    /// an entry cannot stall any in-flight chain, so progress is
-    /// guaranteed, while the entry stashes are exactly the longest-lived
-    /// ones (they survive until the chain's very last backward) — limiting
-    /// them is what keeps a wave pipeline's activation peak near
-    /// Chimera's level instead of drifting to 1F1B's head-of-pipe `P`
-    /// units.
-    pub stash_limit: Option<u32>,
 }
 
 impl Default for ListParams {
     fn default() -> Self {
-        ListParams {
-            f_cost: 1,
-            b_cost: 2,
-            comm_cost: 0,
-            cap: None,
-            retire: RetireRule::FullChain,
-            stash_limit: None,
-        }
+        ListParams { cap: None, retire: RetireRule::FullChain }
     }
 }
 
@@ -115,7 +101,6 @@ struct Engine<'a> {
     order: Vec<Vec<ComputeOp>>,
     in_flight: Vec<u32>,
     pending: Vec<VecDeque<u32>>,
-    stash_chunks: Vec<u32>,
     events: BinaryHeap<Reverse<Event>>,
     seq: u64,
     done: usize,
@@ -168,9 +153,7 @@ impl<'a> Engine<'a> {
                     self.admit(g, now);
                 }
                 if pos + 1 < 2 * self.stages {
-                    let next_d = self.device_of(mb, pos + 1);
-                    let delay = if next_d == d { 0 } else { self.params.comm_cost };
-                    self.push_event(now + delay, EventKind::OpReady { mb, pos: pos + 1 });
+                    self.push_event(now, EventKind::OpReady { mb, pos: pos + 1 });
                 }
                 d
             }
@@ -178,34 +161,16 @@ impl<'a> Engine<'a> {
     }
 
     /// Start the best ready op on device `d` if it is idle.
-    ///
-    /// Entry forwards blocked by the stash limit sit at the *bottom* of
-    /// the priority heap (position 0), so when the top op is a blocked
-    /// entry the device genuinely has nothing else to do and idles; it is
-    /// re-examined on every event that touches it, including its own
-    /// stash-reducing backward completions.
     fn dispatch(&mut self, d: usize, now: u64) {
         if self.busy[d] {
             return;
         }
-        if let Some(&(_, mb, pos)) = self.ready[d].peek() {
+        if let Some((_, mb, pos)) = self.ready[d].pop() {
             let op = ComputeOp::from_pos(MicroBatch(mb), pos, self.stages);
-            if pos == 0 {
-                let limit = self.params.stash_limit.unwrap_or(u32::MAX);
-                if self.stash_chunks[d] >= limit {
-                    return;
-                }
-            }
-            if op.backward {
-                self.stash_chunks[d] = self.stash_chunks[d].saturating_sub(1);
-            } else {
-                self.stash_chunks[d] += 1;
-            }
-            self.ready[d].pop();
-            let cost = if op.backward { self.params.b_cost } else { self.params.f_cost };
+            let cost = if op.backward { B_COST } else { F_COST };
             self.busy[d] = true;
             self.order[d].push(op);
-            self.push_event(now + cost.max(1), EventKind::DeviceDone { device: d as u32, mb, pos });
+            self.push_event(now + cost, EventKind::DeviceDone { device: d as u32, mb, pos });
         }
     }
 }
@@ -237,7 +202,6 @@ pub fn list_schedule(
         order: (0..p).map(|_| Vec::new()).collect(),
         in_flight: vec![0; groups],
         pending,
-        stash_chunks: vec![0; p],
         events: BinaryHeap::new(),
         seq: 0,
         done: 0,
@@ -268,6 +232,15 @@ pub fn list_schedule(
     }
     let order = eng.order;
     Ok(ComputeSchedule { config: *cfg, stage_map: map, per_device: order })
+}
+
+/// Generate a named scheme's compute order over its own [`StageMap`] with
+/// at most `cap` micro-batches of each path group in flight, each retired
+/// when its last forward chunk completes. Hanayo, interleaved 1F1B and
+/// Chimera differ only in `cap`.
+pub(crate) fn capped(cfg: &PipelineConfig, cap: u32) -> Result<ComputeSchedule, ScheduleError> {
+    let params = ListParams { cap: Some(cap), retire: RetireRule::ForwardComplete };
+    list_schedule(cfg, StageMap::for_config(cfg), params)
 }
 
 #[cfg(test)]
@@ -352,9 +325,7 @@ mod tests {
         let p = 8;
         let run = |retire: RetireRule| {
             let (cfg, map) = hanayo_cfg(p, 4 * p, 2);
-            let cs =
-                list_schedule(&cfg, map, ListParams { cap: Some(p), retire, ..Default::default() })
-                    .unwrap();
+            let cs = list_schedule(&cfg, map, ListParams { cap: Some(p), retire }).unwrap();
             let bubble = replay_timeline(&cs, 1, 2, 0).bubble_ratio();
             let peak = unit_profile(&cs).ma_peak_units.iter().cloned().fold(0.0, f64::max);
             (bubble, peak)

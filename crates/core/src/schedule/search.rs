@@ -12,29 +12,29 @@
 //! Scoring is a caller-supplied closure (`&ScheduleTable -> Option<f64>`,
 //! lower is better): `hanayo-core` stays independent of the simulator,
 //! and `hanayo-sim` plugs in its compiled fast path as the cost model.
-//! All randomness comes from a seeded [`SearchRng`], and ties break by
+//! All randomness comes from a seeded `SearchRng`, and ties break by
 //! deterministic move order, so a `(seed, table, scorer)` triple always
 //! reproduces the same result.
 
 use crate::chain::ComputeOp;
 use crate::ids::DeviceId;
-use crate::schedule::table::{check_table_with, ScheduleTable, Slot, TableError, TableLimits};
+use crate::schedule::table::{check_table, ScheduleTable, Slot, TableError, TableLimits};
 use serde::{Deserialize, Serialize};
 
 /// A deterministic splitmix64 generator — the search's only randomness
 /// source, so results are reproducible from the seed alone (no global
 /// RNG, no platform dependence).
 #[derive(Debug, Clone)]
-pub struct SearchRng(u64);
+pub(crate) struct SearchRng(u64);
 
 impl SearchRng {
     /// Seeded constructor.
-    pub fn new(seed: u64) -> Self {
+    pub(crate) fn new(seed: u64) -> Self {
         SearchRng(seed)
     }
 
     /// Next raw 64-bit value (splitmix64).
-    pub fn next_u64(&mut self) -> u64 {
+    pub(crate) fn next_u64(&mut self) -> u64 {
         self.0 = self.0.wrapping_add(0x9E3779B97F4A7C15);
         let mut z = self.0;
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
@@ -43,7 +43,7 @@ impl SearchRng {
     }
 
     /// Uniform draw from `0..n` (`n > 0`).
-    pub fn below(&mut self, n: usize) -> usize {
+    pub(crate) fn below(&mut self, n: usize) -> usize {
         (self.next_u64() % n as u64) as usize
     }
 }
@@ -143,12 +143,13 @@ fn check_chain_neighbors(table: &ScheduleTable, op: ComputeOp, t: usize) -> Resu
 }
 
 /// Incremental validity of `candidate = valid table + mv`: instead of
-/// re-running the full [`check_table_with`] pass, examine only what the
-/// move can break. A `Swap`/`Shift` permutes slots within one row, so
-/// shape, completeness and placement are untouched; what can change is
-/// (a) the chain edges incident to each moved op and (b) the moved row's
-/// stash replay.
-/// `InsertIdle` is legal by construction.
+/// re-running the full
+/// [`check_table_with`](crate::schedule::table::check_table_with) pass,
+/// examine only what the move can break. A `Swap`/`Shift` permutes slots
+/// within one row, so shape, completeness and placement are untouched;
+/// what can change is (a) the chain edges incident to each moved op and
+/// (b) the moved row's stash replay. `InsertIdle` is legal by
+/// construction.
 ///
 /// The *verdict* (`is_ok`) always equals the full checker's on such
 /// candidates — pinned by a `debug_assert` in [`local_search`] and by the
@@ -214,8 +215,6 @@ pub struct SearchOptions {
     pub moves_per_round: usize,
     /// Stop after this many consecutive rounds with no improvement.
     pub patience: usize,
-    /// Resource limits every candidate must respect.
-    pub limits: TableLimits,
 }
 
 impl Default for SearchOptions {
@@ -225,7 +224,6 @@ impl Default for SearchOptions {
             max_rounds: 64,
             moves_per_round: 64,
             patience: 6,
-            limits: TableLimits::default(),
         }
     }
 }
@@ -306,10 +304,12 @@ fn sample_move(table: &ScheduleTable, rng: &mut SearchRng) -> TableMove {
     }
 }
 
-/// Sample `n` candidate moves for `table` from a fresh [`SearchRng`]
+/// Sample `n` candidate moves for `table` from a fresh `SearchRng`
 /// seeded with `seed` — the same distribution [`local_search`] draws
 /// from, exposed so tests and external drivers can random-walk the legal
-/// region (gate each move with [`check_table_with`] before keeping it).
+/// region (gate each move with
+/// [`check_table_with`](crate::schedule::table::check_table_with) before
+/// keeping it).
 pub fn sample_legal_moves(table: &ScheduleTable, seed: u64, n: usize) -> Vec<TableMove> {
     let mut rng = SearchRng::new(seed);
     (0..n).map(|_| sample_move(table, &mut rng)).collect()
@@ -329,7 +329,7 @@ pub fn local_search<F>(
 where
     F: FnMut(&ScheduleTable) -> Option<f64>,
 {
-    check_table_with(seed, opts.limits).map_err(SearchError::InvalidSeed)?;
+    check_table(seed).map_err(SearchError::InvalidSeed)?;
     let initial = score(seed).ok_or(SearchError::UnscorableSeed)?;
 
     let mut rng = SearchRng::new(opts.seed);
@@ -364,10 +364,10 @@ where
             // The incumbent is valid, so one move only needs the
             // incremental check — O(moved ops × width) instead of a full
             // table pass per candidate.
-            let valid = check_move(&candidate, mv, opts.limits);
+            let valid = check_move(&candidate, mv, TableLimits::default());
             debug_assert_eq!(
                 valid.is_ok(),
-                check_table_with(&candidate, opts.limits).is_ok(),
+                check_table(&candidate).is_ok(),
                 "incremental move check disagrees with the full checker on {mv:?}"
             );
             if valid.is_err() {
@@ -408,7 +408,6 @@ mod tests {
     use crate::config::{PipelineConfig, Scheme};
     use crate::gantt::replay_timeline;
     use crate::schedule::build_compute_schedule;
-    use crate::schedule::table::check_table;
 
     fn seed_table(p: u32, b: u32, scheme: Scheme) -> ScheduleTable {
         let cfg = PipelineConfig::new(p, b, scheme).unwrap();

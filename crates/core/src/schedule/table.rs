@@ -64,7 +64,7 @@ impl Slot {
 
     /// One-character rendering: `.` idle, `0-9A-Z` forward, `a-z`
     /// backward (shared visual language with [`crate::gantt`]).
-    pub fn glyph(&self) -> char {
+    pub(crate) fn glyph(&self) -> char {
         match *self {
             Slot::Idle => '.',
             Slot::Fwd { mb, .. } => block_char(mb.0, false),

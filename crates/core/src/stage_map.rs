@@ -38,7 +38,7 @@ pub struct StageMap {
 
 impl StageMap {
     /// Build the placement for a validated configuration.
-    pub fn for_config(cfg: &PipelineConfig) -> StageMap {
+    pub(crate) fn for_config(cfg: &PipelineConfig) -> StageMap {
         let p = cfg.devices;
         let b = cfg.micro_batches;
         match cfg.scheme {
@@ -105,7 +105,7 @@ impl StageMap {
 
     /// Group index of a micro-batch.
     #[inline]
-    pub fn group_of(&self, mb: MicroBatch) -> usize {
+    pub(crate) fn group_of(&self, mb: MicroBatch) -> usize {
         self.mb_group[mb.idx()]
     }
 
@@ -125,7 +125,7 @@ impl StageMap {
 
     /// Number of model-stage partitions held by each device, counting
     /// replicated groups separately (this drives weight memory).
-    pub fn stages_held(&self) -> Vec<usize> {
+    pub(crate) fn stages_held(&self) -> Vec<usize> {
         let mut held = vec![0usize; self.devices as usize];
         for group in &self.groups {
             for &d in &group.path {

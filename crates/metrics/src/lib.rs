@@ -41,7 +41,7 @@
 
 pub mod expo;
 pub mod log;
-pub mod progress;
+mod progress;
 pub mod registry;
 
 pub use progress::Progress;
@@ -58,15 +58,9 @@ use std::time::Instant;
 pub const NANOS_BUCKETS: &[u64] =
     &[1_000, 10_000, 100_000, 1_000_000, 10_000_000, 100_000_000, 1_000_000_000, 10_000_000_000];
 
-/// Histogram bounds for payload sizes in bytes (1 KiB .. 1 GiB).
-pub const BYTES_BUCKETS: &[u64] = &[1 << 10, 1 << 14, 1 << 18, 1 << 22, 1 << 26, 1 << 30];
-
 /// Histogram bounds for small percentages (calibration error and the
 /// like), in whole percent.
 pub const PCT_BUCKETS: &[u64] = &[1, 2, 5, 10, 20, 40, 80, 160];
-
-/// Histogram bounds for small cardinalities (queue depths, retry counts).
-pub const COUNT_BUCKETS: &[u64] = &[1, 2, 4, 8, 16, 32, 64, 128, 256];
 
 /// Where timestamps and durations come from.
 ///
@@ -180,7 +174,7 @@ mod tests {
 
     #[test]
     fn bucket_tables_are_sorted() {
-        for bounds in [NANOS_BUCKETS, BYTES_BUCKETS, PCT_BUCKETS, COUNT_BUCKETS] {
+        for bounds in [NANOS_BUCKETS, PCT_BUCKETS] {
             assert!(bounds.windows(2).all(|w| w[0] < w[1]), "{bounds:?}");
         }
     }

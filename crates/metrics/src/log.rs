@@ -203,12 +203,6 @@ fn install(spec: &str, format: Format, sink: Sink) {
     *lock(&STATE) = Some(State { filter, format, sink });
 }
 
-/// Re-read `HANAYO_LOG` / `HANAYO_LOG_FORMAT` now (binaries call this at
-/// startup so the first event does not pay the lazy init).
-pub fn init_from_env() {
-    ensure_init();
-}
-
 /// Install an explicit configuration, bypassing the environment — the
 /// byte-exact tests use this together with a fixed clock.
 pub fn set_config(spec: &str, format: Format, sink: Sink) {

@@ -49,7 +49,7 @@ impl Progress {
     }
 
     /// Record `n` completed units and repaint if the throttle allows.
-    pub fn add(&self, n: u64) {
+    fn add(&self, n: u64) {
         let done = self.done.fetch_add(n, Ordering::Relaxed).saturating_add(n);
         if !self.active {
             return;
@@ -70,13 +70,8 @@ impl Progress {
     }
 
     /// Completed units so far.
-    pub fn done(&self) -> u64 {
+    fn done(&self) -> u64 {
         self.done.load(Ordering::Relaxed)
-    }
-
-    /// Is this tracker painting (TTY present and not suppressed)?
-    pub fn is_active(&self) -> bool {
-        self.active
     }
 
     fn paint(&self, done: u64, elapsed_ns: u64) {
@@ -126,7 +121,7 @@ mod tests {
         // Under `cargo test` stderr is not a terminal, so this exercises
         // the inert path: counting works, nothing is painted.
         let p = Progress::new("test", 10);
-        assert!(!p.is_active(), "test harness stderr must not be a TTY");
+        assert!(!p.active, "test harness stderr must not be a TTY");
         for _ in 0..7 {
             p.tick();
         }

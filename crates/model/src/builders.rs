@@ -21,7 +21,8 @@ pub struct MicroModel {
 
 impl MicroModel {
     /// A small default: 8 blocks of width 16.
-    pub fn small(seed: u64) -> MicroModel {
+    #[cfg(test)]
+    pub(crate) fn small(seed: u64) -> MicroModel {
         MicroModel { width: 16, total_blocks: 8, seed }
     }
 
@@ -32,12 +33,13 @@ impl MicroModel {
 
     /// Build the full model as one sequential stage (the reference for
     /// equivalence tests).
-    pub fn build_monolith(&self) -> Stage {
+    #[cfg(test)]
+    pub(crate) fn build_monolith(&self) -> Stage {
         Stage::mlp(&mut self.rng(), self.width, self.total_blocks)
     }
 
     /// Build the model partitioned into `stages` pipeline stages with the
-    /// same weights as [`MicroModel::build_monolith`] (identical RNG
+    /// same weights as one sequential stage of every block (identical RNG
     /// stream, split at block boundaries).
     ///
     /// Panics if `stages > total_blocks`: real modules cannot take

@@ -66,14 +66,9 @@ impl ModelConfig {
 
     /// Parameters in one transformer layer: `12h² + 13h`
     /// (QKV + projection + two 4h MLP matrices + biases + norms).
-    pub fn params_per_layer(&self) -> u64 {
+    pub(crate) fn params_per_layer(&self) -> u64 {
         let h = self.hidden as u64;
         12 * h * h + 13 * h
-    }
-
-    /// Total model parameters.
-    pub fn total_params(&self) -> u64 {
-        self.params_per_layer() * self.layers as u64
     }
 }
 
@@ -84,14 +79,14 @@ mod tests {
     #[test]
     fn bert64_is_a_5b_model() {
         let m = ModelConfig::bert64();
-        let p = m.total_params();
+        let p = m.params_per_layer() * m.layers as u64;
         assert!(p > 4_900_000_000 && p < 5_200_000_000, "{p}");
     }
 
     #[test]
     fn gpt128_is_a_1_6b_model() {
         let m = ModelConfig::gpt128();
-        let p = m.total_params();
+        let p = m.params_per_layer() * m.layers as u64;
         assert!(p > 1_500_000_000 && p < 1_700_000_000, "{p}");
     }
 

@@ -6,15 +6,9 @@ use crate::config::ModelConfig;
 /// sequences: `24·b·s·h² + 4·b·s²·h` (matmul-dominated; the first term is
 /// the four h×h-class projections plus the 8h² MLP, the second the
 /// attention score/context products).
-pub fn fwd_flops_per_layer(m: &ModelConfig, micro_batch: u32) -> f64 {
+pub(crate) fn fwd_flops_per_layer(m: &ModelConfig, micro_batch: u32) -> f64 {
     let (b, s, h) = (micro_batch as f64, m.seq_len as f64, m.hidden as f64);
     24.0 * b * s * h * h + 4.0 * b * s * s * h
-}
-
-/// Backward FLOPs: the canonical 2× forward (`T_B = 2 T_F`, exactly the
-/// ratio the paper's figures assume).
-pub fn bwd_flops_per_layer(m: &ModelConfig, micro_batch: u32) -> f64 {
-    2.0 * fwd_flops_per_layer(m, micro_batch)
 }
 
 /// Bytes of activation stash one layer keeps for backward, per micro-batch
@@ -41,12 +35,6 @@ mod tests {
         let m = ModelConfig::bert64();
         let f = fwd_flops_per_layer(&m, 1);
         assert!(f > 8.0e10 && f < 9.0e10, "{f}");
-    }
-
-    #[test]
-    fn backward_is_twice_forward() {
-        let m = ModelConfig::gpt128();
-        assert_eq!(bwd_flops_per_layer(&m, 3), 2.0 * fwd_flops_per_layer(&m, 3));
     }
 
     #[test]

@@ -2,30 +2,19 @@
 
 use crate::config::ModelConfig;
 
-/// Default bytes per parameter under mixed-precision Adam: fp16 weight
-/// (2) plus fp16 gradient (2) plus fp32 master weight (4) plus two fp32
-/// moments (8), 16 in total — the standard ZeRO-paper accounting.
-/// Override per model via [`ModelConfig::with_train_bytes_per_param`].
-pub const TRAIN_BYTES_PER_PARAM: u64 = 16;
-
 /// Bytes of the fp16 gradient buffer alone (what the data-parallel
 /// all-reduce actually moves).
-pub const GRAD_BYTES_PER_PARAM: u64 = 2;
+pub(crate) const GRAD_BYTES_PER_PARAM: u64 = 2;
 
 /// Static training bytes for `layers` transformer layers (weights, grads
 /// and optimizer state — everything except the activation stash).
-pub fn weight_train_bytes(m: &ModelConfig, layers: f64) -> u64 {
+pub(crate) fn weight_train_bytes(m: &ModelConfig, layers: f64) -> u64 {
     (layers * m.params_per_layer() as f64 * m.train_bytes_per_param as f64) as u64
 }
 
 /// Gradient-buffer bytes for `layers` transformer layers.
 pub fn grad_bytes(m: &ModelConfig, layers: f64) -> u64 {
     (layers * m.params_per_layer() as f64 * GRAD_BYTES_PER_PARAM as f64) as u64
-}
-
-/// Static training bytes for the whole model.
-pub fn total_train_bytes(m: &ModelConfig) -> u64 {
-    weight_train_bytes(m, m.layers as f64)
 }
 
 #[cfg(test)]
@@ -36,7 +25,7 @@ mod tests {
     fn bert_full_model_is_80gb_class() {
         // ~5B params × 16 B ≈ 80 GB — why BERT-64L *must* be pipelined.
         let m = ModelConfig::bert64();
-        let gb = total_train_bytes(&m) as f64 / 1e9;
+        let gb = weight_train_bytes(&m, m.layers as f64) as f64 / 1e9;
         assert!(gb > 78.0 && gb < 84.0, "{gb}");
     }
 

@@ -138,7 +138,7 @@ impl CostTable {
 
 /// Split `layers` into `stages` parts: integral when possible, fractional
 /// when `stages > layers`.
-pub fn split_layers(layers: u32, stages: u32) -> Vec<f64> {
+pub(crate) fn split_layers(layers: u32, stages: u32) -> Vec<f64> {
     assert!(stages > 0);
     if stages <= layers {
         let base = layers / stages;

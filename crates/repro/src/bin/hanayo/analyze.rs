@@ -12,7 +12,7 @@ use hanayo_model::Recompute;
 use hanayo_serve::schema::{rebuild_analyze, run_analyze, AnalyzeDoc, AnalyzeRequest};
 use hanayo_sim::{try_simulate_traced, SimOptions};
 
-pub struct Args {
+pub(crate) struct Args {
     request: AnalyzeRequest,
     validate: Option<String>,
 }

@@ -25,7 +25,7 @@ use serde::{Deserialize, Serialize};
 use std::num::NonZeroUsize;
 use std::path::Path;
 
-pub struct Args {
+pub(crate) struct Args {
     mode: String,
     scheme: String,
     devices: u32,

@@ -11,7 +11,7 @@ use std::num::NonZeroUsize;
 use std::process::ExitCode;
 
 /// One subcommand.
-pub trait Command: Sized {
+pub(crate) trait Command: Sized {
     /// One-line summary, shown in `hanayo --help` and the subcommand's own usage.
     const ABOUT: &'static str;
     /// Usage lines, and any notes, printed between the summary and the flags.
@@ -31,7 +31,7 @@ pub trait Command: Sized {
 type Setter<C> = Box<dyn Fn(&mut C, &mut Output, &str) -> Result<(), String>>;
 
 /// One row of a flag table.
-pub struct Flag<C> {
+pub(crate) struct Flag<C> {
     name: &'static str,
     /// The value's placeholder in the usage; empty for a switch, which
     /// takes no value.
@@ -41,7 +41,7 @@ pub struct Flag<C> {
 }
 
 /// A row whose value [`Arg::parse`] stores in the field `field` selects.
-pub fn flag<C: 'static, T: Arg + 'static>(
+pub(crate) fn flag<C: 'static, T: Arg + 'static>(
     name: &'static str,
     value: &'static str,
     help: &'static str,
@@ -55,7 +55,7 @@ pub fn flag<C: 'static, T: Arg + 'static>(
 }
 
 /// The `--compact` row: print single-line JSON.
-pub fn compact<C>() -> Flag<C> {
+pub(crate) fn compact<C>() -> Flag<C> {
     let set: Setter<C> = Box::new(|_, out, _| {
         out.compact = true;
         Ok(())
@@ -65,7 +65,7 @@ pub fn compact<C>() -> Flag<C> {
 
 /// The `--metrics <path>` row: record the run in the metrics registry and
 /// write the exposition to `path` on exit.
-pub fn metrics<C>() -> Flag<C> {
+pub(crate) fn metrics<C>() -> Flag<C> {
     let set: Setter<C> = Box::new(|_, out, v| {
         out.metrics = Some(v.to_string());
         Ok(())
@@ -76,7 +76,7 @@ pub fn metrics<C>() -> Flag<C> {
 }
 
 /// A flag value's type: how the text after the flag becomes a field.
-pub trait Arg: Sized {
+pub(crate) trait Arg: Sized {
     /// Parse one value. The error is reported after the flag's name.
     fn parse(v: &str) -> Result<Self, String>;
 }
@@ -125,14 +125,14 @@ impl Arg for Recompute {
 
 /// Where a subcommand's documents go, as `--compact` and `--metrics` set it.
 #[derive(Default)]
-pub struct Output {
+pub(crate) struct Output {
     compact: bool,
     metrics: Option<String>,
 }
 
 impl Output {
     /// Print one JSON document on stdout: one line with `--compact`, else pretty.
-    pub fn emit<T: Serialize>(&self, doc: &T) -> Result<(), String> {
+    pub(crate) fn emit<T: Serialize>(&self, doc: &T) -> Result<(), String> {
         let json = if self.compact {
             serde_json::to_string(doc)
         } else {
@@ -170,7 +170,7 @@ fn parse<C: Command>(
 }
 
 /// Lay out `rows` as a two-column list, wrapping the right column.
-pub fn columns<'a>(rows: impl Iterator<Item = (String, &'a str)> + Clone) -> String {
+pub(crate) fn columns<'a>(rows: impl Iterator<Item = (String, &'a str)> + Clone) -> String {
     let width = rows.clone().map(|(left, _)| left.len()).max().unwrap_or(0);
     let room = 78usize.saturating_sub(width + 4).max(30);
     let mut text = String::new();
@@ -203,7 +203,7 @@ fn usage<C: Command>(name: &str, flags: &[Flag<C>]) -> String {
 /// Run one subcommand on the arguments after its name. Usage goes to
 /// stderr; `--help` exits 0, and a bad flag or a failed run exits 1 with
 /// the reason.
-pub fn run<C: Command>(name: &str, argv: std::env::Args) -> ExitCode {
+pub(crate) fn run<C: Command>(name: &str, argv: std::env::Args) -> ExitCode {
     let flags = C::flags();
     let (cmd, out) = match parse(&flags, argv) {
         Ok(Some(parsed)) => parsed,

@@ -5,7 +5,7 @@ use crate::cli::{compact, flag, Command, Flag, Output};
 use std::fs;
 use std::path::Path;
 
-pub struct Fig {
+pub(crate) struct Fig {
     targets: Vec<String>,
     out: Option<String>,
 }
@@ -62,7 +62,7 @@ impl Command for Fig {
 /// Per-scheme highest peak and variance (Fig. 3 units *and* BERT-64L
 /// bytes) for Hanayo w ∈ {1, 2, 4} vs GPipe / DAPPLE / Chimera, under both
 /// activation stash policies.
-pub struct Memfig;
+pub(crate) struct Memfig;
 
 impl Command for Memfig {
     const ABOUT: &'static str = "per-scheme highest-peak / variance memory table as JSON";

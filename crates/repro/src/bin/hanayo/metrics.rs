@@ -10,7 +10,7 @@
 use crate::cli::{flag, Arg, Command, Flag, Output};
 use hanayo_repro::metricsio::{demo_scenario, write_metrics};
 
-pub struct Args {
+pub(crate) struct Args {
     format: Format,
     out: Option<String>,
     validate: bool,

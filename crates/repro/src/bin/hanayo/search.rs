@@ -5,22 +5,21 @@
 
 use crate::cli::{compact, flag, Command, Flag, Output};
 use hanayo_core::comm;
+use hanayo_core::schedule::search::SearchOptions;
 use hanayo_core::schedule::table::check_table;
 use hanayo_model::{CostTable, Recompute};
 use hanayo_serve::schema::{cluster_for, model_for};
-use hanayo_sim::{
-    search_schedule, try_simulate_traced, ScheduleSearchOptions, SearchedSchedule, SimOptions,
-};
+use hanayo_sim::{search_schedule, try_simulate_traced, SearchedSchedule, SimOptions};
 use serde::{Deserialize, Serialize};
 
-pub struct Args {
+pub(crate) struct Args {
     model: String,
     cluster: String,
     gpus: usize,
     micro_batches: u32,
     micro_batch_size: u32,
     recompute: Recompute,
-    options: ScheduleSearchOptions,
+    options: SearchOptions,
     validate: Option<String>,
 }
 
@@ -37,7 +36,7 @@ impl Command for Args {
             micro_batches: 6,
             micro_batch_size: 1,
             recompute: Recompute::None,
-            options: ScheduleSearchOptions::default(),
+            options: SearchOptions::default(),
             validate: None,
         }
     }
@@ -113,7 +112,7 @@ struct SearchDoc {
     /// Cluster size (= pipeline width).
     gpus: usize,
     /// Search knobs the result is a pure function of.
-    options: ScheduleSearchOptions,
+    options: SearchOptions,
     /// The searched schedule and its named baselines.
     result: SearchedSchedule,
     /// Human-readable rendering of the table, one row per device.

@@ -12,7 +12,7 @@ use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 
-pub struct Args {
+pub(crate) struct Args {
     addr: String,
     drain_secs: u64,
 }

@@ -16,7 +16,7 @@ use hanayo_sim::{try_simulate_traced, SimOptions};
 use hanayo_trace::{analyze, calibrate, chrome_trace_json, validate_chrome_json, Trace};
 use serde::Serialize;
 
-pub struct Args {
+pub(crate) struct Args {
     engine: String,
     scheme: String,
     devices: Option<u32>,

@@ -5,12 +5,12 @@ use hanayo_sim::Method;
 
 /// The method roster of Figs. 8–12 (Chimera measured as Chimera-wave, as
 /// in the paper's evaluation).
-pub fn eval_methods() -> Vec<Method> {
+pub(crate) fn eval_methods() -> Vec<Method> {
     vec![Method::GPipe, Method::Dapple, Method::ChimeraWave, Method::Hanayo { waves: 2 }]
 }
 
 /// The extended roster of Fig. 9 (Hanayo at several wave counts).
-pub fn fig9_methods() -> Vec<Method> {
+pub(crate) fn fig9_methods() -> Vec<Method> {
     vec![
         Method::GPipe,
         Method::Dapple,
@@ -22,7 +22,7 @@ pub fn fig9_methods() -> Vec<Method> {
 }
 
 /// Wave counts searched when a figure reports "the best wave number".
-pub const WAVE_SEARCH: [u32; 4] = [1, 2, 4, 8];
+pub(crate) const WAVE_SEARCH: [u32; 4] = [1, 2, 4, 8];
 
 /// Render rows as a fixed-width text table. `headers.len()` must match
 /// every row's cell count.
@@ -51,16 +51,11 @@ pub fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
 }
 
 /// Format a throughput / OOM outcome.
-pub fn fmt_outcome(result: Option<f64>) -> String {
+pub(crate) fn fmt_outcome(result: Option<f64>) -> String {
     match result {
         Some(t) => format!("{t:.2}"),
         None => "OOM".to_string(),
     }
-}
-
-/// Percentage improvement of `a` over `b`.
-pub fn pct_over(a: f64, b: f64) -> f64 {
-    100.0 * (a / b - 1.0)
 }
 
 #[cfg(test)]
@@ -82,10 +77,5 @@ mod tests {
     fn outcome_formatting() {
         assert_eq!(fmt_outcome(Some(1.234)), "1.23");
         assert_eq!(fmt_outcome(None), "OOM");
-    }
-
-    #[test]
-    fn pct_over_basics() {
-        assert!((pct_over(1.304, 1.0) - 30.4).abs() < 1e-9);
     }
 }

@@ -16,7 +16,7 @@ use rayon::prelude::*;
 
 /// One search cell.
 #[derive(Debug, Clone)]
-pub struct SearchCell {
+pub(crate) struct SearchCell {
     /// Model name.
     pub model: String,
     /// Method label (Hanayo annotated with the winning wave count).
@@ -43,7 +43,7 @@ fn try_plan(model: &ModelConfig, plan: ParallelPlan) -> Option<PlanResult> {
 
 /// Evaluate the whole grid (parallelised with rayon — this is the largest
 /// sweep in the harness).
-pub fn data() -> Vec<SearchCell> {
+pub(crate) fn data() -> Vec<SearchCell> {
     let grid: Vec<(ModelConfig, u32, (u32, u32))> = [
         ModelConfig::bert64().with_train_bytes_per_param(8),
         ModelConfig::gpt128().with_train_bytes_per_param(8),
@@ -108,7 +108,7 @@ pub fn data() -> Vec<SearchCell> {
 }
 
 /// The best configuration per (model, method family).
-pub fn best_configs(cells: &[SearchCell]) -> Vec<(String, String, u32, u32, f64)> {
+pub(crate) fn best_configs(cells: &[SearchCell]) -> Vec<(String, String, u32, u32, f64)> {
     let mut out = Vec::new();
     for model in ["Bert-64L", "GPT-128L"] {
         for fam in ["G", "D", "C", "H"] {
@@ -126,7 +126,7 @@ pub fn best_configs(cells: &[SearchCell]) -> Vec<(String, String, u32, u32, f64)
 }
 
 /// Render the figure.
-pub fn run() -> String {
+pub(crate) fn run() -> String {
     let cells = data();
     let mut out = String::from(
         "Figure 10: configuration search on 32 Lonestar6 GPUs (throughput in sequences/s)\n\n",

@@ -16,9 +16,9 @@ use hanayo_model::{ModelConfig, Recompute};
 use hanayo_sim::{evaluate_plan, Method, ParallelPlan, SimOptions};
 
 /// Fixed global batch: 16 micro-batches.
-pub const MICRO_BATCHES: u32 = 16;
+pub(crate) const MICRO_BATCHES: u32 = 16;
 /// Sequences per micro-batch.
-pub const MICRO_BATCH_SIZE: u32 = 3;
+pub(crate) const MICRO_BATCH_SIZE: u32 = 3;
 
 /// One bar: device count × method.
 pub struct Bar {

@@ -4,12 +4,12 @@
 use hanayo_core::analysis::formulas::{comparison_table, render_table, ComparisonRow};
 
 /// The comparison rows at the figure's reference point.
-pub fn data() -> Vec<ComparisonRow> {
+pub(crate) fn data() -> Vec<ComparisonRow> {
     comparison_table(8, 8, 2).expect("the reference shapes are valid for all four schemes")
 }
 
 /// Render the figure.
-pub fn run() -> String {
+pub(crate) fn run() -> String {
     format!(
         "Figure 2: comparison of SOTA approaches (P=8, B=8, Hanayo W=2)\n{}",
         render_table(&data())

@@ -7,7 +7,7 @@ use hanayo_core::memory::{unit_profile, UnitMemoryProfile};
 use hanayo_core::schedule::build_compute_schedule;
 
 /// One panel of the figure.
-pub struct Panel {
+pub(crate) struct Panel {
     /// Panel caption (scheme name).
     pub name: String,
     /// Text Gantt chart.
@@ -17,7 +17,7 @@ pub struct Panel {
 }
 
 /// The five panels (a)–(e).
-pub fn data() -> Vec<Panel> {
+pub(crate) fn data() -> Vec<Panel> {
     let schemes = [
         ("(a) GPipe", Scheme::GPipe),
         ("(b) DAPPLE", Scheme::Dapple),
@@ -40,7 +40,7 @@ pub fn data() -> Vec<Panel> {
 }
 
 /// Render all panels.
-pub fn run() -> String {
+pub(crate) fn run() -> String {
     let mut out = String::from(
         "Figure 3: synchronous pipeline schedules (P=4, B=4; digits = forward mb, \
          letters = backward mb, '.' = bubble)\n\n",

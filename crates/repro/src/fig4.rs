@@ -11,14 +11,14 @@ use hanayo_core::gantt::{render, render_paper_style, replay_timeline, Timeline};
 use hanayo_core::schedule::build_compute_schedule;
 
 /// The synchronous timeline (one iteration, `P = 4`, `B = 4`).
-pub fn sync_timeline() -> Timeline {
+pub(crate) fn sync_timeline() -> Timeline {
     let cfg = PipelineConfig::new(4, 4, Scheme::Dapple).expect("valid");
     replay_timeline(&build_compute_schedule(&cfg).expect("schedulable"), 1, 2, 0)
 }
 
 /// The asynchronous timeline: two iterations of micro-batches in one
 /// continuous 1F1B stream (no flush between them).
-pub fn async_timeline() -> Timeline {
+pub(crate) fn async_timeline() -> Timeline {
     // Model "no flush" as a single 8-micro-batch 1F1B stream: exactly what
     // PipeDream's steady state looks like (Fig. 4b).
     let cfg = PipelineConfig::new(4, 8, Scheme::AsyncPipeDream).expect("valid");
@@ -26,7 +26,7 @@ pub fn async_timeline() -> Timeline {
 }
 
 /// Render both panels.
-pub fn run() -> String {
+pub(crate) fn run() -> String {
     let cfg = PipelineConfig::new(4, 4, Scheme::Dapple).expect("valid");
     let sync = render_paper_style(&build_compute_schedule(&cfg).expect("schedulable"));
     let asynch = render(&async_timeline());

@@ -6,7 +6,7 @@ use hanayo_core::gantt::{render_paper_style, replay_timeline};
 use hanayo_core::schedule::build_compute_schedule;
 
 /// `(caption, gantt, bubble ratio)` per panel.
-pub fn data() -> Vec<(String, String, f64)> {
+pub(crate) fn data() -> Vec<(String, String, f64)> {
     [(8u32, 2u32), (4, 2), (4, 4)]
         .into_iter()
         .map(|(p, w)| {
@@ -19,7 +19,7 @@ pub fn data() -> Vec<(String, String, f64)> {
 }
 
 /// Render the panels.
-pub fn run() -> String {
+pub(crate) fn run() -> String {
     let mut out = String::from("Figure 6: scaling Hanayo to more devices and waves\n\n");
     for (caption, gantt, bubble) in data() {
         out.push_str(&format!("{caption} (bubble {:.1}%)\n{gantt}\n", 100.0 * bubble));

@@ -9,7 +9,7 @@ use hanayo_core::gantt::replay_timeline;
 use hanayo_core::schedule::build_compute_schedule;
 
 /// Analytic and measured zone data at the figure's size (`P=4`, `W=1`).
-pub fn data() -> (ZoneSizes, ZoneMeasurement) {
+pub(crate) fn data() -> (ZoneSizes, ZoneMeasurement) {
     let analytic = analytic_zones(4, 1, &CostTerms::paper_default());
     let cfg = PipelineConfig::new(4, 4, Scheme::Hanayo { waves: 1 }).expect("valid");
     let cs = build_compute_schedule(&cfg).expect("schedulable");
@@ -18,7 +18,7 @@ pub fn data() -> (ZoneSizes, ZoneMeasurement) {
 }
 
 /// Render the taxonomy.
-pub fn run() -> String {
+pub(crate) fn run() -> String {
     let (a, m) = data();
     let zone_b: Vec<String> = a.zone_b.iter().map(|v| format!("{v:.2}")).collect();
     format!(

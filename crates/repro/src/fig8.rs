@@ -13,7 +13,7 @@ use hanayo_model::{ModelConfig, Recompute};
 use hanayo_sim::{evaluate_plan, Method, ParallelPlan, SimOptions};
 
 /// One panel: a model × parallelism setting.
-pub struct Panel {
+pub(crate) struct Panel {
     /// Caption, e.g. `Bert (P=8, D=4, B=20)`.
     pub caption: String,
     /// Per-method results.
@@ -21,10 +21,11 @@ pub struct Panel {
 }
 
 /// Memory outcome of one method in one panel.
-pub struct MethodMemory {
+pub(crate) struct MethodMemory {
     /// The method.
     pub method: Method,
     /// Peak bytes per global device (all 32).
+    #[cfg(test)]
     pub peak_mem: Vec<u64>,
     /// Highest per-device peak, GB.
     pub highest_gb: f64,
@@ -39,7 +40,7 @@ fn micro_batches(p: u32) -> u32 {
 }
 
 /// Evaluate all four panels.
-pub fn data() -> Vec<Panel> {
+pub(crate) fn data() -> Vec<Panel> {
     let cluster = lonestar6(32);
     let mut panels = Vec::new();
     for model in [ModelConfig::bert64(), ModelConfig::gpt128()] {
@@ -67,6 +68,7 @@ pub fn data() -> Vec<Panel> {
                         highest_gb: gb.iter().cloned().fold(0.0, f64::max),
                         variance_gb2: var,
                         oom: r.is_oom(),
+                        #[cfg(test)]
                         peak_mem: r.peak_mem,
                     }
                 })
@@ -81,7 +83,7 @@ pub fn data() -> Vec<Panel> {
 }
 
 /// Render the figure.
-pub fn run() -> String {
+pub(crate) fn run() -> String {
     let mut out = String::from(
         "Figure 8: peak memory distribution across 32 GPUs (TACC Lonestar6, A100-40GB)\n\n",
     );

@@ -17,16 +17,16 @@
 
 pub mod common;
 pub mod fig1;
-pub mod fig10;
+mod fig10;
 pub mod fig11;
 pub mod fig12;
-pub mod fig2;
-pub mod fig3;
-pub mod fig4;
+mod fig2;
+mod fig3;
+mod fig4;
 pub mod fig5;
-pub mod fig6;
-pub mod fig7;
-pub mod fig8;
+mod fig6;
+mod fig7;
+mod fig8;
 pub mod fig9;
 pub mod memfig;
 pub mod metricsio;

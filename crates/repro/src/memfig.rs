@@ -21,9 +21,9 @@ use hanayo_sim::{try_simulate_traced, SimOptions};
 use serde::Serialize;
 
 /// Pipeline width of the figure.
-pub const DEVICES: u32 = 8;
+pub(crate) const DEVICES: u32 = 8;
 /// Micro-batches per iteration.
-pub const MICRO_BATCHES: u32 = 8;
+pub(crate) const MICRO_BATCHES: u32 = 8;
 
 /// One row of the table: one scheme under one stash policy.
 #[derive(Debug, Clone, Serialize)]

@@ -21,7 +21,7 @@ struct Slot {
 }
 
 /// A shared-memory all-reduce rendezvous for `world` pipeline replicas.
-pub struct AllreduceHub {
+pub(crate) struct AllreduceHub {
     world: usize,
     state: Mutex<HashMap<(u32, u32), Slot>>,
     cv: Condvar,
@@ -30,7 +30,7 @@ pub struct AllreduceHub {
 
 impl AllreduceHub {
     /// Create a hub for `world` replicas.
-    pub fn new(world: usize) -> AllreduceHub {
+    pub(crate) fn new(world: usize) -> AllreduceHub {
         AllreduceHub {
             world,
             state: Mutex::new(HashMap::new()),
@@ -40,7 +40,7 @@ impl AllreduceHub {
     }
 
     /// Number of replicas.
-    pub fn world(&self) -> usize {
+    pub(crate) fn world(&self) -> usize {
         self.world
     }
 
@@ -48,7 +48,7 @@ impl AllreduceHub {
     /// current and future [`AllreduceHub::try_allreduce`] calls return
     /// `None`. Called when a worker fails so the surviving replicas unwind
     /// instead of waiting for a contribution that will never come.
-    pub fn abort(&self) {
+    pub(crate) fn abort(&self) {
         // The store happens under the lock so a replica cannot check the
         // flag, miss it, and then sleep past the notify.
         let _state = self.state.lock();
@@ -57,14 +57,14 @@ impl AllreduceHub {
     }
 
     /// Has the collective been cancelled?
-    pub fn is_aborted(&self) -> bool {
+    fn is_aborted(&self) -> bool {
         self.aborted.load(Ordering::SeqCst)
     }
 
     /// Contribute `grads` for `(iter, stage)` as replica `rank`; blocks
     /// until all replicas contributed and returns the rank-ordered sum,
     /// or `None` if the collective was aborted.
-    pub fn try_allreduce(
+    pub(crate) fn try_allreduce(
         &self,
         iter: u32,
         stage: u32,
@@ -120,6 +120,15 @@ impl AllreduceHub {
             state.remove(&key);
         }
         Some(out)
+    }
+
+    /// Has replica `rank` posted its contribution for `(iter, stage)`? A
+    /// `true` read means that replica is blocked in the wait, or past it:
+    /// it posts and starts waiting under one hold of the lock this read
+    /// takes.
+    #[cfg(test)]
+    pub(crate) fn has_posted(&self, iter: u32, stage: u32, rank: usize) -> bool {
+        self.state.lock().get(&(iter, stage)).is_some_and(|s| s.contributions[rank].is_some())
     }
 }
 
@@ -214,7 +223,9 @@ mod tests {
             // Rank 0 contributes; rank 1 never will.
             std::thread::spawn(move || hub.try_allreduce(0, 0, 0, g))
         };
-        std::thread::sleep(std::time::Duration::from_millis(10));
+        while !hub.has_posted(0, 0, 0) {
+            std::thread::yield_now();
+        }
         hub.abort();
         assert_eq!(waiter.join().unwrap(), None, "blocked replica must wake on abort");
         // Late arrivals bail immediately.

@@ -32,7 +32,7 @@
 //!   runs iterations, collects losses and peak-stash statistics. Its two
 //!   entry points are [`try_train`] (one pipeline) and
 //!   [`try_train_data_parallel`] (one replica per data shard).
-//! * [`collective`] — the data-parallel gradient exchange used when a plan
+//! * `collective` — the data-parallel gradient exchange used when a plan
 //!   runs several pipeline replicas (and by the Chimera-wave form).
 //! * **Fault tolerance** — [`trainer::try_train`] executes the
 //!   [`hanayo_ckpt::CheckpointPolicy`] (durable checkpoint every `k`
@@ -42,15 +42,14 @@
 //!   the remaining iterations to losses, weights and peaks **bitwise
 //!   equal** to an uninterrupted run.
 
-pub mod collective;
+mod collective;
 pub mod mailbox;
 pub mod trainer;
 pub mod worker;
 
-pub use hanayo_ckpt::{Checkpoint, CheckpointPolicy, FailurePlan};
 pub use hanayo_model::Recompute;
 pub use trainer::{
-    checkpoint_of, fingerprint_of, resume, resume_data_parallel, try_train,
-    try_train_data_parallel, LossKind, ResumeError, TrainError, TrainOutput, TrainerConfig,
+    checkpoint_of, resume, resume_data_parallel, try_train, try_train_data_parallel, LossKind,
+    ResumeError, TrainError, TrainOutput, TrainerConfig,
 };
 pub use worker::WorkerError;

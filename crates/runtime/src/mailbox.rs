@@ -9,7 +9,7 @@
 //! How a device waits: an empty mailbox spins for [`SPIN_BUDGET`] before it
 //! parks — but only when the run has a core per device thread
 //! ([`spin_budget`]) — because the op it waits for is shorter than a futex
-//! sleep and wake. Abort is a message, not a timer: [`Fabric::abort`] queues
+//! sleep and wake. Abort is a message, not a timer: `Fabric::abort` queues
 //! an abort packet on every endpoint, so a blocked device wakes the way it
 //! wakes for data and there is nothing to poll.
 
@@ -44,7 +44,7 @@ pub fn spin_budget(device_threads: usize) -> Duration {
 
 /// One in-flight tensor message.
 #[derive(Debug, Clone)]
-pub struct Envelope {
+pub(crate) struct Envelope {
     /// Training iteration the message belongs to.
     pub iter: u32,
     /// Message identity within the iteration: its `Program` key.
@@ -62,7 +62,7 @@ enum Packet {
 }
 
 /// The receiving half of a device's fabric endpoint, with key matching.
-pub struct Mailbox {
+pub(crate) struct Mailbox {
     rx: Receiver<Packet>,
     /// Early arrivals waiting for their recv to be issued.
     parked: HashMap<(u32, u32), Tensor>,
@@ -87,7 +87,7 @@ impl Mailbox {
     /// still delivered or parked first), and `None` if the fabric
     /// disconnects while the receive is pending: every sender is gone, so
     /// the message can never arrive.
-    pub fn recv(&mut self, iter: u32, key: u32) -> Option<Tensor> {
+    pub(crate) fn recv(&mut self, iter: u32, key: u32) -> Option<Tensor> {
         if self.aborted {
             return None;
         }
@@ -109,20 +109,15 @@ impl Mailbox {
         }
     }
 
-    /// Number of parked (early) messages — useful in tests.
-    pub fn parked_len(&self) -> usize {
-        self.parked.len()
-    }
-
     /// High-water mark of the parked map over this mailbox's lifetime.
-    pub fn parked_peak(&self) -> usize {
+    pub(crate) fn parked_peak(&self) -> usize {
         self.parked_peak
     }
 }
 
 /// Sending endpoints to every device.
 #[derive(Clone)]
-pub struct Fabric {
+pub(crate) struct Fabric {
     senders: Vec<Sender<Packet>>,
 }
 
@@ -130,7 +125,7 @@ impl Fabric {
     /// Non-blocking send to `device`. A closed peer mailbox means that
     /// worker already exited (failure injection or abort); the message is
     /// dropped — the abort broadcast, not this send, reports such failures.
-    pub fn send(&self, device: usize, env: Envelope) {
+    pub(crate) fn send(&self, device: usize, env: Envelope) {
         let _ = self.senders[device].send(Packet::Data(env));
     }
 
@@ -139,27 +134,17 @@ impl Fabric {
     /// queued before. Called by a worker that stops on an error, so peers
     /// blocked on a message it will never send unwind instead of
     /// deadlocking. Repeated broadcasts (cascades) are harmless.
-    pub fn abort(&self) {
+    pub(crate) fn abort(&self) {
         for tx in &self.senders {
             let _ = tx.send(Packet::Abort);
         }
-    }
-
-    /// Number of endpoints.
-    pub fn len(&self) -> usize {
-        self.senders.len()
-    }
-
-    /// True when the fabric has no endpoints.
-    pub fn is_empty(&self) -> bool {
-        self.senders.is_empty()
     }
 }
 
 /// Build a fabric of `n` endpoints: the shared sender table plus each
 /// device's private mailbox, whose blocked receives spin for `spin` before
 /// parking (see [`spin_budget`]).
-pub fn fabric(n: usize, spin: Duration) -> (Fabric, Vec<Mailbox>) {
+pub(crate) fn fabric(n: usize, spin: Duration) -> (Fabric, Vec<Mailbox>) {
     let mut senders = Vec::with_capacity(n);
     let mut boxes = Vec::with_capacity(n);
     for _ in 0..n {
@@ -198,9 +183,9 @@ mod tests {
         fab.send(1, Envelope { iter: 0, key: 1, tensor: t(1.0) });
         // Ask for key 1 first even though key 11 arrived first.
         assert_eq!(boxes[1].recv(0, 1).unwrap().data, vec![1.0]);
-        assert_eq!(boxes[1].parked_len(), 1);
+        assert_eq!(boxes[1].parked.len(), 1);
         assert_eq!(boxes[1].recv(0, 11).unwrap().data, vec![2.0]);
-        assert_eq!(boxes[1].parked_len(), 0);
+        assert_eq!(boxes[1].parked.len(), 0);
         // The high-water mark survives the drain.
         assert_eq!(boxes[1].parked_peak(), 1);
     }
@@ -224,11 +209,11 @@ mod tests {
             fab.send(1, Envelope { iter, key, tensor: t(v) });
         }
         assert_eq!(boxes[1].recv(0, 2).unwrap().data, vec![2.0]);
-        assert_eq!(boxes[1].parked_len(), 3, "everything ahead of (0, 2) parked");
+        assert_eq!(boxes[1].parked.len(), 3, "everything ahead of (0, 2) parked");
         for (iter, key, v) in [(1, 2, 12.0), (0, 3, 3.0), (1, 3, 13.0)] {
             assert_eq!(boxes[1].recv(iter, key).unwrap().data, vec![v], "({iter}, {key})");
         }
-        assert_eq!(boxes[1].parked_len(), 0);
+        assert_eq!(boxes[1].parked.len(), 0);
         assert_eq!(boxes[1].parked_peak(), 3);
     }
 
@@ -252,7 +237,7 @@ mod tests {
         // Key 1 sits behind the abort packet: the receive drains (parks)
         // key 11, then meets the abort.
         assert!(boxes[1].recv(0, 1).is_none());
-        assert_eq!(boxes[1].parked_len(), 1, "data ahead of the abort is still parked");
+        assert_eq!(boxes[1].parked.len(), 1, "data ahead of the abort is still parked");
         // Sticky: neither the parked key 11 nor the queued key 1 is handed
         // out.
         assert!(boxes[1].recv(0, 11).is_none());

@@ -92,7 +92,7 @@ impl TrainerConfig {
 /// The [`hanayo_ckpt::config_fingerprint`] of a trainer configuration
 /// replicated `world` ways — what a [`Checkpoint`] produced by this
 /// configuration stores, and what a restore must present.
-pub fn fingerprint_of(cfg: &TrainerConfig, world: u32) -> u64 {
+pub(crate) fn fingerprint_of(cfg: &TrainerConfig, world: u32) -> u64 {
     config_fingerprint(
         &cfg.schedule,
         world,
@@ -1406,7 +1406,9 @@ mod tests {
             std::thread::scope(|scope| {
                 let peer = scope.spawn(|| hub.try_allreduce(0, 0, 0, grads));
                 let panicked = guard_replica::<()>(hub, || {
-                    std::thread::sleep(std::time::Duration::from_millis(50));
+                    while !hub.has_posted(0, 0, 0) {
+                        std::thread::yield_now();
+                    }
                     panic!("setup failed");
                 });
                 (peer.join().is_ok_and(|g| g.is_none()), panicked.map_err(|e| e.primary))

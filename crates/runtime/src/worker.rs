@@ -23,8 +23,8 @@
 //! gradient or stash, a slot or stash still occupied at the iteration
 //! boundary — the signature of a corrupt schedule) do **not** panic the
 //! thread: they become a typed [`WorkerError`] carried home in the
-//! [`WorkerReport`], an abort packet goes out to every peer mailbox
-//! ([`Fabric::abort`]) so blocked peers unwind instead of deadlocking, and
+//! `WorkerReport`, an abort packet goes out to every peer mailbox
+//! (`Fabric::abort`) so blocked peers unwind instead of deadlocking, and
 //! the trainer reports exactly which device and operation failed.
 
 use crate::collective::AllreduceHub;
@@ -58,7 +58,7 @@ impl LossKind {
     /// payload that changes the math. Cross-entropy labels are targets —
     /// resuming under different labels would be a different program, so
     /// they must move the fingerprint.
-    pub fn fingerprint_token(&self) -> String {
+    pub(crate) fn fingerprint_token(&self) -> String {
         match self {
             LossKind::Mse => "mse".to_string(),
             LossKind::CrossEntropy { labels } => format!("cross_entropy:{labels:?}"),
@@ -428,7 +428,7 @@ impl std::error::Error for WorkerError {}
 
 /// Everything a worker thread needs. Workers are scoped threads, so the
 /// run-wide inputs are borrowed from the trainer's caller, never copied.
-pub struct WorkerConfig<'a> {
+pub(crate) struct WorkerConfig<'a> {
     /// This worker's rank.
     pub device: DeviceId,
     /// The lowered schedule; the worker runs its own device's ops.
@@ -518,7 +518,7 @@ impl WorkerStats {
 }
 
 /// What a worker hands back when the run finishes.
-pub struct WorkerReport {
+pub(crate) struct WorkerReport {
     /// This worker's rank.
     pub device: DeviceId,
     /// Updated modules, in the config's order.
@@ -547,7 +547,11 @@ pub struct WorkerReport {
 }
 
 /// Run the device's ops of the program for `data.len()` iterations.
-pub fn run_worker(mut cfg: WorkerConfig<'_>, mut mailbox: Mailbox, fabric: Fabric) -> WorkerReport {
+pub(crate) fn run_worker(
+    mut cfg: WorkerConfig<'_>,
+    mut mailbox: Mailbox,
+    fabric: Fabric,
+) -> WorkerReport {
     let device = cfg.device;
     let (b, s) = (cfg.program.micro_batches() as usize, cfg.program.stages() as usize);
     let mut local_of = vec![None; s];

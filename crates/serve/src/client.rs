@@ -4,7 +4,7 @@
 //! away mid-request" ([`ClientError::Disconnected`], what the shutdown
 //! regression test asserts).
 
-use crate::schema::{AnalyzeRequest, PlanRequest, SimulateRequest, TuneRequest};
+use crate::schema::{AnalyzeRequest, TuneRequest};
 use serde::Serialize;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -170,32 +170,14 @@ impl Client {
         self.expect_ok("GET", "/metrics", None)
     }
 
-    /// `POST /v1/plan`.
-    pub fn plan(&self, req: &PlanRequest) -> Result<String, ClientError> {
-        self.post_doc("/v1/plan", req)
-    }
-
     /// `POST /v1/tune` (synchronous; deduplicated server-side).
     pub fn tune(&self, req: &TuneRequest) -> Result<String, ClientError> {
         self.post_doc("/v1/tune", req)
     }
 
-    /// `POST /v1/simulate`.
-    pub fn simulate(&self, req: &SimulateRequest) -> Result<String, ClientError> {
-        self.post_doc("/v1/simulate", req)
-    }
-
     /// `POST /v1/analyze`.
     pub fn analyze(&self, req: &AnalyzeRequest) -> Result<String, ClientError> {
         self.post_doc("/v1/analyze", req)
-    }
-
-    /// `POST /v1/jobs/tune` — returns the raw `202` ack body
-    /// (`{"job_id":N,...}`).
-    pub fn submit_tune_job(&self, req: &TuneRequest) -> Result<String, ClientError> {
-        let body = serde_json::to_string(req)
-            .map_err(|e| ClientError::Protocol(format!("serialising request: {e}")))?;
-        self.expect_ok("POST", "/v1/jobs/tune", Some(&body))
     }
 
     /// `GET /v1/jobs/<id>` — the status document.
@@ -207,11 +189,6 @@ impl Client {
     /// running, 409 cancelled, 500 failed).
     pub fn job_result(&self, id: u64) -> Result<ClientResponse, ClientError> {
         self.request("GET", &format!("/v1/jobs/{id}/result"), None)
-    }
-
-    /// `POST /v1/jobs/<id>/cancel`.
-    pub fn cancel_job(&self, id: u64) -> Result<String, ClientError> {
-        self.expect_ok("POST", &format!("/v1/jobs/{id}/cancel"), None)
     }
 
     /// `POST /shutdown` — ask the server to drain and stop.

@@ -27,7 +27,7 @@ pub const IDLE_TIMEOUT: Duration = Duration::from_secs(3);
 
 /// Why reading a request off a connection stopped.
 #[derive(Debug)]
-pub enum ReadError {
+pub(crate) enum ReadError {
     /// The peer closed the connection cleanly between requests.
     Closed,
     /// Nothing arrived within [`IDLE_TIMEOUT`]; the caller closes the
@@ -63,7 +63,7 @@ fn classify(e: std::io::Error) -> ReadError {
 
 /// One parsed request.
 #[derive(Debug)]
-pub struct Request {
+pub(crate) struct Request {
     /// `GET`, `POST`, ... — uppercase as received.
     pub method: String,
     /// Absolute path, query string not split off (no endpoint uses one).
@@ -76,13 +76,13 @@ pub struct Request {
 
 impl Request {
     /// Case-insensitive single-header lookup.
-    pub fn header(&self, name: &str) -> Option<&str> {
+    pub(crate) fn header(&self, name: &str) -> Option<&str> {
         let name = name.to_ascii_lowercase();
         self.headers.iter().find(|(n, _)| *n == name).map(|(_, v)| v.as_str())
     }
 
     /// Does the client ask to drop the connection after this exchange?
-    pub fn wants_close(&self) -> bool {
+    pub(crate) fn wants_close(&self) -> bool {
         self.header("connection").is_some_and(|v| v.eq_ignore_ascii_case("close"))
     }
 }
@@ -90,7 +90,7 @@ impl Request {
 /// Read one request off a keep-alive connection. `Closed` between
 /// requests and `TimedOut` are normal ends of a connection for the
 /// caller, not failures.
-pub fn read_request<R: BufRead>(reader: &mut R) -> Result<Request, ReadError> {
+pub(crate) fn read_request<R: BufRead>(reader: &mut R) -> Result<Request, ReadError> {
     let mut line = String::new();
     let n = reader.read_line(&mut line).map_err(classify)?;
     if n == 0 {
@@ -144,7 +144,7 @@ pub fn read_request<R: BufRead>(reader: &mut R) -> Result<Request, ReadError> {
 
 /// One response to serialise.
 #[derive(Debug)]
-pub struct Response {
+pub(crate) struct Response {
     /// HTTP status code.
     pub status: u16,
     /// `Content-Type` value.
@@ -157,18 +157,18 @@ impl Response {
     /// A JSON response (the service's JSON bodies all end in `\n`,
     /// matching the CLIs' `println!` — that newline is part of the
     /// byte-identity contract).
-    pub fn json(status: u16, body: String) -> Response {
+    pub(crate) fn json(status: u16, body: String) -> Response {
         Response { status, content_type: "application/json", body: body.into_bytes() }
     }
 
     /// A plain-text response.
-    pub fn text(status: u16, body: String) -> Response {
+    pub(crate) fn text(status: u16, body: String) -> Response {
         Response { status, content_type: "text/plain; charset=utf-8", body: body.into_bytes() }
     }
 }
 
 /// Reason phrase for the handful of statuses the service emits.
-pub fn reason(status: u16) -> &'static str {
+pub(crate) fn reason(status: u16) -> &'static str {
     match status {
         200 => "OK",
         202 => "Accepted",
@@ -183,7 +183,7 @@ pub fn reason(status: u16) -> &'static str {
 
 /// Serialise one response onto the wire: head and body in one buffer,
 /// handed to the writer in one `write_all`.
-pub fn write_response<W: Write>(
+pub(crate) fn write_response<W: Write>(
     stream: &mut W,
     resp: &Response,
     close: bool,

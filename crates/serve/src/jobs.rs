@@ -14,7 +14,7 @@ use std::thread::JoinHandle;
 
 /// Where a job is in its lifecycle.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum JobState {
+pub(crate) enum JobState {
     /// The sweep is running (or queued on a worker thread).
     Running,
     /// Finished; the JSON response body is ready.
@@ -26,7 +26,7 @@ pub enum JobState {
 }
 
 /// One background job's shared record.
-pub struct Job {
+pub(crate) struct Job {
     /// Server-assigned id, monotonically increasing, never reused.
     pub id: u64,
     /// The request's exact JSON bytes — identical submissions attach to
@@ -45,7 +45,7 @@ pub struct Job {
 
 /// The status document `GET /v1/jobs/<id>` answers with.
 #[derive(Debug, Serialize)]
-pub struct JobStatus {
+pub(crate) struct JobStatus {
     /// Job id.
     pub id: u64,
     /// `running`, `done`, `failed` or `cancelled`.
@@ -70,12 +70,12 @@ impl Job {
     }
 
     /// Current state, cloned.
-    pub fn state(&self) -> JobState {
+    pub(crate) fn state(&self) -> JobState {
         lock(&self.state).clone()
     }
 
     /// The status document for this job.
-    pub fn status(&self) -> JobStatus {
+    pub(crate) fn status(&self) -> JobStatus {
         let state = match self.state() {
             JobState::Running => "running",
             JobState::Done(_) => "done",
@@ -92,7 +92,7 @@ impl Job {
 
     /// Worker-side: publish the terminal state exactly once (a cancel
     /// that raced a completion keeps whichever landed first).
-    pub fn finish(&self, state: JobState) {
+    pub(crate) fn finish(&self, state: JobState) {
         let mut guard = lock(&self.state);
         if *guard == JobState::Running {
             *guard = state;
@@ -101,9 +101,9 @@ impl Job {
     }
 
     /// Block until the job leaves `Running`, then return the terminal
-    /// state. Used by tests and the drain path, not by HTTP handlers
-    /// (those poll via [`Job::status`]).
-    pub fn wait(&self) -> JobState {
+    /// state. HTTP handlers poll via [`Job::status`] instead.
+    #[cfg(test)]
+    pub(crate) fn wait(&self) -> JobState {
         let mut guard = lock(&self.state);
         while *guard == JobState::Running {
             guard = match self.cv.wait(guard) {
@@ -124,7 +124,7 @@ pub(crate) const MAX_FINISHED_JOBS: usize = 64;
 /// The job table: id allocation, submission dedup, worker handles for
 /// the drain.
 #[derive(Default)]
-pub struct JobRegistry {
+pub(crate) struct JobRegistry {
     next_id: AtomicU64,
     jobs: Mutex<HashMap<u64, Arc<Job>>>,
     /// Running jobs by request key, for submission dedup.
@@ -135,7 +135,7 @@ pub struct JobRegistry {
 }
 
 /// What a submission resolved to.
-pub struct Submission {
+pub(crate) struct Submission {
     /// The (new or joined) job.
     pub job: Arc<Job>,
     /// False when an identical running job absorbed this submission —
@@ -146,7 +146,7 @@ pub struct Submission {
 impl JobRegistry {
     /// Submit a request key: attach to an identical *running* job if one
     /// exists (bumping its interest count), otherwise mint a new job.
-    pub fn submit(&self, key: &str) -> Submission {
+    pub(crate) fn submit(&self, key: &str) -> Submission {
         let mut by_key = lock(&self.by_key);
         if let Some(&id) = by_key.get(key) {
             if let Some(job) = lock(&self.jobs).get(&id) {
@@ -165,14 +165,14 @@ impl JobRegistry {
     }
 
     /// Look a job up by id.
-    pub fn get(&self, id: u64) -> Option<Arc<Job>> {
+    pub(crate) fn get(&self, id: u64) -> Option<Arc<Job>> {
         lock(&self.jobs).get(&id).cloned()
     }
 
     /// Record a worker thread so [`JobRegistry::drain`] can join it.
     /// Handles of workers that already exited are let go here, since
     /// there is nothing left to join.
-    pub fn track_worker(&self, handle: JoinHandle<()>) {
+    pub(crate) fn track_worker(&self, handle: JoinHandle<()>) {
         let mut workers = lock(&self.workers);
         workers.retain(|h| !h.is_finished());
         workers.push(handle);
@@ -181,7 +181,7 @@ impl JobRegistry {
     /// Worker-side: a job reached a terminal state — stop routing new
     /// submissions of its key to it, and count it among the finished
     /// jobs, dropping the oldest beyond `MAX_FINISHED_JOBS` (64).
-    pub fn retire_key(&self, key: &str, id: u64) {
+    pub(crate) fn retire_key(&self, key: &str, id: u64) {
         {
             let mut by_key = lock(&self.by_key);
             if by_key.get(key) == Some(&id) {
@@ -200,7 +200,7 @@ impl JobRegistry {
     /// Drop one submitter's interest in a job. The abort trips only when
     /// the last interested submitter cancels; returns whether this call
     /// actually initiated an abort.
-    pub fn cancel(&self, job: &Job) -> bool {
+    pub(crate) fn cancel(&self, job: &Job) -> bool {
         if job.state() != JobState::Running {
             return false;
         }
@@ -215,7 +215,7 @@ impl JobRegistry {
 
     /// Wait for every tracked worker to finish. Trip `abort_all` first
     /// (via the caller) to turn this into a bounded drain.
-    pub fn drain(&self) {
+    pub(crate) fn drain(&self) {
         let workers = std::mem::take(&mut *lock(&self.workers));
         for handle in workers {
             // A worker that panicked already published Failed; nothing
@@ -225,7 +225,7 @@ impl JobRegistry {
     }
 
     /// Trip every running job's abort flag (the shutdown path).
-    pub fn abort_all(&self) {
+    pub(crate) fn abort_all(&self) {
         for job in lock(&self.jobs).values() {
             if job.state() == JobState::Running {
                 job.abort.trip();

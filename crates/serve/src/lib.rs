@@ -33,15 +33,11 @@
 
 pub mod client;
 pub mod http;
-pub mod jobs;
+mod jobs;
 pub mod schema;
-pub mod server;
+mod server;
 pub mod signal;
-pub mod state;
+mod state;
 
 pub use client::{Client, ClientError, ClientResponse};
-pub use schema::{
-    run_analyze, run_plan, run_simulate, run_tune, AnalyzeDoc, AnalyzeRequest, PlanDoc,
-    PlanRequest, RunError, SimulateDoc, SimulateRequest, SweepTable, TuneRequest,
-};
 pub use server::{serve, Server};

@@ -111,7 +111,7 @@ pub fn scheme_for(name: &str) -> Result<Scheme, String> {
 
 /// Resolve a parallel-plan method name (the `method` request field):
 /// `gpipe`, `dapple`, `chimera_wave`, `chimera_native` or `hanayo_w<W>`.
-pub fn method_for(name: &str) -> Result<Method, String> {
+pub(crate) fn method_for(name: &str) -> Result<Method, String> {
     if let Some(waves) = name.strip_prefix("hanayo_w") {
         let waves = waves.parse().map_err(|e| format!("method {name}: {e}"))?;
         return Ok(Method::Hanayo { waves });
@@ -143,7 +143,8 @@ pub struct PlanRequest {
     pub gpus: usize,
     /// Per-parameter training-state bytes (8 = ZeRO-1, 16 = full Adam).
     pub train_bytes_per_param: u32,
-    /// Method name — see [`method_for`].
+    /// Method name: `gpipe`, `dapple`, `chimera_wave`, `chimera_native` or
+    /// `hanayo_w<W>`.
     pub method: String,
     /// Devices per pipeline.
     pub pp: u32,

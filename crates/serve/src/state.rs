@@ -36,7 +36,7 @@ struct InFlightSlot {
 
 /// Joining an in-flight computation either makes you the leader (you
 /// compute and publish) or a follower (you wait for the leader's bytes).
-pub enum Join {
+pub(crate) enum Join {
     /// First requester for this exact request: compute, then
     /// [`InFlight::publish`] the outcome.
     Leader,
@@ -49,7 +49,7 @@ pub enum Join {
 /// the request's exact JSON bytes (the strictest possible equality — two
 /// requests share work only when their responses are guaranteed equal).
 #[derive(Default)]
-pub struct InFlight {
+pub(crate) struct InFlight {
     slots: Mutex<HashMap<String, Arc<InFlightSlot>>>,
     /// How many requests were answered from another request's
     /// computation (the load test's dedup-factor numerator).
@@ -59,7 +59,7 @@ pub struct InFlight {
 impl InFlight {
     /// Enter the group for `key`. Followers block until the leader
     /// publishes; the leader returns immediately with [`Join::Leader`].
-    pub fn join(&self, key: &str) -> Join {
+    pub(crate) fn join(&self, key: &str) -> Join {
         let slot = {
             let mut slots = lock(&self.slots);
             match slots.get(key) {
@@ -91,7 +91,7 @@ impl InFlight {
     /// Leader-side: publish the outcome to every follower and retire the
     /// slot so later identical requests recompute (they will hit the
     /// sweep caches instead).
-    pub fn publish(&self, key: &str, outcome: (u16, String)) {
+    pub(crate) fn publish(&self, key: &str, outcome: (u16, String)) {
         let slot = lock(&self.slots).remove(key);
         if let Some(slot) = slot {
             *lock(&slot.done) = Some(outcome);
@@ -100,7 +100,7 @@ impl InFlight {
     }
 
     /// Requests answered by joining another request's computation.
-    pub fn join_count(&self) -> u64 {
+    pub(crate) fn join_count(&self) -> u64 {
         self.joins.load(Ordering::Relaxed)
     }
 }
@@ -113,7 +113,7 @@ struct ConfigEntry {
 
 /// The service's shared state: sweep caches per configuration
 /// fingerprint, the in-flight dedup table, and the drain flag.
-pub struct ServeState {
+pub(crate) struct ServeState {
     configs: Mutex<HashMap<u64, ConfigEntry>>,
     /// Recency clock: one tick per [`ServeState::caches_for`] call, read
     /// and advanced under the `configs` lock.
@@ -143,7 +143,7 @@ impl ServeState {
     /// used configuration (counted in `hanayo_serve_cache_evictions_total`).
     /// Callers clone the `Arc`, so an evicted configuration's caches stay
     /// alive for requests already holding them.
-    pub fn caches_for(&self, config_key: u64) -> Arc<SweepCaches> {
+    pub(crate) fn caches_for(&self, config_key: u64) -> Arc<SweepCaches> {
         let mut configs = lock(&self.configs);
         let now = self.uses.fetch_add(1, Ordering::Relaxed);
         if let Some(entry) = configs.get_mut(&config_key) {
@@ -165,7 +165,7 @@ impl ServeState {
     /// Export the cache gauges: resident configurations and total cached
     /// entries across them. Called on each `/metrics` scrape so the
     /// numbers are current without per-request bookkeeping.
-    pub fn export_cache_gauges(&self) {
+    pub(crate) fn export_cache_gauges(&self) {
         let configs = lock(&self.configs);
         let entries: usize = configs.values().map(|e| e.caches.entries()).sum();
         hanayo_metrics::gauge_set("hanayo_serve_cache_configs", &[], configs.len() as f64);
@@ -173,7 +173,7 @@ impl ServeState {
     }
 
     /// Is the server refusing new work?
-    pub fn is_draining(&self) -> bool {
+    pub(crate) fn is_draining(&self) -> bool {
         self.draining.load(Ordering::SeqCst)
     }
 }

@@ -290,7 +290,7 @@ impl CompiledSchedule {
     /// any `SimOptions` each of them [`matches`](Self::matches). The tuner
     /// uses this to collapse lookahead ablations that lowered to the same
     /// plan into a single simulation.
-    pub fn same_lowering(&self, other: &CompiledSchedule) -> bool {
+    pub(crate) fn same_lowering(&self, other: &CompiledSchedule) -> bool {
         self.program == other.program
             && self.prefetch == other.prefetch
             && self.prefetch_keys == other.prefetch_keys

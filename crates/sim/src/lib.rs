@@ -30,7 +30,7 @@
 //! re-interpretation (2×DP of 1-wave pipelines) used throughout the
 //! paper's evaluation.
 
-pub mod cache;
+mod cache;
 pub mod engine;
 pub mod plan;
 pub mod reference;
@@ -46,7 +46,7 @@ pub use engine::{
 pub use plan::{evaluate_plan, Method, ParallelPlan, PlanResult};
 pub use reference::simulate_reference;
 pub use report::SimReport;
-pub use search::{search_schedule, ScheduleSearchOptions, SearchedSchedule};
+pub use search::{search_schedule, SearchedSchedule};
 pub use tuner::{
     tune_serial_with, tune_with, Candidate, Rejection, TuneContext, TuneError, TuneOptions,
     TuneProgress, Tuning,

@@ -42,16 +42,6 @@ pub struct SimReport {
 }
 
 impl SimReport {
-    /// Devices whose peak memory exceeds the given capacities.
-    pub fn oom_devices(&self, capacity: &[u64]) -> Vec<usize> {
-        self.peak_mem
-            .iter()
-            .enumerate()
-            .filter(|&(d, &m)| m > capacity[d])
-            .map(|(d, _)| d)
-            .collect()
-    }
-
     /// Highest per-device peak (the §5.1 "highest peak memory" metric).
     pub fn highest_peak(&self) -> u64 {
         self.peak_mem.iter().copied().max().unwrap_or(0)
@@ -81,13 +71,6 @@ mod tests {
             grad_mem: vec![1_250_000_000, 1_250_000_000],
             spans: vec![vec![], vec![]],
         }
-    }
-
-    #[test]
-    fn oom_compares_per_device() {
-        let r = report();
-        assert_eq!(r.oom_devices(&[40_000_000_000, 40_000_000_000]), Vec::<usize>::new());
-        assert_eq!(r.oom_devices(&[20_000_000_000, 40_000_000_000]), vec![0]);
     }
 
     #[test]

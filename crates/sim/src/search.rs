@@ -16,51 +16,12 @@ use hanayo_cluster::ClusterSpec;
 use hanayo_core::chain::ComputeSchedule;
 use hanayo_core::comm;
 use hanayo_core::config::{PipelineConfig, Scheme};
+use hanayo_core::schedule::build_compute_schedule;
 use hanayo_core::schedule::search::{local_search, SearchError, SearchOptions, SearchStats};
 use hanayo_core::schedule::table::{check_table, ScheduleTable};
-use hanayo_core::schedule::{build_compute_schedule, ScheduleError};
 use hanayo_model::{CostTable, ModelConfig, Recompute};
 use serde::{Deserialize, Serialize};
 use std::fmt;
-
-/// Knobs of a simulator-scored schedule search; a thin, serializable
-/// wrapper over the core [`SearchOptions`] (no stash cap — memory verdicts
-/// come from the simulator itself).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct ScheduleSearchOptions {
-    /// RNG seed; results are a pure function of it.
-    pub seed: u64,
-    /// Maximum improvement rounds.
-    pub max_rounds: usize,
-    /// Candidate moves sampled per round.
-    pub moves_per_round: usize,
-    /// Stop after this many consecutive rounds without improvement.
-    pub patience: usize,
-}
-
-impl Default for ScheduleSearchOptions {
-    fn default() -> Self {
-        let core = SearchOptions::default();
-        ScheduleSearchOptions {
-            seed: core.seed,
-            max_rounds: core.max_rounds,
-            moves_per_round: core.moves_per_round,
-            patience: core.patience,
-        }
-    }
-}
-
-impl ScheduleSearchOptions {
-    fn to_core(self) -> SearchOptions {
-        SearchOptions {
-            seed: self.seed,
-            max_rounds: self.max_rounds,
-            moves_per_round: self.moves_per_round,
-            patience: self.patience,
-            ..SearchOptions::default()
-        }
-    }
-}
 
 /// One named scheme's simulated result at the searched `(P, B)` shape.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -113,10 +74,6 @@ pub enum ScheduleSearchError {
     },
     /// Seeding failed in the core search layer.
     Seed(SearchError),
-    /// The winning baseline failed to re-generate (a bug guard).
-    Schedule(ScheduleError),
-    /// The final table failed to re-simulate (a bug guard).
-    Sim(SimError),
 }
 
 impl fmt::Display for ScheduleSearchError {
@@ -126,8 +83,6 @@ impl fmt::Display for ScheduleSearchError {
                 write!(f, "no named scheme is feasible at P={devices} B={micro_batches}")
             }
             ScheduleSearchError::Seed(e) => write!(f, "search seeding failed: {e}"),
-            ScheduleSearchError::Schedule(e) => write!(f, "schedule generation failed: {e}"),
-            ScheduleSearchError::Sim(e) => write!(f, "simulation rejected: {e}"),
         }
     }
 }
@@ -135,7 +90,7 @@ impl fmt::Display for ScheduleSearchError {
 impl std::error::Error for ScheduleSearchError {}
 
 /// The seven named schemes, in deterministic tie-break order.
-pub fn named_schemes() -> [Scheme; 7] {
+pub(crate) fn named_schemes() -> [Scheme; 7] {
     [
         Scheme::Hanayo { waves: 2 },
         Scheme::Hanayo { waves: 1 },
@@ -173,7 +128,7 @@ pub fn search_schedule(
     micro_batch_size: u32,
     recompute: Recompute,
     sim: SimOptions,
-    opts: &ScheduleSearchOptions,
+    opts: &SearchOptions,
 ) -> Result<SearchedSchedule, ScheduleSearchError> {
     // Baselines: every named scheme that generates and simulates at this
     // shape. Cost tables are per-scheme (stage counts differ).
@@ -198,7 +153,7 @@ pub fn search_schedule(
     let seed_table = ScheduleTable::from_compute(&seed_cs);
     // A table that passes the validity checker cannot deadlock, and one
     // that did would score `None` through the engine's `SimError::Deadlock`.
-    let (table, stats) = local_search(&seed_table, &opts.to_core(), |t| {
+    let (table, stats) = local_search(&seed_table, opts, |t| {
         simulate_order(&t.to_compute(), &cost, cluster, sim).ok()
     })
     .map_err(ScheduleSearchError::Seed)?;
@@ -225,8 +180,8 @@ mod tests {
     use super::*;
     use hanayo_cluster::topology::{fc_full_nvlink, pc_partial_nvlink};
 
-    fn opts_small() -> ScheduleSearchOptions {
-        ScheduleSearchOptions { max_rounds: 8, moves_per_round: 12, ..Default::default() }
+    fn opts_small() -> SearchOptions {
+        SearchOptions { max_rounds: 8, moves_per_round: 12, ..Default::default() }
     }
 
     #[test]

@@ -57,7 +57,7 @@ fn pow2(e: i32) -> f32 {
 /// `erf` via the Abramowitz–Stegun 7.1.26 polynomial (|error| < 1.5e-7,
 /// plenty for f32).
 #[inline(always)]
-pub fn erf(x: f32) -> f32 {
+pub(crate) fn erf(x: f32) -> f32 {
     let sign = if x < 0.0 { -1.0 } else { 1.0 };
     let x = x.abs();
     let t = 1.0 / (1.0 + 0.3275911 * x);
@@ -145,14 +145,14 @@ fn run_pass(pass: Pass, x: &[f32], out: &mut [f32]) {
 
 /// Exact GELU: `x * Φ(x)` with `Φ` the standard normal CDF, implemented via
 /// `erf`. Matches the non-tanh-approximation variant.
-pub fn gelu(x: &Tensor) -> Tensor {
+pub(crate) fn gelu(x: &Tensor) -> Tensor {
     let mut out = Tensor::zeros(x.rows, x.cols);
     run_pass(Pass::Gelu, &x.data, &mut out.data);
     out
 }
 
 /// d/dx GELU, given the *input* `x` and upstream `dy` (same shape).
-pub fn gelu_backward(x: &Tensor, dy: &Tensor) -> Tensor {
+pub(crate) fn gelu_backward(x: &Tensor, dy: &Tensor) -> Tensor {
     assert_eq!((x.rows, x.cols), (dy.rows, dy.cols), "gelu_backward shape mismatch");
     let mut out = dy.clone();
     run_pass(Pass::GeluBackward, &x.data, &mut out.data);
@@ -160,7 +160,7 @@ pub fn gelu_backward(x: &Tensor, dy: &Tensor) -> Tensor {
 }
 
 /// ReLU.
-pub fn relu(x: &Tensor) -> Tensor {
+pub(crate) fn relu(x: &Tensor) -> Tensor {
     let mut out = x.clone();
     for v in &mut out.data {
         *v = v.max(0.0);
@@ -169,7 +169,7 @@ pub fn relu(x: &Tensor) -> Tensor {
 }
 
 /// d/dx ReLU given input `x` and upstream `dy` (same shape).
-pub fn relu_backward(x: &Tensor, dy: &Tensor) -> Tensor {
+pub(crate) fn relu_backward(x: &Tensor, dy: &Tensor) -> Tensor {
     assert_eq!((x.rows, x.cols), (dy.rows, dy.cols), "relu_backward shape mismatch");
     let mut out = dy.clone();
     for (g, &xv) in out.data.iter_mut().zip(&x.data) {
@@ -183,7 +183,7 @@ pub fn relu_backward(x: &Tensor, dy: &Tensor) -> Tensor {
 /// Row-wise layer normalisation (no affine parameters; the affine part
 /// lives in [`crate::stage::Block::LayerNorm`]'s gain/bias).
 /// Returns `(normalised, per-row inverse std)`, what the backward needs.
-pub fn layernorm(x: &Tensor, eps: f32) -> (Tensor, Vec<f32>) {
+pub(crate) fn layernorm(x: &Tensor, eps: f32) -> (Tensor, Vec<f32>) {
     let mut out = x.clone();
     let mut inv_stds = Vec::with_capacity(x.rows);
     let n = x.cols as f32;
@@ -204,7 +204,7 @@ pub fn layernorm(x: &Tensor, eps: f32) -> (Tensor, Vec<f32>) {
 /// Backward of row-wise layernorm. `xhat` is the normalised output,
 /// `inv_std` the saved per-row inverse std, `dy` the upstream gradient
 /// w.r.t. the normalised output.
-pub fn layernorm_backward(xhat: &Tensor, inv_std: &[f32], dy: &Tensor) -> Tensor {
+pub(crate) fn layernorm_backward(xhat: &Tensor, inv_std: &[f32], dy: &Tensor) -> Tensor {
     let n = xhat.cols as f32;
     let mut dx = Tensor::zeros(xhat.rows, xhat.cols);
     for (r, dx_row) in dx.data.chunks_mut(xhat.cols).enumerate() {

@@ -35,7 +35,7 @@ pub fn uniform(rng: &mut StdRng, rows: usize, cols: usize, limit: f32) -> Tensor
 
 /// Kaiming/He-style init for a `fan_in → fan_out` linear layer:
 /// uniform with limit `sqrt(6 / fan_in)`.
-pub fn he_init(rng: &mut StdRng, fan_in: usize, fan_out: usize) -> Tensor {
+pub(crate) fn he_init(rng: &mut StdRng, fan_in: usize, fan_out: usize) -> Tensor {
     let limit = (6.0 / fan_in as f32).sqrt();
     uniform(rng, fan_in, fan_out, limit)
 }

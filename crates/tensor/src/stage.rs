@@ -40,7 +40,7 @@ pub enum Block {
 
 /// Saved forward state of one block, consumed by its backward.
 #[derive(Debug, Clone)]
-pub enum BlockStash {
+pub(crate) enum BlockStash {
     /// Linear saves its input.
     Input(Tensor),
     /// LayerNorm saves the normalised activations and the inverse std.
@@ -249,8 +249,9 @@ impl Stage {
         Stage { blocks }
     }
 
-    /// An empty stage (identity). Used for zero-layer partitions.
-    pub fn identity() -> Stage {
+    /// An empty stage (identity).
+    #[cfg(test)]
+    pub(crate) fn identity() -> Stage {
         Stage { blocks: Vec::new() }
     }
 

@@ -419,7 +419,7 @@ impl Tensor {
     }
 
     /// Elementwise `self += alpha * other` (axpy).
-    pub fn axpy(&mut self, alpha: f32, other: &Tensor) {
+    pub(crate) fn axpy(&mut self, alpha: f32, other: &Tensor) {
         assert_eq!((self.rows, self.cols), (other.rows, other.cols));
         for (a, b) in self.data.iter_mut().zip(&other.data) {
             *a += alpha * b;
@@ -435,7 +435,7 @@ impl Tensor {
 
     /// Column sums over all rows (used for bias gradients), written into a
     /// reused buffer whose contents they replace.
-    pub fn col_sum_into(&self, out: &mut Vec<f32>) {
+    pub(crate) fn col_sum_into(&self, out: &mut Vec<f32>) {
         out.clear();
         out.resize(self.cols, 0.0);
         for r in 0..self.rows {
@@ -452,7 +452,8 @@ impl Tensor {
     }
 
     /// Frobenius norm.
-    pub fn norm(&self) -> f32 {
+    #[cfg(test)]
+    pub(crate) fn norm(&self) -> f32 {
         self.data.iter().map(|v| v * v).sum::<f32>().sqrt()
     }
 }

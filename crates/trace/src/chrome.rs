@@ -15,13 +15,13 @@ use crate::event::{Trace, TraceKind};
 use serde::{Deserialize, Serialize};
 
 /// Track id for compute spans within a device's process.
-pub const TID_COMPUTE: u32 = 0;
+pub(crate) const TID_COMPUTE: u32 = 0;
 /// Track id for communication spans within a device's process.
-pub const TID_COMM: u32 = 1;
+pub(crate) const TID_COMM: u32 = 1;
 
 /// One complete event in Chrome's `trace_event` schema.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ChromeEvent {
+pub(crate) struct ChromeEvent {
     /// Human-readable label shown on the slice.
     pub name: String,
     /// Category (`compute` or `comm`).
@@ -51,7 +51,7 @@ fn event_name(kind: TraceKind, mb: Option<u32>, stage: Option<u32>) -> String {
 
 /// Lower a [`Trace`] into the Chrome event list (times scaled from
 /// seconds to microseconds).
-pub fn chrome_events(trace: &Trace) -> Vec<ChromeEvent> {
+pub(crate) fn chrome_events(trace: &Trace) -> Vec<ChromeEvent> {
     trace
         .events
         .iter()

@@ -37,11 +37,6 @@ impl TraceKind {
         matches!(self, TraceKind::Fwd | TraceKind::Bwd | TraceKind::Recompute | TraceKind::Optim)
     }
 
-    /// Complement of [`TraceKind::is_compute`].
-    pub fn is_comm(self) -> bool {
-        !self.is_compute()
-    }
-
     /// Stable lowercase label (used in Chrome event names).
     pub fn label(self) -> &'static str {
         match self {
@@ -206,7 +201,7 @@ impl Trace {
     }
 
     /// Earliest span start (0.0 for an empty trace).
-    pub fn start_time(&self) -> f64 {
+    pub(crate) fn start_time(&self) -> f64 {
         if self.events.is_empty() {
             return 0.0;
         }
@@ -286,17 +281,6 @@ impl Trace {
         Ok(())
     }
 
-    /// Merge `other` into `self`, offsetting its device ids by
-    /// `device_offset` (used to combine data-parallel replica traces into
-    /// one global-rank trace). Re-normalizes.
-    pub fn merge_offset(&mut self, other: &Trace, device_offset: u32) {
-        self.devices = self.devices.max(other.devices + device_offset);
-        self.events.extend(
-            other.events.iter().map(|e| TraceEvent { device: e.device + device_offset, ..*e }),
-        );
-        self.normalize();
-    }
-
     /// Merge `other` into `self` with every span shifted `t_offset`
     /// seconds later — how a *resumed* run's trace lands on the same clock
     /// as the segment recorded before the failure: the caller passes the
@@ -361,18 +345,6 @@ mod tests {
         t.events.push(ev(0, TraceKind::Fwd, 1.0, 2.0));
         t.events.push(ev(0, TraceKind::Fwd, 0.0, 1.0));
         assert!(matches!(t.validate(), Err(TraceError::Unsorted { index: 1 })));
-    }
-
-    #[test]
-    fn merge_offsets_device_ids() {
-        let mut a = Trace::new(2);
-        a.events.push(ev(0, TraceKind::Fwd, 0.0, 1.0));
-        let mut b = Trace::new(2);
-        b.events.push(ev(1, TraceKind::Fwd, 0.5, 1.5));
-        a.merge_offset(&b, 2);
-        assert_eq!(a.devices, 4);
-        assert_eq!(a.events[1].device, 3);
-        a.validate().unwrap();
     }
 
     #[test]

@@ -43,8 +43,7 @@ fn main() {
     };
 
     let cfg = PipelineConfig::new(p, b, Scheme::GPipe).expect("P and B carrier");
-    let params =
-        ListParams { cap: Some(p), retire: RetireRule::ForwardComplete, ..Default::default() };
+    let params = ListParams { cap: Some(p), retire: RetireRule::ForwardComplete };
     let schedule = build_custom_schedule(&cfg, map, params).expect("custom scheme generates");
     verify(&schedule).expect("and verifies like any built-in scheme");
 

@@ -12,9 +12,10 @@
 //! ```
 
 use hanayo::cluster::topology::pc_partial_nvlink;
+use hanayo::core::schedule::search::SearchOptions;
 use hanayo::core::schedule::table::check_table;
 use hanayo::model::{ModelConfig, Recompute};
-use hanayo::sim::{search_schedule, ScheduleSearchOptions, SimOptions};
+use hanayo::sim::{search_schedule, SimOptions};
 use std::fs;
 use std::path::PathBuf;
 
@@ -33,7 +34,7 @@ fn searched_schedule_beats_best_named_scheme() {
         1,
         Recompute::None,
         SimOptions::default(),
-        &ScheduleSearchOptions::default(),
+        &SearchOptions::default(),
     )
     .unwrap();
 
