@@ -23,6 +23,7 @@ pub fn ring_allreduce_time(cluster: &ClusterSpec, ring: &[usize], bytes: u64) ->
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::link::{Link, LinkClass};
     use crate::topology::{fc_full_nvlink, lonestar6};
 
     #[test]
@@ -50,6 +51,22 @@ mod tests {
         assert!(
             ring_allreduce_time(&tacc, &ring, bytes) > 5.0 * ring_allreduce_time(&fc, &ring, bytes)
         );
+    }
+
+    #[test]
+    fn allreduce_is_paced_by_the_slowest_ring_link() {
+        // Lonestar6 packs three GPUs per node: a ring inside one socket
+        // rides PCIe, and one node-crossing hop drags the whole ring down
+        // to InfiniBand, however many fast hops it also has.
+        let c = lonestar6(6);
+        let bytes = 1 << 28;
+        let in_socket = ring_allreduce_time(&c, &[1, 2], bytes);
+        let across_nodes = ring_allreduce_time(&c, &[2, 3], bytes);
+        assert!(in_socket < across_nodes, "{in_socket} vs {across_nodes}");
+        let ring = [1, 2, 3, 4];
+        let ib = Link::of(LinkClass::InfiniBandHdr);
+        let paced = 6.0 * (bytes as f64 / 4.0 / ib.bandwidth + ib.latency);
+        assert_eq!(ring_allreduce_time(&c, &ring, bytes), paced);
     }
 
     #[test]

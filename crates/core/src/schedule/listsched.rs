@@ -357,4 +357,43 @@ mod tests {
             d0.iter().position(|o| o.mb.0 == 0 && o.stage.0 == s - 1 && !o.backward).unwrap();
         assert_eq!(d0[last_fwd + 1], ComputeOp::bwd(0, s - 1), "turnaround delayed: {d0:?}");
     }
+
+    #[test]
+    fn hanayo_activation_peak_tracks_the_cap() {
+        // A wave micro-batch's full forward leaves one activation unit on
+        // every device (2W stage chunks of 1/(2W) each), so the cap bounds
+        // every device's peak, and up to the generator's cap of P the
+        // bound is reached.
+        use crate::memory::unit_profile;
+        for p in [2, 4, 8] {
+            for w in [1, 2, 4] {
+                let (cfg, _) = hanayo_cfg(p, 4 * p, w);
+                for cap in 1..=2 * p {
+                    let cs = capped(&cfg, cap).unwrap();
+                    let peak = unit_profile(&cs).ma_peak_units.iter().cloned().fold(0.0, f64::max);
+                    assert!(peak <= cap as f64 + 1e-9, "P={p} W={w} cap={cap}: peak {peak}");
+                    if cap <= p {
+                        assert!((peak - cap as f64).abs() < 1e-9, "P={p} W={w} cap={cap}: {peak}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn cap_of_p_beats_its_neighbours() {
+        // The Hanayo generator's cap P sits at a local minimum of the
+        // replayed bubble ratio: caps P-1 and P+1 both idle longer.
+        use crate::gantt::replay_timeline;
+        for p in [2, 4, 8] {
+            for w in [2, 4] {
+                let (cfg, _) = hanayo_cfg(p, 4 * p, w);
+                let bubble =
+                    |cap: u32| replay_timeline(&capped(&cfg, cap).unwrap(), 1, 2, 0).bubble_ratio();
+                let at_p = bubble(p);
+                assert!(at_p < bubble(p - 1), "P={p} W={w}: {at_p} vs cap P-1");
+                assert!(at_p < bubble(p + 1), "P={p} W={w}: {at_p} vs cap P+1");
+            }
+        }
+    }
 }

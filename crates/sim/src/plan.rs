@@ -317,6 +317,7 @@ pub(crate) fn simulate_plan(
 mod tests {
     use super::*;
     use hanayo_cluster::topology::{fc_full_nvlink, lonestar6, pc_partial_nvlink};
+    use hanayo_cluster::GpuModel;
 
     fn plan(method: Method, dp: u32, pp: u32, b: u32) -> ParallelPlan {
         ParallelPlan {
@@ -437,6 +438,33 @@ mod tests {
         // Memory falls, but the replayed forward slows the iteration.
         assert!(full.peak_mem.iter().max() < none.peak_mem.iter().max());
         assert!(full.iteration_time > none.iteration_time);
+    }
+
+    #[test]
+    fn oom_compares_per_device() {
+        // The GPipe plan that dies on Lonestar6's 40 GB cards: give half
+        // of its over-budget devices 80 GB (same compute, so the same
+        // peaks) and only the other half stay out of memory.
+        let plan = ParallelPlan {
+            method: Method::GPipe,
+            dp: 1,
+            pp: 8,
+            micro_batches: 16,
+            micro_batch_size: 2,
+            recompute: Recompute::None,
+        };
+        let mut cluster = lonestar6(8);
+        let all_40g = eval(&plan, &cluster);
+        let over = all_40g.oom_devices.clone();
+        assert!(over.len() >= 2, "over-budget devices {over:?}");
+        let (upgraded, kept) = over.split_at(over.len() / 2);
+        for &d in upgraded {
+            cluster.gpus[d] = GpuModel::A100_80G;
+        }
+        let mixed = eval(&plan, &cluster);
+        assert_eq!(mixed.peak_mem, all_40g.peak_mem);
+        assert!(upgraded.iter().all(|&d| mixed.peak_mem[d] <= cluster.memory(d)));
+        assert_eq!(mixed.oom_devices, kept);
     }
 
     #[test]
