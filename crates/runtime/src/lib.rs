@@ -22,16 +22,21 @@
 //!   device thread, and a failing worker aborts its peers by message.
 //! * [`worker`] — the program interpreter (§4.1) over dense per-key
 //!   tensor slots, with one micro-batch-ordered gradient accumulator per
-//!   local stage and an instrumented activation-stash live-bytes
-//!   counter. The stash policy is the executable
+//!   local stage, a [`hanayo_tensor::FreeList`] every activation and
+//!   gradient buffer of the call comes from and returns to (so a
+//!   steady-state iteration allocates nothing), and an instrumented
+//!   activation-stash live-bytes counter. The stash policy is the executable
 //!   [`hanayo_model::Recompute`] mode: under `Full` each stage keeps only
 //!   its input boundary tensor and replays the forward inside the
 //!   backward — gradients stay bit-identical while the measured peak
 //!   drops to the 1F1B boundary budget.
-//! * [`trainer`] — spawns one thread per device, feeds micro-batches,
-//!   runs iterations, collects losses and peak-stash statistics. Its two
-//!   entry points are [`try_train`] (one pipeline) and
-//!   [`try_train_data_parallel`] (one replica per data shard).
+//! * [`trainer`] — runs each device on a thread of its own, feeds
+//!   micro-batches, runs iterations, collects losses and peak-stash
+//!   statistics. Its two entry points are [`try_train`] (one pipeline)
+//!   and [`try_train_data_parallel`] (one replica per data shard). Device
+//!   threads are resident: a call checks idle ones out of a process-wide
+//!   list and spawns only when too few are idle, so a call after the
+//!   first spawns none.
 //! * `collective` — the data-parallel gradient exchange used when a plan
 //!   runs several pipeline replicas (and by the Chimera-wave form).
 //! * **Fault tolerance** — [`trainer::try_train`] executes the
@@ -44,6 +49,7 @@
 
 mod collective;
 pub mod mailbox;
+mod resident;
 pub mod trainer;
 pub mod worker;
 

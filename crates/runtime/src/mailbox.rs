@@ -64,7 +64,8 @@ enum Packet {
 /// The receiving half of a device's fabric endpoint, with key matching.
 pub(crate) struct Mailbox {
     rx: Receiver<Packet>,
-    /// Early arrivals waiting for their recv to be issued.
+    /// Early arrivals waiting for their recv to be issued, sized once for
+    /// an iteration's worth of keys.
     parked: HashMap<(u32, u32), Tensor>,
     /// High-water mark of `parked` over the mailbox's lifetime — the
     /// worker-imbalance signal [`crate::trainer::TrainOutput`] surfaces
@@ -143,8 +144,9 @@ impl Fabric {
 
 /// Build a fabric of `n` endpoints: the shared sender table plus each
 /// device's private mailbox, whose blocked receives spin for `spin` before
-/// parking (see [`spin_budget`]).
-pub(crate) fn fabric(n: usize, spin: Duration) -> (Fabric, Vec<Mailbox>) {
+/// parking (see [`spin_budget`]) and whose early-arrival map has room for
+/// `keys` messages (a program's key count) before it grows.
+pub(crate) fn fabric(n: usize, spin: Duration, keys: usize) -> (Fabric, Vec<Mailbox>) {
     let mut senders = Vec::with_capacity(n);
     let mut boxes = Vec::with_capacity(n);
     for _ in 0..n {
@@ -152,7 +154,7 @@ pub(crate) fn fabric(n: usize, spin: Duration) -> (Fabric, Vec<Mailbox>) {
         senders.push(tx);
         boxes.push(Mailbox {
             rx: rx.spin_budget(spin),
-            parked: HashMap::new(),
+            parked: HashMap::with_capacity(keys),
             parked_peak: 0,
             aborted: false,
         });
@@ -170,7 +172,7 @@ mod tests {
 
     #[test]
     fn in_order_delivery() {
-        let (fab, mut boxes) = fabric(2, Duration::ZERO);
+        let (fab, mut boxes) = fabric(2, Duration::ZERO, 4);
         fab.send(1, Envelope { iter: 0, key: 1, tensor: t(7.0) });
         let got = boxes[1].recv(0, 1).unwrap();
         assert_eq!(got.data, vec![7.0]);
@@ -178,7 +180,7 @@ mod tests {
 
     #[test]
     fn out_of_order_messages_park() {
-        let (fab, mut boxes) = fabric(2, Duration::ZERO);
+        let (fab, mut boxes) = fabric(2, Duration::ZERO, 4);
         fab.send(1, Envelope { iter: 0, key: 11, tensor: t(2.0) });
         fab.send(1, Envelope { iter: 0, key: 1, tensor: t(1.0) });
         // Ask for key 1 first even though key 11 arrived first.
@@ -192,7 +194,7 @@ mod tests {
 
     #[test]
     fn iterations_do_not_collide() {
-        let (fab, mut boxes) = fabric(2, Duration::ZERO);
+        let (fab, mut boxes) = fabric(2, Duration::ZERO, 4);
         // Same key, two iterations, sent in reverse order.
         fab.send(1, Envelope { iter: 1, key: 1, tensor: t(11.0) });
         fab.send(1, Envelope { iter: 0, key: 1, tensor: t(10.0) });
@@ -202,7 +204,7 @@ mod tests {
 
     #[test]
     fn out_of_order_keys_park_across_two_iterations() {
-        let (fab, mut boxes) = fabric(2, Duration::ZERO);
+        let (fab, mut boxes) = fabric(2, Duration::ZERO, 4);
         // Two keys in each of two iterations, every one of them early: the
         // last message sent is the first one asked for.
         for (iter, key, v) in [(1, 3, 13.0), (1, 2, 12.0), (0, 3, 3.0), (0, 2, 2.0)] {
@@ -220,7 +222,7 @@ mod tests {
     #[test]
     fn cross_thread_transfer() {
         for spin in [Duration::ZERO, SPIN_BUDGET] {
-            let (fab, mut boxes) = fabric(2, spin);
+            let (fab, mut boxes) = fabric(2, spin, 4);
             let mut b1 = boxes.remove(1);
             let h = std::thread::spawn(move || b1.recv(0, 31).unwrap().data[0]);
             fab.send(1, Envelope { iter: 0, key: 31, tensor: t(42.0) });
@@ -230,7 +232,7 @@ mod tests {
 
     #[test]
     fn abort_behind_data_parks_the_data_then_fails_and_stays_failed() {
-        let (fab, mut boxes) = fabric(2, Duration::ZERO);
+        let (fab, mut boxes) = fabric(2, Duration::ZERO, 4);
         fab.send(1, Envelope { iter: 0, key: 11, tensor: t(2.0) });
         fab.abort();
         fab.send(1, Envelope { iter: 0, key: 1, tensor: t(1.0) });
@@ -248,7 +250,7 @@ mod tests {
 
     #[test]
     fn data_ahead_of_the_abort_is_still_delivered() {
-        let (fab, mut boxes) = fabric(1, Duration::ZERO);
+        let (fab, mut boxes) = fabric(1, Duration::ZERO, 4);
         fab.send(0, Envelope { iter: 0, key: 0, tensor: t(3.0) });
         fab.abort();
         assert_eq!(boxes[0].recv(0, 0).unwrap().data, vec![3.0]);
@@ -260,7 +262,7 @@ mod tests {
         // No timer anywhere in the wait path: if these receives return at
         // all, the abort packet woke them.
         for spin in [Duration::ZERO, SPIN_BUDGET] {
-            let (fab, mut boxes) = fabric(2, spin);
+            let (fab, mut boxes) = fabric(2, spin, 4);
             let mut b1 = boxes.remove(1);
             let h = std::thread::spawn(move || b1.recv(0, 1));
             fab.abort();
@@ -270,7 +272,7 @@ mod tests {
 
     #[test]
     fn disconnect_fails_a_pending_receive() {
-        let (fab, mut boxes) = fabric(1, Duration::ZERO);
+        let (fab, mut boxes) = fabric(1, Duration::ZERO, 4);
         drop(fab);
         assert!(boxes[0].recv(0, 0).is_none());
     }

@@ -1,5 +1,6 @@
-//! Driving a training run: thread-per-device orchestration plus the
-//! sequential reference implementation every schedule is checked against.
+//! Driving a training run: thread-per-device orchestration (on resident
+//! device threads, see `resident`) plus the sequential reference
+//! implementation every schedule is checked against.
 //!
 //! [`try_train`] trains one pipeline and [`try_train_data_parallel`] one
 //! pipeline replica per data shard; [`resume`] and
@@ -16,6 +17,7 @@
 
 use crate::collective::AllreduceHub;
 use crate::mailbox::{fabric, spin_budget};
+use crate::resident::{self, Job};
 pub use crate::worker::LossKind;
 use crate::worker::{
     panic_message, run_worker, IterationData, WorkerConfig, WorkerError, WorkerReport,
@@ -265,7 +267,7 @@ fn check_stages(cfg: &TrainerConfig, stages: &[Stage]) -> Result<(), TrainError>
     Ok(())
 }
 
-/// Run the schedule with real math, one OS thread per device, under
+/// Run the schedule with real math, one resident OS thread per device, under
 /// [`TrainerConfig::checkpoint`] and [`TrainerConfig::failure`].
 /// Worker-side invariant violations (the signature of a corrupt schedule)
 /// and injected faults come back as a typed [`TrainError`] naming the
@@ -399,32 +401,30 @@ fn dp_segment(
     // a cascade and aborts its own fabric.
     let hub = &AllreduceHub::new(dp);
     let start: &[Stage] = stages;
-    let outcomes: Vec<Result<Vec<WorkerReport>, TrainError>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = shards
-            .iter()
-            .enumerate()
-            .map(|(rank, shard)| {
-                let shard = &shard[range.clone()];
-                scope.spawn(move || {
-                    guard_replica(hub, || {
-                        let dp = Some((rank, hub));
-                        run_pipeline(cfg, program, start, shard, dp, origin, iter_base)
-                    })
+    let jobs: Vec<Job<'_, Result<Vec<WorkerReport>, TrainError>>> = shards
+        .iter()
+        .enumerate()
+        .map(|(rank, shard)| {
+            let shard = &shard[range.clone()];
+            Box::new(move || {
+                guard_replica(hub, || {
+                    let dp = Some((rank, hub));
+                    run_pipeline(cfg, program, start, shard, dp, origin, iter_base)
                 })
-            })
-            .collect();
-        // Replica threads catch their own panics above; a join failure
-        // would mean a panic escaped the catch (e.g. in the unwind path
-        // itself) — fold it into the same typed failure.
-        handles
-            .into_iter()
-            .map(|h| h.join().unwrap_or_else(|payload| Err(replica_panic(payload.as_ref()))))
-            .collect()
-    });
+            }) as Job<'_, _>
+        })
+        .collect();
+    let outcomes = resident::scope(jobs).map_err(|e| {
+        let message = format!("replica thread (device unknown): {}", e.error);
+        TrainError::single(WorkerError::ThreadStart { device: DeviceId(0), message }, Some(e.job))
+    })?;
     let mut replicas = Vec::with_capacity(dp);
     let mut failures = Vec::new();
     for (rank, outcome) in outcomes.into_iter().enumerate() {
-        match outcome {
+        // Replica jobs catch their own panics in `guard_replica`; an `Err`
+        // here would mean a panic escaped the catch (e.g. in the unwind
+        // path itself) — fold it into the same typed failure.
+        match outcome.unwrap_or_else(|payload| Err(replica_panic(payload.as_ref()))) {
             Ok(reports) => replicas.push(reports),
             // Re-tag with the replica rank: device ids are replica-local.
             Err(e) => failures.extend(e.failures.into_iter().map(|(_, w)| (rank, w))),
@@ -453,19 +453,23 @@ fn dp_segment(
     Ok(merged)
 }
 
-/// Run one replica's body on its thread. A panic above the worker layer
-/// (e.g. in the setup before workers spawn) must abort the hub *on this
-/// thread*: peers of other replicas may already be blocked in it, and the
-/// main thread may be joining a different replica — waiting for the join
-/// to surface it would deadlock the run.
+/// Run one replica's body on its thread. A replica that fails — by a
+/// panic above the worker layer (e.g. in the setup before workers start),
+/// or by an error, even one raised before any of its devices started —
+/// must abort the hub *on this thread*: peers of other replicas may
+/// already be blocked in it, and the caller returns only once every
+/// replica has, so waiting for it to surface the failure would deadlock
+/// the run.
 fn guard_replica<T>(
     hub: &AllreduceHub,
     body: impl FnOnce() -> Result<T, TrainError>,
 ) -> Result<T, TrainError> {
-    std::panic::catch_unwind(std::panic::AssertUnwindSafe(body)).unwrap_or_else(|payload| {
+    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(body))
+        .unwrap_or_else(|payload| Err(replica_panic(payload.as_ref())));
+    if outcome.is_err() {
         hub.abort();
-        Err(replica_panic(payload.as_ref()))
-    })
+    }
+    outcome
 }
 
 /// A panic above the worker layer has no device to name; the outer fold
@@ -495,64 +499,63 @@ fn run_pipeline(
     let schedule = &cfg.schedule;
     let p = schedule.lists.len();
     let world = dp.map_or(1, |(_, hub)| hub.world());
-    let (fab, mailboxes) = fabric(p, spin_budget(p * world));
+    let (fab, mailboxes) = fabric(p, spin_budget(p * world), program.keys());
 
-    let reports: Vec<WorkerReport> = std::thread::scope(|scope| {
-        let handles: Vec<_> = mailboxes
-            .into_iter()
-            .enumerate()
-            .map(|(d, mailbox)| {
+    let jobs: Vec<Job<'_, WorkerReport>> = mailboxes
+        .into_iter()
+        .enumerate()
+        .map(|(d, mailbox)| {
+            let device = DeviceId(d as u32);
+            let wcfg = WorkerConfig {
+                device,
+                program,
+                modules: (0..stages.len())
+                    .filter(|&s| schedule.stage_map.groups.iter().any(|g| g.path[s] == device))
+                    .map(|s| (s as u32, stages[s].clone()))
+                    .collect(),
+                data,
+                loss: &cfg.loss,
+                lr: cfg.lr,
+                dp,
+                recompute: cfg.recompute,
+                trace: cfg.trace,
+                origin,
+                failure: cfg.failure,
+                iter_base,
+            };
+            let fab = fab.clone();
+            Box::new(move || run_worker(wcfg, mailbox, fab)) as Job<'_, _>
+        })
+        .collect();
+    let outcomes = resident::scope(jobs).map_err(|e| {
+        let device = DeviceId(e.job as u32);
+        let message = e.error.to_string();
+        TrainError::single(WorkerError::ThreadStart { device, message }, None)
+    })?;
+    // The worker catches its own panics, and one that escapes while it
+    // assembles its report aborts the fabric and hub on the way out, so
+    // peers have unwound; report the device by name.
+    let reports: Vec<WorkerReport> = outcomes
+        .into_iter()
+        .enumerate()
+        .map(|(d, outcome)| {
+            outcome.unwrap_or_else(|payload| {
                 let device = DeviceId(d as u32);
-                let wcfg = WorkerConfig {
+                WorkerReport {
                     device,
-                    program,
-                    modules: (0..stages.len())
-                        .filter(|&s| schedule.stage_map.groups.iter().any(|g| g.path[s] == device))
-                        .map(|s| (s as u32, stages[s].clone()))
-                        .collect(),
-                    data,
-                    loss: &cfg.loss,
-                    lr: cfg.lr,
-                    dp,
-                    recompute: cfg.recompute,
-                    trace: cfg.trace,
-                    origin,
-                    failure: cfg.failure,
-                    iter_base,
-                };
-                let fab = fab.clone();
-                scope.spawn(move || run_worker(wcfg, mailbox, fab))
-            })
-            .collect();
-        handles
-            .into_iter()
-            .enumerate()
-            .map(|(d, h)| {
-                // The worker catches its own panics; a join can only fail
-                // if report assembly itself blew up. Even then: abort so
-                // peers unwind, and report the device by name.
-                h.join().unwrap_or_else(|payload| {
-                    fab.abort();
-                    if let Some((_, hub)) = dp {
-                        hub.abort();
-                    }
-                    let device = DeviceId(d as u32);
-                    WorkerReport {
+                    modules: Vec::new(),
+                    losses: Vec::new(),
+                    peak_stash_bytes: 0,
+                    peak_mailbox_parked: 0,
+                    events: Vec::new(),
+                    error: Some(WorkerError::Panicked {
                         device,
-                        modules: Vec::new(),
-                        losses: Vec::new(),
-                        peak_stash_bytes: 0,
-                        peak_mailbox_parked: 0,
-                        events: Vec::new(),
-                        error: Some(WorkerError::Panicked {
-                            device,
-                            message: panic_message(payload.as_ref()),
-                        }),
-                    }
-                })
+                        message: panic_message(payload.as_ref()),
+                    }),
+                }
             })
-            .collect()
-    });
+        })
+        .collect();
 
     let rank = dp.map_or(0, |(r, _)| r);
     let failures: Vec<(usize, WorkerError)> =
@@ -814,8 +817,8 @@ pub fn sequential_reference(
                 x = y;
             }
             let (l, mut dy) = match loss {
-                LossKind::Mse => mse(&x, &iteration.targets[mb]),
-                LossKind::CrossEntropy { labels } => softmax_cross_entropy(&x, &labels[mb]),
+                LossKind::Mse => mse(x, &iteration.targets[mb]),
+                LossKind::CrossEntropy { labels } => softmax_cross_entropy(x, &labels[mb]),
             };
             iter_loss += l;
             // Backward in reverse, accumulating into the per-stage totals

@@ -9,7 +9,10 @@
 //! activation stash per `(micro-batch, stage)`, and one entry per local
 //! stage with its module, its gradient accumulator and each Linear's `Wᵀ`
 //! (weights are frozen between flushes, so one transpose serves every
-//! micro-batch). A backward adds its gradients straight into its stage's
+//! micro-batch), and a [`FreeList`] that every activation, product and
+//! gradient buffer of the call comes from and returns to — a sent tensor
+//! joins the receiver's list — so only the first iteration allocates
+//! them. A backward adds its gradients straight into its stage's
 //! accumulator in micro-batch order, the key to bit-exact equivalence
 //! across schedules: the sum is `((0 + g₀) + g₁) + …` whatever the
 //! schedule. Every generated scheme visits a stage's backwards in that
@@ -35,9 +38,10 @@ use hanayo_core::ids::{DeviceId, MicroBatch, StageId};
 use hanayo_core::program::{Op, Program, ProgramError};
 use hanayo_model::Recompute;
 use hanayo_tensor::loss::{mse, softmax_cross_entropy};
-use hanayo_tensor::{GradScratch, Stage, StageGrads, StageStash, Tensor, TransposedWeights};
+use hanayo_tensor::{
+    FreeList, GradScratch, Stage, StageGrads, StageStash, Tensor, TransposedWeights,
+};
 use hanayo_trace::{TraceEvent, TraceKind};
-use std::borrow::Cow;
 use std::fmt;
 use std::time::Instant;
 
@@ -130,13 +134,14 @@ impl LocalStage {
     /// `None` when `mb` has no place in this flush.
     fn backward(
         &mut self,
-        st: &StageStash,
-        dy: &Tensor,
+        st: StageStash,
+        dy: Tensor,
         mb: usize,
         scratch: &mut GradScratch,
+        list: &mut FreeList,
     ) -> Option<Tensor> {
         if mb == self.next && mb < self.parked.len() {
-            let dx = self.module.backward_into(st, dy, &self.wt, scratch, &mut self.acc);
+            let dx = self.module.backward_into(st, dy, &self.wt, scratch, &mut self.acc, list);
             self.next += 1;
             while let Some(g) = self.parked.get_mut(self.next).and_then(Option::take) {
                 self.acc.accumulate(&g);
@@ -146,7 +151,7 @@ impl LocalStage {
         }
         let slot = self.parked.get_mut(mb).filter(|s| mb > self.next && s.is_none())?;
         let mut g = self.module.zero_grads();
-        let dx = self.module.backward_into(st, dy, &self.wt, scratch, &mut g);
+        let dx = self.module.backward_into(st, dy, &self.wt, scratch, &mut g, list);
         *slot = Some(g);
         Some(dx)
     }
@@ -281,6 +286,15 @@ pub enum WorkerError {
         /// The panic payload, when it was a string.
         message: String,
     },
+    /// The OS refused a thread for this device (or, named as `P0`, for a
+    /// data-parallel replica). Every thread of a call is secured before
+    /// any device starts, so no device of the call ran.
+    ThreadStart {
+        /// The device whose thread could not be started.
+        device: DeviceId,
+        /// The OS error.
+        message: String,
+    },
     /// The schedule does not lower to a [`Program`]. Refused before any
     /// thread starts.
     Program(ProgramError),
@@ -343,7 +357,8 @@ impl WorkerError {
             | WorkerError::Aborted { device }
             | WorkerError::Injected { device, .. }
             | WorkerError::LinkDown { device, .. }
-            | WorkerError::Panicked { device, .. } => Some(device),
+            | WorkerError::Panicked { device, .. }
+            | WorkerError::ThreadStart { device, .. } => Some(device),
             WorkerError::Program(_)
             | WorkerError::NoShards
             | WorkerError::ReplicatedSchedule
@@ -400,6 +415,9 @@ impl fmt::Display for WorkerError {
             }
             WorkerError::Panicked { device, message } => {
                 write!(f, "{device}: worker thread panicked: {message}")
+            }
+            WorkerError::ThreadStart { device, message } => {
+                write!(f, "{device}: could not start a thread: {message}")
             }
             WorkerError::Program(e) => write!(f, "the schedule does not lower: {e}"),
             WorkerError::NoShards => write!(f, "a data-parallel run needs at least one shard"),
@@ -546,12 +564,32 @@ pub(crate) struct WorkerReport {
     pub error: Option<WorkerError>,
 }
 
+/// Aborts the run's fabric and hub if the worker unwinds past its own
+/// catch (a panic while assembling its report), so peers blocked on it
+/// unwind too instead of waiting for a device that is gone.
+struct AbortOnUnwind<'a> {
+    fabric: &'a Fabric,
+    hub: Option<&'a AllreduceHub>,
+}
+
+impl Drop for AbortOnUnwind<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.fabric.abort();
+            if let Some(hub) = self.hub {
+                hub.abort();
+            }
+        }
+    }
+}
+
 /// Run the device's ops of the program for `data.len()` iterations.
 pub(crate) fn run_worker(
     mut cfg: WorkerConfig<'_>,
     mut mailbox: Mailbox,
     fabric: Fabric,
 ) -> WorkerReport {
+    let _abort = AbortOnUnwind { fabric: &fabric, hub: cfg.dp.map(|(_, hub)| hub) };
     let device = cfg.device;
     let (b, s) = (cfg.program.micro_batches() as usize, cfg.program.stages() as usize);
     let mut local_of = vec![None; s];
@@ -569,9 +607,10 @@ pub(crate) fn run_worker(
         slots: (0..cfg.program.keys()).map(|_| None).collect(),
         stash: (0..b * s).map(|_| None).collect(),
         scratch: GradScratch::default(),
+        list: FreeList::default(),
         cur_stash: 0,
         peak_stash: 0,
-        losses: Vec::new(),
+        losses: Vec::with_capacity(cfg.data.len()),
         events: Vec::new(),
         stats: WorkerStats::default(),
         metrics_on: hanayo_metrics::enabled(),
@@ -632,6 +671,10 @@ struct Worker<'w, 'a> {
     /// One activation stash per `(mb, stage)`, at `mb · S + stage`.
     stash: Vec<Option<Stashed>>,
     scratch: GradScratch,
+    /// Every activation, product and gradient buffer this device uses
+    /// comes from here and returns here (or, sent, to the receiver's), so
+    /// only the first iteration of a call allocates them.
+    list: FreeList,
     cur_stash: usize,
     peak_stash: usize,
     losses: Vec<f32>,
@@ -716,6 +759,10 @@ impl Worker<'_, '_> {
             if holds_last {
                 self.losses.push(iter_loss / program.micro_batches() as f32);
             }
+            if iter == 0 {
+                // Every iteration records the same spans: size the log once.
+                self.events.reserve(self.events.len() * (cfg.data.len() - 1));
+            }
             if self.metrics_on {
                 // Heartbeat for fault detection (age = scrape time minus this
                 // timestamp) and the live-bytes level at the iteration
@@ -737,21 +784,29 @@ impl Worker<'_, '_> {
         let t0 = self.cfg.now();
         self.stats.forward += 1;
         let (input, output) = program.dataflow(mb, stage, false);
-        // Stage 0 reads the caller's input in place; it is copied only if
-        // the stash policy below keeps it.
+        // Stage 0 reads the caller's input, copied into a listed buffer the
+        // forward can own.
         let x = if stage == 0 {
-            Cow::Borrowed(&data.inputs[mb as usize])
+            self.list.copy_of(&data.inputs[mb as usize])
         } else {
             let missing = || WorkerError::MissingInput { device, tag: program.tag(input) };
-            Cow::Owned(self.slots[input as usize].take().ok_or_else(missing)?)
+            self.slots[input as usize].take().ok_or_else(missing)?
         };
         let missing = WorkerError::MissingModule { device, stage: StageId(stage) };
-        let (y, st) = self.locals[self.local_of[stage as usize].ok_or(missing)?].module.forward(&x);
-        let entry = match self.cfg.recompute {
-            Recompute::None => Stashed::Activations(st),
-            // Keep only the boundary; the full stash drops here and is
-            // regenerated at backward time.
-            Recompute::Full => Stashed::Boundary(x.into_owned()),
+        let module = &self.locals[self.local_of[stage as usize].ok_or(missing)?].module;
+        let (y, entry) = match self.cfg.recompute {
+            Recompute::None => {
+                let (y, st) = module.forward_with(x, &mut self.list);
+                (y, Stashed::Activations(st))
+            }
+            // Keep only the boundary; the full stash goes back to the list
+            // here and is regenerated at backward time.
+            Recompute::Full => {
+                let boundary = self.list.copy_of(&x);
+                let (y, st) = module.forward_with(x, &mut self.list);
+                self.list.recycle_stash(st);
+                (y, Stashed::Boundary(boundary))
+            }
         };
         self.cur_stash += entry.bytes();
         self.peak_stash = self.peak_stash.max(self.cur_stash);
@@ -759,12 +814,13 @@ impl Worker<'_, '_> {
         // The last stage turns around: loss and gradient, consumed by its
         // own backward.
         let (loss, y) = if stage + 1 == program.stages() {
-            apply_loss(self.cfg.loss, &y, data, MicroBatch(mb))
+            apply_loss(self.cfg.loss, y, data, MicroBatch(mb))
         } else {
             (0.0, y)
         };
-        if let Some(out) = output {
-            self.slots[out as usize] = Some(y);
+        match output {
+            Some(out) => self.slots[out as usize] = Some(y),
+            None => self.list.recycle(y),
         }
         self.span(TraceKind::Fwd, Some(mb), Some(stage), t0, self.cfg.now());
         Ok(loss)
@@ -792,13 +848,18 @@ impl Worker<'_, '_> {
             // tensor. Weights have not changed since the original forward
             // (updates happen only at the flush), so the regenerated stash
             // — and therefore every gradient — is bit-identical.
-            Stashed::Boundary(x) => (local.module.forward(&x).1, Some(self.cfg.now())),
+            Stashed::Boundary(x) => {
+                let (y, st) = local.module.forward_with(x, &mut self.list);
+                self.list.recycle(y);
+                (st, Some(self.cfg.now()))
+            }
         };
         let dx = local
-            .backward(&st, &dy, mb as usize, &mut self.scratch)
+            .backward(st, dy, mb as usize, &mut self.scratch, &mut self.list)
             .ok_or(WorkerError::UnexpectedGradient { device, mb: mb_id, stage: stage_id })?;
-        if let Some(out) = output {
-            self.slots[out as usize] = Some(dx);
+        match output {
+            Some(out) => self.slots[out as usize] = Some(dx),
+            None => self.list.recycle(dx),
         }
         // Under checkpointing the replay and the true backward are
         // separate spans, so calibration can attribute the extra forward
@@ -908,7 +969,9 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-fn apply_loss(loss: &LossKind, y: &Tensor, data: &IterationData, mb: MicroBatch) -> (f32, Tensor) {
+/// The last stage's loss on its output `y`, whose buffer the gradient
+/// takes over.
+fn apply_loss(loss: &LossKind, y: Tensor, data: &IterationData, mb: MicroBatch) -> (f32, Tensor) {
     match loss {
         LossKind::Mse => mse(y, &data.targets[mb.idx()]),
         LossKind::CrossEntropy { labels } => softmax_cross_entropy(y, &labels[mb.idx()]),
@@ -927,10 +990,10 @@ mod tests {
             targets: vec![Tensor::from_vec(1, 2, vec![1.0, 0.0])],
         };
         let y = Tensor::from_vec(1, 2, vec![1.0, 0.0]);
-        let (l, _) = apply_loss(&LossKind::Mse, &y, &data, MicroBatch(0));
+        let (l, _) = apply_loss(&LossKind::Mse, y.clone(), &data, MicroBatch(0));
         assert_eq!(l, 0.0);
         let (l2, _) =
-            apply_loss(&LossKind::CrossEntropy { labels: vec![vec![0]] }, &y, &data, MicroBatch(0));
+            apply_loss(&LossKind::CrossEntropy { labels: vec![vec![0]] }, y, &data, MicroBatch(0));
         assert!(l2 > 0.0);
     }
 
@@ -948,9 +1011,10 @@ mod tests {
         let bits = |g: &StageGrads| g.flat().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
 
         let mut state = LocalStage::new(0, stage.clone(), 3);
-        let mut scratch = GradScratch::default();
+        let (mut scratch, mut list) = (GradScratch::default(), FreeList::default());
         let mut run = |state: &mut LocalStage, mb: usize| {
-            state.backward(&stashes[mb % 3], &dy, mb, &mut scratch).is_some()
+            let (st, dy) = (stashes[mb % 3].clone(), dy.clone());
+            state.backward(st, dy, mb, &mut scratch, &mut list).is_some()
         };
         assert!(run(&mut state, 2), "ahead of its turn: parked");
         assert!(!run(&mut state, 2), "parked twice");
@@ -986,7 +1050,7 @@ mod tests {
             inputs: vec![Tensor::zeros(2, 4)],
             targets: vec![Tensor::zeros(2, 4)],
         }];
-        let (fab, mut boxes) = crate::mailbox::fabric(2, std::time::Duration::ZERO);
+        let (fab, mut boxes) = crate::mailbox::fabric(2, std::time::Duration::ZERO, program.keys());
         for &tag in early {
             let key = program.key(tag).unwrap();
             fab.send(1, Envelope { iter: 0, key, tensor: Tensor::zeros(2, 4) });

@@ -144,79 +144,72 @@ fn run_pass(pass: Pass, x: &[f32], out: &mut [f32]) {
 }
 
 /// Exact GELU: `x * Φ(x)` with `Φ` the standard normal CDF, implemented via
-/// `erf`. Matches the non-tanh-approximation variant.
-pub(crate) fn gelu(x: &Tensor) -> Tensor {
-    let mut out = Tensor::zeros(x.rows, x.cols);
-    run_pass(Pass::Gelu, &x.data, &mut out.data);
-    out
+/// `erf`, written into `out` (`x`'s length, every element overwritten).
+/// Matches the non-tanh-approximation variant.
+pub(crate) fn gelu(x: &Tensor, out: &mut [f32]) {
+    run_pass(Pass::Gelu, &x.data, out);
 }
 
-/// d/dx GELU, given the *input* `x` and upstream `dy` (same shape).
-pub(crate) fn gelu_backward(x: &Tensor, dy: &Tensor) -> Tensor {
+/// d/dx GELU in place: `dy` (same shape as the *input* `x`) becomes
+/// `dy ⊙ gelu'(x)`.
+pub(crate) fn gelu_backward(x: &Tensor, dy: &mut Tensor) {
     assert_eq!((x.rows, x.cols), (dy.rows, dy.cols), "gelu_backward shape mismatch");
-    let mut out = dy.clone();
-    run_pass(Pass::GeluBackward, &x.data, &mut out.data);
-    out
+    run_pass(Pass::GeluBackward, &x.data, &mut dy.data);
 }
 
-/// ReLU.
-pub(crate) fn relu(x: &Tensor) -> Tensor {
-    let mut out = x.clone();
-    for v in &mut out.data {
-        *v = v.max(0.0);
+/// ReLU, written into `out` (`x`'s length, every element overwritten).
+pub(crate) fn relu(x: &Tensor, out: &mut [f32]) {
+    for (o, &v) in out.iter_mut().zip(&x.data) {
+        *o = v.max(0.0);
     }
-    out
 }
 
-/// d/dx ReLU given input `x` and upstream `dy` (same shape).
-pub(crate) fn relu_backward(x: &Tensor, dy: &Tensor) -> Tensor {
+/// d/dx ReLU in place: `dy` (same shape as the input `x`) is zeroed
+/// wherever `x ≤ 0`.
+pub(crate) fn relu_backward(x: &Tensor, dy: &mut Tensor) {
     assert_eq!((x.rows, x.cols), (dy.rows, dy.cols), "relu_backward shape mismatch");
-    let mut out = dy.clone();
-    for (g, &xv) in out.data.iter_mut().zip(&x.data) {
+    for (g, &xv) in dy.data.iter_mut().zip(&x.data) {
         if xv <= 0.0 {
             *g = 0.0;
         }
     }
-    out
 }
 
 /// Row-wise layer normalisation (no affine parameters; the affine part
-/// lives in [`crate::stage::Block::LayerNorm`]'s gain/bias).
-/// Returns `(normalised, per-row inverse std)`, what the backward needs.
-pub(crate) fn layernorm(x: &Tensor, eps: f32) -> (Tensor, Vec<f32>) {
-    let mut out = x.clone();
-    let mut inv_stds = Vec::with_capacity(x.rows);
+/// lives in [`crate::stage::Block::LayerNorm`]'s gain/bias), written into
+/// `xhat` (`x`'s length) and `inv_std` (one per row), every element
+/// overwritten: the normalised rows and what the backward needs.
+pub(crate) fn layernorm(x: &Tensor, eps: f32, xhat: &mut [f32], inv_std: &mut [f32]) {
     let n = x.cols as f32;
     // Row-wise slice walk; arithmetic and order match the seed's indexed
     // loops element for element (bitwise-stable rewrite).
-    for (out_row, row) in out.data.chunks_mut(x.cols).zip(x.data.chunks(x.cols)) {
+    let rows = xhat.chunks_mut(x.cols).zip(x.data.chunks(x.cols)).zip(inv_std.iter_mut());
+    for ((out_row, row), inv) in rows {
         let mean = row.iter().sum::<f32>() / n;
         let var = row.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / n;
-        let inv_std = 1.0 / (var + eps).sqrt();
+        *inv = 1.0 / (var + eps).sqrt();
         for (o, &v) in out_row.iter_mut().zip(row) {
-            *o = (v - mean) * inv_std;
+            *o = (v - mean) * *inv;
         }
-        inv_stds.push(inv_std);
     }
-    (out, inv_stds)
 }
 
-/// Backward of row-wise layernorm. `xhat` is the normalised output,
-/// `inv_std` the saved per-row inverse std, `dy` the upstream gradient
-/// w.r.t. the normalised output.
-pub(crate) fn layernorm_backward(xhat: &Tensor, inv_std: &[f32], dy: &Tensor) -> Tensor {
+/// Backward of row-wise layernorm, in place: `dy`, the upstream gradient
+/// w.r.t. the normalised output, becomes the gradient w.r.t. the input.
+/// `xhat` is the normalised output and `inv_std` the saved per-row inverse
+/// std. Each row's two sums are taken before the row is overwritten, and
+/// each element then reads only its own `dy`, so working in place changes
+/// no bit.
+pub(crate) fn layernorm_backward(xhat: &Tensor, inv_std: &[f32], dy: &mut Tensor) {
     let n = xhat.cols as f32;
-    let mut dx = Tensor::zeros(xhat.rows, xhat.cols);
-    for (r, dx_row) in dx.data.chunks_mut(xhat.cols).enumerate() {
-        let dy_row = dy.row(r);
+    for (r, dy_row) in dy.data.chunks_mut(xhat.cols).enumerate() {
         let xh_row = xhat.row(r);
         let sum_dy: f32 = dy_row.iter().sum();
         let sum_dy_xhat: f32 = dy_row.iter().zip(xh_row).map(|(a, b)| a * b).sum();
-        for ((o, &dyv), &xhv) in dx_row.iter_mut().zip(dy_row).zip(xh_row) {
-            *o = (dyv - sum_dy / n - xhv * sum_dy_xhat / n) * inv_std[r];
+        for (g, &xhv) in dy_row.iter_mut().zip(xh_row) {
+            *g = (*g - sum_dy / n - xhv * sum_dy_xhat / n) * inv_std[r];
         }
     }
-    dx
 }
 
 #[cfg(test)]
@@ -379,9 +372,30 @@ mod tests {
         assert!((erf(3.0) - 1.0).abs() < 1e-4);
     }
 
+    /// [`gelu`] into a fresh buffer.
+    fn gelu_of(x: &Tensor) -> Tensor {
+        let mut y = Tensor::zeros(x.rows, x.cols);
+        gelu(x, &mut y.data);
+        y
+    }
+
+    /// [`gelu_backward`] on a copy of `dy`.
+    fn gelu_grad_of(x: &Tensor, dy: &Tensor) -> Tensor {
+        let mut g = dy.clone();
+        gelu_backward(x, &mut g);
+        g
+    }
+
+    /// [`layernorm`] into fresh buffers.
+    fn layernorm_of(x: &Tensor) -> (Tensor, Vec<f32>) {
+        let (mut xhat, mut inv_std) = (Tensor::zeros(x.rows, x.cols), vec![0.0; x.rows]);
+        layernorm(x, 1e-5, &mut xhat.data, &mut inv_std);
+        (xhat, inv_std)
+    }
+
     #[test]
     fn gelu_matches_reference_points() {
-        let y = gelu(&t(vec![0.0, 1.0, -1.0]));
+        let y = gelu_of(&t(vec![0.0, 1.0, -1.0]));
         assert!(y.data[0].abs() < 1e-6);
         assert!((y.data[1] - 0.8413).abs() < 1e-3);
         assert!((y.data[2] + 0.1587).abs() < 1e-3);
@@ -389,16 +403,18 @@ mod tests {
 
     #[test]
     fn relu_clamps() {
-        let y = relu(&t(vec![-2.0, 0.0, 3.0]));
-        assert_eq!(y.data, vec![0.0, 0.0, 3.0]);
-        let dx = relu_backward(&t(vec![-2.0, 0.0, 3.0]), &t(vec![1.0, 1.0, 1.0]));
+        let mut y = vec![f32::NAN; 3];
+        relu(&t(vec![-2.0, 0.0, 3.0]), &mut y);
+        assert_eq!(y, vec![0.0, 0.0, 3.0]);
+        let mut dx = t(vec![1.0, 1.0, 1.0]);
+        relu_backward(&t(vec![-2.0, 0.0, 3.0]), &mut dx);
         assert_eq!(dx.data, vec![0.0, 0.0, 1.0]);
     }
 
     #[test]
     fn layernorm_zero_mean_unit_var() {
         let x = Tensor::from_vec(2, 4, vec![1., 2., 3., 4., -1., 0., 1., 2.]);
-        let (y, _) = layernorm(&x, 1e-5);
+        let (y, _) = layernorm_of(&x);
         for r in 0..2 {
             let mean: f32 = y.row(r).iter().sum::<f32>() / 4.0;
             let var: f32 = y.row(r).iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / 4.0;
@@ -411,14 +427,14 @@ mod tests {
     fn gelu_gradient_finite_difference() {
         let x = t(vec![-1.5, -0.3, 0.0, 0.4, 2.0]);
         let dy = t(vec![1.0; 5]);
-        let analytic = gelu_backward(&x, &dy);
+        let analytic = gelu_grad_of(&x, &dy);
         let eps = 1e-3f32;
         for i in 0..5 {
             let mut xp = x.clone();
             let mut xm = x.clone();
             xp.data[i] += eps;
             xm.data[i] -= eps;
-            let fd = (gelu(&xp).data[i] - gelu(&xm).data[i]) / (2.0 * eps);
+            let fd = (gelu_of(&xp).data[i] - gelu_of(&xm).data[i]) / (2.0 * eps);
             assert!((fd - analytic.data[i]).abs() < 1e-2, "i={i} fd={fd} an={}", analytic.data[i]);
         }
     }
@@ -503,7 +519,7 @@ mod tests {
     fn gelu_bits_match_their_committed_digest() {
         let x = t(gelu_inputs(5120, 1));
         let dy = t(gelu_inputs(5120, 2));
-        let (fwd, bwd) = (gelu(&x), gelu_backward(&x, &dy));
+        let (fwd, bwd) = (gelu_of(&x), gelu_grad_of(&x, &dy));
         let mut digest = 0xcbf2_9ce4_8422_2325u64;
         for v in fwd.data.iter().chain(&bwd.data) {
             let bits = if v.is_nan() { f32::NAN.to_bits() } else { v.to_bits() };
@@ -516,25 +532,26 @@ mod tests {
     #[should_panic(expected = "gelu_backward shape mismatch")]
     fn gelu_backward_rejects_mismatched_shapes() {
         // A shorter `x` used to leave the tail of `dy` unscaled.
-        let _ = gelu_backward(&Tensor::zeros(1, 3), &Tensor::zeros(1, 4));
+        gelu_backward(&Tensor::zeros(1, 3), &mut Tensor::zeros(1, 4));
     }
 
     #[test]
     #[should_panic(expected = "relu_backward shape mismatch")]
     fn relu_backward_rejects_mismatched_shapes() {
-        let _ = relu_backward(&Tensor::zeros(2, 2), &Tensor::zeros(1, 4));
+        relu_backward(&Tensor::zeros(2, 2), &mut Tensor::zeros(1, 4));
     }
 
     #[test]
     fn layernorm_gradient_finite_difference() {
         let x = Tensor::from_vec(1, 4, vec![0.5, -1.0, 2.0, 0.1]);
         let dy = Tensor::from_vec(1, 4, vec![0.3, -0.2, 0.5, 1.0]);
-        let (xhat, inv_std) = layernorm(&x, 1e-5);
-        let analytic = layernorm_backward(&xhat, &inv_std, &dy);
+        let (xhat, inv_std) = layernorm_of(&x);
+        let mut analytic = dy.clone();
+        layernorm_backward(&xhat, &inv_std, &mut analytic);
         let eps = 1e-3f32;
         // Scalar objective: sum(dy * layernorm(x)).
         let obj = |xx: &Tensor| -> f32 {
-            let (y, _) = layernorm(xx, 1e-5);
+            let (y, _) = layernorm_of(xx);
             y.data.iter().zip(&dy.data).map(|(a, b)| a * b).sum()
         };
         for i in 0..4 {

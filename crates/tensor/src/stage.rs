@@ -7,6 +7,7 @@
 //! upstream) and adds the parameter gradients into a [`StageGrads`]
 //! accumulator, in whatever micro-batch order the caller controls.
 
+use crate::free_list::FreeList;
 use crate::ops;
 use crate::rng;
 use crate::tensor::{Tensor, Transposed};
@@ -55,7 +56,7 @@ pub(crate) enum BlockStash {
 /// Saved forward state of a whole stage for one micro-batch.
 #[derive(Debug, Clone)]
 pub struct StageStash {
-    per_block: Vec<BlockStash>,
+    pub(crate) per_block: Vec<BlockStash>,
 }
 
 impl StageStash {
@@ -287,19 +288,31 @@ impl Stage {
             .sum()
     }
 
-    /// Forward pass; returns the output and the stash for backward.
+    /// Forward pass; returns the output and the stash for backward. A
+    /// one-shot wrapper over [`Stage::forward_with`] on a copy of `x` and
+    /// a fresh [`FreeList`].
+    pub fn forward(&self, x: &Tensor) -> (Tensor, StageStash) {
+        self.forward_with(x.clone(), &mut FreeList::default())
+    }
+
+    /// Forward pass on an owned input; returns the output and the stash
+    /// for backward.
     ///
-    /// Activations move into the stash instead of being cloned, and the
-    /// bias / affine loops run row-wise over slices — the iteration order
+    /// Each block's input moves into the stash instead of being copied (a
+    /// LayerNorm's, which its backward does not read, goes back to `list`),
+    /// and every output comes from `list`, so a device that recycles its
+    /// stashes allocates nothing here once its list is stocked. The bias
+    /// and affine loops run row-wise over slices — the iteration order
     /// (rows outer, columns inner) and the per-element operations are the
     /// seed's exactly, so outputs are bitwise unchanged.
-    pub fn forward(&self, x: &Tensor) -> (Tensor, StageStash) {
-        let mut cur = x.clone();
-        let mut per_block = Vec::with_capacity(self.blocks.len());
+    pub fn forward_with(&self, x: Tensor, list: &mut FreeList) -> (Tensor, StageStash) {
+        let mut cur = x;
+        let mut per_block = list.stash_shell(self.blocks.len());
         for block in &self.blocks {
             match block {
                 Block::Linear { w, b } => {
-                    let mut y = cur.matmul(w);
+                    let mut y = list.tensor(cur.rows, w.cols);
+                    cur.matmul_into(w, &mut y);
                     for row in y.data.chunks_mut(y.cols) {
                         for (v, &bias) in row.iter_mut().zip(b) {
                             *v += bias;
@@ -308,23 +321,28 @@ impl Stage {
                     per_block.push(BlockStash::Input(std::mem::replace(&mut cur, y)));
                 }
                 Block::Gelu => {
-                    let y = ops::gelu(&cur);
+                    let mut y = list.tensor(cur.rows, cur.cols);
+                    ops::gelu(&cur, &mut y.data);
                     per_block.push(BlockStash::Input(std::mem::replace(&mut cur, y)));
                 }
                 Block::Relu => {
-                    let y = ops::relu(&cur);
+                    let mut y = list.tensor(cur.rows, cur.cols);
+                    ops::relu(&cur, &mut y.data);
                     per_block.push(BlockStash::Input(std::mem::replace(&mut cur, y)));
                 }
                 Block::LayerNorm { gain, bias, eps } => {
-                    let (xhat, inv_std) = ops::layernorm(&cur, *eps);
-                    let mut y = xhat.clone();
-                    for row in y.data.chunks_mut(y.cols) {
-                        for ((v, &g), &bv) in row.iter_mut().zip(gain).zip(bias) {
-                            *v = *v * g + bv;
+                    let mut xhat = list.tensor(cur.rows, cur.cols);
+                    let mut inv_std = list.take(cur.rows);
+                    ops::layernorm(&cur, *eps, &mut xhat.data, &mut inv_std);
+                    let mut y = list.tensor(cur.rows, cur.cols);
+                    let rows = y.data.chunks_mut(y.cols).zip(xhat.data.chunks(xhat.cols));
+                    for (row, xrow) in rows {
+                        for (((v, &xh), &g), &bv) in row.iter_mut().zip(xrow).zip(gain).zip(bias) {
+                            *v = xh * g + bv;
                         }
                     }
                     per_block.push(BlockStash::Norm { xhat, inv_std });
-                    cur = y;
+                    list.recycle(std::mem::replace(&mut cur, y));
                 }
             }
         }
@@ -332,19 +350,21 @@ impl Stage {
     }
 
     /// Backward pass; returns `(dL/dx, parameter gradients)`. A one-shot
-    /// wrapper over [`Stage::backward_into`] with a fresh accumulator,
-    /// scratch and `Wᵀ`; the gradients are the per-micro-batch values to
-    /// the bit (`+0.0 + g == g` for every `g` a backward produces, since
-    /// none of its sums can yield `-0.0`).
+    /// wrapper over the core of [`Stage::backward_into`] with a copy of
+    /// `dy` and a fresh accumulator, scratch, `Wᵀ` and [`FreeList`]; the
+    /// gradients are the per-micro-batch values to the bit (`+0.0 + g == g`
+    /// for every `g` a backward produces, since none of its sums can yield
+    /// `-0.0`).
     pub fn backward(&self, stash: &StageStash, dy: &Tensor) -> (Tensor, StageGrads) {
         let mut grads = self.zero_grads();
         let wt = self.transposed_weights();
-        let dx = self.backward_into(stash, dy, &wt, &mut GradScratch::default(), &mut grads);
+        let (scratch, list) = (&mut GradScratch::default(), &mut FreeList::default());
+        let dx = self.backward_core(stash, dy.clone(), &wt, scratch, &mut grads, list);
         (dx, grads)
     }
 
     /// Backward pass that adds this micro-batch's parameter gradients into
-    /// `acc` and returns `dL/dx`.
+    /// `acc` and returns `dL/dx`, consuming the stash and `dy`.
     ///
     /// Each gradient is first summed on its own in `scratch` (from `+0.0`,
     /// exactly as a standalone backward would) and then added to `acc`, so
@@ -352,6 +372,12 @@ impl Stage {
     /// `((0 + g₀) + g₁) + …` — the flush's reduction order — with no
     /// per-micro-batch gradient container. `wt` must hold this stage's
     /// current weights ([`Stage::transposed_weights`]).
+    ///
+    /// The gradient flows through `dy`'s buffer: GELU and ReLU backward,
+    /// the LayerNorm gain scale and the LayerNorm backward (once its row
+    /// sums are taken) work in place, and only a Linear's `dy × Wᵀ` takes a
+    /// buffer from `list`. The spent `dy` of each Linear and every stash
+    /// buffer go back to `list`.
     ///
     /// Linear blocks route through the fused transposed kernels
     /// ([`Tensor::matmul_at_b`] / [`Tensor::matmul_a_bt`]) instead of
@@ -361,16 +387,33 @@ impl Stage {
     /// stage's shapes), so gradients are unchanged to the bit.
     pub fn backward_into(
         &self,
-        stash: &StageStash,
-        dy: &Tensor,
+        stash: StageStash,
+        dy: Tensor,
         wt: &TransposedWeights,
         scratch: &mut GradScratch,
         acc: &mut StageGrads,
+        list: &mut FreeList,
+    ) -> Tensor {
+        let dx = self.backward_core(&stash, dy, wt, scratch, acc, list);
+        list.recycle_stash(stash);
+        dx
+    }
+
+    /// The backward both entry points run; reads the stash, works in
+    /// `dy`'s buffer.
+    fn backward_core(
+        &self,
+        stash: &StageStash,
+        dy: Tensor,
+        wt: &TransposedWeights,
+        scratch: &mut GradScratch,
+        acc: &mut StageGrads,
+        list: &mut FreeList,
     ) -> Tensor {
         assert_eq!(stash.per_block.len(), self.blocks.len(), "stash mismatch");
         assert_eq!(wt.per_block.len(), self.blocks.len(), "transposed weights mismatch");
         assert_eq!(acc.per_block.len(), self.blocks.len(), "gradient mismatch");
-        let mut grad = dy.clone();
+        let mut grad = dy;
         for (i, block) in self.blocks.iter().enumerate().rev() {
             match (block, &stash.per_block[i], &wt.per_block[i], &mut acc.per_block[i]) {
                 (
@@ -383,14 +426,12 @@ impl Stage {
                     dw.add_assign(&scratch.dw);
                     grad.col_sum_into(&mut scratch.sums);
                     add_to(db, &scratch.sums);
-                    grad = grad.matmul_a_bt(wt);
+                    let mut dx = list.tensor(x.rows, x.cols);
+                    grad.matmul_a_bt(wt, &mut dx);
+                    list.recycle(std::mem::replace(&mut grad, dx));
                 }
-                (Block::Gelu, BlockStash::Input(x), _, _) => {
-                    grad = ops::gelu_backward(x, &grad);
-                }
-                (Block::Relu, BlockStash::Input(x), _, _) => {
-                    grad = ops::relu_backward(x, &grad);
-                }
+                (Block::Gelu, BlockStash::Input(x), _, _) => ops::gelu_backward(x, &mut grad),
+                (Block::Relu, BlockStash::Input(x), _, _) => ops::relu_backward(x, &mut grad),
                 (
                     Block::LayerNorm { gain, .. },
                     BlockStash::Norm { xhat, inv_std },
@@ -412,13 +453,14 @@ impl Stage {
                         }
                     }
                     add_to(dgain, sums);
-                    let mut dxhat = grad.clone();
-                    for row in dxhat.data.chunks_mut(dxhat.cols) {
+                    // The gain scale, then the normalisation's backward,
+                    // both in place.
+                    for row in grad.data.chunks_mut(grad.cols) {
                         for (v, &g) in row.iter_mut().zip(gain) {
                             *v *= g;
                         }
                     }
-                    grad = ops::layernorm_backward(xhat, inv_std, &dxhat);
+                    ops::layernorm_backward(xhat, inv_std, &mut grad);
                 }
                 _ => panic!("block/stash/gradient kind mismatch at {i}"),
             }

@@ -168,11 +168,13 @@ fn gemm_avx512(a: Lhs, b: &[f32], n: usize, out: &mut [f32]) {
     gemm_tiles::<{ AVX512_TILE.0 }, { AVX512_TILE.1 }>(a, b, n, out);
 }
 
-/// Run `kernel` over `out` (`[_,n]`): in one call, or — `pooled` — over
-/// bands of `band_rows` rows (the tier's `MR`, so every band but the last
-/// is one full panel) on the rayon pool. Bands write disjoint rows and
-/// each element's chain lives inside one tile, so the split never changes
-/// a bit.
+/// Run `kernel` over `out` (`[_,n]`): in one call, or — `pooled`, on a
+/// pool with more than one executor — over bands of `band_rows` rows (the
+/// tier's `MR`, so every band but the last is one full panel) on the rayon
+/// pool. Bands write disjoint rows and each element's chain lives inside
+/// one tile, so the split never changes a bit. A one-executor pool would
+/// run every band on this thread anyway, so it gets the one call and none
+/// of the band bookkeeping.
 fn run_bands(
     a: Lhs,
     n: usize,
@@ -181,7 +183,7 @@ fn run_bands(
     band_rows: usize,
     kernel: impl Fn(Lhs, &mut [f32]) + Sync,
 ) {
-    if pooled {
+    if pooled && rayon::current_num_threads() > 1 {
         out.par_chunks_mut(band_rows * n)
             .enumerate()
             .for_each(|(band, rows)| kernel(a.skip_rows(band * band_rows), rows));
@@ -210,13 +212,6 @@ fn gemm_into(a: Lhs, b: &[f32], n: usize, out: &mut [f32], pooled: bool) {
         }
     }
     run_bands(a, n, out, pooled, PORTABLE_TILE.0, |a, rows| gemm_portable(a, b, n, rows));
-}
-
-/// `[m,k] × [k,n]`; a product with no output or no terms is all zeros.
-fn gemm(a: Lhs, b: &[f32], m: usize, k: usize, n: usize) -> Tensor {
-    let mut out = Tensor::zeros(m, n);
-    gemm_over(a, b, k, &mut out);
-    out
 }
 
 /// Overwrite every element of `out` (already shaped `[m,n]`) with the
@@ -305,10 +300,20 @@ impl Tensor {
     /// [`matmul_parallelizes`], a flops gate) split into bands of tile
     /// rows on the pool (disjoint writes).
     pub fn matmul(&self, other: &Tensor) -> Tensor {
+        let mut out = Tensor::zeros(self.rows, other.cols);
+        self.matmul_into(other, &mut out);
+        out
+    }
+
+    /// [`Tensor::matmul`] written into `out`, which is reshaped to `[m,n]`
+    /// (reusing its buffer when large enough) and every element
+    /// overwritten, so a dirty buffer is fine.
+    pub fn matmul_into(&self, other: &Tensor, out: &mut Tensor) {
         assert_eq!(self.cols, other.rows, "matmul shape mismatch");
         hanayo_metrics::count!("hanayo_gemm_dispatch_total", &[("kernel", "matmul")], 1);
-        let (m, k, n) = (self.rows, self.cols, other.cols);
-        gemm(Lhs { data: &self.data, row_stride: k, p_stride: 1 }, &other.data, m, k, n)
+        let k = self.cols;
+        out.reshape(self.rows, other.cols);
+        gemm_over(Lhs { data: &self.data, row_stride: k, p_stride: 1 }, &other.data, k, out);
     }
 
     /// Test oracle: the seed's naive serial `ikj` gemm, the definition of
@@ -348,18 +353,21 @@ impl Tensor {
     }
 
     /// `self × bᵀ` (`[m,k] × [n,k]ᵀ → [m,n]`) given `bt = Transposed::of(b)`,
-    /// bitwise identical to `self.matmul(&b.transpose())`.
+    /// written into `out` like [`Tensor::matmul_at_b`] (reshaped, every
+    /// element overwritten) and bitwise identical to
+    /// `self.matmul(&b.transpose())`.
     ///
     /// The micro-kernel streams `NR`-wide row segments of its right
     /// operand, which `bᵀ` only has once laid out. Taking the laid-out
     /// operand lets a caller whose `b` is fixed across many products (a
     /// weight between optimizer steps) transpose it once, not per product.
-    pub fn matmul_a_bt(&self, bt: &Transposed) -> Tensor {
+    pub fn matmul_a_bt(&self, bt: &Transposed, out: &mut Tensor) {
         let bt = &bt.0;
         assert_eq!(self.cols, bt.rows, "matmul_a_bt shape mismatch");
         hanayo_metrics::count!("hanayo_gemm_dispatch_total", &[("kernel", "a_bt")], 1);
-        let (m, k, n) = (self.rows, self.cols, bt.cols);
-        gemm(Lhs { data: &self.data, row_stride: k, p_stride: 1 }, &bt.data, m, k, n)
+        let k = self.cols;
+        out.reshape(self.rows, bt.cols);
+        gemm_over(Lhs { data: &self.data, row_stride: k, p_stride: 1 }, &bt.data, k, out);
     }
 
     /// Transposed copy; see [`Tensor::transpose_into`].
@@ -596,8 +604,12 @@ mod tests {
             let mut at_b = Tensor::from_vec(1, 1, vec![f32::NAN]);
             Tensor::zeros(k, m).matmul_at_b(&Tensor::zeros(k, n), &mut at_b);
             assert_eq!(at_b, want, "matmul_at_b");
-            let bt = Transposed::of(&Tensor::zeros(n, k));
-            assert_eq!(Tensor::zeros(m, k).matmul_a_bt(&bt), want, "matmul_a_bt");
+            let mut a_bt = Tensor::from_vec(1, 1, vec![f32::NAN]);
+            Tensor::zeros(m, k).matmul_a_bt(&Transposed::of(&Tensor::zeros(n, k)), &mut a_bt);
+            assert_eq!(a_bt, want, "matmul_a_bt");
+            let mut mm = Tensor::from_vec(1, 1, vec![f32::NAN]);
+            Tensor::zeros(m, k).matmul_into(&Tensor::zeros(k, n), &mut mm);
+            assert_eq!(mm, want, "matmul_into");
         }
     }
 
@@ -615,7 +627,8 @@ mod tests {
             a.matmul_at_b(&b, &mut at_b);
             assert_bits_eq(&at_b, &a.transpose().matmul_reference(&b), "matmul_at_b");
             let c = dense(n, k, 23 + k as u64);
-            let a_bt = a.matmul_a_bt(&Transposed::of(&c));
+            let mut a_bt = Tensor::default();
+            a.matmul_a_bt(&Transposed::of(&c), &mut a_bt);
             assert_bits_eq(&a_bt, &a.matmul_reference(&c.transpose()), "matmul_a_bt");
         }
     }

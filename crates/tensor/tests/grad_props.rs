@@ -48,12 +48,12 @@ proptest! {
 
     #[test]
     fn mse_is_nonnegative_and_zero_iff_equal(a in tensor_strategy(2, 5)) {
-        let (l_same, g) = mse(&a, &a);
+        let (l_same, g) = mse(a.clone(), &a);
         prop_assert_eq!(l_same, 0.0);
         prop_assert!(g.data.iter().all(|v| *v == 0.0));
         let mut b = a.clone();
         b.data[3] += 1.0;
-        let (l_diff, _) = mse(&a, &b);
+        let (l_diff, _) = mse(a.clone(), &b);
         prop_assert!(l_diff > 0.0);
     }
 
@@ -62,7 +62,7 @@ proptest! {
         logits in tensor_strategy(3, 5),
         labels in proptest::collection::vec(0usize..5, 3),
     ) {
-        let (_, g) = softmax_cross_entropy(&logits, &labels);
+        let (_, g) = softmax_cross_entropy(logits, &labels);
         for r in 0..3 {
             let s: f32 = g.row(r).iter().sum();
             prop_assert!(s.abs() < 1e-5, "row {r} sums to {s}");

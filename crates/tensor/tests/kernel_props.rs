@@ -10,14 +10,18 @@
 //! values are dense (every element nonzero with probability 1) so a
 //! changed reduction order shows up in the low bits — the failure the old
 //! identity-matrix test could never see. The write-into kernels
-//! (`matmul_at_b`, `transpose_into`) also get an output buffer pre-filled
-//! with NaN, so an element they fail to overwrite fails loudly.
+//! (`matmul_into`, `matmul_at_b`, `matmul_a_bt`, `transpose_into`) also get
+//! an output buffer pre-filled with NaN, so an element they fail to
+//! overwrite fails loudly; so does a whole stage forward and backward on a
+//! free list stocked with NaN buffers, which covers every recycled
+//! activation, product and statistic and every in-place gradient step.
 //!
 //! Seeds live in `proptest-regressions/kernel_props.txt` (committed); they
 //! replay first on every run.
 
+use hanayo_tensor::rng::{seeded, uniform};
 use hanayo_tensor::tensor::matmul_parallelizes;
-use hanayo_tensor::{Tensor, Transposed};
+use hanayo_tensor::{Block, FreeList, GradScratch, Stage, Tensor, Transposed};
 use proptest::prelude::*;
 use std::ops::Range;
 
@@ -106,9 +110,69 @@ proptest! {
             .prop_flat_map(|(m, k, n)| (tensor_strategy(m, k), tensor_strategy(n, k)))
             .boxed(),
     ) {
-        let fused = a.matmul_a_bt(&Transposed::of(&b));
+        let mut fused = Tensor::default();
+        a.matmul_a_bt(&Transposed::of(&b), &mut fused);
         prop_assert_eq!(bits(&fused), bits(&a.matmul_reference(&b.transpose())));
         prop_assert_eq!(bits(&fused), bits(&a.matmul(&b.transpose())));
+    }
+
+    #[test]
+    fn a_bt_and_matmul_into_dirty_buffers_overwrite_every_element(
+        (a, b) in dims()
+            .prop_flat_map(|(m, k, n)| (tensor_strategy(m, k), tensor_strategy(n, k)))
+            .boxed(),
+    ) {
+        let want = a.matmul_reference(&b.transpose());
+        let mut out = nan_filled(a.rows + 2, b.rows + 1);
+        a.matmul_a_bt(&Transposed::of(&b), &mut out);
+        prop_assert_eq!((out.rows, out.cols), (a.rows, b.rows));
+        prop_assert_eq!(bits(&out), bits(&want));
+        let mut out = nan_filled(a.rows + 1, b.rows + 2);
+        a.matmul_into(&b.transpose(), &mut out);
+        prop_assert_eq!((out.rows, out.cols), (a.rows, b.rows));
+        prop_assert_eq!(bits(&out), bits(&want));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn stage_on_a_nan_stocked_free_list_matches_fresh_buffers_bitwise(
+        seed in 0u64..1000,
+        rows in 1usize..9,
+        width in 1usize..40,
+        depth in 1usize..3,
+    ) {
+        // LayerNorm, Linear and GELU blocks from `Stage::mlp`, and a ReLU.
+        let mut stage = Stage::mlp(&mut seeded(seed), width, depth);
+        stage.blocks.push(Block::Relu);
+        let x = uniform(&mut seeded(seed + 1), rows, width, 1.0);
+        let dy = uniform(&mut seeded(seed + 2), rows, width, 1.0);
+        let (want_y, want_stash) = stage.forward(&x);
+        let (want_dx, want_grads) = stage.backward(&want_stash, &dy);
+
+        // Every buffer the passes could take is listed NaN-filled: an
+        // element a recycled or in-place output fails to overwrite stays
+        // NaN and fails the bit check.
+        let mut list = FreeList::default();
+        for _ in 0..4 * stage.blocks.len() {
+            list.give(vec![f32::NAN; rows * width]);
+            list.give(vec![f32::NAN; rows]);
+        }
+        let (y, stash) = stage.forward_with(x.clone(), &mut list);
+        prop_assert_eq!(bits(&y), bits(&want_y));
+        prop_assert_eq!(stash.bytes(), want_stash.bytes());
+        let mut grads = stage.zero_grads();
+        let wt = stage.transposed_weights();
+        let dx = stage.backward_into(
+            stash, dy, &wt, &mut GradScratch::default(), &mut grads, &mut list,
+        );
+        prop_assert_eq!(bits(&dx), bits(&want_dx));
+        let flat = |g: &hanayo_tensor::StageGrads| -> Vec<u32> {
+            g.flat().iter().map(|v| v.to_bits()).collect()
+        };
+        prop_assert_eq!(flat(&grads), flat(&want_grads));
     }
 }
 
