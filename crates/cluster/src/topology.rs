@@ -106,6 +106,25 @@ impl ClusterSpec {
         self.try_select(subset).unwrap_or_else(|e| panic!("ClusterSpec::select: {e}"))
     }
 
+    /// Equality up to a renaming of node ids: the node ids are compared in
+    /// first-appearance order, every other field exactly. The simulator
+    /// reads node ids only to tell nodes apart, so two sub-clusters that
+    /// are the same here (TACC's device groups `[0, 1]` and `[6, 7]`, say)
+    /// drive it through the same operations and report identically.
+    pub fn same_content(&self, other: &ClusterSpec) -> bool {
+        let ClusterSpec { name, gpus, node, links, mfu, device_mtbf_s } = self;
+        // First index carrying the same node id as index `i`: equal for
+        // every `i` exactly when the two labellings differ by a renaming.
+        let first_seen = |node: &[u32], i: usize| node.iter().position(|&n| n == node[i]);
+        *name == other.name
+            && *gpus == other.gpus
+            && *links == other.links
+            && *mfu == other.mfu
+            && *device_mtbf_s == other.device_mtbf_s
+            && node.len() == other.node.len()
+            && (0..node.len()).all(|i| first_seen(node, i) == first_seen(&other.node, i))
+    }
+
     /// The slowest inter-device link anywhere in the cluster — the
     /// bandwidth floor a checkpoint drain or state reload cannot beat
     /// (persistent storage hangs off the fabric, so a conservative
@@ -323,6 +342,24 @@ mod tests {
         let tacc = lonestar6(8);
         let bytes = 4_000_000;
         assert!(fc.p2p(2, 3).transfer_time(bytes) < tacc.p2p(2, 3).transfer_time(bytes));
+    }
+
+    #[test]
+    fn same_content_ignores_node_labels_only() {
+        let c = lonestar6(8);
+        // Nodes (0, 0) and (2, 2), both a cross-socket pair: twins.
+        assert!(c.select(&[0, 1]).same_content(&c.select(&[6, 7])));
+        // Nodes (1, 1) over a same-socket link, and a pair split over two
+        // nodes: different content.
+        assert!(!c.select(&[0, 1]).same_content(&c.select(&[4, 5])));
+        assert!(!c.select(&[0, 1]).same_content(&c.select(&[2, 3])));
+        // Node ids (0, 1) and (1, 0) are one split under a renaming; (0, 0)
+        // is not.
+        let mut split = c.select(&[2, 3]);
+        split.node = vec![1, 0];
+        assert!(split.same_content(&c.select(&[2, 3])));
+        split.node = vec![0, 0];
+        assert!(!split.same_content(&c.select(&[2, 3])));
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! [`AbortFlag`] lives here, at the bottom of the dependency graph,
 //! because it threads *user-initiated* cancellation through the tuner
 //! (`hanayo-sim`) and the planning service (`hanayo-serve`): a long sweep
-//! checks the flag between candidate batches and returns a typed
+//! checks the flag before each shape task and returns a typed
 //! `Cancelled` error once its client is gone. (The threaded runtime, where
 //! the latch started life, now aborts by message instead of by polling —
 //! see `hanayo_runtime::mailbox`.)
@@ -11,7 +11,7 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Cooperative cancellation latch shared by every participant of one
-/// run — the candidate batches of a tuner sweep, the jobs of the planning
+/// run — the shape tasks of a tuner sweep, the jobs of the planning
 /// service. Tripping is one-way and idempotent; observers poll
 /// [`AbortFlag::is_tripped`] at their own checkpoints and unwind cleanly.
 #[derive(Debug, Default)]

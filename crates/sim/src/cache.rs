@@ -21,12 +21,14 @@
 //! * **Bounded size.** [`SweepCaches::bounded`] caps each cache at a
 //!   fixed entry count with FIFO eviction (counted in
 //!   `hanayo_tuner_cache_evictions_total`), so a resident process cannot
-//!   grow without limit. Lowering content ids come from a monotonic
-//!   counter, never from map sizes, so an evicted lowering's id is never
-//!   reissued and a stale memo entry can never alias a fresh lowering.
+//!   grow without limit. Lowering and sub-cluster content ids come from a
+//!   monotonic counter, never from map sizes, so an evicted lowering's or
+//!   sub-cluster's id is never reissued and a stale memo entry can never
+//!   alias a fresh one.
 
 use crate::engine::{compile_schedule, CompiledSchedule, SimOptions};
 use crate::report::SimReport;
+use hanayo_cluster::ClusterSpec;
 use hanayo_core::action::Schedule;
 use hanayo_core::config::{PipelineConfig, Scheme};
 use hanayo_core::schedule::{build_schedule, ScheduleError};
@@ -114,6 +116,30 @@ impl<K: Eq + Hash + Clone, V: Clone> BoundedMap<K, V> {
         if let Some(hit) = inner.map.get(&key) {
             return hit.clone();
         }
+        self.push(&mut inner, key, value.clone());
+        value
+    }
+
+    /// The key of an entry whose value `same` accepts or, failing that, of
+    /// the entry `fresh` makes. The probe and the insert share one lock,
+    /// so concurrent callers agree on one key per value.
+    pub(crate) fn find_or_insert(
+        &self,
+        same: impl Fn(&V) -> bool,
+        fresh: impl FnOnce() -> (K, V),
+    ) -> K {
+        let mut inner = self.lock();
+        if let Some(key) = inner.map.iter().find_map(|(k, v)| same(v).then(|| k.clone())) {
+            return key;
+        }
+        let (key, value) = fresh();
+        self.push(&mut inner, key.clone(), value);
+        key
+    }
+
+    /// Insert a key known to be absent, evicting oldest-inserted entries
+    /// once the capacity is reached.
+    fn push(&self, inner: &mut Inner<K, V>, key: K, value: V) {
         let mut evicted = 0u64;
         while inner.map.len() >= self.cap {
             match inner.order.pop_front() {
@@ -125,9 +151,8 @@ impl<K: Eq + Hash + Clone, V: Clone> BoundedMap<K, V> {
             }
         }
         record_eviction(self.label, evicted);
-        inner.map.insert(key.clone(), value.clone());
+        inner.map.insert(key.clone(), value);
         inner.order.push_back(key);
-        value
     }
 
     /// First match of `f` over the current entries (iteration order is
@@ -150,24 +175,26 @@ pub(crate) type SchedKey = (Scheme, u32, u32);
 pub(crate) type CostKey = (u32, u32, Recompute);
 /// Everything a span-free group simulation's report is a function of:
 /// the schedule shape, the cost table, the prefetch switch, the *content*
-/// of the prefetch windows and the first device of the group's contiguous
-/// sub-cluster (its width is the schedule's). The windows enter as the
-/// lowering's content id rather than the lookahead that produced them —
-/// distinct lookaheads whose §4.2 scans saturate to the same windows drive
-/// the engine identically, and with prefetching off the windows are never
-/// read at all, so the id is pinned to 0. Content ids are scoped per
-/// [`SchedKey`], which the key carries.
-pub(crate) type ReportKey = (SchedKey, CostKey, bool, u32, usize);
+/// of the prefetch windows and the *content* of the group's sub-cluster.
+/// The windows enter as the lowering's content id rather than the
+/// lookahead that produced them — distinct lookaheads whose §4.2 scans
+/// saturate to the same windows drive the engine identically, and with
+/// prefetching off the windows are never read at all, so the id is pinned
+/// to 0. Window content ids are scoped per [`SchedKey`], which the key
+/// carries. The sub-cluster enters as its content id
+/// ([`SweepCaches::sub_cluster_id`]) rather than its position, so groups
+/// whose devices and links match up to node labels share one report.
+pub(crate) type ReportKey = (SchedKey, CostKey, bool, u32, u32);
 
 pub(crate) fn report_key(
     schedule_key: SchedKey,
     cost_key: CostKey,
     sim: &SimOptions,
     content_id: u32,
-    first: usize,
+    sub_cluster: u32,
 ) -> ReportKey {
     let windows = if sim.prefetch { content_id } else { 0 };
-    (schedule_key, cost_key, sim.prefetch, windows, first)
+    (schedule_key, cost_key, sim.prefetch, windows, sub_cluster)
 }
 
 /// A cached engine lowering plus its content id (see
@@ -180,9 +207,12 @@ pub(crate) type CompiledEntry = (Arc<CompiledSchedule>, u32);
 ///
 /// Keyed by [`ReportKey`], the complete input of each report, so a memo
 /// hit returns the byte-identical report the simulation would have
-/// produced. The reports come from span-free runs (a sweep ranks on
-/// scalars), so their `spans` are empty and a hit clones only the
-/// per-device vectors.
+/// produced. That includes a hit across sub-clusters that differ only in
+/// node labels: the engine reads node ids only to compare them and to
+/// pick a per-node-pair link cursor, so a relabelled twin runs the same
+/// float operations in the same order. The reports come from span-free
+/// runs (a sweep ranks on scalars), so their `spans` are empty and a hit
+/// clones only the per-device vectors.
 pub(crate) type GroupReportMemo = BoundedMap<ReportKey, SimReport>;
 
 /// Cross-candidate artifact caches for one sweep — every sweep builds one
@@ -224,8 +254,12 @@ pub struct SweepCaches {
     pub(crate) compiled: BoundedMap<(SchedKey, usize), CompiledEntry>,
     /// Pipeline-group reports ([`SweepCaches::group_report`]).
     pub(crate) reports: GroupReportMemo,
-    /// Monotonic content-id source: ids survive evictions unreused, so a
-    /// stale memo entry can never alias a fresh lowering.
+    /// Every distinct sub-cluster content seen, by content id
+    /// ([`SweepCaches::sub_cluster_id`]).
+    sub_clusters: BoundedMap<u32, ClusterSpec>,
+    /// Monotonic source of lowering and sub-cluster content ids: ids
+    /// survive evictions unreused, so a stale memo entry can never alias a
+    /// fresh lowering or sub-cluster.
     next_content_id: AtomicU32,
 }
 
@@ -250,6 +284,7 @@ impl SweepCaches {
             deadlocks: BoundedMap::new("deadlocks", cap),
             compiled: BoundedMap::new("compiled", cap),
             reports: BoundedMap::new("reports", cap),
+            sub_clusters: BoundedMap::new("sub_clusters", cap),
             next_content_id: AtomicU32::new(0),
         }
     }
@@ -263,6 +298,7 @@ impl SweepCaches {
             + self.deadlocks.len()
             + self.compiled.len()
             + self.reports.len()
+            + self.sub_clusters.len()
     }
 
     /// The built schedule for `cfg` (whose shape `key` is), or the build's
@@ -343,6 +379,16 @@ impl SweepCaches {
         self.compiled.insert_if_absent(full, (built, content))
     }
 
+    /// The content id of a pipeline group's sub-cluster: one id per
+    /// content under [`ClusterSpec::same_content`], whichever devices the
+    /// group sits on.
+    pub(crate) fn sub_cluster_id(&self, sub: &ClusterSpec) -> u32 {
+        self.sub_clusters.find_or_insert(
+            |seen| seen.same_content(sub),
+            || (self.next_content_id.fetch_add(1, Ordering::Relaxed), sub.clone()),
+        )
+    }
+
     /// The memoised group report under `key` (see [`GroupReportMemo`]),
     /// running `simulate` on a miss. The simulation runs outside the lock,
     /// so concurrent misses may both simulate; the first insert wins and
@@ -362,6 +408,8 @@ impl SweepCaches {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hanayo_cluster::topology::lonestar6;
+    use hanayo_cluster::{GpuModel, Link, LinkClass};
 
     #[test]
     fn insert_if_absent_is_first_writer_wins() {
@@ -445,7 +493,7 @@ mod tests {
     fn report_key_pins_the_windows_only_with_prefetch_on() {
         // Prefetch-off runs never read the windows, so every lowering
         // shares one key; prefetch-on runs are told apart by window
-        // content, and every run by its group's first device.
+        // content, and every run by its group's sub-cluster content.
         let sched = (Scheme::Dapple, 4, 4);
         let cost = (4, 1, Recompute::None);
         let on = SimOptions::default();
@@ -457,11 +505,48 @@ mod tests {
     }
 
     #[test]
+    fn node_relabelled_twins_share_a_sub_cluster_id() {
+        let c = SweepCaches::default();
+        let tacc = lonestar6(8);
+        let id = c.sub_cluster_id(&tacc.select(&[0, 1]));
+        // Nodes (2, 2) instead of (0, 0); same GPUs and links.
+        assert_eq!(c.sub_cluster_id(&tacc.select(&[6, 7])), id);
+        let mut relabelled = tacc.select(&[0, 1]);
+        relabelled.node = vec![5, 5];
+        assert_eq!(c.sub_cluster_id(&relabelled), id);
+        // A same-socket link instead of a cross-socket one.
+        assert_ne!(c.sub_cluster_id(&tacc.select(&[4, 5])), id);
+        // One different GPU.
+        let mut gpu = tacc.select(&[0, 1]);
+        gpu.gpus[1] = GpuModel::A100_80G;
+        assert_ne!(c.sub_cluster_id(&gpu), id);
+        // One different link.
+        let mut link = tacc.select(&[0, 1]);
+        link.links[0][1] = Link::of(LinkClass::Pcie4);
+        assert_ne!(c.sub_cluster_id(&link), id);
+        assert_eq!(c.sub_clusters.len(), 4);
+    }
+
+    #[test]
+    fn sub_cluster_ids_are_never_reused_across_evictions() {
+        let c = SweepCaches::bounded(1);
+        let tacc = lonestar6(8);
+        let a = c.sub_cluster_id(&tacc.select(&[0, 1]));
+        let b = c.sub_cluster_id(&tacc.select(&[2, 3])); // evicts [0, 1]
+        let a2 = c.sub_cluster_id(&tacc.select(&[6, 7])); // [0, 1]'s twin, interned afresh
+        assert_ne!(a, b);
+        assert_ne!(a2, a, "an evicted sub-cluster's id must not be reissued");
+        assert_ne!(a2, b);
+    }
+
+    #[test]
     fn bounded_caches_report_their_size() {
         let c = SweepCaches::bounded(4);
         assert_eq!(c.entries(), 0);
         let table = CostTable::build(&ModelConfig::bert64(), 4, 1);
         c.costs.insert_if_absent((4, 1, Recompute::None), Arc::new(table));
         assert_eq!(c.entries(), 1);
+        c.sub_cluster_id(&lonestar6(8).select(&[0, 1]));
+        assert_eq!(c.entries(), 2);
     }
 }

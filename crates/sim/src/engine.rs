@@ -951,6 +951,38 @@ mod tests {
     }
 
     #[test]
+    fn node_relabelled_sub_clusters_report_identically() {
+        // The engine reads node ids only to compare them and to pick a
+        // per-node-pair link cursor, so sub-clusters that differ only in
+        // node labels must produce equal reports, spans included — the
+        // property the tuner's report memo and plan evaluation rely on.
+        let sim = |cluster: &hanayo_cluster::ClusterSpec| {
+            let p = cluster.len() as u32;
+            let cfg = PipelineConfig::new(p, 2 * p, Scheme::Hanayo { waves: 2 }).unwrap();
+            let schedule = build_schedule(&cfg).unwrap();
+            let cost = CostTable::build(&ModelConfig::bert64(), cfg.stages(), 1);
+            let opts = SimOptions::default();
+            let compiled = compile_schedule(&schedule, &opts);
+            try_simulate_compiled(&compiled, &schedule, &cost, cluster, opts).unwrap()
+        };
+        let tacc = lonestar6(8);
+        let first = sim(&tacc.select(&[0, 1]));
+        let mut relabelled = tacc.select(&[0, 1]);
+        relabelled.node = vec![9, 9];
+        assert_eq!(sim(&tacc.select(&[6, 7])), first);
+        assert_eq!(sim(&relabelled), first);
+        // Twins that cross nodes: nodes (0, 1, 1, 1) and (1, 2, 2, 2), and
+        // a relabelling that reverses the node order.
+        let tacc = lonestar6(12);
+        let crossing = sim(&tacc.select(&[2, 3, 4, 5]));
+        let mut relabelled = tacc.select(&[2, 3, 4, 5]);
+        relabelled.node = vec![3, 0, 0, 0];
+        assert!(crossing.device_comm_wait.iter().any(|&w| w > 0.0));
+        assert_eq!(sim(&tacc.select(&[5, 6, 7, 8])), crossing);
+        assert_eq!(sim(&relabelled), crossing);
+    }
+
+    #[test]
     fn span_free_runs_match_every_field_but_spans() {
         let cluster = lonestar6(4);
         for scheme in crate::search::named_schemes() {

@@ -223,29 +223,31 @@ pub fn evaluate_plan(
     // bandwidth would otherwise silently corrupt every simulated time.
     validate_numerics(&cost, cluster).map_err(PlanError::Numerics)?;
     let compiled = compile_schedule(&schedule, &opts);
-    simulate_plan(plan, cluster, resolved, |sub, _| {
+    simulate_plan(plan, cluster, resolved, |sub| {
         try_simulate_compiled(&compiled, &schedule, &cost, sub, opts)
     })
 }
 
-/// The simulation half of every plan evaluation. `simulate_group(sub,
-/// first_device)` simulates one pipeline group on its sub-cluster; callers
-/// lower the schedule once and close over it (the tuner also memoises the
-/// reports across candidates).
+/// The simulation half of every plan evaluation. `simulate_group(sub)`
+/// simulates one pipeline group on its sub-cluster; callers lower the
+/// schedule once and close over it (the tuner also memoises the reports
+/// across candidates).
 ///
-/// Group 0 always runs. A later group whose sub-cluster equals group 0's
-/// (always, on a homogeneous cluster) reuses group 0's report instead of
-/// re-simulating: the engine is deterministic, so the skipped run could
+/// Group 0 always runs. A later group whose sub-cluster has group 0's
+/// content ([`ClusterSpec::same_content`]: always on a homogeneous
+/// cluster, and on TACC for groups that differ only in node ids) reuses
+/// group 0's report instead of re-simulating: the engine is deterministic
+/// and reads node ids only to tell nodes apart, so the skipped run could
 /// only have reproduced the same report.
 pub(crate) fn simulate_plan(
     plan: &ParallelPlan,
     cluster: &ClusterSpec,
     Resolved { cfg, dp: dp_eff }: Resolved,
-    simulate_group: impl Fn(&ClusterSpec, usize) -> Result<SimReport, SimError>,
+    simulate_group: impl Fn(&ClusterSpec) -> Result<SimReport, SimError>,
 ) -> Result<PlanResult, PlanError> {
     let (pp_eff, b_eff) = (cfg.devices, cfg.micro_batches);
-    let simulate_sub = |sub: &ClusterSpec, first: usize| {
-        simulate_group(sub, first).map_err(|e| match e {
+    let simulate_sub = |sub: &ClusterSpec| {
+        simulate_group(sub).map_err(|e| match e {
             SimError::Numerics(n) => PlanError::Numerics(n),
             other => PlanError::Sim(other),
         })
@@ -262,18 +264,18 @@ pub(crate) fn simulate_plan(
 
     let devices0 = group_devices(0);
     let sub0 = cluster.select(&devices0);
-    let group_report = simulate_sub(&sub0, devices0[0])?;
+    let group_report = simulate_sub(&sub0)?;
     record_peaks(&devices0, &group_report, &mut peak_mem);
     let mut pipeline_time = group_report.iteration_time;
     for g in 1..dp_eff {
         let devices = group_devices(g);
         let sub = cluster.select(&devices);
-        if sub == sub0 {
-            // Identical sub-cluster: group 0's report already is this
-            // group's (and its iteration time cannot raise the running max).
+        if sub.same_content(&sub0) {
+            // Group 0's content: its report already is this group's (and
+            // its iteration time cannot raise the running max).
             record_peaks(&devices, &group_report, &mut peak_mem);
         } else {
-            let report = simulate_sub(&sub, devices[0])?;
+            let report = simulate_sub(&sub)?;
             record_peaks(&devices, &report, &mut peak_mem);
             pipeline_time = pipeline_time.max(report.iteration_time);
         }
@@ -483,6 +485,28 @@ mod tests {
         assert_eq!(r.iteration_time, r.pipeline_time + r.allreduce_time);
         // One group has nothing to reduce.
         assert_eq!(eval(&plan(Method::Dapple, 1, 8, 8), &cluster).allreduce_time, 0.0);
+    }
+
+    #[test]
+    fn node_relabelled_groups_reuse_group_zeros_report() {
+        // TACC packs three GPUs per node, so the D=4, P=2 groups sit on
+        // nodes (0, 0), (0, 1), (1, 1) and (2, 2). Group 3 is group 0 up to
+        // node ids (both a cross-socket pair) and is not simulated again.
+        let cluster = lonestar6(8);
+        let p = plan(Method::Dapple, 4, 2, 4);
+        let resolved = resolve_plan(&p, &cluster).unwrap();
+        let schedule = build_schedule(&resolved.cfg).unwrap();
+        let cost = CostTable::build(&ModelConfig::bert64(), resolved.cfg.stages(), 1);
+        let opts = SimOptions::default();
+        let compiled = compile_schedule(&schedule, &opts);
+        let calls = std::cell::Cell::new(0);
+        let counted = simulate_plan(&p, &cluster, resolved, |sub| {
+            calls.set(calls.get() + 1);
+            try_simulate_compiled(&compiled, &schedule, &cost, sub, opts)
+        })
+        .unwrap();
+        assert_eq!(calls.get(), 3);
+        assert_eq!(counted, eval(&p, &cluster));
     }
 
     #[test]

@@ -16,12 +16,19 @@
 //!
 //! ## Parallel evaluation and determinism
 //!
-//! Candidates are simulated concurrently (`par_iter` over the candidate
-//! list); the final ranking is nevertheless *byte-identical* to a serial
-//! run ([`tune_serial_with`]) because results are collected in candidate order
-//! and the ranking is a stable sort on `(throughput, plan)` keys — worker
-//! interleaving never leaks into the output. A property test pits the two
-//! against each other on random `(model, cluster, batch)` triples.
+//! The sweep runs in *shape tasks*: runs of consecutive candidates that
+//! differ only in recompute mode and simulator variant (eight per pipeline
+//! shape in a wide sweep), which share one schedule and one lowering per
+//! lookahead. One `par_iter` evaluates the tasks, largest `P×B` first, and
+//! each executor claims the next task as soon as it is free, so a shape's
+//! artifacts are built once, by the executor that runs it, and the
+//! executors finish together. The final ranking is nevertheless
+//! *byte-identical* to a serial run ([`tune_serial_with`]: the same tasks
+//! in the same order on the calling thread) because results are put back
+//! in candidate order and the ranking is a stable sort on `(throughput,
+//! plan)` keys — worker interleaving never leaks into the output. A
+//! property test pits the two against each other on random `(model,
+//! cluster, batch)` triples.
 //!
 //! ## Rejections
 //!
@@ -58,7 +65,9 @@ use hanayo_core::action::Schedule;
 use hanayo_model::{CostTable, ModelConfig, Recompute};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
+use std::cmp::Reverse;
 use std::fmt;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -434,8 +443,14 @@ fn evaluate(
         StaticVerdict::Reject(rejection) => Ok(Outcome::StaticOom(rejection)),
         StaticVerdict::Simulate { resolved, schedule_key, cost_key, schedule, cost } => {
             let (compiled, content_id) = caches.compiled_for(schedule_key, &schedule, &sim);
-            let result = simulate_plan(plan, cluster, resolved, |sub, first| {
-                let key = report_key(schedule_key, cost_key, &sim, content_id, first);
+            let result = simulate_plan(plan, cluster, resolved, |sub| {
+                let key = report_key(
+                    schedule_key,
+                    cost_key,
+                    &sim,
+                    content_id,
+                    caches.sub_cluster_id(sub),
+                );
                 caches.group_report(key, || {
                     try_simulate_scalars(&compiled, &schedule, &cost, sub, sim)
                 })
@@ -550,27 +565,24 @@ pub struct TuneContext {
     /// model and one cluster — a resident service must key its shared
     /// handles by the `(model, cluster)` configuration.
     pub caches: Option<Arc<SweepCaches>>,
-    /// Cooperative cancellation: checked between candidate batches; a
-    /// tripped flag makes the sweep return [`TuneError::Cancelled`]
+    /// Cooperative cancellation: checked before each shape task starts
+    /// (see the module docs); a tripped flag makes the sweep return
+    /// [`TuneError::Cancelled`] once the tasks already running finish,
     /// instead of running to completion after its client is gone.
     pub abort: Option<Arc<AbortFlag>>,
-    /// Live progress counters, updated once per candidate batch.
+    /// Live progress counters: `evaluated` grows by a shape task's
+    /// candidates as each task finishes.
     pub progress: Option<Arc<TuneProgress>>,
 }
-
-/// Candidates per batch between cancellation checkpoints: small enough
-/// that a cancel lands within tens of milliseconds on typical spaces,
-/// large enough that parallel batches keep every worker busy. Chunking
-/// never reorders evaluation, so results do not depend on it.
-const DEFAULT_CHECKPOINT_EVERY: usize = 32;
 
 /// Why a context-driven sweep stopped early.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TuneError {
-    /// The context's [`AbortFlag`] tripped at a candidate-batch
-    /// checkpoint; the sweep stopped without ranking.
+    /// The context's [`AbortFlag`] tripped before some shape task started;
+    /// the sweep stopped without ranking.
     Cancelled {
-        /// Candidates already evaluated when the flag was observed.
+        /// Candidates the tasks that did run evaluated: the progress
+        /// counter's final value.
         evaluated: usize,
         /// Total candidates the sweep would have evaluated.
         total: usize,
@@ -589,12 +601,31 @@ impl fmt::Display for TuneError {
 
 impl std::error::Error for TuneError {}
 
-/// The shared sweep driver behind all four public entry points: enumerate
-/// the space, evaluate it in candidate batches (parallel within a batch
-/// when `parallel`, strictly in order otherwise — either way results are
-/// collected in candidate order, so every configuration is byte-identical),
-/// honour the context's abort flag between batches, and assemble the
-/// ranking.
+/// Cut the space into shape tasks: maximal runs of consecutive candidates
+/// whose plans differ only in recompute mode (their simulator variants may
+/// differ too), ordered largest `P×B` first — a group simulation's cost
+/// grows with both — and otherwise in candidate order.
+fn shape_tasks(space: &[(ParallelPlan, SimOptions, Option<String>)]) -> Vec<Range<usize>> {
+    let shape = |plan: &ParallelPlan| ParallelPlan { recompute: Recompute::None, ..*plan };
+    let mut tasks: Vec<Range<usize>> = Vec::new();
+    for (i, (plan, ..)) in space.iter().enumerate() {
+        match tasks.last_mut() {
+            Some(task) if shape(&space[task.start].0) == shape(plan) => task.end = i + 1,
+            _ => tasks.push(i..i + 1),
+        }
+    }
+    tasks.sort_by_key(|task| {
+        let plan = &space[task.start].0;
+        Reverse(plan.pp * plan.micro_batches)
+    });
+    tasks
+}
+
+/// The sweep driver behind both public entry points: enumerate the space,
+/// evaluate its shape tasks (over the pool's executors when `parallel`, in
+/// the same order on the caller otherwise), honour the context's abort
+/// flag before each task, put the results back in candidate order — so
+/// every configuration is byte-identical — and assemble the ranking.
 fn tune_impl(
     model: &ModelConfig,
     cluster: &ClusterSpec,
@@ -613,42 +644,48 @@ fn tune_impl(
             &owned
         }
     };
-    if let Some(p) = &ctx.progress {
-        p.total.store(space.len() as u64, Ordering::SeqCst);
-        p.evaluated.store(0, Ordering::SeqCst);
-    }
+    let own_counter = TuneProgress::default();
+    let counter = ctx.progress.as_deref().unwrap_or(&own_counter);
+    counter.total.store(space.len() as u64, Ordering::SeqCst);
+    counter.evaluated.store(0, Ordering::SeqCst);
     // Inert off a TTY (one atomic add per candidate, no clock reads), so
     // tests and CI see exactly the non-interactive path.
     let progress = hanayo_metrics::Progress::new("sweep", space.len() as u64);
-    let mut evaluated: Vec<(ParallelPlan, SimOptions, Outcome)> = Vec::with_capacity(space.len());
-    for batch in space.chunks(DEFAULT_CHECKPOINT_EVERY) {
+    let tasks = shape_tasks(&space);
+    let run = |task: &Range<usize>| {
         if ctx.abort.as_ref().is_some_and(|a| a.is_tripped()) {
-            progress.finish();
-            return Err(TuneError::Cancelled { evaluated: evaluated.len(), total: space.len() });
+            return None;
         }
-        if parallel {
-            let outcomes: Vec<_> = batch
-                .par_iter()
-                .map(|cand| {
-                    let out = evaluate_candidate(model, cluster, caches, cand);
-                    progress.tick();
-                    out
-                })
-                .collect();
-            evaluated.extend(outcomes);
-        } else {
-            evaluated.extend(batch.iter().map(|cand| {
+        let outcomes: Vec<_> = space[task.clone()]
+            .iter()
+            .map(|cand| {
                 let out = evaluate_candidate(model, cluster, caches, cand);
                 progress.tick();
                 out
-            }));
-        }
-        if let Some(p) = &ctx.progress {
-            p.evaluated.store(evaluated.len() as u64, Ordering::SeqCst);
-        }
-    }
+            })
+            .collect();
+        counter.evaluated.fetch_add(task.len() as u64, Ordering::SeqCst);
+        Some(outcomes)
+    };
+    let done: Vec<_> = if parallel {
+        tasks.par_iter().map(run).collect()
+    } else {
+        tasks.iter().map(run).collect()
+    };
     progress.finish();
-    Ok(assemble(evaluated, cluster))
+
+    let mut by_start = Vec::with_capacity(tasks.len());
+    for (task, outcomes) in tasks.iter().zip(done) {
+        let Some(outcomes) = outcomes else {
+            return Err(TuneError::Cancelled {
+                evaluated: counter.evaluated() as usize,
+                total: space.len(),
+            });
+        };
+        by_start.push((task.start, outcomes));
+    }
+    by_start.sort_unstable_by_key(|&(start, _)| start);
+    Ok(assemble(by_start.into_iter().flat_map(|(_, outcomes)| outcomes).collect(), cluster))
 }
 
 /// Sweep the strategy space and rank feasible plans by throughput,
@@ -694,6 +731,7 @@ mod tests {
     use super::*;
     use crate::plan::evaluate_plan;
     use hanayo_cluster::topology::{fc_full_nvlink, lonestar6};
+    use std::sync::atomic::AtomicBool;
 
     fn opts() -> TuneOptions {
         TuneOptions { waves: vec![1, 2, 4], min_pp: 4, ..Default::default() }
@@ -977,12 +1015,14 @@ mod tests {
         assert!(total > 0);
     }
 
-    #[test]
-    fn abort_between_batches_stops_the_sweep_partway() {
-        // A flag tripped from a progress watcher: the sweep must stop at
-        // a batch checkpoint, not run dry.
+    /// Sweep with an abort flag a watcher trips once progress reaches 2,
+    /// checking that the sweep stops at a shape-task checkpoint, not run
+    /// dry, and that progress never runs backwards. The space is the
+    /// benchmark's wide TACC sweep: 42 tasks, most of them simulated, so
+    /// the watcher has ample time to trip the flag mid-sweep.
+    fn abort_partway(parallel: bool) {
         let model = ModelConfig::bert64().with_train_bytes_per_param(8);
-        let cluster = fc_full_nvlink(8);
+        let cluster = lonestar6(8);
         let abort = Arc::new(AbortFlag::new());
         let progress = Arc::new(TuneProgress::default());
         let ctx = TuneContext {
@@ -990,23 +1030,61 @@ mod tests {
             progress: Some(progress.clone()),
             ..Default::default()
         };
+        let returned = Arc::new(AtomicBool::new(false));
         let watcher = {
             let abort = abort.clone();
             let progress = progress.clone();
+            let returned = returned.clone();
             std::thread::spawn(move || {
-                while progress.evaluated() < 2 {
+                let mut seen = 0;
+                while seen < 2 {
+                    let now = progress.evaluated();
+                    assert!(now >= seen, "progress went from {seen} back to {now}");
+                    seen = now;
                     std::thread::yield_now();
                 }
                 abort.trip();
+                while !returned.load(Ordering::SeqCst) {
+                    let now = progress.evaluated();
+                    assert!(now >= seen, "progress went from {seen} back to {now}");
+                    seen = now;
+                    std::thread::yield_now();
+                }
             })
         };
-        let result = tune_serial_with(&model, &cluster, 16, 1, &opts().wide(), &ctx);
-        watcher.join().expect("watcher thread");
+        let sweep = if parallel { tune_with } else { tune_serial_with };
+        let result = sweep(&model, &cluster, 16, 1, &TuneOptions::default().wide(), &ctx);
+        let at_return = progress.evaluated();
+        returned.store(true, Ordering::SeqCst);
+        watcher.join().expect("progress never decreased");
         let TuneError::Cancelled { evaluated, total } =
             result.expect_err("the tripped flag must cancel mid-sweep");
+        assert_eq!(evaluated as u64, at_return, "the error reports the progress counter");
         assert!(evaluated >= 2, "cancel observed after the watcher's threshold");
         assert!(evaluated < total, "the sweep must not have run to completion");
         assert_eq!(progress.total(), total as u64);
+    }
+
+    #[test]
+    fn abort_between_tasks_stops_the_sweep_partway() {
+        abort_partway(false);
+    }
+
+    #[test]
+    fn abort_between_tasks_stops_the_parallel_sweep_partway() {
+        abort_partway(true);
+    }
+
+    #[test]
+    fn report_memo_keys_groups_by_sub_cluster_content() {
+        // TACC's twin groups (devices and links equal up to node ids)
+        // share one memo entry; keyed by first device they held 656.
+        let model = ModelConfig::bert64().with_train_bytes_per_param(8);
+        let shared = Arc::new(SweepCaches::default());
+        let ctx = TuneContext { caches: Some(shared.clone()), ..Default::default() };
+        let wide = TuneOptions::default().wide();
+        tune_serial_with(&model, &lonestar6(8), 16, 1, &wide, &ctx).unwrap();
+        assert_eq!(shared.reports.len(), 564);
     }
 
     #[test]

@@ -15,18 +15,23 @@
 //! warns on stderr and falls back — it never silently changes the count
 //! mid-run, and the OS is never re-queried per dispatch.
 //!
-//! The calling thread is one of the `N` executors: a dispatch splits work
-//! into at most `N` buckets, queues `N-1` of them to the resident workers
-//! and runs the last bucket itself. Nested parallel calls issued from
+//! The calling thread is one of the `N` executors: a dispatch starts at
+//! most `N` executor tasks, queues `N-1` of them to the resident workers
+//! and runs the last one itself. `par_chunks_mut` deals its chunks out to
+//! the tasks strided round-robin up front; `par_iter` tasks instead claim
+//! the next unclaimed index from one shared atomic cursor, so an executor
+//! that finishes early takes the remaining items rather than idling while
+//! another works through a fixed share. Nested parallel calls issued from
 //! inside a pool task run inline on the current thread, so nesting can
-//! never deadlock the fixed-size pool. Panics inside any bucket are
-//! caught, the dispatch still waits for every bucket to finish (borrowed
-//! data stays live), and the first payload is re-raised in the caller via
+//! never deadlock the fixed-size pool. Panics inside any task are caught,
+//! the dispatch still waits for every task to finish (borrowed data stays
+//! live), and the first payload is re-raised in the caller via
 //! `resume_unwind`.
 
 use std::any::Any;
 use std::cell::Cell;
 use std::collections::VecDeque;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
 pub mod prelude {
@@ -255,24 +260,31 @@ impl Pool {
     }
 
     /// Parallel map over indices `0..n`, preserving index order in the
-    /// output. Each bucket ships `(index, result)` pairs home through its
-    /// own slot and the caller reassembles them in order.
+    /// output. Executors claim the next index from a shared cursor until
+    /// none is left, ship `(index, result)` pairs home through their own
+    /// slot, and the caller reassembles them in index order.
     fn par_map_indexed<R: Send>(&self, n: usize, f: &(impl Fn(usize) -> R + Sync)) -> Vec<R> {
-        let buckets = self.threads.min(n).max(1);
-        if buckets <= 1 || IN_POOL_TASK.with(|flag| flag.get()) {
+        let executors = self.threads.min(n).max(1);
+        if executors <= 1 || IN_POOL_TASK.with(|flag| flag.get()) {
             return (0..n).map(f).collect();
         }
+        let cursor = AtomicUsize::new(0);
+        let cursor = &cursor;
         let slots: Vec<Mutex<Vec<(usize, R)>>> =
-            (0..buckets).map(|_| Mutex::new(Vec::new())).collect();
+            (0..executors).map(|_| Mutex::new(Vec::new())).collect();
         let slots = &slots;
-        let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = (0..buckets)
+        let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = (0..executors)
             .map(|w| {
                 let task: Box<dyn FnOnce() + Send + '_> = Box::new(move || {
                     let mut res = Vec::new();
-                    let mut i = w;
-                    while i < n {
+                    loop {
+                        // Relaxed: the cursor only hands out indices; the
+                        // results travel through the slot mutexes.
+                        let i = cursor.fetch_add(1, Ordering::Relaxed);
+                        if i >= n {
+                            break;
+                        }
                         res.push((i, f(i)));
-                        i += buckets;
                     }
                     *lock(&slots[w]) = res;
                 });
@@ -459,8 +471,9 @@ mod tests {
     use super::Pool;
     use std::collections::HashSet;
     use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Mutex;
+    use std::sync::{Condvar, Mutex};
     use std::thread::ThreadId;
+    use std::time::{Duration, Instant};
 
     #[test]
     fn par_chunks_mut_enumerate_matches_sequential() {
@@ -512,6 +525,37 @@ mod tests {
         let out = pool.par_map_indexed(257, &|i| i * 3);
         let expect: Vec<usize> = (0..257).map(|i| i * 3).collect();
         assert_eq!(out, expect);
+    }
+
+    #[test]
+    fn a_blocked_item_does_not_strand_the_rest() {
+        // Item 0 holds its executor until every other item has run. Only
+        // the other executor can run them, so this passes only if it keeps
+        // claiming items past its share: a fixed split would leave items
+        // queued behind item 0 on the blocked executor.
+        let pool = Pool::new(2);
+        let n = 16;
+        let others_done = (Mutex::new(0usize), Condvar::new());
+        let (done, ran) = &others_done;
+        let out = pool.par_map_indexed(n, &|i| {
+            if i == 0 {
+                let deadline = Instant::now() + Duration::from_secs(10);
+                let mut count = done.lock().unwrap();
+                while *count < n - 1 {
+                    let left = deadline.saturating_duration_since(Instant::now());
+                    if left.is_zero() {
+                        break;
+                    }
+                    count = ran.wait_timeout(count, left).unwrap().0;
+                }
+                assert_eq!(*count, n - 1, "the free executor must drain every other item");
+            } else {
+                *done.lock().unwrap() += 1;
+                ran.notify_all();
+            }
+            i
+        });
+        assert_eq!(out, (0..n).collect::<Vec<_>>());
     }
 
     #[test]
