@@ -2,36 +2,18 @@
 
 use hanayo_core::action::MsgTag;
 use hanayo_core::ids::DeviceId;
-use hanayo_core::program::ProgramError;
+use hanayo_core::program::{ProgramError, Stall};
 use hanayo_core::schedule::table::TableError;
 use serde::{Deserialize, Serialize};
 use std::fmt;
-
-/// One step of a happens-before cycle: an action coordinate plus its
-/// rendered form, so the offending slot cycle reads like the schedule.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct CycleNode {
-    /// Device whose action list contains the step.
-    pub device: DeviceId,
-    /// Index into that device's action list.
-    pub index: usize,
-    /// Display form of the action (`F(mb0,S1)`, `recv[act:mb0@S1 <- P0]`).
-    pub action: String,
-}
-
-impl fmt::Display for CycleNode {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}#{}:{}", self.device, self.index, self.action)
-    }
-}
 
 /// A statically-provable defect in a schedule. Every variant names the
 /// offending coordinates, mirroring [`TableError`]'s convention.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum AnalysisError {
     /// The tabular IR itself is malformed (shape, completeness, chain
-    /// order, recompute typing, stash caps) — surfaced before any DAG is
-    /// built when analysing a table. A lowered schedule's placement and
+    /// order, recompute typing, stash caps) — surfaced before the table
+    /// is lowered when analysing it. A lowered schedule's placement and
     /// same-device order defects come back here too, with the action
     /// index as the slot.
     Table(TableError),
@@ -85,12 +67,9 @@ pub enum AnalysisError {
         /// Message the receiver blocks on first.
         second: MsgTag,
     },
-    /// The happens-before DAG has a cycle: the schedule deadlocks. The
-    /// cycle lists the wait chain in order, ending where it began.
-    Cycle {
-        /// The offending action cycle.
-        cycle: Vec<CycleNode>,
-    },
+    /// The schedule deadlocks: the [`Stall`] its happens-before replay
+    /// ends in, which the simulator and the runtime name too.
+    Deadlock(Stall),
 }
 
 impl From<TableError> for AnalysisError {
@@ -102,6 +81,12 @@ impl From<TableError> for AnalysisError {
 impl From<ProgramError> for AnalysisError {
     fn from(e: ProgramError) -> Self {
         AnalysisError::Program(e)
+    }
+}
+
+impl From<Stall> for AnalysisError {
+    fn from(stall: Stall) -> Self {
+        AnalysisError::Deadlock(stall)
     }
 }
 
@@ -130,16 +115,7 @@ impl fmt::Display for AnalysisError {
                      receiver blocks on {second} first"
                 )
             }
-            AnalysisError::Cycle { cycle } => {
-                write!(f, "happens-before cycle: ")?;
-                for (i, node) in cycle.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, " -> ")?;
-                    }
-                    write!(f, "{node}")?;
-                }
-                Ok(())
-            }
+            AnalysisError::Deadlock(stall) => write!(f, "deadlock: {stall}"),
         }
     }
 }

@@ -3,21 +3,23 @@
 //! Static verification of pipeline schedules — proofs the simulator would
 //! otherwise only discover by running:
 //!
-//! * **Deadlock freedom** — the explicit happens-before DAG over a
-//!   lowered [`hanayo_core::action::Schedule`] (program order per device,
-//!   send→recv message edges, enter/exit splitting for batched comm) is
-//!   acyclic iff the simulator never reports a deadlock. Cycles come back
-//!   as [`AnalysisError::Cycle`] naming the wait chain. The message edges
-//!   are the pairs [`hanayo_core::program::Program::lower`] made, so a
-//!   message without one send and one receive is the lowering's
-//!   [`AnalysisError::Program`], the error the simulator and the runtime
-//!   refuse the schedule with too.
+//! * **Deadlock freedom** — the happens-before replay
+//!   ([`hanayo_core::program::Program::replay`]) of a lowered
+//!   [`hanayo_core::action::Schedule`] leaves no device waiting iff the
+//!   simulator never reports a deadlock. A circular wait comes back as
+//!   [`AnalysisError::Deadlock`], naming the lowest waiting device, the
+//!   message it waits for and its sender: the same
+//!   [`hanayo_core::program::Stall`] the simulator and the runtime refuse
+//!   the schedule with. The replay runs over the pairs
+//!   [`hanayo_core::program::Program::lower`] made, so a message without
+//!   one send and one receive is the lowering's
+//!   [`AnalysisError::Program`], which every engine returns too.
 //! * **Program validity** — [`verify`], the one validity check for
 //!   lowered schedules: every chain op exactly once on its stage-map
 //!   device, same-device chain steps in order, every cross-device step
 //!   carried by its matched send/recv pair (sent after the producer,
-//!   received before the consumer), one flush ending every list, and an
-//!   acyclic DAG. Per-link FIFO order is additionally *reported* (not
+//!   received before the consumer), one flush ending every list, and a
+//!   replay that runs to the end. Per-link FIFO order is additionally *reported* (not
 //!   enforced): tag-matched rendezvous tolerates inversions and legal
 //!   searched tables produce them, but a strict FIFO channel would
 //!   deadlock on one.
@@ -25,8 +27,8 @@
 //!   device's serial op order that reproduces the simulator's `peak_mem`
 //!   *exactly*, making OOM a statically decidable verdict
 //!   ([`memory::static_peak_mem`]).
-//! * **Critical-path bound** — the longest path through the DAG weighted
-//!   by a [`hanayo_model::CostTable`] and a
+//! * **Critical-path bound** — the latest exit of the same replay under
+//!   the uncontended durations of a [`hanayo_model::CostTable`] and a
 //!   [`hanayo_cluster::ClusterSpec`]; an admissible lower bound on the
 //!   simulated iteration time ([`AnalysisReport::critical_path_s`]).
 //!
@@ -36,11 +38,10 @@
 //! simulation.
 
 mod critical;
-mod dag;
 pub mod error;
 pub mod memory;
 pub mod report;
 
-pub use error::{AnalysisError, CycleNode};
+pub use error::AnalysisError;
 pub use memory::{device_bytes, static_peak_mem, static_stash_peak};
 pub use report::{analyze, analyze_table, check_deadlock_free, verify, AnalysisReport, DagStats};

@@ -1,7 +1,6 @@
 //! The combined analysis entry points and their serializable report.
 
 use crate::critical::critical_path;
-use crate::dag::HappensBefore;
 use crate::error::AnalysisError;
 use crate::memory::{device_bytes, static_peak_mem};
 use hanayo_cluster::ClusterSpec;
@@ -9,18 +8,23 @@ use hanayo_core::action::{Action, Schedule};
 use hanayo_core::chain::ComputeOp;
 use hanayo_core::comm;
 use hanayo_core::ids::{DeviceId, MicroBatch};
+use hanayo_core::program::{Message, Op, Program};
 use hanayo_core::schedule::table::{
     chain_slots, check_table_with, ScheduleTable, TableError, TableLimits,
 };
 use hanayo_model::CostTable;
 use serde::{Deserialize, Serialize};
 
-/// Size of the happens-before DAG, for reports and sanity checks.
+/// Size of the schedule's happens-before graph, for reports and sanity
+/// checks. The graph is never built: [`Program::replay`] walks it. Each
+/// action is two nodes, its enter and its exit; the edges are one span per
+/// action, one program-order edge between consecutive actions of a device,
+/// and one per message.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct DagStats {
-    /// Nodes (two per action: enter and exit).
+    /// Nodes: `2 · actions`.
     pub nodes: usize,
-    /// Edges (span + program order + message).
+    /// Edges: `actions + Σ (list length − 1) + messages`.
     pub edges: usize,
     /// Matched point-to-point messages.
     pub messages: usize,
@@ -42,10 +46,11 @@ pub struct AnalysisReport {
     pub stages: u32,
     /// Micro-batches per iteration.
     pub micro_batches: u32,
-    /// DAG size.
+    /// Happens-before graph size.
     pub dag: DagStats,
-    /// No happens-before cycle, and every chain step in order: the
-    /// engines run this schedule to completion.
+    /// The happens-before replay leaves no device waiting, and every
+    /// chain step is in order: the engines run this schedule to
+    /// completion.
     pub deadlock_free: bool,
     /// Every cross-device chain step is carried by exactly one matched
     /// send/recv pair with consistent peers, posted in chain order.
@@ -71,21 +76,18 @@ pub struct AnalysisReport {
 }
 
 /// Prove only that a lowered schedule cannot deadlock: it lowers to a
-/// [`Program`](hanayo_core::program::Program), which pairs every message
-/// with consistent peers, and the happens-before DAG is acyclic. It does not
-/// check that the schedule computes what its chains say — a schedule with
-/// every send and receive stripped passes; [`verify`] is the validity
-/// check. The cheap core of the tuner's static pre-pass.
+/// [`Program`], which pairs every message with consistent peers, and its
+/// happens-before replay ([`Program::replay`]) leaves no device waiting.
+/// It does not check that the schedule computes what its chains say — a
+/// schedule with every send and receive stripped passes; [`verify`] is the
+/// validity check. The cheap core of the tuner's static pre-pass.
 pub fn check_deadlock_free(schedule: &Schedule) -> Result<(), AnalysisError> {
-    let dag = HappensBefore::build(schedule)?;
-    dag.topo_order()?;
-    Ok(())
+    Ok(Program::lower(schedule)?.check_deadlock()?)
 }
 
 /// The one validity check for a lowered schedule. After lowering it to a
-/// [`Program`](hanayo_core::program::Program), which pairs every send with
-/// its receive, one pass over action positions and the paired messages
-/// checks that
+/// [`Program`], which pairs every send with its receive, one pass over
+/// action positions and the paired messages checks that
 ///
 /// 1. every `(mb, stage)` forward and backward appears exactly once, on
 ///    its stage-map device ([`chain_slots`], the table checker's pass);
@@ -96,19 +98,17 @@ pub fn check_deadlock_free(schedule: &Schedule) -> Result<(), AnalysisError> {
 ///    consumer);
 /// 4. every list ends in exactly one [`Action::OptimizerStep`];
 ///
-/// then the happens-before DAG is proved acyclic, as by
+/// then the happens-before replay must leave no device waiting, as in
 /// [`check_deadlock_free`]. Together these are what the engines need to
 /// run the schedule to completion and compute what its chains say.
 pub fn verify(schedule: &Schedule) -> Result<(), AnalysisError> {
-    let dag = HappensBefore::build(schedule)?;
-    check_program(&dag)?;
-    dag.topo_order()?;
-    Ok(())
+    let program = Program::lower(schedule)?;
+    check_program(schedule, &program)?;
+    Ok(program.check_deadlock()?)
 }
 
-/// Checks 1–4 of [`verify`] over a built DAG.
-fn check_program(dag: &HappensBefore<'_>) -> Result<(), AnalysisError> {
-    let (schedule, program) = (dag.schedule, &dag.program);
+/// Checks 1–4 of [`verify`] over the schedule's program.
+fn check_program(schedule: &Schedule, program: &Program) -> Result<(), AnalysisError> {
     let map = &schedule.stage_map;
     let (s, b) = (map.stages, schedule.config.micro_batches);
     let ops = schedule.lists.iter().enumerate().flat_map(|(d, list)| {
@@ -151,18 +151,76 @@ fn check_program(dag: &HappensBefore<'_>) -> Result<(), AnalysisError> {
     Ok(())
 }
 
+/// Per-link FIFO consistency: on every directed link, the receiver must
+/// block on messages in the order the sender posts them (ties — messages
+/// posted or awaited by the same action — are unordered and always
+/// fine). Tag-matched rendezvous tolerates inversions, but a FIFO channel
+/// would deadlock on one, so generators must not emit them.
+fn check_fifo(program: &Program) -> Result<(), AnalysisError> {
+    // Every message with its key in sender program order; a stable sort
+    // keeps each link's messages in that order.
+    let mut by_link: Vec<(u32, Message)> =
+        sends(program).filter_map(|key| Some((key, program.message(key)?))).collect();
+    by_link.sort_by_key(|(_, m)| (m.src, m.dst));
+    let tag = |key| program.tag(key);
+    for link in by_link.chunk_by(|(_, a), (_, b)| (a.src, a.dst) == (b.src, b.dst)) {
+        // The latest receive over strictly-earlier sends.
+        let mut frontier: Option<&(u32, Message)> = None;
+        for group in link.chunk_by(|(_, a), (_, b)| a.send_at == b.send_at) {
+            if let Some(&(first, prev)) = frontier {
+                if let Some(&(second, _)) = group.iter().find(|(_, m)| m.recv_at < prev.recv_at) {
+                    let (src, dst) = (prev.src, prev.dst);
+                    let (first, second) = (tag(first), tag(second));
+                    return Err(AnalysisError::FifoInversion { src, dst, first, second });
+                }
+            }
+            for sent in group {
+                if frontier.is_none_or(|(_, p)| sent.1.recv_at > p.recv_at) {
+                    frontier = Some(sent);
+                }
+            }
+        }
+    }
+    Ok(())
+}
+
+/// The key of every send, batch members included, device by device in
+/// list order.
+fn sends(program: &Program) -> impl Iterator<Item = u32> + '_ {
+    let ops = program.ops().iter().flatten().flat_map(|op| program.members_of(op));
+    ops.filter_map(|op| match *op {
+        Op::Send { key, .. } => Some(key),
+        _ => None,
+    })
+}
+
+/// The happens-before graph's size, counted from the program.
+fn dag_stats(program: &Program) -> DagStats {
+    let ops = program.ops();
+    let actions: usize = ops.iter().map(Vec::len).sum();
+    let order: usize = ops.iter().map(|list| list.len().saturating_sub(1)).sum();
+    // Lowering paired every send with its receive.
+    let messages = sends(program).count();
+    DagStats {
+        nodes: 2 * actions,
+        edges: actions + order + messages,
+        messages,
+        batched_comms: ops.iter().flatten().filter(|op| matches!(op, Op::Batch { .. })).count(),
+    }
+}
+
 /// Run every static analysis over a lowered schedule: [`verify`]'s
 /// checks, per-link FIFO consistency, the exact static memory peaks, and
-/// the critical-path bound.
+/// the critical-path bound, whose replay is also the deadlock proof.
 pub fn analyze(
     schedule: &Schedule,
     cost: &CostTable,
     cluster: &ClusterSpec,
 ) -> Result<AnalysisReport, AnalysisError> {
-    let dag = HappensBefore::build(schedule)?;
-    check_program(&dag)?;
-    let fifo_consistent = dag.check_fifo().is_ok();
-    let critical_path_s = critical_path(&dag, cost, cluster)?;
+    let program = Program::lower(schedule)?;
+    check_program(schedule, &program)?;
+    let fifo_consistent = check_fifo(&program).is_ok();
+    let critical_path_s = critical_path(&program, cost, cluster)?;
     let weight_mem = device_bytes(&schedule.stage_map, &cost.weight_bytes);
     let peak_mem = static_peak_mem(schedule, cost);
     let stash_peak: Vec<u64> = peak_mem.iter().zip(&weight_mem).map(|(&p, &w)| p - w).collect();
@@ -170,12 +228,7 @@ pub fn analyze(
         devices: schedule.stage_map.devices,
         stages: schedule.stage_map.stages,
         micro_batches: schedule.config.micro_batches,
-        dag: DagStats {
-            nodes: dag.node_count(),
-            edges: dag.edge_count(),
-            messages: dag.messages.len(),
-            batched_comms: dag.batched_comms(),
-        },
+        dag: dag_stats(&program),
         deadlock_free: true,
         comm_well_formed: true,
         fifo_consistent,
@@ -189,7 +242,7 @@ pub fn analyze(
 /// [`analyze`] for the tabular IR: the table-level invariants run first
 /// (shape, completeness, chain order, recompute typing, stash caps), then
 /// the table is lowered through the same path the simulator executes and
-/// the DAG analyses follow.
+/// the program analyses follow.
 pub fn analyze_table(
     table: &ScheduleTable,
     cost: &CostTable,
@@ -198,4 +251,36 @@ pub fn analyze_table(
 ) -> Result<AnalysisReport, AnalysisError> {
     check_table_with(table, limits)?;
     analyze(&comm::lower(&table.to_compute()), cost, cluster)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use hanayo_core::action::{CommDir, CommOp, MsgTag, Payload};
+    use hanayo_core::config::{PipelineConfig, Scheme};
+    use hanayo_core::ids::StageId;
+    use hanayo_core::schedule::build_schedule;
+
+    #[test]
+    fn a_receive_order_inverting_the_send_order_is_a_fifo_inversion() {
+        let mut s = build_schedule(&PipelineConfig::new(2, 2, Scheme::GPipe).unwrap()).unwrap();
+        assert_eq!(check_fifo(&Program::lower(&s).unwrap()), Ok(()));
+        // Device 1 blocks on micro-batch 1's activation before micro-batch
+        // 0's, which device 0 posts first.
+        let act =
+            |mb| MsgTag { mb: MicroBatch(mb), stage: StageId(1), payload: Payload::Activation };
+        let recv = |mb| {
+            let op = CommOp { dir: CommDir::Recv, peer: DeviceId(0), tag: act(mb) };
+            s.lists[1].actions.iter().position(|a| *a == Action::Comm(op)).unwrap()
+        };
+        let (first, second) = (recv(0), recv(1));
+        s.lists[1].actions.swap(first, second);
+        let expected = AnalysisError::FifoInversion {
+            src: DeviceId(0),
+            dst: DeviceId(1),
+            first: act(0),
+            second: act(1),
+        };
+        assert_eq!(check_fifo(&Program::lower(&s).unwrap()), Err(expected));
+    }
 }

@@ -4,8 +4,9 @@
 //! * random *legal* tables (gated random walks from generated seeds) are
 //!   accepted by the analyzer and never deadlock the simulator;
 //! * random corruptions — a dropped receive, a swapped chain pair — are
-//!   rejected with the right typed [`AnalysisError`], and the DAG cycle
-//!   verdict always agrees with the simulator's deadlock verdict;
+//!   rejected with the right typed [`AnalysisError`], and the replay's
+//!   deadlock verdict always agrees with the simulator's, naming the same
+//!   stall;
 //! * the static memory replay equals the simulated `peak_mem` exactly on
 //!   random `(scheme, P, B, recompute)` shapes — the bound is tight, not
 //!   merely sound.
@@ -78,7 +79,7 @@ proptest! {
         let schedule = comm::lower(&table.to_compute());
         let sim = try_simulate_traced(&schedule, &cost, &cluster, SimOptions::default());
         prop_assert!(
-            !matches!(sim, Err(SimError::Deadlock { .. })),
+            !matches!(sim, Err(SimError::Deadlock(_))),
             "analyzer accepted a deadlocking table"
         );
         // And the bounds the report carries hold against the execution.
@@ -134,9 +135,9 @@ proptest! {
     ) {
         // Swap a forward with the backward of the same micro-batch on one
         // device. At the table layer this is a typed chain violation; at
-        // the DAG layer the lowered order either cycles (simulator
-        // deadlocks) or happens to stay executable — the two verdicts must
-        // match either way.
+        // the program layer the lowered order either deadlocks the replay
+        // (and the simulator) or happens to stay executable — the two
+        // verdicts must match either way.
         let (p, b) = legalise(p, b, scheme);
         let mut table = table_for(p, b, scheme);
         let d = (pick % table.rows.len() as u64) as usize;
@@ -168,13 +169,15 @@ proptest! {
         let static_verdict = check_deadlock_free(&schedule);
         let sim_verdict = try_simulate_traced(&schedule, &cost, &cluster, SimOptions::default());
         match (&static_verdict, &sim_verdict) {
-            (Err(AnalysisError::Cycle { .. }), Err(SimError::Deadlock { .. })) => {}
+            (Err(AnalysisError::Deadlock(replayed)), Err(SimError::Deadlock(stalled))) => {
+                prop_assert_eq!(replayed, stalled, "the replay and the engine name one wait");
+            }
             (Ok(()), Ok(_)) => {}
             _ => prop_assert!(
                 false,
                 "verdicts disagree: static {:?}, sim deadlock {}",
                 static_verdict,
-                matches!(sim_verdict, Err(SimError::Deadlock { .. }))
+                matches!(sim_verdict, Err(SimError::Deadlock(_)))
             ),
         }
     }

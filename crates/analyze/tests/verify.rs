@@ -1,7 +1,7 @@
 //! `verify`, the one validity check for lowered schedules: every generated
 //! and hand-built scheme passes it, and each defect class comes back as
 //! the typed error naming its device and action index — including the two
-//! defects the happens-before DAG alone cannot see, which `analyze()`
+//! defects the happens-before replay alone cannot see, which `analyze()`
 //! therefore rejects too.
 
 use hanayo_analyze::{analyze, check_deadlock_free, verify, AnalysisError};
@@ -59,7 +59,7 @@ fn all_generated_schedules_verify() {
 #[test]
 fn turnaround_swap_is_an_order_violation() {
     // B(mb0, S_last) listed before F(mb0, S_last) on their shared device:
-    // no message orders the two, so the DAG stays acyclic.
+    // no message orders the two, so the replay runs to the end.
     for scheme in [Scheme::Hanayo { waves: 2 }, Scheme::Dapple, Scheme::GPipe] {
         let mut s = built(4, 4, scheme);
         let last = StageId(s.stage_map.stages - 1);
@@ -68,7 +68,7 @@ fn turnaround_swap_is_an_order_violation() {
         let f = position(&s, device.idx(), |a| a.compute_op() == Some(fwd));
         let b = position(&s, device.idx(), |a| a.compute_op() == Some(bwd));
         s.lists[device.idx()].actions.swap(f, b);
-        assert_eq!(check_deadlock_free(&s), Ok(()), "{scheme}: the DAG alone accepts it");
+        assert_eq!(check_deadlock_free(&s), Ok(()), "{scheme}: the replay alone accepts it");
         let expected = TableError::DependencyViolation { op: bwd, column: f, dep_column: b };
         rejected_by_both(&s, &AnalysisError::Table(expected));
         assert_eq!(s.lists[device.idx()].actions[f].compute_op(), Some(bwd), "{scheme}");
@@ -82,7 +82,7 @@ fn stripped_communication_leaves_steps_uncarried() {
         for list in &mut s.lists {
             list.actions.retain(|a| a.comm_ops().is_empty());
         }
-        assert_eq!(check_deadlock_free(&s), Ok(()), "{scheme}: the DAG alone accepts it");
+        assert_eq!(check_deadlock_free(&s), Ok(()), "{scheme}: the replay alone accepts it");
         // The first cross-device step: F(mb0, S1) on device 1.
         let index = position(&s, 1, |a| a.compute_op() == Some(ComputeOp::fwd(0, 1)));
         let tag = MsgTag { mb: MicroBatch(0), stage: StageId(1), payload: Payload::Activation };

@@ -3,9 +3,11 @@
 //! [`replay_timeline`] assigns start/end ticks to every compute op of a
 //! schedule under abstract unit costs (`T_F`-chunk, `T_B`-chunk, `T_C`),
 //! respecting both the per-device order frozen by the generator and the
-//! cross-device dependency chains. [`render`] draws the result as one text
-//! row per device — forward blocks print the micro-batch as `0-9A-Z`,
-//! backward blocks as `a-z`, idle as `.`:
+//! cross-device dependency chains: it is [`Program::replay`] over the
+//! schedule's lowering, the walk every engine's happens-before answer
+//! comes from. [`render`] draws the result as one text row per device —
+//! forward blocks print the micro-batch as `0-9A-Z`, backward blocks as
+//! `a-z`, idle as `.`:
 //!
 //! ```text
 //! P0 |0123aabbccdd..
@@ -13,8 +15,10 @@
 //! ```
 
 use crate::chain::{ComputeOp, ComputeSchedule};
+use crate::comm;
+use crate::ids::{MicroBatch, StageId};
+use crate::program::{Op, Program};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// A scheduled compute op with its abstract time span.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -57,53 +61,40 @@ impl Timeline {
 /// Replay a compute schedule under abstract unit costs.
 ///
 /// `f_cost`/`b_cost` are per stage-chunk; `comm_cost` is charged on every
-/// cross-device dependency edge (a simple `T_C` model — the full link-level
-/// model lives in `hanayo-sim`).
+/// message, i.e. every cross-device dependency (a simple `T_C` model —
+/// the full link-level model lives in `hanayo-sim`). The schedule is
+/// lowered ([`comm::lower`], then [`Program::lower`]) and walked by
+/// [`Program::replay`]: the lowering puts a compute's sends right after
+/// it and its one upstream receive right before it, so the walk starts
+/// each compute once its device is free and its input has arrived.
+/// Panics on a schedule that does not run: a message that does not
+/// pair, a circular wait, or a compute before its same-device input.
 pub fn replay_timeline(cs: &ComputeSchedule, f_cost: u64, b_cost: u64, comm_cost: u64) -> Timeline {
-    let s = cs.stage_map.stages;
-    let n = cs.per_device.len();
-    let mut pc = vec![0usize; n];
-    let mut free = vec![0u64; n];
-    let mut done: HashMap<(u32, u32), u64> = HashMap::new();
-    let mut spans: Vec<Vec<Span>> = (0..n).map(|_| Vec::new()).collect();
-    let mut remaining: usize = cs.per_device.iter().map(Vec::len).sum();
+    walk_units(cs, f_cost, b_cost, comm_cost)
+        .unwrap_or_else(|why| panic!("replay stalled on an invalid schedule: {why}"))
+}
 
-    while remaining > 0 {
-        let mut progress = false;
-        for d in 0..n {
-            while pc[d] < cs.per_device[d].len() {
-                let op = cs.per_device[d][pc[d]];
-                let pos = op.pos(s);
-                let dep_ready = if pos == 0 {
-                    Some(0)
-                } else {
-                    done.get(&(op.mb.0, pos - 1)).map(|&t| {
-                        let prev = ComputeOp::from_pos(op.mb, pos - 1, s);
-                        let prev_dev = cs.stage_map.device_of(prev.mb, prev.stage);
-                        if prev_dev.idx() == d {
-                            t
-                        } else {
-                            t + comm_cost
-                        }
-                    })
-                };
-                let Some(ready) = dep_ready else { break };
-                let start = ready.max(free[d]);
-                let cost = if op.backward { b_cost } else { f_cost };
-                let end = start + cost;
-                spans[d].push(Span { start, end, op });
-                done.insert((op.mb.0, pos), end);
-                free[d] = end;
-                pc[d] += 1;
-                remaining -= 1;
-                progress = true;
-            }
+/// [`replay_timeline`], naming why a schedule does not run.
+fn walk_units(cs: &ComputeSchedule, f: u64, b: u64, c: u64) -> Result<Timeline, String> {
+    let program = Program::lower(&comm::lower(cs)).map_err(|e| e.to_string())?;
+    let mut tl = Timeline { spans: vec![Vec::new(); cs.per_device.len()], makespan: 0 };
+    // Keys whose producing compute has run: no message orders a compute
+    // after its input on its own device, so the walk checks that here.
+    let (mut produced, mut in_order) = (vec![false; program.keys()], true);
+    let cost = |_, op| if matches!(op, Op::Compute { backward: true, .. }) { b } else { f };
+    let visit = |d: usize, _, op, start, end: u64| {
+        let Op::Compute { mb, stage, backward } = op else { return };
+        let (consumed, output) = program.dataflow(mb, stage, backward);
+        in_order &= (stage == 0 && !backward) || produced[consumed as usize];
+        if let Some(key) = output {
+            produced[key as usize] = true;
         }
-        assert!(progress, "replay stalled on an invalid schedule");
-    }
-
-    let makespan = free.into_iter().max().unwrap_or(0);
-    Timeline { spans, makespan }
+        let op = ComputeOp { mb: MicroBatch(mb), stage: StageId(stage), backward };
+        tl.spans[d].push(Span { start, end, op });
+        tl.makespan = tl.makespan.max(end);
+    };
+    program.replay(cost, |_| c, visit).map_err(|stall| stall.to_string())?;
+    in_order.then_some(tl).ok_or_else(|| "a compute precedes its input on its device".into())
 }
 
 /// Forward blocks print the micro-batch as `0-9A-Z`; backward blocks as
@@ -243,6 +234,20 @@ mod tests {
         assert!(lines.iter().all(|l| l.len() == lines[0].len()));
         // device 0 starts immediately with mb 0 forward
         assert!(lines[0].starts_with("P0 |0"));
+    }
+
+    #[test]
+    #[should_panic(expected = "a compute precedes its input on its device")]
+    fn a_compute_before_its_same_device_input_panics() {
+        // The turnaround F(mb0, S3) → B(mb0, S3) shares device 3, so no
+        // message orders the swapped pair; the walk must still refuse it.
+        let cfg = PipelineConfig::new(4, 4, Scheme::GPipe).unwrap();
+        let mut cs = build_compute_schedule(&cfg).unwrap();
+        let row = &mut cs.per_device[3];
+        let fwd = row.iter().position(|op| *op == ComputeOp::fwd(0, 3)).unwrap();
+        let bwd = row.iter().position(|op| *op == ComputeOp::bwd(0, 3)).unwrap();
+        row.swap(fwd, bwd);
+        replay_timeline(&cs, 1, 2, 0);
     }
 
     #[test]

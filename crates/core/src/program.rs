@@ -7,15 +7,22 @@
 //! so pairing is decided here and nowhere else: the simulator
 //! (`hanayo_sim::engine`) keys its rendezvous state by it, the threaded
 //! runtime (`hanayo_runtime::worker`) its tensor slots and mailbox
-//! matches, and the static analyzer (`hanayo_analyze`) its message edges.
+//! matches, and the static analyzer (`hanayo_analyze`) its FIFO check.
 //! A tag outside the key space, or a message without exactly one send and
 //! one receive on the devices each names, is a [`ProgramError`] here, not
 //! an out-of-bounds index, a stall or a mid-run failure in an engine.
+//!
+//! [`Program::replay`] is the one happens-before walk over a lowered
+//! program: the analyzer's deadlock proof and critical path, the unit
+//! Gantt (`gantt::replay_timeline`) and the runtime's pre-flight are each
+//! one call of it under their own clock. A circular wait comes back from
+//! it as a [`Stall`].
 
 use crate::action::{Action, CommDir, CommOp, MsgTag, Payload, Schedule};
 use crate::ids::{DeviceId, MicroBatch, StageId};
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::ops::Add;
 
 /// One lowered instruction: an [`Action`] with its tags resolved to keys.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -131,6 +138,31 @@ impl fmt::Display for ProgramError {
 
 impl std::error::Error for ProgramError {}
 
+/// A circular wait: devices left blocked when no posted message can wake
+/// them. Names the lowest waiting device, the action it waits at, the
+/// message it waits for (for a batch, its first member receive whose send
+/// was never posted) and that message's sender, itself waiting.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub struct Stall {
+    /// The lowest waiting device.
+    pub device: DeviceId,
+    /// Index of the receive or batch it waits at in its list.
+    pub action: usize,
+    /// The message it waits for.
+    pub tag: MsgTag,
+    /// The device that would send it.
+    pub waits_on: DeviceId,
+}
+
+impl fmt::Display for Stall {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let Stall { device, action, tag, waits_on } = self;
+        write!(f, "{device}#{action} waits for {tag} from {waits_on}, which never sends it")
+    }
+}
+
+impl std::error::Error for Stall {}
+
 impl Program {
     /// Lower every device's action list, one [`Op`] per action, and pair
     /// every message. The first action (device by device, in list order)
@@ -227,6 +259,98 @@ impl Program {
     /// The members of [`Op::Batch`]` { start, end }`, in action order.
     pub fn members(&self, start: u32, end: u32) -> &[Op] {
         &self.members[start as usize..end as usize]
+    }
+
+    /// Walk the program in happens-before order under the clock `T`, with
+    /// the rules every engine shares: a device runs its ops in order; a
+    /// compute lasts `compute(device, op)`; a send is posted when its
+    /// device reaches it and never blocks; a receive completes
+    /// `transfer(key)` after its send was posted, and not before the
+    /// device reaches it; a batch posts its sends on entry and completes
+    /// when every member receive has. Every other op takes no time.
+    /// `visit(device, index, op, enter, exit)` sees each op once, each
+    /// device's in list order.
+    ///
+    /// The walk is event-driven — a blocked device resumes when the
+    /// message it waits for is posted — so it is linear in ops. Devices
+    /// left waiting are a circular wait, returned as the [`Stall`] of the
+    /// lowest one.
+    pub fn replay<T>(
+        &self,
+        mut compute: impl FnMut(usize, Op) -> T,
+        mut transfer: impl FnMut(u32) -> T,
+        mut visit: impl FnMut(usize, usize, Op, T, T),
+    ) -> Result<(), Stall>
+    where
+        T: Copy + Default + PartialOrd + Add<Output = T>,
+    {
+        /// What the walk knows of one key's send.
+        #[derive(Clone, Copy)]
+        enum Sent<T> {
+            Not,
+            Awaited(usize),
+            At(T),
+        }
+        let devices = self.ops.len();
+        let (mut pc, mut clock) = (vec![0usize; devices], vec![T::default(); devices]);
+        let mut sent = vec![Sent::Not; self.keys()];
+        let mut ready: Vec<usize> = (0..devices).rev().collect();
+        while let Some(d) = ready.pop() {
+            'ops: while let Some(op) = self.ops[d].get(pc[d]) {
+                let (enter, members) = (clock[d], self.members_of(op));
+                for member in members {
+                    if let Op::Send { key, .. } = *member {
+                        if let Sent::Awaited(waiter) =
+                            std::mem::replace(&mut sent[key as usize], Sent::At(enter))
+                        {
+                            ready.push(waiter);
+                        }
+                    }
+                }
+                let mut exit = match *op {
+                    Op::Compute { .. } => enter + compute(d, *op),
+                    _ => enter,
+                };
+                for key in members.iter().filter_map(Op::recv_key) {
+                    let Sent::At(at) = sent[key as usize] else {
+                        sent[key as usize] = Sent::Awaited(d);
+                        break 'ops;
+                    };
+                    let arrival = at + transfer(key);
+                    if arrival > exit {
+                        exit = arrival;
+                    }
+                }
+                visit(d, pc[d], *op, enter, exit);
+                (clock[d], pc[d]) = (exit, pc[d] + 1);
+            }
+        }
+        let Some(d) = (0..devices).find(|&d| pc[d] < self.ops[d].len()) else { return Ok(()) };
+        let mut recvs = self.members_of(&self.ops[d][pc[d]]).iter().filter_map(Op::recv_key);
+        let key = recvs.find(|&k| !matches!(sent[k as usize], Sent::At(_))).unwrap_or_default();
+        Err(self.stall(d, pc[d], key))
+    }
+
+    /// The members of a batch, or the op itself: the sends and receives
+    /// an op posts, in order.
+    pub fn members_of<'a>(&'a self, op: &'a Op) -> &'a [Op] {
+        match *op {
+            Op::Batch { start, end } => self.members(start, end),
+            _ => std::slice::from_ref(op),
+        }
+    }
+
+    /// [`Program::replay`] with every duration zero: `Ok` when every
+    /// device runs to the end of its list, else the circular wait.
+    pub fn check_deadlock(&self) -> Result<(), Stall> {
+        self.replay(|_, _| 0u8, |_| 0, |_, _, _, _, _| {})
+    }
+
+    /// The [`Stall`] of `device` blocked at `action` on message `key`.
+    pub fn stall(&self, device: usize, action: usize, key: u32) -> Stall {
+        let device = DeviceId(device as u32);
+        let waits_on = self.message(key).map_or(device, |m| m.src);
+        Stall { device, action, tag: self.tag(key), waits_on }
     }
 
     /// The key a compute of `mb` on `stage` consumes — its input

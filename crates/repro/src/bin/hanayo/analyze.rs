@@ -1,5 +1,5 @@
 //! `hanayo analyze` — the static analysis of one named scheme at
-//! `(P, B)` (happens-before DAG, deadlock freedom, comm well-formedness,
+//! `(P, B)` (happens-before graph, deadlock freedom, comm well-formedness,
 //! exact memory peaks, critical-path bound) as JSON, with no simulation.
 //! The flags fill an [`AnalyzeRequest`] and the document comes from
 //! [`run_analyze`], as `POST /v1/analyze`'s does: `--compact` stdout is

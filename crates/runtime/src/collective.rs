@@ -192,25 +192,32 @@ mod tests {
 
     #[test]
     fn reduction_is_rank_ordered_and_deterministic() {
+        // Magnitudes far apart, so the sum's bits depend on its order.
         let stage = Stage::mlp(&mut seeded(2), 6, 1);
-        let run = || {
+        let grads: Vec<StageGrads> =
+            [1e-3, 1.0, 3.7, 1e3].into_iter().map(|a| grads_scaled(&stage, a)).collect();
+        let mut expected = grads[0].clone();
+        for g in &grads[1..] {
+            expected.accumulate(g);
+        }
+        let bits = |g: &StageGrads| g.flat().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for order in [[0, 1, 2, 3], [3, 2, 1, 0], [2, 0, 3, 1]] {
             let hub = Arc::new(AllreduceHub::new(4));
-            let handles: Vec<_> = (0..4)
-                .map(|rank| {
-                    let hub = Arc::clone(&hub);
-                    let stage = stage.clone();
-                    std::thread::spawn(move || {
-                        // Scramble arrival order.
-                        std::thread::sleep(std::time::Duration::from_millis(
-                            ((rank * 7) % 4) as u64,
-                        ));
-                        allreduce(&hub, 0, 0, rank, grads_scaled(&stage, 0.1 + rank as f32))
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap().flat()).next().unwrap()
-        };
-        assert_eq!(run(), run(), "arrival order must not change the bits");
+            let mut replicas = Vec::new();
+            for (i, &rank) in order.iter().enumerate() {
+                let (hub_, g) = (Arc::clone(&hub), grads[rank].clone());
+                replicas.push(std::thread::spawn(move || allreduce(&hub_, 0, 0, rank, g)));
+                // Admit the next rank only once this one has arrived; the
+                // last arrival reduces and drains the slot.
+                while i + 1 < order.len() && !hub.has_posted(0, 0, rank) {
+                    std::thread::yield_now();
+                }
+            }
+            for replica in replicas {
+                let reduced = replica.join().unwrap();
+                assert_eq!(bits(&reduced), bits(&expected), "arrival order {order:?}");
+            }
+        }
     }
 
     #[test]

@@ -229,10 +229,11 @@ impl std::error::Error for ResumeError {}
 
 /// Refuse, on the caller's thread and before any checkpoint or thread, a
 /// run the workers cannot execute: a stage module count other than the
-/// schedule's, a replicated schedule, a schedule that does not lower, or
-/// an iteration from `start` on without one input and one target per
-/// micro-batch (the first such iteration, shard by shard). Returns the
-/// run's lowered program.
+/// schedule's, a replicated schedule, a schedule that does not lower, a
+/// schedule whose happens-before replay deadlocks (the workers would wait
+/// on each other forever), or an iteration from `start` on without one
+/// input and one target per micro-batch (the first such iteration, shard
+/// by shard). Returns the run's lowered program.
 fn check_run(cfg: &TrainerConfig, data: DataRef<'_>, start: usize) -> Result<Program, TrainError> {
     check_stages(cfg, &cfg.stages)?;
     if cfg.schedule.stage_map.groups.iter().any(|g| g.replica.0 != 0) {
@@ -240,6 +241,7 @@ fn check_run(cfg: &TrainerConfig, data: DataRef<'_>, start: usize) -> Result<Pro
     }
     let program = Program::lower(&cfg.schedule)
         .map_err(|e| TrainError::single(WorkerError::Program(e), None))?;
+    program.check_deadlock().map_err(|s| TrainError::single(WorkerError::Deadlock(s), None))?;
     let micro_batches = cfg.schedule.config.micro_batches as usize;
     let shards: Vec<(Option<usize>, &[IterationData])> = match data {
         DataRef::Single(d) => vec![(None, d)],

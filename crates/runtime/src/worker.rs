@@ -35,7 +35,7 @@ use crate::mailbox::{Envelope, Fabric, Mailbox};
 use hanayo_ckpt::FailurePlan;
 use hanayo_core::action::MsgTag;
 use hanayo_core::ids::{DeviceId, MicroBatch, StageId};
-use hanayo_core::program::{Op, Program, ProgramError};
+use hanayo_core::program::{Op, Program, ProgramError, Stall};
 use hanayo_model::Recompute;
 use hanayo_tensor::loss::{mse, softmax_cross_entropy};
 use hanayo_tensor::{
@@ -298,6 +298,10 @@ pub enum WorkerError {
     /// The schedule does not lower to a [`Program`]. Refused before any
     /// thread starts.
     Program(ProgramError),
+    /// The schedule's devices would wait on each other forever: the
+    /// [`Stall`] of its [`Program::replay`], as the analyzer and the
+    /// simulator name it. Refused before any checkpoint or thread starts.
+    Deadlock(Stall),
     /// A data-parallel run was given no shard at all. Refused before any
     /// thread starts.
     NoShards,
@@ -360,6 +364,7 @@ impl WorkerError {
             | WorkerError::Panicked { device, .. }
             | WorkerError::ThreadStart { device, .. } => Some(device),
             WorkerError::Program(_)
+            | WorkerError::Deadlock(_)
             | WorkerError::NoShards
             | WorkerError::ReplicatedSchedule
             | WorkerError::StageCount { .. }
@@ -420,6 +425,7 @@ impl fmt::Display for WorkerError {
                 write!(f, "{device}: could not start a thread: {message}")
             }
             WorkerError::Program(e) => write!(f, "the schedule does not lower: {e}"),
+            WorkerError::Deadlock(stall) => write!(f, "the schedule deadlocks: {stall}"),
             WorkerError::NoShards => write!(f, "a data-parallel run needs at least one shard"),
             WorkerError::ReplicatedSchedule => write!(
                 f,
@@ -729,12 +735,11 @@ impl Worker<'_, '_> {
                         iter_loss += self.forward(data, mb, stage)?;
                     }
                     Op::Compute { mb, stage, backward: true } => self.backward(mb, stage)?,
-                    Op::Send { peer, key } => self.send(peer, key, iter)?,
-                    Op::Recv { key } => self.recv(key, iter)?,
-                    Op::Batch { start, end } => {
+                    Op::Step => self.step(iter)?,
+                    Op::Send { .. } | Op::Recv { .. } | Op::Batch { .. } => {
                         // Post all sends first (non-blocking), then drain the
                         // receives — the deadlock-free batch_isend_irecv order.
-                        let members = program.members(start, end);
+                        let members = program.members_of(op);
                         for member in members {
                             if let Op::Send { peer, key } = *member {
                                 self.send(peer, key, iter)?;
@@ -744,7 +749,6 @@ impl Worker<'_, '_> {
                             self.recv(key, iter)?;
                         }
                     }
-                    Op::Step => self.step(iter)?,
                 }
             }
             // The iteration boundary: every stash consumed, every slot empty.

@@ -35,7 +35,7 @@ use crate::report::{SimReport, SimSpan};
 use hanayo_analyze::device_bytes;
 use hanayo_cluster::ClusterSpec;
 use hanayo_core::action::Schedule;
-use hanayo_core::program::{Op, Program, ProgramError};
+use hanayo_core::program::{Op, Program, ProgramError, Stall};
 use hanayo_model::CostTable;
 use hanayo_trace::{Trace, TraceEvent, TraceKind};
 use serde::{Deserialize, Serialize};
@@ -324,18 +324,10 @@ pub fn compile_schedule(schedule: &Schedule, opts: &SimOptions) -> CompiledSched
                 let start = prefetch_keys.len() as u32;
                 let mut groups = 0usize;
                 for op in ops.iter().skip(i).take(LOOKAHEAD_WINDOW) {
-                    match *op {
-                        Op::Recv { key } => {
-                            prefetch_keys.push(key);
-                            groups += 1;
-                        }
-                        Op::Batch { start, end } => {
-                            prefetch_keys.extend(
-                                program.members(start, end).iter().filter_map(Op::recv_key),
-                            );
-                            groups += 1;
-                        }
-                        _ => {}
+                    if let Op::Recv { .. } | Op::Batch { .. } = op {
+                        prefetch_keys
+                            .extend(program.members_of(op).iter().filter_map(Op::recv_key));
+                        groups += 1;
                     }
                     if groups >= opts.recv_lookahead {
                         break;
@@ -499,13 +491,11 @@ impl<'a> Engine<'a> {
         );
     }
 
+    /// The first member receive of batch `start..end` not yet arrived.
     #[inline]
-    fn batch_recvs_arrived(&self, start: u32, end: u32) -> bool {
-        self.program
-            .members(start, end)
-            .iter()
-            .filter_map(Op::recv_key)
-            .all(|key| self.slot_flags[key as usize] & SLOT_ARRIVED != 0)
+    fn unarrived(&self, start: u32, end: u32) -> Option<u32> {
+        let mut keys = self.program.members(start, end).iter().filter_map(Op::recv_key);
+        keys.find(|&key| self.slot_flags[key as usize] & SLOT_ARRIVED == 0)
     }
 
     /// Run device `d` forward from its program counter until it blocks,
@@ -549,7 +539,7 @@ impl<'a> Engine<'a> {
                             _ => {}
                         }
                     }
-                    if self.batch_recvs_arrived(start, end) {
+                    if self.unarrived(start, end).is_none() {
                         self.pc[d] += 1;
                     } else {
                         self.stalls += 1;
@@ -616,7 +606,7 @@ impl<'a> Engine<'a> {
                         self.pc[dst] += 1;
                         self.advance(dst, t);
                     }
-                    DevState::WaitBatch(start, end) if self.batch_recvs_arrived(start, end) => {
+                    DevState::WaitBatch(start, end) if self.unarrived(start, end).is_none() => {
                         self.comm_wait[dst] += t - self.block_start[dst];
                         self.state[dst] = DevState::Idle;
                         self.pc[dst] += 1;
@@ -653,12 +643,11 @@ pub enum SimError {
     Numerics(NumericsError),
     /// The run stalled before every device flushed: a circular wait, such
     /// as a hand-built order where two devices each receive before sending
-    /// to the other. An unpaired message never gets this far; it does not
-    /// lower and comes back as [`SimError::Program`].
-    Deadlock {
-        /// Devices that never reached `Done`, with their program counters.
-        stalled: Vec<(usize, usize)>,
-    },
+    /// to the other. The lowest stalled device, its program counter, the
+    /// awaited message and its sender: the [`Stall`] the analyzer and the
+    /// runtime name too. An unpaired message never gets this far; it does
+    /// not lower and comes back as [`SimError::Program`].
+    Deadlock(Stall),
     /// A [`CompiledSchedule`] was reused with a `recv_lookahead` it was
     /// not lowered for (the prefetch windows bake it in), or with a
     /// schedule whose device count differs from the lowered one. Those two
@@ -686,9 +675,7 @@ impl fmt::Display for SimError {
                 write!(f, "schedule has {schedule} stages, cost table has {cost}")
             }
             SimError::Numerics(e) => write!(f, "invalid simulation inputs: {e}"),
-            SimError::Deadlock { stalled } => {
-                write!(f, "simulation deadlocked: stalled (device, pc) pairs {stalled:?}")
-            }
+            SimError::Deadlock(stall) => write!(f, "simulation deadlocked: {stall}"),
             SimError::StaleCompile { compiled, requested } => {
                 write!(
                     f,
@@ -866,15 +853,15 @@ fn run_compiled(
         hanayo_metrics::counter_add("hanayo_sim_events_total", &[], events_popped);
         hanayo_metrics::counter_add("hanayo_sim_rendezvous_stalls_total", &[], eng.stalls);
     }
-    if !eng.state.iter().all(|s| *s == DevState::Done) {
-        let stalled = eng
-            .state
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| **s != DevState::Done)
-            .map(|(d, _)| (d, eng.pc[d]))
-            .collect();
-        return Err(SimError::Deadlock { stalled });
+    // A device left waiting names the key it waits for (for a batch, the
+    // first member not arrived).
+    let awaited = |d: usize| match eng.state[d] {
+        DevState::WaitRecv(key) => Some(key),
+        DevState::WaitBatch(start, end) => eng.unarrived(start, end),
+        _ => None,
+    };
+    if let Some((d, key)) = (0..p).find_map(|d| Some((d, awaited(d)?))) {
+        return Err(SimError::Deadlock(program.stall(d, eng.pc[d], key)));
     }
 
     let iteration_time = eng.finish.iter().cloned().fold(0.0, f64::max);

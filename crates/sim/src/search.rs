@@ -179,6 +179,9 @@ pub fn search_schedule(
 mod tests {
     use super::*;
     use hanayo_cluster::topology::{fc_full_nvlink, pc_partial_nvlink};
+    use hanayo_core::action::{MsgTag, Payload};
+    use hanayo_core::ids::{DeviceId, StageId};
+    use hanayo_core::program::Stall;
 
     fn opts_small() -> SearchOptions {
         SearchOptions { max_rounds: 8, moves_per_round: 12, ..Default::default() }
@@ -249,7 +252,11 @@ mod tests {
         let cost = CostTable::build_with(&ModelConfig::bert64(), cfg.stages(), 1, Recompute::None);
         let err = simulate_order(&cs, &cost, &fc_full_nvlink(2), SimOptions::default())
             .expect_err("a self-waiting order must not simulate");
-        assert!(matches!(err, SimError::Deadlock { .. }), "got {err:?}");
+        // Device 0 waits at its first action, the backward's gradient
+        // receive, on device 1, which waits for device 0's activation.
+        let tag = MsgTag { mb: op.mb, stage: StageId(0), payload: Payload::Gradient };
+        let stall = Stall { device: DeviceId(0), action: 0, tag, waits_on: DeviceId(1) };
+        assert_eq!(err, SimError::Deadlock(stall));
     }
 
     #[test]

@@ -411,7 +411,7 @@ fn static_verdict(
     }
     let oom_devices: Vec<usize> =
         (0..cluster.len()).filter(|&d| peak_mem[d] > cluster.memory(d)).collect();
-    // Only an OOM pays for the happens-before DAG, whose verdict is
+    // Only an OOM pays for the happens-before replay, whose verdict is
     // memoised per schedule shape: a prune fires only on a deadlock-free
     // schedule, so the simulation it skips would have reported exactly
     // these peaks rather than a deadlock. Anything else goes to the engine.

@@ -15,8 +15,8 @@
 //! * [`cluster`] — the four evaluation clusters (PC, FC, TACC, TC).
 //! * [`sim`] — the discrete-event execution engine and `D×P` plans.
 //! * [`analyze`] — static schedule verification: [`analyze::verify`], the
-//!   one validity check for lowered schedules, over the happens-before
-//!   DAG (deadlock freedom via cycle detection), plus exact static
+//!   one validity check for lowered schedules, with deadlock freedom by
+//!   the program's one happens-before replay, plus exact static
 //!   peak-memory bounds and the critical-path lower bound the tuner
 //!   prunes with.
 //! * [`runtime`] — the threaded action-list runtime with bit-exact

@@ -13,22 +13,25 @@
 //!
 //! The analyzer, the simulator and the threaded runtime read one lowering
 //! of a schedule, `hanayo_core::program::Program`, which also pairs every
-//! message: the last three tests pin that the simulator's compiled form is
-//! that program, and that a schedule outside its own key space or with a
-//! message not paired is the same typed refusal from every engine.
+//! message: the last tests pin that the simulator's compiled form is that
+//! program, that a schedule outside its own key space or with a message
+//! not paired is the same typed refusal from every engine, and that a
+//! schedule whose devices wait on each other in a circle is one `Stall`
+//! from every engine — the runtime refusing it before any thread runs.
 
-use hanayo::analyze::{analyze, verify, AnalysisError};
+use hanayo::analyze::{analyze, check_deadlock_free, verify, AnalysisError};
+use hanayo::ckpt::CheckpointPolicy;
 use hanayo::cluster::topology::ClusterSpec;
 use hanayo::cluster::{GpuModel, Link, LinkClass};
-use hanayo::core::action::{Action, CommDir, CommOp, Schedule};
+use hanayo::core::action::{Action, CommDir, CommOp, MsgTag, Payload, Schedule};
 use hanayo::core::config::{PipelineConfig, Scheme};
 use hanayo::core::gantt::replay_timeline;
-use hanayo::core::ids::{DeviceId, MicroBatch};
-use hanayo::core::program::{Defect, Program, ProgramError};
+use hanayo::core::ids::{DeviceId, MicroBatch, StageId};
+use hanayo::core::program::{Defect, Program, ProgramError, Stall};
 use hanayo::core::schedule::{build_compute_schedule, build_schedule};
 use hanayo::model::builders::MicroModel;
 use hanayo::model::CostTable;
-use hanayo::runtime::trainer::{synthetic_data, try_train, TrainerConfig};
+use hanayo::runtime::trainer::{synthetic_data, try_train, try_train_data_parallel, TrainerConfig};
 use hanayo::runtime::{LossKind, WorkerError};
 use hanayo::sim::{
     compile_schedule, try_simulate_compiled, try_simulate_traced, SimError, SimOptions,
@@ -243,4 +246,95 @@ fn a_message_received_on_two_devices_is_refused_by_every_engine() {
         ProgramError { device: DeviceId(2), action, tag: send.tag, defect: Defect::Duplicate };
     assert_eq!(expected.to_string(), format!("message act:mb0@S1 duplicated at P2#{action}"));
     refused_by_every_engine(schedule, expected);
+}
+
+/// `verify`, `analyze`, `check_deadlock_free`, the simulator and the
+/// runtime — one pipeline, and two data-parallel replicas — all refuse
+/// `schedule` with one [`Stall`], the runtime before any checkpoint or
+/// worker. Returns that stall.
+fn deadlock_refused_by_every_engine(schedule: Schedule) -> Stall {
+    let (p, stages) = (schedule.lists.len(), schedule.stage_map.stages);
+    let cluster = ideal_cluster(p);
+    let cost = unit_costs(&cluster, stages as usize);
+    let Err(AnalysisError::Deadlock(stall)) = verify(&schedule) else {
+        panic!("verify must find the circular wait: {:?}", verify(&schedule));
+    };
+    assert_eq!(check_deadlock_free(&schedule), Err(AnalysisError::Deadlock(stall)));
+    assert_eq!(analyze(&schedule, &cost, &cluster), Err(AnalysisError::Deadlock(stall)));
+    let simulated = try_simulate_traced(&schedule, &cost, &cluster, SimOptions::default());
+    assert_eq!(simulated.unwrap_err(), SimError::Deadlock(stall));
+
+    let b = schedule.config.micro_batches as usize;
+    let model = MicroModel { width: 4, total_blocks: stages as usize, seed: 1 };
+    let mut trainer = TrainerConfig::new(schedule, model.build_stages(stages), 0.05, LossKind::Mse);
+    trainer.checkpoint = CheckpointPolicy::every(1);
+    let data = synthetic_data(1, 2, b, 2, 4);
+    let expected = WorkerError::Deadlock(stall);
+    let single = try_train(&trainer, &data).unwrap_err();
+    let replicated = try_train_data_parallel(&trainer, &[data.clone(), data]).unwrap_err();
+    for err in [single, replicated] {
+        assert_eq!(err.primary, expected);
+        assert_eq!(err.failures, [(0, expected.clone())], "no worker ran");
+        assert!(err.checkpoint.is_none(), "refused before any checkpoint");
+    }
+    stall
+}
+
+#[test]
+fn a_deadlocking_schedule_is_refused_alike_by_every_engine() {
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        // DAPPLE at P = 2, B = 2 with device 0's first receive moved to the
+        // front of its list: device 0 waits for a gradient of device 1,
+        // which waits for device 0's first activation.
+        let mut schedule =
+            build_schedule(&PipelineConfig::new(2, 2, Scheme::Dapple).unwrap()).unwrap();
+        let (recv, op) = first_comm(&schedule, 0, CommDir::Recv);
+        let moved = schedule.lists[0].actions.remove(recv);
+        schedule.lists[0].actions.insert(0, moved);
+        let stall = deadlock_refused_by_every_engine(schedule);
+        let expected = Stall { device: DeviceId(0), action: 0, tag: op.tag, waits_on: DeviceId(1) };
+        assert_eq!(stall, expected);
+        assert_eq!(op.tag.payload, Payload::Gradient);
+        assert_eq!(
+            WorkerError::Deadlock(stall).to_string(),
+            format!(
+                "the schedule deadlocks: P0#0 waits for {} from P1, which never sends it",
+                op.tag
+            )
+        );
+
+        // Hanayo W = 2 at P = 4, B = 4 with device 1's first single receive
+        // from device 2 moved to the front of its list: device 0 then
+        // stalls in a batched cross-communication, waiting for the
+        // activation device 1 never produces.
+        let cfg = PipelineConfig::new(4, 4, Scheme::Hanayo { waves: 2 }).unwrap();
+        let mut schedule = build_schedule(&cfg).unwrap();
+        let from_2 =
+            |a: &Action| matches!(a, Action::Comm(op) if op.dir == CommDir::Recv && op.peer.0 == 2);
+        let recv = schedule.lists[1].actions.iter().position(from_2).unwrap();
+        let moved = schedule.lists[1].actions.remove(recv);
+        schedule.lists[1].actions.insert(0, moved);
+        let stall = deadlock_refused_by_every_engine(schedule.clone());
+        assert!(
+            matches!(
+                schedule.lists[stall.device.idx()].actions[stall.action],
+                Action::BatchedComm(_)
+            ),
+            "{stall} is not at a batch"
+        );
+        let tag = MsgTag { mb: MicroBatch(0), stage: StageId(7), payload: Payload::Activation };
+        assert_eq!(stall, Stall { device: DeviceId(0), action: 7, tag, waits_on: DeviceId(1) });
+
+        // The refused calls left the resident device threads usable.
+        let schedule = build_schedule(&cfg).unwrap();
+        let model = MicroModel { width: 4, total_blocks: 16, seed: 1 };
+        let trainer = TrainerConfig::new(schedule, model.build_stages(16), 0.05, LossKind::Mse);
+        let out = try_train(&trainer, &synthetic_data(1, 2, 4, 2, 4)).unwrap();
+        tx.send(out.losses.len()).unwrap();
+    });
+    match rx.recv_timeout(std::time::Duration::from_secs(60)) {
+        Ok(losses) => assert_eq!(losses, 2, "the next call trains both iterations"),
+        Err(e) => panic!("an engine hung or failed on a deadlocking schedule: {e}"),
+    }
 }

@@ -34,7 +34,7 @@ proptest! {
 
     /// Every generated schedule verifies: each op once on its device,
     /// chain order, every cross-device step carried by its message, one
-    /// flush per list, an acyclic happens-before DAG.
+    /// flush per list, a happens-before replay that runs to the end.
     #[test]
     fn any_shape_generates_a_valid_schedule(
         (p, scheme) in (2u32..=6).prop_flat_map(|p| (Just(p), scheme_strategy(p))),
