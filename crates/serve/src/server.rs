@@ -750,6 +750,22 @@ mod tests {
     }
 
     #[test]
+    fn a_zero_lookahead_simulate_is_a_bad_request() {
+        let shared = Arc::new(Shared::new("127.0.0.1:0".parse().expect("addr")));
+        let body = r#"{"model":"bert64","cluster":"fc","gpus":4,"scheme":"dapple","micro_batches":4,"micro_batch_size":1,"recompute":"None","prefetch":true,"recv_lookahead":0}"#;
+        let req = Request {
+            method: "POST".into(),
+            path: "/v1/simulate".into(),
+            headers: Vec::new(),
+            body: body.as_bytes().to_vec(),
+        };
+        let resp = route(&shared, &req);
+        let text = String::from_utf8(resp.body).expect("utf-8");
+        assert_eq!(resp.status, 400, "{text}");
+        assert!(text.contains("recv_lookahead must be at least 1"), "{text}");
+    }
+
+    #[test]
     fn a_dropped_finished_job_answers_like_an_unknown_one() {
         let shared = Shared::new("127.0.0.1:0".parse().expect("addr"));
         let get = |path: String| {

@@ -245,7 +245,9 @@ pub struct SweepCaches {
     /// function of the key.
     pub(crate) deadlocks: BoundedMap<SchedKey, bool>,
     /// Engine lowerings, additionally keyed by the `recv_lookahead`
-    /// [`compile_schedule`] bakes in. The `u32` is the
+    /// [`compile_schedule`] bakes in. The lookahead variants of one
+    /// schedule share one lowered `Program` and differ only in their
+    /// windows. The `u32` is the
     /// lowering's *content id*: lookahead variants of the same schedule
     /// whose prefetch scans saturated to identical windows
     /// ([`CompiledSchedule::same_lowering`]) share one id, which is what
@@ -354,24 +356,29 @@ impl SweepCaches {
     }
 
     /// The lowering for `(key, recv_lookahead)` plus its content id. A
-    /// fresh lowering is first compared against the other lookahead
-    /// variants of the *same* schedule: if the scans saturated to
-    /// identical windows it adopts their content id (ids are scoped per
-    /// [`SchedKey`] by every consumer, so ids from different schedules may
-    /// coincide freely).
+    /// fresh lowering reuses the `Program` of another lookahead variant of
+    /// the *same* schedule when one is cached (the program is a function
+    /// of the schedule alone), and is then compared against those
+    /// variants: if the scans saturated to identical windows it adopts
+    /// their content id (ids are scoped per [`SchedKey`] by every
+    /// consumer, so ids from different schedules may coincide freely).
     pub(crate) fn compiled_for(
         &self,
         key: SchedKey,
         schedule: &Schedule,
         sim: &SimOptions,
-    ) -> (Arc<CompiledSchedule>, u32) {
+    ) -> CompiledEntry {
         let full = (key, sim.recv_lookahead);
         if let Some(hit) = self.compiled.get(&full) {
             record_cache("compiled", true);
             return hit;
         }
         record_cache("compiled", false);
-        let built = Arc::new(compile_schedule(schedule, sim));
+        let sibling = self.compiled.scan(|(k, _), (other, _)| (*k == key).then(|| other.clone()));
+        let built = Arc::new(match sibling {
+            Some(other) => other.with_lookahead(sim.recv_lookahead),
+            None => compile_schedule(schedule, sim),
+        });
         let content = self
             .compiled
             .scan(|(k, _), (other, id)| (*k == key && other.same_lowering(&built)).then_some(*id))
@@ -487,6 +494,29 @@ mod tests {
         assert_ne!(a, b);
         assert_ne!(a2, a, "an evicted lowering's id must not be reissued");
         assert_ne!(a2, b);
+    }
+
+    #[test]
+    fn lookahead_variants_share_one_lowered_program() {
+        let c = SweepCaches::default();
+        let key = (Scheme::Hanayo { waves: 2 }, 4, 8);
+        let schedule = build_schedule(&PipelineConfig::new(4, 8, key.0).unwrap()).unwrap();
+        let lower = |recv_lookahead| {
+            c.compiled_for(key, &schedule, &SimOptions { recv_lookahead, ..Default::default() })
+        };
+        let ((one, one_id), (two, two_id)) = (lower(1), lower(2));
+        let program = |c: &CompiledSchedule| c.program().unwrap() as *const _;
+        assert_eq!(program(&one), program(&two), "one Program per schedule");
+        assert_eq!(
+            one.program().unwrap(),
+            &hanayo_core::program::Program::lower(&schedule).unwrap()
+        );
+        assert!(!one.same_lowering(&two) && one_id != two_id, "the windows still differ");
+        // A lookahead whose windows saturate to another's shares its id.
+        let (wide, wide_id) = lower(8);
+        let (wider, wider_id) = lower(9);
+        assert!(wide.same_lowering(&wider));
+        assert_eq!(wide_id, wider_id);
     }
 
     #[test]

@@ -30,7 +30,34 @@
 //! implementation over the action lists as the test oracle: the
 //! cross-engine tests here and in `tests/engine_equivalence.rs` pin the
 //! two bit-identical.
+//!
+//! ## Proving a lookahead variant equal to the lookahead-1 run
+//!
+//! A deeper `recv_lookahead` only posts some receives at an earlier
+//! compute start; it never posts one later, and the lookahead-1 windows
+//! are a prefix of every deeper one. A lookahead-1 run can therefore
+//! record enough (the `Record` in `proof.rs`: per key whether its send came
+//! first and whether it had arrived when its receiver reached it, per
+//! compute the step and time its window was posted, per link cursor the
+//! transfers in schedule order) to prove that a deeper lookahead returns
+//! the same report. Every key the deeper windows post earlier must be
+//! either
+//!
+//! * **(a) not early**: its receive was posted before its send, so the
+//!   transfer is still scheduled at the send, ready at the send time, in
+//!   both runs; or
+//! * **(b) early and arrived in time**: the transfer moves to the later
+//!   of its send and the earlier window, and a replay of its link
+//!   cursor in the new order shows it starting no later than before
+//!   while every other transfer on that cursor starts exactly as
+//!   before. An earlier arrival of a message its receiver had not yet
+//!   reached changes nothing the receiver does.
+//!
+//! Then every device event happens at the same time and in the same
+//! order in both runs. The tuner checks this after each lookahead-1 group
+//! run and simulates only the variants the check refuses.
 
+use crate::proof::Record;
 use crate::report::{SimReport, SimSpan};
 use hanayo_analyze::device_bytes;
 use hanayo_cluster::ClusterSpec;
@@ -41,6 +68,7 @@ use hanayo_trace::{Trace, TraceEvent, TraceKind};
 use serde::{Deserialize, Serialize};
 use std::collections::BinaryHeap;
 use std::fmt;
+use std::sync::Arc;
 
 /// Engine knobs.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -49,7 +77,8 @@ pub struct SimOptions {
     /// the paper's runtime; turn off to measure the ablation.
     pub prefetch: bool,
     /// How many upcoming receive groups to post at each compute start,
-    /// found within the next eight actions.
+    /// found within the next eight actions. At least 1: every entry
+    /// refuses 0 with [`SimError::ZeroLookahead`].
     pub recv_lookahead: usize,
     /// Lower the executed spans and transfers into a
     /// [`hanayo_trace::Trace`] (returned by [`try_simulate_traced`]). Off
@@ -261,15 +290,22 @@ enum DevState {
 /// rejects a mismatched reuse with [`SimError::StaleCompile`] rather than
 /// silently simulating the wrong prefetch plan. A schedule that does not
 /// lower compiles to its [`ProgramError`], which every simulation through
-/// it returns as [`SimError::Program`].
+/// it returns as [`SimError::Program`]. The [`Program`] itself does not
+/// depend on the lookahead, so the tuner lowers each schedule once and
+/// shares it between the lookahead variants' windows.
 pub struct CompiledSchedule {
-    program: Result<Program, ProgramError>,
+    program: Arc<Result<Program, ProgramError>>,
     /// Per device, per program counter: `prefetch_keys[start..end]` are
     /// the receive keys the §4.2 scanner would post at that counter. Only
     /// counters that can follow a compute are populated.
     prefetch: Vec<Vec<(u32, u32)>>,
     /// Flat storage for the prefetch windows, in exact scan order.
     prefetch_keys: Vec<u32>,
+    /// Per key, the op index on its receiver of the first compute whose
+    /// window posts it, or of its own `Recv`/`Batch` when no window does
+    /// (`u32::MAX` for a key nothing sends): where a prefetching run
+    /// first posts the receive.
+    first_post: Vec<u32>,
     recv_lookahead: usize,
 }
 
@@ -281,25 +317,41 @@ impl CompiledSchedule {
         self.recv_lookahead == opts.recv_lookahead
     }
 
-    /// True when the two lowerings are semantically identical: same opcode
-    /// lists and same prefetch windows. Lookaheads that differ can still
-    /// converge to the same windows (the §4.2 scan saturates once every
-    /// receive group inside the eight-action window is collected), and the
-    /// engine consumes nothing but this content — so two runs through
-    /// lowerings that compare equal here produce bit-identical reports for
-    /// any `SimOptions` each of them [`matches`](Self::matches). The tuner
-    /// uses this to collapse lookahead ablations that lowered to the same
-    /// plan into a single simulation.
+    /// True when two lowerings *of the same schedule* have the same
+    /// prefetch windows. Lookaheads that differ can still converge to the
+    /// same windows (the §4.2 scan saturates once every receive group
+    /// inside the eight-action window is collected), and the engine reads
+    /// nothing else of a lowering but the program, which the schedule
+    /// alone fixes — so two runs through lowerings that compare equal here
+    /// produce bit-identical reports for any `SimOptions` each of them
+    /// [`matches`](Self::matches). The tuner uses this to collapse
+    /// lookahead ablations that lowered to the same plan into a single
+    /// simulation.
     pub(crate) fn same_lowering(&self, other: &CompiledSchedule) -> bool {
-        self.program == other.program
-            && self.prefetch == other.prefetch
-            && self.prefetch_keys == other.prefetch_keys
+        self.prefetch == other.prefetch && self.prefetch_keys == other.prefetch_keys
+    }
+
+    /// This schedule's windows under another `recv_lookahead`, sharing
+    /// this lowering's [`Program`] instead of lowering the schedule again.
+    pub(crate) fn with_lookahead(&self, recv_lookahead: usize) -> CompiledSchedule {
+        lower_windows(self.program.clone(), recv_lookahead)
     }
 
     /// The lowered program the simulation runs, or why the schedule did
     /// not lower.
     pub fn program(&self) -> Result<&Program, &ProgramError> {
-        self.program.as_ref()
+        self.program.as_ref().as_ref()
+    }
+
+    /// Where a prefetching run first posts each key's receive; see the
+    /// field.
+    pub(crate) fn first_post(&self) -> &[u32] {
+        &self.first_post
+    }
+
+    /// The `recv_lookahead` these windows were scanned with.
+    pub(crate) fn recv_lookahead(&self) -> usize {
+        self.recv_lookahead
     }
 }
 
@@ -307,9 +359,20 @@ impl CompiledSchedule {
 /// Only `opts.recv_lookahead` is consumed here; see [`CompiledSchedule`]
 /// for the reuse contract.
 pub fn compile_schedule(schedule: &Schedule, opts: &SimOptions) -> CompiledSchedule {
-    let program = Program::lower(schedule);
-    let (mut prefetch, mut prefetch_keys) = (Vec::new(), Vec::new());
-    if let Ok(program) = &program {
+    lower_windows(Arc::new(Program::lower(schedule)), opts.recv_lookahead)
+}
+
+/// The §4.2 prefetch windows of `program` under `recv_lookahead`, and the
+/// first-post table they imply.
+fn lower_windows(
+    program: Arc<Result<Program, ProgramError>>,
+    recv_lookahead: usize,
+) -> CompiledSchedule {
+    let (mut prefetch, mut prefetch_keys, mut first_post) = (Vec::new(), Vec::new(), Vec::new());
+    if let Ok(program) = program.as_ref() {
+        first_post = (0..program.keys() as u32)
+            .map(|key| program.message(key).map_or(u32::MAX, |m| m.recv_at))
+            .collect();
         for ops in program.ops() {
             // Precompute the §4.2 scan for every program counter a compute can
             // leave behind (prefetch fires at `pc + 1` of a compute op),
@@ -329,16 +392,22 @@ pub fn compile_schedule(schedule: &Schedule, opts: &SimOptions) -> CompiledSched
                             .extend(program.members_of(op).iter().filter_map(Op::recv_key));
                         groups += 1;
                     }
-                    if groups >= opts.recv_lookahead {
+                    if groups >= recv_lookahead {
                         break;
                     }
                 }
                 *window = (start, prefetch_keys.len() as u32);
+                // Counters ascend, so the first window to post a key is
+                // its earliest; a window posts only ops after its compute.
+                for &key in &prefetch_keys[start as usize..] {
+                    let first = &mut first_post[key as usize];
+                    *first = (*first).min(i as u32 - 1);
+                }
             }
             prefetch.push(windows);
         }
     }
-    CompiledSchedule { program, prefetch, prefetch_keys, recv_lookahead: opts.recv_lookahead }
+    CompiledSchedule { program, prefetch, prefetch_keys, first_post, recv_lookahead }
 }
 
 struct Engine<'a> {
@@ -386,6 +455,9 @@ struct Engine<'a> {
     /// because the matching send had not arrived. A plain local add on
     /// the hot path; flushed to the metrics registry once per run.
     stalls: u64,
+    /// What a lookahead proof needs of this run (see the module docs);
+    /// `None` unless the caller asked for it.
+    record: Option<Record>,
 }
 
 impl<'a> Engine<'a> {
@@ -409,11 +481,9 @@ impl<'a> Engine<'a> {
         let ready = t_send.max(t_recv);
         let link = self.cluster.p2p(src, dst);
         let (na, nb) = (self.cluster.node[src], self.cluster.node[dst]);
-        let cursor = if na == nb {
-            &mut self.intra_free[src * self.p + dst]
-        } else {
-            &mut self.inter_free[na as usize * self.nodes + nb as usize]
-        };
+        let (intra, inter) = (src * self.p + dst, na as usize * self.nodes + nb as usize);
+        let cursor =
+            if na == nb { &mut self.intra_free[intra] } else { &mut self.inter_free[inter] };
         let free = cursor.max(ready);
         let occupancy = if link.bandwidth.is_finite() {
             self.cost.msg_bytes as f64 / link.bandwidth
@@ -422,6 +492,11 @@ impl<'a> Engine<'a> {
         };
         *cursor = free + occupancy;
         self.slot_flags[slot] |= SLOT_SCHED;
+        if let Some(record) = &mut self.record {
+            // One id space for both cursor tables: intra pairs first.
+            let link = if na == nb { intra } else { self.p * self.p + inter };
+            record.scheduled(key, link as u32, ready, free, occupancy);
+        }
         if self.opts.trace {
             // Lower the rendezvous transfer: the send occupies the link on
             // the source; the receive spans transfer start to arrival on
@@ -453,6 +528,11 @@ impl<'a> Engine<'a> {
         if self.slot_flags[slot] & SLOT_RECV == 0 {
             self.slot_flags[slot] |= SLOT_RECV;
             self.recv_time[slot] = now;
+            if let Some(record) = &mut self.record {
+                if self.slot_flags[slot] & SLOT_SEND != 0 {
+                    record.early(key);
+                }
+            }
         }
         self.try_schedule(key);
     }
@@ -462,8 +542,21 @@ impl<'a> Engine<'a> {
         if self.slot_flags[slot] & SLOT_SEND == 0 {
             self.slot_flags[slot] |= SLOT_SEND;
             self.send_time[slot] = now;
+            if let Some(record) = &mut self.record {
+                record.send_posted(key, now);
+            }
         }
         self.try_schedule(key);
+    }
+
+    /// Record whether each receive of the op at `d`'s counter had arrived
+    /// when `d` reached it.
+    fn record_reached(&mut self, d: usize) {
+        let Some(record) = &mut self.record else { return };
+        let op = &self.program.ops()[d][self.pc[d]];
+        for key in self.program.members_of(op).iter().filter_map(Op::recv_key) {
+            record.reached(key, self.slot_flags[key as usize] & SLOT_ARRIVED != 0);
+        }
     }
 
     /// Begin a forward/backward on device `d`; the device stays busy until
@@ -483,6 +576,9 @@ impl<'a> Engine<'a> {
             for i in start..end {
                 let key = self.compiled.prefetch_keys[i as usize];
                 self.post_recv(key, now);
+            }
+            if let Some(record) = &mut self.record {
+                record.window_posted(d, self.pc[d] - 1, now);
             }
         }
         self.push_event(
@@ -522,6 +618,7 @@ impl<'a> Engine<'a> {
                 }
                 Op::Recv { key } => {
                     self.post_recv(key, now);
+                    self.record_reached(d);
                     if self.slot_flags[key as usize] & SLOT_ARRIVED != 0 {
                         self.pc[d] += 1;
                     } else {
@@ -539,6 +636,7 @@ impl<'a> Engine<'a> {
                             _ => {}
                         }
                     }
+                    self.record_reached(d);
                     if self.unarrived(start, end).is_none() {
                         self.pc[d] += 1;
                     } else {
@@ -663,6 +761,10 @@ pub enum SimError {
     /// outside its key space, or a message is not one send paired with one
     /// receive. The analyzer and the runtime refuse it with the same error.
     Program(ProgramError),
+    /// `SimOptions::recv_lookahead` was 0. A zero depth would post a
+    /// window only where a receive directly follows the compute: neither
+    /// prefetching off nor a lookahead of 1, so it is refused.
+    ZeroLookahead,
 }
 
 impl fmt::Display for SimError {
@@ -684,6 +786,10 @@ impl fmt::Display for SimError {
                 )
             }
             SimError::Program(e) => write!(f, "schedule does not lower: {e}"),
+            SimError::ZeroLookahead => write!(
+                f,
+                "recv_lookahead must be at least 1 (set prefetch to false to post no receive early)"
+            ),
         }
     }
 }
@@ -712,9 +818,19 @@ pub fn try_simulate_traced(
     cluster: &ClusterSpec,
     opts: SimOptions,
 ) -> Result<(SimReport, Option<Trace>), SimError> {
+    check_options(&opts)?;
     check_shapes(schedule, cost, cluster)?;
     validate_numerics(cost, cluster)?;
-    run_compiled(&compile_schedule(schedule, &opts), schedule, cost, cluster, opts, true)
+    let (report, trace, _) = run_compiled(
+        &compile_schedule(schedule, &opts),
+        schedule,
+        cost,
+        cluster,
+        opts,
+        true,
+        false,
+    )?;
+    Ok((report, trace))
 }
 
 /// [`try_simulate_traced`] against a pre-lowered schedule, without a
@@ -732,7 +848,7 @@ pub fn try_simulate_compiled(
     opts: SimOptions,
 ) -> Result<SimReport, SimError> {
     check_compiled(compiled, schedule, cost, cluster, &opts)?;
-    run_compiled(compiled, schedule, cost, cluster, opts, true).map(|(report, _)| report)
+    run_compiled(compiled, schedule, cost, cluster, opts, true, false).map(|(report, ..)| report)
 }
 
 /// [`try_simulate_compiled`] for callers that read only the report's
@@ -750,7 +866,23 @@ pub(crate) fn try_simulate_scalars(
 ) -> Result<SimReport, SimError> {
     check_compiled(compiled, schedule, cost, cluster, &opts)?;
     let opts = SimOptions { trace: false, ..opts };
-    run_compiled(compiled, schedule, cost, cluster, opts, false).map(|(report, _)| report)
+    run_compiled(compiled, schedule, cost, cluster, opts, false, false).map(|(report, ..)| report)
+}
+
+/// [`try_simulate_scalars`] plus the [`Record`] a lookahead proof reads
+/// (see the module docs); a prefetch-off run records nothing, so its
+/// record proves nothing. Recording never changes the report.
+pub(crate) fn try_simulate_recorded(
+    compiled: &CompiledSchedule,
+    schedule: &Schedule,
+    cost: &CostTable,
+    cluster: &ClusterSpec,
+    opts: SimOptions,
+) -> Result<(SimReport, Record), SimError> {
+    check_compiled(compiled, schedule, cost, cluster, &opts)?;
+    let opts = SimOptions { trace: false, ..opts };
+    let (report, _, record) = run_compiled(compiled, schedule, cost, cluster, opts, false, true)?;
+    Ok((report, record.unwrap_or_default()))
 }
 
 /// The input checks of every pre-lowered run: `compiled` was lowered from
@@ -762,8 +894,8 @@ fn check_compiled(
     cluster: &ClusterSpec,
     opts: &SimOptions,
 ) -> Result<(), SimError> {
-    let other_schedule =
-        compiled.program.as_ref().is_ok_and(|p| p.ops().len() != schedule.lists.len());
+    check_options(opts)?;
+    let other_schedule = compiled.program().is_ok_and(|p| p.ops().len() != schedule.lists.len());
     if !compiled.matches(opts) || other_schedule {
         return Err(SimError::StaleCompile {
             compiled: compiled.recv_lookahead,
@@ -772,6 +904,13 @@ fn check_compiled(
     }
     check_shapes(schedule, cost, cluster)?;
     validate_numerics(cost, cluster)?;
+    Ok(())
+}
+
+fn check_options(opts: &SimOptions) -> Result<(), SimError> {
+    if opts.recv_lookahead == 0 {
+        return Err(SimError::ZeroLookahead);
+    }
     Ok(())
 }
 
@@ -794,7 +933,7 @@ fn check_shapes(
 }
 
 /// Event-loop body shared by every entry; `record_spans` is off only for
-/// [`try_simulate_scalars`].
+/// the span-free runs, `record` on only for [`try_simulate_recorded`].
 fn run_compiled(
     compiled: &CompiledSchedule,
     schedule: &Schedule,
@@ -802,12 +941,13 @@ fn run_compiled(
     cluster: &ClusterSpec,
     opts: SimOptions,
     record_spans: bool,
-) -> Result<(SimReport, Option<Trace>), SimError> {
+    record: bool,
+) -> Result<(SimReport, Option<Trace>, Option<Record>), SimError> {
     let p = schedule.lists.len();
     let weight_mem = device_bytes(&schedule.stage_map, &cost.weight_bytes);
     let grad_mem = device_bytes(&schedule.stage_map, &cost.grad_bytes);
     let nodes = cluster.node.iter().copied().max().unwrap_or(0) as usize + 1;
-    let program = compiled.program.as_ref().map_err(|e| SimError::Program(*e))?;
+    let program = compiled.program().map_err(|e| SimError::Program(*e))?;
     let slots = program.keys();
 
     let mut eng = Engine {
@@ -837,6 +977,8 @@ fn run_compiled(
         peak_mem: weight_mem.clone(),
         trace_events: Vec::new(),
         stalls: 0,
+        // Windows are what a proof reads; a run without them records nothing.
+        record: (record && opts.prefetch).then(|| Record::new(program)),
     };
 
     for d in 0..p {
@@ -883,7 +1025,7 @@ fn run_compiled(
         grad_mem,
         spans: eng.spans,
     };
-    Ok((report, trace))
+    Ok((report, trace, eng.record))
 }
 
 #[cfg(test)]
@@ -935,6 +1077,24 @@ mod tests {
             try_simulate_compiled(&compiled, &schedule, &cost, &cluster, stale),
             Err(SimError::StaleCompile { .. })
         ));
+    }
+
+    #[test]
+    fn every_entry_refuses_a_zero_lookahead() {
+        let cfg = PipelineConfig::new(4, 4, Scheme::Dapple).unwrap();
+        let schedule = build_schedule(&cfg).unwrap();
+        let cost = CostTable::build(&ModelConfig::bert64(), cfg.stages(), 1);
+        let cluster = fc_full_nvlink(4);
+        for prefetch in [true, false] {
+            let zero = SimOptions { prefetch, recv_lookahead: 0, ..Default::default() };
+            let compiled = compile_schedule(&schedule, &zero);
+            let refused = Err(SimError::ZeroLookahead);
+            assert_eq!(try_simulate_traced(&schedule, &cost, &cluster, zero).map(|r| r.0), refused);
+            assert_eq!(try_simulate_compiled(&compiled, &schedule, &cost, &cluster, zero), refused);
+            assert_eq!(try_simulate_scalars(&compiled, &schedule, &cost, &cluster, zero), refused);
+            let recorded = try_simulate_recorded(&compiled, &schedule, &cost, &cluster, zero);
+            assert_eq!(recorded.map(|r| r.0), refused);
+        }
     }
 
     #[test]

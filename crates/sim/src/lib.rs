@@ -33,6 +33,7 @@
 mod cache;
 pub mod engine;
 pub mod plan;
+mod proof;
 pub mod reference;
 pub mod report;
 pub mod search;

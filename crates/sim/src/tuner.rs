@@ -51,9 +51,28 @@
 //! included (a test pins this), except that the simulations run
 //! span-free: a ranking reads scalars, so every `group_report.spans` in a
 //! [`Tuning`] is empty.
+//!
+//! ## Lookahead variants proven, not simulated
+//!
+//! A wide sweep evaluates every plan under receive lookaheads 1, 2 and 4,
+//! and a deeper lookahead almost never changes a report: it only posts
+//! some receives at an earlier compute, and a receive posted earlier
+//! changes nothing when (a) its send came later anyway, or (b) its
+//! message had arrived before the receiver needed it and moving its
+//! transfer on the link delays no other transfer (the argument is in
+//! [`crate::engine`]'s module docs). So each lookahead-1 group run that
+//! misses the report memo records what that argument needs, and right
+//! after it, in the same shape task, the record is checked against each
+//! deeper variant's windows. A proven variant's memo entry is the
+//! lookahead-1 report; a refused one is simulated when its candidate
+//! comes up. The record is dropped after the check. Either way the
+//! report is the one the simulation returns, so the output is unchanged;
+//! `hanayo_tuner_lookahead_proofs_total` counts the checks by outcome.
 
 use crate::cache::{report_key, CostKey, SchedKey, SweepCaches};
-use crate::engine::{try_simulate_scalars, validate_numerics, SimOptions};
+use crate::engine::{
+    try_simulate_recorded, try_simulate_scalars, validate_numerics, SimError, SimOptions,
+};
 use crate::plan::{
     resolve_plan, simulate_plan, Method, ParallelPlan, PlanError, PlanResult, Resolved,
 };
@@ -431,12 +450,16 @@ fn static_verdict(
 
 /// One plan through the sweep's single path: the static pre-pass, then —
 /// unless it proved an OOM — the simulation, through the sweep's cached
-/// lowering and group reports.
+/// lowering and group reports. Each group run that misses the memo also
+/// tries to prove the `deeper` lookahead variants equal to it (see the
+/// module docs); `deeper` is empty unless `sim` is the lookahead-1 run of
+/// a sweep that has them.
 fn evaluate(
     model: &ModelConfig,
     cluster: &ClusterSpec,
     plan: &ParallelPlan,
     sim: SimOptions,
+    deeper: &[SimOptions],
     caches: &SweepCaches,
 ) -> Result<Outcome, PlanError> {
     match static_verdict(model, cluster, plan, sim, caches)? {
@@ -444,19 +467,52 @@ fn evaluate(
         StaticVerdict::Simulate { resolved, schedule_key, cost_key, schedule, cost } => {
             let (compiled, content_id) = caches.compiled_for(schedule_key, &schedule, &sim);
             let result = simulate_plan(plan, cluster, resolved, |sub| {
-                let key = report_key(
-                    schedule_key,
-                    cost_key,
-                    &sim,
-                    content_id,
-                    caches.sub_cluster_id(sub),
-                );
+                let sub_cluster = caches.sub_cluster_id(sub);
+                let key = report_key(schedule_key, cost_key, &sim, content_id, sub_cluster);
                 caches.group_report(key, || {
-                    try_simulate_scalars(&compiled, &schedule, &cost, sub, sim)
+                    // The deeper variants whose report is still unknown,
+                    // once per distinct window content.
+                    let mut targets = Vec::new();
+                    for opts in deeper {
+                        let (lowering, id) = caches.compiled_for(schedule_key, &schedule, opts);
+                        let target = report_key(schedule_key, cost_key, opts, id, sub_cluster);
+                        if target != key
+                            && targets.iter().all(|(other, _)| *other != target)
+                            && caches.reports.get(&target).is_none()
+                        {
+                            targets.push((target, lowering));
+                        }
+                    }
+                    if targets.is_empty() {
+                        return try_simulate_scalars(&compiled, &schedule, &cost, sub, sim);
+                    }
+                    let (report, record) =
+                        try_simulate_recorded(&compiled, &schedule, &cost, sub, sim)?;
+                    for (target, lowering) in targets {
+                        let proven = record.proves(&compiled, &lowering);
+                        record_proof(proven);
+                        if proven {
+                            caches.reports.insert_if_absent(target, report.clone());
+                        }
+                    }
+                    Ok::<_, SimError>(report)
                 })
             })?;
             Ok(Outcome::Simulated(result))
         }
+    }
+}
+
+/// Count one lookahead check by its outcome: `proven` (the variant reuses
+/// the lookahead-1 report) or `simulated` (it will run).
+fn record_proof(proven: bool) {
+    if hanayo_metrics::enabled() {
+        let outcome = if proven { "proven" } else { "simulated" };
+        hanayo_metrics::counter_add(
+            "hanayo_tuner_lookahead_proofs_total",
+            &[("outcome", outcome)],
+            1,
+        );
     }
 }
 
@@ -522,11 +578,14 @@ fn evaluate_candidate(
     model: &ModelConfig,
     cluster: &ClusterSpec,
     caches: &SweepCaches,
+    deeper: &[SimOptions],
     (plan, sim, shape_reason): &(ParallelPlan, SimOptions, Option<String>),
 ) -> (ParallelPlan, SimOptions, Outcome) {
+    // Only the lookahead-1 run proves the deeper variants.
+    let deeper = if *sim == SimOptions::default() { deeper } else { &[] };
     let outcome = match shape_reason {
         Some(reason) => Outcome::Shape(reason.clone()),
-        None => evaluate(model, cluster, plan, *sim, caches)
+        None => evaluate(model, cluster, plan, *sim, deeper, caches)
             .unwrap_or_else(|e| Outcome::Shape(e.to_string())),
     };
     record_candidate(&outcome);
@@ -652,6 +711,12 @@ fn tune_impl(
     // tests and CI see exactly the non-interactive path.
     let progress = hanayo_metrics::Progress::new("sweep", space.len() as u64);
     let tasks = shape_tasks(&space);
+    // The prefetching variants a lookahead-1 run may prove (wide only).
+    let deeper: Vec<SimOptions> = opts
+        .sim_variants()
+        .into_iter()
+        .filter(|v| v.prefetch && v.recv_lookahead > SimOptions::default().recv_lookahead)
+        .collect();
     let run = |task: &Range<usize>| {
         if ctx.abort.as_ref().is_some_and(|a| a.is_tripped()) {
             return None;
@@ -659,7 +724,7 @@ fn tune_impl(
         let outcomes: Vec<_> = space[task.clone()]
             .iter()
             .map(|cand| {
-                let out = evaluate_candidate(model, cluster, caches, cand);
+                let out = evaluate_candidate(model, cluster, caches, &deeper, cand);
                 progress.tick();
                 out
             })
