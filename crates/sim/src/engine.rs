@@ -57,7 +57,7 @@
 //! order in both runs. The tuner checks this after each lookahead-1 group
 //! run and simulates only the variants the check refuses.
 
-use crate::proof::Record;
+use crate::proof::{Record, Recorder};
 use crate::report::{SimReport, SimSpan};
 use hanayo_analyze::device_bytes;
 use hanayo_cluster::ClusterSpec;
@@ -68,7 +68,7 @@ use hanayo_trace::{Trace, TraceEvent, TraceKind};
 use serde::{Deserialize, Serialize};
 use std::collections::BinaryHeap;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Engine knobs.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -301,11 +301,8 @@ pub struct CompiledSchedule {
     prefetch: Vec<Vec<(u32, u32)>>,
     /// Flat storage for the prefetch windows, in exact scan order.
     prefetch_keys: Vec<u32>,
-    /// Per key, the op index on its receiver of the first compute whose
-    /// window posts it, or of its own `Recv`/`Batch` when no window does
-    /// (`u32::MAX` for a key nothing sends): where a prefetching run
-    /// first posts the receive.
-    first_post: Vec<u32>,
+    /// See [`first_post`](Self::first_post); built on first use.
+    first_post: OnceLock<Vec<u32>>,
     recv_lookahead: usize,
 }
 
@@ -343,10 +340,29 @@ impl CompiledSchedule {
         self.program.as_ref().as_ref()
     }
 
-    /// Where a prefetching run first posts each key's receive; see the
-    /// field.
+    /// Per key, the op index on its receiver of the first compute whose
+    /// window posts it, or of its own `Recv`/`Batch` when no window does
+    /// (`u32::MAX` for a key nothing sends): where a prefetching run
+    /// first posts the receive. Only a lookahead proof reads it, so it is
+    /// built on the first read and kept with the lowering.
     pub(crate) fn first_post(&self) -> &[u32] {
-        &self.first_post
+        self.first_post.get_or_init(|| {
+            let Ok(program) = self.program() else { return Vec::new() };
+            let mut first: Vec<u32> = (0..program.keys() as u32)
+                .map(|key| program.message(key).map_or(u32::MAX, |m| m.recv_at))
+                .collect();
+            // The window at counter `i` follows the compute at `i - 1` and
+            // posts only ops after it.
+            for windows in &self.prefetch {
+                for (i, &(start, end)) in windows.iter().enumerate() {
+                    for &key in &self.prefetch_keys[start as usize..end as usize] {
+                        let at = &mut first[key as usize];
+                        *at = (*at).min(i as u32 - 1);
+                    }
+                }
+            }
+            first
+        })
     }
 
     /// The `recv_lookahead` these windows were scanned with.
@@ -362,17 +378,13 @@ pub fn compile_schedule(schedule: &Schedule, opts: &SimOptions) -> CompiledSched
     lower_windows(Arc::new(Program::lower(schedule)), opts.recv_lookahead)
 }
 
-/// The §4.2 prefetch windows of `program` under `recv_lookahead`, and the
-/// first-post table they imply.
+/// The §4.2 prefetch windows of `program` under `recv_lookahead`.
 fn lower_windows(
     program: Arc<Result<Program, ProgramError>>,
     recv_lookahead: usize,
 ) -> CompiledSchedule {
-    let (mut prefetch, mut prefetch_keys, mut first_post) = (Vec::new(), Vec::new(), Vec::new());
+    let (mut prefetch, mut prefetch_keys) = (Vec::new(), Vec::new());
     if let Ok(program) = program.as_ref() {
-        first_post = (0..program.keys() as u32)
-            .map(|key| program.message(key).map_or(u32::MAX, |m| m.recv_at))
-            .collect();
         for ops in program.ops() {
             // Precompute the §4.2 scan for every program counter a compute can
             // leave behind (prefetch fires at `pc + 1` of a compute op),
@@ -397,20 +409,20 @@ fn lower_windows(
                     }
                 }
                 *window = (start, prefetch_keys.len() as u32);
-                // Counters ascend, so the first window to post a key is
-                // its earliest; a window posts only ops after its compute.
-                for &key in &prefetch_keys[start as usize..] {
-                    let first = &mut first_post[key as usize];
-                    *first = (*first).min(i as u32 - 1);
-                }
             }
             prefetch.push(windows);
         }
     }
-    CompiledSchedule { program, prefetch, prefetch_keys, first_post, recv_lookahead }
+    CompiledSchedule {
+        program,
+        prefetch,
+        prefetch_keys,
+        first_post: OnceLock::new(),
+        recv_lookahead,
+    }
 }
 
-struct Engine<'a> {
+struct Engine<'a, R> {
     compiled: &'a CompiledSchedule,
     program: &'a Program,
     cost: &'a CostTable,
@@ -455,12 +467,13 @@ struct Engine<'a> {
     /// because the matching send had not arrived. A plain local add on
     /// the hot path; flushed to the metrics registry once per run.
     stalls: u64,
-    /// What a lookahead proof needs of this run (see the module docs);
-    /// `None` unless the caller asked for it.
-    record: Option<Record>,
+    /// What a lookahead proof needs of this run (see the module docs):
+    /// a [`Record`] for [`try_simulate_recorded`], `()` for every other
+    /// run, whose hooks compile to nothing.
+    record: R,
 }
 
-impl<'a> Engine<'a> {
+impl<'a, R: Recorder> Engine<'a, R> {
     fn push_event(&mut self, t: f64, ev: Ev) {
         self.events.push(HeapEv { t: Tm(t), seq: self.seq, ev });
         self.seq += 1;
@@ -492,10 +505,10 @@ impl<'a> Engine<'a> {
         };
         *cursor = free + occupancy;
         self.slot_flags[slot] |= SLOT_SCHED;
-        if let Some(record) = &mut self.record {
+        if R::ON {
             // One id space for both cursor tables: intra pairs first.
             let link = if na == nb { intra } else { self.p * self.p + inter };
-            record.scheduled(key, link as u32, ready, free, occupancy);
+            self.record.scheduled(key, link as u32, ready, free, occupancy);
         }
         if self.opts.trace {
             // Lower the rendezvous transfer: the send occupies the link on
@@ -528,10 +541,8 @@ impl<'a> Engine<'a> {
         if self.slot_flags[slot] & SLOT_RECV == 0 {
             self.slot_flags[slot] |= SLOT_RECV;
             self.recv_time[slot] = now;
-            if let Some(record) = &mut self.record {
-                if self.slot_flags[slot] & SLOT_SEND != 0 {
-                    record.early(key);
-                }
+            if R::ON && self.slot_flags[slot] & SLOT_SEND != 0 {
+                self.record.early(key);
             }
         }
         self.try_schedule(key);
@@ -542,8 +553,8 @@ impl<'a> Engine<'a> {
         if self.slot_flags[slot] & SLOT_SEND == 0 {
             self.slot_flags[slot] |= SLOT_SEND;
             self.send_time[slot] = now;
-            if let Some(record) = &mut self.record {
-                record.send_posted(key, now);
+            if R::ON {
+                self.record.send_posted(key, now);
             }
         }
         self.try_schedule(key);
@@ -552,10 +563,12 @@ impl<'a> Engine<'a> {
     /// Record whether each receive of the op at `d`'s counter had arrived
     /// when `d` reached it.
     fn record_reached(&mut self, d: usize) {
-        let Some(record) = &mut self.record else { return };
+        if !R::ON {
+            return;
+        }
         let op = &self.program.ops()[d][self.pc[d]];
         for key in self.program.members_of(op).iter().filter_map(Op::recv_key) {
-            record.reached(key, self.slot_flags[key as usize] & SLOT_ARRIVED != 0);
+            self.record.reached(key, self.slot_flags[key as usize] & SLOT_ARRIVED != 0);
         }
     }
 
@@ -577,8 +590,8 @@ impl<'a> Engine<'a> {
                 let key = self.compiled.prefetch_keys[i as usize];
                 self.post_recv(key, now);
             }
-            if let Some(record) = &mut self.record {
-                record.window_posted(d, self.pc[d] - 1, now);
+            if R::ON {
+                self.record.window_posted(d, self.pc[d] - 1, now);
             }
         }
         self.push_event(
@@ -821,15 +834,8 @@ pub fn try_simulate_traced(
     check_options(&opts)?;
     check_shapes(schedule, cost, cluster)?;
     validate_numerics(cost, cluster)?;
-    let (report, trace, _) = run_compiled(
-        &compile_schedule(schedule, &opts),
-        schedule,
-        cost,
-        cluster,
-        opts,
-        true,
-        false,
-    )?;
+    let compiled = compile_schedule(schedule, &opts);
+    let (report, trace, ()) = run_compiled(&compiled, schedule, cost, cluster, opts, true, |_| ())?;
     Ok((report, trace))
 }
 
@@ -848,7 +854,7 @@ pub fn try_simulate_compiled(
     opts: SimOptions,
 ) -> Result<SimReport, SimError> {
     check_compiled(compiled, schedule, cost, cluster, &opts)?;
-    run_compiled(compiled, schedule, cost, cluster, opts, true, false).map(|(report, ..)| report)
+    run_compiled(compiled, schedule, cost, cluster, opts, true, |_| ()).map(|(report, ..)| report)
 }
 
 /// [`try_simulate_compiled`] for callers that read only the report's
@@ -866,7 +872,7 @@ pub(crate) fn try_simulate_scalars(
 ) -> Result<SimReport, SimError> {
     check_compiled(compiled, schedule, cost, cluster, &opts)?;
     let opts = SimOptions { trace: false, ..opts };
-    run_compiled(compiled, schedule, cost, cluster, opts, false, false).map(|(report, ..)| report)
+    run_compiled(compiled, schedule, cost, cluster, opts, false, |_| ()).map(|(report, ..)| report)
 }
 
 /// [`try_simulate_scalars`] plus the [`Record`] a lookahead proof reads
@@ -879,10 +885,17 @@ pub(crate) fn try_simulate_recorded(
     cluster: &ClusterSpec,
     opts: SimOptions,
 ) -> Result<(SimReport, Record), SimError> {
+    if !opts.prefetch {
+        // Windows are what a proof reads; a run without them records
+        // nothing.
+        let report = try_simulate_scalars(compiled, schedule, cost, cluster, opts)?;
+        return Ok((report, Record::default()));
+    }
     check_compiled(compiled, schedule, cost, cluster, &opts)?;
     let opts = SimOptions { trace: false, ..opts };
-    let (report, _, record) = run_compiled(compiled, schedule, cost, cluster, opts, false, true)?;
-    Ok((report, record.unwrap_or_default()))
+    let (report, _, record) =
+        run_compiled(compiled, schedule, cost, cluster, opts, false, Record::new)?;
+    Ok((report, record))
 }
 
 /// The input checks of every pre-lowered run: `compiled` was lowered from
@@ -933,16 +946,17 @@ fn check_shapes(
 }
 
 /// Event-loop body shared by every entry; `record_spans` is off only for
-/// the span-free runs, `record` on only for [`try_simulate_recorded`].
-fn run_compiled(
+/// the span-free runs, and `recorder` builds a [`Record`] only for
+/// [`try_simulate_recorded`] (`()`, which records nothing, otherwise).
+fn run_compiled<R: Recorder>(
     compiled: &CompiledSchedule,
     schedule: &Schedule,
     cost: &CostTable,
     cluster: &ClusterSpec,
     opts: SimOptions,
     record_spans: bool,
-    record: bool,
-) -> Result<(SimReport, Option<Trace>, Option<Record>), SimError> {
+    recorder: impl FnOnce(&Program) -> R,
+) -> Result<(SimReport, Option<Trace>, R), SimError> {
     let p = schedule.lists.len();
     let weight_mem = device_bytes(&schedule.stage_map, &cost.weight_bytes);
     let grad_mem = device_bytes(&schedule.stage_map, &cost.grad_bytes);
@@ -977,8 +991,7 @@ fn run_compiled(
         peak_mem: weight_mem.clone(),
         trace_events: Vec::new(),
         stalls: 0,
-        // Windows are what a proof reads; a run without them records nothing.
-        record: (record && opts.prefetch).then(|| Record::new(program)),
+        record: recorder(program),
     };
 
     for d in 0..p {
@@ -1077,6 +1090,27 @@ mod tests {
             try_simulate_compiled(&compiled, &schedule, &cost, &cluster, stale),
             Err(SimError::StaleCompile { .. })
         ));
+    }
+
+    #[test]
+    fn only_a_proof_builds_the_first_post_table() {
+        let cfg = PipelineConfig::new(4, 8, Scheme::Hanayo { waves: 2 }).unwrap();
+        let schedule = build_schedule(&cfg).unwrap();
+        let cost = CostTable::build(&ModelConfig::bert64(), cfg.stages(), 1);
+        let cluster = fc_full_nvlink(4);
+        let opts = SimOptions::default();
+        let compiled = compile_schedule(&schedule, &opts);
+        let deeper = compiled.with_lookahead(2);
+        try_simulate_compiled(&compiled, &schedule, &cost, &cluster, opts).unwrap();
+        try_simulate_scalars(&compiled, &schedule, &cost, &cluster, opts).unwrap();
+        let (_, record) =
+            try_simulate_recorded(&compiled, &schedule, &cost, &cluster, opts).unwrap();
+        let built = |c: &CompiledSchedule| c.first_post.get().is_some();
+        assert!(!built(&compiled) && !built(&deeper), "no run reads the table");
+        assert!(record.proves(&compiled, &deeper));
+        assert!(built(&compiled) && built(&deeper), "the proof builds it once, kept");
+        // Hanayo W=2 on 4 GPUs: lookahead 2 posts some receive earlier.
+        assert!(deeper.first_post().iter().zip(compiled.first_post()).any(|(d, s)| d < s));
     }
 
     #[test]

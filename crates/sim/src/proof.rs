@@ -43,6 +43,62 @@ struct Transfer {
     occupancy: f64,
 }
 
+/// The engine's recording hooks. The engine is generic over its recorder,
+/// and every hook sits behind [`ON`](Self::ON), so a run with `()` (every
+/// run but a lookahead proof's) compiles them all away.
+pub(crate) trait Recorder {
+    /// False for a recorder whose hooks do nothing.
+    const ON: bool;
+
+    /// The send of `key` was posted at `now`.
+    fn send_posted(&mut self, _key: u32, _now: f64) {}
+
+    /// The receive of `key` was posted after its send.
+    fn early(&mut self, _key: u32) {}
+
+    /// The receiver reached the op waiting for `key`.
+    fn reached(&mut self, _key: u32, _arrived: bool) {}
+
+    /// The compute at `op` on `device`, started at `now`, has posted its
+    /// prefetch window.
+    fn window_posted(&mut self, _device: usize, _op: usize, _now: f64) {}
+
+    /// The transfer of `key` was scheduled on cursor `link`.
+    fn scheduled(&mut self, _key: u32, _link: u32, _ready: f64, _start: f64, _occupancy: f64) {}
+}
+
+impl Recorder for () {
+    const ON: bool = false;
+}
+
+impl Recorder for Record {
+    const ON: bool = true;
+
+    fn send_posted(&mut self, key: u32, now: f64) {
+        let step = self.bump();
+        let record = &mut self.keys[key as usize];
+        (record.send_step, record.send_time) = (step, now);
+    }
+
+    fn early(&mut self, key: u32) {
+        self.keys[key as usize].early = true;
+    }
+
+    fn reached(&mut self, key: u32, arrived: bool) {
+        self.keys[key as usize].arrived = arrived;
+    }
+
+    fn window_posted(&mut self, device: usize, op: usize, now: f64) {
+        let step = self.bump();
+        self.windows[self.offsets[device] + op] = (step, now);
+    }
+
+    fn scheduled(&mut self, key: u32, link: u32, ready: f64, start: f64, occupancy: f64) {
+        let step = self.bump();
+        self.transfers.push(Transfer { key, link, step, ready, start, occupancy });
+    }
+}
+
 /// What a prefetching run records for [`Record::proves`]; see the module
 /// docs.
 #[derive(Debug, Default)]
@@ -77,41 +133,6 @@ impl Record {
     fn bump(&mut self) -> u64 {
         self.step += 1;
         self.step
-    }
-
-    pub(crate) fn send_posted(&mut self, key: u32, now: f64) {
-        let step = self.bump();
-        let record = &mut self.keys[key as usize];
-        (record.send_step, record.send_time) = (step, now);
-    }
-
-    /// The receive of `key` was posted after its send.
-    pub(crate) fn early(&mut self, key: u32) {
-        self.keys[key as usize].early = true;
-    }
-
-    /// The receiver reached the op waiting for `key`.
-    pub(crate) fn reached(&mut self, key: u32, arrived: bool) {
-        self.keys[key as usize].arrived = arrived;
-    }
-
-    /// The compute at `op` on `device`, started at `now`, has posted its
-    /// prefetch window.
-    pub(crate) fn window_posted(&mut self, device: usize, op: usize, now: f64) {
-        let step = self.bump();
-        self.windows[self.offsets[device] + op] = (step, now);
-    }
-
-    pub(crate) fn scheduled(
-        &mut self,
-        key: u32,
-        link: u32,
-        ready: f64,
-        start: f64,
-        occupancy: f64,
-    ) {
-        let step = self.bump();
-        self.transfers.push(Transfer { key, link, step, ready, start, occupancy });
     }
 
     /// True when simulating through `deeper` would return the report of
