@@ -80,7 +80,7 @@ pub struct AnalysisReport {
 /// happens-before replay ([`Program::replay`]) leaves no device waiting.
 /// It does not check that the schedule computes what its chains say — a
 /// schedule with every send and receive stripped passes; [`verify`] is the
-/// validity check. The cheap core of the tuner's static pre-pass.
+/// validity check.
 pub fn check_deadlock_free(schedule: &Schedule) -> Result<(), AnalysisError> {
     Ok(Program::lower(schedule)?.check_deadlock()?)
 }

@@ -1,13 +1,23 @@
 //! The README's metric catalogue names exactly the series the library
-//! emits, run by `cargo test`.
+//! emits, and its structured-logging paragraph exactly the `HANAYO_LOG`
+//! targets the library logs under; run by `cargo test`.
 //!
-//! Emitted names are the `"hanayo_..."` string literals in the non-test
-//! sources of every crate (each `.rs` file under `crates/*/src` above its
-//! first column-0 `#[cfg(test)]`, comment lines skipped). Scheme names
-//! (`hanayo_w`, `hanayo_w2`, ...) share the prefix and are not metrics.
-//! Catalogued names are the backticked `hanayo_...` names in the rows of
-//! the README table under `**Metric catalogue.**`. Each set must hold the
-//! other: a new series needs a row, and a row needs a series.
+//! Both read the non-test sources of every crate: each `.rs` file under
+//! `crates/*/src` above its first column-0 `#[cfg(test)]`, comment lines
+//! skipped.
+//!
+//! Emitted names are the `"hanayo_..."` string literals there. Scheme
+//! names (`hanayo_w`, `hanayo_w2`, ...) share the prefix and are not
+//! metrics. Catalogued names are the backticked `hanayo_...` names in the
+//! rows of the README table under `**Metric catalogue.**`.
+//!
+//! Logged targets are the target literals of the `log::event(` and
+//! `log_enabled(` calls there. Listed targets are the backticked names in
+//! the README sentence that begins `The code logs under exactly the
+//! targets`.
+//!
+//! Each set must hold the other: a new series or target needs a README
+//! entry, and an entry needs a series or target.
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
@@ -49,7 +59,9 @@ fn is_scheme_name(name: &str) -> bool {
     name.strip_prefix("hanayo_w").is_some_and(|w| w.chars().all(|c| c.is_ascii_digit()))
 }
 
-fn emitted(root: &Path) -> BTreeSet<String> {
+/// The non-test, non-comment lines of every crate's sources, one string
+/// per file.
+fn sources(root: &Path) -> Vec<String> {
     let mut files = Vec::new();
     for krate in std::fs::read_dir(root.join("crates")).unwrap() {
         let src = krate.unwrap().path().join("src");
@@ -57,17 +69,55 @@ fn emitted(root: &Path) -> BTreeSet<String> {
             rust_files(&src, &mut files);
         }
     }
+    files
+        .iter()
+        .map(|file| {
+            let text = std::fs::read_to_string(file).unwrap();
+            let lines = text.lines().take_while(|l| !l.starts_with("#[cfg(test)]"));
+            lines.filter(|l| !l.trim_start().starts_with("//")).collect::<Vec<_>>().join("\n")
+        })
+        .collect()
+}
+
+fn emitted(root: &Path) -> BTreeSet<String> {
     let mut names = BTreeSet::new();
-    for file in files {
-        let text = std::fs::read_to_string(&file).unwrap();
-        for line in text.lines().take_while(|l| !l.starts_with("#[cfg(test)]")) {
-            if line.trim_start().starts_with("//") {
-                continue;
-            }
-            names.extend(names_after(line, "\"").into_iter().filter(|n| !is_scheme_name(n)));
-        }
+    for text in sources(root) {
+        names.extend(names_after(&text, "\"").into_iter().filter(|n| !is_scheme_name(n)));
     }
     names
+}
+
+/// The target of every `log::event(` / `log_enabled(` call in `text`: its
+/// second argument, which must be a string literal (the first is the
+/// level). The facade's own definition and forwarding, whose first
+/// argument is its `level` parameter, are skipped.
+fn log_targets_in(text: &str) -> Vec<String> {
+    ["log::event(", "log_enabled("]
+        .iter()
+        .flat_map(|call| text.match_indices(call).map(move |(i, _)| &text[i + call.len()..]))
+        .filter(|args| !args.starts_with("level"))
+        .map(|args| {
+            let (_, rest) = args.split_once(',').expect("a log call has a target argument");
+            let literal = rest.trim_start().strip_prefix('"').unwrap_or_else(|| {
+                panic!("a log target must be a string literal: {}", &rest[..rest.len().min(40)])
+            });
+            literal[..literal.find('"').unwrap()].to_string()
+        })
+        .collect()
+}
+
+fn logged(root: &Path) -> BTreeSet<String> {
+    sources(root).iter().flat_map(|text| log_targets_in(text)).collect()
+}
+
+fn listed_targets(root: &Path) -> BTreeSet<String> {
+    let readme = std::fs::read_to_string(root.join("README.md")).unwrap();
+    let readme = readme.split_whitespace().collect::<Vec<_>>().join(" ");
+    let (_, rest) = readme
+        .split_once("The code logs under exactly the targets")
+        .expect("README lists the HANAYO_LOG targets");
+    let sentence = &rest[..rest.find('.').unwrap_or(rest.len())];
+    sentence.split('`').skip(1).step_by(2).map(str::to_string).collect()
 }
 
 fn catalogued(root: &Path) -> BTreeSet<String> {
@@ -95,6 +145,30 @@ fn readme_catalogue_equals_the_emitted_series() {
          {missing:?}\n  catalogued but never emitted: {stale:?}"
     );
     assert!(!catalogued.is_empty(), "no rows parsed from the README catalogue");
+}
+
+#[test]
+fn readme_log_targets_equal_the_logged_targets() {
+    let root = repo_root();
+    let logged = logged(&root);
+    let listed = listed_targets(&root);
+    let missing: Vec<_> = logged.difference(&listed).collect();
+    let stale: Vec<_> = listed.difference(&logged).collect();
+    assert!(
+        missing.is_empty() && stale.is_empty(),
+        "README HANAYO_LOG targets out of step with the code:\n  logged but not listed: \
+         {missing:?}\n  listed but never logged: {stale:?}"
+    );
+    assert!(!logged.is_empty(), "no log call found in the sources");
+}
+
+#[test]
+fn a_log_target_is_the_literal_after_the_level() {
+    let text = "if log::log_enabled(Level::Info, \"calibrate\") {\n    log::event(\n        \
+                Level::Warn,\n        \"metrics\",\n        \"msg\",\n    );\n}\n\
+                pub fn log_enabled(level: Level, target: &str) -> bool {\n\
+                if !log_enabled(level, target) {";
+    assert_eq!(log_targets_in(text), ["metrics", "calibrate"]);
 }
 
 #[test]

@@ -2,8 +2,9 @@
 //! artifact caches for tuner sweeps.
 //!
 //! [`SweepCaches`] memoizes every pure artifact a sweep derives from its
-//! candidates: built schedules, cost tables, static memory replays,
-//! engine lowerings, deadlock verdicts and pipeline-group simulation
+//! candidates: schedule shapes (each built schedule with its lowered
+//! program and deadlock verdict, see [`Shape`]), cost tables, static
+//! memory replays, prefetch windows and pipeline-group simulation
 //! reports. Each cache is keyed by the *complete* set of inputs its
 //! artifact is a pure function of, so a hit returns byte-for-byte what
 //! the miss path would have computed and worker interleaving (which
@@ -21,22 +22,22 @@
 //! * **Bounded size.** [`SweepCaches::bounded`] caps each cache at a
 //!   fixed entry count with FIFO eviction (counted in
 //!   `hanayo_tuner_cache_evictions_total`), so a resident process cannot
-//!   grow without limit. Lowering and sub-cluster content ids come from a
-//!   monotonic counter, never from map sizes, so an evicted lowering's or
-//!   sub-cluster's id is never reissued and a stale memo entry can never
-//!   alias a fresh one.
+//!   grow without limit. Sub-cluster content ids come from a monotonic
+//!   counter, never from map sizes, so an evicted sub-cluster's id is
+//!   never reissued and a stale memo entry can never alias a fresh one.
 
-use crate::engine::{compile_schedule, CompiledSchedule, SimOptions};
+use crate::engine::{lower_windows, CompiledSchedule, SimOptions};
 use crate::report::SimReport;
 use hanayo_cluster::ClusterSpec;
 use hanayo_core::action::Schedule;
 use hanayo_core::config::{PipelineConfig, Scheme};
+use hanayo_core::program::{Program, ProgramError};
 use hanayo_core::schedule::{build_schedule, ScheduleError};
 use hanayo_model::{CostTable, ModelConfig, Recompute};
 use std::collections::{HashMap, VecDeque};
 use std::hash::Hash;
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 /// One registry increment per cache probe, disabled-path cost a single
 /// relaxed load. Hit/miss totals are deterministic under serial sweeps;
@@ -120,6 +121,17 @@ impl<K: Eq + Hash + Clone, V: Clone> BoundedMap<K, V> {
         value
     }
 
+    /// The entry under `key`, built by `build` on a miss; the probe counts
+    /// as a hit or a miss of this cache.
+    pub(crate) fn get_or_insert_with(&self, key: K, build: impl FnOnce() -> V) -> V {
+        if let Some(hit) = self.get(&key) {
+            record_cache(self.label, true);
+            return hit;
+        }
+        record_cache(self.label, false);
+        self.insert_if_absent(key, build())
+    }
+
     /// The key of an entry whose value `same` accepts or, failing that, of
     /// the entry `fresh` makes. The probe and the insert share one lock,
     /// so concurrent callers agree on one key per value.
@@ -155,14 +167,6 @@ impl<K: Eq + Hash + Clone, V: Clone> BoundedMap<K, V> {
         inner.order.push_back(key);
     }
 
-    /// First match of `f` over the current entries (iteration order is
-    /// unspecified; callers only use this for content-id adoption, where
-    /// any matching entry is equally correct).
-    pub(crate) fn scan<R>(&self, mut f: impl FnMut(&K, &V) -> Option<R>) -> Option<R> {
-        let inner = self.lock();
-        inner.map.iter().find_map(|(k, v)| f(k, v))
-    }
-
     pub(crate) fn len(&self) -> usize {
         self.lock().map.len()
     }
@@ -174,46 +178,48 @@ pub(crate) type SchedKey = (Scheme, u32, u32);
 /// `(stages, micro_batch_size, recompute)`.
 pub(crate) type CostKey = (u32, u32, Recompute);
 /// Everything a span-free group simulation's report is a function of:
-/// the schedule shape, the cost table, the prefetch switch, the *content*
-/// of the prefetch windows and the *content* of the group's sub-cluster.
-/// The windows enter as the lowering's content id rather than the
-/// lookahead that produced them — distinct lookaheads whose §4.2 scans
-/// saturate to the same windows drive the engine identically, and with
-/// prefetching off the windows are never read at all, so the id is pinned
-/// to 0. Window content ids are scoped per [`SchedKey`], which the key
-/// carries. The sub-cluster enters as its content id
-/// ([`SweepCaches::sub_cluster_id`]) rather than its position, so groups
-/// whose devices and links match up to node labels share one report.
-pub(crate) type ReportKey = (SchedKey, CostKey, bool, u32, u32);
+/// the schedule shape, the cost table, the prefetch switch, the receive
+/// lookahead and the *content* of the group's sub-cluster. The
+/// sub-cluster enters as its content id ([`SweepCaches::sub_cluster_id`])
+/// rather than its position, so groups whose devices and links match up
+/// to node labels share one report. Each lookahead keeps its own entry;
+/// a deeper one that a lookahead-1 run proves equal is filed without a
+/// simulation (see [`crate::tuner`]).
+pub(crate) type ReportKey = (SchedKey, CostKey, bool, usize, u32);
 
 pub(crate) fn report_key(
     schedule_key: SchedKey,
     cost_key: CostKey,
     sim: &SimOptions,
-    content_id: u32,
     sub_cluster: u32,
 ) -> ReportKey {
-    let windows = if sim.prefetch { content_id } else { 0 };
-    (schedule_key, cost_key, sim.prefetch, windows, sub_cluster)
+    (schedule_key, cost_key, sim.prefetch, sim.recv_lookahead, sub_cluster)
 }
 
-/// A cached engine lowering plus its content id (see
-/// [`SweepCaches::compiled_for`]).
-pub(crate) type CompiledEntry = (Arc<CompiledSchedule>, u32);
+/// Everything derived from a schedule shape alone: the built schedule,
+/// its [`Program`] (lowered once, when the shape is built, and shared by
+/// the prefetch windows of every lookahead), and its deadlock verdict.
+pub(crate) struct Shape {
+    pub(crate) schedule: Schedule,
+    pub(crate) program: Arc<Result<Program, ProgramError>>,
+    deadlock_free: OnceLock<bool>,
+}
 
-/// Pipeline-group [`SimReport`]s memoised across a sweep (or, when the
-/// caches are shared by a resident service, across many sweeps of the
-/// same `(model, cluster)` pair).
-///
-/// Keyed by [`ReportKey`], the complete input of each report, so a memo
-/// hit returns the byte-identical report the simulation would have
-/// produced. That includes a hit across sub-clusters that differ only in
-/// node labels: the engine reads node ids only to compare them and to
-/// pick a per-node-pair link cursor, so a relabelled twin runs the same
-/// float operations in the same order. The reports come from span-free
-/// runs (a sweep ranks on scalars), so their `spans` are empty and a hit
-/// clones only the per-device vectors.
-pub(crate) type GroupReportMemo = BoundedMap<ReportKey, SimReport>;
+impl Shape {
+    pub(crate) fn new(schedule: Schedule) -> Shape {
+        let program = Arc::new(Program::lower(&schedule));
+        Shape { schedule, program, deadlock_free: OnceLock::new() }
+    }
+
+    /// [`hanayo_analyze::check_deadlock_free`]'s verdict on the schedule:
+    /// it lowers, and its happens-before replay leaves no device waiting.
+    /// Replayed at most once per shape.
+    pub(crate) fn deadlock_free(&self) -> bool {
+        *self.deadlock_free.get_or_init(|| {
+            self.program.as_ref().as_ref().is_ok_and(|p| p.check_deadlock().is_ok())
+        })
+    }
+}
 
 /// Cross-candidate artifact caches for one sweep — every sweep builds one
 /// unless it is handed one through a [`crate::tuner::TuneContext`], which
@@ -234,34 +240,35 @@ pub(crate) type GroupReportMemo = BoundedMap<ReportKey, SimReport>;
 /// by the `(model, cluster)` configuration — `hanayo-serve` does this
 /// with the FNV config fingerprint from `hanayo-ckpt`.
 pub struct SweepCaches {
-    /// Built schedules.
-    pub(crate) schedules: BoundedMap<SchedKey, Arc<Schedule>>,
+    /// Schedule shapes.
+    pub(crate) schedules: BoundedMap<SchedKey, Arc<Shape>>,
     /// Cost tables.
     pub(crate) costs: BoundedMap<CostKey, Arc<CostTable>>,
     /// Static per-device memory replays (group-local peaks).
     pub(crate) peaks: BoundedMap<(SchedKey, CostKey), Arc<Vec<u64>>>,
-    /// Memoized deadlock verdicts, keyed by the schedule's shape — the
-    /// only inputs schedule lowering takes, so the verdict is a pure
-    /// function of the key.
-    pub(crate) deadlocks: BoundedMap<SchedKey, bool>,
-    /// Engine lowerings, additionally keyed by the `recv_lookahead`
-    /// [`compile_schedule`] bakes in. The lookahead variants of one
-    /// schedule share one lowered `Program` and differ only in their
-    /// windows. The `u32` is the
-    /// lowering's *content id*: lookahead variants of the same schedule
-    /// whose prefetch scans saturated to identical windows
-    /// ([`CompiledSchedule::same_lowering`]) share one id, which is what
-    /// lets their simulations collapse into a single [`GroupReportMemo`]
-    /// entry.
-    pub(crate) compiled: BoundedMap<(SchedKey, usize), CompiledEntry>,
-    /// Pipeline-group reports ([`SweepCaches::group_report`]).
-    pub(crate) reports: GroupReportMemo,
+    /// Prefetch windows, keyed by the shape and the `recv_lookahead`
+    /// they were scanned with, each over its shape's one [`Program`].
+    pub(crate) compiled: BoundedMap<(SchedKey, usize), Arc<CompiledSchedule>>,
+    /// Pipeline-group [`SimReport`]s ([`SweepCaches::group_report`]),
+    /// memoised across a sweep (or, when the caches are shared by a
+    /// resident service, across many sweeps of the same `(model,
+    /// cluster)` pair).
+    ///
+    /// Keyed by [`ReportKey`], the complete input of each report, so a
+    /// memo hit returns the byte-identical report the simulation would
+    /// have produced. That includes a hit across sub-clusters that differ
+    /// only in node labels: the engine reads node ids only to compare them
+    /// and to pick a per-node-pair link cursor, so a relabelled twin runs
+    /// the same float operations in the same order. The reports come from
+    /// span-free runs (a sweep ranks on scalars), so their `spans` are
+    /// empty and a hit clones only the per-device vectors.
+    pub(crate) reports: BoundedMap<ReportKey, SimReport>,
     /// Every distinct sub-cluster content seen, by content id
     /// ([`SweepCaches::sub_cluster_id`]).
     sub_clusters: BoundedMap<u32, ClusterSpec>,
-    /// Monotonic source of lowering and sub-cluster content ids: ids
-    /// survive evictions unreused, so a stale memo entry can never alias a
-    /// fresh lowering or sub-cluster.
+    /// Monotonic source of sub-cluster content ids: ids survive evictions
+    /// unreused, so a stale memo entry can never alias a fresh
+    /// sub-cluster.
     next_content_id: AtomicU32,
 }
 
@@ -283,7 +290,6 @@ impl SweepCaches {
             schedules: BoundedMap::new("schedules", cap),
             costs: BoundedMap::new("costs", cap),
             peaks: BoundedMap::new("peaks", cap),
-            deadlocks: BoundedMap::new("deadlocks", cap),
             compiled: BoundedMap::new("compiled", cap),
             reports: BoundedMap::new("reports", cap),
             sub_clusters: BoundedMap::new("sub_clusters", cap),
@@ -297,37 +303,32 @@ impl SweepCaches {
         self.schedules.len()
             + self.costs.len()
             + self.peaks.len()
-            + self.deadlocks.len()
             + self.compiled.len()
             + self.reports.len()
             + self.sub_clusters.len()
     }
 
-    /// The built schedule for `cfg` (whose shape `key` is), or the build's
-    /// error — failed builds are not cached.
+    /// The shape for `cfg` (whose shape `key` is), or the schedule
+    /// build's error — failed builds are not cached.
     pub(crate) fn schedule_for(
         &self,
         key: SchedKey,
         cfg: &PipelineConfig,
-    ) -> Result<Arc<Schedule>, ScheduleError> {
+    ) -> Result<Arc<Shape>, ScheduleError> {
         if let Some(hit) = self.schedules.get(&key) {
             record_cache("schedules", true);
             return Ok(hit);
         }
         record_cache("schedules", false);
-        let built = Arc::new(build_schedule(cfg)?);
+        let built = Arc::new(Shape::new(build_schedule(cfg)?));
         Ok(self.schedules.insert_if_absent(key, built))
     }
 
     pub(crate) fn cost_for(&self, key: CostKey, model: &ModelConfig) -> Arc<CostTable> {
-        if let Some(hit) = self.costs.get(&key) {
-            record_cache("costs", true);
-            return hit;
-        }
-        record_cache("costs", false);
         let (stages, micro_batch_size, recompute) = key;
-        let built = Arc::new(CostTable::build_with(model, stages, micro_batch_size, recompute));
-        self.costs.insert_if_absent(key, built)
+        self.costs.get_or_insert_with(key, || {
+            Arc::new(CostTable::build_with(model, stages, micro_batch_size, recompute))
+        })
     }
 
     pub(crate) fn peaks_for(
@@ -336,54 +337,21 @@ impl SweepCaches {
         schedule: &Schedule,
         cost: &CostTable,
     ) -> Arc<Vec<u64>> {
-        if let Some(hit) = self.peaks.get(&key) {
-            record_cache("peaks", true);
-            return hit;
-        }
-        record_cache("peaks", false);
-        let built = Arc::new(hanayo_analyze::static_peak_mem(schedule, cost));
-        self.peaks.insert_if_absent(key, built)
+        self.peaks
+            .get_or_insert_with(key, || Arc::new(hanayo_analyze::static_peak_mem(schedule, cost)))
     }
 
-    /// The memoized deadlock verdict for a schedule shape, computing it
-    /// at most once per cache lifetime.
-    pub(crate) fn deadlock_free(&self, key: SchedKey, schedule: &Schedule) -> bool {
-        if let Some(hit) = self.deadlocks.get(&key) {
-            return hit;
-        }
-        let verdict = hanayo_analyze::check_deadlock_free(schedule).is_ok();
-        self.deadlocks.insert_if_absent(key, verdict)
-    }
-
-    /// The lowering for `(key, recv_lookahead)` plus its content id. A
-    /// fresh lowering reuses the `Program` of another lookahead variant of
-    /// the *same* schedule when one is cached (the program is a function
-    /// of the schedule alone), and is then compared against those
-    /// variants: if the scans saturated to identical windows it adopts
-    /// their content id (ids are scoped per [`SchedKey`] by every
-    /// consumer, so ids from different schedules may coincide freely).
+    /// The prefetch windows of `shape` (whose key `key` is) under
+    /// `sim.recv_lookahead`, over the shape's lowered program.
     pub(crate) fn compiled_for(
         &self,
         key: SchedKey,
-        schedule: &Schedule,
+        shape: &Shape,
         sim: &SimOptions,
-    ) -> CompiledEntry {
-        let full = (key, sim.recv_lookahead);
-        if let Some(hit) = self.compiled.get(&full) {
-            record_cache("compiled", true);
-            return hit;
-        }
-        record_cache("compiled", false);
-        let sibling = self.compiled.scan(|(k, _), (other, _)| (*k == key).then(|| other.clone()));
-        let built = Arc::new(match sibling {
-            Some(other) => other.with_lookahead(sim.recv_lookahead),
-            None => compile_schedule(schedule, sim),
-        });
-        let content = self
-            .compiled
-            .scan(|(k, _), (other, id)| (*k == key && other.same_lowering(&built)).then_some(*id))
-            .unwrap_or_else(|| self.next_content_id.fetch_add(1, Ordering::Relaxed));
-        self.compiled.insert_if_absent(full, (built, content))
+    ) -> Arc<CompiledSchedule> {
+        self.compiled.get_or_insert_with((key, sim.recv_lookahead), || {
+            Arc::new(lower_windows(shape.program.clone(), sim.recv_lookahead))
+        })
     }
 
     /// The content id of a pipeline group's sub-cluster: one id per
@@ -396,7 +364,7 @@ impl SweepCaches {
         )
     }
 
-    /// The memoised group report under `key` (see [`GroupReportMemo`]),
+    /// The memoised group report under `key` (see [`SweepCaches::reports`]),
     /// running `simulate` on a miss. The simulation runs outside the lock,
     /// so concurrent misses may both simulate; the first insert wins and
     /// both values are identical anyway.
@@ -417,6 +385,7 @@ mod tests {
     use super::*;
     use hanayo_cluster::topology::lonestar6;
     use hanayo_cluster::{GpuModel, Link, LinkClass};
+    use hanayo_core::action::{Action, CommDir};
 
     #[test]
     fn insert_if_absent_is_first_writer_wins() {
@@ -477,61 +446,51 @@ mod tests {
     }
 
     #[test]
-    fn content_ids_are_never_reused_across_evictions() {
-        // A report key names its lowering by content id, and the report
-        // memo may outlive the lowering: a lowering evicted and rebuilt
-        // must get a fresh id, never one an old report is filed under.
-        let c = SweepCaches::bounded(1);
-        let sim = SimOptions::default();
-        let lower = |scheme: Scheme| {
-            let key = (scheme, 4, 4);
-            let schedule = build_schedule(&PipelineConfig::new(4, 4, scheme).unwrap()).unwrap();
-            c.compiled_for(key, &schedule, &sim).1
-        };
-        let a = lower(Scheme::GPipe);
-        let b = lower(Scheme::Dapple); // evicts GPipe's lowering
-        let a2 = lower(Scheme::GPipe); // rebuilt, must be fresh
-        assert_ne!(a, b);
-        assert_ne!(a2, a, "an evicted lowering's id must not be reissued");
-        assert_ne!(a2, b);
-    }
-
-    #[test]
-    fn lookahead_variants_share_one_lowered_program() {
+    fn one_shape_is_lowered_once() {
         let c = SweepCaches::default();
         let key = (Scheme::Hanayo { waves: 2 }, 4, 8);
-        let schedule = build_schedule(&PipelineConfig::new(4, 8, key.0).unwrap()).unwrap();
-        let lower = |recv_lookahead| {
-            c.compiled_for(key, &schedule, &SimOptions { recv_lookahead, ..Default::default() })
-        };
-        let ((one, one_id), (two, two_id)) = (lower(1), lower(2));
-        let program = |c: &CompiledSchedule| c.program().unwrap() as *const _;
-        assert_eq!(program(&one), program(&two), "one Program per schedule");
-        assert_eq!(
-            one.program().unwrap(),
-            &hanayo_core::program::Program::lower(&schedule).unwrap()
-        );
-        assert!(!one.same_lowering(&two) && one_id != two_id, "the windows still differ");
-        // A lookahead whose windows saturate to another's shares its id.
-        let (wide, wide_id) = lower(8);
-        let (wider, wider_id) = lower(9);
-        assert!(wide.same_lowering(&wider));
-        assert_eq!(wide_id, wider_id);
+        let cfg = PipelineConfig::new(4, 8, key.0).unwrap();
+        let shape = c.schedule_for(key, &cfg).unwrap();
+        assert!(Arc::ptr_eq(&shape, &c.schedule_for(key, &cfg).unwrap()));
+        let [one, two, four] = [1, 2, 4].map(|recv_lookahead| {
+            c.compiled_for(key, &shape, &SimOptions { recv_lookahead, ..Default::default() })
+        });
+        let program = one.program().unwrap();
+        for other in [&two, &four] {
+            assert!(std::ptr::eq(program, other.program().unwrap()), "one Program per shape");
+        }
+        assert_eq!(program, &Program::lower(&shape.schedule).unwrap());
+        let checked = |shape: &Shape| hanayo_analyze::check_deadlock_free(&shape.schedule).is_ok();
+        assert!(shape.deadlock_free() && checked(&shape));
+        // DAPPLE P=2 B=2 with device 0's first receive moved to the front:
+        // device 0 waits for a gradient that needs its own first forward.
+        let mut schedule =
+            build_schedule(&PipelineConfig::new(2, 2, Scheme::Dapple).unwrap()).unwrap();
+        let recv = schedule.lists[0]
+            .actions
+            .iter()
+            .position(|a| matches!(a, Action::Comm(op) if op.dir == CommDir::Recv))
+            .unwrap();
+        let moved = schedule.lists[0].actions.remove(recv);
+        schedule.lists[0].actions.insert(0, moved);
+        let deadlocked = Shape::new(schedule);
+        assert!(!deadlocked.deadlock_free());
+        assert_eq!(deadlocked.deadlock_free(), checked(&deadlocked));
     }
 
     #[test]
-    fn report_key_pins_the_windows_only_with_prefetch_on() {
-        // Prefetch-off runs never read the windows, so every lowering
-        // shares one key; prefetch-on runs are told apart by window
-        // content, and every run by its group's sub-cluster content.
+    fn report_key_keeps_every_variant_and_sub_cluster_apart() {
         let sched = (Scheme::Dapple, 4, 4);
         let cost = (4, 1, Recompute::None);
-        let on = SimOptions::default();
-        let off = SimOptions { prefetch: false, ..on };
-        assert_eq!(report_key(sched, cost, &off, 3, 0), report_key(sched, cost, &off, 7, 0));
-        assert_ne!(report_key(sched, cost, &on, 3, 0), report_key(sched, cost, &on, 7, 0));
-        assert_ne!(report_key(sched, cost, &on, 3, 0), report_key(sched, cost, &off, 3, 0));
-        assert_ne!(report_key(sched, cost, &on, 3, 0), report_key(sched, cost, &on, 3, 4));
+        let on = |recv_lookahead| SimOptions { recv_lookahead, ..Default::default() };
+        let off = SimOptions { prefetch: false, ..on(1) };
+        let keys: Vec<ReportKey> = [on(1), on(2), on(4), off]
+            .iter()
+            .flat_map(|sim| [0, 1].map(|sub| report_key(sched, cost, sim, sub)))
+            .collect();
+        for (i, a) in keys.iter().enumerate() {
+            assert!(keys[i + 1..].iter().all(|b| a != b), "{a:?} collides");
+        }
     }
 
     #[test]

@@ -314,26 +314,6 @@ impl CompiledSchedule {
         self.recv_lookahead == opts.recv_lookahead
     }
 
-    /// True when two lowerings *of the same schedule* have the same
-    /// prefetch windows. Lookaheads that differ can still converge to the
-    /// same windows (the §4.2 scan saturates once every receive group
-    /// inside the eight-action window is collected), and the engine reads
-    /// nothing else of a lowering but the program, which the schedule
-    /// alone fixes — so two runs through lowerings that compare equal here
-    /// produce bit-identical reports for any `SimOptions` each of them
-    /// [`matches`](Self::matches). The tuner uses this to collapse
-    /// lookahead ablations that lowered to the same plan into a single
-    /// simulation.
-    pub(crate) fn same_lowering(&self, other: &CompiledSchedule) -> bool {
-        self.prefetch == other.prefetch && self.prefetch_keys == other.prefetch_keys
-    }
-
-    /// This schedule's windows under another `recv_lookahead`, sharing
-    /// this lowering's [`Program`] instead of lowering the schedule again.
-    pub(crate) fn with_lookahead(&self, recv_lookahead: usize) -> CompiledSchedule {
-        lower_windows(self.program.clone(), recv_lookahead)
-    }
-
     /// The lowered program the simulation runs, or why the schedule did
     /// not lower.
     pub fn program(&self) -> Result<&Program, &ProgramError> {
@@ -379,7 +359,7 @@ pub fn compile_schedule(schedule: &Schedule, opts: &SimOptions) -> CompiledSched
 }
 
 /// The §4.2 prefetch windows of `program` under `recv_lookahead`.
-fn lower_windows(
+pub(crate) fn lower_windows(
     program: Arc<Result<Program, ProgramError>>,
     recv_lookahead: usize,
 ) -> CompiledSchedule {
@@ -1100,7 +1080,7 @@ mod tests {
         let cluster = fc_full_nvlink(4);
         let opts = SimOptions::default();
         let compiled = compile_schedule(&schedule, &opts);
-        let deeper = compiled.with_lookahead(2);
+        let deeper = lower_windows(compiled.program.clone(), 2);
         try_simulate_compiled(&compiled, &schedule, &cost, &cluster, opts).unwrap();
         try_simulate_scalars(&compiled, &schedule, &cost, &cluster, opts).unwrap();
         let (_, record) =

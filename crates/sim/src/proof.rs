@@ -29,14 +29,15 @@ struct KeyRecord {
     send_step: u64,
     /// Time of the send post.
     send_time: f64,
+    /// The FIFO cursor its transfer occupied: intra-node pairs, then node
+    /// pairs.
+    link: u32,
 }
 
-/// One scheduled transfer, in schedule order.
+/// One scheduled transfer, in schedule order on its cursor.
 #[derive(Debug, Clone, Copy)]
 struct Transfer {
     key: u32,
-    /// The FIFO cursor it occupied: intra-node pairs, then node pairs.
-    link: u32,
     step: u64,
     ready: f64,
     start: f64,
@@ -95,7 +96,12 @@ impl Recorder for Record {
 
     fn scheduled(&mut self, key: u32, link: u32, ready: f64, start: f64, occupancy: f64) {
         let step = self.bump();
-        self.transfers.push(Transfer { key, link, step, ready, start, occupancy });
+        self.keys[key as usize].link = link;
+        let link = link as usize;
+        if self.transfers.len() <= link {
+            self.transfers.resize_with(link + 1, Vec::new);
+        }
+        self.transfers[link].push(Transfer { key, step, ready, start, occupancy });
     }
 }
 
@@ -110,7 +116,9 @@ pub(crate) struct Record {
     /// Per op, flattened device by device: the step and time once the
     /// compute's prefetch window was posted (compute ops only).
     windows: Vec<(u64, f64)>,
-    transfers: Vec<Transfer>,
+    /// Per link cursor, its transfers in schedule order (grown to the
+    /// highest cursor used).
+    transfers: Vec<Vec<Transfer>>,
 }
 
 impl Record {
@@ -126,7 +134,7 @@ impl Record {
             keys: vec![KeyRecord::default(); program.keys()],
             offsets,
             windows: vec![(0, 0.0); ops],
-            transfers: Vec::with_capacity(program.keys()),
+            transfers: Vec::new(),
         }
     }
 
@@ -147,8 +155,10 @@ impl Record {
         {
             return false;
         }
-        // Each advanced early key's new step and ready time.
+        // Each advanced early key's new step and ready time, and the
+        // cursors they sit on.
         let mut moved: Vec<Option<(u64, f64)>> = vec![None; self.keys.len()];
+        let mut links = Vec::new();
         for (key, (&at, &was)) in deeper.first_post().iter().zip(shallow.first_post()).enumerate() {
             let record = self.keys[key];
             // Posted no earlier, or (a): the receive came first anyway, so
@@ -163,24 +173,19 @@ impl Record {
             }
             let (step, time) = self.windows[self.offsets[message.dst.idx()] + at as usize];
             moved[key] = Some((record.send_step.max(step), record.send_time.max(time)));
+            links.push(record.link);
         }
-        let mut links: Vec<u32> = Vec::new();
-        for transfer in &self.transfers {
-            if moved[transfer.key as usize].is_some() && !links.contains(&transfer.link) {
-                links.push(transfer.link);
-            }
-        }
-        links.iter().all(|&link| self.cursor_holds(link, &moved))
+        links.sort_unstable();
+        links.dedup();
+        links.into_iter().all(|link| self.cursor_holds(link, &moved))
     }
 
-    /// Replay `link`'s cursor with the moved transfers at their new steps:
+    /// Replay cursor `link` with the moved transfers at their new steps:
     /// a moved transfer may start no later than it did, every other one
     /// exactly when it did.
     fn cursor_holds(&self, link: u32, moved: &[Option<(u64, f64)>]) -> bool {
-        let mut order: Vec<(u64, &Transfer)> = self
-            .transfers
+        let mut order: Vec<(u64, &Transfer)> = self.transfers[link as usize]
             .iter()
-            .filter(|t| t.link == link)
             .map(|t| (moved[t.key as usize].map_or(t.step, |(step, _)| step), t))
             .collect();
         order.sort_unstable_by_key(|&(step, _)| step);
@@ -247,7 +252,7 @@ mod tests {
             .iter()
             .map(|&recv_lookahead| {
                 let opts = SimOptions { recv_lookahead, ..one };
-                let deeper = shallow.with_lookahead(recv_lookahead);
+                let deeper = compile_schedule(&schedule, &opts);
                 let full = try_simulate_scalars(&deeper, &schedule, &cost, cluster, opts).unwrap();
                 (record.proves(&shallow, &deeper), full)
             })
@@ -349,19 +354,18 @@ mod tests {
 
     #[test]
     fn the_cursor_replay_moves_nothing_but_the_moved() {
-        // One link; `(key, step, ready, start, occupancy)` per transfer.
+        // One cursor; `(key, step, ready, start, occupancy)` per transfer.
         let record = |transfers: &[(u32, u64, f64, f64, f64)]| Record {
-            transfers: transfers
+            transfers: vec![transfers
                 .iter()
                 .map(|&(key, step, ready, start, occupancy)| Transfer {
                     key,
-                    link: 0,
                     step,
                     ready,
                     start,
                     occupancy,
                 })
-                .collect(),
+                .collect()],
             ..Record::default()
         };
         let holds = |transfers: &[_], moved: &[Option<(u64, f64)>]| {
@@ -400,7 +404,8 @@ mod tests {
                     assert_eq!(recorded, plain, "{}/{scheme}/{opts:?}", cluster.name);
                     assert_eq!(record.keys.is_empty(), !opts.prefetch, "{scheme}/{opts:?}");
                     if !opts.prefetch {
-                        assert!(!record.proves(&compiled, &compiled.with_lookahead(2)));
+                        let deeper = SimOptions { recv_lookahead: 2, ..opts };
+                        assert!(!record.proves(&compiled, &compile_schedule(&schedule, &deeper)));
                     }
                 }
             }

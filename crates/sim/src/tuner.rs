@@ -62,14 +62,15 @@
 //! transfer on the link delays no other transfer (the argument is in
 //! [`crate::engine`]'s module docs). So each lookahead-1 group run that
 //! misses the report memo records what that argument needs, and right
-//! after it, in the same shape task, the record is checked against each
-//! deeper variant's windows. A proven variant's memo entry is the
-//! lookahead-1 report; a refused one is simulated when its candidate
+//! after it, in the same shape task, the record is checked against the
+//! windows of each deeper variant not yet in the memo (windows equal to
+//! the lookahead-1 ones pass at once). A proven variant's memo entry is
+//! the lookahead-1 report; a refused one is simulated when its candidate
 //! comes up. The record is dropped after the check. Either way the
 //! report is the one the simulation returns, so the output is unchanged;
 //! `hanayo_tuner_lookahead_proofs_total` counts the checks by outcome.
 
-use crate::cache::{report_key, CostKey, SchedKey, SweepCaches};
+use crate::cache::{report_key, CostKey, SchedKey, Shape, SweepCaches};
 use crate::engine::{
     try_simulate_recorded, try_simulate_scalars, validate_numerics, SimError, SimOptions,
 };
@@ -80,7 +81,6 @@ use hanayo_ckpt::recovery;
 use hanayo_ckpt::{RecoveryEval, RecoveryOptions};
 use hanayo_cluster::ClusterSpec;
 use hanayo_core::abort::AbortFlag;
-use hanayo_core::action::Schedule;
 use hanayo_model::{CostTable, ModelConfig, Recompute};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
@@ -380,14 +380,14 @@ enum StaticVerdict {
     /// Statically proven OOM on a deadlock-free schedule: skip the
     /// simulation and record this rejection.
     Reject(Rejection),
-    /// The plan goes on to the engine. The built schedule and cost table
+    /// The plan goes on to the engine. The schedule shape and cost table
     /// travel along, with the cache keys the simulation stage reaches the
-    /// sweep's lowering and report caches through.
+    /// sweep's window and report caches through.
     Simulate {
         resolved: Resolved,
         schedule_key: SchedKey,
         cost_key: CostKey,
-        schedule: Arc<Schedule>,
+        shape: Arc<Shape>,
         cost: Arc<CostTable>,
     },
 }
@@ -412,7 +412,7 @@ fn static_verdict(
     let cfg = resolved.cfg;
     let (pp_eff, dp_eff) = (cfg.devices as usize, resolved.dp as usize);
     let schedule_key: SchedKey = (cfg.scheme, cfg.devices, cfg.micro_batches);
-    let schedule = caches.schedule_for(schedule_key, &cfg)?;
+    let shape = caches.schedule_for(schedule_key, &cfg)?;
     let cost_key: CostKey = (cfg.stages(), plan.micro_batch_size, plan.recompute);
     let cost = caches.cost_for(cost_key, model);
     validate_numerics(&cost, cluster).map_err(PlanError::Numerics)?;
@@ -421,7 +421,7 @@ fn static_verdict(
     // broadcast over the groups the way a plan evaluation merges group
     // reports (memory is schedule-order-determined, so every group peaks
     // identically; devices outside the plan stay at zero).
-    let group_peak = caches.peaks_for((schedule_key, cost_key), &schedule, &cost);
+    let group_peak = caches.peaks_for((schedule_key, cost_key), &shape.schedule, &cost);
     let mut peak_mem = vec![0u64; cluster.len()];
     for g in 0..dp_eff {
         for (r, &peak) in group_peak.iter().enumerate().take(pp_eff) {
@@ -430,12 +430,12 @@ fn static_verdict(
     }
     let oom_devices: Vec<usize> =
         (0..cluster.len()).filter(|&d| peak_mem[d] > cluster.memory(d)).collect();
-    // Only an OOM pays for the happens-before replay, whose verdict is
-    // memoised per schedule shape: a prune fires only on a deadlock-free
-    // schedule, so the simulation it skips would have reported exactly
-    // these peaks rather than a deadlock. Anything else goes to the engine.
-    if oom_devices.is_empty() || !caches.deadlock_free(schedule_key, &schedule) {
-        return Ok(StaticVerdict::Simulate { resolved, schedule_key, cost_key, schedule, cost });
+    // Only an OOM pays for the happens-before replay, whose verdict the
+    // shape keeps: a prune fires only on a deadlock-free schedule, so the
+    // simulation it skips would have reported exactly these peaks rather
+    // than a deadlock. Anything else goes to the engine.
+    if oom_devices.is_empty() || !shape.deadlock_free() {
+        return Ok(StaticVerdict::Simulate { resolved, schedule_key, cost_key, shape, cost });
     }
     let (worst, peak) =
         oom_devices.iter().map(|&d| (d, peak_mem[d])).max_by_key(|&(_, m)| m).unwrap_or((0, 0));
@@ -464,31 +464,26 @@ fn evaluate(
 ) -> Result<Outcome, PlanError> {
     match static_verdict(model, cluster, plan, sim, caches)? {
         StaticVerdict::Reject(rejection) => Ok(Outcome::StaticOom(rejection)),
-        StaticVerdict::Simulate { resolved, schedule_key, cost_key, schedule, cost } => {
-            let (compiled, content_id) = caches.compiled_for(schedule_key, &schedule, &sim);
+        StaticVerdict::Simulate { resolved, schedule_key, cost_key, shape, cost } => {
+            let compiled = caches.compiled_for(schedule_key, &shape, &sim);
+            let schedule = &shape.schedule;
             let result = simulate_plan(plan, cluster, resolved, |sub| {
                 let sub_cluster = caches.sub_cluster_id(sub);
-                let key = report_key(schedule_key, cost_key, &sim, content_id, sub_cluster);
+                let key = report_key(schedule_key, cost_key, &sim, sub_cluster);
                 caches.group_report(key, || {
-                    // The deeper variants whose report is still unknown,
-                    // once per distinct window content.
-                    let mut targets = Vec::new();
-                    for opts in deeper {
-                        let (lowering, id) = caches.compiled_for(schedule_key, &schedule, opts);
-                        let target = report_key(schedule_key, cost_key, opts, id, sub_cluster);
-                        if target != key
-                            && targets.iter().all(|(other, _)| *other != target)
-                            && caches.reports.get(&target).is_none()
-                        {
-                            targets.push((target, lowering));
-                        }
-                    }
+                    // The deeper variants whose report is still unknown.
+                    let targets: Vec<_> = deeper
+                        .iter()
+                        .map(|opts| (report_key(schedule_key, cost_key, opts, sub_cluster), opts))
+                        .filter(|(target, _)| caches.reports.get(target).is_none())
+                        .collect();
                     if targets.is_empty() {
-                        return try_simulate_scalars(&compiled, &schedule, &cost, sub, sim);
+                        return try_simulate_scalars(&compiled, schedule, &cost, sub, sim);
                     }
                     let (report, record) =
-                        try_simulate_recorded(&compiled, &schedule, &cost, sub, sim)?;
-                    for (target, lowering) in targets {
+                        try_simulate_recorded(&compiled, schedule, &cost, sub, sim)?;
+                    for (target, opts) in targets {
+                        let lowering = caches.compiled_for(schedule_key, &shape, opts);
                         let proven = record.proves(&compiled, &lowering);
                         record_proof(proven);
                         if proven {
@@ -1143,13 +1138,14 @@ mod tests {
     #[test]
     fn report_memo_keys_groups_by_sub_cluster_content() {
         // TACC's twin groups (devices and links equal up to node ids)
-        // share one memo entry; keyed by first device they held 656.
+        // share one memo entry; keyed by first device they held 656. Each
+        // lookahead keeps its own entry, window-equal ones too.
         let model = ModelConfig::bert64().with_train_bytes_per_param(8);
         let shared = Arc::new(SweepCaches::default());
         let ctx = TuneContext { caches: Some(shared.clone()), ..Default::default() };
         let wide = TuneOptions::default().wide();
         tune_serial_with(&model, &lonestar6(8), 16, 1, &wide, &ctx).unwrap();
-        assert_eq!(shared.reports.len(), 564);
+        assert_eq!(shared.reports.len(), 576);
     }
 
     #[test]
