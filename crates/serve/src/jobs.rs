@@ -218,8 +218,9 @@ impl JobRegistry {
     pub(crate) fn drain(&self) {
         let workers = std::mem::take(&mut *lock(&self.workers));
         for handle in workers {
-            // A worker that panicked already published Failed; nothing
-            // more to do with its result here.
+            // Nothing in a job thread catches a panic: a job whose sweep
+            // panicked never published a terminal state, and the payload
+            // in its join error is dropped here.
             let _ = handle.join();
         }
     }

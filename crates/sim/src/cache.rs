@@ -40,10 +40,13 @@ use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 /// One registry increment per cache probe, disabled-path cost a single
-/// relaxed load. Hit/miss totals are deterministic under serial sweeps;
-/// parallel sweeps may split them differently between hit and miss
-/// (whichever thread populates first), which is why the golden
-/// exposition pins the serial path.
+/// relaxed load. Hit/miss totals are deterministic under serial sweeps.
+/// A parallel sweep runs each resolved schedule shape in one task, so the
+/// caches keyed by the shape (`schedules`, `peaks`, `compiled`, `reports`)
+/// are probed by one executor in serial order. Only `costs` and
+/// `sub_clusters`, which tasks share, may split differently between hit
+/// and miss (whichever executor populates first), which is why the
+/// golden exposition pins the serial path.
 fn record_cache(cache: &'static str, hit: bool) {
     if hanayo_metrics::enabled() {
         let name =

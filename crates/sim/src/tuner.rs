@@ -16,19 +16,21 @@
 //!
 //! ## Parallel evaluation and determinism
 //!
-//! The sweep runs in *shape tasks*: runs of consecutive candidates that
-//! differ only in recompute mode and simulator variant (eight per pipeline
-//! shape in a wide sweep), which share one schedule and one lowering per
-//! lookahead. One `par_iter` evaluates the tasks, largest `P×B` first, and
-//! each executor claims the next task as soon as it is free, so a shape's
-//! artifacts are built once, by the executor that runs it, and the
-//! executors finish together. The final ranking is nevertheless
-//! *byte-identical* to a serial run ([`tune_serial_with`]: the same tasks
-//! in the same order on the calling thread) because results are put back
-//! in candidate order and the ranking is a stable sort on `(throughput,
-//! plan)` keys — worker interleaving never leaks into the output. A
-//! property test pits the two against each other on random `(model,
-//! cluster, batch)` triples.
+//! The sweep runs in *shape tasks*, one per resolved schedule shape: all
+//! candidates whose plans resolve to one `(scheme, P, B, micro-batch
+//! size)`, which differ only in recompute mode, simulator variant or the
+//! method that named the shape (Chimera-wave at `2P` resolves to Hanayo
+//! `W = 1` at `P`). They share one schedule, one lowering per lookahead
+//! and their group reports. One `par_iter` evaluates the tasks, largest
+//! resolved `P×B` first, and each executor claims the next task as soon as
+//! it is free, so a shape's artifacts are built and its reports simulated
+//! once, by the executor that runs it, and the executors finish together.
+//! The final ranking is nevertheless *byte-identical* to a serial run
+//! ([`tune_serial_with`]: the same tasks in the same order on the calling
+//! thread) because outcomes are put back by candidate index and the
+//! ranking is a stable sort on `(throughput, plan)` keys — worker
+//! interleaving never leaks into the output. A property test pits the two
+//! against each other on random `(model, cluster, batch)` triples.
 //!
 //! ## Rejections
 //!
@@ -85,8 +87,8 @@ use hanayo_model::{CostTable, ModelConfig, Recompute};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
+use std::collections::HashMap;
 use std::fmt;
-use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -655,24 +657,35 @@ impl fmt::Display for TuneError {
 
 impl std::error::Error for TuneError {}
 
-/// Cut the space into shape tasks: maximal runs of consecutive candidates
-/// whose plans differ only in recompute mode (their simulator variants may
-/// differ too), ordered largest `P×B` first — a group simulation's cost
-/// grows with both — and otherwise in candidate order.
-fn shape_tasks(space: &[(ParallelPlan, SimOptions, Option<String>)]) -> Vec<Range<usize>> {
-    let shape = |plan: &ParallelPlan| ParallelPlan { recompute: Recompute::None, ..*plan };
-    let mut tasks: Vec<Range<usize>> = Vec::new();
-    for (i, (plan, ..)) in space.iter().enumerate() {
-        match tasks.last_mut() {
-            Some(task) if shape(&space[task.start].0) == shape(plan) => task.end = i + 1,
-            _ => tasks.push(i..i + 1),
-        }
+/// Cut the space into shape tasks, one per resolved schedule shape: the
+/// candidates whose plans resolve to one `(scheme, P, B, micro-batch
+/// size)` share a schedule, its lowerings and its group reports, whichever
+/// method named them (Chimera-wave at `2P` resolves to Hanayo `W = 1` at
+/// `P`). A candidate that does not resolve is a task of its own. Each task
+/// lists its candidates in space order; tasks run largest resolved `P×B`
+/// first — a group simulation's cost grows with both — and otherwise in
+/// the order of their first candidate.
+fn shape_tasks(
+    space: &[(ParallelPlan, SimOptions, Option<String>)],
+    cluster: &ClusterSpec,
+) -> Vec<Vec<usize>> {
+    let mut tasks: Vec<(u32, Vec<usize>)> = Vec::new();
+    let mut by_shape: HashMap<(SchedKey, u32), usize> = HashMap::new();
+    for (i, (plan, _, shape_reason)) in space.iter().enumerate() {
+        let resolved = shape_reason.is_none().then(|| resolve_plan(plan, cluster).ok()).flatten();
+        let Some(Resolved { cfg, .. }) = resolved else {
+            tasks.push((0, vec![i]));
+            continue;
+        };
+        let key = ((cfg.scheme, cfg.devices, cfg.micro_batches), plan.micro_batch_size);
+        let task = *by_shape.entry(key).or_insert_with(|| {
+            tasks.push((cfg.devices * cfg.micro_batches, Vec::new()));
+            tasks.len() - 1
+        });
+        tasks[task].1.push(i);
     }
-    tasks.sort_by_key(|task| {
-        let plan = &space[task.start].0;
-        Reverse(plan.pp * plan.micro_batches)
-    });
-    tasks
+    tasks.sort_by_key(|&(size, _)| Reverse(size));
+    tasks.into_iter().map(|(_, candidates)| candidates).collect()
 }
 
 /// The sweep driver behind both public entry points: enumerate the space,
@@ -705,21 +718,21 @@ fn tune_impl(
     // Inert off a TTY (one atomic add per candidate, no clock reads), so
     // tests and CI see exactly the non-interactive path.
     let progress = hanayo_metrics::Progress::new("sweep", space.len() as u64);
-    let tasks = shape_tasks(&space);
+    let tasks = shape_tasks(&space, cluster);
     // The prefetching variants a lookahead-1 run may prove (wide only).
     let deeper: Vec<SimOptions> = opts
         .sim_variants()
         .into_iter()
         .filter(|v| v.prefetch && v.recv_lookahead > SimOptions::default().recv_lookahead)
         .collect();
-    let run = |task: &Range<usize>| {
+    let run = |task: &Vec<usize>| {
         if ctx.abort.as_ref().is_some_and(|a| a.is_tripped()) {
             return None;
         }
-        let outcomes: Vec<_> = space[task.clone()]
+        let outcomes: Vec<_> = task
             .iter()
-            .map(|cand| {
-                let out = evaluate_candidate(model, cluster, caches, &deeper, cand);
+            .map(|&i| {
+                let out = evaluate_candidate(model, cluster, caches, &deeper, &space[i]);
                 progress.tick();
                 out
             })
@@ -734,7 +747,7 @@ fn tune_impl(
     };
     progress.finish();
 
-    let mut by_start = Vec::with_capacity(tasks.len());
+    let mut by_candidate: Vec<Option<_>> = space.iter().map(|_| None).collect();
     for (task, outcomes) in tasks.iter().zip(done) {
         let Some(outcomes) = outcomes else {
             return Err(TuneError::Cancelled {
@@ -742,10 +755,11 @@ fn tune_impl(
                 total: space.len(),
             });
         };
-        by_start.push((task.start, outcomes));
+        for (&i, outcome) in task.iter().zip(outcomes) {
+            by_candidate[i] = Some(outcome);
+        }
     }
-    by_start.sort_unstable_by_key(|&(start, _)| start);
-    Ok(assemble(by_start.into_iter().flat_map(|(_, outcomes)| outcomes).collect(), cluster))
+    Ok(assemble(by_candidate.into_iter().flatten().collect(), cluster))
 }
 
 /// Sweep the strategy space and rank feasible plans by throughput,
@@ -790,11 +804,46 @@ pub fn tune_serial_with(
 mod tests {
     use super::*;
     use crate::plan::evaluate_plan;
-    use hanayo_cluster::topology::{fc_full_nvlink, lonestar6};
+    use hanayo_cluster::topology::{fc_full_nvlink, lonestar6, pc_partial_nvlink};
     use std::sync::atomic::AtomicBool;
 
     fn opts() -> TuneOptions {
         TuneOptions { waves: vec![1, 2, 4], min_pp: 4, ..Default::default() }
+    }
+
+    #[test]
+    fn each_schedule_shape_lands_in_one_task() {
+        // The benchmark's wide shape and 32 PC GPUs at batch 8. In both,
+        // Chimera-wave at `2P` resolves to the schedule Hanayo `W = 1` at
+        // `P` runs, so one task must hold both methods.
+        for (cluster, batch) in [(lonestar6(8), 16), (pc_partial_nvlink(32), 8)] {
+            let wide = TuneOptions::default().wide();
+            let space = candidate_space(cluster.len() as u32, batch, 1, &wide);
+            let tasks = shape_tasks(&space, &cluster);
+            let mut listed: Vec<usize> = tasks.concat();
+            listed.sort_unstable();
+            assert_eq!(listed, (0..space.len()).collect::<Vec<_>>(), "each candidate once");
+
+            let mut owner: HashMap<SchedKey, usize> = HashMap::new();
+            let mut shared = 0;
+            for (t, task) in tasks.iter().enumerate() {
+                let mut methods = Vec::new();
+                for &i in task {
+                    let (plan, _, shape_reason) = &space[i];
+                    let Ok(Resolved { cfg, .. }) = resolve_plan(plan, &cluster) else { continue };
+                    if shape_reason.is_some() {
+                        continue;
+                    }
+                    let key = (cfg.scheme, cfg.devices, cfg.micro_batches);
+                    assert_eq!(*owner.entry(key).or_insert(t), t, "{key:?} is split over tasks");
+                    if !methods.contains(&plan.method) {
+                        methods.push(plan.method);
+                    }
+                }
+                shared += usize::from(methods.len() > 1);
+            }
+            assert!(shared > 0, "Chimera-wave shares a task with Hanayo W = 1");
+        }
     }
 
     #[test]

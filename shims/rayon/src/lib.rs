@@ -15,24 +15,27 @@
 //! warns on stderr and falls back — it never silently changes the count
 //! mid-run, and the OS is never re-queried per dispatch.
 //!
-//! The calling thread is one of the `N` executors: a dispatch starts at
-//! most `N` executor tasks, queues `N-1` of them to the resident workers
-//! and runs the last one itself. `par_chunks_mut` deals its chunks out to
-//! the tasks strided round-robin up front; `par_iter` tasks instead claim
-//! the next unclaimed index from one shared atomic cursor, so an executor
-//! that finishes early takes the remaining items rather than idling while
-//! another works through a fixed share. Nested parallel calls issued from
-//! inside a pool task run inline on the current thread, so nesting can
-//! never deadlock the fixed-size pool. Panics inside any task are caught,
-//! the dispatch still waits for every task to finish (borrowed data stays
-//! live), and the first payload is re-raised in the caller via
-//! `resume_unwind`.
+//! Both entry points go through one dispatch. A call with `n` items
+//! starts `min(n, N)` executors: the calling thread runs one, and the
+//! rest are queued for the `N-1` resident workers, each tagged with its
+//! call. Every executor claims the next unclaimed item from the call's
+//! one atomic cursor, so an executor that finishes early takes the
+//! remaining items rather than idling. Once the cursor is exhausted the
+//! caller takes its own executors that no worker has started back off
+//! the queue, then waits for the ones that did start. A caller therefore
+//! never runs another call's work, and never waits on a clock.
+//!
+//! Nested parallel calls issued from inside an executor run inline on the
+//! current thread, so nesting can never deadlock the fixed-size pool.
+//! Panics inside any executor are caught, the dispatch still waits for
+//! every started executor (borrowed data stays live), and the first
+//! payload is re-raised in the caller via `resume_unwind`.
 
 use std::any::Any;
 use std::cell::Cell;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 
 pub mod prelude {
     pub use crate::{ParallelSlice, ParallelSliceMut};
@@ -41,264 +44,164 @@ pub mod prelude {
 /// Number of executor threads (resident workers + the calling thread) the
 /// process-wide pool uses. Resolved once; see the crate docs.
 pub fn current_num_threads() -> usize {
-    global_pool().threads()
+    global_pool().threads
 }
 
 // ---------------------------------------------------------------------------
 // Persistent pool
 // ---------------------------------------------------------------------------
 
-type Job = Box<dyn FnOnce() + Send + 'static>;
+/// An executor with its borrows erased; see the SAFETY note in
+/// [`Pool::dispatch`].
+type Executor = Box<dyn FnOnce() + Send + 'static>;
 
-struct PoolShared {
-    queue: Mutex<VecDeque<Job>>,
-    job_ready: Condvar,
+/// Executors waiting for a resident worker, each tagged with its call.
+#[derive(Default)]
+struct Queue {
+    jobs: Mutex<VecDeque<(Arc<Call>, Executor)>>,
+    ready: Condvar,
+}
+
+/// One dispatch's latch: how many of its executors have not yet counted
+/// down, and the first panic payload any of them raised.
+struct Call {
+    state: Mutex<(usize, Option<Box<dyn Any + Send>>)>,
+    done: Condvar,
 }
 
 /// Fixed-size persistent thread pool. One global instance backs the public
 /// API; tests construct private instances to pin pool behaviour regardless
 /// of the host's core count.
 struct Pool {
-    shared: Arc<PoolShared>,
+    queue: Arc<Queue>,
     /// Total executors: spawned workers + the calling thread.
     threads: usize,
 }
 
 thread_local! {
-    /// True while this thread is executing a pool bucket; nested parallel
-    /// calls observe it and run inline instead of re-entering the queue.
+    /// True while this thread runs an executor; nested parallel calls
+    /// observe it and run inline instead of re-entering the queue.
     static IN_POOL_TASK: Cell<bool> = const { Cell::new(false) };
 }
 
-/// Tracks one dispatch: how many buckets are still running and the first
-/// panic payload observed, if any.
-struct Batch {
-    remaining: Mutex<usize>,
-    done: Condvar,
-    panic: Mutex<Option<Box<dyn Any + Send>>>,
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    // Executors catch panics before they can poison a lock; recover
+    // defensively anyway so a poisoned pool can never wedge the process.
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-fn lock<'m, T>(m: &'m Mutex<T>) -> std::sync::MutexGuard<'m, T> {
-    // Bucket bodies catch panics before they can poison a lock; recover
-    // defensively anyway so a poisoned pool can never wedge the process.
-    m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+impl Call {
+    /// Run one executor of this call, catching its panic, and count it
+    /// down. The executor is dropped before the count-down.
+    fn run(&self, executor: impl FnOnce()) {
+        IN_POOL_TASK.with(|flag| flag.set(true));
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(executor));
+        IN_POOL_TASK.with(|flag| flag.set(false));
+        self.count_down(1, result.err());
+    }
+
+    fn count_down(&self, executors: usize, panic: Option<Box<dyn Any + Send>>) {
+        let mut state = lock(&self.state);
+        state.0 -= executors;
+        if state.1.is_none() {
+            state.1 = panic;
+        }
+        if state.0 == 0 {
+            self.done.notify_all();
+        }
+    }
+
+    /// Block until every executor has counted down; yield the first panic.
+    fn wait(&self) -> Option<Box<dyn Any + Send>> {
+        let state = self.done.wait_while(lock(&self.state), |state| state.0 > 0);
+        let mut state = state.unwrap_or_else(PoisonError::into_inner);
+        state.1.take()
+    }
 }
 
 impl Pool {
     fn new(threads: usize) -> Pool {
         let threads = threads.max(1);
-        let shared =
-            Arc::new(PoolShared { queue: Mutex::new(VecDeque::new()), job_ready: Condvar::new() });
+        let queue = Arc::new(Queue::default());
         // The caller is executor 0; spawn the remaining N-1 resident workers.
         for w in 1..threads {
-            let shared = Arc::clone(&shared);
+            let queue = Arc::clone(&queue);
+            let worker = move || loop {
+                let job = queue.ready.wait_while(lock(&queue.jobs), |jobs| jobs.is_empty());
+                let job = job.unwrap_or_else(PoisonError::into_inner).pop_front();
+                if let Some((call, executor)) = job {
+                    call.run(executor);
+                }
+            };
             let builder = std::thread::Builder::new().name(format!("hanayo-worker-{w}"));
-            let spawned = builder.spawn(move || loop {
-                let job = {
-                    let mut q = lock(&shared.queue);
-                    loop {
-                        if let Some(job) = q.pop_front() {
-                            break job;
-                        }
-                        q = shared
-                            .job_ready
-                            .wait(q)
-                            .unwrap_or_else(|poisoned| poisoned.into_inner());
-                    }
-                };
-                IN_POOL_TASK.with(|flag| flag.set(true));
-                job();
-                IN_POOL_TASK.with(|flag| flag.set(false));
-            });
-            if spawned.is_err() {
+            if builder.spawn(worker).is_err() {
                 // Thread creation failed (resource limits): the pool still
-                // works with fewer residents; dispatches fall back on the
-                // caller draining its own buckets via the queue helpers.
+                // works with fewer residents, because every caller takes
+                // back the executors no worker started.
                 eprintln!("hanayo rayon shim: failed to spawn worker {w}; continuing with fewer");
             }
         }
-        Pool { shared, threads }
+        Pool { queue, threads }
     }
 
-    fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Run every task to completion, re-raising the first panic payload in
-    /// the caller once all tasks have finished. Tasks may borrow from the
-    /// caller's stack (`'scope`): the lifetime erasure below is sound
-    /// because this function does not return (or unwind) until `remaining`
-    /// hits zero, i.e. until every erased closure has been dropped.
-    fn run_tasks<'scope>(&self, tasks: Vec<Box<dyn FnOnce() + Send + 'scope>>) {
-        let n = tasks.len();
-        if n == 0 {
-            return;
+    /// The one dispatch: apply `f` to every item and return the results in
+    /// item order, re-raising the first panic once every started executor
+    /// has finished. Items and results move through per-item slots, whose
+    /// indices the executors claim from one cursor.
+    fn dispatch<I: Send, R: Send>(&self, items: Vec<I>, f: &(impl Fn(I) -> R + Sync)) -> Vec<R> {
+        let executors = self.threads.min(items.len());
+        if executors <= 1 || IN_POOL_TASK.with(Cell::get) {
+            return items.into_iter().map(f).collect();
         }
-        let inline = self.threads <= 1 || n == 1 || IN_POOL_TASK.with(|flag| flag.get());
-        if inline {
-            for task in tasks {
-                task();
+        let slots: Vec<Mutex<(Option<I>, Option<R>)>> =
+            items.into_iter().map(|item| Mutex::new((Some(item), None))).collect();
+        let cursor = AtomicUsize::new(0);
+        let execute = || {
+            // Relaxed: the cursor only hands out indices; items and results
+            // travel through the slot mutexes.
+            while let Some(slot) = slots.get(cursor.fetch_add(1, Ordering::Relaxed)) {
+                let item = lock(slot).0.take();
+                if let Some(item) = item {
+                    let result = f(item);
+                    lock(slot).1 = Some(result);
+                }
             }
-            return;
-        }
-
-        let batch = Arc::new(Batch {
-            remaining: Mutex::new(n),
-            done: Condvar::new(),
-            panic: Mutex::new(None),
-        });
-
-        let mut wrapped: Vec<Job> = Vec::with_capacity(n);
-        for task in tasks {
-            let batch = Arc::clone(&batch);
-            let job: Box<dyn FnOnce() + Send + 'scope> = Box::new(move || {
-                let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(task));
-                if let Err(payload) = result {
-                    let mut slot = lock(&batch.panic);
-                    if slot.is_none() {
-                        *slot = Some(payload);
-                    }
-                }
-                let mut remaining = lock(&batch.remaining);
-                *remaining -= 1;
-                if *remaining == 0 {
-                    batch.done.notify_all();
-                }
-            });
-            // SAFETY: see the method doc — every job completes (and is
-            // dropped) before run_tasks returns, so no borrow of 'scope
-            // data can outlive its referent.
-            let job: Job =
-                unsafe { std::mem::transmute::<Box<dyn FnOnce() + Send + 'scope>, Job>(job) };
-            wrapped.push(job);
-        }
-
-        // Keep one bucket for the calling thread; queue the rest.
-        let own = wrapped.pop();
+        };
+        let call = Arc::new(Call { state: Mutex::new((executors, None)), done: Condvar::new() });
         {
-            let mut q = lock(&self.shared.queue);
-            q.extend(wrapped);
-        }
-        self.shared.job_ready.notify_all();
-        if let Some(own) = own {
-            IN_POOL_TASK.with(|flag| flag.set(true));
-            own();
-            IN_POOL_TASK.with(|flag| flag.set(false));
-        }
-
-        // Help drain the queue while waiting: if every resident worker is
-        // busy (or failed to spawn), the caller keeps making progress.
-        loop {
-            if *lock(&batch.remaining) == 0 {
-                break;
-            }
-            let stolen = lock(&self.shared.queue).pop_front();
-            match stolen {
-                Some(job) => {
-                    IN_POOL_TASK.with(|flag| flag.set(true));
-                    job();
-                    IN_POOL_TASK.with(|flag| flag.set(false));
-                }
-                None => {
-                    let guard = lock(&batch.remaining);
-                    if *guard > 0 {
-                        // Timed wait: a job for *this* batch may still be
-                        // queued behind other batches' jobs, which only the
-                        // queue (not `done`) signals about.
-                        let _unused = self.batch_wait(guard, &batch);
-                    } else {
-                        break;
-                    }
-                }
+            let mut jobs = lock(&self.queue.jobs);
+            for _ in 1..executors {
+                let executor: Box<dyn FnOnce() + Send + '_> = Box::new(&execute);
+                // SAFETY: the executor borrows `slots`, `cursor` and `f` from
+                // this frame. Nothing from here to `call.wait()` can unwind
+                // (`Call::run` catches panics), and `call.wait()` returns only
+                // once every queued executor has either run to its count-down
+                // (`Call::run` drops it first) or been taken back below and
+                // dropped unrun. So no erased borrow outlives its referent.
+                let executor = unsafe {
+                    std::mem::transmute::<Box<dyn FnOnce() + Send + '_>, Executor>(executor)
+                };
+                jobs.push_back((Arc::clone(&call), executor));
             }
         }
-
-        let payload = lock(&batch.panic).take();
-        if let Some(payload) = payload {
+        self.queue.ready.notify_all();
+        call.run(execute);
+        // The cursor is exhausted (or the caller's executor panicked): take
+        // back this call's unstarted executors, then wait for the started.
+        let unstarted = {
+            let mut jobs = lock(&self.queue.jobs);
+            let queued = jobs.len();
+            jobs.retain(|(owner, _)| !Arc::ptr_eq(owner, &call));
+            queued - jobs.len()
+        };
+        call.count_down(unstarted, None);
+        if let Some(payload) = call.wait() {
             std::panic::resume_unwind(payload);
         }
-    }
-
-    fn batch_wait<'m>(
-        &self,
-        guard: std::sync::MutexGuard<'m, usize>,
-        batch: &Batch,
-    ) -> std::sync::MutexGuard<'m, usize> {
-        let (guard, _timeout) = batch
-            .done
-            .wait_timeout(guard, std::time::Duration::from_millis(1))
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        guard
-    }
-
-    /// Apply `f` to every item, strided round-robin across buckets so
-    /// neighbouring (similar-cost) items spread over executors.
-    fn run_parallel<I: Send>(&self, items: Vec<I>, f: &(impl Fn(I) + Sync)) {
-        let buckets = self.threads.min(items.len()).max(1);
-        if buckets <= 1 || IN_POOL_TASK.with(|flag| flag.get()) {
-            for item in items {
-                f(item);
-            }
-            return;
-        }
-        let mut split: Vec<Vec<I>> = (0..buckets).map(|_| Vec::new()).collect();
-        for (i, item) in items.into_iter().enumerate() {
-            split[i % buckets].push(item);
-        }
-        let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = split
+        slots
             .into_iter()
-            .map(|bucket| {
-                let task: Box<dyn FnOnce() + Send + '_> = Box::new(move || {
-                    for item in bucket {
-                        f(item);
-                    }
-                });
-                task
-            })
-            .collect();
-        self.run_tasks(tasks);
-    }
-
-    /// Parallel map over indices `0..n`, preserving index order in the
-    /// output. Executors claim the next index from a shared cursor until
-    /// none is left, ship `(index, result)` pairs home through their own
-    /// slot, and the caller reassembles them in index order.
-    fn par_map_indexed<R: Send>(&self, n: usize, f: &(impl Fn(usize) -> R + Sync)) -> Vec<R> {
-        let executors = self.threads.min(n).max(1);
-        if executors <= 1 || IN_POOL_TASK.with(|flag| flag.get()) {
-            return (0..n).map(f).collect();
-        }
-        let cursor = AtomicUsize::new(0);
-        let cursor = &cursor;
-        let slots: Vec<Mutex<Vec<(usize, R)>>> =
-            (0..executors).map(|_| Mutex::new(Vec::new())).collect();
-        let slots = &slots;
-        let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = (0..executors)
-            .map(|w| {
-                let task: Box<dyn FnOnce() + Send + '_> = Box::new(move || {
-                    let mut res = Vec::new();
-                    loop {
-                        // Relaxed: the cursor only hands out indices; the
-                        // results travel through the slot mutexes.
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        res.push((i, f(i)));
-                    }
-                    *lock(&slots[w]) = res;
-                });
-                task
-            })
-            .collect();
-        self.run_tasks(tasks);
-        let mut out: Vec<Option<R>> = (0..n).map(|_| None).collect();
-        for slot in slots {
-            for (i, r) in lock(slot).drain(..) {
-                out[i] = Some(r);
-            }
-        }
-        out.into_iter().flatten().collect()
+            .filter_map(|slot| slot.into_inner().unwrap_or_else(PoisonError::into_inner).1)
+            .collect()
     }
 }
 
@@ -325,12 +228,8 @@ fn global_pool() -> &'static Pool {
     })
 }
 
-fn run_parallel<I: Send>(items: Vec<I>, f: &(impl Fn(I) + Sync)) {
-    global_pool().run_parallel(items, f)
-}
-
-fn par_map_indexed<R: Send>(n: usize, f: &(impl Fn(usize) -> R + Sync)) -> Vec<R> {
-    global_pool().par_map_indexed(n, f)
+fn dispatch<I: Send, R: Send>(items: Vec<I>, f: &(impl Fn(I) -> R + Sync)) -> Vec<R> {
+    global_pool().dispatch(items, f)
 }
 
 // ---------------------------------------------------------------------------
@@ -360,11 +259,6 @@ impl<'a, T: Send> ParChunksMut<'a, T> {
     pub fn enumerate(self) -> ParChunksMutEnumerate<'a, T> {
         ParChunksMutEnumerate { items: self.chunks.into_iter().enumerate().collect() }
     }
-
-    /// Apply `f` to every chunk across worker threads.
-    pub fn for_each(self, f: impl Fn(&'a mut [T]) + Sync) {
-        run_parallel(self.chunks, &f);
-    }
 }
 
 /// Enumerated form of [`ParChunksMut`].
@@ -375,7 +269,7 @@ pub struct ParChunksMutEnumerate<'a, T> {
 impl<'a, T: Send> ParChunksMutEnumerate<'a, T> {
     /// Apply `f` to every `(index, chunk)` pair across worker threads.
     pub fn for_each(self, f: impl Fn((usize, &'a mut [T])) + Sync) {
-        run_parallel(self.items, &f);
+        dispatch(self.items, &f);
     }
 }
 
@@ -388,12 +282,6 @@ pub trait ParallelSlice<T: Sync> {
 }
 
 impl<T: Sync> ParallelSlice<T> for [T] {
-    fn par_iter(&self) -> ParIter<'_, T> {
-        ParIter { items: self }
-    }
-}
-
-impl<T: Sync> ParallelSlice<T> for Vec<T> {
     fn par_iter(&self) -> ParIter<'_, T> {
         ParIter { items: self }
     }
@@ -434,9 +322,7 @@ pub struct ParMap<'a, T, F> {
 impl<'a, T: Sync, R: Send, F: Fn(&'a T) -> R + Sync> ParMap<'a, T, F> {
     /// Run the map across worker threads and collect results in input order.
     pub fn collect<C: FromIterator<R>>(self) -> C {
-        let f = &self.f;
-        let items = self.items;
-        par_map_indexed(items.len(), &|i| f(&items[i])).into_iter().collect()
+        dispatch(self.items.iter().collect(), &self.f).into_iter().collect()
     }
 }
 
@@ -457,23 +343,35 @@ where
     /// order.
     pub fn collect<C: FromIterator<I::Item>>(self) -> C {
         let f = &self.f;
-        let items = self.items;
-        par_map_indexed(items.len(), &|i| f(&items[i]).into_iter().collect::<Vec<_>>())
+        dispatch(self.items.iter().collect(), &|item| f(item).into_iter().collect::<Vec<_>>())
             .into_iter()
             .flatten()
             .collect()
     }
 }
-
 #[cfg(test)]
 mod tests {
     use super::prelude::*;
     use super::Pool;
     use std::collections::HashSet;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::{Condvar, Mutex};
+    use std::sync::{mpsc, Arc, Barrier, Condvar, Mutex};
     use std::thread::ThreadId;
     use std::time::{Duration, Instant};
+
+    /// A gate a test opens once; every `wait` returns after that.
+    #[derive(Default)]
+    struct Gate(Mutex<bool>, Condvar);
+
+    impl Gate {
+        fn open(&self) {
+            *self.0.lock().unwrap() = true;
+            self.1.notify_all();
+        }
+
+        fn wait(&self) {
+            drop(self.1.wait_while(self.0.lock().unwrap(), |open| !*open).unwrap());
+        }
+    }
 
     #[test]
     fn par_chunks_mut_enumerate_matches_sequential() {
@@ -489,7 +387,7 @@ mod tests {
 
     #[test]
     fn par_iter_collects() {
-        let v = vec![1, 2, 3];
+        let v = [1, 2, 3];
         let doubled: Vec<i32> = v.par_iter().map(|x| x * 2).collect();
         assert_eq!(doubled, vec![2, 4, 6]);
     }
@@ -513,7 +411,7 @@ mod tests {
 
     #[test]
     fn par_flat_map_preserves_item_order() {
-        let v = vec![1usize, 2, 3];
+        let v = [1usize, 2, 3];
         let out: Vec<usize> = v.par_iter().flat_map(|&x| vec![x; x]).collect();
         assert_eq!(out, vec![1, 2, 2, 3, 3, 3]);
     }
@@ -522,7 +420,7 @@ mod tests {
     fn pool_preserves_order_on_multithreaded_pool() {
         // A private pool pins multithreaded dispatch even on 1-core hosts.
         let pool = Pool::new(4);
-        let out = pool.par_map_indexed(257, &|i| i * 3);
+        let out = pool.dispatch((0..257).collect(), &|i| i * 3);
         let expect: Vec<usize> = (0..257).map(|i| i * 3).collect();
         assert_eq!(out, expect);
     }
@@ -537,7 +435,7 @@ mod tests {
         let n = 16;
         let others_done = (Mutex::new(0usize), Condvar::new());
         let (done, ran) = &others_done;
-        let out = pool.par_map_indexed(n, &|i| {
+        let out = pool.dispatch((0..n).collect(), &|i| {
             if i == 0 {
                 let deadline = Instant::now() + Duration::from_secs(10);
                 let mut count = done.lock().unwrap();
@@ -563,28 +461,73 @@ mod tests {
         let pool = Pool::new(3);
         let caller = std::thread::current().id();
         let observe = |pool: &Pool| -> HashSet<ThreadId> {
-            let seen: Mutex<HashSet<ThreadId>> = Mutex::new(HashSet::new());
-            let started = AtomicUsize::new(0);
-            pool.run_parallel((0..3).collect(), &|_i: usize| {
-                seen.lock().unwrap().insert(std::thread::current().id());
-                // Hold each bucket open until all three have started so a
-                // single fast worker cannot swallow every queued bucket.
-                started.fetch_add(1, Ordering::SeqCst);
-                let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-                while started.load(Ordering::SeqCst) < 3 && std::time::Instant::now() < deadline {
-                    std::thread::yield_now();
-                }
+            // Each item holds its executor until all three have started, so
+            // the three items run on three distinct threads.
+            let all_started = Barrier::new(3);
+            let ran_on = pool.dispatch((0..3).collect(), &|_i: usize| {
+                all_started.wait();
+                std::thread::current().id()
             });
-            seen.into_inner().unwrap()
+            ran_on.into_iter().filter(|id| *id != caller).collect()
         };
-        let first: HashSet<ThreadId> =
-            observe(&pool).into_iter().filter(|id| *id != caller).collect();
-        let second: HashSet<ThreadId> =
-            observe(&pool).into_iter().filter(|id| *id != caller).collect();
-        assert_eq!(first.len(), 2, "three buckets over caller + two residents");
+        let first = observe(&pool);
+        let second = observe(&pool);
+        assert_eq!(first.len(), 2, "three items over caller + two residents");
         // Persistent pool: the second dispatch runs on the *same* resident
         // workers — no fresh OS threads per call.
         assert_eq!(first, second);
+    }
+
+    #[test]
+    fn a_dispatch_never_runs_another_dispatchs_work() {
+        // Two executors: the caller and one resident worker.
+        let pool = Arc::new(Pool::new(2));
+        let x_running = Arc::new(Barrier::new(3));
+        let x_gate = Arc::new(Gate::default());
+        let b_returned = Arc::new(Gate::default());
+
+        // Call X holds both of its executors on a gate: no worker is free.
+        let x = {
+            let (pool, x_running, x_gate) = (pool.clone(), x_running.clone(), x_gate.clone());
+            std::thread::spawn(move || {
+                pool.dispatch(vec![0, 1], &|i| {
+                    x_running.wait();
+                    x_gate.wait();
+                    i
+                })
+            })
+        };
+        x_running.wait();
+
+        // Call A queues an executor behind them; every item of A, the one
+        // its caller is running included, waits until B has returned.
+        let (a_started, a_running) = mpsc::channel();
+        let a = {
+            let (pool, b_returned) = (pool.clone(), b_returned.clone());
+            std::thread::spawn(move || {
+                pool.dispatch(vec![0, 1], &|i| {
+                    a_started.send(()).ok();
+                    b_returned.wait();
+                    i
+                })
+            })
+        };
+        a_running.recv().unwrap();
+
+        // Call B queues its executor behind A's. Its caller must finish B
+        // alone: running A's queued executor would wait on B itself.
+        let (b_done, b_result) = mpsc::channel();
+        let b = {
+            let pool = pool.clone();
+            std::thread::spawn(move || b_done.send(pool.dispatch(vec![1, 2], &|i| i)).unwrap())
+        };
+        let got = b_result.recv_timeout(Duration::from_secs(10));
+        b_returned.open();
+        x_gate.open();
+        assert_eq!(got, Ok(vec![1, 2]), "B must return without running A's work");
+        b.join().unwrap();
+        assert_eq!(a.join().unwrap(), vec![0, 1]);
+        assert_eq!(x.join().unwrap(), vec![0, 1]);
     }
 
     #[test]
@@ -595,7 +538,7 @@ mod tests {
         // here (every executor waiting on buckets nobody is free to run).
         let mut data = vec![0u64; 64];
         let chunks: Vec<&mut [u64]> = data.chunks_mut(8).collect();
-        pool.run_parallel(chunks, &|chunk: &mut [u64]| {
+        pool.dispatch(chunks, &|chunk: &mut [u64]| {
             let inner: Vec<u64> = chunk.par_iter().map(|&v| v + 1).collect();
             for (dst, src) in chunk.iter_mut().zip(inner) {
                 *dst = src + 1;
@@ -608,7 +551,7 @@ mod tests {
     fn panic_payload_resumes_across_pooled_workers() {
         let pool = Pool::new(4);
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            pool.par_map_indexed(64, &|i| {
+            pool.dispatch((0..64).collect(), &|i| {
                 if i == 37 {
                     panic!("bucket 37 exploded");
                 }
@@ -631,10 +574,10 @@ mod tests {
         // the same residents still work.
         let pool = Pool::new(3);
         let poisoned = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            pool.par_map_indexed(16, &|i| if i == 3 { panic!("boom") } else { i })
+            pool.dispatch((0..16).collect(), &|i| if i == 3 { panic!("boom") } else { i })
         }));
         assert!(poisoned.is_err());
-        let out = pool.par_map_indexed(16, &|i| i + 1);
+        let out = pool.dispatch((0..16).collect(), &|i| i + 1);
         assert_eq!(out, (1..=16).collect::<Vec<_>>());
     }
 
