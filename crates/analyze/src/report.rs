@@ -9,9 +9,7 @@ use hanayo_core::chain::ComputeOp;
 use hanayo_core::comm;
 use hanayo_core::ids::{DeviceId, MicroBatch};
 use hanayo_core::program::{Message, Op, Program};
-use hanayo_core::schedule::table::{
-    chain_slots, check_table_with, ScheduleTable, TableError, TableLimits,
-};
+use hanayo_core::schedule::table::{chain_slots, check_table, ScheduleTable, TableError};
 use hanayo_model::CostTable;
 use serde::{Deserialize, Serialize};
 
@@ -239,17 +237,16 @@ pub fn analyze(
     })
 }
 
-/// [`analyze`] for the tabular IR: the table-level invariants run first
-/// (shape, completeness, chain order, recompute typing, stash caps), then
-/// the table is lowered through the same path the simulator executes and
-/// the program analyses follow.
+/// [`analyze`] for the tabular IR: the table-level invariants of
+/// [`check_table`] run first (shape, completeness, placement, chain
+/// order), then the table is lowered through the same path the simulator
+/// executes and the program analyses follow.
 pub fn analyze_table(
     table: &ScheduleTable,
     cost: &CostTable,
     cluster: &ClusterSpec,
-    limits: TableLimits,
 ) -> Result<AnalysisReport, AnalysisError> {
-    check_table_with(table, limits)?;
+    check_table(table)?;
     analyze(&comm::lower(&table.to_compute()), cost, cluster)
 }
 

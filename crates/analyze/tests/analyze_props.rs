@@ -18,7 +18,7 @@ use hanayo_core::comm;
 use hanayo_core::config::{PipelineConfig, Scheme};
 use hanayo_core::program::{Defect, ProgramError};
 use hanayo_core::schedule::search::{apply_move, sample_legal_moves};
-use hanayo_core::schedule::table::{check_table, ScheduleTable, Slot, TableError, TableLimits};
+use hanayo_core::schedule::table::{check_table, ScheduleTable, Slot, TableError};
 use hanayo_core::schedule::{build_compute_schedule, build_schedule};
 use hanayo_model::{CostTable, ModelConfig, Recompute};
 use hanayo_sim::{try_simulate_traced, SimError, SimOptions};
@@ -73,7 +73,7 @@ proptest! {
         }
         let cluster = fc_full_nvlink(p as usize);
         let cost = CostTable::build(&ModelConfig::bert64(), table.config.stages(), 1);
-        let report = analyze_table(&table, &cost, &cluster, TableLimits::default());
+        let report = analyze_table(&table, &cost, &cluster);
         prop_assert!(report.is_ok(), "legal table rejected: {:?}", report);
 
         let schedule = comm::lower(&table.to_compute());
@@ -155,7 +155,7 @@ proptest! {
 
         let cluster = fc_full_nvlink(p as usize);
         let cost = CostTable::build(&ModelConfig::bert64(), table.config.stages(), 1);
-        let report = analyze_table(&table, &cost, &cluster, TableLimits::default());
+        let report = analyze_table(&table, &cost, &cluster);
         prop_assert!(
             matches!(
                 report,

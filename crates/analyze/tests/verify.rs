@@ -13,7 +13,6 @@ use hanayo_core::ids::{DeviceId, MicroBatch, ReplicaId, StageId};
 use hanayo_core::program::Defect;
 use hanayo_core::schedule::build_schedule;
 use hanayo_core::schedule::custom::build_custom_schedule;
-use hanayo_core::schedule::listsched::ListParams;
 use hanayo_core::schedule::table::TableError;
 use hanayo_core::stage_map::{PathGroup, StageMap};
 use hanayo_model::{CostTable, ModelConfig};
@@ -171,7 +170,7 @@ fn custom(devices: u32, path: Vec<u32>, b: u32) -> Schedule {
         mb_group: vec![0; b as usize],
     };
     let cfg = PipelineConfig::new(devices, b, Scheme::GPipe).unwrap();
-    build_custom_schedule(&cfg, map, ListParams::default()).unwrap()
+    build_custom_schedule(&cfg, map, None).unwrap()
 }
 
 #[test]

@@ -3,15 +3,16 @@
 //! The paper's framework "offer\[s\] interfaces for users to modify existing
 //! schemes or develop their own" (§4.1). This module is that interface:
 //! hand the generator an arbitrary [`StageMap`] — any stage→device path(s)
-//! you can draw — plus scheduling knobs, and get back a validated,
-//! executable schedule usable by both engines. `hanayo_analyze::verify`
+//! you can draw — plus an optional cap on the micro-batches of each path
+//! group in flight, and get back a validated, executable schedule usable
+//! by both engines. `hanayo_analyze::verify`
 //! accepts it exactly as it accepts a built-in scheme.
 //!
 //! ```
 //! use hanayo_core::config::{PipelineConfig, Scheme};
 //! use hanayo_core::ids::{DeviceId, ReplicaId};
 //! use hanayo_core::schedule::custom::build_custom_schedule;
-//! use hanayo_core::schedule::listsched::{list_schedule, ListParams};
+//! use hanayo_core::schedule::listsched::list_schedule;
 //! use hanayo_core::schedule::table::{check_table, ScheduleTable};
 //! use hanayo_core::stage_map::{PathGroup, StageMap};
 //!
@@ -24,17 +25,17 @@
 //!     mb_group: vec![0; 4],
 //! };
 //! let cfg = PipelineConfig::new(4, 4, Scheme::GPipe).unwrap(); // P and B only
-//! let schedule = build_custom_schedule(&cfg, map.clone(), ListParams::default()).unwrap();
+//! let schedule = build_custom_schedule(&cfg, map.clone(), None).unwrap();
 //! assert_eq!(schedule.total_compute(), 2 * 4 * 6);
 //! // Its compute order, tabulated, passes the standalone table checker.
-//! let cs = list_schedule(&cfg, map, ListParams::default()).unwrap();
+//! let cs = list_schedule(&cfg, map, None).unwrap();
 //! check_table(&ScheduleTable::from_compute(&cs)).unwrap();
 //! ```
 
 use crate::action::Schedule;
 use crate::comm;
 use crate::config::PipelineConfig;
-use crate::schedule::listsched::{list_schedule, ListParams};
+use crate::schedule::listsched::list_schedule;
 use crate::schedule::ScheduleError;
 use crate::stage_map::StageMap;
 use std::fmt;
@@ -143,14 +144,15 @@ pub(crate) fn check_map(cfg: &PipelineConfig, map: &StageMap) -> Result<(), Cust
 
 /// Build a complete schedule from a user-provided stage map. The
 /// configuration contributes `P` and `B`; its `scheme` field is ignored
-/// (the map *is* the scheme).
+/// (the map *is* the scheme). `cap` bounds the micro-batches of each path
+/// group in flight, as in [`list_schedule`].
 pub fn build_custom_schedule(
     cfg: &PipelineConfig,
     map: StageMap,
-    params: ListParams,
+    cap: Option<u32>,
 ) -> Result<Schedule, ScheduleError> {
     check_map(cfg, &map)?;
-    let cs = list_schedule(cfg, map, params)?;
+    let cs = list_schedule(cfg, map, cap)?;
     Ok(comm::lower(&cs))
 }
 
@@ -234,7 +236,7 @@ mod tests {
         // survives to the ScheduleError layer.
         let m = map(2, vec![0, 5], 2);
         assert_eq!(
-            build_custom_schedule(&cfg(2, 2), m, ListParams::default()).unwrap_err(),
+            build_custom_schedule(&cfg(2, 2), m, None).unwrap_err(),
             ScheduleError::CustomMap(CustomMapError::DeviceOutOfRange {
                 group: 0,
                 stage: 1,

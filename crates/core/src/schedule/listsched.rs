@@ -18,7 +18,10 @@
 //!   waves ordered.
 //! * **Admission control** — at most `cap` micro-batches of each path group
 //!   may be in flight (entered forward, not yet finished their last
-//!   backward). This bounds activation memory exactly like 1F1B's warmup
+//!   forward chunk). The backward backlog stays bounded anyway, because
+//!   deepest-first drains backwards before admitting shallow work, and
+//!   re-admitting at the last forward is what sustains the steady state
+//!   across rounds. The cap bounds activation memory like 1F1B's warmup
 //!   depth does.
 //!
 //! A stage-chunk forward costs one abstract unit and a backward two (the
@@ -32,41 +35,11 @@ use crate::stage_map::StageMap;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
-/// When does an in-flight micro-batch stop counting against the admission
-/// cap?
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RetireRule {
-    /// When its final backward completes (strict 1F1B-style accounting).
-    /// Correct at `B ≤ P` but re-admission lags the chain latency, so
-    /// rounds stall at `B > P`.
-    FullChain,
-    /// When its last forward chunk completes. The backward backlog stays
-    /// bounded anyway because the deepest-first policy drains backwards
-    /// before admitting shallow work; this is what sustains the steady
-    /// state across rounds.
-    ForwardComplete,
-}
-
 /// Abstract cost of one *stage-chunk* forward.
 const F_COST: u64 = 1;
 
 /// Abstract cost of one stage-chunk backward.
 const B_COST: u64 = 2;
-
-/// Tunables for [`list_schedule`].
-#[derive(Debug, Clone, Copy)]
-pub struct ListParams {
-    /// Per-group in-flight micro-batch cap (`None` = unbounded, GPipe-like).
-    pub cap: Option<u32>,
-    /// Retirement rule for the cap.
-    pub retire: RetireRule,
-}
-
-impl Default for ListParams {
-    fn default() -> Self {
-        ListParams { cap: None, retire: RetireRule::FullChain }
-    }
-}
 
 /// Priority of a ready op within one device's ready set. `Ord` is "larger =
 /// run first" to suit a max-heap.
@@ -95,7 +68,7 @@ enum EventKind {
 struct Engine<'a> {
     map: &'a StageMap,
     stages: u32,
-    params: ListParams,
+    cap: u32,
     ready: Vec<BinaryHeap<(Prio, u32, u32)>>,
     busy: Vec<bool>,
     order: Vec<Vec<ComputeOp>>,
@@ -120,8 +93,7 @@ impl<'a> Engine<'a> {
 
     /// Admit micro-batches of group `g` up to the cap.
     fn admit(&mut self, g: usize, now: u64) {
-        let cap = self.params.cap.unwrap_or(u32::MAX);
-        while self.in_flight[g] < cap {
+        while self.in_flight[g] < self.cap {
             let Some(m) = self.pending[g].pop_front() else { break };
             self.in_flight[g] += 1;
             self.push_event(now, EventKind::OpReady { mb: m, pos: 0 });
@@ -143,11 +115,7 @@ impl<'a> Engine<'a> {
                 let d = device as usize;
                 self.busy[d] = false;
                 self.done += 1;
-                let retire_pos = match self.params.retire {
-                    RetireRule::FullChain => 2 * self.stages - 1,
-                    RetireRule::ForwardComplete => self.stages - 1,
-                };
-                if pos == retire_pos {
+                if pos == self.stages - 1 {
                     let g = self.map.group_of(MicroBatch(mb));
                     self.in_flight[g] -= 1;
                     self.admit(g, now);
@@ -176,11 +144,13 @@ impl<'a> Engine<'a> {
 }
 
 /// Generate a per-device compute order for an arbitrary [`StageMap`] by
-/// deterministic greedy list scheduling.
+/// deterministic greedy list scheduling, with at most `cap` micro-batches
+/// of each path group in flight (`None` = unbounded, GPipe-like). A
+/// micro-batch retires from the cap when its last forward chunk completes.
 pub fn list_schedule(
     cfg: &PipelineConfig,
     map: StageMap,
-    params: ListParams,
+    cap: Option<u32>,
 ) -> Result<ComputeSchedule, ScheduleError> {
     let s = map.stages;
     let b = cfg.micro_batches;
@@ -196,7 +166,7 @@ pub fn list_schedule(
     let mut eng = Engine {
         map: &map,
         stages: s,
-        params,
+        cap: cap.unwrap_or(u32::MAX),
         ready: (0..p).map(|_| BinaryHeap::new()).collect(),
         busy: vec![false; p],
         order: (0..p).map(|_| Vec::new()).collect(),
@@ -235,12 +205,10 @@ pub fn list_schedule(
 }
 
 /// Generate a named scheme's compute order over its own [`StageMap`] with
-/// at most `cap` micro-batches of each path group in flight, each retired
-/// when its last forward chunk completes. Hanayo, interleaved 1F1B and
-/// Chimera differ only in `cap`.
+/// at most `cap` micro-batches of each path group in flight. Hanayo,
+/// interleaved 1F1B and Chimera differ only in `cap`.
 pub(crate) fn capped(cfg: &PipelineConfig, cap: u32) -> Result<ComputeSchedule, ScheduleError> {
-    let params = ListParams { cap: Some(cap), retire: RetireRule::ForwardComplete };
-    list_schedule(cfg, StageMap::for_config(cfg), params)
+    list_schedule(cfg, StageMap::for_config(cfg), Some(cap))
 }
 
 #[cfg(test)]
@@ -257,8 +225,7 @@ mod tests {
     #[test]
     fn schedules_all_ops_exactly_once() {
         let (cfg, map) = hanayo_cfg(4, 8, 2);
-        let cs =
-            list_schedule(&cfg, map, ListParams { cap: Some(4), ..Default::default() }).unwrap();
+        let cs = list_schedule(&cfg, map, Some(4)).unwrap();
         assert_eq!(cs.total_ops(), cs.expected_ops());
         let mut seen = std::collections::HashSet::new();
         for ops in &cs.per_device {
@@ -272,7 +239,7 @@ mod tests {
     #[test]
     fn ops_run_on_their_mapped_device() {
         let (cfg, map) = hanayo_cfg(4, 4, 1);
-        let cs = list_schedule(&cfg, map.clone(), ListParams::default()).unwrap();
+        let cs = list_schedule(&cfg, map.clone(), None).unwrap();
         for (d, ops) in cs.per_device.iter().enumerate() {
             for op in ops {
                 assert_eq!(map.device_of(op.mb, op.stage).idx(), d);
@@ -286,7 +253,7 @@ mod tests {
         // earlier chain position must be listed first.
         let (cfg, map) = hanayo_cfg(4, 4, 2);
         let s = map.stages;
-        let cs = list_schedule(&cfg, map, ListParams::default()).unwrap();
+        let cs = list_schedule(&cfg, map, None).unwrap();
         for ops in &cs.per_device {
             for m in 0..cfg.micro_batches {
                 let positions: Vec<u32> =
@@ -302,44 +269,62 @@ mod tests {
     fn admission_cap_bounds_in_flight() {
         let (cfg, map) = hanayo_cfg(2, 8, 1);
         let s = map.stages;
-        let cs =
-            list_schedule(&cfg, map, ListParams { cap: Some(2), ..Default::default() }).unwrap();
+        let cs = list_schedule(&cfg, map, Some(2)).unwrap();
         // mb k's first forward cannot be listed on the entry device before
-        // mb k-2's final backward completes there (cap = 2).
+        // mb k-2's last forward chunk completes there (cap = 2; a wave's
+        // last stage sits on the entry device).
         let dev0 = &cs.per_device[0];
         let first_fwd = |m: u32| dev0.iter().position(|o| o.mb.0 == m && o.pos(s) == 0).unwrap();
-        let last_bwd =
-            |m: u32| dev0.iter().position(|o| o.mb.0 == m && o.pos(s) == 2 * s - 1).unwrap();
+        let last_fwd = |m: u32| dev0.iter().position(|o| o.mb.0 == m && o.pos(s) == s - 1).unwrap();
         for m in 2..8 {
-            assert!(first_fwd(m) > last_bwd(m - 2), "mb{m} admitted before mb{} retired", m - 2);
+            assert!(first_fwd(m) > last_fwd(m - 2), "mb{m} admitted before mb{} retired", m - 2);
         }
     }
 
     #[test]
     fn forward_complete_retirement_sustains_steady_state() {
-        // At B = 4P, re-admitting on forward completion (instead of full
-        // retirement) must cut the replayed bubble ratio without raising
-        // the activation peak above the 1F1B budget of P units.
+        // Re-admitting on forward completion keeps rounds flowing past
+        // B = P: at cap P the replayed bubble ratio keeps falling as B
+        // grows, and the activation peak stays within the 1F1B budget of
+        // P units.
         use crate::gantt::replay_timeline;
         use crate::memory::unit_profile;
         let p = 8;
-        let run = |retire: RetireRule| {
-            let (cfg, map) = hanayo_cfg(p, 4 * p, 2);
-            let cs = list_schedule(&cfg, map, ListParams { cap: Some(p), retire }).unwrap();
+        let run = |b: u32| {
+            let (cfg, map) = hanayo_cfg(p, b, 2);
+            let cs = list_schedule(&cfg, map, Some(p)).unwrap();
             let bubble = replay_timeline(&cs, 1, 2, 0).bubble_ratio();
             let peak = unit_profile(&cs).ma_peak_units.iter().cloned().fold(0.0, f64::max);
             (bubble, peak)
         };
-        let (bub_full, _) = run(RetireRule::FullChain);
-        let (bub_fwd, peak_fwd) = run(RetireRule::ForwardComplete);
-        assert!(bub_fwd < bub_full, "fwd {bub_fwd} vs full {bub_full}");
-        assert!(peak_fwd <= p as f64 + 1e-9, "activation peak {peak_fwd}");
+        let mut last = f64::INFINITY;
+        for b in [p, 2 * p, 4 * p] {
+            let (bubble, peak) = run(b);
+            assert!(bubble < last, "B = {b}: bubble {bubble} not below {last}");
+            assert!(peak <= p as f64 + 1e-9, "B = {b}: activation peak {peak}");
+            last = bubble;
+        }
+    }
+
+    #[test]
+    fn cap_at_batch_size_orders_like_no_cap() {
+        // With a cap of B admission never blocks, so the order is the
+        // unbounded one: where a micro-batch retires cannot matter.
+        for p in [2, 4] {
+            for w in [1, 2] {
+                for b in [p, 2 * p] {
+                    let (cfg, map) = hanayo_cfg(p, b, w);
+                    let capped = list_schedule(&cfg, map.clone(), Some(b)).unwrap();
+                    assert_eq!(capped, list_schedule(&cfg, map, None).unwrap(), "P{p} W{w} B{b}");
+                }
+            }
+        }
     }
 
     #[test]
     fn unbounded_cap_floods_like_gpipe() {
         let (cfg, map) = hanayo_cfg(2, 4, 1);
-        let cs = list_schedule(&cfg, map, ListParams::default()).unwrap();
+        let cs = list_schedule(&cfg, map, None).unwrap();
         assert_eq!(cs.total_ops(), cs.expected_ops());
     }
 
@@ -350,8 +335,7 @@ mod tests {
         // between: B(mb0, S-1) directly follows F(mb0, S-1).
         let (cfg, map) = hanayo_cfg(2, 4, 1);
         let s = map.stages;
-        let cs =
-            list_schedule(&cfg, map, ListParams { cap: Some(2), ..Default::default() }).unwrap();
+        let cs = list_schedule(&cfg, map, Some(2)).unwrap();
         let d0 = &cs.per_device[0];
         let last_fwd =
             d0.iter().position(|o| o.mb.0 == 0 && o.stage.0 == s - 1 && !o.backward).unwrap();

@@ -17,8 +17,7 @@
 //! reproduces the same result.
 
 use crate::chain::ComputeOp;
-use crate::ids::DeviceId;
-use crate::schedule::table::{check_table, ScheduleTable, Slot, TableError, TableLimits};
+use crate::schedule::table::{check_table, ScheduleTable, Slot, TableError};
 use serde::{Deserialize, Serialize};
 
 /// A deterministic splitmix64 generator — the search's only randomness
@@ -143,23 +142,17 @@ fn check_chain_neighbors(table: &ScheduleTable, op: ComputeOp, t: usize) -> Resu
 }
 
 /// Incremental validity of `candidate = valid table + mv`: instead of
-/// re-running the full
-/// [`check_table_with`](crate::schedule::table::check_table_with) pass,
-/// examine only what the move can break. A `Swap`/`Shift` permutes slots
-/// within one row, so shape, completeness and placement are untouched;
-/// what can change is (a) the chain edges incident to each moved op and
-/// (b) the moved row's stash replay. `InsertIdle` is legal by
+/// re-running the full [`check_table`] pass, examine only what the move
+/// can break. A `Swap`/`Shift` permutes slots within one row, so shape,
+/// completeness and placement are untouched; what can change is the
+/// chain edges incident to each moved op. `InsertIdle` is legal by
 /// construction.
 ///
 /// The *verdict* (`is_ok`) always equals the full checker's on such
 /// candidates — pinned by a `debug_assert` in [`local_search`] and by the
 /// `move_check_matches_full_checker` property test — though the specific
 /// error may differ because the two passes scan in different orders.
-pub fn check_move(
-    candidate: &ScheduleTable,
-    mv: TableMove,
-    limits: TableLimits,
-) -> Result<(), TableError> {
+pub fn check_move(candidate: &ScheduleTable, mv: TableMove) -> Result<(), TableError> {
     let (device, touched) = match mv {
         TableMove::Swap { device, a, b } => (device, [Some(a), Some(b)]),
         TableMove::Shift { device, to, .. } => (device, [Some(to), None]),
@@ -180,27 +173,6 @@ pub fn check_move(
         }
     }
 
-    // Stash replay of the one changed row.
-    if let Some(cap) = limits.stash_cap {
-        let mut live = 0u32;
-        for (t, slot) in row.iter().enumerate() {
-            match slot.compute_op() {
-                Some(op) if !op.backward => {
-                    live += 1;
-                    if live > cap {
-                        return Err(TableError::StashOverflow {
-                            device: DeviceId(device as u32),
-                            column: t,
-                            live,
-                            cap,
-                        });
-                    }
-                }
-                Some(_) => live = live.saturating_sub(1),
-                None => {}
-            }
-        }
-    }
     Ok(())
 }
 
@@ -307,9 +279,7 @@ fn sample_move(table: &ScheduleTable, rng: &mut SearchRng) -> TableMove {
 /// Sample `n` candidate moves for `table` from a fresh `SearchRng`
 /// seeded with `seed` — the same distribution [`local_search`] draws
 /// from, exposed so tests and external drivers can random-walk the legal
-/// region (gate each move with
-/// [`check_table_with`](crate::schedule::table::check_table_with) before
-/// keeping it).
+/// region (gate each move with [`check_table`] before keeping it).
 pub fn sample_legal_moves(table: &ScheduleTable, seed: u64, n: usize) -> Vec<TableMove> {
     let mut rng = SearchRng::new(seed);
     (0..n).map(|_| sample_move(table, &mut rng)).collect()
@@ -364,7 +334,7 @@ where
             // The incumbent is valid, so one move only needs the
             // incremental check — O(moved ops × width) instead of a full
             // table pass per candidate.
-            let valid = check_move(&candidate, mv, TableLimits::default());
+            let valid = check_move(&candidate, mv);
             debug_assert_eq!(
                 valid.is_ok(),
                 check_table(&candidate).is_ok(),

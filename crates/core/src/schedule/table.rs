@@ -96,15 +96,6 @@ pub struct ScheduleTable {
     pub rows: Vec<Vec<Slot>>,
 }
 
-/// Per-device resource limits enforced by [`check_table_with`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub struct TableLimits {
-    /// Maximum simultaneously-live activation stashes per device
-    /// (`None` = unbounded). A forward stashes one unit until its
-    /// backward releases it — the accounting of [`crate::memory`].
-    pub stash_cap: Option<u32>,
-}
-
 /// A violated table invariant. The checker returns the first violation,
 /// always naming the offending slot coordinates.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -155,17 +146,6 @@ pub enum TableError {
         /// Its predecessor's column (must be strictly earlier).
         dep_column: usize,
     },
-    /// A device exceeds its live-stash cap.
-    StashOverflow {
-        /// Offending device.
-        device: DeviceId,
-        /// Column of the forward that broke the cap.
-        column: usize,
-        /// Live stashes after that forward.
-        live: u32,
-        /// The configured cap.
-        cap: u32,
-    },
 }
 
 impl fmt::Display for TableError {
@@ -186,9 +166,6 @@ impl fmt::Display for TableError {
             }
             TableError::DependencyViolation { op, column, dep_column } => {
                 write!(f, "{op} at slot {column} no later than its dependency at slot {dep_column}")
-            }
-            TableError::StashOverflow { device, column, live, cap } => {
-                write!(f, "{device} holds {live} stashes at slot {column}, cap {cap}")
             }
         }
     }
@@ -256,7 +233,7 @@ impl ScheduleTable {
 }
 
 /// Completeness, placement and uniqueness of the chain ops (rule 2 of
-/// [`check_table_with`], which the lowered-schedule verifier
+/// [`check_table`], which the lowered-schedule verifier
 /// `hanayo_analyze::verify` shares). `ops` yields every forward and
 /// backward with its device and slot — a table column, or an action
 /// index — device by device. Returns each op's slot keyed by
@@ -289,11 +266,6 @@ pub fn chain_slots(
     Ok(slot)
 }
 
-/// [`check_table_with`] under no resource limits.
-pub fn check_table(table: &ScheduleTable) -> Result<(), TableError> {
-    check_table_with(table, TableLimits::default())
-}
-
 /// Validate an arbitrary schedule table. Rules:
 ///
 /// 1. **Shape** — one row per device, all rows the same length (one op
@@ -304,13 +276,11 @@ pub fn check_table(table: &ScheduleTable) -> Result<(), TableError> {
 /// 3. **Dependency order** — every op sits in a strictly later column
 ///    than its chain predecessor (communication takes at least one slot
 ///    boundary; same-device successors also cannot share a column).
-/// 4. **Stash caps** — replaying each row (forward stashes, backward
-///    releases) never exceeds `limits.stash_cap` live stashes.
 ///
 /// Unlike `hanayo_analyze::verify`, which checks a lowered action list,
 /// this checker admits *any* legal table — including ones no generator
 /// produces — which is what makes the schedule space searchable.
-pub fn check_table_with(table: &ScheduleTable, limits: TableLimits) -> Result<(), TableError> {
+pub fn check_table(table: &ScheduleTable) -> Result<(), TableError> {
     let map = &table.stage_map;
     if table.rows.len() != map.devices as usize {
         return Err(TableError::DeviceCountMismatch {
@@ -348,32 +318,6 @@ pub fn check_table_with(table: &ScheduleTable, limits: TableLimits) -> Result<()
                     column: t,
                     dep_column: dep,
                 });
-            }
-        }
-    }
-
-    // Stash caps: forward stashes one unit on its device until the
-    // backward of the same (mb, stage) releases it. Both endpoints live
-    // on the same device in every scheme (the stash never migrates).
-    if let Some(cap) = limits.stash_cap {
-        for (d, row) in table.rows.iter().enumerate() {
-            let mut live = 0u32;
-            for (t, slot) in row.iter().enumerate() {
-                match slot.compute_op() {
-                    Some(op) if !op.backward => {
-                        live += 1;
-                        if live > cap {
-                            return Err(TableError::StashOverflow {
-                                device: DeviceId(d as u32),
-                                column: t,
-                                live,
-                                cap,
-                            });
-                        }
-                    }
-                    Some(_) => live = live.saturating_sub(1),
-                    None => {}
-                }
             }
         }
     }
@@ -490,18 +434,6 @@ mod tests {
         let mut table = table_for(2, 2, Scheme::GPipe);
         table.rows[1].push(Slot::Idle);
         assert!(matches!(check_table(&table), Err(TableError::RaggedRow { .. })));
-    }
-
-    #[test]
-    fn stash_cap_is_enforced() {
-        // GPipe stashes all B micro-batches: cap B-1 must reject, cap B
-        // must pass.
-        let table = table_for(2, 4, Scheme::GPipe);
-        assert!(matches!(
-            check_table_with(&table, TableLimits { stash_cap: Some(3) }),
-            Err(TableError::StashOverflow { live: 4, cap: 3, .. })
-        ));
-        check_table_with(&table, TableLimits { stash_cap: Some(4) }).unwrap();
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! This crate is the bottom of the dependency graph: a shard-per-thread
 //! metrics registry (counters, gauges, fixed-bucket histograms with exact
 //! `u64` sums), a leveled structured-logging facade with a `HANAYO_LOG`
-//! env filter, two exposition formats (Prometheus text and a JSON
-//! snapshot), and a throttled TTY progress line for long sweeps.
+//! env filter, and two exposition formats (Prometheus text and a JSON
+//! snapshot). The log facade is the crate's only writer to stderr.
 //!
 //! ## The no-perturbation contract
 //!
@@ -41,10 +41,8 @@
 
 pub mod expo;
 pub mod log;
-mod progress;
 pub mod registry;
 
-pub use progress::Progress;
 pub use registry::{
     counter_add, enabled, gauge_set, observe, reset, set_enabled, snapshot, Series, SeriesValue,
     Snapshot,

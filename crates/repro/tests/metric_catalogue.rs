@@ -1,10 +1,11 @@
 //! The README's metric catalogue names exactly the series the library
-//! emits, and its structured-logging paragraph exactly the `HANAYO_LOG`
-//! targets the library logs under; run by `cargo test`.
+//! emits, its structured-logging paragraph exactly the `HANAYO_LOG`
+//! targets the library logs under, and its text exactly the `HANAYO_*`
+//! environment variables the code reads; run by `cargo test`.
 //!
-//! Both read the non-test sources of every crate: each `.rs` file under
-//! `crates/*/src` above its first column-0 `#[cfg(test)]`, comment lines
-//! skipped.
+//! All three read the non-test sources of every crate and shim: each
+//! `.rs` file under `crates/*/src` and `shims/*/src` above its first
+//! column-0 `#[cfg(test)]`, comment lines skipped.
 //!
 //! Emitted names are the `"hanayo_..."` string literals there. Scheme
 //! names (`hanayo_w`, `hanayo_w2`, ...) share the prefix and are not
@@ -16,13 +17,19 @@
 //! the README sentence that begins `The code logs under exactly the
 //! targets`.
 //!
-//! Each set must hold the other: a new series or target needs a README
-//! entry, and an entry needs a series or target.
+//! Read variables are the `HANAYO_...` literals passed to `env::var(`.
+//! Documented variables are the backticked `HANAYO_...` names anywhere in
+//! the README.
+//!
+//! Each set must hold the other: a new series, target or variable needs a
+//! README entry, and an entry needs a series, target or variable.
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
 const PREFIX: &str = "hanayo_";
+
+const ENV_PREFIX: &str = "HANAYO_";
 
 fn repo_root() -> PathBuf {
     // CARGO_MANIFEST_DIR is crates/repro; the repo root is two levels up.
@@ -40,16 +47,15 @@ fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
     }
 }
 
-/// Every `hanayo_`-prefixed name that follows `open` in `text` and runs
-/// until a character that cannot continue a metric name.
-fn names_after(text: &str, open: &str) -> Vec<String> {
-    let needle = format!("{open}{PREFIX}");
+/// Every `prefix`-led name that follows `open` in `text` and runs until a
+/// character that cannot continue a metric or variable name.
+fn names_after(text: &str, open: &str, prefix: &str) -> Vec<String> {
+    let needle = format!("{open}{prefix}");
     text.match_indices(&needle)
         .map(|(i, _)| {
             let rest = &text[i + open.len()..];
-            let end = rest
-                .find(|c: char| !(c.is_ascii_lowercase() || c.is_ascii_digit() || c == '_'))
-                .unwrap_or(rest.len());
+            let end =
+                rest.find(|c: char| !(c.is_ascii_alphanumeric() || c == '_')).unwrap_or(rest.len());
             rest[..end].to_string()
         })
         .collect()
@@ -59,14 +65,16 @@ fn is_scheme_name(name: &str) -> bool {
     name.strip_prefix("hanayo_w").is_some_and(|w| w.chars().all(|c| c.is_ascii_digit()))
 }
 
-/// The non-test, non-comment lines of every crate's sources, one string
-/// per file.
+/// The non-test, non-comment lines of every crate's and shim's sources,
+/// one string per file.
 fn sources(root: &Path) -> Vec<String> {
     let mut files = Vec::new();
-    for krate in std::fs::read_dir(root.join("crates")).unwrap() {
-        let src = krate.unwrap().path().join("src");
-        if src.is_dir() {
-            rust_files(&src, &mut files);
+    for dir in ["crates", "shims"] {
+        for krate in std::fs::read_dir(root.join(dir)).unwrap() {
+            let src = krate.unwrap().path().join("src");
+            if src.is_dir() {
+                rust_files(&src, &mut files);
+            }
         }
     }
     files
@@ -82,7 +90,7 @@ fn sources(root: &Path) -> Vec<String> {
 fn emitted(root: &Path) -> BTreeSet<String> {
     let mut names = BTreeSet::new();
     for text in sources(root) {
-        names.extend(names_after(&text, "\"").into_iter().filter(|n| !is_scheme_name(n)));
+        names.extend(names_after(&text, "\"", PREFIX).into_iter().filter(|n| !is_scheme_name(n)));
     }
     names
 }
@@ -128,8 +136,17 @@ fn catalogued(root: &Path) -> BTreeSet<String> {
         .lines()
         .skip_while(|l| !l.starts_with('|'))
         .take_while(|l| l.starts_with('|'))
-        .flat_map(|row| names_after(row, "`"))
+        .flat_map(|row| names_after(row, "`", PREFIX))
         .collect()
+}
+
+fn env_read(root: &Path) -> BTreeSet<String> {
+    sources(root).iter().flat_map(|text| names_after(text, "env::var(\"", ENV_PREFIX)).collect()
+}
+
+fn env_documented(root: &Path) -> BTreeSet<String> {
+    let readme = std::fs::read_to_string(root.join("README.md")).unwrap();
+    names_after(&readme, "`", ENV_PREFIX).into_iter().collect()
 }
 
 #[test]
@@ -163,6 +180,21 @@ fn readme_log_targets_equal_the_logged_targets() {
 }
 
 #[test]
+fn readme_env_vars_equal_the_read_env_vars() {
+    let root = repo_root();
+    let read = env_read(&root);
+    let documented = env_documented(&root);
+    let missing: Vec<_> = read.difference(&documented).collect();
+    let stale: Vec<_> = documented.difference(&read).collect();
+    assert!(
+        missing.is_empty() && stale.is_empty(),
+        "README HANAYO_* variables out of step with the code:\n  read but not documented: \
+         {missing:?}\n  documented but never read: {stale:?}"
+    );
+    assert!(!read.is_empty(), "no env::var(\"HANAYO_...\") read found in the sources");
+}
+
+#[test]
 fn a_log_target_is_the_literal_after_the_level() {
     let text = "if log::log_enabled(Level::Info, \"calibrate\") {\n    log::event(\n        \
                 Level::Warn,\n        \"metrics\",\n        \"msg\",\n    );\n}\n\
@@ -174,8 +206,11 @@ fn a_log_target_is_the_literal_after_the_level() {
 #[test]
 fn names_stop_at_the_first_non_name_character() {
     let line = r#"counter_add("hanayo_a_total", &[]); "hanayo_w2"; `hanayo_b_ns` / `_x`"#;
-    assert_eq!(names_after(line, "\""), ["hanayo_a_total", "hanayo_w2"]);
-    assert_eq!(names_after(line, "`"), ["hanayo_b_ns"]);
+    assert_eq!(names_after(line, "\"", PREFIX), ["hanayo_a_total", "hanayo_w2"]);
+    assert_eq!(names_after(line, "`", PREFIX), ["hanayo_b_ns"]);
+    let env = r#"std::env::var("HANAYO_LOG").ok(); `HANAYO_THREADS=1` `HANAYO_LOG_FORMAT`"#;
+    assert_eq!(names_after(env, "env::var(\"", ENV_PREFIX), ["HANAYO_LOG"]);
+    assert_eq!(names_after(env, "`", ENV_PREFIX), ["HANAYO_THREADS", "HANAYO_LOG_FORMAT"]);
     assert!(is_scheme_name("hanayo_w") && is_scheme_name("hanayo_w16"));
     assert!(!is_scheme_name("hanayo_worker_ops_total"));
 }

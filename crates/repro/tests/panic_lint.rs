@@ -16,6 +16,10 @@
 //! cargo test -p hanayo-repro --test panic_lint                  # gate
 //! LINT_UPDATE=1 cargo test -p hanayo-repro --test panic_lint    # rewrite baseline
 //! ```
+//!
+//! The same walk also holds the library crates to one output channel:
+//! outside the log facade (`crates/metrics/src/log.rs`) they never print
+//! or take a handle on stdout or stderr.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -43,6 +47,14 @@ const SCOPES: [&str; 12] = [
 /// match `.unwrap()` and are fine.
 const PATTERNS: [&str; 6] =
     [".unwrap()", ".expect(", "panic!", "assert!(", "assert_eq!(", "assert_ne!("];
+
+/// Direct writes to the process's standard streams. A library crate
+/// reports through return values, metrics and the log facade instead.
+const PRINT_PATTERNS: [&str; 6] =
+    ["print!(", "println!(", "eprint!(", "eprintln!(", "stdout()", "stderr()"];
+
+/// The one library file allowed to write to stderr: the log facade's sink.
+const LOG_FACADE: &str = "crates/metrics/src/log.rs";
 
 /// Occurrences of `pattern` in `line`. A pattern that starts with an
 /// identifier character must not continue a longer name (`debug_assert!(`
@@ -75,9 +87,9 @@ fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
     Ok(())
 }
 
-/// Count panicking idioms in one file, skipping comment lines and
+/// Count `patterns` in one file, skipping comment lines and
 /// `#[cfg(test)]` modules (tracked by brace depth from the `mod` line).
-fn count_hits(text: &str) -> usize {
+fn count_hits(text: &str, patterns: &[&str]) -> usize {
     let mut hits = 0usize;
     let mut in_test_mod = false;
     let mut test_depth = 0i64;
@@ -107,14 +119,14 @@ fn count_hits(text: &str) -> usize {
                 continue;
             }
         }
-        hits += PATTERNS.iter().map(|p| count_pattern(line, p)).sum::<usize>();
+        hits += patterns.iter().map(|p| count_pattern(line, p)).sum::<usize>();
     }
     hits
 }
 
-/// Scan every in-scope file and return `relative path -> hit count`,
-/// omitting clean files so the baseline only lists offenders.
-fn scan(root: &Path) -> Result<BTreeMap<String, usize>, String> {
+/// Scan every in-scope file for `patterns` and return `relative path ->
+/// hit count`, omitting clean files so the baseline only lists offenders.
+fn scan(root: &Path, patterns: &[&str]) -> Result<BTreeMap<String, usize>, String> {
     let mut counts = BTreeMap::new();
     for scope in SCOPES {
         let dir = root.join(scope);
@@ -123,7 +135,7 @@ fn scan(root: &Path) -> Result<BTreeMap<String, usize>, String> {
         for file in files {
             let text = std::fs::read_to_string(&file)
                 .map_err(|e| format!("reading {}: {e}", file.display()))?;
-            let hits = count_hits(&text);
+            let hits = count_hits(&text, patterns);
             if hits > 0 {
                 let rel = file
                     .strip_prefix(root)
@@ -173,7 +185,7 @@ fn parse_baseline(text: &str) -> Result<BTreeMap<String, usize>, String> {
 
 fn gate() -> Result<(), String> {
     let root = repo_root();
-    let counts = scan(&root)?;
+    let counts = scan(&root, &PATTERNS)?;
     let baseline_path = root.join("lint-baseline.txt");
 
     if std::env::var_os("LINT_UPDATE").is_some() {
@@ -234,10 +246,10 @@ fn gate() -> Result<(), String> {
 fn counts_every_panicking_idiom_but_not_debug_asserts() {
     let counted = "a.unwrap();\nb.expect(\"x\");\nself.c.d.unwrap();\n\
                    panic!(\"e\");\nassert!(f);\nassert_eq!(g, h);\nassert_ne!(i, j);";
-    assert_eq!(count_hits(counted), 7);
+    assert_eq!(count_hits(counted, &PATTERNS), 7);
     let skipped = "debug_assert!(f);\ndebug_assert_eq!(g, h);\ndebug_assert_ne!(i, j);\n\
                    a.unwrap_or(0);\nb.unwrap_or_default();\n// c.unwrap();";
-    assert_eq!(count_hits(skipped), 0);
+    assert_eq!(count_hits(skipped, &PATTERNS), 0);
 }
 
 #[test]
@@ -245,4 +257,19 @@ fn library_code_stays_within_the_panic_baseline() {
     if let Err(msg) = gate() {
         panic!("{msg}");
     }
+}
+
+#[test]
+fn library_crates_print_only_through_the_log_facade() {
+    let printing = "print!(\"a\");\nprintln!(\"b\");\neprint!(\"c\");\neprintln!(\"d\");\n\
+                    let out = std::io::stdout().lock();\nlet err = io::stderr();";
+    assert_eq!(count_hits(printing, &PRINT_PATTERNS), 6);
+    assert_eq!(count_hits("// eprintln!(\"x\");\nlet s = format!(\"y\");", &PRINT_PATTERNS), 0);
+
+    let mut counts = scan(&repo_root(), &PRINT_PATTERNS).unwrap_or_else(|e| panic!("{e}"));
+    counts.remove(LOG_FACADE);
+    assert!(
+        counts.is_empty(),
+        "library code writes to stdout/stderr outside {LOG_FACADE} (path -> sites): {counts:?}"
+    );
 }

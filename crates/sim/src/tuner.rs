@@ -715,9 +715,6 @@ fn tune_impl(
     let counter = ctx.progress.as_deref().unwrap_or(&own_counter);
     counter.total.store(space.len() as u64, Ordering::SeqCst);
     counter.evaluated.store(0, Ordering::SeqCst);
-    // Inert off a TTY (one atomic add per candidate, no clock reads), so
-    // tests and CI see exactly the non-interactive path.
-    let progress = hanayo_metrics::Progress::new("sweep", space.len() as u64);
     let tasks = shape_tasks(&space, cluster);
     // The prefetching variants a lookahead-1 run may prove (wide only).
     let deeper: Vec<SimOptions> = opts
@@ -731,11 +728,7 @@ fn tune_impl(
         }
         let outcomes: Vec<_> = task
             .iter()
-            .map(|&i| {
-                let out = evaluate_candidate(model, cluster, caches, &deeper, &space[i]);
-                progress.tick();
-                out
-            })
+            .map(|&i| evaluate_candidate(model, cluster, caches, &deeper, &space[i]))
             .collect();
         counter.evaluated.fetch_add(task.len() as u64, Ordering::SeqCst);
         Some(outcomes)
@@ -745,7 +738,6 @@ fn tune_impl(
     } else {
         tasks.iter().map(run).collect()
     };
-    progress.finish();
 
     let mut by_candidate: Vec<Option<_>> = space.iter().map(|_| None).collect();
     for (task, outcomes) in tasks.iter().zip(done) {

@@ -18,7 +18,6 @@ use hanayo::core::gantt::render_paper_style;
 use hanayo::core::ids::{DeviceId, ReplicaId};
 use hanayo::core::schedule::build_compute_schedule;
 use hanayo::core::schedule::custom::build_custom_schedule;
-use hanayo::core::schedule::listsched::{ListParams, RetireRule};
 use hanayo::core::stage_map::{PathGroup, StageMap};
 use hanayo::model::builders::MicroModel;
 use hanayo::model::{CostTable, ModelConfig};
@@ -43,8 +42,7 @@ fn main() {
     };
 
     let cfg = PipelineConfig::new(p, b, Scheme::GPipe).expect("P and B carrier");
-    let params = ListParams { cap: Some(p), retire: RetireRule::ForwardComplete };
-    let schedule = build_custom_schedule(&cfg, map, params).expect("custom scheme generates");
+    let schedule = build_custom_schedule(&cfg, map, Some(p)).expect("custom scheme generates");
     verify(&schedule).expect("and verifies like any built-in scheme");
 
     println!("A user-defined 'double-fold' pipeline on 4 devices:\n");
