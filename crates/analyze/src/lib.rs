@@ -23,9 +23,9 @@
 //!   enforced): tag-matched rendezvous tolerates inversions and legal
 //!   searched tables produce them, but a strict FIFO channel would
 //!   deadlock on one.
-//! * **Static peak memory** — an activation-liveness replay over each
-//!   device's serial op order that reproduces the simulator's `peak_mem`
-//!   *exactly*, making OOM a statically decidable verdict
+//! * **Static peak memory** — an activation-liveness fold over each
+//!   device's serial op order that is what the simulator reports as its
+//!   `peak_mem`, making OOM a statically decidable verdict
 //!   ([`memory::static_peak_mem`]).
 //! * **Critical-path bound** — the latest exit of the same replay under
 //!   the uncontended durations of a [`hanayo_model::CostTable`] and a
@@ -43,5 +43,5 @@ pub mod memory;
 pub mod report;
 
 pub use error::AnalysisError;
-pub use memory::{device_bytes, static_peak_mem, static_stash_peak};
+pub use memory::{device_bytes, static_peak_mem};
 pub use report::{analyze, analyze_table, check_deadlock_free, verify, AnalysisReport, DagStats};

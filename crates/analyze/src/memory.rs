@@ -1,16 +1,18 @@
-//! Static peak-memory bounds via activation-liveness dataflow.
+//! Static peak memory via activation liveness.
 //!
 //! A device's compute is serial, so its memory trajectory is a pure
 //! function of its op *order*: every forward acquires its stage's stash
-//! bytes, every backward releases them, and the engine samples the peak
-//! after each forward. Replaying that prefix sum over the schedule
-//! reproduces the simulator's `peak_mem` *exactly* — not merely a bound —
-//! which is what lets the tuner reject OOM candidates without simulating.
-//! The four-way invariant (runtime stash == sim stash == unit replay ==
-//! this analysis) is pinned by `tests/memory_truth.rs`.
+//! bytes and every backward releases them
+//! ([`hanayo_core::memory::stash_peak`], the workspace's one liveness
+//! fold). The peak per device is therefore known before anything runs,
+//! and it is what the simulator reports as its `peak_mem`, which is what
+//! lets the tuner reject OOM candidates without simulating.
+//! `tests/memory_truth.rs` pins it against the runtime's measured stash
+//! and the reference engine's in-loop accounting.
 
 use hanayo_core::action::{Action, Schedule};
 use hanayo_core::ids::DeviceId;
+use hanayo_core::memory::stash_peak;
 use hanayo_core::stage_map::StageMap;
 use hanayo_model::CostTable;
 
@@ -27,45 +29,17 @@ pub fn device_bytes(stage_map: &StageMap, column: &[u64]) -> Vec<u64> {
         .collect()
 }
 
-/// Replay one device's op order: `(backward, stage)` pairs in execution
-/// order, against the engine's exact accounting — start at the weight
-/// baseline, add stash at forward completion (sampling the peak there),
-/// saturating-subtract at backward completion.
-fn replay_device(ops: impl Iterator<Item = (bool, usize)>, weight: u64, cost: &CostTable) -> u64 {
-    let mut cur = weight;
-    let mut peak = weight;
-    for (backward, stage) in ops {
-        let bytes = cost.stash_bytes[stage];
-        if backward {
-            cur = cur.saturating_sub(bytes);
-        } else {
-            cur += bytes;
-            peak = peak.max(cur);
-        }
-    }
-    peak
-}
-
-/// Static peak bytes per device of a lowered schedule — equal to the
-/// simulator's `SimReport::peak_mem` on every schedule the simulator
-/// completes.
+/// Peak bytes per device of a lowered schedule: the liveness fold over
+/// each device's compute order from its weight baseline. This is the
+/// simulator's `SimReport::peak_mem`.
 pub fn static_peak_mem(schedule: &Schedule, cost: &CostTable) -> Vec<u64> {
     let weights = device_bytes(&schedule.stage_map, &cost.weight_bytes);
     schedule
         .lists
         .iter()
-        .zip(&weights)
-        .map(|(list, &w)| {
-            let ops = list.actions.iter().filter_map(Action::compute_op);
-            replay_device(ops.map(|op| (op.backward, op.stage.idx())), w, cost)
+        .zip(weights)
+        .map(|(list, w)| {
+            stash_peak(list.actions.iter().filter_map(Action::compute_op), w, &cost.stash_bytes)
         })
         .collect()
-}
-
-/// The activation-stash component of the peak: `peak − weight` per
-/// device. This is the quantity the memory-truth suite compares across
-/// the runtime, the simulator, the unit replay and this analysis.
-pub fn static_stash_peak(schedule: &Schedule, cost: &CostTable) -> Vec<u64> {
-    let weights = device_bytes(&schedule.stage_map, &cost.weight_bytes);
-    static_peak_mem(schedule, cost).iter().zip(&weights).map(|(&p, &w)| p - w).collect()
 }

@@ -66,8 +66,8 @@ pub struct AnalysisReport {
     pub weight_mem: Vec<u64>,
     /// Static activation-stash peak per device (`peak_mem − weight_mem`).
     pub stash_peak: Vec<u64>,
-    /// Static peak bytes per device — equals the simulator's `peak_mem`
-    /// exactly on every schedule the simulator completes.
+    /// Static peak bytes per device — what the simulator reports as its
+    /// `peak_mem` on every schedule it completes.
     pub peak_mem: Vec<u64>,
     /// Critical-path lower bound on the iteration time, seconds.
     pub critical_path_s: f64,

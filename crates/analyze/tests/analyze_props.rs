@@ -7,9 +7,10 @@
 //!   rejected with the right typed [`AnalysisError`], and the replay's
 //!   deadlock verdict always agrees with the simulator's, naming the same
 //!   stall;
-//! * the static memory replay equals the simulated `peak_mem` exactly on
-//!   random `(scheme, P, B, recompute)` shapes — the bound is tight, not
-//!   merely sound.
+//! * the static memory fold equals the reference engine's in-loop
+//!   `peak_mem` exactly on random `(scheme, P, B, recompute)` shapes — the
+//!   bound is tight, not merely sound. (The fast engine reports the fold
+//!   itself, so the reference is the independent side.)
 
 use hanayo_analyze::{analyze_table, check_deadlock_free, static_peak_mem, AnalysisError};
 use hanayo_cluster::topology::fc_full_nvlink;
@@ -21,7 +22,7 @@ use hanayo_core::schedule::search::{apply_move, sample_legal_moves};
 use hanayo_core::schedule::table::{check_table, ScheduleTable, Slot, TableError};
 use hanayo_core::schedule::{build_compute_schedule, build_schedule};
 use hanayo_model::{CostTable, ModelConfig, Recompute};
-use hanayo_sim::{try_simulate_traced, SimError, SimOptions};
+use hanayo_sim::{simulate_reference, try_simulate_traced, SimError, SimOptions};
 use proptest::prelude::*;
 
 fn any_scheme() -> impl Strategy<Value = Scheme> {
@@ -196,7 +197,7 @@ proptest! {
         let mode = if ckpt == 1 { Recompute::Full } else { Recompute::None };
         let cost = CostTable::build_with(&ModelConfig::bert64(), cfg.stages(), mbs, mode);
         let cluster = fc_full_nvlink(p as usize);
-        let sim = try_simulate_traced(&schedule, &cost, &cluster, SimOptions::default()).unwrap().0;
+        let sim = simulate_reference(&schedule, &cost, &cluster, SimOptions::default());
         let bound = static_peak_mem(&schedule, &cost);
         // Sound (never below the truth) *and* tight (equal).
         for (d, (&s, &t)) in bound.iter().zip(&sim.peak_mem).enumerate() {

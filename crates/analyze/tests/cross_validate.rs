@@ -1,6 +1,7 @@
 //! Cross-validation of the static analyzer against the simulator: every
-//! accepted schedule simulates without deadlock, the static memory replay
-//! reproduces the engine's `peak_mem` exactly, the critical-path bound
+//! accepted schedule simulates without deadlock, the static memory fold
+//! equals the reference engine's in-loop `peak_mem` exactly (the fast
+//! engine reports the fold itself), the critical-path bound
 //! never exceeds the simulated iteration time, and corrupting a schedule
 //! flips the two verdicts together.
 
@@ -11,7 +12,7 @@ use hanayo_core::config::{PipelineConfig, Scheme};
 use hanayo_core::program::{Defect, ProgramError};
 use hanayo_core::schedule::build_schedule;
 use hanayo_model::{CostTable, ModelConfig};
-use hanayo_sim::{try_simulate_traced, SimError, SimOptions};
+use hanayo_sim::{simulate_reference, try_simulate_traced, SimError, SimOptions};
 
 const P: u32 = 8;
 const M: u32 = 8;
@@ -35,9 +36,9 @@ fn build(scheme: Scheme) -> (Schedule, CostTable) {
     (schedule, cost)
 }
 
-/// Accepted schedules never deadlock, the static peaks equal the engine's
-/// measured peaks exactly, and the critical path lower-bounds the
-/// simulated makespan — on all seven named schemes.
+/// Accepted schedules never deadlock, the static peaks equal the
+/// reference engine's accounted peaks exactly, and the critical path
+/// lower-bounds the simulated makespan — on all seven named schemes.
 #[test]
 fn analyzer_matches_simulator_on_named_schemes() {
     let cluster = fc_full_nvlink(P as usize);
@@ -50,10 +51,11 @@ fn analyzer_matches_simulator_on_named_schemes() {
             .unwrap_or_else(|e| panic!("{scheme:?} failed to simulate: {e}"));
 
         assert!(report.fifo_consistent, "{scheme:?}: generated schemes are FIFO-clean");
-        assert_eq!(report.peak_mem, sim.peak_mem, "{scheme:?}: static peak != engine peak");
-        assert_eq!(report.weight_mem, sim.weight_mem, "{scheme:?}: weight mem mismatch");
+        let reference = simulate_reference(&schedule, &cost, &cluster, SimOptions::default());
+        assert_eq!(report.peak_mem, reference.peak_mem, "{scheme:?}: static peak != engine peak");
+        assert_eq!(report.weight_mem, reference.weight_mem, "{scheme:?}: weight mem mismatch");
         let stash: Vec<u64> =
-            sim.peak_mem.iter().zip(&sim.weight_mem).map(|(&p, &w)| p - w).collect();
+            reference.peak_mem.iter().zip(&reference.weight_mem).map(|(&p, &w)| p - w).collect();
         assert_eq!(report.stash_peak, stash, "{scheme:?}: stash peak mismatch");
 
         assert!(

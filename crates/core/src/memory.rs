@@ -12,8 +12,10 @@
 //! matching backward completes; replaying a schedule's per-device op order
 //! yields the peak. This is what differentiates GPipe (all `B` stashes
 //! live) from 1F1B-family schedules.
+//!
+//! [`stash_peak`] is that rule, the workspace's one liveness fold.
 
-use crate::chain::ComputeSchedule;
+use crate::chain::{ComputeOp, ComputeSchedule};
 use serde::{Deserialize, Serialize};
 
 /// Per-device memory profile in Fig. 3's units.
@@ -45,6 +47,37 @@ impl UnitMemoryProfile {
     }
 }
 
+/// The stash-liveness fold over one device's compute order: start at
+/// `base` resident bytes, add `stash[s]` when a forward of stage `s`
+/// completes (sampling the peak there), and release it, saturating, when
+/// its backward completes. Returns the peak.
+///
+/// Replaying the per-device op *order* is exact for peak accounting: a
+/// stash interval starts at its forward and ends at its backward, and
+/// both endpoints live on the same device in every scheme (the stash
+/// never migrates), so no timing enters.
+pub fn stash_peak(ops: impl IntoIterator<Item = ComputeOp>, base: u64, stash: &[u64]) -> u64 {
+    let (mut live, mut peak) = (base, base);
+    for op in ops {
+        let bytes = stash[op.stage.idx()];
+        if op.backward {
+            live = live.saturating_sub(bytes);
+        } else {
+            live += bytes;
+            peak = peak.max(live);
+        }
+    }
+    peak
+}
+
+/// Mean and population variance of `values` — the §5.1 balance
+/// statistic over per-device peaks, in whatever unit they come in.
+pub fn mean_variance(values: &[f64]) -> (f64, f64) {
+    let n = values.len() as f64;
+    let mean = values.iter().sum::<f64>() / n;
+    (mean, values.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / n)
+}
+
 /// Replay a compute schedule and report per-device peaks in paper units,
 /// with every stash weighing one stage-chunk (`P/S` units) — the paper's
 /// no-checkpointing setting.
@@ -64,40 +97,23 @@ pub fn unit_profile(cs: &ComputeSchedule) -> UnitMemoryProfile {
 /// boundary's weight in units instead (boundary bytes over the bytes of
 /// one activation unit for the concrete model).
 ///
-/// Replaying the per-device op *order* is exact for peak accounting: a
-/// stash interval on a device starts at its forward and ends at its
-/// backward, and both endpoints live on the same device in every scheme
-/// (the stash never migrates).
+/// The peak is the [`stash_peak`] count of live stashes times
+/// `stash_units`, which is exact for the paper's `P/S` weights.
 pub fn unit_profile_with(cs: &ComputeSchedule, stash_units: f64) -> UnitMemoryProfile {
-    let p = cs.stage_map.devices as f64;
-    let s = cs.stage_map.stages as f64;
-    let chunk = p / s;
+    let chunk = cs.stage_map.devices as f64 / cs.stage_map.stages as f64;
     assert!(stash_units.is_finite() && stash_units >= 0.0, "bad stash weight {stash_units}");
 
     let mw_units: Vec<f64> =
         cs.stage_map.stages_held().iter().map(|&held| held as f64 * chunk).collect();
-
-    let mut ma_peak_units = Vec::with_capacity(cs.per_device.len());
-    for ops in &cs.per_device {
-        let mut live = 0.0f64;
-        let mut peak = 0.0f64;
-        for op in ops {
-            if op.backward {
-                live -= stash_units;
-            } else {
-                live += stash_units;
-                peak = peak.max(live);
-            }
-        }
-        debug_assert!(live.abs() < 1e-9 * (1.0 + stash_units), "stash not drained: {live}");
-        ma_peak_units.push(peak);
-    }
+    let one_each = vec![1; cs.stage_map.stages as usize];
+    let ma_peak_units: Vec<f64> = cs
+        .per_device
+        .iter()
+        .map(|ops| stash_peak(ops.iter().copied(), 0, &one_each) as f64 * stash_units)
+        .collect();
 
     let totals: Vec<f64> = mw_units.iter().zip(&ma_peak_units).map(|(w, a)| w + a).collect();
-    let mean_total = totals.iter().sum::<f64>() / totals.len() as f64;
-    let variance_total =
-        totals.iter().map(|t| (t - mean_total).powi(2)).sum::<f64>() / totals.len() as f64;
-
+    let (mean_total, variance_total) = mean_variance(&totals);
     UnitMemoryProfile { mw_units, ma_peak_units, mean_total, variance_total }
 }
 

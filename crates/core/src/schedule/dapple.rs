@@ -81,18 +81,10 @@ mod tests {
         // Replay device d's list: stash on F, pop on B; peak ≤ min(B, P-d).
         for (p, b) in [(4u32, 4u32), (4, 8), (8, 8)] {
             let cs = gen(p, b);
+            let one_each = vec![1; cs.stage_map.stages as usize];
             for (d, ops) in cs.per_device.iter().enumerate() {
-                let mut live = 0i64;
-                let mut peak = 0i64;
-                for op in ops {
-                    if op.backward {
-                        live -= 1;
-                    } else {
-                        live += 1;
-                        peak = peak.max(live);
-                    }
-                }
-                assert!(peak as u32 <= (p - d as u32).min(b), "P={p} B={b} d={d} peak={peak}");
+                let peak = crate::memory::stash_peak(ops.iter().copied(), 0, &one_each);
+                assert!(peak <= u64::from((p - d as u32).min(b)), "P={p} B={b} d={d} peak={peak}");
             }
         }
     }

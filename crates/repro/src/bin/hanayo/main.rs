@@ -64,6 +64,10 @@ fn main() -> ExitCode {
     argv.next();
     let sub = argv.next().unwrap_or_default();
     if let Some(&(name, _, runner)) = COMMANDS.iter().find(|c| c.0 == sub) {
+        // The pool reports its start-up trouble; the log facade prints it.
+        for warning in rayon::pool_warnings() {
+            hanayo_metrics::log::event(hanayo_metrics::log::Level::Warn, "pool", warning, &[]);
+        }
         return runner(name, argv);
     }
     match sub.as_str() {

@@ -9,6 +9,7 @@
 
 use crate::common::{eval_methods, render_table};
 use hanayo_cluster::topology::lonestar6;
+use hanayo_core::memory::mean_variance;
 use hanayo_model::{ModelConfig, Recompute};
 use hanayo_sim::{evaluate_plan, Method, ParallelPlan, SimOptions};
 
@@ -60,13 +61,10 @@ pub(crate) fn data() -> Vec<Panel> {
                     let r = evaluate_plan(&plan, &model, &cluster, SimOptions::default())
                         .expect("plan fits the cluster");
                     let gb: Vec<f64> = r.peak_mem.iter().map(|&x| x as f64 / 1e9).collect();
-                    let mean = gb.iter().sum::<f64>() / gb.len() as f64;
-                    let var =
-                        gb.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / gb.len() as f64;
                     MethodMemory {
                         method,
                         highest_gb: gb.iter().cloned().fold(0.0, f64::max),
-                        variance_gb2: var,
+                        variance_gb2: mean_variance(&gb).1,
                         oom: r.is_oom(),
                         #[cfg(test)]
                         peak_mem: r.peak_mem,

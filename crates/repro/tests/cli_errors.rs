@@ -68,3 +68,32 @@ fn every_exit_is_a_success_or_a_typed_error() {
         assert!(stderr.contains(fragment), "hanayo {argv:?}: {stderr}");
     }
 }
+
+/// The fields of a JSON log line this test reads.
+#[derive(serde::Deserialize)]
+struct Event {
+    level: String,
+    target: String,
+    msg: String,
+}
+
+#[test]
+fn a_malformed_thread_count_is_logged_through_the_facade() {
+    let out = Command::new(env!("CARGO_BIN_EXE_hanayo"))
+        .args(["tune", "--compact", "--top", "1"])
+        .env("HANAYO_THREADS", "abc")
+        .env("HANAYO_LOG", "warn")
+        .env("HANAYO_LOG_FORMAT", "json")
+        .output()
+        .expect("spawn");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{stderr}");
+    let events: Vec<Event> = stderr
+        .lines()
+        .map(|line| serde_json::from_str(line).unwrap_or_else(|e| panic!("{e}: {line:?}")))
+        .collect();
+    let warned = events.iter().any(|event| {
+        event.level == "warn" && event.target == "pool" && event.msg.contains("HANAYO_THREADS")
+    });
+    assert!(warned, "no pool warning naming HANAYO_THREADS: {stderr}");
+}

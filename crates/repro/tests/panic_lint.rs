@@ -17,9 +17,10 @@
 //! LINT_UPDATE=1 cargo test -p hanayo-repro --test panic_lint    # rewrite baseline
 //! ```
 //!
-//! The same walk also holds the library crates to one output channel:
-//! outside the log facade (`crates/metrics/src/log.rs`) they never print
-//! or take a handle on stdout or stderr.
+//! The same walk, widened to the vendored shims (`shims/*/src`), also
+//! holds the library code to one output channel: outside the log facade
+//! (`crates/metrics/src/log.rs`) it never prints or takes a handle on
+//! stdout or stderr.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -124,11 +125,16 @@ fn count_hits(text: &str, patterns: &[&str]) -> usize {
     hits
 }
 
-/// Scan every in-scope file for `patterns` and return `relative path ->
-/// hit count`, omitting clean files so the baseline only lists offenders.
-fn scan(root: &Path, patterns: &[&str]) -> Result<BTreeMap<String, usize>, String> {
+/// Scan every file under `scopes` for `patterns` and return `relative
+/// path -> hit count`, omitting clean files so the baseline only lists
+/// offenders.
+fn scan(
+    root: &Path,
+    scopes: &[&str],
+    patterns: &[&str],
+) -> Result<BTreeMap<String, usize>, String> {
     let mut counts = BTreeMap::new();
-    for scope in SCOPES {
+    for &scope in scopes {
         let dir = root.join(scope);
         let mut files = Vec::new();
         rust_files(&dir, &mut files).map_err(|e| format!("walking {scope}: {e}"))?;
@@ -185,7 +191,7 @@ fn parse_baseline(text: &str) -> Result<BTreeMap<String, usize>, String> {
 
 fn gate() -> Result<(), String> {
     let root = repo_root();
-    let counts = scan(&root, &PATTERNS)?;
+    let counts = scan(&root, &SCOPES, &PATTERNS)?;
     let baseline_path = root.join("lint-baseline.txt");
 
     if std::env::var_os("LINT_UPDATE").is_some() {
@@ -266,7 +272,14 @@ fn library_crates_print_only_through_the_log_facade() {
     assert_eq!(count_hits(printing, &PRINT_PATTERNS), 6);
     assert_eq!(count_hits("// eprintln!(\"x\");\nlet s = format!(\"y\");", &PRINT_PATTERNS), 0);
 
-    let mut counts = scan(&repo_root(), &PRINT_PATTERNS).unwrap_or_else(|e| panic!("{e}"));
+    let root = repo_root();
+    let shims: Vec<String> = std::fs::read_dir(root.join("shims"))
+        .unwrap()
+        .map(|shim| format!("shims/{}/src", shim.unwrap().file_name().to_string_lossy()))
+        .collect();
+    let scopes: Vec<&str> = SCOPES.into_iter().chain(shims.iter().map(String::as_str)).collect();
+    assert!(scopes.contains(&"shims/rayon/src"), "the print gate covers the shims: {scopes:?}");
+    let mut counts = scan(&root, &scopes, &PRINT_PATTERNS).unwrap_or_else(|e| panic!("{e}"));
     counts.remove(LOG_FACADE);
     assert!(
         counts.is_empty(),

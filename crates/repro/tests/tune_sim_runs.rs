@@ -3,11 +3,14 @@
 //! shape runs in one sweep task, so two executors never both miss the
 //! same report memo entry and simulate it twice. Counted through
 //! `--metrics`, over 20 parallel runs per shape on a four-executor pool.
+//! The same expositions show that the static pre-pass decides every OOM
+//! rejection.
 
 use std::process::Command;
 
-/// `hanayo_sim_runs_total` after one `hanayo tune` run.
-fn sim_runs(argv: &[&str], tag: &str) -> u64 {
+/// One `hanayo tune --compact` run on a four-executor pool: its stdout
+/// and its metrics exposition.
+fn tune(argv: &[&str], tag: &str) -> (String, String) {
     let path = format!("{}/tune_sim_runs_{tag}.prom", env!("CARGO_TARGET_TMPDIR"));
     let out = Command::new(env!("CARGO_BIN_EXE_hanayo"))
         .args(argv)
@@ -16,9 +19,22 @@ fn sim_runs(argv: &[&str], tag: &str) -> u64 {
         .output()
         .expect("spawn");
     assert!(out.status.success(), "hanayo {argv:?}: {}", String::from_utf8_lossy(&out.stderr));
-    let text = std::fs::read_to_string(&path).expect("metrics file");
-    let runs = text.lines().find_map(|line| line.strip_prefix("hanayo_sim_runs_total "));
-    runs.and_then(|v| v.trim().parse().ok()).expect("hanayo_sim_runs_total in the exposition")
+    let stdout = String::from_utf8(out.stdout).expect("utf-8 stdout");
+    (stdout, std::fs::read_to_string(&path).expect("metrics file"))
+}
+
+/// An unlabelled counter's value in an exposition (0 when it never
+/// counted).
+fn counter(exposition: &str, name: &str) -> u64 {
+    let value = exposition.lines().find_map(|line| line.strip_prefix(name)?.strip_prefix(' '));
+    value.map_or(0, |v| v.trim().parse().expect("a counter value"))
+}
+
+/// `hanayo_sim_runs_total` after one `hanayo tune` run.
+fn sim_runs(argv: &[&str], tag: &str) -> u64 {
+    let runs = counter(&tune(argv, tag).1, "hanayo_sim_runs_total");
+    assert!(runs > 0, "hanayo_sim_runs_total in the exposition");
+    runs
 }
 
 #[test]
@@ -35,6 +51,49 @@ fn parallel_wide_sweeps_simulate_what_serial_ones_do() {
         assert_eq!(serial, expected, "{tag}: serial group runs");
         for run in 0..20 {
             assert_eq!(sim_runs(argv, tag), serial, "{tag}: parallel run {run}");
+        }
+    }
+}
+
+/// The part of a tune document this test reads.
+#[derive(serde::Deserialize)]
+struct Document {
+    rejected_oom: Vec<OomRow>,
+}
+
+#[derive(serde::Deserialize)]
+struct OomRow {}
+
+#[test]
+fn every_oom_rejection_is_a_static_prune() {
+    let goldens: [(&str, &[&str]); 2] = [
+        (
+            "tacc_golden",
+            &[
+                "tune",
+                "--cluster",
+                "tacc",
+                "--gpus",
+                "8",
+                "--batch",
+                "16",
+                "--micro-batch-size",
+                "4",
+            ],
+        ),
+        ("pc_golden", &["tune", "--cluster", "pc", "--gpus", "32", "--batch", "8"]),
+    ];
+    for (tag, argv) in goldens {
+        for serial in [false, true] {
+            let argv = [argv, &["--wide"], if serial { &["--serial"] } else { &[] }].concat();
+            let (stdout, exposition) = tune(&argv, tag);
+            let doc: Document = serde_json::from_str(&stdout).expect("a tune document");
+            let ooms = doc.rejected_oom.len() as u64;
+            let prunes = counter(&exposition, "hanayo_tuner_static_prunes_total");
+            assert_eq!(
+                prunes, ooms,
+                "{tag} (serial={serial}): OOM rejections not pruned statically"
+            );
         }
     }
 }

@@ -13,6 +13,11 @@
 //! pair, modelling the shared HCA) and arrives after an extra wire
 //! latency.
 //!
+//! The event loop accounts no memory: a device's activation peak depends
+//! only on its compute order, so `peak_mem` is the analyzer's liveness
+//! fold ([`hanayo_analyze::static_peak_mem`]), run once per public entry
+//! or handed in from the tuner's cache.
+//!
 //! ## The fast path
 //!
 //! This engine is the hot loop of the auto-tuner's strategy sweep, so the
@@ -59,7 +64,7 @@
 
 use crate::proof::{Record, Recorder};
 use crate::report::{SimReport, SimSpan};
-use hanayo_analyze::device_bytes;
+use hanayo_analyze::{device_bytes, static_peak_mem};
 use hanayo_cluster::ClusterSpec;
 use hanayo_core::action::Schedule;
 use hanayo_core::program::{Op, Program, ProgramError, Stall};
@@ -437,8 +442,6 @@ struct Engine<'a, R> {
     /// caller reads only scalars (see [`try_simulate_scalars`]).
     spans: Vec<Vec<SimSpan>>,
     record_spans: bool,
-    cur_mem: Vec<u64>,
-    peak_mem: Vec<u64>,
 
     /// Trace events accumulated when `opts.trace` is set (empty, never
     /// touched, otherwise).
@@ -677,13 +680,6 @@ impl<'a, R: Recorder> Engine<'a, R> {
                         t_end: t,
                     });
                 }
-                let bytes = self.cost.stash_bytes[stage as usize];
-                if backward {
-                    self.cur_mem[dev] = self.cur_mem[dev].saturating_sub(bytes);
-                } else {
-                    self.cur_mem[dev] += bytes;
-                    self.peak_mem[dev] = self.peak_mem[dev].max(self.cur_mem[dev]);
-                }
                 self.state[dev] = DevState::Idle;
                 self.advance(dev, t);
             }
@@ -815,7 +811,8 @@ pub fn try_simulate_traced(
     check_shapes(schedule, cost, cluster)?;
     validate_numerics(cost, cluster)?;
     let compiled = compile_schedule(schedule, &opts);
-    let (report, trace, ()) = run_compiled(&compiled, schedule, cost, cluster, opts, true, |_| ())?;
+    let (report, trace, ()) =
+        run_compiled(&compiled, schedule, cost, cluster, None, opts, true, |_| ())?;
     Ok((report, trace))
 }
 
@@ -834,7 +831,8 @@ pub fn try_simulate_compiled(
     opts: SimOptions,
 ) -> Result<SimReport, SimError> {
     check_compiled(compiled, schedule, cost, cluster, &opts)?;
-    run_compiled(compiled, schedule, cost, cluster, opts, true, |_| ()).map(|(report, ..)| report)
+    run_compiled(compiled, schedule, cost, cluster, None, opts, true, |_| ())
+        .map(|(report, ..)| report)
 }
 
 /// [`try_simulate_compiled`] for callers that read only the report's
@@ -842,17 +840,20 @@ pub fn try_simulate_compiled(
 /// the schedule search. The event loop is the same, so every field but
 /// `spans` is bit-identical; `spans` comes back empty and no trace is
 /// lowered, which spares the per-op pushes and keeps memoised reports
-/// small.
+/// small. `peak_mem` is the schedule's [`static_peak_mem`] when the
+/// caller already holds it (`None`: the run folds it).
 pub(crate) fn try_simulate_scalars(
     compiled: &CompiledSchedule,
     schedule: &Schedule,
     cost: &CostTable,
     cluster: &ClusterSpec,
+    peak_mem: Option<&[u64]>,
     opts: SimOptions,
 ) -> Result<SimReport, SimError> {
     check_compiled(compiled, schedule, cost, cluster, &opts)?;
     let opts = SimOptions { trace: false, ..opts };
-    run_compiled(compiled, schedule, cost, cluster, opts, false, |_| ()).map(|(report, ..)| report)
+    run_compiled(compiled, schedule, cost, cluster, peak_mem, opts, false, |_| ())
+        .map(|(report, ..)| report)
 }
 
 /// [`try_simulate_scalars`] plus the [`Record`] a lookahead proof reads
@@ -863,18 +864,19 @@ pub(crate) fn try_simulate_recorded(
     schedule: &Schedule,
     cost: &CostTable,
     cluster: &ClusterSpec,
+    peak_mem: Option<&[u64]>,
     opts: SimOptions,
 ) -> Result<(SimReport, Record), SimError> {
     if !opts.prefetch {
         // Windows are what a proof reads; a run without them records
         // nothing.
-        let report = try_simulate_scalars(compiled, schedule, cost, cluster, opts)?;
+        let report = try_simulate_scalars(compiled, schedule, cost, cluster, peak_mem, opts)?;
         return Ok((report, Record::default()));
     }
     check_compiled(compiled, schedule, cost, cluster, &opts)?;
     let opts = SimOptions { trace: false, ..opts };
     let (report, _, record) =
-        run_compiled(compiled, schedule, cost, cluster, opts, false, Record::new)?;
+        run_compiled(compiled, schedule, cost, cluster, peak_mem, opts, false, Record::new)?;
     Ok((report, record))
 }
 
@@ -928,11 +930,16 @@ fn check_shapes(
 /// Event-loop body shared by every entry; `record_spans` is off only for
 /// the span-free runs, and `recorder` builds a [`Record`] only for
 /// [`try_simulate_recorded`] (`()`, which records nothing, otherwise).
+/// The loop accounts no memory: the report's `peak_mem` is the
+/// schedule's [`static_peak_mem`], the caller's or folded here once the
+/// schedule is known to lower.
+#[allow(clippy::too_many_arguments)]
 fn run_compiled<R: Recorder>(
     compiled: &CompiledSchedule,
     schedule: &Schedule,
     cost: &CostTable,
     cluster: &ClusterSpec,
+    peak_mem: Option<&[u64]>,
     opts: SimOptions,
     record_spans: bool,
     recorder: impl FnOnce(&Program) -> R,
@@ -942,6 +949,7 @@ fn run_compiled<R: Recorder>(
     let grad_mem = device_bytes(&schedule.stage_map, &cost.grad_bytes);
     let nodes = cluster.node.iter().copied().max().unwrap_or(0) as usize + 1;
     let program = compiled.program().map_err(|e| SimError::Program(*e))?;
+    let peak_mem = peak_mem.map_or_else(|| static_peak_mem(schedule, cost), <[u64]>::to_vec);
     let slots = program.keys();
 
     let mut eng = Engine {
@@ -967,8 +975,6 @@ fn run_compiled<R: Recorder>(
         comm_wait: vec![0.0; p],
         spans: if record_spans { vec![Vec::new(); p] } else { Vec::new() },
         record_spans,
-        cur_mem: weight_mem.clone(),
-        peak_mem: weight_mem.clone(),
         trace_events: Vec::new(),
         stalls: 0,
         record: recorder(program),
@@ -1013,7 +1019,7 @@ fn run_compiled<R: Recorder>(
         device_busy: eng.busy,
         device_comm_wait: eng.comm_wait,
         bubble_ratio,
-        peak_mem: eng.peak_mem,
+        peak_mem,
         weight_mem,
         grad_mem,
         spans: eng.spans,
@@ -1082,9 +1088,9 @@ mod tests {
         let compiled = compile_schedule(&schedule, &opts);
         let deeper = lower_windows(compiled.program.clone(), 2);
         try_simulate_compiled(&compiled, &schedule, &cost, &cluster, opts).unwrap();
-        try_simulate_scalars(&compiled, &schedule, &cost, &cluster, opts).unwrap();
+        try_simulate_scalars(&compiled, &schedule, &cost, &cluster, None, opts).unwrap();
         let (_, record) =
-            try_simulate_recorded(&compiled, &schedule, &cost, &cluster, opts).unwrap();
+            try_simulate_recorded(&compiled, &schedule, &cost, &cluster, None, opts).unwrap();
         let built = |c: &CompiledSchedule| c.first_post.get().is_some();
         assert!(!built(&compiled) && !built(&deeper), "no run reads the table");
         assert!(record.proves(&compiled, &deeper));
@@ -1105,8 +1111,9 @@ mod tests {
             let refused = Err(SimError::ZeroLookahead);
             assert_eq!(try_simulate_traced(&schedule, &cost, &cluster, zero).map(|r| r.0), refused);
             assert_eq!(try_simulate_compiled(&compiled, &schedule, &cost, &cluster, zero), refused);
-            assert_eq!(try_simulate_scalars(&compiled, &schedule, &cost, &cluster, zero), refused);
-            let recorded = try_simulate_recorded(&compiled, &schedule, &cost, &cluster, zero);
+            let scalars = try_simulate_scalars(&compiled, &schedule, &cost, &cluster, None, zero);
+            assert_eq!(scalars, refused);
+            let recorded = try_simulate_recorded(&compiled, &schedule, &cost, &cluster, None, zero);
             assert_eq!(recorded.map(|r| r.0), refused);
         }
     }
@@ -1156,7 +1163,8 @@ mod tests {
                 let full =
                     try_simulate_compiled(&compiled, &schedule, &cost, &cluster, opts).unwrap();
                 let scalars =
-                    try_simulate_scalars(&compiled, &schedule, &cost, &cluster, opts).unwrap();
+                    try_simulate_scalars(&compiled, &schedule, &cost, &cluster, None, opts)
+                        .unwrap();
                 assert!(scalars.spans.is_empty(), "{scheme}/prefetch={prefetch}");
                 assert!(full.spans.iter().any(|d| !d.is_empty()), "{scheme}/prefetch={prefetch}");
                 assert_eq!(

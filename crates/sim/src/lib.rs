@@ -22,8 +22,11 @@
 //!   NCCL `batch_isend_irecv` semantics that create the paper's fourth
 //!   bubble type.
 //! * **Memory tracking** — weights are static per device; activation
-//!   stashes grow at forward completion and shrink at backward completion;
-//!   the peak is compared against device capacity for OOM verdicts.
+//!   stashes grow at forward completion and shrink at backward completion.
+//!   That depends only on each device's compute order, so the peak is
+//!   the static liveness fold ([`hanayo_analyze::static_peak_mem`]), not
+//!   an event-loop tally, and the tuner decides OOM from it before
+//!   simulating.
 //!
 //! [`plan`] layers data parallelism on top: `D` pipeline groups, a ring
 //! all-reduce of fp16 gradients at the flush, and the Chimera-wave

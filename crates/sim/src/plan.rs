@@ -255,29 +255,15 @@ pub(crate) fn simulate_plan(
     let group_devices = |g: u32| -> Vec<usize> {
         (0..pp_eff as usize).map(|r| (g * pp_eff) as usize + r).collect()
     };
-    let mut peak_mem = vec![0u64; cluster.len()];
-    let record_peaks = |devices: &[usize], report: &SimReport, peak_mem: &mut [u64]| {
-        for (r, &global) in devices.iter().enumerate() {
-            peak_mem[global] = report.peak_mem[r];
-        }
-    };
-
-    let devices0 = group_devices(0);
-    let sub0 = cluster.select(&devices0);
+    let sub0 = cluster.select(&group_devices(0));
     let group_report = simulate_sub(&sub0)?;
-    record_peaks(&devices0, &group_report, &mut peak_mem);
     let mut pipeline_time = group_report.iteration_time;
     for g in 1..dp_eff {
-        let devices = group_devices(g);
-        let sub = cluster.select(&devices);
-        if sub.same_content(&sub0) {
-            // Group 0's content: its report already is this group's (and
-            // its iteration time cannot raise the running max).
-            record_peaks(&devices, &group_report, &mut peak_mem);
-        } else {
-            let report = simulate_sub(&sub)?;
-            record_peaks(&devices, &report, &mut peak_mem);
-            pipeline_time = pipeline_time.max(report.iteration_time);
+        let sub = cluster.select(&group_devices(g));
+        // A group with group 0's content has group 0's report, whose
+        // iteration time cannot raise the running max.
+        if !sub.same_content(&sub0) {
+            pipeline_time = pipeline_time.max(simulate_sub(&sub)?.iteration_time);
         }
     }
 
@@ -298,9 +284,7 @@ pub(crate) fn simulate_plan(
 
     let iteration_time = pipeline_time + allreduce_time;
     let sequences = (dp_eff * b_eff * plan.micro_batch_size) as f64;
-    let capacities: Vec<u64> = (0..cluster.len()).map(|d| cluster.memory(d)).collect();
-    let oom_devices =
-        peak_mem.iter().enumerate().filter(|&(d, &m)| m > capacities[d]).map(|(d, _)| d).collect();
+    let (peak_mem, oom_devices) = global_peaks(cluster, &group_report.peak_mem, dp_eff);
 
     Ok(PlanResult {
         plan: *plan,
@@ -313,6 +297,25 @@ pub(crate) fn simulate_plan(
         oom_devices,
         group_report,
     })
+}
+
+/// One pipeline group's per-rank peaks broadcast over the plan's `dp`
+/// groups (group `g` sits on devices `g·pp ..`; devices outside the plan
+/// stay at zero), and the devices whose peak exceeds their capacity.
+/// Every group peaks alike: memory depends only on the compute order,
+/// which all groups share.
+pub(crate) fn global_peaks(
+    cluster: &ClusterSpec,
+    group_peak: &[u64],
+    dp: u32,
+) -> (Vec<u64>, Vec<usize>) {
+    let mut peak_mem = vec![0u64; cluster.len()];
+    let cycled = group_peak.iter().cycle().take(group_peak.len() * dp as usize);
+    for (peak, &group) in peak_mem.iter_mut().zip(cycled) {
+        *peak = group;
+    }
+    let oom_devices = (0..cluster.len()).filter(|&d| peak_mem[d] > cluster.memory(d)).collect();
+    (peak_mem, oom_devices)
 }
 
 #[cfg(test)]

@@ -247,13 +247,14 @@ mod tests {
         let one = SimOptions::default();
         let shallow = compile_schedule(&schedule, &one);
         let (report, record) =
-            try_simulate_recorded(&shallow, &schedule, &cost, cluster, one).unwrap();
+            try_simulate_recorded(&shallow, &schedule, &cost, cluster, None, one).unwrap();
         let variants = lookaheads
             .iter()
             .map(|&recv_lookahead| {
                 let opts = SimOptions { recv_lookahead, ..one };
                 let deeper = compile_schedule(&schedule, &opts);
-                let full = try_simulate_scalars(&deeper, &schedule, &cost, cluster, opts).unwrap();
+                let full =
+                    try_simulate_scalars(&deeper, &schedule, &cost, cluster, None, opts).unwrap();
                 (record.proves(&shallow, &deeper), full)
             })
             .collect();
@@ -398,9 +399,11 @@ mod tests {
                 {
                     let compiled = compile_schedule(&schedule, &opts);
                     let plain =
-                        try_simulate_scalars(&compiled, &schedule, &cost, &cluster, opts).unwrap();
+                        try_simulate_scalars(&compiled, &schedule, &cost, &cluster, None, opts)
+                            .unwrap();
                     let (recorded, record) =
-                        try_simulate_recorded(&compiled, &schedule, &cost, &cluster, opts).unwrap();
+                        try_simulate_recorded(&compiled, &schedule, &cost, &cluster, None, opts)
+                            .unwrap();
                     assert_eq!(recorded, plain, "{}/{scheme}/{opts:?}", cluster.name);
                     assert_eq!(record.keys.is_empty(), !opts.prefetch, "{scheme}/{opts:?}");
                     if !opts.prefetch {

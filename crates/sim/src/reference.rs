@@ -6,9 +6,10 @@
 //! vectors and a precomputed prefetch table, but it must stay
 //! *bit-identical* in every report it produces: the cross-engine tests in
 //! `engine.rs` and `tests/engine_equivalence.rs` pit the two against each
-//! other. Nothing outside tests calls it. Keep this file boring — any
-//! behavioural change here invalidates the oracle the fast path is checked
-//! against.
+//! other. Its in-loop stash accounting is the independent check on the
+//! liveness fold the fast engine reports as `peak_mem`. Nothing outside
+//! tests calls it. Keep this file boring — any behavioural change here
+//! invalidates the oracle the fast path is checked against.
 
 use crate::engine::{SimOptions, LOOKAHEAD_WINDOW};
 use crate::report::{SimReport, SimSpan};

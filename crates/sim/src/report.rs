@@ -1,5 +1,6 @@
 //! Simulation results: timing, utilisation, memory, and rendering.
 
+use hanayo_core::memory::mean_variance;
 use serde::{Deserialize, Serialize};
 
 /// One executed compute op with wall-clock times (seconds).
@@ -51,8 +52,7 @@ impl SimReport {
     /// statistic).
     pub fn peak_variance_gb2(&self) -> f64 {
         let gb: Vec<f64> = self.peak_mem.iter().map(|&b| b as f64 / 1e9).collect();
-        let mean = gb.iter().sum::<f64>() / gb.len() as f64;
-        gb.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / gb.len() as f64
+        mean_variance(&gb).1
     }
 }
 

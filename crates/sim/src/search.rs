@@ -112,7 +112,7 @@ fn simulate_order(
 ) -> Result<f64, SimError> {
     let schedule = comm::lower(cs);
     let compiled = compile_schedule(&schedule, &opts);
-    try_simulate_scalars(&compiled, &schedule, cost, cluster, opts).map(|r| r.iteration_time)
+    try_simulate_scalars(&compiled, &schedule, cost, cluster, None, opts).map(|r| r.iteration_time)
 }
 
 /// Search the schedule space at `(P, B)` on `cluster` (which must have

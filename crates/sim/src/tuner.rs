@@ -77,7 +77,8 @@ use crate::engine::{
     try_simulate_recorded, try_simulate_scalars, validate_numerics, SimError, SimOptions,
 };
 use crate::plan::{
-    resolve_plan, simulate_plan, Method, ParallelPlan, PlanError, PlanResult, Resolved,
+    global_peaks, resolve_plan, simulate_plan, Method, ParallelPlan, PlanError, PlanResult,
+    Resolved,
 };
 use hanayo_ckpt::recovery;
 use hanayo_ckpt::{RecoveryEval, RecoveryOptions};
@@ -382,15 +383,16 @@ enum StaticVerdict {
     /// Statically proven OOM on a deadlock-free schedule: skip the
     /// simulation and record this rejection.
     Reject(Rejection),
-    /// The plan goes on to the engine. The schedule shape and cost table
-    /// travel along, with the cache keys the simulation stage reaches the
-    /// sweep's window and report caches through.
+    /// The plan goes on to the engine. The schedule shape, cost table and
+    /// group peaks travel along, with the cache keys the simulation stage
+    /// reaches the sweep's window and report caches through.
     Simulate {
         resolved: Resolved,
         schedule_key: SchedKey,
         cost_key: CostKey,
         shape: Arc<Shape>,
         cost: Arc<CostTable>,
+        peaks: Arc<Vec<u64>>,
     },
 }
 
@@ -399,10 +401,11 @@ enum StaticVerdict {
 /// steps over the sweep's caches and fails with the same [`PlanError`].
 /// A prune fires only when the analyzer also proves the schedule
 /// deadlock-free (so the simulation it skips would have completed and
-/// reported exactly these peaks — the analyzer's static replay is exact,
-/// not just a bound) and some device's peak exceeds its capacity. One
-/// deadlock check covers every data-parallel group: the verdict is
-/// timing-independent and all groups run the same schedule.
+/// reported exactly these peaks: the engine reports the same fold) and
+/// some device's peak exceeds its capacity. One deadlock check covers
+/// every data-parallel group: the verdict is timing-independent and all
+/// groups run the same schedule. This is the only place a sweep decides
+/// an OOM: a simulated candidate reports the peaks checked here.
 fn static_verdict(
     model: &ModelConfig,
     cluster: &ClusterSpec,
@@ -412,42 +415,40 @@ fn static_verdict(
 ) -> Result<StaticVerdict, PlanError> {
     let resolved = resolve_plan(plan, cluster)?;
     let cfg = resolved.cfg;
-    let (pp_eff, dp_eff) = (cfg.devices as usize, resolved.dp as usize);
     let schedule_key: SchedKey = (cfg.scheme, cfg.devices, cfg.micro_batches);
     let shape = caches.schedule_for(schedule_key, &cfg)?;
     let cost_key: CostKey = (cfg.stages(), plan.micro_batch_size, plan.recompute);
     let cost = caches.cost_for(cost_key, model);
     validate_numerics(&cost, cluster).map_err(PlanError::Numerics)?;
 
-    // Exact static replay of the engine's per-device memory accounting,
-    // broadcast over the groups the way a plan evaluation merges group
-    // reports (memory is schedule-order-determined, so every group peaks
-    // identically; devices outside the plan stay at zero).
-    let group_peak = caches.peaks_for((schedule_key, cost_key), &shape.schedule, &cost);
-    let mut peak_mem = vec![0u64; cluster.len()];
-    for g in 0..dp_eff {
-        for (r, &peak) in group_peak.iter().enumerate().take(pp_eff) {
-            peak_mem[g * pp_eff + r] = peak;
-        }
-    }
-    let oom_devices: Vec<usize> =
-        (0..cluster.len()).filter(|&d| peak_mem[d] > cluster.memory(d)).collect();
+    // The group peaks the engine will report, broadcast over the groups
+    // as a plan evaluation does.
+    let peaks = caches.peaks_for((schedule_key, cost_key), &shape.schedule, &cost);
+    let (peak_mem, oom_devices) = global_peaks(cluster, &peaks, resolved.dp);
     // Only an OOM pays for the happens-before replay, whose verdict the
     // shape keeps: a prune fires only on a deadlock-free schedule, so the
     // simulation it skips would have reported exactly these peaks rather
     // than a deadlock. Anything else goes to the engine.
-    if oom_devices.is_empty() || !shape.deadlock_free() {
-        return Ok(StaticVerdict::Simulate { resolved, schedule_key, cost_key, shape, cost });
-    }
-    let (worst, peak) =
-        oom_devices.iter().map(|&d| (d, peak_mem[d])).max_by_key(|&(_, m)| m).unwrap_or((0, 0));
-    Ok(StaticVerdict::Reject(Rejection::Oom {
-        plan: *plan,
-        sim,
-        peak_bytes: peak,
-        capacity_bytes: cluster.memory(worst),
-        devices: oom_devices,
-    }))
+    Ok(match oom_rejection(plan, sim, cluster, &peak_mem, oom_devices) {
+        Some(rejection) if shape.deadlock_free() => StaticVerdict::Reject(rejection),
+        _ => StaticVerdict::Simulate { resolved, schedule_key, cost_key, shape, cost, peaks },
+    })
+}
+
+/// The rejection of a plan whose global peaks overflow `devices`, naming
+/// the worst of them (on heterogeneous-memory clusters the globally
+/// highest peak can live on a device that fits); `None` when every device
+/// fits.
+fn oom_rejection(
+    plan: &ParallelPlan,
+    sim: SimOptions,
+    cluster: &ClusterSpec,
+    peak_mem: &[u64],
+    devices: Vec<usize>,
+) -> Option<Rejection> {
+    let (worst, peak_bytes) = devices.iter().map(|&d| (d, peak_mem[d])).max_by_key(|&(_, m)| m)?;
+    let capacity_bytes = cluster.memory(worst);
+    Some(Rejection::Oom { plan: *plan, sim, peak_bytes, capacity_bytes, devices })
 }
 
 /// One plan through the sweep's single path: the static pre-pass, then —
@@ -466,9 +467,9 @@ fn evaluate(
 ) -> Result<Outcome, PlanError> {
     match static_verdict(model, cluster, plan, sim, caches)? {
         StaticVerdict::Reject(rejection) => Ok(Outcome::StaticOom(rejection)),
-        StaticVerdict::Simulate { resolved, schedule_key, cost_key, shape, cost } => {
+        StaticVerdict::Simulate { resolved, schedule_key, cost_key, shape, cost, peaks } => {
             let compiled = caches.compiled_for(schedule_key, &shape, &sim);
-            let schedule = &shape.schedule;
+            let (schedule, peaks) = (&shape.schedule, Some(peaks.as_slice()));
             let result = simulate_plan(plan, cluster, resolved, |sub| {
                 let sub_cluster = caches.sub_cluster_id(sub);
                 let key = report_key(schedule_key, cost_key, &sim, sub_cluster);
@@ -480,10 +481,10 @@ fn evaluate(
                         .filter(|(target, _)| caches.reports.get(target).is_none())
                         .collect();
                     if targets.is_empty() {
-                        return try_simulate_scalars(&compiled, schedule, &cost, sub, sim);
+                        return try_simulate_scalars(&compiled, schedule, &cost, sub, peaks, sim);
                     }
                     let (report, record) =
-                        try_simulate_recorded(&compiled, schedule, &cost, sub, sim)?;
+                        try_simulate_recorded(&compiled, schedule, &cost, sub, peaks, sim)?;
                     for (target, opts) in targets {
                         let lowering = caches.compiled_for(schedule_key, &shape, opts);
                         let proven = record.proves(&compiled, &lowering);
@@ -513,31 +514,16 @@ fn record_proof(proven: bool) {
     }
 }
 
-fn assemble(evaluated: Vec<(ParallelPlan, SimOptions, Outcome)>, cluster: &ClusterSpec) -> Tuning {
+fn assemble(evaluated: Vec<(ParallelPlan, SimOptions, Outcome)>) -> Tuning {
     let mut ranked = Vec::new();
     let mut rejected = Vec::new();
     for (plan, sim, outcome) in evaluated {
         match outcome {
             Outcome::StaticOom(rejection) => rejected.push(rejection),
-            Outcome::Simulated(result) if result.is_oom() => {
-                // Report the worst of the devices that actually overflowed
-                // (on heterogeneous-memory clusters the globally highest
-                // peak can live on a device that fits).
-                let (worst, peak) = result
-                    .oom_devices
-                    .iter()
-                    .map(|&d| (d, result.peak_mem[d]))
-                    .max_by_key(|&(_, m)| m)
-                    .unwrap_or((0, 0));
-                rejected.push(Rejection::Oom {
-                    plan,
-                    sim,
-                    peak_bytes: peak,
-                    capacity_bytes: cluster.memory(worst),
-                    devices: result.oom_devices.clone(),
-                });
+            Outcome::Simulated(result) => {
+                debug_assert!(!result.is_oom(), "the static pre-pass decides every OOM");
+                ranked.push(Candidate { plan, sim, result })
             }
-            Outcome::Simulated(result) => ranked.push(Candidate { plan, sim, result }),
             Outcome::Shape(reason) => rejected.push(Rejection::InvalidShape { plan, sim, reason }),
         }
     }
@@ -560,7 +546,6 @@ fn record_candidate(outcome: &Outcome) {
         return;
     }
     let label = match outcome {
-        Outcome::Simulated(result) if result.is_oom() => "oom",
         Outcome::Simulated(_) => "ranked",
         Outcome::StaticOom(_) => "oom",
         Outcome::Shape(_) => "shape",
@@ -751,7 +736,7 @@ fn tune_impl(
             by_candidate[i] = Some(outcome);
         }
     }
-    Ok(assemble(by_candidate.into_iter().flatten().collect(), cluster))
+    Ok(assemble(by_candidate.into_iter().flatten().collect()))
 }
 
 /// Sweep the strategy space and rank feasible plans by throughput,
@@ -905,6 +890,11 @@ mod tests {
                 let outcome = match shape_reason {
                     Some(reason) => Outcome::Shape(reason),
                     None => match evaluate_plan(&plan, model, cluster, sim) {
+                        Ok(result) if result.is_oom() => {
+                            let devices = result.oom_devices.clone();
+                            let oom = oom_rejection(&plan, sim, cluster, &result.peak_mem, devices);
+                            Outcome::StaticOom(oom.unwrap())
+                        }
                         Ok(mut result) => {
                             // The sweep runs span-free; every other field
                             // must match.
@@ -917,7 +907,7 @@ mod tests {
                 (plan, sim, outcome)
             })
             .collect();
-        assemble(evaluated, cluster)
+        assemble(evaluated)
     }
 
     #[test]

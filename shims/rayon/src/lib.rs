@@ -12,8 +12,10 @@
 //! its size). The thread count is resolved exactly once at init:
 //! `HANAYO_THREADS` (positive integer) wins; otherwise
 //! `std::thread::available_parallelism()`. A malformed `HANAYO_THREADS`
-//! warns on stderr and falls back — it never silently changes the count
-//! mid-run, and the OS is never re-queried per dispatch.
+//! falls back, and a worker that fails to spawn leaves the pool smaller;
+//! the shim prints nothing and hands both warnings to its caller through
+//! [`pool_warnings`]. The count never changes mid-run, and the OS is
+//! never re-queried per dispatch.
 //!
 //! Both entry points go through one dispatch. A call with `n` items
 //! starts `min(n, N)` executors: the calling thread runs one, and the
@@ -41,10 +43,19 @@ pub mod prelude {
     pub use crate::{ParallelSlice, ParallelSliceMut};
 }
 
-/// Number of executor threads (resident workers + the calling thread) the
-/// process-wide pool uses. Resolved once; see the crate docs.
+/// Number of executor threads (resident workers that really started +
+/// the calling thread) the process-wide pool uses. Resolved once; see the
+/// crate docs.
 pub fn current_num_threads() -> usize {
     global_pool().threads
+}
+
+/// What went wrong when the process-wide pool started, one line each: a
+/// malformed `HANAYO_THREADS` (the count fell back to the host's) or a
+/// worker that failed to spawn (the pool runs with fewer). Starts the
+/// pool if nothing has yet. The shim never prints; the caller logs these.
+pub fn pool_warnings() -> &'static [String] {
+    &global_pool().warnings
 }
 
 // ---------------------------------------------------------------------------
@@ -76,6 +87,8 @@ struct Pool {
     queue: Arc<Queue>,
     /// Total executors: spawned workers + the calling thread.
     threads: usize,
+    /// Start-up warnings (see [`pool_warnings`]).
+    warnings: Vec<String>,
 }
 
 thread_local! {
@@ -121,8 +134,9 @@ impl Call {
 
 impl Pool {
     fn new(threads: usize) -> Pool {
-        let threads = threads.max(1);
         let queue = Arc::new(Queue::default());
+        let mut warnings = Vec::new();
+        let mut spawned = 0;
         // The caller is executor 0; spawn the remaining N-1 resident workers.
         for w in 1..threads {
             let queue = Arc::clone(&queue);
@@ -134,14 +148,15 @@ impl Pool {
                 }
             };
             let builder = std::thread::Builder::new().name(format!("hanayo-worker-{w}"));
-            if builder.spawn(worker).is_err() {
-                // Thread creation failed (resource limits): the pool still
-                // works with fewer residents, because every caller takes
-                // back the executors no worker started.
-                eprintln!("hanayo rayon shim: failed to spawn worker {w}; continuing with fewer");
+            // Thread creation can fail (resource limits): the pool still
+            // works with the residents it has.
+            match builder.spawn(worker) {
+                Ok(_) => spawned += 1,
+                Err(e) => warnings
+                    .push(format!("failed to spawn pool worker {w} ({e}); continuing with fewer")),
             }
         }
-        Pool { queue, threads }
+        Pool { queue, threads: 1 + spawned, warnings }
     }
 
     /// The one dispatch: apply `f` to every item and return the results in
@@ -205,26 +220,31 @@ impl Pool {
     }
 }
 
-fn resolve_threads(env_override: Option<&str>) -> usize {
-    if let Some(raw) = env_override {
-        match raw.trim().parse::<usize>() {
-            Ok(n) if n >= 1 => return n,
-            _ => {
-                eprintln!(
-                    "hanayo rayon shim: HANAYO_THREADS={raw:?} is not a positive integer; \
-                     falling back to available_parallelism"
-                );
-            }
-        }
+/// The pool size `HANAYO_THREADS` asks for, or the host's parallelism,
+/// with a warning when a set value is not a positive integer.
+fn resolve_threads(env_override: Option<&str>) -> (usize, Option<String>) {
+    let host = std::thread::available_parallelism().map(usize::from).unwrap_or(1);
+    match env_override.map(|raw| (raw, raw.trim().parse::<usize>())) {
+        None => (host, None),
+        Some((_, Ok(n))) if n >= 1 => (n, None),
+        Some((raw, _)) => (
+            host,
+            Some(format!(
+                "HANAYO_THREADS={raw:?} is not a positive integer; falling back to the host's \
+                 {host} threads"
+            )),
+        ),
     }
-    std::thread::available_parallelism().map(usize::from).unwrap_or(1)
 }
 
 fn global_pool() -> &'static Pool {
     static POOL: OnceLock<Pool> = OnceLock::new();
     POOL.get_or_init(|| {
         let env = std::env::var("HANAYO_THREADS").ok();
-        Pool::new(resolve_threads(env.as_deref()))
+        let (threads, warning) = resolve_threads(env.as_deref());
+        let mut pool = Pool::new(threads);
+        pool.warnings.splice(0..0, warning);
+        pool
     })
 }
 
@@ -583,12 +603,15 @@ mod tests {
 
     #[test]
     fn thread_count_resolution_prefers_env_override() {
-        assert_eq!(super::resolve_threads(Some("6")), 6);
-        assert_eq!(super::resolve_threads(Some(" 2 ")), 2);
+        assert_eq!(super::resolve_threads(Some("6")), (6, None));
+        assert_eq!(super::resolve_threads(Some(" 2 ")), (2, None));
         // Malformed or zero overrides warn and fall back to the host count.
         let host = std::thread::available_parallelism().map(usize::from).unwrap_or(1);
-        assert_eq!(super::resolve_threads(Some("0")), host);
-        assert_eq!(super::resolve_threads(Some("lots")), host);
-        assert_eq!(super::resolve_threads(None), host);
+        for raw in ["0", "lots"] {
+            let (threads, warning) = super::resolve_threads(Some(raw));
+            assert_eq!(threads, host);
+            assert!(warning.is_some_and(|w| w.starts_with(&format!("HANAYO_THREADS={raw:?}"))));
+        }
+        assert_eq!(super::resolve_threads(None), (host, None));
     }
 }

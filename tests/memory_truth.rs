@@ -6,23 +6,26 @@
 //!
 //! 1. **Runtime (measured)** — the threaded workers' instrumented
 //!    live-bytes counter: real tensors, real stashes, per-device peak.
-//! 2. **Simulator (modelled)** — `simulate` driven by a cost table whose
-//!    stash bytes are *probed from the same micro-model stages*
-//!    (`micro_cost_table`); its `peak_mem − weight_mem` must equal the
-//!    runtime's measurement byte for byte.
-//! 3. **Static analysis (proved)** — `analyze::static_stash_peak`, the
-//!    activation-liveness replay over the schedule that never executes
-//!    anything; exactly equal to 2 in integer bytes (the claim that lets
-//!    the tuner reject OOM plans without simulating).
+//! 2. **Reference engine (modelled)** — `simulate_reference`, the test
+//!    oracle that still accounts stashes in its event loop, driven by a
+//!    cost table whose stash bytes are *probed from the same micro-model
+//!    stages* (`micro_cost_table`); its `peak_mem − weight_mem` must equal
+//!    the runtime's measurement byte for byte.
+//! 3. **Static analysis (proved)** — `analyze`'s `stash_peak`, the
+//!    liveness fold over the schedule that never executes anything;
+//!    exactly equal to 2 in integer bytes. The fast engine reports this
+//!    same fold as its `peak_mem`, and the tuner rejects OOM plans on it
+//!    without simulating.
 //! 4. **Unit replay (abstract)** — `core::memory::unit_profile_with` in
-//!    Fig. 3 units, converted to bytes through the size of one activation
+//!    Fig. 3 units (the fold's count of live stashes times one stash's
+//!    weight), converted to bytes through the size of one activation
 //!    unit.
 //!
 //! Agreement is exact (integer bytes) between 1, 2 and 3, and within
 //! float rounding for 4. Chimera-native replicates stages, which the
 //! runtime deliberately rejects, so its row checks 2 vs 3 vs 4 only.
 
-use hanayo::analyze::static_stash_peak;
+use hanayo::analyze::analyze;
 use hanayo::cluster::topology::fc_full_nvlink;
 use hanayo::core::config::{PipelineConfig, Scheme};
 use hanayo::core::memory::unit_profile_with;
@@ -31,7 +34,7 @@ use hanayo::model::builders::{micro_cost_table, MicroModel};
 use hanayo::model::Recompute;
 use hanayo::runtime::trainer::{synthetic_data, try_train, TrainerConfig};
 use hanayo::runtime::LossKind;
-use hanayo::sim::{try_simulate_traced, SimOptions};
+use hanayo::sim::{simulate_reference, SimOptions};
 
 const P: u32 = 8;
 const B: u32 = 8;
@@ -56,7 +59,8 @@ fn golden_schemes() -> Vec<(&'static str, Scheme, bool)> {
 }
 
 struct Truth {
-    /// Simulator per-device peak stash bytes (`peak_mem − weight_mem`).
+    /// Reference-engine per-device peak stash bytes (`peak_mem −
+    /// weight_mem`).
     sim_stash: Vec<u64>,
     /// Static-analyzer per-device peak stash bytes — proven, not run.
     static_stash: Vec<u64>,
@@ -75,17 +79,16 @@ fn measure(scheme: Scheme, runnable: bool, mode: Recompute) -> Truth {
     let model = MicroModel { width: WIDTH, total_blocks: s as usize * BLOCKS_PER_STAGE, seed: 77 };
     let stages = model.build_stages(s);
 
-    // Simulator: cost table probed from the very stages the runtime runs.
+    // Reference engine: cost table probed from the very stages the
+    // runtime runs.
     let cost = micro_cost_table(&stages, ROWS, WIDTH, mode);
-    let report =
-        try_simulate_traced(&schedule, &cost, &fc_full_nvlink(P as usize), SimOptions::default())
-            .unwrap()
-            .0;
+    let cluster = fc_full_nvlink(P as usize);
+    let report = simulate_reference(&schedule, &cost, &cluster, SimOptions::default());
     let sim_stash: Vec<u64> =
         report.peak_mem.iter().zip(&report.weight_mem).map(|(p, w)| p - w).collect();
 
     // Static analysis: the same number, proved from the schedule alone.
-    let static_stash = static_stash_peak(&schedule, &cost);
+    let static_stash = analyze(&schedule, &cost, &cluster).unwrap().stash_peak;
 
     // Runtime: train one iteration and read the live-bytes peaks.
     let runtime_stash = runnable.then(|| {
@@ -118,10 +121,11 @@ fn runtime_simulator_and_unit_replay_agree_on_every_golden_scheme() {
         for mode in Recompute::ALL {
             let t = measure(scheme, runnable, mode);
             // Proved == modelled, exactly, device by device: the static
-            // replay is the simulator's accounting, not an upper bound.
+            // fold is the reference engine's accounting, not an upper
+            // bound.
             assert_eq!(
                 t.static_stash, t.sim_stash,
-                "{name}/{mode}: static analyzer diverges from the simulator"
+                "{name}/{mode}: static analyzer diverges from the reference engine"
             );
             if let Some(measured) = &t.runtime_stash {
                 // Measured == modelled, exactly, device by device.
