@@ -12,17 +12,26 @@
 //! The engine adds only *waiting* on top of these (link contention,
 //! rendezvous alignment, batch synchronisation), so the latest exit is
 //! an admissible lower bound: simulated `iteration_time` can never fall
-//! below it. That makes it a sound pruning bound for schedule search.
+//! below it. That makes it a sound pruning bound for schedule search:
+//! the tuner ranks a `top` request's candidates by it and simulates only
+//! those whose bound reaches the running k-th best.
 
 use crate::error::AnalysisError;
 use hanayo_cluster::ClusterSpec;
 use hanayo_core::program::{Op, Program};
 use hanayo_model::CostTable;
 
+/// Relative slack allowed when the bound is held against a simulated
+/// time: the replay and the engine sum the same durations in different
+/// orders, so the bound may exceed the simulated iteration time by a few
+/// ulps. A bound `b` is admissible for a simulated time `t` when
+/// `b <= t * (1 + CRITICAL_PATH_SLACK)`.
+pub const CRITICAL_PATH_SLACK: f64 = 1e-9;
+
 /// The latest exit of the replay, in seconds. Fails with a shape mismatch
 /// if the cluster or the cost table does not fit the program, or with the
 /// replay's [`Stall`](hanayo_core::program::Stall) if it deadlocks.
-pub(crate) fn critical_path(
+pub fn critical_path(
     program: &Program,
     cost: &CostTable,
     cluster: &ClusterSpec,

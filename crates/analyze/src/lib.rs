@@ -30,7 +30,8 @@
 //! * **Critical-path bound** — the latest exit of the same replay under
 //!   the uncontended durations of a [`hanayo_model::CostTable`] and a
 //!   [`hanayo_cluster::ClusterSpec`]; an admissible lower bound on the
-//!   simulated iteration time ([`AnalysisReport::critical_path_s`]).
+//!   simulated iteration time ([`AnalysisReport::critical_path_s`],
+//!   [`critical_path`] on a lowered program).
 //!
 //! [`report::analyze`] / [`report::analyze_table`] bundle all four into
 //! one [`AnalysisReport`]; `hanayo-sim` consumes the pieces as a pre-pass
@@ -42,6 +43,7 @@ pub mod error;
 pub mod memory;
 pub mod report;
 
+pub use critical::{critical_path, CRITICAL_PATH_SLACK};
 pub use error::AnalysisError;
 pub use memory::{device_bytes, static_peak_mem};
 pub use report::{analyze, analyze_table, check_deadlock_free, verify, AnalysisReport, DagStats};

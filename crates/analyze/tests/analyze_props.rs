@@ -12,7 +12,9 @@
 //!   bound is tight, not merely sound. (The fast engine reports the fold
 //!   itself, so the reference is the independent side.)
 
-use hanayo_analyze::{analyze_table, check_deadlock_free, static_peak_mem, AnalysisError};
+use hanayo_analyze::{
+    analyze_table, check_deadlock_free, static_peak_mem, AnalysisError, CRITICAL_PATH_SLACK,
+};
 use hanayo_cluster::topology::fc_full_nvlink;
 use hanayo_core::action::CommDir;
 use hanayo_core::comm;
@@ -86,7 +88,7 @@ proptest! {
         // And the bounds the report carries hold against the execution.
         let (report, (sim, _)) = (report.unwrap(), sim.unwrap());
         prop_assert_eq!(&report.peak_mem, &sim.peak_mem);
-        prop_assert!(report.critical_path_s <= sim.iteration_time * (1.0 + 1e-9));
+        prop_assert!(report.critical_path_s <= sim.iteration_time * (1.0 + CRITICAL_PATH_SLACK));
     }
 
     #[test]

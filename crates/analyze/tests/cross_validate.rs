@@ -5,7 +5,7 @@
 //! never exceeds the simulated iteration time, and corrupting a schedule
 //! flips the two verdicts together.
 
-use hanayo_analyze::{analyze, check_deadlock_free, AnalysisError};
+use hanayo_analyze::{analyze, check_deadlock_free, AnalysisError, CRITICAL_PATH_SLACK};
 use hanayo_cluster::topology::fc_full_nvlink;
 use hanayo_core::action::Schedule;
 use hanayo_core::config::{PipelineConfig, Scheme};
@@ -59,7 +59,7 @@ fn analyzer_matches_simulator_on_named_schemes() {
         assert_eq!(report.stash_peak, stash, "{scheme:?}: stash peak mismatch");
 
         assert!(
-            report.critical_path_s <= sim.iteration_time * (1.0 + 1e-9),
+            report.critical_path_s <= sim.iteration_time * (1.0 + CRITICAL_PATH_SLACK),
             "{scheme:?}: critical path {} exceeds simulated {}",
             report.critical_path_s,
             sim.iteration_time

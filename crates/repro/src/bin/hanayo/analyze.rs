@@ -4,10 +4,11 @@
 //! The flags fill an [`AnalyzeRequest`] and the document comes from
 //! [`run_analyze`], as `POST /v1/analyze`'s does: `--compact` stdout is
 //! the served body. `--validate` holds an emitted document to a fresh
-//! simulation (README, "Static schedule analysis").
+//! analysis and its dynamic claims to a fresh simulation (README, "Static
+//! schedule analysis").
 
 use crate::cli::{compact, flag, Command, Flag, Output};
-use hanayo_analyze::analyze;
+use hanayo_analyze::{analyze, CRITICAL_PATH_SLACK};
 use hanayo_model::Recompute;
 use hanayo_serve::schema::{rebuild_analyze, run_analyze, AnalyzeDoc, AnalyzeRequest};
 use hanayo_sim::{try_simulate_traced, SimOptions};
@@ -65,8 +66,8 @@ impl Command for Args {
             flag(
                 "--validate",
                 "<file>",
-                "re-analyze a previously emitted document and check every static claim \
-                 against a fresh simulation",
+                "check a previously emitted document against a fresh analysis, and its \
+                 deadlock and bound claims against a fresh simulation",
                 |a| &mut a.validate,
             ),
         ]
@@ -80,10 +81,11 @@ impl Command for Args {
     }
 }
 
-/// `--validate`: re-derive the report from scratch, then simulate and
-/// require the engine to confirm every static claim — completion (the
-/// deadlock verdict), *exact* peak-memory equality, and the critical path
-/// lower-bounding the measured iteration time.
+/// `--validate`: re-derive the report from scratch and require it to equal
+/// the document's (peaks included: the engine reports the same fold), then
+/// simulate and require the engine to confirm the two dynamic claims —
+/// completion (the deadlock verdict) and the critical path lower-bounding
+/// the measured iteration time.
 fn validate(path: &str) -> Result<(), String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
     let doc: AnalyzeDoc =
@@ -98,19 +100,7 @@ fn validate(path: &str) -> Result<(), String> {
 
     let (sim, _) = try_simulate_traced(&schedule, &cost, &cluster, SimOptions::default())
         .map_err(|e| format!("the simulator refutes the deadlock-freedom verdict: {e}"))?;
-    if doc.report.peak_mem != sim.peak_mem {
-        return Err(format!(
-            "static peak_mem {:?} != simulated {:?}",
-            doc.report.peak_mem, sim.peak_mem
-        ));
-    }
-    if doc.report.weight_mem != sim.weight_mem {
-        return Err(format!(
-            "static weight_mem {:?} != simulated {:?}",
-            doc.report.weight_mem, sim.weight_mem
-        ));
-    }
-    if doc.report.critical_path_s > sim.iteration_time * (1.0 + 1e-9) {
+    if doc.report.critical_path_s > sim.iteration_time * (1.0 + CRITICAL_PATH_SLACK) {
         return Err(format!(
             "critical-path bound {} exceeds the simulated iteration time {}",
             doc.report.critical_path_s, sim.iteration_time
@@ -118,7 +108,7 @@ fn validate(path: &str) -> Result<(), String> {
     }
     println!(
         "ok: {} {} on {} (P={}, B={}) — bound {:.6}s ≤ simulated {:.6}s ({:.2}% tight), \
-         peaks exact on {} devices",
+         document matches a fresh analysis",
         doc.scheme,
         doc.model,
         doc.cluster,
@@ -127,7 +117,6 @@ fn validate(path: &str) -> Result<(), String> {
         doc.report.critical_path_s,
         sim.iteration_time,
         100.0 * doc.report.critical_path_s / sim.iteration_time,
-        doc.report.peak_mem.len(),
     );
     Ok(())
 }

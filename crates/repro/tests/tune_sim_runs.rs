@@ -3,8 +3,9 @@
 //! shape runs in one sweep task, so two executors never both miss the
 //! same report memo entry and simulate it twice. Counted through
 //! `--metrics`, over 20 parallel runs per shape on a four-executor pool.
-//! The same expositions show that the static pre-pass decides every OOM
-//! rejection.
+//! A `--top` sweep's rounds group their candidates by shape the same
+//! way, so it too simulates in parallel what it does serially. The same
+//! expositions show that the static pre-pass decides every OOM rejection.
 
 use std::process::Command;
 
@@ -52,6 +53,21 @@ fn parallel_wide_sweeps_simulate_what_serial_ones_do() {
         for run in 0..20 {
             assert_eq!(sim_runs(argv, tag), serial, "{tag}: parallel run {run}");
         }
+    }
+}
+
+#[test]
+fn parallel_top_k_sweeps_simulate_what_serial_ones_do() {
+    // The benchmark's `sweep_wide` shape asked for its 5 best rows: the
+    // full table above runs the engine 288 times.
+    let argv: &[&str] = &["tune", "--wide", "--top", "5"];
+    let (document, exposition) = tune(&[argv, &["--serial"]].concat(), "bench_top5");
+    let serial = counter(&exposition, "hanayo_sim_runs_total");
+    assert_eq!(serial, 6, "serial group runs");
+    for run in 0..20 {
+        let (stdout, exposition) = tune(argv, "bench_top5");
+        assert_eq!(stdout, document, "parallel run {run}");
+        assert_eq!(counter(&exposition, "hanayo_sim_runs_total"), serial, "parallel run {run}");
     }
 }
 

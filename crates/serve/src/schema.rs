@@ -226,7 +226,10 @@ pub struct TuneRequest {
     /// Evaluate candidates one at a time (identical output; the service
     /// uses it to keep one background sweep from monopolising the pool).
     pub serial: bool,
-    /// Emit only the N best candidates (`null` = all).
+    /// Emit only the N best candidates (`null` = all). The sweep then
+    /// simulates only the candidates whose throughput bound reaches the
+    /// N-th best ([`TuneOptions::top`]); the document is the full table's
+    /// first N rows.
     pub top: Option<usize>,
 }
 
@@ -236,8 +239,12 @@ impl TuneRequest {
     pub fn resolve(&self) -> Result<(ModelConfig, ClusterSpec, TuneOptions), String> {
         let model = model_for(&self.model)?.with_train_bytes_per_param(self.train_bytes_per_param);
         let cluster = cluster_for(&self.cluster, self.gpus)?;
-        let mut opts =
-            TuneOptions { waves: self.waves.clone(), min_pp: self.min_pp, ..Default::default() };
+        let mut opts = TuneOptions {
+            waves: self.waves.clone(),
+            min_pp: self.min_pp,
+            top: self.top,
+            ..Default::default()
+        };
         if self.wide {
             opts = opts.wide();
         }
@@ -360,7 +367,8 @@ pub struct SweepTable {
     pub wide: bool,
     /// Recompute-mode labels actually swept.
     pub recompute_modes: Vec<String>,
-    /// Total candidates evaluated (ranked + rejected).
+    /// Total candidates in the swept space: ranked, rejected, and (for a
+    /// `top` request) the feasible ones the sweep proved could not rank.
     pub candidates_evaluated: usize,
     /// Feasible candidates, best first.
     pub ranked: Vec<RankedRow>,
@@ -441,7 +449,7 @@ pub fn build_sweep_table(
         micro_batch_size: req.micro_batch_size,
         wide: req.wide,
         recompute_modes: modes.iter().map(|m| m.label().to_string()).collect(),
-        candidates_evaluated: tuning.ranked.len() + tuning.rejected.len(),
+        candidates_evaluated: tuning.ranked.len() + tuning.rejected.len() + tuning.unranked,
         ranked,
         rejected_oom,
         rejected_invalid_shape,

@@ -4,11 +4,12 @@
 //! [`SweepCaches`] memoizes every pure artifact a sweep derives from its
 //! candidates: schedule shapes (each built schedule with its lowered
 //! program and deadlock verdict, see [`Shape`]), cost tables, static
-//! memory replays, prefetch windows and pipeline-group simulation
-//! reports. Each cache is keyed by the *complete* set of inputs its
-//! artifact is a pure function of, so a hit returns byte-for-byte what
-//! the miss path would have computed and worker interleaving (which
-//! thread populates an entry first) cannot perturb a ranking.
+//! memory replays, critical-path bounds, prefetch windows and
+//! pipeline-group simulation reports. Each cache is keyed by the
+//! *complete* set of inputs its artifact is a pure function of, so a hit
+//! returns byte-for-byte what the miss path would have computed and worker
+//! interleaving (which thread populates an entry first) cannot perturb a
+//! ranking.
 //!
 //! Two properties were added when the caches started outliving a single
 //! sweep inside a resident `hanayo-serve` process:
@@ -189,6 +190,11 @@ pub(crate) type CostKey = (u32, u32, Recompute);
 /// a deeper one that a lookahead-1 run proves equal is filed without a
 /// simulation (see [`crate::tuner`]).
 pub(crate) type ReportKey = (SchedKey, CostKey, bool, usize, u32);
+/// Everything a group's critical path is a function of: the schedule
+/// shape, the cost table and the sub-cluster's content id. Prefetching and
+/// the receive lookahead only add waiting, so every simulator variant of a
+/// group shares one bound.
+pub(crate) type BoundKey = (SchedKey, CostKey, u32);
 
 pub(crate) fn report_key(
     schedule_key: SchedKey,
@@ -249,6 +255,10 @@ pub struct SweepCaches {
     pub(crate) costs: BoundedMap<CostKey, Arc<CostTable>>,
     /// Static per-device memory replays (group-local peaks).
     pub(crate) peaks: BoundedMap<(SchedKey, CostKey), Arc<Vec<u64>>>,
+    /// Pipeline-group critical paths ([`hanayo_analyze::critical_path`]),
+    /// read by top-k sweeps only; `None` when the program cannot be
+    /// replayed to the end.
+    pub(crate) critical_paths: BoundedMap<BoundKey, Option<f64>>,
     /// Prefetch windows, keyed by the shape and the `recv_lookahead`
     /// they were scanned with, each over its shape's one [`Program`].
     pub(crate) compiled: BoundedMap<(SchedKey, usize), Arc<CompiledSchedule>>,
@@ -293,6 +303,7 @@ impl SweepCaches {
             schedules: BoundedMap::new("schedules", cap),
             costs: BoundedMap::new("costs", cap),
             peaks: BoundedMap::new("peaks", cap),
+            critical_paths: BoundedMap::new("critical_paths", cap),
             compiled: BoundedMap::new("compiled", cap),
             reports: BoundedMap::new("reports", cap),
             sub_clusters: BoundedMap::new("sub_clusters", cap),
@@ -306,6 +317,7 @@ impl SweepCaches {
         self.schedules.len()
             + self.costs.len()
             + self.peaks.len()
+            + self.critical_paths.len()
             + self.compiled.len()
             + self.reports.len()
             + self.sub_clusters.len()
@@ -342,6 +354,22 @@ impl SweepCaches {
     ) -> Arc<Vec<u64>> {
         self.peaks
             .get_or_insert_with(key, || Arc::new(hanayo_analyze::static_peak_mem(schedule, cost)))
+    }
+
+    /// The critical path of `shape` (whose key is in `key`) under `cost` on
+    /// `sub`, the sub-cluster whose content id is in `key`; `None` when the
+    /// shape does not lower or its replay stalls.
+    pub(crate) fn critical_path_for(
+        &self,
+        key: BoundKey,
+        shape: &Shape,
+        cost: &CostTable,
+        sub: &ClusterSpec,
+    ) -> Option<f64> {
+        self.critical_paths.get_or_insert_with(key, || {
+            let program = shape.program.as_ref().as_ref().ok()?;
+            hanayo_analyze::critical_path(program, cost, sub).ok()
+        })
     }
 
     /// The prefetch windows of `shape` (whose key `key` is) under

@@ -171,6 +171,7 @@ impl PlanResult {
 }
 
 /// A plan resolved to the pipeline actually simulated.
+#[derive(Clone, Copy)]
 pub(crate) struct Resolved {
     /// The validated per-group pipeline: effective width, micro-batches
     /// per group and scheme (Chimera-wave halves the first two).
@@ -231,72 +232,109 @@ pub fn evaluate_plan(
 /// The simulation half of every plan evaluation. `simulate_group(sub)`
 /// simulates one pipeline group on its sub-cluster; callers lower the
 /// schedule once and close over it (the tuner also memoises the reports
-/// across candidates).
-///
-/// Group 0 always runs. A later group whose sub-cluster has group 0's
-/// content ([`ClusterSpec::same_content`]: always on a homogeneous
-/// cluster, and on TACC for groups that differ only in node ids) reuses
-/// group 0's report instead of re-simulating: the engine is deterministic
-/// and reads node ids only to tell nodes apart, so the skipped run could
-/// only have reproduced the same report.
+/// across candidates). Only the groups [`distinct_groups`] lists run.
 pub(crate) fn simulate_plan(
     plan: &ParallelPlan,
     cluster: &ClusterSpec,
-    Resolved { cfg, dp: dp_eff }: Resolved,
+    resolved: Resolved,
     simulate_group: impl Fn(&ClusterSpec) -> Result<SimReport, SimError>,
 ) -> Result<PlanResult, PlanError> {
-    let (pp_eff, b_eff) = (cfg.devices, cfg.micro_batches);
     let simulate_sub = |sub: &ClusterSpec| {
         simulate_group(sub).map_err(|e| match e {
             SimError::Numerics(n) => PlanError::Numerics(n),
             other => PlanError::Sim(other),
         })
     };
-    let group_devices = |g: u32| -> Vec<usize> {
-        (0..pp_eff as usize).map(|r| (g * pp_eff) as usize + r).collect()
-    };
-    let sub0 = cluster.select(&group_devices(0));
+    let (sub0, others) = distinct_groups(cluster, resolved);
     let group_report = simulate_sub(&sub0)?;
     let mut pipeline_time = group_report.iteration_time;
-    for g in 1..dp_eff {
-        let sub = cluster.select(&group_devices(g));
-        // A group with group 0's content has group 0's report, whose
-        // iteration time cannot raise the running max.
-        if !sub.same_content(&sub0) {
-            pipeline_time = pipeline_time.max(simulate_sub(&sub)?.iteration_time);
-        }
+    for sub in &others {
+        pipeline_time = pipeline_time.max(simulate_sub(sub)?.iteration_time);
     }
 
-    // Data-parallel gradient all-reduce of the fp16 gradient buffers. Only
-    // the non-overlapped fraction is exposed on the critical path (see
-    // ALLREDUCE_OVERLAP).
-    let allreduce_time = if dp_eff > 1 {
-        let raw = (0..pp_eff as usize)
-            .map(|r| {
-                let ring: Vec<usize> = (0..dp_eff).map(|g| (g * pp_eff) as usize + r).collect();
-                ring_allreduce_time(cluster, &ring, group_report.grad_mem[r])
-            })
-            .fold(0.0, f64::max);
-        raw * (1.0 - ALLREDUCE_OVERLAP)
-    } else {
-        0.0
-    };
-
+    let allreduce_time = exposed_allreduce(cluster, resolved, &group_report.grad_mem);
     let iteration_time = pipeline_time + allreduce_time;
-    let sequences = (dp_eff * b_eff * plan.micro_batch_size) as f64;
-    let (peak_mem, oom_devices) = global_peaks(cluster, &group_report.peak_mem, dp_eff);
+    let (peak_mem, oom_devices) = global_peaks(cluster, &group_report.peak_mem, resolved.dp);
 
     Ok(PlanResult {
         plan: *plan,
         pipeline_time,
         allreduce_time,
         iteration_time,
-        throughput: sequences / iteration_time,
+        throughput: sequences(plan, resolved) / iteration_time,
         bubble_ratio: group_report.bubble_ratio,
         peak_mem,
         oom_devices,
         group_report,
     })
+}
+
+/// An upper bound on the throughput [`simulate_plan`] would report, with
+/// `group_bound(sub)` a lower bound on one group's simulated iteration
+/// time (the tuner passes the group's critical path). It takes the largest
+/// group bound over the groups `simulate_plan` would simulate, adds the
+/// exact all-reduce time `simulate_plan` computes from `grad_mem` (the
+/// report's per-rank gradient bytes), and divides the same sequence count
+/// by the sum. `None` when some group cannot be bounded.
+pub(crate) fn bound_plan(
+    plan: &ParallelPlan,
+    cluster: &ClusterSpec,
+    resolved: Resolved,
+    grad_mem: &[u64],
+    group_bound: impl Fn(&ClusterSpec) -> Option<f64>,
+) -> Option<f64> {
+    let (sub0, others) = distinct_groups(cluster, resolved);
+    let mut pipeline_bound = group_bound(&sub0)?;
+    for sub in &others {
+        pipeline_bound = pipeline_bound.max(group_bound(sub)?);
+    }
+    let iteration_bound = pipeline_bound + exposed_allreduce(cluster, resolved, grad_mem);
+    Some(sequences(plan, resolved) / iteration_bound)
+}
+
+/// The sub-clusters of the plan's pipeline groups that need a run of
+/// their own: group 0's, then each later group's whose content differs
+/// from it. A group with group 0's content ([`ClusterSpec::same_content`]:
+/// always on a homogeneous cluster, and on TACC for groups that differ
+/// only in node ids) has group 0's report: the engine is deterministic and
+/// reads node ids only to tell nodes apart. (Group `g` sits on devices
+/// `g·pp ..`.)
+fn distinct_groups(
+    cluster: &ClusterSpec,
+    Resolved { cfg, dp }: Resolved,
+) -> (ClusterSpec, Vec<ClusterSpec>) {
+    let pp = cfg.devices as usize;
+    let group = |g: usize| cluster.select(&(g * pp..(g + 1) * pp).collect::<Vec<_>>());
+    let sub0 = group(0);
+    let others = (1..dp as usize).map(group).filter(|sub| !sub.same_content(&sub0)).collect();
+    (sub0, others)
+}
+
+/// Sequences one iteration of the plan processes across every group.
+fn sequences(plan: &ParallelPlan, Resolved { cfg, dp }: Resolved) -> f64 {
+    (dp * cfg.micro_batches * plan.micro_batch_size) as f64
+}
+
+/// Data-parallel gradient all-reduce of the fp16 gradient buffers, one
+/// ring per pipeline rank over the groups holding `grad_mem[rank]` bytes.
+/// Only the non-overlapped fraction is exposed on the critical path (see
+/// ALLREDUCE_OVERLAP); nothing is reduced across a single group.
+fn exposed_allreduce(
+    cluster: &ClusterSpec,
+    Resolved { cfg, dp: dp_eff }: Resolved,
+    grad_mem: &[u64],
+) -> f64 {
+    if dp_eff <= 1 {
+        return 0.0;
+    }
+    let pp_eff = cfg.devices;
+    let raw = (0..pp_eff as usize)
+        .map(|r| {
+            let ring: Vec<usize> = (0..dp_eff).map(|g| (g * pp_eff) as usize + r).collect();
+            ring_allreduce_time(cluster, &ring, grad_mem[r])
+        })
+        .fold(0.0, f64::max);
+    raw * (1.0 - ALLREDUCE_OVERLAP)
 }
 
 /// One pipeline group's per-rank peaks broadcast over the plan's `dp`

@@ -71,15 +71,45 @@
 //! comes up. The record is dropped after the check. Either way the
 //! report is the one the simulation returns, so the output is unchanged;
 //! `hanayo_tuner_lookahead_proofs_total` counts the checks by outcome.
+//!
+//! ## Top-k sweeps
+//!
+//! A sweep asked for only its `k` best candidates ([`TuneOptions::top`])
+//! does not simulate what cannot rank. It runs in two phases:
+//!
+//! * **Pre-pass.** Over the shape tasks, as above, every candidate takes
+//!   the static pre-pass, so OOM and shape rejections are decided as in a
+//!   full sweep. Each survivor gets an upper bound on its throughput: its
+//!   sequences over the largest group critical path
+//!   ([`hanayo_analyze::critical_path`], memoised per shape, cost table
+//!   and sub-cluster content) plus the exact all-reduce time. A critical
+//!   path never exceeds the group's simulated iteration time by more than
+//!   [`CRITICAL_PATH_SLACK`], under any simulator variant.
+//! * **Rounds.** The survivors are then simulated in descending bound
+//!   order, ties broken by candidate index, in rounds of `k`. Inside a
+//!   round each resolved shape's candidates run as one pool task in
+//!   candidate order, so two executors never both miss one report memo
+//!   entry. The rounds stop once `k` candidates have ranked and no
+//!   unsimulated bound reaches the k-th best throughput within the slack.
+//!
+//! A candidate whose bound cannot be computed (its schedule does not lower
+//! or its replay stalls) is always simulated, so every rejection a full
+//! sweep records is recorded here too. The skipped candidates are counted
+//! in [`Tuning::unranked`]; they are not rejections. Rounds depend only on
+//! the request, so a parallel top-k sweep simulates exactly what a serial
+//! one does. Its first `k` ranked candidates are the full sweep's, in the
+//! same order: a skipped candidate's throughput is below the k-th best
+//! simulated one, which is no better than the full sweep's k-th best.
 
 use crate::cache::{report_key, CostKey, SchedKey, Shape, SweepCaches};
 use crate::engine::{
     try_simulate_recorded, try_simulate_scalars, validate_numerics, SimError, SimOptions,
 };
 use crate::plan::{
-    global_peaks, resolve_plan, simulate_plan, Method, ParallelPlan, PlanError, PlanResult,
-    Resolved,
+    bound_plan, global_peaks, resolve_plan, simulate_plan, Method, ParallelPlan, PlanError,
+    PlanResult, Resolved,
 };
+use hanayo_analyze::{device_bytes, CRITICAL_PATH_SLACK};
 use hanayo_ckpt::recovery;
 use hanayo_ckpt::{RecoveryEval, RecoveryOptions};
 use hanayo_cluster::ClusterSpec;
@@ -156,6 +186,11 @@ pub struct Tuning {
     pub ranked: Vec<Candidate>,
     /// Every infeasible candidate with the reason it was rejected.
     pub rejected: Vec<Rejection>,
+    /// Feasible candidates a top-k sweep did not simulate because their
+    /// throughput bound proved they could not rank (see the module docs);
+    /// always 0 for a full sweep. With `ranked` and `rejected` they cover
+    /// the whole space.
+    pub unranked: usize,
 }
 
 impl Tuning {
@@ -188,6 +223,11 @@ pub struct TuneOptions {
     /// sequences per iteration in half as many micro-batches of twice the
     /// size, where the per-group batch divides evenly.
     pub wide: bool,
+    /// Rank only the `k` best candidates: `ranked` then holds at least the
+    /// first `k` rows of the full ranking, and candidates that provably
+    /// rank below them are counted in [`Tuning::unranked`] instead of
+    /// simulated (see the module docs). `None` ranks the whole space.
+    pub top: Option<usize>,
 }
 
 impl Default for TuneOptions {
@@ -197,6 +237,7 @@ impl Default for TuneOptions {
             min_pp: 2,
             recompute_modes: vec![Recompute::None],
             wide: false,
+            top: None,
         }
     }
 }
@@ -369,13 +410,14 @@ pub fn plan_recovery_eval(
     )
 }
 
-/// One candidate's evaluation outcome: a simulated result, a statically
-/// proven OOM (carrying the finished [`Rejection`] — no simulation ran),
-/// or a shape-level failure.
+/// One candidate's evaluation outcome: a simulated result, a rejection (a
+/// statically proven OOM, for which no simulation ran, or a shape-level
+/// failure), or (top-k sweeps only) a candidate whose bound proved it
+/// could not rank.
 enum Outcome {
     Simulated(PlanResult),
-    StaticOom(Rejection),
-    Shape(String),
+    Rejected(Rejection),
+    Unranked,
 }
 
 /// What the static pre-pass decided about one plan.
@@ -383,17 +425,21 @@ enum StaticVerdict {
     /// Statically proven OOM on a deadlock-free schedule: skip the
     /// simulation and record this rejection.
     Reject(Rejection),
-    /// The plan goes on to the engine. The schedule shape, cost table and
-    /// group peaks travel along, with the cache keys the simulation stage
-    /// reaches the sweep's window and report caches through.
-    Simulate {
-        resolved: Resolved,
-        schedule_key: SchedKey,
-        cost_key: CostKey,
-        shape: Arc<Shape>,
-        cost: Arc<CostTable>,
-        peaks: Arc<Vec<u64>>,
-    },
+    /// The plan goes on to the engine.
+    Simulate(Survivor),
+}
+
+/// A plan the static pre-pass sends on to the engine: its schedule shape,
+/// cost table and group peaks, with the cache keys the simulation and the
+/// bound reach the sweep's window, report and critical-path caches
+/// through.
+struct Survivor {
+    resolved: Resolved,
+    schedule_key: SchedKey,
+    cost_key: CostKey,
+    shape: Arc<Shape>,
+    cost: Arc<CostTable>,
+    peaks: Arc<Vec<u64>>,
 }
 
 /// The tuner's static pre-pass: decide `Rejection::Oom` without
@@ -431,7 +477,14 @@ fn static_verdict(
     // than a deadlock. Anything else goes to the engine.
     Ok(match oom_rejection(plan, sim, cluster, &peak_mem, oom_devices) {
         Some(rejection) if shape.deadlock_free() => StaticVerdict::Reject(rejection),
-        _ => StaticVerdict::Simulate { resolved, schedule_key, cost_key, shape, cost, peaks },
+        _ => StaticVerdict::Simulate(Survivor {
+            resolved,
+            schedule_key,
+            cost_key,
+            shape,
+            cost,
+            peaks,
+        }),
     })
 }
 
@@ -451,53 +504,110 @@ fn oom_rejection(
     Some(Rejection::Oom { plan: *plan, sim, peak_bytes, capacity_bytes, devices })
 }
 
-/// One plan through the sweep's single path: the static pre-pass, then —
-/// unless it proved an OOM — the simulation, through the sweep's cached
-/// lowering and group reports. Each group run that misses the memo also
+/// The static half of one candidate's evaluation: the survivor the engine
+/// takes on, or the rejection (shape or OOM) the pre-pass decides.
+fn prepass(
+    model: &ModelConfig,
+    cluster: &ClusterSpec,
+    caches: &SweepCaches,
+    (plan, sim, shape_reason): &(ParallelPlan, SimOptions, Option<String>),
+) -> Result<Survivor, Rejection> {
+    let shape = |reason| Rejection::InvalidShape { plan: *plan, sim: *sim, reason };
+    if let Some(reason) = shape_reason {
+        return Err(shape(reason.clone()));
+    }
+    match static_verdict(model, cluster, plan, *sim, caches) {
+        Ok(StaticVerdict::Simulate(survivor)) => Ok(survivor),
+        Ok(StaticVerdict::Reject(rejection)) => Err(rejection),
+        Err(e) => Err(shape(e.to_string())),
+    }
+}
+
+/// The simulated half: a pre-pass survivor through the sweep's cached
+/// lowering and group reports; an engine error is a shape rejection. When
+/// `sim` is the lookahead-1 run, each group run that misses the memo also
 /// tries to prove the `deeper` lookahead variants equal to it (see the
-/// module docs); `deeper` is empty unless `sim` is the lookahead-1 run of
-/// a sweep that has them.
-fn evaluate(
+/// module docs).
+fn simulate(
+    cluster: &ClusterSpec,
+    caches: &SweepCaches,
+    deeper: &[SimOptions],
+    (plan, sim, _): &(ParallelPlan, SimOptions, Option<String>),
+    survivor: &Survivor,
+) -> Outcome {
+    let sim = *sim;
+    let Survivor { resolved, schedule_key, cost_key, shape, cost, peaks } = survivor;
+    let (schedule_key, cost_key) = (*schedule_key, *cost_key);
+    // Only the lookahead-1 run proves the deeper variants.
+    let deeper = if sim == SimOptions::default() { deeper } else { &[] };
+    let compiled = caches.compiled_for(schedule_key, shape, &sim);
+    let (schedule, peaks) = (&shape.schedule, Some(peaks.as_slice()));
+    simulate_plan(plan, cluster, *resolved, |sub| {
+        let sub_cluster = caches.sub_cluster_id(sub);
+        let key = report_key(schedule_key, cost_key, &sim, sub_cluster);
+        caches.group_report(key, || {
+            // The deeper variants whose report is still unknown.
+            let targets: Vec<_> = deeper
+                .iter()
+                .map(|opts| (report_key(schedule_key, cost_key, opts, sub_cluster), opts))
+                .filter(|(target, _)| caches.reports.get(target).is_none())
+                .collect();
+            if targets.is_empty() {
+                return try_simulate_scalars(&compiled, schedule, cost, sub, peaks, sim);
+            }
+            let (report, record) =
+                try_simulate_recorded(&compiled, schedule, cost, sub, peaks, sim)?;
+            for (target, opts) in targets {
+                let lowering = caches.compiled_for(schedule_key, shape, opts);
+                let proven = record.proves(&compiled, &lowering);
+                record_proof(proven);
+                if proven {
+                    caches.reports.insert_if_absent(target, report.clone());
+                }
+            }
+            Ok::<_, SimError>(report)
+        })
+    })
+    .map_or_else(
+        |e| Outcome::Rejected(Rejection::InvalidShape { plan: *plan, sim, reason: e.to_string() }),
+        Outcome::Simulated,
+    )
+}
+
+/// An upper bound on a survivor's simulated throughput (see the module
+/// docs): its sequences over its largest group critical path plus its
+/// exact all-reduce time. `None` when some group's critical path cannot be
+/// computed.
+fn survivor_bound(
+    plan: &ParallelPlan,
+    cluster: &ClusterSpec,
+    survivor: &Survivor,
+    caches: &SweepCaches,
+) -> Option<f64> {
+    let Survivor { resolved, schedule_key, cost_key, shape, cost, .. } = survivor;
+    // The per-rank gradient bytes every group report carries.
+    let grad_mem = device_bytes(&shape.schedule.stage_map, &cost.grad_bytes);
+    bound_plan(plan, cluster, *resolved, &grad_mem, |sub| {
+        let key = (*schedule_key, *cost_key, caches.sub_cluster_id(sub));
+        caches.critical_path_for(key, shape, cost, sub)
+    })
+}
+
+/// The throughput bound a top-k sweep ranks `plan` by before simulating
+/// it (see the module docs): under any [`SimOptions`], the simulated
+/// throughput is at most `bound × (1 + CRITICAL_PATH_SLACK)`. `None` when
+/// the static pre-pass rejects the plan or a group's critical path cannot
+/// be computed. `caches` follows [`TuneContext::caches`]' sharing
+/// contract; pass `&SweepCaches::default()` for a one-off bound.
+pub fn throughput_bound(
     model: &ModelConfig,
     cluster: &ClusterSpec,
     plan: &ParallelPlan,
-    sim: SimOptions,
-    deeper: &[SimOptions],
     caches: &SweepCaches,
-) -> Result<Outcome, PlanError> {
-    match static_verdict(model, cluster, plan, sim, caches)? {
-        StaticVerdict::Reject(rejection) => Ok(Outcome::StaticOom(rejection)),
-        StaticVerdict::Simulate { resolved, schedule_key, cost_key, shape, cost, peaks } => {
-            let compiled = caches.compiled_for(schedule_key, &shape, &sim);
-            let (schedule, peaks) = (&shape.schedule, Some(peaks.as_slice()));
-            let result = simulate_plan(plan, cluster, resolved, |sub| {
-                let sub_cluster = caches.sub_cluster_id(sub);
-                let key = report_key(schedule_key, cost_key, &sim, sub_cluster);
-                caches.group_report(key, || {
-                    // The deeper variants whose report is still unknown.
-                    let targets: Vec<_> = deeper
-                        .iter()
-                        .map(|opts| (report_key(schedule_key, cost_key, opts, sub_cluster), opts))
-                        .filter(|(target, _)| caches.reports.get(target).is_none())
-                        .collect();
-                    if targets.is_empty() {
-                        return try_simulate_scalars(&compiled, schedule, &cost, sub, peaks, sim);
-                    }
-                    let (report, record) =
-                        try_simulate_recorded(&compiled, schedule, &cost, sub, peaks, sim)?;
-                    for (target, opts) in targets {
-                        let lowering = caches.compiled_for(schedule_key, &shape, opts);
-                        let proven = record.proves(&compiled, &lowering);
-                        record_proof(proven);
-                        if proven {
-                            caches.reports.insert_if_absent(target, report.clone());
-                        }
-                    }
-                    Ok::<_, SimError>(report)
-                })
-            })?;
-            Ok(Outcome::Simulated(result))
-        }
+) -> Option<f64> {
+    match static_verdict(model, cluster, plan, SimOptions::default(), caches).ok()? {
+        StaticVerdict::Simulate(survivor) => survivor_bound(plan, cluster, &survivor, caches),
+        StaticVerdict::Reject(_) => None,
     }
 }
 
@@ -517,14 +627,15 @@ fn record_proof(proven: bool) {
 fn assemble(evaluated: Vec<(ParallelPlan, SimOptions, Outcome)>) -> Tuning {
     let mut ranked = Vec::new();
     let mut rejected = Vec::new();
+    let mut unranked = 0;
     for (plan, sim, outcome) in evaluated {
         match outcome {
-            Outcome::StaticOom(rejection) => rejected.push(rejection),
+            Outcome::Rejected(rejection) => rejected.push(rejection),
             Outcome::Simulated(result) => {
                 debug_assert!(!result.is_oom(), "the static pre-pass decides every OOM");
                 ranked.push(Candidate { plan, sim, result })
             }
-            Outcome::Shape(reason) => rejected.push(Rejection::InvalidShape { plan, sim, reason }),
+            Outcome::Unranked => unranked += 1,
         }
     }
     ranked.sort_by(|a, b| {
@@ -535,43 +646,27 @@ fn assemble(evaluated: Vec<(ParallelPlan, SimOptions, Outcome)>) -> Tuning {
             .total_cmp(&a.result.throughput)
             .then_with(|| plan_key(&a.plan, &a.sim).cmp(&plan_key(&b.plan, &b.sim)))
     });
-    Tuning { ranked, rejected }
+    Tuning { ranked, rejected, unranked }
 }
 
 /// Classify and count one candidate verdict. The `outcome` label is the
-/// assemble-stage fate: `ranked`, `oom` (simulated or statically proven),
-/// or `shape` (plan-level rejection).
+/// assemble-stage fate: `ranked`, `oom` (statically proven), `shape`
+/// (plan-level rejection) or `unranked` (a top-k sweep's bound proved it
+/// could not rank).
 fn record_candidate(outcome: &Outcome) {
     if !hanayo_metrics::enabled() {
         return;
     }
     let label = match outcome {
         Outcome::Simulated(_) => "ranked",
-        Outcome::StaticOom(_) => "oom",
-        Outcome::Shape(_) => "shape",
+        Outcome::Rejected(rejection) if rejection.is_oom() => "oom",
+        Outcome::Rejected(_) => "shape",
+        Outcome::Unranked => "unranked",
     };
     hanayo_metrics::counter_add("hanayo_tuner_candidates_total", &[("outcome", label)], 1);
-    if matches!(outcome, Outcome::StaticOom(_)) {
+    if matches!(outcome, Outcome::Rejected(Rejection::Oom { .. })) {
         hanayo_metrics::counter_add("hanayo_tuner_static_prunes_total", &[], 1);
     }
-}
-
-fn evaluate_candidate(
-    model: &ModelConfig,
-    cluster: &ClusterSpec,
-    caches: &SweepCaches,
-    deeper: &[SimOptions],
-    (plan, sim, shape_reason): &(ParallelPlan, SimOptions, Option<String>),
-) -> (ParallelPlan, SimOptions, Outcome) {
-    // Only the lookahead-1 run proves the deeper variants.
-    let deeper = if *sim == SimOptions::default() { deeper } else { &[] };
-    let outcome = match shape_reason {
-        Some(reason) => Outcome::Shape(reason.clone()),
-        None => evaluate(model, cluster, plan, *sim, deeper, caches)
-            .unwrap_or_else(|e| Outcome::Shape(e.to_string())),
-    };
-    record_candidate(&outcome);
-    (*plan, *sim, outcome)
 }
 
 /// Live progress of one sweep, shared with whoever is watching it — the
@@ -606,13 +701,17 @@ pub struct TuneContext {
     /// model and one cluster — a resident service must key its shared
     /// handles by the `(model, cluster)` configuration.
     pub caches: Option<Arc<SweepCaches>>,
-    /// Cooperative cancellation: checked before each shape task starts
-    /// (see the module docs); a tripped flag makes the sweep return
-    /// [`TuneError::Cancelled`] once the tasks already running finish,
-    /// instead of running to completion after its client is gone.
+    /// Cooperative cancellation: checked before each shape task starts,
+    /// in a top-k sweep's pre-pass and rounds too (see the module docs); a
+    /// tripped flag makes the sweep return [`TuneError::Cancelled`] once
+    /// the tasks already running finish, instead of running to completion
+    /// after its client is gone.
     pub abort: Option<Arc<AbortFlag>>,
     /// Live progress counters: `evaluated` grows by a shape task's
-    /// candidates as each task finishes.
+    /// candidates as each task finishes. In a top-k sweep a pre-pass task
+    /// adds the candidates it rejected, a round task the candidates it
+    /// simulated, and the candidates the bound skipped are added when the
+    /// rounds stop, so `evaluated` still ends at `total`.
     pub progress: Option<Arc<TuneProgress>>,
 }
 
@@ -673,11 +772,167 @@ fn shape_tasks(
     tasks.into_iter().map(|(_, candidates)| candidates).collect()
 }
 
+/// One sweep's fixed inputs, shared by the full and the top-k drivers.
+struct Sweep<'a> {
+    model: &'a ModelConfig,
+    cluster: &'a ClusterSpec,
+    caches: &'a SweepCaches,
+    space: &'a [(ParallelPlan, SimOptions, Option<String>)],
+    /// The shape tasks ([`shape_tasks`]).
+    tasks: &'a [Vec<usize>],
+    /// The prefetching variants a lookahead-1 run may prove (wide only).
+    deeper: &'a [SimOptions],
+    counter: &'a TuneProgress,
+    abort: Option<&'a AbortFlag>,
+    parallel: bool,
+}
+
+impl Sweep<'_> {
+    /// Run `run` on each task (over the pool's executors when `parallel`,
+    /// in task order on the caller otherwise), honouring the abort flag
+    /// before each task: `None` once any task saw it tripped.
+    fn each_task<T: Sync, R: Send>(
+        &self,
+        tasks: &[T],
+        run: impl Fn(&T) -> R + Sync,
+    ) -> Option<Vec<R>> {
+        let tripped = || self.abort.is_some_and(AbortFlag::is_tripped);
+        let run = |task: &T| (!tripped()).then(|| run(task));
+        let done: Vec<Option<R>> = if self.parallel {
+            tasks.par_iter().map(run).collect()
+        } else {
+            tasks.iter().map(run).collect()
+        };
+        done.into_iter().collect()
+    }
+
+    fn progress(&self, candidates: usize) {
+        self.counter.evaluated.fetch_add(candidates as u64, Ordering::SeqCst);
+    }
+
+    /// Every candidate through the pre-pass and, if it survives, the
+    /// engine, one shape task at a time: `(candidate, outcome)` pairs, or
+    /// `None` on an abort.
+    fn full(&self) -> Option<Vec<(usize, Outcome)>> {
+        let Sweep { model, cluster, caches, space, deeper, .. } = *self;
+        let done = self.each_task(self.tasks, |task| {
+            let outcomes: Vec<_> = task
+                .iter()
+                .map(|&i| {
+                    let outcome = match prepass(model, cluster, caches, &space[i]) {
+                        Ok(survivor) => simulate(cluster, caches, deeper, &space[i], &survivor),
+                        Err(rejection) => Outcome::Rejected(rejection),
+                    };
+                    record_candidate(&outcome);
+                    (i, outcome)
+                })
+                .collect();
+            self.progress(task.len());
+            outcomes
+        })?;
+        Some(done.into_iter().flatten().collect())
+    }
+
+    /// The top-`k` sweep of the module docs: the pre-pass over the shape
+    /// tasks, then rounds of `k` survivors in descending bound order until
+    /// no unsimulated bound reaches the k-th best simulated throughput.
+    fn top(&self, k: usize) -> Option<Vec<(usize, Outcome)>> {
+        let Sweep { model, cluster, caches, space, deeper, .. } = *self;
+        let prepassed = self.each_task(self.tasks, |task| {
+            let verdicts: Vec<_> = task
+                .iter()
+                .map(|&i| {
+                    let (plan, ..) = &space[i];
+                    prepass(model, cluster, caches, &space[i])
+                        .map(|survivor| {
+                            // A candidate that cannot be bounded is always simulated.
+                            let bound = survivor_bound(plan, cluster, &survivor, caches);
+                            (bound.unwrap_or(f64::INFINITY), i, survivor)
+                        })
+                        .map_err(|rejection| (i, rejection))
+                })
+                .collect();
+            self.progress(verdicts.iter().filter(|v| v.is_err()).count());
+            verdicts
+        })?;
+        let mut outcomes = Vec::with_capacity(space.len());
+        let mut survivors = Vec::new();
+        for verdict in prepassed.into_iter().flatten() {
+            match verdict {
+                Ok(survivor) => survivors.push(survivor),
+                Err((i, rejection)) => {
+                    let outcome = Outcome::Rejected(rejection);
+                    record_candidate(&outcome);
+                    outcomes.push((i, outcome));
+                }
+            }
+        }
+        survivors.sort_by(|(a, i, _), (b, j, _)| b.total_cmp(a).then(i.cmp(j)));
+        let mut task_of = vec![0; space.len()];
+        for (t, task) in self.tasks.iter().enumerate() {
+            for &i in task {
+                task_of[i] = t;
+            }
+        }
+
+        // Simulated throughputs, best first.
+        let mut best: Vec<f64> = Vec::new();
+        let mut next = 0;
+        loop {
+            // The bar a bound must reach: the k-th best throughput once k
+            // candidates have ranked (no bound reaches it when k is 0).
+            let bar = match k.checked_sub(1) {
+                _ if best.len() < k => f64::NEG_INFINITY,
+                Some(kth) => best[kth],
+                None => f64::INFINITY,
+            };
+            let len = survivors[next..]
+                .iter()
+                .take(k.max(1))
+                .take_while(|(bound, ..)| bound * (1.0 + CRITICAL_PATH_SLACK) >= bar)
+                .count();
+            if len == 0 {
+                break;
+            }
+            // One task per resolved shape, candidates in candidate order.
+            let mut round: Vec<_> = survivors[next..next + len].iter().collect();
+            next += len;
+            round.sort_unstable_by_key(|(_, i, _)| (task_of[*i], *i));
+            let round_tasks: Vec<_> =
+                round.chunk_by(|(_, a, _), (_, b, _)| task_of[*a] == task_of[*b]).collect();
+            let done = self.each_task(&round_tasks, |task| {
+                let simulated: Vec<_> = task
+                    .iter()
+                    .map(|(_, i, survivor)| {
+                        (*i, simulate(cluster, caches, deeper, &space[*i], survivor))
+                    })
+                    .collect();
+                self.progress(task.len());
+                simulated
+            })?;
+            for (i, outcome) in done.into_iter().flatten() {
+                record_candidate(&outcome);
+                if let Outcome::Simulated(result) = &outcome {
+                    best.push(result.throughput);
+                }
+                outcomes.push((i, outcome));
+            }
+            best.sort_by(|a, b| b.total_cmp(a));
+        }
+        for (_, i, _) in &survivors[next..] {
+            record_candidate(&Outcome::Unranked);
+            outcomes.push((*i, Outcome::Unranked));
+        }
+        self.progress(survivors.len() - next);
+        Some(outcomes)
+    }
+}
+
 /// The sweep driver behind both public entry points: enumerate the space,
-/// evaluate its shape tasks (over the pool's executors when `parallel`, in
-/// the same order on the caller otherwise), honour the context's abort
-/// flag before each task, put the results back in candidate order — so
-/// every configuration is byte-identical — and assemble the ranking.
+/// evaluate it (every candidate, or the top-k rounds when
+/// [`TuneOptions::top`] is set), honour the context's abort flag before
+/// each task, put the results back in candidate order — so every
+/// configuration is byte-identical — and assemble the ranking.
 fn tune_impl(
     model: &ModelConfig,
     cluster: &ClusterSpec,
@@ -701,40 +956,37 @@ fn tune_impl(
     counter.total.store(space.len() as u64, Ordering::SeqCst);
     counter.evaluated.store(0, Ordering::SeqCst);
     let tasks = shape_tasks(&space, cluster);
-    // The prefetching variants a lookahead-1 run may prove (wide only).
     let deeper: Vec<SimOptions> = opts
         .sim_variants()
         .into_iter()
         .filter(|v| v.prefetch && v.recv_lookahead > SimOptions::default().recv_lookahead)
         .collect();
-    let run = |task: &Vec<usize>| {
-        if ctx.abort.as_ref().is_some_and(|a| a.is_tripped()) {
-            return None;
-        }
-        let outcomes: Vec<_> = task
-            .iter()
-            .map(|&i| evaluate_candidate(model, cluster, caches, &deeper, &space[i]))
-            .collect();
-        counter.evaluated.fetch_add(task.len() as u64, Ordering::SeqCst);
-        Some(outcomes)
+    let sweep = Sweep {
+        model,
+        cluster,
+        caches,
+        space: &space,
+        tasks: &tasks,
+        deeper: &deeper,
+        counter,
+        abort: ctx.abort.as_deref(),
+        parallel,
     };
-    let done: Vec<_> = if parallel {
-        tasks.par_iter().map(run).collect()
-    } else {
-        tasks.iter().map(run).collect()
+    let done = match opts.top {
+        None => sweep.full(),
+        Some(k) => sweep.top(k),
+    };
+    let Some(done) = done else {
+        return Err(TuneError::Cancelled {
+            evaluated: counter.evaluated() as usize,
+            total: space.len(),
+        });
     };
 
     let mut by_candidate: Vec<Option<_>> = space.iter().map(|_| None).collect();
-    for (task, outcomes) in tasks.iter().zip(done) {
-        let Some(outcomes) = outcomes else {
-            return Err(TuneError::Cancelled {
-                evaluated: counter.evaluated() as usize,
-                total: space.len(),
-            });
-        };
-        for (&i, outcome) in task.iter().zip(outcomes) {
-            by_candidate[i] = Some(outcome);
-        }
+    for (i, outcome) in done {
+        let (plan, sim, _) = &space[i];
+        by_candidate[i] = Some((*plan, *sim, outcome));
     }
     Ok(assemble(by_candidate.into_iter().flatten().collect()))
 }
@@ -888,12 +1140,14 @@ mod tests {
             .into_iter()
             .map(|(plan, sim, shape_reason)| {
                 let outcome = match shape_reason {
-                    Some(reason) => Outcome::Shape(reason),
+                    Some(reason) => {
+                        Outcome::Rejected(Rejection::InvalidShape { plan, sim, reason })
+                    }
                     None => match evaluate_plan(&plan, model, cluster, sim) {
                         Ok(result) if result.is_oom() => {
                             let devices = result.oom_devices.clone();
                             let oom = oom_rejection(&plan, sim, cluster, &result.peak_mem, devices);
-                            Outcome::StaticOom(oom.unwrap())
+                            Outcome::Rejected(oom.unwrap())
                         }
                         Ok(mut result) => {
                             // The sweep runs span-free; every other field
@@ -901,7 +1155,10 @@ mod tests {
                             result.group_report.spans.clear();
                             Outcome::Simulated(result)
                         }
-                        Err(e) => Outcome::Shape(e.to_string()),
+                        Err(e) => {
+                            let reason = e.to_string();
+                            Outcome::Rejected(Rejection::InvalidShape { plan, sim, reason })
+                        }
                     },
                 };
                 (plan, sim, outcome)
@@ -1099,11 +1356,38 @@ mod tests {
         let abort = Arc::new(AbortFlag::new());
         abort.trip();
         let ctx = TuneContext { abort: Some(abort), ..Default::default() };
-        let err = tune_with(&model, &fc_full_nvlink(8), 8, 1, &opts(), &ctx)
-            .expect_err("a tripped flag must cancel the sweep");
-        let TuneError::Cancelled { evaluated, total } = err;
-        assert_eq!(evaluated, 0);
-        assert!(total > 0);
+        for top in [None, Some(5)] {
+            let opts = TuneOptions { top, ..opts() };
+            let err = tune_with(&model, &fc_full_nvlink(8), 8, 1, &opts, &ctx)
+                .expect_err("a tripped flag must cancel the sweep");
+            let TuneError::Cancelled { evaluated, total } = err;
+            assert_eq!(evaluated, 0);
+            assert!(total > 0);
+        }
+    }
+
+    #[test]
+    fn a_top_k_sweep_ranks_the_full_prefix_and_accounts_for_every_candidate() {
+        // The benchmark's wide shape: statically pruned OOMs, ties between
+        // lookahead variants, and most candidates below the top 3.
+        let model = ModelConfig::bert64().with_train_bytes_per_param(8);
+        let cluster = lonestar6(8);
+        let wide = TuneOptions::default().wide();
+        let full = tune_serial_with(&model, &cluster, 16, 1, &wide, &TuneContext::default())
+            .expect("untripped");
+        for parallel in [false, true] {
+            let progress = Arc::new(TuneProgress::default());
+            let ctx = TuneContext { progress: Some(progress.clone()), ..Default::default() };
+            let sweep = if parallel { tune_with } else { tune_serial_with };
+            let top = TuneOptions { top: Some(3), ..wide.clone() };
+            let t = sweep(&model, &cluster, 16, 1, &top, &ctx).expect("untripped");
+            assert_eq!(t.ranked[..3], full.ranked[..3]);
+            assert_eq!(t.rejected, full.rejected, "the pre-pass rejects what a full sweep does");
+            assert!(t.unranked > 0, "the bound skips candidates");
+            let total = full.ranked.len() + full.rejected.len();
+            assert_eq!(t.ranked.len() + t.rejected.len() + t.unranked, total);
+            assert_eq!((progress.evaluated(), progress.total()), (total as u64, total as u64));
+        }
     }
 
     /// Sweep with an abort flag a watcher trips once progress reaches 2,
