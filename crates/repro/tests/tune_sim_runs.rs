@@ -64,10 +64,21 @@ fn parallel_top_k_sweeps_simulate_what_serial_ones_do() {
     let (document, exposition) = tune(&[argv, &["--serial"]].concat(), "bench_top5");
     let serial = counter(&exposition, "hanayo_sim_runs_total");
     assert_eq!(serial, 6, "serial group runs");
+    // The pre-pass bounds each plan once for all its simulator variants:
+    // 144 critical paths computed, 20 reused (656 probes when every
+    // candidate was bounded).
+    let probes = |exposition: &str| {
+        ["hits", "misses"].map(|outcome| {
+            let name = format!("hanayo_tuner_cache_{outcome}_total{{cache=\"critical_paths\"}}");
+            counter(exposition, &name)
+        })
+    };
+    assert_eq!(probes(&exposition), [20, 144], "serial critical-path probes");
     for run in 0..20 {
         let (stdout, exposition) = tune(argv, "bench_top5");
         assert_eq!(stdout, document, "parallel run {run}");
         assert_eq!(counter(&exposition, "hanayo_sim_runs_total"), serial, "parallel run {run}");
+        assert_eq!(probes(&exposition), [20, 144], "parallel run {run}");
     }
 }
 

@@ -11,11 +11,16 @@
 //!   `plan`, `tune`, `simulate` and `analyze` answering exactly the
 //!   documents the CLIs print. Byte-identical, in fact: both are built
 //!   by the same [`schema`] functions, and tests diff the two paths.
-//! * **Cross-request caches** — sweep artifacts (schedules, cost
-//!   tables, compiled simulations, deadlock verdicts, group reports)
-//!   live in per-configuration [`hanayo_sim::SweepCaches`], keyed by an
-//!   FNV fingerprint of the `(model, cluster)` pair, so a repeated or
-//!   narrowed sweep costs a fraction of a cold one.
+//! * **Cross-request caches** — sweep artifacts live in two tiers.
+//!   Schedule shapes (each with its lowered program and deadlock
+//!   verdict) and their prefetch windows depend on `(scheme, P, B)`
+//!   alone, so one [`hanayo_sim::ShapeTier`] serves every configuration
+//!   and outlives their evictions. Cost tables, memory replays,
+//!   critical paths and group reports live in per-configuration
+//!   [`hanayo_sim::SweepCaches`] over it, keyed by an FNV fingerprint of
+//!   the `(model, cluster)` pair. A repeated or narrowed sweep costs a
+//!   fraction of a cold one, and a cold configuration rebuilds only what
+//!   its cluster and model change.
 //! * **Request dedup** — N identical concurrent `tune` requests elect
 //!   one leader; followers wait and receive the leader's bytes. One
 //!   evaluation, N answers.

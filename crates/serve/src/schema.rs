@@ -257,7 +257,8 @@ impl TuneRequest {
 
     /// FNV fingerprint of the `(model, cluster)` *configuration* this
     /// request tunes — the key under which the service shares a
-    /// [`hanayo_sim::SweepCaches`] across requests. Two requests with
+    /// [`hanayo_sim::SweepCaches`] across requests (the shape tier under
+    /// it is shared by every configuration). Two requests with
     /// equal keys resolve to identical model and cluster objects, which
     /// is exactly the sharing contract the sweep caches demand; batch
     /// size, waves and the other sweep axes deliberately stay out of the

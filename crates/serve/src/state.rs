@@ -1,8 +1,9 @@
-//! Cross-request shared state: the per-configuration sweep caches and
-//! the in-flight dedup table that lets N identical concurrent `tune`
-//! requests cost one evaluation.
+//! Cross-request shared state: the sweep caches — one shape tier for the
+//! whole service, per-configuration caches over it — and the in-flight
+//! dedup table that lets N identical concurrent `tune` requests cost one
+//! evaluation.
 
-use hanayo_sim::SweepCaches;
+use hanayo_sim::{ShapeTier, SweepCaches};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
@@ -14,7 +15,8 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 /// other slots. Each retained configuration's caches are themselves
 /// bounded (see [`CACHE_ENTRIES`]).
 const MAX_CONFIGS: usize = 8;
-/// Per-cache entry bound inside one configuration's [`SweepCaches`].
+/// Per-cache entry bound inside the shape tier and inside one
+/// configuration's [`SweepCaches`].
 const CACHE_ENTRIES: usize = 4096;
 
 /// Lock a mutex, recovering from poisoning: every structure guarded here
@@ -111,9 +113,14 @@ struct ConfigEntry {
     last_used: u64,
 }
 
-/// The service's shared state: sweep caches per configuration
-/// fingerprint, the in-flight dedup table, and the drain flag.
+/// The service's shared state: one shape tier, sweep caches over it per
+/// configuration fingerprint, the in-flight dedup table, and the drain
+/// flag.
 pub(crate) struct ServeState {
+    /// Schedule shapes and their prefetch windows: a function of
+    /// `(scheme, P, B)` alone, so every configuration's caches sit over
+    /// this one tier, and evicting a configuration keeps it.
+    shapes: Arc<ShapeTier>,
     configs: Mutex<HashMap<u64, ConfigEntry>>,
     /// Recency clock: one tick per [`ServeState::caches_for`] call, read
     /// and advanced under the `configs` lock.
@@ -128,6 +135,7 @@ pub(crate) struct ServeState {
 impl Default for ServeState {
     fn default() -> ServeState {
         ServeState {
+            shapes: Arc::new(ShapeTier::bounded(CACHE_ENTRIES)),
             configs: Mutex::new(HashMap::new()),
             uses: AtomicU64::new(0),
             inflight: InFlight::default(),
@@ -139,10 +147,11 @@ impl Default for ServeState {
 impl ServeState {
     /// The shared [`SweepCaches`] for a configuration fingerprint. A hit
     /// marks the configuration most recently used; a miss creates its
-    /// caches and, beyond `MAX_CONFIGS` (8), first drops the least recently
-    /// used configuration (counted in `hanayo_serve_cache_evictions_total`).
-    /// Callers clone the `Arc`, so an evicted configuration's caches stay
-    /// alive for requests already holding them.
+    /// caches over the service's shape tier and, beyond `MAX_CONFIGS` (8),
+    /// first drops the least recently used configuration's own tier
+    /// (counted in `hanayo_serve_cache_evictions_total`). Callers clone
+    /// the `Arc`, so an evicted configuration's caches stay alive for
+    /// requests already holding them.
     pub(crate) fn caches_for(&self, config_key: u64) -> Arc<SweepCaches> {
         let mut configs = lock(&self.configs);
         let now = self.uses.fetch_add(1, Ordering::Relaxed);
@@ -157,17 +166,19 @@ impl ServeState {
                 hanayo_metrics::counter_add("hanayo_serve_cache_evictions_total", &[], 1);
             }
         }
-        let caches = Arc::new(SweepCaches::bounded(CACHE_ENTRIES));
+        let caches = Arc::new(SweepCaches::over(Arc::clone(&self.shapes), CACHE_ENTRIES));
         configs.insert(config_key, ConfigEntry { caches: Arc::clone(&caches), last_used: now });
         caches
     }
 
     /// Export the cache gauges: resident configurations and total cached
-    /// entries across them. Called on each `/metrics` scrape so the
-    /// numbers are current without per-request bookkeeping.
+    /// entries, the shape tier's counted once beside each configuration's
+    /// own. Called on each `/metrics` scrape so the numbers are current
+    /// without per-request bookkeeping.
     pub(crate) fn export_cache_gauges(&self) {
         let configs = lock(&self.configs);
-        let entries: usize = configs.values().map(|e| e.caches.entries()).sum();
+        let entries =
+            self.shapes.entries() + configs.values().map(|e| e.caches.entries()).sum::<usize>();
         hanayo_metrics::gauge_set("hanayo_serve_cache_configs", &[], configs.len() as f64);
         hanayo_metrics::gauge_set("hanayo_serve_cache_entries", &[], entries as f64);
     }
@@ -191,6 +202,8 @@ mod tests {
         let c = state.caches_for(2);
         assert!(Arc::ptr_eq(&a, &b), "same fingerprint must share caches");
         assert!(!Arc::ptr_eq(&a, &c), "different fingerprints must not");
+        assert!(Arc::ptr_eq(a.shapes(), c.shapes()), "every config sits over one shape tier");
+        assert!(Arc::ptr_eq(a.shapes(), &state.shapes));
     }
 
     #[test]
@@ -206,6 +219,9 @@ mod tests {
         // Key 0 was the oldest, so it was evicted and is rebuilt fresh.
         let again = state.caches_for(0);
         assert!(!Arc::ptr_eq(&first, &again), "evicted config must be rebuilt");
+        // Only the configuration's own tier went: the shape tier stays.
+        assert!(Arc::ptr_eq(first.shapes(), again.shapes()));
+        assert!(Arc::ptr_eq(again.shapes(), &state.shapes));
         // The clone taken before eviction still works.
         assert_eq!(first.entries(), 0);
 

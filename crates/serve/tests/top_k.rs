@@ -5,12 +5,16 @@
 //! {pc, fc, tacc} × {8, 16, 32} GPUs plus tc/8, × `wide` off and on, at
 //! `min_pp` 4 and waves {1, 2}. The same sweeps hold every ranked
 //! candidate's simulated throughput to its bound: the admissibility the
-//! pruning relies on.
+//! pruning relies on. Last, the service's cache layout — per-configuration
+//! caches over one shared shape tier — must change no document, whichever
+//! configuration fills a shape first.
 
 use hanayo_analyze::CRITICAL_PATH_SLACK;
 use hanayo_serve::schema::{build_sweep_table, run_tune, TuneRequest};
 use hanayo_sim::tuner::{throughput_bound, tune_with, TuneOptions};
-use hanayo_sim::{SweepCaches, TuneContext};
+use hanayo_sim::{ShapeTier, SweepCaches, TuneContext};
+use std::collections::HashMap;
+use std::sync::Arc;
 
 const TOP: usize = 5;
 
@@ -98,5 +102,37 @@ fn top_k_equals_the_full_prefix() {
 fn top_k_equals_the_full_prefix_on_every_shape() {
     for req in requests(&[8, 16, 32]) {
         holds(&req);
+    }
+}
+
+/// The batch-16 slice through per-configuration caches over one shared
+/// shape tier, as the service holds them, in request order and reversed:
+/// every document, at `top: 5` and in full, equals the fresh-cache one.
+#[test]
+fn a_shared_shape_tier_changes_no_document() {
+    let reqs: Vec<TuneRequest> = requests(&[16])
+        .into_iter()
+        .flat_map(|req| [Some(TOP), None].map(|top| TuneRequest { top, ..req.clone() }))
+        .collect();
+    let fresh: Vec<String> = reqs
+        .iter()
+        .map(|req| encode(&run_tune(req, &TuneContext::default()).expect("never cancels")))
+        .collect();
+    for reversed in [false, true] {
+        let tier = Arc::new(ShapeTier::default());
+        let mut configs: HashMap<u64, Arc<SweepCaches>> = HashMap::new();
+        let mut order: Vec<usize> = (0..reqs.len()).collect();
+        if reversed {
+            order.reverse();
+        }
+        for i in order {
+            let req = &reqs[i];
+            let caches = configs
+                .entry(req.config_key())
+                .or_insert_with(|| Arc::new(SweepCaches::over(Arc::clone(&tier), usize::MAX)));
+            let ctx = TuneContext { caches: Some(Arc::clone(caches)), ..Default::default() };
+            let doc = encode(&run_tune(req, &ctx).expect("never cancels"));
+            assert_eq!(doc, fresh[i], "reversed {reversed}: {req:?}");
+        }
     }
 }

@@ -11,6 +11,14 @@
 //! interleaving (which thread populates an entry first) cannot perturb a
 //! ranking.
 //!
+//! The caches come in two tiers. A [`ShapeTier`] holds what a schedule
+//! shape alone determines — the shapes and their prefetch windows, keyed
+//! by `(scheme, P, B)` (plus the lookahead) — which depends on neither the
+//! model nor the cluster. Everything else is the per-configuration tier
+//! inside [`SweepCaches`], which sits over one shape tier: its own by
+//! default, or one that many configurations share
+//! ([`SweepCaches::over`]), as the planning service does.
+//!
 //! Two properties were added when the caches started outliving a single
 //! sweep inside a resident `hanayo-serve` process:
 //!
@@ -20,8 +28,8 @@
 //!   of its key and every write is a single `insert`, so the state behind
 //!   a poisoned lock is never torn — and the recovery is counted once per
 //!   cache in `hanayo_tuner_cache_poisonings_total`.
-//! * **Bounded size.** [`SweepCaches::bounded`] caps each cache at a
-//!   fixed entry count with FIFO eviction (counted in
+//! * **Bounded size.** [`SweepCaches::bounded`] and [`ShapeTier::bounded`]
+//!   cap each cache at a fixed entry count with FIFO eviction (counted in
 //!   `hanayo_tuner_cache_evictions_total`), so a resident process cannot
 //!   grow without limit. Sub-cluster content ids come from a monotonic
 //!   counter, never from map sizes, so an evicted sub-cluster's id is
@@ -47,7 +55,10 @@ use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 /// are probed by one executor in serial order. Only `costs` and
 /// `sub_clusters`, which tasks share, may split differently between hit
 /// and miss (whichever executor populates first), which is why the
-/// golden exposition pins the serial path.
+/// golden exposition pins the serial path. The `schedules`/`compiled`
+/// split is deterministic per CLI sweep, whose shape tier is its own, but
+/// not across a service's concurrent sweeps: they share one shape tier,
+/// and whichever sweep reaches a shape first records its miss.
 fn record_cache(cache: &'static str, hit: bool) {
     if hanayo_metrics::enabled() {
         let name =
@@ -230,10 +241,77 @@ impl Shape {
     }
 }
 
+/// The shape tier: every artifact a schedule shape alone determines — the
+/// built schedules, each with its lowered program and deadlock verdict,
+/// and their prefetch windows per lookahead. Each entry is a
+/// pure function of its `(scheme, P, B)` key (plus the lookahead), so
+/// one tier can serve any number of models and clusters at once; see
+/// [`SweepCaches`]' sharing contract.
+pub struct ShapeTier {
+    /// Schedule shapes.
+    pub(crate) schedules: BoundedMap<SchedKey, Arc<Shape>>,
+    /// Prefetch windows, keyed by the shape and the `recv_lookahead`
+    /// they were scanned with, each over its shape's one [`Program`].
+    pub(crate) compiled: BoundedMap<(SchedKey, usize), Arc<CompiledSchedule>>,
+}
+
+impl Default for ShapeTier {
+    /// An unbounded tier, as one sweep's own.
+    fn default() -> ShapeTier {
+        ShapeTier::bounded(usize::MAX)
+    }
+}
+
+impl ShapeTier {
+    /// A tier whose two caches hold at most `per_cache_entries` entries
+    /// each, FIFO-evicted.
+    pub fn bounded(per_cache_entries: usize) -> ShapeTier {
+        ShapeTier {
+            schedules: BoundedMap::new("schedules", per_cache_entries),
+            compiled: BoundedMap::new("compiled", per_cache_entries),
+        }
+    }
+
+    /// Entries currently held: shapes plus prefetch windows.
+    pub fn entries(&self) -> usize {
+        self.schedules.len() + self.compiled.len()
+    }
+
+    /// The shape for `cfg` (whose shape `key` is), or the schedule
+    /// build's error — failed builds are not cached.
+    pub(crate) fn schedule_for(
+        &self,
+        key: SchedKey,
+        cfg: &PipelineConfig,
+    ) -> Result<Arc<Shape>, ScheduleError> {
+        if let Some(hit) = self.schedules.get(&key) {
+            record_cache("schedules", true);
+            return Ok(hit);
+        }
+        record_cache("schedules", false);
+        let built = Arc::new(Shape::new(build_schedule(cfg)?));
+        Ok(self.schedules.insert_if_absent(key, built))
+    }
+
+    /// The prefetch windows of `shape` (whose key `key` is) under
+    /// `sim.recv_lookahead`, over the shape's lowered program.
+    pub(crate) fn compiled_for(
+        &self,
+        key: SchedKey,
+        shape: &Shape,
+        sim: &SimOptions,
+    ) -> Arc<CompiledSchedule> {
+        self.compiled.get_or_insert_with((key, sim.recv_lookahead), || {
+            Arc::new(lower_windows(shape.program.clone(), sim.recv_lookahead))
+        })
+    }
+}
+
 /// Cross-candidate artifact caches for one sweep — every sweep builds one
 /// unless it is handed one through a [`crate::tuner::TuneContext`], which
 /// lets a resident service share them across every sweep of one `(model,
-/// cluster)` pair it ever evaluates.
+/// cluster)` pair it ever evaluates. They are the per-configuration tier
+/// over one [`ShapeTier`].
 ///
 /// The wide sweep's axes (sim-option ablations, recompute modes,
 /// micro-batch merges) multiply a handful of distinct pipeline shapes into
@@ -244,13 +322,16 @@ impl Shape {
 /// ranks exactly as [`crate::plan::evaluate_plan`] run on every candidate
 /// would.
 ///
-/// **Sharing contract:** the cache keys assume one model and one cluster.
-/// Callers sharing a `SweepCaches` across requests must key the *handle*
-/// by the `(model, cluster)` configuration — `hanayo-serve` does this
-/// with the FNV config fingerprint from `hanayo-ckpt`.
+/// **Sharing contract:** the per-configuration cache keys assume one model
+/// and one cluster. Callers sharing a `SweepCaches` across requests must
+/// key the *handle* by the `(model, cluster)` configuration —
+/// `hanayo-serve` does this with the FNV config fingerprint from
+/// `hanayo-ckpt`. The shape tier is exempt from that rule: its keys are
+/// its artifacts' complete inputs, so caches of any configurations may
+/// sit over one tier ([`SweepCaches::over`]).
 pub struct SweepCaches {
-    /// Schedule shapes.
-    pub(crate) schedules: BoundedMap<SchedKey, Arc<Shape>>,
+    /// Schedule shapes and their prefetch windows.
+    pub(crate) shapes: Arc<ShapeTier>,
     /// Cost tables.
     pub(crate) costs: BoundedMap<CostKey, Arc<CostTable>>,
     /// Static per-device memory replays (group-local peaks).
@@ -259,9 +340,6 @@ pub struct SweepCaches {
     /// read by top-k sweeps only; `None` when the program cannot be
     /// replayed to the end.
     pub(crate) critical_paths: BoundedMap<BoundKey, Option<f64>>,
-    /// Prefetch windows, keyed by the shape and the `recv_lookahead`
-    /// they were scanned with, each over its shape's one [`Program`].
-    pub(crate) compiled: BoundedMap<(SchedKey, usize), Arc<CompiledSchedule>>,
     /// Pipeline-group [`SimReport`]s ([`SweepCaches::group_report`]),
     /// memoised across a sweep (or, when the caches are shared by a
     /// resident service, across many sweeps of the same `(model,
@@ -295,48 +373,42 @@ impl Default for SweepCaches {
 }
 
 impl SweepCaches {
-    /// Caches capped at `per_cache_entries` entries each, FIFO-evicted —
-    /// the resident-service configuration.
+    /// Caches capped at `per_cache_entries` entries each, FIFO-evicted,
+    /// over a shape tier of their own with the same cap.
     pub fn bounded(per_cache_entries: usize) -> SweepCaches {
+        SweepCaches::over(Arc::new(ShapeTier::bounded(per_cache_entries)), per_cache_entries)
+    }
+
+    /// Per-configuration caches capped at `per_cache_entries` entries
+    /// each, FIFO-evicted, over `shapes` — a tier that other
+    /// configurations' caches may share (see the sharing contract).
+    pub fn over(shapes: Arc<ShapeTier>, per_cache_entries: usize) -> SweepCaches {
         let cap = per_cache_entries;
         SweepCaches {
-            schedules: BoundedMap::new("schedules", cap),
+            shapes,
             costs: BoundedMap::new("costs", cap),
             peaks: BoundedMap::new("peaks", cap),
             critical_paths: BoundedMap::new("critical_paths", cap),
-            compiled: BoundedMap::new("compiled", cap),
             reports: BoundedMap::new("reports", cap),
             sub_clusters: BoundedMap::new("sub_clusters", cap),
             next_content_id: AtomicU32::new(0),
         }
     }
 
-    /// Total entries currently held across every cache — the resident
-    /// service exports this as a gauge.
-    pub fn entries(&self) -> usize {
-        self.schedules.len()
-            + self.costs.len()
-            + self.peaks.len()
-            + self.critical_paths.len()
-            + self.compiled.len()
-            + self.reports.len()
-            + self.sub_clusters.len()
+    /// The shape tier these caches sit over.
+    pub fn shapes(&self) -> &Arc<ShapeTier> {
+        &self.shapes
     }
 
-    /// The shape for `cfg` (whose shape `key` is), or the schedule
-    /// build's error — failed builds are not cached.
-    pub(crate) fn schedule_for(
-        &self,
-        key: SchedKey,
-        cfg: &PipelineConfig,
-    ) -> Result<Arc<Shape>, ScheduleError> {
-        if let Some(hit) = self.schedules.get(&key) {
-            record_cache("schedules", true);
-            return Ok(hit);
-        }
-        record_cache("schedules", false);
-        let built = Arc::new(Shape::new(build_schedule(cfg)?));
-        Ok(self.schedules.insert_if_absent(key, built))
+    /// Entries currently held by the per-configuration tier; the shape
+    /// tier, which several configurations may share, counts its own
+    /// ([`ShapeTier::entries`]).
+    pub fn entries(&self) -> usize {
+        self.costs.len()
+            + self.peaks.len()
+            + self.critical_paths.len()
+            + self.reports.len()
+            + self.sub_clusters.len()
     }
 
     pub(crate) fn cost_for(&self, key: CostKey, model: &ModelConfig) -> Arc<CostTable> {
@@ -369,19 +441,6 @@ impl SweepCaches {
         self.critical_paths.get_or_insert_with(key, || {
             let program = shape.program.as_ref().as_ref().ok()?;
             hanayo_analyze::critical_path(program, cost, sub).ok()
-        })
-    }
-
-    /// The prefetch windows of `shape` (whose key `key` is) under
-    /// `sim.recv_lookahead`, over the shape's lowered program.
-    pub(crate) fn compiled_for(
-        &self,
-        key: SchedKey,
-        shape: &Shape,
-        sim: &SimOptions,
-    ) -> Arc<CompiledSchedule> {
-        self.compiled.get_or_insert_with((key, sim.recv_lookahead), || {
-            Arc::new(lower_windows(shape.program.clone(), sim.recv_lookahead))
         })
     }
 
@@ -478,7 +537,7 @@ mod tests {
 
     #[test]
     fn one_shape_is_lowered_once() {
-        let c = SweepCaches::default();
+        let c = ShapeTier::default();
         let key = (Scheme::Hanayo { waves: 2 }, 4, 8);
         let cfg = PipelineConfig::new(4, 8, key.0).unwrap();
         let shape = c.schedule_for(key, &cfg).unwrap();
@@ -568,5 +627,27 @@ mod tests {
         assert_eq!(c.entries(), 1);
         c.sub_cluster_id(&lonestar6(8).select(&[0, 1]));
         assert_eq!(c.entries(), 2);
+        // A shape lands in the shape tier, which counts it apart.
+        let key = (Scheme::Dapple, 4, 4);
+        c.shapes.schedule_for(key, &PipelineConfig::new(4, 4, key.0).unwrap()).unwrap();
+        assert_eq!((c.entries(), c.shapes.entries()), (2, 1));
+    }
+
+    #[test]
+    fn caches_over_one_tier_share_its_shapes_and_no_more() {
+        let tier = Arc::new(ShapeTier::default());
+        let [a, b] = [0, 1].map(|_| SweepCaches::over(Arc::clone(&tier), usize::MAX));
+        assert!(Arc::ptr_eq(a.shapes(), b.shapes()));
+        let key = (Scheme::Hanayo { waves: 2 }, 4, 8);
+        let cfg = PipelineConfig::new(4, 8, key.0).unwrap();
+        let shape = a.shapes.schedule_for(key, &cfg).unwrap();
+        assert!(Arc::ptr_eq(&shape, &b.shapes.schedule_for(key, &cfg).unwrap()));
+        let table = CostTable::build(&ModelConfig::bert64(), 4, 1);
+        a.costs.insert_if_absent((4, 1, Recompute::None), Arc::new(table));
+        assert_eq!((a.entries(), b.entries()), (1, 0), "the configuration tier is private");
+        // Every other constructor makes a tier of its own.
+        let own = [SweepCaches::default(), SweepCaches::bounded(4)];
+        assert!(!Arc::ptr_eq(own[0].shapes(), own[1].shapes()));
+        assert!(own.iter().all(|c| !Arc::ptr_eq(c.shapes(), &tier)));
     }
 }

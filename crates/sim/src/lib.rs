@@ -42,7 +42,7 @@ pub mod report;
 pub mod search;
 pub mod tuner;
 
-pub use cache::SweepCaches;
+pub use cache::{ShapeTier, SweepCaches};
 pub use engine::{
     compile_schedule, try_simulate_compiled, try_simulate_traced, validate_numerics,
     CompiledSchedule, NumericsError, SimError, SimOptions,

@@ -47,12 +47,12 @@
 //! exactly; a plan it proves OOM on a deadlock-free schedule is rejected
 //! without simulating. The survivors are simulated through one lowering
 //! per schedule shape. Every artifact lives in a [`SweepCaches`] — the
-//! context's shared handle, or one built for the sweep — and is a pure
-//! function of its key, so the outcome equals
-//! [`crate::plan::evaluate_plan`] run on each candidate, rejection texts
-//! included (a test pins this), except that the simulations run
-//! span-free: a ranking reads scalars, so every `group_report.spans` in a
-//! [`Tuning`] is empty.
+//! context's shared handle, or one built for the sweep — or in the
+//! [`crate::ShapeTier`] under it, and is a pure function of its key, so
+//! the outcome equals [`crate::plan::evaluate_plan`] run on each
+//! candidate, rejection texts included (a test pins this), except that
+//! the simulations run span-free: a ranking reads scalars, so every
+//! `group_report.spans` in a [`Tuning`] is empty.
 //!
 //! ## Lookahead variants proven, not simulated
 //!
@@ -84,7 +84,8 @@
 //!   ([`hanayo_analyze::critical_path`], memoised per shape, cost table
 //!   and sub-cluster content) plus the exact all-reduce time. A critical
 //!   path never exceeds the group's simulated iteration time by more than
-//!   [`CRITICAL_PATH_SLACK`], under any simulator variant.
+//!   [`CRITICAL_PATH_SLACK`], under any simulator variant, so each shape
+//!   task bounds a plan once for all its variants.
 //! * **Rounds.** The survivors are then simulated in descending bound
 //!   order, ties broken by candidate index, in rounds of `k`. Inside a
 //!   round each resolved shape's candidates run as one pool task in
@@ -462,7 +463,7 @@ fn static_verdict(
     let resolved = resolve_plan(plan, cluster)?;
     let cfg = resolved.cfg;
     let schedule_key: SchedKey = (cfg.scheme, cfg.devices, cfg.micro_batches);
-    let shape = caches.schedule_for(schedule_key, &cfg)?;
+    let shape = caches.shapes.schedule_for(schedule_key, &cfg)?;
     let cost_key: CostKey = (cfg.stages(), plan.micro_batch_size, plan.recompute);
     let cost = caches.cost_for(cost_key, model);
     validate_numerics(&cost, cluster).map_err(PlanError::Numerics)?;
@@ -540,7 +541,7 @@ fn simulate(
     let (schedule_key, cost_key) = (*schedule_key, *cost_key);
     // Only the lookahead-1 run proves the deeper variants.
     let deeper = if sim == SimOptions::default() { deeper } else { &[] };
-    let compiled = caches.compiled_for(schedule_key, shape, &sim);
+    let compiled = caches.shapes.compiled_for(schedule_key, shape, &sim);
     let (schedule, peaks) = (&shape.schedule, Some(peaks.as_slice()));
     simulate_plan(plan, cluster, *resolved, |sub| {
         let sub_cluster = caches.sub_cluster_id(sub);
@@ -558,7 +559,7 @@ fn simulate(
             let (report, record) =
                 try_simulate_recorded(&compiled, schedule, cost, sub, peaks, sim)?;
             for (target, opts) in targets {
-                let lowering = caches.compiled_for(schedule_key, shape, opts);
+                let lowering = caches.shapes.compiled_for(schedule_key, shape, opts);
                 let proven = record.proves(&compiled, &lowering);
                 record_proof(proven);
                 if proven {
@@ -697,9 +698,10 @@ impl TuneProgress {
 #[derive(Clone, Default)]
 pub struct TuneContext {
     /// Artifact caches shared *across* sweeps. `None` gives each sweep
-    /// its own caches. **Sharing contract:** the cache keys assume one
-    /// model and one cluster — a resident service must key its shared
-    /// handles by the `(model, cluster)` configuration.
+    /// its own caches. **Sharing contract:** the per-configuration cache
+    /// keys assume one model and one cluster — a resident service must
+    /// key its shared handles by the `(model, cluster)` configuration; the
+    /// [`crate::ShapeTier`] under them may be shared by any configurations.
     pub caches: Option<Arc<SweepCaches>>,
     /// Cooperative cancellation: checked before each shape task starts,
     /// in a top-k sweep's pre-pass and rounds too (see the module docs); a
@@ -839,14 +841,23 @@ impl Sweep<'_> {
     fn top(&self, k: usize) -> Option<Vec<(usize, Outcome)>> {
         let Sweep { model, cluster, caches, space, deeper, .. } = *self;
         let prepassed = self.each_task(self.tasks, |task| {
+            // Every simulator variant of a plan has the plan's bound.
+            let mut bounds: Vec<(ParallelPlan, Option<f64>)> = Vec::new();
             let verdicts: Vec<_> = task
                 .iter()
                 .map(|&i| {
                     let (plan, ..) = &space[i];
                     prepass(model, cluster, caches, &space[i])
                         .map(|survivor| {
+                            let bound = match bounds.iter().find(|(p, _)| p == plan) {
+                                Some(&(_, bound)) => bound,
+                                None => {
+                                    let bound = survivor_bound(plan, cluster, &survivor, caches);
+                                    bounds.push((*plan, bound));
+                                    bound
+                                }
+                            };
                             // A candidate that cannot be bounded is always simulated.
-                            let bound = survivor_bound(plan, cluster, &survivor, caches);
                             (bound.unwrap_or(f64::INFINITY), i, survivor)
                         })
                         .map_err(|rejection| (i, rejection))
@@ -1032,6 +1043,7 @@ pub fn tune_serial_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::ShapeTier;
     use crate::plan::evaluate_plan;
     use hanayo_cluster::topology::{fc_full_nvlink, lonestar6, pc_partial_nvlink};
     use std::sync::atomic::AtomicBool;
@@ -1483,6 +1495,32 @@ mod tests {
         let warm = tune_serial_with(&model, &cluster, 16, 1, &wide, &ctx).expect("untripped");
         assert_eq!(plain, warm);
         assert!(shared.entries() > 0, "the shared handle must have been populated");
+    }
+
+    #[test]
+    fn a_cold_configuration_over_a_filled_shape_tier_builds_no_schedule() {
+        // Two configurations with one GPU count and batch resolve to one
+        // set of shapes: the second, cold in its own tier, builds none and
+        // still ranks as fresh caches do, full and top-k.
+        let tier = Arc::new(ShapeTier::default());
+        let over = |tier: &Arc<ShapeTier>| TuneContext {
+            caches: Some(Arc::new(SweepCaches::over(Arc::clone(tier), usize::MAX))),
+            ..Default::default()
+        };
+        let bert = ModelConfig::bert64().with_train_bytes_per_param(8);
+        let gpt = ModelConfig::gpt128().with_train_bytes_per_param(8);
+        let wide = opts().wide();
+        for top in [None, Some(5)] {
+            let opts = TuneOptions { top, ..wide.clone() };
+            tune_with(&bert, &lonestar6(8), 16, 1, &opts, &over(&tier)).unwrap();
+            let shapes = tier.schedules.len();
+            assert!(shapes > 0);
+            let cold = tune_with(&gpt, &fc_full_nvlink(8), 16, 1, &opts, &over(&tier)).unwrap();
+            assert_eq!(tier.schedules.len(), shapes, "the cold configuration built a schedule");
+            let fresh =
+                tune_with(&gpt, &fc_full_nvlink(8), 16, 1, &opts, &TuneContext::default()).unwrap();
+            assert_eq!(cold, fresh);
+        }
     }
 
     #[test]
